@@ -1,12 +1,12 @@
 """Finite-dimensional *-algebras of operators: generation, commutants, centers, gradings.
 
 An algebra is stored as an orthonormal linear basis (trace inner product)
-of operators on a fixed Hilbert space C^n.  Membership tests are
-projection-residual tests against that basis.
+of operators on a fixed Hilbert space C^n, stacked into one (dim, n, n)
+array.  Membership tests are projection-residual tests against that basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,25 @@ __all__ = [
 
 @dataclass
 class AlgebraBasis:
+    """A *-algebra of operators on C^n.
+
+    `basis` is an orthonormal basis (trace inner product) stacked as a
+    (dim, n, n) array.  `generators` is a (k, n, n) array of matrices that
+    generate the algebra, the short list that commutant and center tests
+    run against; it defaults to the basis.
+    """
+
     hilbert_dim: int
-    basis: list = field(default_factory=list)
-    generators: list = field(default_factory=list)
-    unital: bool = True
-    parity: list | None = None  # +1/-1 per basis element when homogeneously graded
+    basis: np.ndarray
+    generators: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = self.hilbert_dim
+        self.basis = np.asarray(self.basis, dtype=complex).reshape(-1, n, n)
+        if self.generators is None:
+            self.generators = self.basis
+        else:
+            self.generators = np.asarray(self.generators, dtype=complex).reshape(-1, n, n)
 
     @property
     def dim(self) -> int:
@@ -48,8 +62,9 @@ class AlgebraBasis:
     def coords(self, x) -> np.ndarray:
         return span_coords(x, self.basis)
 
-    def project(self, x) -> np.ndarray:
-        return project_onto_span(x, self.basis)
+    def combine(self, coeffs) -> np.ndarray:
+        """The element sum_k coeffs[k] basis[k] (one per row for a 2-D coeffs)."""
+        return np.tensordot(coeffs, self.basis, axes=1)
 
     def membership_residual(self, x) -> float:
         return span_residual(x, self.basis)
@@ -60,12 +75,7 @@ class AlgebraBasis:
         For a unital *-subalgebra this is the trace-preserving conditional
         expectation.
         """
-        return self.project(x)
-
-    def generator_matrices(self):
-        if self.generators:
-            return [self.basis[i] for i in self.generators]
-        return list(self.basis)
+        return project_onto_span(x, self.basis)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.hilbert_dim, dtype=complex)
@@ -111,22 +121,7 @@ def generate_algebra(generators, with_unit: bool = True, tol: Tolerance = DEFAUL
         basis = nxt
     else:
         raise RuntimeError("algebra closure did not stabilize (numerical drift?)")
-
-    gen_idx = []
-    for g in gens:
-        coords = span_coords(g, basis)
-        # remember which basis vector tracks each generator only loosely; store index list
-        gen_idx.append(int(np.argmax(np.abs(coords))))
-    alg = AlgebraBasis(hilbert_dim=n, basis=basis, generators=[], unital=with_unit)
-    alg._generator_mats = gens  # raw generators, kept for commutant shortcuts
-    return alg
-
-
-def _raw_generators(alg: AlgebraBasis):
-    mats = getattr(alg, "_generator_mats", None)
-    if mats:
-        return mats
-    return alg.basis
+    return AlgebraBasis(hilbert_dim=n, basis=basis, generators=gens)
 
 
 def _commutant_from(mats, n, tol):
@@ -150,7 +145,7 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     after every basis element verifiably commutes with all generators.
     """
     n = alg.hilbert_dim
-    gens = _raw_generators(alg)
+    gens = alg.generators
     basis = None
     if len(gens) > 4:
         rng = np.random.default_rng(1285)
@@ -167,9 +162,7 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
             basis = candidate
     if basis is None:
         basis = _commutant_from(gens, n, tol)
-    out = AlgebraBasis(hilbert_dim=n, basis=basis, generators=[], unital=True)
-    out._generator_mats = basis
-    return out
+    return AlgebraBasis(hilbert_dim=n, basis=basis)
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL):
@@ -178,22 +171,10 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL):
     d = alg.dim
     if d == 0:
         return []
-    gens = _raw_generators(alg)
-    rows = []
-    for g in gens:
-        block = np.zeros((n * n, d), dtype=complex)
-        for i, b in enumerate(alg.basis):
-            block[:, i] = (g @ b - b @ g).ravel()
-        rows.append(block)
-    stacked = np.vstack(rows)
-    kernel = null_space(stacked, tol)
-    out = []
-    for c in kernel:
-        m = np.zeros((n, n), dtype=complex)
-        for i, b in enumerate(alg.basis):
-            m = m + c[i] * b
-        out.append(m)
-    return out
+    # one (n*n, d) block per generator: column i holds [g, basis[i]]
+    rows = [(g @ alg.basis - alg.basis @ g).reshape(d, n * n).T for g in alg.generators]
+    kernel = null_space(np.vstack(rows), tol)
+    return [alg.combine(c) for c in kernel]
 
 
 def graded_split(alg: AlgebraBasis, grading, tol: Tolerance = DEFAULT_TOL):

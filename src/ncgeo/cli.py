@@ -14,22 +14,25 @@ import numpy as np
 from .convert import (
     CliffordModuleData,
     appendix_equivalence_check,
+    derived_backward_potential,
     double_odd_triple,
+    intertwine_triples,
     poincare_pairing_matrix,
     riemannian_to_spinc,
-    round_trip_check,
     spinc_to_riemannian,
 )
 from .examples import EXAMPLE_KINDS, build_example
 from .io import (
     FormatError,
     data_to_matrix,
+    dict_to_triple,
     load_triple,
     matrix_to_data,
     save_triple,
     triple_to_dict,
     vector_to_data,
 )
+from .kasparov import BimoduleConnection, ModuleOverAlgebra, product_triple
 from .linalg import Tolerance
 from .report import CheckReport
 from .triples import run_condition_suite, zeta_diagnostic
@@ -134,7 +137,6 @@ def cmd_convert(args) -> int:
                 print("error: to-spinc needs a file produced by to-riemannian "
                       "(bundled module data missing)", file=sys.stderr)
                 return EXIT_FAIL
-            from .io import dict_to_triple
             source = dict_to_triple(source_doc)
             module = CliffordModuleData(
                 carrier_dim=source.hilbert_dim,
@@ -143,7 +145,6 @@ def cmd_convert(args) -> int:
                 algebra_basis=[data_to_matrix(w) for w in witness["c_basis_out"]]
                 if witness.get("c_basis_out") else None,
             )
-            from .convert import derived_backward_potential, intertwine_triples
             pot = derived_backward_potential(t, module, source.dirac, tol)
             result = riemannian_to_spinc(t, module, tol, potential=pot)
             u, irep = intertwine_triples(source, result.output, tol)
@@ -163,7 +164,6 @@ def cmd_convert(args) -> int:
 
 
 def cmd_product(args) -> int:
-    from .kasparov import BimoduleConnection, ModuleOverAlgebra, product_triple
     t, _ = _load(args.path)
     try:
         with open(args.module) as fh:

@@ -20,11 +20,15 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    block_diag,
+    herm_eig,
     null_space,
     operator_norm,
     rel_residual,
+    span_basis,
+    span_residual,
 )
-from .modules import parseval_frame
+from .modules import expectation_pairing, parseval_frame
 from .report import CheckReport
 from .tomita import grading_from_cycle, opposite_action, tomita_conjugation
 from .triples import (
@@ -79,10 +83,6 @@ def _block_stack(vectors):
     return np.concatenate([np.asarray(v, dtype=complex).ravel() for v in vectors])
 
 
-def _diag_big(op, n):
-    return np.kron(np.eye(n, dtype=complex), op)
-
-
 def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
                         potential: list | None = None) -> ConversionResult:
     """Riemannian data carried by the module of the spin^c equivalence.
@@ -115,16 +115,12 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     # conjugate of the Hilbert space over the algebra
     xs = parseval_frame(right, tol)
     m = len(xs)
-
-    def pair_op(xi, eta):
-        # operator of the algebra-valued pairing (xi|eta), linear in eta
-        return right.expectation(np.outer(np.asarray(eta, dtype=complex),
-                                          np.conj(np.asarray(xi, dtype=complex))))
+    pair = expectation_pairing(right)
 
     q_big = np.zeros((m * n, m * n), dtype=complex)
     for k in range(m):
         for j in range(m):
-            q_big[k * n:(k + 1) * n, j * n:(j + 1) * n] = pair_op(xs[j], xs[k])
+            q_big[k * n:(k + 1) * n, j * n:(j + 1) * n] = pair(xs[k], xs[j])
 
     module = ModuleOverAlgebra(m, q_big, right, graded=False)
     conn = BimoduleConnection(module, potential)
@@ -138,8 +134,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     phi = adjoint(u) @ phi_big
 
     c_src = represent_chain(t, t.orientation_cycle)
-    chat = comp(_diag_big(c_src, m))
-    out_gens = [comp(_diag_big(a, m)) for a in t.algebra_gens]
+    chat = comp(block_diag(c_src, m))
+    out_gens = [comp(block_diag(a, m)) for a in t.algebra_gens]
     out_dirac = comp(dhat)
 
     base = SpectralTripleData(
@@ -163,7 +159,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             "grassmann" if potential is None else "user potential")
 
     # source-aligned basis of the new algebra for round trips
-    hat_images = [comp(_diag_big(w, m)) for w in cda.basis]
+    hat_images = [comp(block_diag(w, m)) for w in cda.basis]
     hat_cols = np.stack([h.ravel() for h in hat_images], axis=1)
     coeffs = []
     worst = 0.0
@@ -172,7 +168,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
         coeffs.append(c)
         worst = max(worst, rel_residual((hat_cols @ c).reshape(w.shape) - w, operator_norm(w)))
     rep.add("convert:algebra_transport", worst, max(tol.rel, 1e-8))
-    src_basis = [sum(c[i] * cda.basis[i] for i in range(cda.dim)) for c in coeffs]
+    src_basis = [cda.combine(c) for c in coeffs]
 
     if not odd:
         tri = SpectralTripleData(
@@ -261,8 +257,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             for k in range(n):
                 basis_k = np.zeros(n, dtype=complex)
                 basis_k[k] = 1.0
-                theta[:, k] = pair_op(tau, basis_k) @ rho
-            theta_hat = comp(_diag_big(theta, m))
+                theta[:, k] = pair(basis_k, tau) @ rho
+            theta_hat = comp(block_diag(theta, m))
             if odd:
                 z = np.zeros_like(theta_hat)
                 theta_hat = np.block([[theta_hat, z], [z, theta_hat]])
@@ -276,7 +272,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     diag_weight = sum(q_big[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(m))
     worst = 0.0
     for w in cda.basis[: min(6, cda.dim)]:
-        lhs = complex(np.trace(comp(_diag_big(w, m))))
+        lhs = complex(np.trace(comp(block_diag(w, m))))
         rhs = complex(np.trace(w @ diag_weight))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     rep.add("convert:trace_bookkeeping", worst, max(tol.rel, 1e-9))
@@ -305,23 +301,10 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     nh = t.hilbert_dim
     j = tomita_conjugation(t, t.riemann_vector, tol)
 
-    from .linalg import herm_apply, span_basis as _sb
-    ortho = _sb(module.left_action, tol)
-    carrier_alg = AlgebraBasis(nc, ortho, [], True)
-    carrier_alg._generator_mats = [as_complex_matrix(x) for x in module.left_action]
-    s_op = np.zeros((nc, nc), dtype=complex)
-    for b in carrier_alg.basis:
-        s_op = s_op + b @ adjoint(b)
-    svals_f, _ = np.linalg.eigh((s_op + adjoint(s_op)) / 2.0)
-    if svals_f[0] <= tol.rank_cut * max(1.0, svals_f[-1]):
-        raise ValueError("module frame operator is singular")
-    s_inv_half = herm_apply(lambda x: x ** -0.5, (s_op + adjoint(s_op)) / 2.0, tol)
-    frame = [s_inv_half @ v for v in np.eye(nc, dtype=complex)]
+    carrier_alg = AlgebraBasis(nc, span_basis(module.left_action, tol))
+    frame = parseval_frame(carrier_alg, tol)
     nmod = len(frame)
-
-    def carrier_pair(e, f):
-        return carrier_alg.expectation(np.outer(np.asarray(e, dtype=complex),
-                                                np.conj(np.asarray(f, dtype=complex))))
+    carrier_pair = expectation_pairing(carrier_alg)
 
     act_cols = np.stack([as_complex_matrix(x).ravel() for x in module.left_action], axis=1)
     act_pinv = np.linalg.pinv(act_cols)
@@ -369,8 +352,7 @@ def one_form_span_opposite(t: SpectralTripleData, j, tol: Tolerance = DEFAULT_TO
         c1 = t.dirac @ b - b @ t.dirac
         for b2 in ops:
             mats.append(c1 @ b2)
-    from .linalg import span_basis as _sb
-    return _sb(mats, tol)
+    return span_basis(mats, tol)
 
 
 def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
@@ -406,19 +388,18 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
                 rel_residual(q_big - adjoint(q_big), operator_norm(q_big))),
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
-    d_big = _diag_big(t.dirac, nmod)
+    d_big = block_diag(t.dirac, nmod)
     pot_big = np.zeros_like(d_big)
     if potential is not None:
         pot_big = as_complex_matrix(potential)
         if pot_big.shape != d_big.shape:
             raise ValueError("potential shape does not match the module presentation")
-        span = one_form_span_opposite(t, j, tol)
-        from .linalg import span_residual as _sr
+        span = np.asarray(one_form_span_opposite(t, j, tol), dtype=complex)
         worst = 0.0
         for k in range(nmod):
             for jj in range(nmod):
                 blk = pot_big[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh]
-                worst = max(worst, _sr(blk, span))
+                worst = max(worst, span_residual(blk, span))
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
         rep.add("convert:potential_hermitian",
                 rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big)),
@@ -428,7 +409,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
         c_op = represent_chain(t, t.orientation_cycle)
     else:
         c_op = t.grading
-    chat = q_big @ _diag_big(c_op, nmod) @ q_big
+    chat = q_big @ block_diag(c_op, nmod) @ q_big
     rep.add("convert:orientation_anticommutes",
             rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat)),
             max(tol.rel, 1e-9))
@@ -458,7 +439,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
 
     out = SpectralTripleData(
         hilbert_dim=nc,
-        algebra_gens=[pull(_diag_big(a, nmod)) for a in t.algebra_gens],
+        algebra_gens=[pull(block_diag(a, nmod)) for a in t.algebra_gens],
         dirac=pull(dhat),
         grading=pull(chat),
         declared_p=t.declared_p,
@@ -553,7 +534,7 @@ def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleDa
     if sq[-1] <= tol.rank_cut * sq[0]:
         raise ValueError("module identification is singular")
     v_unit = uq @ vqh
-    d_plain = q_big @ _diag_big(tri.dirac, nmod) @ q_big
+    d_plain = q_big @ block_diag(tri.dirac, nmod) @ q_big
     target = v_unit @ as_complex_matrix(source_dirac) @ adjoint(v_unit)
     w = q_big @ (target - d_plain) @ q_big
     return (w + adjoint(w)) / 2.0
@@ -689,7 +670,6 @@ def split_by_central_involution(dhat: np.ndarray, c_op: np.ndarray, eps_op: np.n
     nd = operator_norm(dhat)
     rep.add("split:operator_commutes", rel_residual(dhat @ c_op - c_op @ dhat, nd), tol.rel)
     rep.add("split:grading_swaps", rel_residual(eps_op @ c_op + c_op @ eps_op, 1.0), tol.rel)
-    from .linalg import herm_eig
     vals, vecs = herm_eig((c_op + adjoint(c_op)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
     plus = vecs[:, vals > 0]
     minus = vecs[:, vals < 0]

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 
+from .algebra import generate_algebra
+from .modules import ProjectiveModule
 from .triples import HochschildChain, SpectralTripleData
 
 __all__ = [
@@ -119,7 +121,7 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
 def module_to_dict(mod) -> dict:
     """Projective module document: base generators, size, projector/metric blocks."""
     return {
-        "base_generators": [matrix_to_data(g) for g in mod.base.generator_matrices()],
+        "base_generators": [matrix_to_data(g) for g in mod.base.basis],
         "m": mod.size,
         "q_blocks": matrix_to_data(mod.projector),
         "r_blocks": matrix_to_data(mod.metric),
@@ -128,8 +130,6 @@ def module_to_dict(mod) -> dict:
 
 
 def dict_to_module(doc: dict):
-    from .algebra import generate_algebra
-    from .modules import ProjectiveModule
     try:
         base = generate_algebra([data_to_matrix(g) for g in doc["base_generators"]],
                                 with_unit=True)

@@ -19,6 +19,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    block_diag,
     herm_eig,
     operator_norm,
     rel_residual,
@@ -125,10 +126,6 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
         raise ValueError(f"potential violates hermiticity (residual {worst_herm:.3e})")
 
 
-def _block_diag(op, n):
-    return np.kron(np.eye(n, dtype=complex), op)
-
-
 def _potential_big(conn: BimoduleConnection, hilbert_dim: int) -> np.ndarray:
     n = conn.module.size
     big = np.zeros((n * hilbert_dim, n * hilbert_dim), dtype=complex)
@@ -167,7 +164,7 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
     n = module.size
     q = module.projector
-    d_n = _block_diag(t.dirac, n)
+    d_n = block_diag(t.dirac, n)
     ahat = q @ _potential_big(conn, t.hilbert_dim) @ q
     dhat = q @ d_n @ q + ahat
     herm = rel_residual(dhat - adjoint(dhat), operator_norm(dhat))
@@ -206,10 +203,10 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
     worst = 0.0
     for a in t.algebra_gens:
-        a_n = _block_diag(a, n)
+        a_n = block_diag(a, n)
         da = t.dirac @ a - a @ t.dirac
         lhs = dhat @ a_n - a_n @ dhat
-        rhs = q @ _block_diag(da, n) @ q
+        rhs = q @ block_diag(da, n) @ q
         worst = max(worst, rel_residual(lhs - rhs, operator_norm(t.dirac), operator_norm(a)))
     rep.add("product:commutators_descend", worst, max(tol.rel, 1e-9))
 
@@ -219,17 +216,18 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
         rep.add("product:right_action_respects_module", worst_q, max(tol.rel, 1e-8))
         worst = 0.0
         for c in right_ops:
-            dc = dhat @ comp_big(c, q) - comp_big(c, q) @ dhat
+            qcq = q @ c @ q
+            dc = dhat @ qcq - qcq @ dhat
             for a in t.algebra_gens:
-                a_n = _block_diag(a, n)
+                a_n = block_diag(a, n)
                 worst = max(worst, rel_residual(dc @ a_n - a_n @ dc,
                                                 operator_norm(dc), operator_norm(a)))
         rep.add("product:first_order_for_right_action", worst, max(tol.rel, 1e-8))
-        new_right = [comp(comp_big(c, q)) for c in right_ops]
+        new_right = [comp(q @ c @ q) for c in right_ops]
 
     grading = None
     if t.grading is not None:
-        g_n = _block_diag(t.grading, n)
+        g_n = block_diag(t.grading, n)
         if rel_residual(g_n @ q - q @ g_n, operator_norm(q)) <= max(tol.rel, 1e-8):
             grading = comp(g_n)
         else:
@@ -241,7 +239,7 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
     out = SpectralTripleData(
         hilbert_dim=u.shape[1],
-        algebra_gens=[comp(_block_diag(a, n)) for a in t.algebra_gens],
+        algebra_gens=[comp(block_diag(a, n)) for a in t.algebra_gens],
         dirac=comp(dhat),
         grading=grading,
         declared_p=t.declared_p,
@@ -249,10 +247,6 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
         state=None,
     )
     return out, u, rep
-
-
-def comp_big(c, q):
-    return q @ c @ q
 
 
 def connection_frame(conn: BimoduleConnection):
@@ -370,10 +364,10 @@ def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL
 
     rep = CheckReport()
     worst = 0.0
-    for b in right.generator_matrices():
+    for b in right.basis:
         worst = max(worst, rel_residual(t_op @ b - b @ t_op, operator_norm(t_op), operator_norm(b)))
     rep.add("decomposition:remainder_coefficient_linear", worst, max(tol.rel, 1e-9))
-    gamma_table = [(b, ed @ b - b @ ed) for b in right.generator_matrices()]
+    gamma_table = [(b, ed @ b - b @ ed) for b in right.basis]
     return gamma_table, t_op, rep
 
 
@@ -387,7 +381,7 @@ def gauge_transform(t: SpectralTripleData, conn: BimoduleConnection, u_big: np.n
     module = conn.module
     n, nh = module.size, module.fiber_dim
     q = module.projector
-    d_n = _block_diag(t.dirac, n)
+    d_n = block_diag(t.dirac, n)
     q_new = u_big @ q @ adjoint(u_big)
     a_big = conn_potential_compressed(t, conn)
     a_new = q_new @ (u_big @ (d_n @ adjoint(u_big) - adjoint(u_big) @ d_n)) @ q_new \

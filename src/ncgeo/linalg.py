@@ -22,6 +22,7 @@ __all__ = [
     "herm_eig",
     "herm_apply",
     "herm_abs",
+    "block_diag",
     "span_basis",
     "span_coords",
     "project_onto_span",
@@ -113,6 +114,11 @@ def herm_abs(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return herm_apply(abs, m, tol)
 
 
+def block_diag(op, n: int) -> np.ndarray:
+    """The operator op repeated n times down the diagonal, kron(1_n, op)."""
+    return np.kron(np.eye(n, dtype=complex), op)
+
+
 def _stack_columns(mats):
     return np.stack([np.asarray(m, dtype=complex).ravel() for m in mats], axis=1)
 
@@ -140,16 +146,20 @@ def span_basis(mats, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
     return [u[:, k].reshape(shape) for k in range(rank)]
 
 
+def _stacked(basis, shape) -> np.ndarray:
+    """A span basis (list of matrices or (dim, n, n) array) as a (dim, n*n) array."""
+    size = int(np.prod(shape))
+    return np.asarray(basis, dtype=complex).reshape(-1, size)
+
+
 def span_coords(x, basis) -> np.ndarray:
-    return np.array([trace_inner(b, x) for b in basis], dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    return _stacked(basis, x.shape).conj() @ x.ravel()
 
 
 def project_onto_span(x, basis) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
-    out = np.zeros_like(x)
-    for b in basis:
-        out = out + trace_inner(b, x) * b
-    return out
+    return (span_coords(x, basis) @ _stacked(basis, x.shape)).reshape(x.shape)
 
 
 def span_residual(x, basis) -> float:

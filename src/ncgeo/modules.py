@@ -8,9 +8,9 @@ Concrete conventions
 * The conjugate (left) module stores block rows of shape (d, m*d); the
   left action is a @ e.  Conjugation of a right element is the adjoint of
   its block column; projector and metric are reused unchanged.
-* Bimodule pairings are stored as tables over the standard basis of the
-  carrier space and extended sesquilinearly.  Left pairings are linear in
-  the first slot, right pairings in the second.
+* Bimodule pairings are stored as (d, d, d, d) tables over the standard
+  basis of the carrier space and extended sesquilinearly.  Left pairings
+  are linear in the first slot, right pairings in the second.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .linalg import (
     operator_norm,
     rel_residual,
     span_basis,
-    trace_inner,
 )
 from .report import CheckReport
 
@@ -173,43 +172,42 @@ def frame_presentation(xs, ys, pair, rmul, probes, tol: Tolerance = DEFAULT_TOL)
 class EquivBimodule:
     """Two-sided hermitian bimodule on a concrete carrier C^d.
 
-    Both algebras act on the carrier; `left_pair[i][j]` is the left-algebra
-    value of (c_i | c_j) (linear in the first slot), `right_pair[i][j]` the
+    Both algebras act on the carrier; `left_pair[i, j]` is the left-algebra
+    value of (c_i | c_j) (linear in the first slot), `right_pair[i, j]` the
     operator by which (c_i | c_j) of the right algebra acts (linear in the
-    second slot).
+    second slot).  Both tables are (d, d, d, d) arrays; nested lists of
+    matrices are stacked.
     """
 
     left_alg: AlgebraBasis
     right_alg: AlgebraBasis
     carrier_dim: int
-    left_pair: list
-    right_pair: list
+    left_pair: np.ndarray
+    right_pair: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.carrier_dim,) * 4
+        self.left_pair = np.asarray(self.left_pair, dtype=complex).reshape(shape)
+        self.right_pair = np.asarray(self.right_pair, dtype=complex).reshape(shape)
 
     def left_pairing(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=complex).ravel()
         v = np.asarray(v, dtype=complex).ravel()
-        out = np.zeros((self.carrier_dim, self.carrier_dim), dtype=complex)
-        for i in range(self.carrier_dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.carrier_dim):
-                if v[j] == 0:
-                    continue
-                out = out + u[i] * np.conj(v[j]) * self.left_pair[i][j]
-        return out
+        return np.tensordot(np.outer(u, v.conj()), self.left_pair, 2)
 
     def right_pairing(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=complex).ravel()
         v = np.asarray(v, dtype=complex).ravel()
-        out = np.zeros((self.carrier_dim, self.carrier_dim), dtype=complex)
-        for i in range(self.carrier_dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.carrier_dim):
-                if v[j] == 0:
-                    continue
-                out = out + np.conj(u[i]) * v[j] * self.right_pair[i][j]
-        return out
+        return np.tensordot(np.outer(u.conj(), v), self.right_pair, 2)
+
+
+def _compatibility_sides(lp, rp):
+    """(c_i|c_j)_left c_k and (c_j|c_k)_right c_i, both indexed [i, j, k, :]."""
+    return lp.transpose(0, 1, 3, 2), rp.transpose(3, 0, 1, 2)
+
+
+def _op_norms(stack) -> np.ndarray:
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 def bimodule_from_actions(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
@@ -224,25 +222,16 @@ def bimodule_from_actions(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
     d = left_alg.hilbert_dim
     if right_alg.hilbert_dim != d:
         raise ValueError("actions must share the carrier")
-    basis = np.eye(d, dtype=complex)
-    lp = [[left_alg.expectation(np.outer(basis[i], basis[j].conj())) for j in range(d)]
-          for i in range(d)]
-    rp_raw = [[right_alg.expectation(np.outer(basis[j], basis[i].conj())) for j in range(d)]
-              for i in range(d)]
+    # for an orthonormal basis b_k, E(|c_i><c_j|) = sum_k conj(b_k[i, j]) b_k
+    lp = np.tensordot(left_alg.basis.conj(), left_alg.basis, (0, 0))
+    # right table entry [i, j] is E(|c_j><c_i|)
+    rp_raw = np.tensordot(right_alg.basis.conj(), right_alg.basis, (0, 0)).transpose(1, 0, 2, 3)
 
     # least-squares scale from compatibility sampled on basis triples
-    num = 0.0
-    den = 0.0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = lp[i][j] @ basis[k]          # (c_i|c_j)_left applied to c_k
-                rhs = rp_raw[j][k] @ basis[i]      # (c_j|c_k)_right acting on c_i
-                num += float(np.real(np.vdot(rhs, lhs)))
-                den += float(np.real(np.vdot(rhs, rhs)))
-    lam = num / den if den > 0 else 1.0
-    rp = [[lam * rp_raw[i][j] for j in range(d)] for i in range(d)]
-    bi = EquivBimodule(left_alg, right_alg, d, lp, rp)
+    lhs, rhs = _compatibility_sides(lp, rp_raw)
+    den = float(np.vdot(rhs, rhs).real)
+    lam = float(np.vdot(rhs, lhs).real) / den if den > 0 else 1.0
+    bi = EquivBimodule(left_alg, right_alg, d, lp, lam * rp_raw)
     return bi, lam
 
 
@@ -250,47 +239,33 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     """Compatibility, fullness and positivity checks for a two-sided bimodule."""
     rep = CheckReport()
     d = bi.carrier_dim
-    basis = np.eye(d, dtype=complex)
+    lp, rp = bi.left_pair, bi.right_pair
+    left, right = bi.left_alg.basis, bi.right_alg.basis
+    left_norms, right_norms = _op_norms(left), _op_norms(right)
 
     worst = 0.0
-    for b in bi.left_alg.basis:
-        for a in bi.right_alg.basis:
-            worst = max(worst, rel_residual(b @ a - a @ b, operator_norm(a), operator_norm(b)))
+    for b, nb in zip(left, left_norms):
+        res = _op_norms(b @ right - right @ b) / np.maximum(1.0, right_norms * nb)
+        worst = max(worst, float(np.max(res, initial=0.0)))
     rep.add("morita:actions_commute", worst, tol.rel)
 
-    worst = 0.0
-    for a in bi.right_alg.basis:
-        na = operator_norm(a)
-        for i in range(d):
-            for j in range(d):
-                lhs = bi.left_pairing(a @ basis[i], basis[j])
-                rhs = bi.left_pairing(basis[i], adjoint(a) @ basis[j])
-                worst = max(worst, rel_residual(lhs - rhs, na))
-    rep.add("morita:left_pairing_right_action", worst, tol.rel)
+    def action_gap(coeffs, norms, table):
+        # [i, j] entries of (a c_i | c_j) - (c_i | a^* c_j); the matrix of a
+        # enters as is in the linear slot of the table, conjugated otherwise
+        worst = 0.0
+        for c, nc in zip(coeffs, norms):
+            gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
+            worst = max(worst, float(np.max(_op_norms(gap))) / max(1.0, nc))
+        return worst
 
-    worst = 0.0
-    for b in bi.left_alg.basis:
-        nb = operator_norm(b)
-        for i in range(d):
-            for j in range(d):
-                lhs = bi.right_pairing(b @ basis[i], basis[j])
-                rhs = bi.right_pairing(basis[i], adjoint(b) @ basis[j])
-                worst = max(worst, rel_residual(lhs - rhs, nb))
-    rep.add("morita:right_pairing_left_action", worst, tol.rel)
+    rep.add("morita:left_pairing_right_action", action_gap(right, right_norms, lp), tol.rel)
+    rep.add("morita:right_pairing_left_action", action_gap(left.conj(), left_norms, rp), tol.rel)
 
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = bi.left_pair[i][j] @ basis[k]
-                rhs = bi.right_pair[j][k] @ basis[i]
-                worst = max(worst, rel_residual(lhs - rhs, 1.0))
-    rep.add("morita:compatibility", worst, tol.rel)
+    lhs, rhs = _compatibility_sides(lp, rp)
+    rep.add("morita:compatibility", float(np.max(np.linalg.norm(lhs - rhs, axis=-1))), tol.rel)
 
-    flat_left = [bi.left_pair[i][j] for i in range(d) for j in range(d)]
-    flat_right = [bi.right_pair[i][j] for i in range(d) for j in range(d)]
-    ldim = len(span_basis(flat_left, tol))
-    rdim = len(span_basis(flat_right, tol))
+    ldim = len(span_basis(lp.reshape(d * d, d, d), tol))
+    rdim = len(span_basis(rp.reshape(d * d, d, d), tol))
     rep.add("morita:left_full", 0.0 if ldim == bi.left_alg.dim else 1.0, 0.5,
             f"pairing span {ldim} vs algebra {bi.left_alg.dim}")
     rep.add("morita:right_full", 0.0 if rdim == bi.right_alg.dim else 1.0, 0.5,
@@ -298,9 +273,9 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
 
     # left values act through a representation, right values through an
     # antirepresentation, so the positive arrangement of the right Gram is
-    # the transposed one
-    gram_left = np.block([[bi.left_pair[i][j] for j in range(d)] for i in range(d)])
-    gram_right = np.block([[bi.right_pair[j][i] for j in range(d)] for i in range(d)])
+    # the transposed one: block (i, j) holds left_pair[i, j] and right_pair[j, i]
+    gram_left = lp.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    gram_right = rp.transpose(1, 2, 0, 3).reshape(d * d, d * d)
     for name, gram in (("left", gram_left), ("right", gram_right)):
         h = (gram + adjoint(gram)) / 2.0
         sym = rel_residual(gram - adjoint(gram), operator_norm(gram))
@@ -460,9 +435,7 @@ def parseval_frame(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL):
     x_i = S^(-1/2) e_i tightens the frame.
     """
     n = alg.hilbert_dim
-    s = np.zeros((n, n), dtype=complex)
-    for b in alg.basis:
-        s = s + b @ adjoint(b)
+    s = np.tensordot(alg.basis, alg.basis.conj(), ([0, 2], [0, 2]))  # sum_k b_k b_k^*
     vals, _ = herm_eig((s + adjoint(s)) / 2.0, tol)
     if vals[0] <= tol.rank_cut * max(1.0, vals[-1]):
         raise ValueError("frame operator is singular; algebra action is degenerate")
@@ -492,99 +465,75 @@ def pre_morita_decompose(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL):
     if not base.passed:
         raise ValueError("bimodule fails the Morita checks:\n" + base.as_text())
     d = bi.carrier_dim
-    basis = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    target = eye.ravel()
 
     # left-side frame: solve sum_ij c_ij (c_i|c_j)_left = 1
-    cols = np.stack([bi.left_pair[i][j].ravel() for i in range(d) for j in range(d)], axis=1)
-    target = np.eye(d, dtype=complex).ravel()
-    coeff, res, _, _ = np.linalg.lstsq(cols, target, rcond=None)
+    cols = bi.left_pair.reshape(d * d, d * d).T
+    coeff, _, _, _ = np.linalg.lstsq(cols, target, rcond=None)
     resid = rel_residual((cols @ coeff - target).reshape(d, d), 1.0)
     if resid > max(tol.rel, 1e-7):
         raise ValueError("left pairing is not full: cannot represent the identity")
     c = coeff.reshape(d, d)
-    xs = [sum(c[i, j] * basis[i] for i in range(d)) for j in range(d)]
-    ys = [basis[j] for j in range(d)]
+    xs = list(c.T)  # x_j = sum_i c_ij c_i
+    ys = list(eye)
 
     # right-side frame: sum_kl d_kl (c_k|c_l)_right = identity operator of the right action
-    cols_r = np.stack([bi.right_pair[k][l].ravel() for k in range(d) for l in range(d)], axis=1)
+    cols_r = bi.right_pair.reshape(d * d, d * d).T
     coeff_r, _, _, _ = np.linalg.lstsq(cols_r, target, rcond=None)
     resid_r = rel_residual((cols_r @ coeff_r - target).reshape(d, d), 1.0)
     if resid_r > max(tol.rel, 1e-7):
         raise ValueError("right pairing is not full: cannot represent the identity")
     dd = coeff_r.reshape(d, d)
-    ws = [basis[k] for k in range(d)]
-    zs = [sum(dd[k, l] * basis[l] for l in range(d)) for k in range(d)]
+    ws = list(eye)
+    zs = list(dd)  # z_k = sum_l d_kl c_l
 
-    rep = CheckReport()
-    m = d
-    q = np.array([[0j] * 0])
-    # q over the right algebra: q_{ij} = (y_i | x_j)_right as acting operators
-    q_ops = [[bi.right_pairing(ys[i], xs[j]) for j in range(m)] for i in range(m)]
-    # verify idempotency of the operator-matrix (composition reverses: ops act directly)
-    worst = 0.0
-    for i in range(m):
-        for k in range(m):
-            acc = np.zeros((d, d), dtype=complex)
-            for j in range(m):
-                acc = acc + q_ops[j][k] @ q_ops[i][j]
-            worst = max(worst, rel_residual(acc - q_ops[i][k], 1.0))
-    rep.add("decompose:right_projector_idempotent", worst, max(tol.rel, 1e-7))
-
-    p_ops = [[bi.left_pairing(zs[l], ws[k]) for k in range(m)] for l in range(m)]
-    worst = 0.0
-    for i in range(m):
-        for k in range(m):
-            acc = np.zeros((d, d), dtype=complex)
-            for j in range(m):
-                acc = acc + p_ops[i][j] @ p_ops[j][k]
-            worst = max(worst, rel_residual(acc - p_ops[i][k], 1.0))
-    rep.add("decompose:left_projector_idempotent", worst, max(tol.rel, 1e-7))
-
+    # operator matrices are (d, d, d, d) arrays of blocks [i, j]
     def rep_left_on_right(b_op):
-        # matrix of a left-algebra operator over the right algebra
-        return [[bi.right_pairing(ys[i], b_op @ xs[j]) for j in range(m)] for i in range(m)]
+        # matrix of a left-algebra operator over the right algebra: (y_i | b x_j)_right
+        return np.tensordot(bi.right_pair, b_op @ c, (1, 0)).transpose(0, 3, 1, 2)
 
     def rep_right_on_left(a_op):
-        return [[bi.left_pairing(a_op @ zs[l], ws[k]) for k in range(m)] for l in range(m)]
+        # matrix of a right-algebra operator over the left algebra: (a z_l | w_k)_left
+        return np.tensordot(a_op @ dd.T, bi.left_pair, (0, 0))
 
-    def block_mul(xmat, ymat):
-        out = [[np.zeros((d, d), dtype=complex) for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for k in range(m):
-                acc = np.zeros((d, d), dtype=complex)
-                for j in range(m):
-                    acc = acc + ymat[j][k] @ xmat[i][j]  # acting operators compose in reverse
-                out[i][k] = acc
-        return out
+    rep = CheckReport()
+    # q over the right algebra: q_{ij} = (y_i | x_j)_right as acting operators,
+    # which compose in reverse: (q q)_{ik} = sum_j q_{jk} q_{ij}
+    q_ops = rep_left_on_right(eye)
+    qq = np.einsum("jkab,ijbc->ikac", q_ops, q_ops, optimize=True)
+    rep.add("decompose:right_projector_idempotent", float(np.max(_op_norms(qq - q_ops))),
+            max(tol.rel, 1e-7))
+
+    p_ops = rep_right_on_left(eye)
+    pp = np.einsum("ijab,jkbc->ikac", p_ops, p_ops, optimize=True)
+    rep.add("decompose:left_projector_idempotent", float(np.max(_op_norms(pp - p_ops))),
+            max(tol.rel, 1e-7))
 
     worst = 0.0
-    for b1 in bi.left_alg.basis[: min(4, bi.left_alg.dim)]:
-        for b2 in bi.left_alg.basis[: min(4, bi.left_alg.dim)]:
-            lhs = rep_left_on_right(b1 @ b2)
-            prod = block_mul(rep_left_on_right(b1), rep_left_on_right(b2))
-            for i in range(m):
-                for k in range(m):
-                    worst = max(worst, rel_residual(lhs[i][k] - prod[i][k],
-                                                    operator_norm(b1), operator_norm(b2)))
+    for b1 in bi.left_alg.basis[:4]:
+        for b2 in bi.left_alg.basis[:4]:
+            x, y = rep_left_on_right(b1), rep_left_on_right(b2)
+            # acting operators compose in reverse: (x y)_{ik} = sum_j y_{jk} x_{ij}
+            prod = np.einsum("jkab,ijbc->ikac", y, x, optimize=True)
+            worst = max(worst, float(np.max(_op_norms(rep_left_on_right(b1 @ b2) - prod)))
+                        / max(1.0, operator_norm(b1) * operator_norm(b2)))
     rep.add("decompose:left_into_right_homomorphism", worst, max(tol.rel, 1e-7))
 
-    rank_map = np.stack(
-        [np.concatenate([rep_left_on_right(b)[i][j].ravel() for i in range(m) for j in range(m)])
-         for b in bi.left_alg.basis], axis=1)
+    rank_map = np.stack([rep_left_on_right(b).ravel() for b in bi.left_alg.basis], axis=1)
     svals = np.linalg.svd(rank_map, compute_uv=False)
     inj = svals[-1] > tol.rank_cut * max(1.0, svals[0])
     rep.add("decompose:left_into_right_injective", 0.0 if inj else 1.0, 0.5)
 
     worst = 0.0
-    for a1 in bi.right_alg.basis[: min(4, bi.right_alg.dim)]:
-        for a2 in bi.right_alg.basis[: min(4, bi.right_alg.dim)]:
-            # right-action operators compose reversed, so the product map flips
-            lhs = rep_right_on_left(a2 @ a1)
-            prod = block_mul_left(rep_right_on_left(a1), rep_right_on_left(a2), d, m)
-            for i in range(m):
-                for k in range(m):
-                    worst = max(worst, rel_residual(lhs[i][k] - prod[i][k],
-                                                    operator_norm(a1), operator_norm(a2)))
+    for a1 in bi.right_alg.basis[:4]:
+        for a2 in bi.right_alg.basis[:4]:
+            # right-action operators compose reversed, so the product map flips:
+            # a2 a1 is represented by (x y)_{ik} = sum_j x_{ij} y_{jk}
+            x, y = rep_right_on_left(a1), rep_right_on_left(a2)
+            prod = np.einsum("ijab,jkbc->ikac", x, y, optimize=True)
+            worst = max(worst, float(np.max(_op_norms(rep_right_on_left(a2 @ a1) - prod)))
+                        / max(1.0, operator_norm(a1) * operator_norm(a2)))
     rep.add("decompose:right_into_left_homomorphism", worst, max(tol.rel, 1e-7))
 
     return {
@@ -596,14 +545,3 @@ def pre_morita_decompose(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL):
         "rep_right_on_left": rep_right_on_left,
         "report": rep,
     }
-
-
-def block_mul_left(xmat, ymat, d, m):
-    out = [[np.zeros((d, d), dtype=complex) for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for k in range(m):
-            acc = np.zeros((d, d), dtype=complex)
-            for j in range(m):
-                acc = acc + xmat[i][j] @ ymat[j][k]
-            out[i][k] = acc
-    return out

@@ -6,6 +6,7 @@ only enters sign rules and the zeta diagnostics.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,6 @@ from .linalg import (
     herm_eig,
     null_space,
     operator_norm,
-    project_onto_span,
     rel_residual,
     span_basis,
     span_coords,
@@ -156,18 +156,13 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
     """Algebra generated by the left action together with its Dirac commutators.
 
     When a grading is present the basis is re-spanned into homogeneous
-    elements and tagged with parities.
+    elements, the even ones first.
     """
     gens = list(t.algebra_gens) + t.commutators()
     alg = generate_algebra(gens, with_unit=True, tol=tol)
     if t.grading is not None:
         even, odd = graded_split(alg, t.grading, tol)
-        basis = even + odd
-        parity = [1] * len(even) + [-1] * len(odd)
-        out = AlgebraBasis(alg.hilbert_dim, basis, [], True, parity)
-        out._generator_mats = gens
-        return out
-    alg._generator_mats = gens
+        return AlgebraBasis(alg.hilbert_dim, even + odd, alg.generators)
     return alg
 
 
@@ -350,7 +345,6 @@ def fit_orientation_cycle(t: SpectralTripleData, p: int, tol: Tolerance = DEFAUL
             acc = acc @ (dirac @ leg - leg @ dirac)
         return acc
 
-    import itertools
     tuples = list(itertools.product(range(d), repeat=p + 1))
     cols = np.stack([rep_tuple(ix).ravel() for ix in tuples], axis=1)
 
@@ -584,12 +578,7 @@ def connectivity_projectors(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL)
     kern = null_space(cols, tol)
     if not kern:
         return None, "kernel of the Dirac commutator inside the algebra is empty"
-    mats = []
-    for c in kern:
-        m = np.zeros((t.hilbert_dim, t.hilbert_dim), dtype=complex)
-        for i, b in enumerate(alg.basis):
-            m = m + c[i] * b
-        mats.append(m)
+    mats = [alg.combine(c) for c in kern]
     # the kernel is a unital *-subalgebra; commutativity makes it a sum of projectors
     for x in mats:
         for y in mats:
@@ -627,7 +616,6 @@ def check_extras(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
         weight = vecs @ np.diag(vals ** (-p / 2.0)) @ adjoint(vecs)
         side = t.right_action_gens or [b for b in commutant(t.algebra(tol), tol).basis]
         worst = 0.0
-        import itertools
         for legs in itertools.islice(itertools.product(t.algebra_gens, repeat=p), 16):
             word = np.eye(t.hilbert_dim, dtype=complex)
             for a in legs:

@@ -47,6 +47,15 @@ class TestGenerateAlgebra:
         with pytest.raises(ValueError):
             generate_algebra([np.eye(2), np.eye(3)])
 
+    def test_stacked_basis_and_generators(self):
+        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        assert alg.basis.shape == (4, 2, 2)
+        assert np.array_equal(alg.generators, np.stack([SIGMA1, SIGMA3]))
+        x = 0.5 * SIGMA1 - 2j * SIGMA3
+        assert np.allclose(alg.combine(alg.coords(x)), x, rtol=0, atol=1e-12)
+        assert np.allclose(alg.expectation(x), x, rtol=0, atol=1e-12)
+        assert alg.membership_residual(x) < 1e-12
+
     def test_closure_properties(self):
         rng = np.random.default_rng(4)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

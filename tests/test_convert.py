@@ -13,8 +13,8 @@ from ncgeo.convert import (
     split_by_central_involution,
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import adjoint, operator_norm, random_hermitian
-from ncgeo.triples import SpectralTripleData, check_riemannian
+from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_hermitian
+from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,15 @@ class TestBackwardConversion:
             f"{e.condition_id}: {e.residual}" for e in res.report.failures())
         assert res.report.entry("intertwine:dirac_residual").residual < 1e-8
         assert res.report.entry("intertwine:action_residual").residual < 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="known defect: the commutator algebra of this "
+                       "backward output sits on the rank cut (dim 16 or 64 by rounding)")
+    def test_backward_algebra_dim_stable_under_rank_cut(self):
+        # near-degenerate Riemannian spectrum (gap 0.015): the closure rounds of
+        # generate_algebra have singular values a few 1e-12 of the top
+        out = round_trip_check(matrix_geometry(2, seed=2001408477)).output
+        dims = [commutator_algebra(out, Tolerance(rank_cut=rc)).dim for rc in (1e-10, 1e-12)]
+        assert dims[0] == dims[1], dims
 
     def test_backward_needs_module_alignment(self, mgeom_forward):
         t, res = mgeom_forward

@@ -6,9 +6,11 @@ from ncgeo.linalg import (
     adjoint,
     herm_eig,
     operator_norm,
+    project_onto_span,
     random_complex,
     random_hermitian,
     span_basis,
+    span_coords,
     span_residual,
     trace_inner,
 )
@@ -94,6 +96,23 @@ class TestSpanBasis:
         assert len(basis) == 3
         for m in mats:
             assert span_residual(m, basis) < 1e-9
+
+    def test_list_and_stacked_basis_agree(self):
+        rng = np.random.default_rng(13)
+        basis = span_basis([random_complex(rng, (3, 3)) for _ in range(4)])
+        x = random_complex(rng, (3, 3))
+        for b in (basis, []):
+            stacked = np.asarray(b, dtype=complex).reshape(-1, 3, 3)
+            coords = [trace_inner(m, x) for m in b]
+            assert np.allclose(span_coords(x, b), coords, rtol=0, atol=1e-12)
+            assert np.allclose(span_coords(x, stacked), coords, rtol=0, atol=1e-12)
+            proj = sum((c * m for c, m in zip(coords, b)), np.zeros((3, 3), dtype=complex))
+            assert np.allclose(project_onto_span(x, b), proj, rtol=0, atol=1e-12)
+            assert np.allclose(project_onto_span(x, stacked), proj, rtol=0, atol=1e-12)
+            assert abs(span_residual(x, b) - span_residual(x, stacked)) < 1e-12
+        assert span_coords(x, []).shape == (0,)
+        assert np.array_equal(project_onto_span(x, []), np.zeros((3, 3)))
+        assert span_residual(x, []) == pytest.approx(1.0)
 
 
 class TestOperatorNorm:

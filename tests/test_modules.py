@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ncgeo.algebra import generate_algebra
-from ncgeo.linalg import adjoint, herm_eig, operator_norm, random_complex, span_basis
+from ncgeo.examples import matrix_geometry
+from ncgeo.linalg import adjoint, herm_eig, operator_norm, random_complex, rel_residual, span_basis
 from ncgeo.modules import (
     EquivBimodule,
     ProjectiveModule,
@@ -142,6 +143,39 @@ def standard_column_bimodule():
     return EquivBimodule(left, right, 2, lp, rp)
 
 
+def looped_morita_residuals(bi):
+    """Residuals of the four pairing checks, one carrier index at a time."""
+    d = bi.carrier_dim
+    basis = np.eye(d, dtype=complex)
+
+    def left_pairing(u, v):
+        return sum(u[i] * np.conj(v[j]) * bi.left_pair[i][j] for i in range(d) for j in range(d))
+
+    def right_pairing(u, v):
+        return sum(np.conj(u[i]) * v[j] * bi.right_pair[i][j] for i in range(d) for j in range(d))
+
+    out = {"actions_commute": 0.0, "left_pairing_right_action": 0.0,
+           "right_pairing_left_action": 0.0, "compatibility": 0.0}
+    for b in bi.left_alg.basis:
+        for a in bi.right_alg.basis:
+            out["actions_commute"] = max(out["actions_commute"], rel_residual(
+                b @ a - a @ b, operator_norm(a), operator_norm(b)))
+    for key, alg, pairing in (("left_pairing_right_action", bi.right_alg, left_pairing),
+                              ("right_pairing_left_action", bi.left_alg, right_pairing)):
+        for a in alg.basis:
+            for i in range(d):
+                for j in range(d):
+                    lhs = pairing(a @ basis[i], basis[j])
+                    rhs = pairing(basis[i], adjoint(a) @ basis[j])
+                    out[key] = max(out[key], rel_residual(lhs - rhs, operator_norm(a)))
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                gap = bi.left_pair[i][j] @ basis[k] - bi.right_pair[j][k] @ basis[i]
+                out["compatibility"] = max(out["compatibility"], rel_residual(gap, 1.0))
+    return out
+
+
 class TestMoritaCheck:
     def test_standard_equivalence(self):
         rep = morita_check(standard_column_bimodule())
@@ -165,6 +199,29 @@ class TestMoritaCheck:
         rep = morita_check(flipped)
         entry = rep.entry("morita:compatibility")
         assert entry.status == "fail" and entry.residual >= 1.0
+
+    def test_pairing_tables_are_stacked(self):
+        bi = standard_column_bimodule()
+        assert bi.left_pair.shape == (2, 2, 2, 2)
+        assert bi.right_pair.shape == (2, 2, 2, 2)
+        u, v = np.array([1.0, 2.0j]), np.array([0.5, -1.0])
+        looped = sum(u[i] * np.conj(v[j]) * bi.left_pair[i][j] for i in range(2) for j in range(2))
+        assert np.allclose(bi.left_pairing(u, v), looped, rtol=0, atol=1e-14)
+
+    def test_matches_looped_residuals_on_matrix_geometry(self):
+        t = matrix_geometry(2, 0)
+        bi, _ = bimodule_from_actions(t.cda(), t.right_algebra())
+        # perturbed tables give O(1) residuals, so every index placement is exercised
+        rng = np.random.default_rng(3)
+        noisy = EquivBimodule(bi.left_alg, bi.right_alg, bi.carrier_dim,
+                              bi.left_pair + 0.1 * random_complex(rng, bi.left_pair.shape),
+                              bi.right_pair + 0.1 * random_complex(rng, bi.right_pair.shape))
+        for case in (bi, noisy):
+            rep = morita_check(case)
+            for key, value in looped_morita_residuals(case).items():
+                assert abs(rep.entry(f"morita:{key}").residual - value) < 1e-12, key
+        assert morita_check(bi).passed
+        assert morita_check(noisy).entry("morita:compatibility").residual > 0.1
 
 
 class TestL2Space:
