@@ -124,44 +124,70 @@ def generate_algebra(generators, with_unit: bool = True, tol: Tolerance = DEFAUL
     return AlgebraBasis(hilbert_dim=n, basis=basis, generators=gens)
 
 
-def _commutant_from(mats, n, tol):
-    eye = np.eye(n, dtype=complex)
-    maps = []
-    for g in mats:
-        maps.append(np.kron(g, eye) - np.kron(eye, g.T))
-        ga = adjoint(g)
-        maps.append(np.kron(ga, eye) - np.kron(eye, ga.T))
-    stacked = np.vstack(maps) if maps else np.zeros((0, n * n), dtype=complex)
-    scale = max([1.0] + [operator_norm(g) for g in mats])
-    kernel = null_space(stacked, tol, scale=scale)
-    return [v.reshape(n, n) for v in kernel]
+def _cluster_blocks(vals, tol):
+    """(rows, cols) of the entries of the block-diagonal pattern whose blocks
+    are the clusters of the sorted eigenvalues, split wherever the gap
+    exceeds sqrt(rank_cut) times the spectral scale."""
+    cut = np.sqrt(tol.rank_cut) * max(1.0, float(np.max(np.abs(vals))))
+    clusters = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > cut) + 1)
+    rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
+    cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+    return rows, cols
+
+
+def _block_commutant(mats, vecs, rows, cols, tol):
+    """Operators vecs B vecs^* commuting with mats and their adjoints, B
+    supported on the (rows, cols) entries."""
+    n = vecs.shape[0]
+    size = len(rows)
+    slot = np.arange(size)
+    eqs = []
+    for m in mats:
+        g = adjoint(vecs) @ m @ vecs
+        for op in (g, adjoint(g)):
+            # [op, E_pq] = op[:, p] e_q^T - e_p op[q, :] for each unknown E_pq
+            eq = np.zeros((size, n, n), dtype=complex)
+            eq[slot, :, cols] = op[:, rows].T
+            eq[slot, rows, :] -= op[cols, :]
+            eqs.append(eq.reshape(size, n * n))
+    scale = max([1.0] + [operator_norm(m) for m in mats])
+    # the triangular factor keeps the singular values and right singular
+    # vectors of the tall stacked system at a fraction of its SVD cost
+    tri = np.linalg.qr(np.hstack(eqs).T, mode="r")
+    kernel = null_space(tri, tol, scale=scale)
+    blocks = np.zeros((len(kernel), n, n), dtype=complex)
+    blocks[:, rows, cols] = np.reshape(kernel, (len(kernel), size))
+    return vecs @ blocks @ adjoint(vecs)
 
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All operators commuting with the algebra, as the null space of the stacked commutator map.
+    """All operators commuting with the generators and their adjoints.
 
-    For long generator lists a few generic combinations are probed first;
-    the probe kernel always contains the commutant, so it is kept only
-    after every basis element verifiably commutes with all generators.
+    A seeded random combination of the generators has a Hermitian part h,
+    and every commutant element commutes with h, so it is block diagonal in
+    h's eigenbasis with one block per eigenvalue cluster.  The commutator
+    equations are solved over those blocks only: first for two more seeded
+    combinations and their adjoints, then, if a candidate fails to commute
+    with some generator, for all generators and their adjoints.  Merging
+    clusters only enlarges the search space, so no part of the commutant is
+    lost; the fallback solve is the commutant itself.  The candidate space
+    is *-closed, so commuting with every generator suffices.
     """
     n = alg.hilbert_dim
     gens = alg.generators
-    basis = None
-    if len(gens) > 4:
-        rng = np.random.default_rng(1285)
-        probes = []
-        for _ in range(3):
-            h = sum((rng.standard_normal() + 1j * rng.standard_normal()) * g for g in gens)
-            probes.append(h)
-        candidate = _commutant_from(probes, n, tol)
-        worst = 0.0
-        for x in candidate:
-            for g in gens:
-                worst = max(worst, rel_residual(g @ x - x @ g, operator_norm(g), operator_norm(x)))
-        if worst <= max(tol.rel, 1e-8):
-            basis = candidate
-    if basis is None:
-        basis = _commutant_from(gens, n, tol)
+    rng = np.random.default_rng(1285)
+    coeffs = rng.standard_normal((3, len(gens))) + 1j * rng.standard_normal((3, len(gens)))
+    combos = np.tensordot(coeffs, gens, axes=1)
+    vals, vecs = np.linalg.eigh((combos[0] + adjoint(combos[0])) / 2.0)
+    rows, cols = _cluster_blocks(vals, tol)
+    basis = _block_commutant(combos[1:], vecs, rows, cols, tol)
+    if len(basis) and len(gens):
+        res = gens[:, None] @ basis[None] - basis[None] @ gens[:, None]
+        ref = (np.linalg.norm(gens, 2, axis=(-2, -1))[:, None]
+               * np.linalg.norm(basis, 2, axis=(-2, -1))[None])
+        worst = float(np.max(np.linalg.norm(res, 2, axis=(-2, -1)) / np.maximum(1.0, ref)))
+        if worst > max(tol.rel, 1e-8):
+            basis = _block_commutant(gens, vecs, rows, cols, tol)
     return AlgebraBasis(hilbert_dim=n, basis=basis)
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     operator_norm,
     rel_residual,
     span_basis,
-    span_residual,
+    span_residuals,
 )
 from .modules import expectation_pairing, parseval_frame
 from .report import CheckReport
@@ -335,11 +335,15 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
             cop = to_source_op(carrier_pair(e, frame[jj]))
             comps.append(opposite_action(j, cop) @ phi)
         vmap[:, col] = np.concatenate(comps)
+    uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
+    if sq[-1] <= tol.rank_cut * sq[0]:
+        raise ValueError("module identification is singular")
 
     return {
-        "cda": cda, "nc": nc, "nh": nh, "nmod": nmod, "conjugation": j,
+        "nc": nc, "nh": nh, "nmod": nmod, "conjugation": j,
         "carrier_pair": carrier_pair, "to_source_op": to_source_op,
-        "projector": q_big, "vmap": vmap, "frame": frame,
+        "projector": q_big, "vmap": vmap,
+        "identification": uq @ vqh, "identification_svals": sq,
     }
 
 
@@ -367,14 +371,23 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     through `split_by_central_involution` on explicitly assembled block
     data.
     """
+    rctx = _backward_prerequisites(t, tol)
+    return _riemannian_to_spinc(t, module, _backward_assembly(t, module, tol), rctx, tol, potential)
+
+
+def _backward_prerequisites(t: SpectralTripleData, tol: Tolerance) -> dict:
+    """Context of the Riemannian check of a backward input; raises if it fails."""
     rr, rctx = check_riemannian(t, tol)
     if not rr.passed:
         raise ValueError("Riemannian prerequisites fail:\n" + "\n".join(
             f"{e.condition_id} (residual {e.residual:.3e})" for e in rr.failures()))
     if t.declared_p % 2 == 1:
         raise ValueError("odd conversion requires the explicit central splitting helper")
+    return rctx
 
-    asm = _backward_assembly(t, module, tol)
+
+def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm: dict,
+                         rctx: dict, tol: Tolerance, potential) -> ConversionResult:
     q_big = asm["projector"]
     nmod, nh, nc = asm["nmod"], asm["nh"], asm["nc"]
     j = asm["conjugation"]
@@ -394,12 +407,10 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
         pot_big = as_complex_matrix(potential)
         if pot_big.shape != d_big.shape:
             raise ValueError("potential shape does not match the module presentation")
-        span = np.asarray(one_form_span_opposite(t, j, tol), dtype=complex)
-        worst = 0.0
-        for k in range(nmod):
-            for jj in range(nmod):
-                blk = pot_big[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh]
-                worst = max(worst, span_residual(blk, span))
+        span = one_form_span_opposite(t, j, tol)
+        # block (k, jj) of the potential is blocks[k * nmod + jj]
+        blocks = pot_big.reshape(nmod, nh, nmod, nh).swapaxes(1, 2).reshape(-1, nh, nh)
+        worst = float(np.max(span_residuals(blocks, span)))
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
         rep.add("convert:potential_hermitian",
                 rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big)),
@@ -426,11 +437,8 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     rep.add("convert:scalar_product_identity", worst, max(tol.rel, 1e-8))
 
-    # unitarize the identification and transport everything to the carrier
-    uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
-    if sq[-1] <= tol.rank_cut * sq[0]:
-        raise ValueError("module identification is singular")
-    v_unit = uq @ vqh
+    # transport everything to the carrier through the unitarized identification
+    v_unit, sq = asm["identification"], asm["identification_svals"]
     rep.add("convert:identification_condition", float(sq[0] / sq[-1]) - 1.0, 1e-6,
             "singular value spread of the module identification")
 
@@ -527,14 +535,13 @@ def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleDa
     which is verified downstream and certifies that this is a compatible
     connection rather than an arbitrary correction.
     """
-    asm = _backward_assembly(tri, module, tol)
+    return _backward_potential(tri, _backward_assembly(tri, module, tol), source_dirac)
+
+
+def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.ndarray:
     q_big = asm["projector"]
-    nmod = asm["nmod"]
-    uq, sq, vqh = np.linalg.svd(asm["vmap"], full_matrices=False)
-    if sq[-1] <= tol.rank_cut * sq[0]:
-        raise ValueError("module identification is singular")
-    v_unit = uq @ vqh
-    d_plain = q_big @ block_diag(tri.dirac, nmod) @ q_big
+    v_unit = asm["identification"]
+    d_plain = q_big @ block_diag(tri.dirac, asm["nmod"]) @ q_big
     target = v_unit @ as_complex_matrix(source_dirac) @ adjoint(v_unit)
     w = q_big @ (target - d_plain) @ q_big
     return (w + adjoint(w)) / 2.0
@@ -555,8 +562,12 @@ def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
         right_action_gens=t.right_action_gens,
         algebra_basis=forward.witness["c_basis_out"],
     )
-    pot = derived_backward_potential(tri, module, t.dirac, tol)
-    backward = riemannian_to_spinc(tri, module, tol, potential=pot)
+    # one backward assembly (and Tomita conjugation) serves the potential
+    # and the backward conversion
+    rctx = _backward_prerequisites(tri, tol)
+    asm = _backward_assembly(tri, module, tol)
+    pot = _backward_potential(tri, asm, t.dirac)
+    backward = _riemannian_to_spinc(tri, module, asm, rctx, tol, pot)
     u, rep = intertwine_triples(t, backward.output, tol)
     rep.extend(forward.report, prefix="forward:")
     rep.extend(backward.report, prefix="backward:")

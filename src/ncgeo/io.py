@@ -40,10 +40,18 @@ def data_to_matrix(data) -> np.ndarray:
         rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
     except (TypeError, IndexError) as exc:
         raise FormatError(f"bad matrix encoding: {exc}") from exc
+    if len({len(row) for row in rows}) > 1:
+        raise FormatError("matrix rows have unequal lengths")
     m = np.array(rows, dtype=complex)
     if m.ndim != 2:
         raise FormatError("matrix encoding must be a list of rows")
-    return m
+    return _finite(m)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise FormatError("matrix or vector entries must be finite (no NaN or infinity)")
+    return a
 
 
 def vector_to_data(v) -> list:
@@ -53,9 +61,10 @@ def vector_to_data(v) -> list:
 
 def data_to_vector(data) -> np.ndarray:
     try:
-        return np.array([complex(e[0], e[1]) for e in data], dtype=complex)
+        v = np.array([complex(e[0], e[1]) for e in data], dtype=complex)
     except (TypeError, IndexError) as exc:
         raise FormatError(f"bad vector encoding: {exc}") from exc
+    return _finite(v)
 
 
 def triple_to_dict(t: SpectralTripleData) -> dict:
@@ -103,8 +112,19 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
             )
         phi = data_to_vector(doc["phi"]) if doc.get("phi") is not None else None
         state = data_to_matrix(doc["state"]) if doc.get("state") is not None else None
-    except (KeyError, TypeError) as exc:
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed triple document: {exc}") from exc
+    ops = {"dirac": [dirac], "algebra generator": gens, "grading": [grading],
+           "right action generator": right or [], "state": [state],
+           "cycle leg": [m for term in (cycle.terms if cycle else []) for m in term]}
+    for name, mats in ops.items():
+        for m in mats:
+            if m is not None and m.shape != (n, n):
+                raise FormatError(f"{name} has shape {m.shape} but hilbert_dim is {n}")
+    if phi is not None and phi.shape != (n,):
+        raise FormatError(f"phi has length {len(phi)} but hilbert_dim is {n}")
     return SpectralTripleData(
         hilbert_dim=n,
         algebra_gens=gens,

@@ -27,6 +27,7 @@ __all__ = [
     "span_coords",
     "project_onto_span",
     "span_residual",
+    "span_residuals",
     "null_space",
     "random_complex",
     "random_hermitian",
@@ -166,6 +167,16 @@ def span_residual(x, basis) -> float:
     """Relative distance of x from the span of an orthonormal basis."""
     x = np.asarray(x, dtype=complex)
     return rel_residual(x - project_onto_span(x, basis), operator_norm(x))
+
+
+def span_residuals(xs, basis) -> np.ndarray:
+    """span_residual of every matrix in a (k, n, n) stack, as one array."""
+    xs = np.asarray(xs, dtype=complex)
+    flat = xs.reshape(len(xs), -1)
+    b = _stacked(basis, xs.shape[1:])
+    resid = (flat - (flat @ b.conj().T) @ b).reshape(xs.shape)
+    norms = np.linalg.norm(resid, 2, axis=(-2, -1))
+    return norms / np.maximum(1.0, np.linalg.norm(xs, 2, axis=(-2, -1)))
 
 
 def null_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0):

@@ -21,6 +21,7 @@ from .linalg import (
     herm_apply,
     operator_norm,
     rel_residual,
+    span_residuals,
 )
 from .report import CheckReport
 from .triples import SpectralTripleData
@@ -95,10 +96,9 @@ def tomita_conjugation(t: SpectralTripleData, phi=None, tol: Tolerance = DEFAULT
     if float(np.linalg.norm(j(phi) - phi)) > max(tol.rel, 1e-7) * max(1.0, float(np.linalg.norm(phi))):
         raise ValueError("conjugation does not fix the cyclic vector")
     comm = commutant(cda, tol)
-    worst = 0.0
-    for w in cda.basis:
-        worst = max(worst, comm.membership_residual(j.conjugate(adjoint(w))))
-    if worst > max(tol.rel, 1e-6):
+    # J w* J = K w^T conj(K) for every basis element w at once
+    landed = j.kernel @ np.swapaxes(cda.basis, -1, -2) @ np.conj(j.kernel)
+    if np.max(span_residuals(landed, comm.basis)) > max(tol.rel, 1e-6):
         raise ValueError("conjugated algebra does not land in the commutant")
     return j
 

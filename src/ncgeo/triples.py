@@ -122,6 +122,20 @@ class SpectralTripleData:
 
 
 def validate_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Shape, Hermiticity, grading and commutator-norm entries.
+
+    Raises when the Dirac operator is not Hermitian, since no later check
+    applies to it; `run_condition_suite` reports that case as a failed entry.
+    """
+    rep, hermitian = _validate(t, tol)
+    if not hermitian:
+        raise ValueError("Dirac operator is not Hermitian")
+    return rep
+
+
+def _validate(t: SpectralTripleData, tol: Tolerance):
+    """(report, whether the Dirac operator is Hermitian); the report stops
+    at the Hermiticity entry when it is not."""
     rep = CheckReport()
     n = t.hilbert_dim
     d = t.dirac
@@ -134,7 +148,7 @@ def validate_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Chec
     herm = rel_residual(d - adjoint(d), nd)
     rep.add("validate:dirac_hermitian", herm, tol.rel)
     if herm > tol.rel:
-        raise ValueError("Dirac operator is not Hermitian")
+        return rep, False
     alg = t.algebra(tol)
     rep.add("validate:algebra_generated", 0.0, tol.rel, f"dim {alg.dim}")
     if t.grading is not None:
@@ -149,7 +163,7 @@ def validate_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Chec
     for i, a in enumerate(t.algebra_gens):
         rep.add(f"validate:commutator_norm[{i}]", 0.0, np.inf,
                 f"|[D,a]|={operator_norm(d @ a - a @ d):.6e} |[|D|,a]|={operator_norm(abs_d @ a - a @ abs_d):.6e}")
-    return rep
+    return rep, True
 
 
 def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -676,7 +690,11 @@ def zeta_diagnostic(t: SpectralTripleData, s_values) -> list:
 def run_condition_suite(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
                         strict_orientation: bool = True) -> CheckReport:
     rep = CheckReport()
-    rep.extend(validate_triple(t, tol))
+    val, hermitian = _validate(t, tol)
+    rep.extend(val)
+    if not hermitian:
+        rep.skip("suite", "later checks not run: the Dirac operator is not Hermitian")
+        return rep
     rep.extend(check_orientability(t, tol, strict=strict_orientation))
     rep.extend(check_first_order(t, tol))
     fin, _ = check_finiteness(t, tol)

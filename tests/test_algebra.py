@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from ncgeo.algebra import commutant, center, generate_algebra, graded_split
-from ncgeo.linalg import adjoint, operator_norm, span_basis, span_residual
+from ncgeo import algebra
+from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split
+from ncgeo.convert import spinc_to_riemannian
+from ncgeo.examples import matrix_geometry, trivial_points, two_point
+from ncgeo.linalg import DEFAULT_TOL, adjoint, null_space, operator_norm, span_basis, span_residual
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -101,6 +104,89 @@ class TestCommutant:
         alg = generate_algebra([m2, m3], with_unit=True)
         comm = commutant(alg)
         assert alg.dim * comm.dim >= 25
+
+
+def kronecker_commutant(alg, tol=DEFAULT_TOL):
+    """Reference: null space of the stacked Kronecker commutator map of every
+    generator and its adjoint over all of M_n."""
+    n = alg.hilbert_dim
+    eye = np.eye(n, dtype=complex)
+    maps = []
+    for g in alg.generators:
+        maps.append(np.kron(g, eye) - np.kron(eye, g.T))
+        ga = adjoint(g)
+        maps.append(np.kron(ga, eye) - np.kron(eye, ga.T))
+    stacked = np.vstack(maps) if maps else np.zeros((0, n * n), dtype=complex)
+    scale = max([1.0] + [operator_norm(g) for g in alg.generators])
+    return np.array([v.reshape(n, n) for v in null_space(stacked, tol, scale=scale)])
+
+
+def subspace_overlap(a, b):
+    """Smallest singular value of the overlap of two orthonormal bases (1 when equal)."""
+    a = a.reshape(len(a), -1)
+    b = b.reshape(len(b), -1)
+    return float(np.linalg.svd(a.conj() @ b.T, compute_uv=False).min())
+
+
+NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
+
+COMMUTANT_CASES = {
+    "trivial_points_5": lambda: trivial_points(5).algebra(),
+    "two_point_algebra": lambda: two_point(1.0).algebra(),
+    "two_point_cda": lambda: two_point(1.0).cda(),
+    "mgeom2_s7_algebra": lambda: matrix_geometry(2, seed=7).algebra(),
+    "mgeom2_s7_cda": lambda: matrix_geometry(2, seed=7).cda(),
+    "mgeom2_s2001408477_algebra": lambda: matrix_geometry(2, seed=2001408477).algebra(),
+    "mgeom2_s2001408477_cda": lambda: matrix_geometry(2, seed=2001408477).cda(),
+    "mgeom3_algebra": lambda: matrix_geometry(3, seed=0).algebra(),
+    "mgeom3_cda": lambda: matrix_geometry(3, seed=0).cda(),
+    "riemannian_h16_cda": lambda: spinc_to_riemannian(matrix_geometry(2, seed=7)).output.cda(),
+    "scalars_only": lambda: AlgebraBasis(4, [np.eye(4) / 2.0], [2.0 * np.eye(4), -np.eye(4)]),
+    "non_normal_generator": lambda: AlgebraBasis(2, [NILPOTENT], [NILPOTENT]),
+}
+
+
+class TestCommutantAgainstKronecker:
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
+    def test_same_subspace(self, name, monkeypatch):
+        alg = COMMUTANT_CASES[name]()
+        calls = []
+        real = algebra.null_space
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, "null_space", counted)
+        comm = commutant(alg)
+        ref = kronecker_commutant(alg)
+        assert len(calls) == 1  # the probe solve is kept
+        assert comm.dim == len(ref)
+        assert subspace_overlap(comm.basis, ref) >= 1.0 - 1e-12
+        gram = np.einsum("aij,bij->ab", comm.basis.conj(), comm.basis)
+        assert np.allclose(gram, np.eye(comm.dim), rtol=0, atol=1e-12)
+
+    def test_reproducible(self):
+        alg = COMMUTANT_CASES["mgeom2_s7_cda"]()
+        assert np.array_equal(commutant(alg).basis, commutant(alg).basis)
+
+    def test_fallback_solves_with_all_generators(self, monkeypatch):
+        # the first null space (the probe solve) is replaced by the whole
+        # block search space, which fails verification
+        alg = matrix_geometry(2, seed=7).cda()
+        calls = []
+        real = algebra.null_space
+
+        def broken_probe(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a[:0] if len(calls) == 1 else a, *args, **kwargs)
+
+        monkeypatch.setattr(algebra, "null_space", broken_probe)
+        comm = commutant(alg)
+        ref = kronecker_commutant(alg)
+        assert len(calls) == 2
+        assert comm.dim == len(ref) == 4
+        assert subspace_overlap(comm.basis, ref) >= 1.0 - 1e-12
 
 
 class TestCenter:

@@ -70,6 +70,37 @@ class TestCheckCommand:
         bad.write_text("not json at all")
         assert main(["check", str(bad)]) == 2
 
+    @staticmethod
+    def _write_doc(tmp_path, edit):
+        doc = triple_to_dict(two_point(1.0))
+        edit(doc)
+        path = tmp_path / "edited.striple"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc["dirac"][0].pop(), id="ragged_rows"),
+        pytest.param(lambda doc: doc["dirac"][0][1].__setitem__(0, float("nan")), id="nan_entry"),
+        pytest.param(lambda doc: doc["algebra"]["generators"][0][1][1].__setitem__(1, float("inf")),
+                     id="inf_entry"),
+        pytest.param(lambda doc: doc.__setitem__("hilbert_dim", 3), id="hilbert_dim_mismatch"),
+    ])
+    def test_unparseable_input_exit_two(self, tmp_path, capsys, edit):
+        path = self._write_doc(tmp_path, edit)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_hermitian_dirac_reports_failure(self, tmp_path, capsys):
+        def skew(doc):
+            doc["dirac"][0][1] = [1.0, 0.0]
+            doc["dirac"][1][0] = [-1.0, 0.0]
+        path = self._write_doc(tmp_path, skew)
+        assert main(["--format", "json", "check", path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        entries = {e["condition_id"]: e["status"] for e in doc["report"]["entries"]}
+        assert entries["validate:dirac_hermitian"] == "fail"
+
     def test_deterministic_output(self, mgeom_file, capsys):
         main(["--format", "json", "--generalized-orientation", "check", mgeom_file])
         out1 = capsys.readouterr().out

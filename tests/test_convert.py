@@ -7,13 +7,16 @@ from ncgeo.convert import (
     double_odd_triple,
     intertwine_triples,
     poincare_pairing_matrix,
+    derived_backward_potential,
+    one_form_span_opposite,
     riemannian_to_spinc,
     round_trip_check,
     spinc_to_riemannian,
     split_by_central_involution,
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_hermitian
+from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_hermitian, span_residual
+from ncgeo.tomita import AntiunitaryMap
 from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra
 
 
@@ -74,6 +77,46 @@ class TestBackwardConversion:
             f"{e.condition_id}: {e.residual}" for e in res.report.failures())
         assert res.report.entry("intertwine:dirac_residual").residual < 1e-8
         assert res.report.entry("intertwine:action_residual").residual < 1e-10
+
+    def test_round_trip_matches_public_backward_calls(self):
+        # the round trip builds the backward assembly once; the public calls
+        # build it twice and must give the same potential and report
+        t = matrix_geometry(2, seed=7)
+        res = round_trip_check(t)
+        forward = res.witness["forward"]
+        module = CliffordModuleData(
+            carrier_dim=t.hilbert_dim,
+            left_action=forward.witness["c_basis_src"],
+            right_action_gens=t.right_action_gens,
+            algebra_basis=forward.witness["c_basis_out"],
+        )
+        pot = derived_backward_potential(forward.output, module, t.dirac)
+        assert np.array_equal(pot, res.witness["potential"])
+        backward = riemannian_to_spinc(forward.output, module, potential=pot)
+        assert backward.report.as_dict() == res.witness["backward"].report.as_dict()
+
+    def test_potential_span_check_matches_block_loop(self, mgeom_forward):
+        t, forward = mgeom_forward
+        tri = forward.output
+        module = CliffordModuleData(
+            carrier_dim=t.hilbert_dim,
+            left_action=forward.witness["c_basis_src"],
+            right_action_gens=t.right_action_gens,
+            algebra_basis=forward.witness["c_basis_out"],
+        )
+        pot = derived_backward_potential(tri, module, t.dirac)
+        backward = riemannian_to_spinc(tri, module, potential=pot)
+        j = AntiunitaryMap(backward.witness["conjugation_kernel"])
+        span = one_form_span_opposite(tri, j)
+        nh = tri.hilbert_dim
+        nmod = pot.shape[0] // nh
+        worst = 0.0
+        for k in range(nmod):
+            for jj in range(nmod):
+                blk = pot[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh]
+                worst = max(worst, span_residual(blk, span))
+        entry = backward.report.entry("convert:potential_in_one_form_span")
+        assert abs(entry.residual - worst) < 1e-12
 
     @pytest.mark.xfail(strict=True, reason="known defect: the commutator algebra of this "
                        "backward output sits on the rank cut (dim 16 or 64 by rounding)")

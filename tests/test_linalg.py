@@ -12,6 +12,7 @@ from ncgeo.linalg import (
     span_basis,
     span_coords,
     span_residual,
+    span_residuals,
     trace_inner,
 )
 
@@ -113,6 +114,17 @@ class TestSpanBasis:
         assert span_coords(x, []).shape == (0,)
         assert np.array_equal(project_onto_span(x, []), np.zeros((3, 3)))
         assert span_residual(x, []) == pytest.approx(1.0)
+
+    def test_batched_residuals_match_loop(self):
+        rng = np.random.default_rng(17)
+        basis = span_basis([random_complex(rng, (4, 4)) for _ in range(6)])
+        inside = [sum(rng.standard_normal() * b for b in basis) for _ in range(3)]
+        xs = np.stack(inside + [random_complex(rng, (4, 4)) for _ in range(5)])
+        loop = [span_residual(x, basis) for x in xs]
+        assert max(loop[:3]) < 1e-12 and min(loop[3:]) > 0.1
+        for b in (basis, np.asarray(basis), []):
+            loop = [span_residual(x, b) for x in xs]
+            assert np.allclose(span_residuals(xs, b), loop, rtol=0, atol=1e-12)
 
 
 class TestOperatorNorm:

@@ -4,7 +4,7 @@ import pytest
 from ncgeo.algebra import commutant
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points
-from ncgeo.linalg import adjoint, operator_norm, random_complex
+from ncgeo.linalg import adjoint, operator_norm, random_complex, span_residuals
 from ncgeo.tomita import (
     AntiunitaryMap,
     check_fundamental_class,
@@ -52,6 +52,15 @@ class TestTomitaConjugation:
             lhs = j(adjoint(u) @ left)
             rhs = adjoint(u) @ rightv
             assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
+
+    def test_landing_check_matches_element_loop(self, riemann_pair):
+        tri, j, _ = riemann_pair
+        cda = tri.cda()
+        comm = commutant(cda)
+        loop = [comm.membership_residual(j.conjugate(adjoint(w))) for w in cda.basis]
+        landed = j.kernel @ np.swapaxes(cda.basis, -1, -2) @ np.conj(j.kernel)
+        assert np.allclose(span_residuals(landed, comm.basis), loop, rtol=0, atol=1e-12)
+        assert max(loop) < 1e-6
 
     def test_non_tracial_state_rejected(self):
         # skewed vector: cyclic and separating but the vector state is not a trace
