@@ -8,6 +8,7 @@ constructions with machine-checkable certificates.
 from .linalg import Tolerance, herm_eig, operator_norm, span_basis
 from .algebra import AlgebraBasis, generate_algebra, commutant, center, graded_split
 from .report import CheckEntry, CheckReport
+from .modules import ProjectiveModule, frame_presentation
 from .triples import (
     HochschildChain,
     SpectralTripleData,
@@ -34,7 +35,6 @@ from .tomita import (
 )
 from .kasparov import (
     BimoduleConnection,
-    ModuleOverAlgebra,
     connection_condition_check,
     connection_decomposition,
     grassmann_connection,

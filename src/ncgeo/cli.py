@@ -14,11 +14,9 @@ import numpy as np
 from .convert import (
     CliffordModuleData,
     appendix_equivalence_check,
-    derived_backward_potential,
+    backward_round_trip,
     double_odd_triple,
-    intertwine_triples,
     poincare_pairing_matrix,
-    riemannian_to_spinc,
     spinc_to_riemannian,
 )
 from .examples import EXAMPLE_KINDS, build_example
@@ -32,8 +30,9 @@ from .io import (
     triple_to_dict,
     vector_to_data,
 )
-from .kasparov import BimoduleConnection, ModuleOverAlgebra, product_triple
+from .kasparov import BimoduleConnection, product_triple
 from .linalg import Tolerance
+from .modules import ProjectiveModule
 from .report import CheckReport
 from .triples import run_condition_suite, zeta_diagnostic
 
@@ -145,9 +144,7 @@ def cmd_convert(args) -> int:
                 algebra_basis=[data_to_matrix(w) for w in witness["c_basis_out"]]
                 if witness.get("c_basis_out") else None,
             )
-            pot = derived_backward_potential(t, module, source.dirac, tol)
-            result = riemannian_to_spinc(t, module, tol, potential=pot)
-            u, irep = intertwine_triples(source, result.output, tol)
+            result, _, u, irep = backward_round_trip(t, module, source, tol)
             result.report.extend(irep, prefix="roundtrip:")
             extra = {
                 "witness": {
@@ -179,7 +176,7 @@ def cmd_product(args) -> int:
         if right is None:
             print("error: triple has no right action to twist against", file=sys.stderr)
             return EXIT_FAIL
-        module = ModuleOverAlgebra(n, q_big, right)
+        module = ProjectiveModule(right, n, q_big)
         potential = None
         if mdoc.get("potential") is not None:
             potential = [[data_to_matrix(p) for p in row] for row in mdoc["potential"]]
@@ -234,7 +231,11 @@ def cmd_pair(args) -> int:
 
 def cmd_zeta(args) -> int:
     t, _ = _load(args.path)
-    table = zeta_diagnostic(t, args.s)
+    try:
+        table = zeta_diagnostic(t, args.s)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     _emit(args, {"zeta": {str(s): v for s, v in table}})
     return EXIT_OK
 

@@ -10,7 +10,6 @@ import numpy as np
 from .algebra import AlgebraBasis
 from .kasparov import (
     BimoduleConnection,
-    ModuleOverAlgebra,
     compress_to_range,
     index_pairing,
     twisted_operator,
@@ -28,7 +27,7 @@ from .linalg import (
     span_basis,
     span_residuals,
 )
-from .modules import expectation_pairing, parseval_frame
+from .modules import ProjectiveModule, expectation_pairing, frame_presentation, parseval_frame
 from .report import CheckReport
 from .tomita import grading_from_cycle, opposite_action, tomita_conjugation
 from .triples import (
@@ -46,6 +45,7 @@ __all__ = [
     "CliffordModuleData",
     "spinc_to_riemannian",
     "riemannian_to_spinc",
+    "backward_round_trip",
     "round_trip_check",
     "intertwine_triples",
     "double_odd_triple",
@@ -116,13 +116,10 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     xs = parseval_frame(right, tol)
     m = len(xs)
     pair = expectation_pairing(right)
+    # right action of the conjugate module: x . b = b^* x
+    q_big, _, _ = frame_presentation(xs, xs, pair, lambda x, b: adjoint(b) @ x, [], tol)
 
-    q_big = np.zeros((m * n, m * n), dtype=complex)
-    for k in range(m):
-        for j in range(m):
-            q_big[k * n:(k + 1) * n, j * n:(j + 1) * n] = pair(xs[k], xs[j])
-
-    module = ModuleOverAlgebra(m, q_big, right, graded=False)
+    module = ProjectiveModule(right, m, q_big)
     conn = BimoduleConnection(module, potential)
     dhat, ahat = twisted_operator(t, conn, tol)
     u = compress_to_range(q_big, tol)
@@ -317,24 +314,15 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
             raise ValueError("carrier pairing value leaves the module action span")
         return (basis_stack @ c).reshape(nh, nh)
 
-    q_big = np.zeros((nmod * nh, nmod * nh), dtype=complex)
-    for k in range(nmod):
-        for jj in range(nmod):
-            # block (k, jj) carries the right action of the projector entry
-            # (f_jj | f_k); opposite_action adjoints its argument itself
-            val = to_source_op(carrier_pair(frame[jj], frame[k]))
-            q_big[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh] = opposite_action(j, val)
+    def frame_pair(u, v):
+        # the right action of the carrier pairing (v | u); opposite_action
+        # adjoints its argument itself
+        return opposite_action(j, to_source_op(carrier_pair(v, u)))
 
+    # no probes, so the right action is never called
+    q_big, to_coords, _ = frame_presentation(frame, frame, frame_pair, None, [], tol)
     phi = t.riemann_vector
-    vmap = np.zeros((nmod * nh, nc), dtype=complex)
-    for col in range(nc):
-        e = np.zeros(nc, dtype=complex)
-        e[col] = 1.0
-        comps = []
-        for jj in range(nmod):
-            cop = to_source_op(carrier_pair(e, frame[jj]))
-            comps.append(opposite_action(j, cop) @ phi)
-        vmap[:, col] = np.concatenate(comps)
+    vmap = np.stack([to_coords(e) @ phi for e in np.eye(nc, dtype=complex)], axis=1)
     uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
     if sq[-1] <= tol.rank_cut * sq[0]:
         raise ValueError("module identification is singular")
@@ -547,6 +535,23 @@ def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.
     return (w + adjoint(w)) / 2.0
 
 
+def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,
+                        source: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
+    """Backward half of a round trip: convert `tri` back with the derived
+    potential and intertwine the result with `source`.
+
+    One backward assembly (and Tomita conjugation) serves the potential and
+    the conversion.  Returns (backward result, potential, intertwiner or
+    None, intertwiner report).
+    """
+    rctx = _backward_prerequisites(tri, tol)
+    asm = _backward_assembly(tri, module, tol)
+    pot = _backward_potential(tri, asm, source.dirac)
+    backward = _riemannian_to_spinc(tri, module, asm, rctx, tol, pot)
+    u, rep = intertwine_triples(source, backward.output, tol)
+    return backward, pot, u, rep
+
+
 def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Convert to Riemannian data and back, then certify a unitary intertwiner.
 
@@ -562,13 +567,7 @@ def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
         right_action_gens=t.right_action_gens,
         algebra_basis=forward.witness["c_basis_out"],
     )
-    # one backward assembly (and Tomita conjugation) serves the potential
-    # and the backward conversion
-    rctx = _backward_prerequisites(tri, tol)
-    asm = _backward_assembly(tri, module, tol)
-    pot = _backward_potential(tri, asm, t.dirac)
-    backward = _riemannian_to_spinc(tri, module, asm, rctx, tol, pot)
-    u, rep = intertwine_triples(t, backward.output, tol)
+    backward, pot, u, rep = backward_round_trip(tri, module, t, tol)
     rep.extend(forward.report, prefix="forward:")
     rep.extend(backward.report, prefix="backward:")
     return ConversionResult(output=backward.output,

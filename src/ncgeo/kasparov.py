@@ -1,11 +1,11 @@
 """Bimodule connections, twisted Dirac operators, product triples and index pairings.
 
-A module over the right-acting coefficient algebra B is presented through
-one big projector Q on H^n whose blocks lie in the span of the represented
-right action; Q plays the role of the matrix projector acting through the
-right action.  Connection potentials are n x n tables of operators on H
-constrained to the represented one-form span; the table entry P[i][j]
-contributes to output slot k as sum_j P[j][k] v_j.
+A module over the right-acting coefficient algebra B is a
+`modules.ProjectiveModule` whose base is the represented right action: one
+big projector Q on H^n whose blocks lie in the span of that action, with
+the projector as its metric.  Connection potentials are n x n tables of
+operators on H constrained to the represented one-form span; the table
+entry P[i][j] contributes to output slot k as sum_j P[j][k] v_j.
 """
 from __future__ import annotations
 
@@ -28,10 +28,9 @@ from .linalg import (
 )
 from .report import CheckReport
 from .triples import SpectralTripleData
-from .modules import parseval_frame
+from .modules import ProjectiveModule, parseval_frame
 
 __all__ = [
-    "ModuleOverAlgebra",
     "BimoduleConnection",
     "grassmann_connection",
     "one_form_basis",
@@ -47,49 +46,29 @@ __all__ = [
 
 
 @dataclass
-class ModuleOverAlgebra:
-    """Presentation B^n q of a module through the right action of B on H."""
-
-    size: int
-    projector: np.ndarray      # (n*N, n*N)
-    right_alg: AlgebraBasis    # operators on H representing B through its right action
-    graded: bool = False
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.right_alg.hilbert_dim
-
-    def blocks(self, big):
-        n, d = self.size, self.fiber_dim
-        return [[big[i * d:(i + 1) * d, j * d:(j + 1) * d] for j in range(n)] for i in range(n)]
-
-
-@dataclass
 class BimoduleConnection:
-    module: ModuleOverAlgebra
+    module: ProjectiveModule
     potential: list | None = None  # n x n table of operators on H, or None for Grassmann
 
 
-def grassmann_connection(module: ModuleOverAlgebra) -> BimoduleConnection:
+def grassmann_connection(module: ProjectiveModule) -> BimoduleConnection:
     return BimoduleConnection(module, None)
 
 
-def one_form_basis(t: SpectralTripleData, module: ModuleOverAlgebra,
+def one_form_basis(t: SpectralTripleData, module: ProjectiveModule,
                    tol: Tolerance = DEFAULT_TOL):
     """Orthonormal basis of the represented one-form span of the right action."""
     d = t.dirac
-    eps = t.grading if (module.graded and t.grading is not None) else np.eye(t.hilbert_dim)
-    ed = eps @ d
     mats = []
-    for b in module.right_alg.basis:
-        c = ed @ b - b @ ed
-        for b2 in module.right_alg.basis:
+    for b in module.base.basis:
+        c = d @ b - b @ d
+        for b2 in module.base.basis:
             mats.append(c @ b2)
     return span_basis(mats, tol)
 
 
-def _validate_module(t: SpectralTripleData, module: ModuleOverAlgebra, tol: Tolerance):
-    n, d = module.size, module.fiber_dim
+def _validate_module(t: SpectralTripleData, module: ProjectiveModule, tol: Tolerance):
+    n, d = module.size, module.block_dim
     q = module.projector
     if q.shape != (n * d, n * d):
         raise ValueError("module projector shape mismatch")
@@ -100,7 +79,7 @@ def _validate_module(t: SpectralTripleData, module: ModuleOverAlgebra, tol: Tole
     worst = 0.0
     for row in module.blocks(q):
         for blk in row:
-            worst = max(worst, module.right_alg.membership_residual(blk))
+            worst = max(worst, module.base.membership_residual(blk))
     if worst > max(tol.rel, 1e-6):
         raise ValueError(
             f"projector blocks leave the represented coefficient algebra (residual {worst:.3e})")
@@ -159,7 +138,7 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
     module = conn.module
     _validate_module(t, module, tol)
     _validate_potential(t, conn, tol)
-    fo = first_order_residual(t, module.right_alg)
+    fo = first_order_residual(t, module.base)
     if fo > max(tol.rel, 1e-7):
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
     n = module.size
@@ -252,10 +231,10 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 def connection_frame(conn: BimoduleConnection):
     """Spanning module frame: projector-compressed basis columns in each slot."""
     module = conn.module
-    n, nh = module.size, module.fiber_dim
+    n, nh = module.size, module.block_dim
     frames = []
     for j in range(n):
-        for b in module.right_alg.basis:
+        for b in module.base.basis:
             col = np.zeros((n * nh, nh), dtype=complex)
             col[j * nh:(j + 1) * nh, :] = b
             frames.append(module.projector @ col)
@@ -267,36 +246,35 @@ def connection_condition_check(t: SpectralTripleData, conn: BimoduleConnection,
                                frame: list | None = None,
                                tol: Tolerance = DEFAULT_TOL,
                                sign_flip: bool = False) -> CheckReport:
-    """Graded-commutator identity for the creation maps of each frame element.
+    """Commutator identity for the creation maps of each frame element.
 
-    For each e the graded commutator of diag(dhat, D) with the off-diagonal
-    creation pair must reproduce the bounded pair assembled from the slot
-    commutators and the potential; `sign_flip` deliberately breaks the
-    adjoint block (used to demonstrate detection).
+    For each e the commutator of diag(dhat, D) with the off-diagonal
+    creation pair (even, since modules carry no grading) must reproduce
+    the bounded pair assembled from the slot commutators and the
+    potential; `sign_flip` deliberately breaks the adjoint block (used to
+    demonstrate detection).
     """
     rep = CheckReport()
     module = conn.module
     if dhat is None:
         dhat, _ = twisted_operator(t, conn, tol)
     ahat = conn_potential_compressed(t, conn)
-    n, nh = module.size, module.fiber_dim
+    n, nh = module.size, module.block_dim
     q = module.projector
     if frame is None:
         frame = connection_frame(conn)
     d = t.dirac
     worst = 0.0
-    for idx, t_e in enumerate(frame):
+    for t_e in frame:
         blocks = [t_e[i * nh:(i + 1) * nh, :] for i in range(n)]
-        par = _frame_parity(blocks, t.grading, tol) if module.graded else 1
-        s = -1.0 if par == -1 else 1.0
         t_e_adj = adjoint(t_e) * (-1.0 if sign_flip else 1.0)
 
-        top = dhat @ t_e - s * (t_e @ d)
-        bottom = d @ t_e_adj - s * (t_e_adj @ dhat)
+        top = dhat @ t_e - t_e @ d
+        bottom = d @ t_e_adj - t_e_adj @ dhat
 
-        r_pred = q @ np.vstack([d @ y - s * (y @ d) for y in blocks]) + ahat @ t_e
-        s_pred = np.hstack([d @ adjoint(y) - s * (adjoint(y) @ d) for y in blocks]) \
-            - s * (adjoint(t_e) @ ahat)
+        r_pred = q @ np.vstack([d @ y - y @ d for y in blocks]) + ahat @ t_e
+        s_pred = np.hstack([d @ adjoint(y) - adjoint(y) @ d for y in blocks]) \
+            - adjoint(t_e) @ ahat
         # the lower row acts on the module space, so compare there
         res = max(
             rel_residual(top - r_pred, operator_norm(d), operator_norm(t_e)),
@@ -311,27 +289,6 @@ def connection_condition_check(t: SpectralTripleData, conn: BimoduleConnection,
 def conn_potential_compressed(t: SpectralTripleData, conn: BimoduleConnection) -> np.ndarray:
     q = conn.module.projector
     return q @ _potential_big(conn, t.hilbert_dim) @ q
-
-
-def _frame_parity(blocks, grading, tol):
-    if grading is None:
-        return 1
-    sign = None
-    for y in blocks:
-        if operator_norm(y) <= 1e-12:
-            continue
-        conj = grading @ y @ grading
-        if rel_residual(conj - y, operator_norm(y)) <= max(tol.rel, 1e-8):
-            s = 1
-        elif rel_residual(conj + y, operator_norm(y)) <= max(tol.rel, 1e-8):
-            s = -1
-        else:
-            raise ValueError("frame element is not parity homogeneous")
-        if sign is None:
-            sign = s
-        elif sign != s:
-            raise ValueError("frame element mixes parities")
-    return sign if sign is not None else 1
 
 
 def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
@@ -379,7 +336,7 @@ def gauge_transform(t: SpectralTripleData, conn: BimoduleConnection, u_big: np.n
     conjugate of the original one.
     """
     module = conn.module
-    n, nh = module.size, module.fiber_dim
+    n, nh = module.size, module.block_dim
     q = module.projector
     d_n = block_diag(t.dirac, n)
     q_new = u_big @ q @ adjoint(u_big)
@@ -387,7 +344,7 @@ def gauge_transform(t: SpectralTripleData, conn: BimoduleConnection, u_big: np.n
     a_new = q_new @ (u_big @ (d_n @ adjoint(u_big) - adjoint(u_big) @ d_n)) @ q_new \
         + u_big @ a_big @ adjoint(u_big)
     table = [[a_new[j * nh:(j + 1) * nh, i * nh:(i + 1) * nh] for j in range(n)] for i in range(n)]
-    new_module = ModuleOverAlgebra(n, q_new, module.right_alg, module.graded)
+    new_module = ProjectiveModule(module.base, n, q_new)
     return BimoduleConnection(new_module, table)
 
 

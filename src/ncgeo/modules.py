@@ -53,11 +53,21 @@ __all__ = [
 
 @dataclass
 class ProjectiveModule:
+    """Module q B^m over an algebra B of d x d operators, presented by a projector.
+
+    The blocks of the projector and of the metric lie in B.  The metric
+    defaults to the projector itself (the standard hermitian structure).
+    """
+
     base: AlgebraBasis
     size: int
     projector: np.ndarray  # (m*d, m*d), blocks over the base algebra
-    metric: np.ndarray     # (m*d, m*d), positive, q r = r q = r
+    metric: np.ndarray | None = None  # (m*d, m*d), positive, q r = r q = r
     side: str = "right"
+
+    def __post_init__(self):
+        if self.metric is None:
+            self.metric = self.projector
 
     @property
     def block_dim(self) -> int:
@@ -125,16 +135,9 @@ def pairing_eval(mod: ProjectiveModule, e: np.ndarray, f: np.ndarray, tol: Toler
     return e @ mod.metric @ adjoint(f)
 
 
-def frame_presentation(xs, ys, pair, rmul, probes, tol: Tolerance = DEFAULT_TOL):
-    """Projector presentation of a right module from a finite frame.
-
-    `pair(e, f)` is the algebra-valued inner product, `rmul(e, a)` the right
-    action.  The frame condition sum_i x_i (y_i | g) = g is verified on the
-    probe elements; returns (q, to_coords, from_coords).
-    """
-    m = len(xs)
-    if len(ys) != m:
-        raise ValueError("frame needs equally many x and y vectors")
+def _frame_residual(xs, ys, pair, rmul, probes) -> float:
+    """Largest residual of the frame condition sum_i rmul(x_i, pair(y_i, g)) = g
+    over the probes, relative to max(1, |g|)."""
     worst = 0.0
     for g in probes:
         rec = None
@@ -142,17 +145,31 @@ def frame_presentation(xs, ys, pair, rmul, probes, tol: Tolerance = DEFAULT_TOL)
             t = rmul(x, pair(y, g))
             rec = t if rec is None else rec + t
         worst = max(worst, rel_residual(rec - g, operator_norm(g)))
+    return worst
+
+
+def frame_presentation(xs, ys, pair, rmul, probes, tol: Tolerance = DEFAULT_TOL):
+    """Projector presentation of a right module from a finite frame.
+
+    `pair(e, f)` is the algebra-valued inner product, `rmul(e, a)` the right
+    action.  The frame condition sum_i x_i (y_i | g) = g is verified on the
+    probe elements (`rmul` is only used there and by `from_coords`).
+    Returns (q, to_coords, from_coords): block (i, j) of q is pair(y_i, x_j)
+    and to_coords(e) stacks the blocks pair(y_i, e).
+    """
+    m = len(xs)
+    if len(ys) != m:
+        raise ValueError("frame needs equally many x and y vectors")
+    worst = _frame_residual(xs, ys, pair, rmul, probes)
     if worst > max(tol.rel, 1e-7):
         raise ValueError(f"frame condition violated, residual {worst:.3e}")
 
-    d = pair(xs[0], xs[0]).shape[0]
-    q = np.zeros((m * d, m * d), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            q[i * d:(i + 1) * d, j * d:(j + 1) * d] = pair(ys[i], xs[j])
+    blocks = [[pair(y, x) for x in xs] for y in ys]
+    q = np.block(blocks).astype(complex, copy=False)
+    d = blocks[0][0].shape[0]
 
     def to_coords(e):
-        return np.vstack([pair(ys[i], e) for i in range(m)])
+        return np.vstack([pair(y, e) for y in ys])
 
     def from_coords(col):
         out = None

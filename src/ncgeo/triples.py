@@ -26,7 +26,13 @@ from .linalg import (
     span_coords,
     span_residual,
 )
-from .modules import bimodule_from_actions, expectation_pairing, morita_check, parseval_frame
+from .modules import (
+    _frame_residual,
+    bimodule_from_actions,
+    expectation_pairing,
+    morita_check,
+    parseval_frame,
+)
 from .report import CheckReport
 
 __all__ = [
@@ -127,15 +133,19 @@ def validate_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Chec
     Raises when the Dirac operator is not Hermitian, since no later check
     applies to it; `run_condition_suite` reports that case as a failed entry.
     """
-    rep, hermitian = _validate(t, tol)
-    if not hermitian:
+    rep = _validate(t, tol)
+    if "validate:dirac_hermitian" in _failed_ids(rep):
         raise ValueError("Dirac operator is not Hermitian")
     return rep
 
 
-def _validate(t: SpectralTripleData, tol: Tolerance):
-    """(report, whether the Dirac operator is Hermitian); the report stops
-    at the Hermiticity entry when it is not."""
+def _failed_ids(rep: CheckReport) -> set:
+    return {e.condition_id for e in rep.failures()}
+
+
+def _validate(t: SpectralTripleData, tol: Tolerance) -> CheckReport:
+    """Validation entries; they stop at the Hermiticity entry when the
+    Dirac operator is not Hermitian."""
     rep = CheckReport()
     n = t.hilbert_dim
     d = t.dirac
@@ -148,7 +158,7 @@ def _validate(t: SpectralTripleData, tol: Tolerance):
     herm = rel_residual(d - adjoint(d), nd)
     rep.add("validate:dirac_hermitian", herm, tol.rel)
     if herm > tol.rel:
-        return rep, False
+        return rep
     alg = t.algebra(tol)
     rep.add("validate:algebra_generated", 0.0, tol.rel, f"dim {alg.dim}")
     if t.grading is not None:
@@ -163,7 +173,7 @@ def _validate(t: SpectralTripleData, tol: Tolerance):
     for i, a in enumerate(t.algebra_gens):
         rep.add(f"validate:commutator_norm[{i}]", 0.0, np.inf,
                 f"|[D,a]|={operator_norm(d @ a - a @ d):.6e} |[|D|,a]|={operator_norm(abs_d @ a - a @ abs_d):.6e}")
-    return rep, True
+    return rep
 
 
 def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -460,12 +470,9 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     frame = parseval_frame(cda, tol)
     n = t.hilbert_dim
 
-    worst = 0.0
-    for g in np.eye(n, dtype=complex):
-        recon = np.zeros(n, dtype=complex)
-        for x in frame:
-            recon = recon + pair(g, x) @ x
-        worst = max(worst, float(np.linalg.norm(recon - g)))
+    # H is a left module over the algebra: g = sum_x E(|g><x|) x
+    worst = _frame_residual(frame, frame, lambda x, g: pair(g, x), lambda x, a: a @ x,
+                            np.eye(n, dtype=complex))
     rep.add("finite:frame_reproduces", worst, max(tol.rel, 1e-7), f"frame size {len(frame)}")
 
     worst = 0.0
@@ -690,10 +697,14 @@ def zeta_diagnostic(t: SpectralTripleData, s_values) -> list:
 def run_condition_suite(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
                         strict_orientation: bool = True) -> CheckReport:
     rep = CheckReport()
-    val, hermitian = _validate(t, tol)
+    val = _validate(t, tol)
     rep.extend(val)
-    if not hermitian:
+    failed = _failed_ids(val)
+    if "validate:dirac_hermitian" in failed:
         rep.skip("suite", "later checks not run: the Dirac operator is not Hermitian")
+        return rep
+    if failed & {"validate:grading_hermitian", "validate:grading_involution"}:
+        rep.skip("suite", "later checks not run: the grading is not a Hermitian involution")
         return rep
     rep.extend(check_orientability(t, tol, strict=strict_orientation))
     rep.extend(check_first_order(t, tol))

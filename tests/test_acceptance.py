@@ -16,13 +16,12 @@ from ncgeo.convert import (
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.kasparov import (
     BimoduleConnection,
-    ModuleOverAlgebra,
     connection_condition_check,
     grassmann_connection,
     twisted_operator,
 )
 from ncgeo.linalg import adjoint, operator_norm, random_hermitian
-from ncgeo.modules import linear_operator_bound
+from ncgeo.modules import ProjectiveModule, linear_operator_bound
 from ncgeo.tomita import AntiunitaryMap, check_fundamental_class, opposite_action
 from ncgeo.triples import (
     HochschildChain,
@@ -138,7 +137,7 @@ def test_criterion_04_round_trip():
 def test_criterion_05_kasparov_product():
     t = matrix_geometry(2, seed=3)
     right = t.right_algebra()
-    conn0 = grassmann_connection(ModuleOverAlgebra(1, np.eye(t.hilbert_dim, dtype=complex), right))
+    conn0 = grassmann_connection(ProjectiveModule(right, 1, np.eye(t.hilbert_dim, dtype=complex)))
     dhat0, _ = twisted_operator(t, conn0)
     exact = np.array_equal(dhat0, t.dirac)
     rng = np.random.default_rng(505)

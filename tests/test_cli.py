@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ncgeo import convert
 from ncgeo.cli import main
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.io import (
@@ -13,6 +14,7 @@ from ncgeo.io import (
     save_triple,
     triple_to_dict,
 )
+from ncgeo.triples import SpectralTripleData
 
 
 @pytest.fixture()
@@ -101,6 +103,18 @@ class TestCheckCommand:
         entries = {e["condition_id"]: e["status"] for e in doc["report"]["entries"]}
         assert entries["validate:dirac_hermitian"] == "fail"
 
+    def test_grading_not_involution_reports_failure(self, tmp_path, capsys):
+        def scale_grading(doc):
+            doc["grading"] = matrix_to_data(np.diag([2.0, -1.0]))
+        path = self._write_doc(tmp_path, scale_grading)
+        assert main(["--format", "json", "check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        entries = {e["condition_id"]: e["status"] for e in json.loads(captured.out)["report"]["entries"]}
+        assert entries["validate:grading_involution"] == "fail"
+        assert entries["suite"] == "skipped"
+        assert not any(cid.startswith("finite:") for cid in entries)
+
     def test_deterministic_output(self, mgeom_file, capsys):
         main(["--format", "json", "--generalized-orientation", "check", mgeom_file])
         out1 = capsys.readouterr().out
@@ -151,6 +165,22 @@ class TestConvertCommand:
         err = capsys.readouterr().err
         assert "prerequisite" in err
 
+    def test_to_spinc_builds_one_backward_assembly(self, tmp_path, monkeypatch):
+        src = tmp_path / "m.striple"
+        save_triple(src, matrix_geometry(2, seed=7))
+        riem = tmp_path / "m.riem"
+        assert main(["convert", "to-riemannian", str(src), "-o", str(riem)]) == 0
+        calls = []
+        build = convert._backward_assembly
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(convert, "_backward_assembly", counted)
+        assert main(["convert", "to-spinc", str(riem), "-o", str(tmp_path / "m.back")]) == 0
+        assert len(calls) == 1
+
     def test_to_spinc_needs_bundle(self, tmp_path, capsys):
         src = tmp_path / "m.striple"
         save_triple(src, matrix_geometry(2, seed=7))
@@ -180,6 +210,15 @@ class TestOtherCommands:
         assert main(["--format", "json", "zeta", str(src), "-s", "0", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["zeta"]["0.0"] == pytest.approx(5.0)
+
+    def test_zeta_non_hermitian_dirac(self, tmp_path, capsys):
+        t = two_point(1.0)
+        src = tmp_path / "skew.striple"
+        save_triple(src, SpectralTripleData(2, t.algebra_gens, np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                            t.grading))
+        assert main(["zeta", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_pair(self, tmp_path, capsys):
         from ncgeo.convert import spinc_to_riemannian

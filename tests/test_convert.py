@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ncgeo.algebra import AlgebraBasis
 from ncgeo.convert import (
     CliffordModuleData,
+    _backward_assembly,
     appendix_equivalence_check,
     double_odd_triple,
     intertwine_triples,
@@ -15,8 +17,16 @@ from ncgeo.convert import (
     split_by_central_involution,
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_hermitian, span_residual
-from ncgeo.tomita import AntiunitaryMap
+from ncgeo.linalg import (
+    Tolerance,
+    adjoint,
+    operator_norm,
+    random_hermitian,
+    span_basis,
+    span_residual,
+)
+from ncgeo.modules import expectation_pairing, parseval_frame
+from ncgeo.tomita import AntiunitaryMap, opposite_action
 from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra
 
 
@@ -142,6 +152,63 @@ class TestBackwardConversion:
         module = CliffordModuleData(2, [np.eye(2)], [np.eye(2)])
         with pytest.raises(ValueError):
             riemannian_to_spinc(t, module)
+
+
+@pytest.fixture(scope="module", params=[7, 2001408477])
+def forward_and_module(request):
+    t = matrix_geometry(2, seed=request.param)
+    forward = spinc_to_riemannian(t)
+    module = CliffordModuleData(
+        carrier_dim=t.hilbert_dim,
+        left_action=forward.witness["c_basis_src"],
+        right_action_gens=t.right_action_gens,
+        algebra_basis=forward.witness["c_basis_out"],
+    )
+    return t, forward, module
+
+
+class TestFrameRoutine:
+    """Frame projectors built by frame_presentation against the per-block
+    loops the conversions used before."""
+
+    def test_forward_projector(self, forward_and_module):
+        t, forward, _ = forward_and_module
+        n = t.hilbert_dim
+        xs = forward.witness["frame"]
+        m = len(xs)
+        pair = expectation_pairing(t.right_algebra())
+        q_ref = np.zeros((m * n, m * n), dtype=complex)
+        for k in range(m):
+            for j in range(m):
+                q_ref[k * n:(k + 1) * n, j * n:(j + 1) * n] = pair(xs[k], xs[j])
+        assert np.array_equal(forward.witness["module_projector"], q_ref)
+
+    def test_backward_projector_and_identification(self, forward_and_module):
+        _, forward, module = forward_and_module
+        tri = forward.output
+        asm = _backward_assembly(tri, module)
+        nc, nh, nmod = asm["nc"], asm["nh"], asm["nmod"]
+        j, to_source_op, carrier_pair = asm["conjugation"], asm["to_source_op"], asm["carrier_pair"]
+        frame = parseval_frame(AlgebraBasis(nc, span_basis(module.left_action)))
+        assert len(frame) == nmod
+
+        q_ref = np.zeros((nmod * nh, nmod * nh), dtype=complex)
+        for k in range(nmod):
+            for jj in range(nmod):
+                val = to_source_op(carrier_pair(frame[jj], frame[k]))
+                q_ref[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh] = opposite_action(j, val)
+        assert np.array_equal(asm["projector"], q_ref)
+
+        vmap_ref = np.zeros((nmod * nh, nc), dtype=complex)
+        for col in range(nc):
+            e = np.zeros(nc, dtype=complex)
+            e[col] = 1.0
+            comps = []
+            for jj in range(nmod):
+                cop = to_source_op(carrier_pair(e, frame[jj]))
+                comps.append(opposite_action(j, cop) @ tri.riemann_vector)
+            vmap_ref[:, col] = np.concatenate(comps)
+        assert np.array_equal(asm["vmap"], vmap_ref)
 
 
 class TestIntertwiner:

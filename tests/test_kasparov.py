@@ -4,7 +4,6 @@ import pytest
 from ncgeo.examples import matrix_geometry
 from ncgeo.kasparov import (
     BimoduleConnection,
-    ModuleOverAlgebra,
     connection_condition_check,
     connection_decomposition,
     connection_frame,
@@ -23,13 +22,14 @@ from ncgeo.linalg import (
     random_complex,
     random_hermitian,
 )
+from ncgeo.modules import ProjectiveModule
 from ncgeo.triples import SpectralTripleData
 
 
 def trivial_module(t, n=1):
     right = t.right_algebra()
     q = np.eye(n * t.hilbert_dim, dtype=complex)
-    return ModuleOverAlgebra(n, q, right)
+    return ProjectiveModule(right, n, q)
 
 
 def random_module(t, n, rng):
@@ -46,12 +46,12 @@ def random_module(t, n, rng):
     vals, _ = np.linalg.eigh(h)
     cut = float(np.median(vals))
     q = herm_apply(lambda x: 1.0 if x > cut else 0.0, h)
-    return ModuleOverAlgebra(n, q, right)
+    return ProjectiveModule(right, n, q)
 
 
 def random_potential(t, module, rng):
     basis = one_form_basis(t, module)
-    n, nh = module.size, module.fiber_dim
+    n, nh = module.size, module.block_dim
     q = module.projector
     raw = [[sum((rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis)
             for _ in range(n)] for _ in range(n)]
@@ -73,8 +73,8 @@ def direct_twist_oracle(t, conn):
     frame presentation and the potential, column by column.
     """
     module = conn.module
-    right = module.right_alg
-    n, nh = module.size, module.fiber_dim
+    right = module.base
+    n, nh = module.size, module.block_dim
     d = t.dirac
     _, t_rem, _ = connection_decomposition(t, Tolerance_like())
     eps = t.grading if t.grading is not None else np.eye(nh, dtype=complex)
@@ -168,7 +168,7 @@ class TestTwistedOperator:
         right = t.right_algebra()
         q = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
         with pytest.raises(ValueError):
-            twisted_operator(t, grassmann_connection(ModuleOverAlgebra(2, q, right)))
+            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, q)))
 
 
 class TestProductTriple:
@@ -331,7 +331,7 @@ class TestProductRightAction:
         # twist by a free rank-one module carrying a commuting right action
         t = matrix_geometry(2, seed=8)
         right = t.right_algebra()
-        module = ModuleOverAlgebra(1, np.eye(t.hilbert_dim, dtype=complex), right)
+        module = ProjectiveModule(right, 1, np.eye(t.hilbert_dim, dtype=complex))
         conn = grassmann_connection(module)
         ops = [b.copy() for b in right.basis]
         out, basis, rep = product_triple(t, conn, right_ops=ops)

@@ -3,6 +3,7 @@ import pytest
 
 from ncgeo.algebra import generate_algebra
 from ncgeo.examples import matrix_geometry
+from ncgeo.kasparov import grassmann_connection, twisted_operator
 from ncgeo.linalg import adjoint, herm_eig, operator_norm, random_complex, rel_residual, span_basis
 from ncgeo.modules import (
     EquivBimodule,
@@ -130,6 +131,18 @@ class TestFramePresentation:
         with pytest.raises(ValueError):
             frame_presentation(xs, xs, pair, rmul,
                                [np.array([0.0, 1.0], dtype=complex)])
+
+
+class TestKasparovModule:
+    def test_trivial_module_twists_exactly(self):
+        t = matrix_geometry(2, seed=11)
+        right = t.right_algebra()
+        mod = ProjectiveModule(right, 1, np.eye(t.hilbert_dim, dtype=complex))
+        assert mod.metric is mod.projector
+        assert validate_module(mod).passed
+        dhat, ahat = twisted_operator(t, grassmann_connection(mod))
+        assert np.array_equal(dhat, t.dirac)
+        assert not ahat.any()
 
 
 def standard_column_bimodule():

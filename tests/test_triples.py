@@ -4,6 +4,7 @@ import pytest
 from ncgeo.algebra import generate_algebra
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import adjoint, operator_norm, random_hermitian
+from ncgeo.modules import expectation_pairing, parseval_frame
 from ncgeo.triples import (
     HochschildChain,
     SpectralTripleData,
@@ -220,6 +221,24 @@ class TestFiniteness:
         entry = rep.entry("finite:state_reproduces_scalar_product")
         assert entry.status == "fail"
         assert entry.residual == pytest.approx(1.0, rel=0.2)
+
+
+    @pytest.mark.parametrize("seed", [7, 2001408477])
+    def test_frame_residual_matches_probe_loop(self, seed):
+        # reference: the per-probe reconstruction loop check_finiteness used
+        # before it called the shared frame residual
+        t = matrix_geometry(2, seed=seed)
+        cda = t.cda()
+        pair = expectation_pairing(cda)
+        frame = parseval_frame(cda)
+        worst = 0.0
+        for g in np.eye(t.hilbert_dim, dtype=complex):
+            recon = np.zeros(t.hilbert_dim, dtype=complex)
+            for x in frame:
+                recon = recon + pair(g, x) @ x
+            worst = max(worst, float(np.linalg.norm(recon - g)))
+        rep, _ = check_finiteness(t)
+        assert rep.entry("finite:frame_reproduces").residual == worst
 
 
 class TestSpinc:
