@@ -15,6 +15,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    max_operator_norm,
     null_space,
     operator_norm,
     project_onto_span,
@@ -185,7 +186,7 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
         res = gens[:, None] @ basis[None] - basis[None] @ gens[:, None]
         ref = (np.linalg.norm(gens, 2, axis=(-2, -1))[:, None]
                * np.linalg.norm(basis, 2, axis=(-2, -1))[None])
-        worst = float(np.max(np.linalg.norm(res, 2, axis=(-2, -1)) / np.maximum(1.0, ref)))
+        worst = max_operator_norm(res, ref)
         if worst > max(tol.rel, 1e-8):
             basis = _block_commutant(gens, vecs, rows, cols, tol)
     return AlgebraBasis(hilbert_dim=n, basis=basis)

@@ -176,7 +176,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             declared_p=t.declared_p,
             riemann_vector=phi,
         )
-        tri._cache[("cda", tol.rank_cut)] = out_cda
+        tri._cache[("cda", tol)] = out_cda
         j = tomita_conjugation(tri, phi, tol)
         eps, grep = grading_from_cycle(tri, chat, j, tol)
         rep.extend(grep, prefix="convert:")
@@ -190,7 +190,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             if t.declared_p == 0 else None,
             riemann_vector=phi,
         )
-        out._cache[("cda", tol.rank_cut)] = out_cda
+        out._cache[("cda", tol)] = out_cda
         witness = {
             "phi": phi,
             "conjugation_kernel": j.kernel,
@@ -384,9 +384,9 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     vmap = asm["vmap"]
 
     rep = CheckReport()
+    nq = operator_norm(q_big)
     rep.add("convert:module_projector",
-            max(rel_residual(q_big @ q_big - q_big, operator_norm(q_big)),
-                rel_residual(q_big - adjoint(q_big), operator_norm(q_big))),
+            max(rel_residual(q_big @ q_big - q_big, nq), rel_residual(q_big - adjoint(q_big), nq)),
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
     d_big = block_diag(t.dirac, nmod)

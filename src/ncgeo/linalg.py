@@ -16,6 +16,7 @@ __all__ = [
     "as_complex_matrix",
     "adjoint",
     "operator_norm",
+    "max_operator_norm",
     "rel_residual",
     "trace_inner",
     "is_hermitian",
@@ -67,9 +68,60 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 def operator_norm(m: np.ndarray) -> float:
     m = np.asarray(m)
-    if m.size == 0:
+    if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+# Relative slack on the Frobenius bound; it covers the rounding of the
+# computed Frobenius and 2-norms, so no element that could set the maximum
+# is pruned.
+_FROBENIUS_SLACK = 1.0 + 1e-8
+# Below this sum of squares the squares may have underflowed.
+_TINY_SQUARES = 1e-280
+
+
+def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
+    """max(floor, max_k |stack[k]|_2 / max(1, scale[k])) over a stack of matrices.
+
+    `scale` broadcasts against the leading axes of the stack.  The Frobenius
+    norm bounds the 2-norm from above, so the 2-norms are taken in decreasing
+    order of that bound: the top few first, then at each step every element
+    whose bound still exceeds the best value so far.  The sweep stops once no
+    bound does, so the result is the float a full sweep of 2-norms gives.  A
+    NaN anywhere gives NaN; an empty stack gives `floor`.
+    """
+    stack = np.asarray(stack)
+    mats = stack.reshape((-1,) + stack.shape[-2:])
+    best = float(floor)
+    if len(mats) == 0:
+        return best
+    den = np.ones(len(mats)) if scale is None else \
+        np.maximum(1.0, np.broadcast_to(scale, stack.shape[:-2])).ravel()
+    flat = np.ascontiguousarray(mats).reshape(len(mats), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    squares = np.einsum("ij,ij->i", flat, flat)
+    bound = np.sqrt(squares)
+    tiny = squares < _TINY_SQUARES
+    if tiny.any():
+        # the Frobenius norm is at most sqrt(#entries) times the largest one
+        bound[tiny] = np.sqrt(flat.shape[1]) * np.max(np.abs(flat[tiny]), axis=1, initial=0.0)
+    bound = bound * _FROBENIUS_SLACK / den
+    if np.isnan(bound).any():
+        return float("nan")
+    order = np.argsort(-bound, kind="stable")
+    bound = bound[order]
+    start, chunk = 0, 4
+    while start < len(order) and bound[start] > best:
+        idx = order[start:start + chunk]
+        top = float(np.max(np.linalg.norm(mats[idx], 2, axis=(-2, -1)) / den[idx]))
+        if not top <= best:
+            best = top
+        start += len(idx)
+        # every element whose bound still beats the best must be measured
+        chunk = max(1, int(np.count_nonzero(bound[start:] > best)))
+    return best
 
 
 def rel_residual(x: np.ndarray, *scales: float) -> float:
@@ -87,7 +139,10 @@ def trace_inner(x: np.ndarray, y: np.ndarray) -> complex:
 
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
-    return operator_norm(m - adjoint(m)) <= tol.rel * max(1.0, operator_norm(m))
+    skew = m - adjoint(m)
+    if not skew.any():
+        return True
+    return operator_norm(skew) <= tol.rel * max(1.0, operator_norm(m))
 
 
 def herm_eig(m, tol: Tolerance = DEFAULT_TOL):

@@ -26,6 +26,7 @@ from .linalg import (
     as_complex_matrix,
     herm_apply,
     herm_eig,
+    max_operator_norm,
     operator_norm,
     rel_residual,
     span_basis,
@@ -223,10 +224,6 @@ def _compatibility_sides(lp, rp):
     return lp.transpose(0, 1, 3, 2), rp.transpose(3, 0, 1, 2)
 
 
-def _op_norms(stack) -> np.ndarray:
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
-
-
 def bimodule_from_actions(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
                           tol: Tolerance = DEFAULT_TOL):
     """Canonical bimodule structure on the carrier from two commuting actions.
@@ -258,13 +255,12 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     d = bi.carrier_dim
     lp, rp = bi.left_pair, bi.right_pair
     left, right = bi.left_alg.basis, bi.right_alg.basis
-    left_norms, right_norms = _op_norms(left), _op_norms(right)
+    left_norms = np.linalg.norm(left, 2, axis=(-2, -1))
+    right_norms = np.linalg.norm(right, 2, axis=(-2, -1))
 
-    worst = 0.0
-    for b, nb in zip(left, left_norms):
-        res = _op_norms(b @ right - right @ b) / np.maximum(1.0, right_norms * nb)
-        worst = max(worst, float(np.max(res, initial=0.0)))
-    rep.add("morita:actions_commute", worst, tol.rel)
+    comm = left[:, None] @ right[None] - right[None] @ left[:, None]
+    rep.add("morita:actions_commute",
+            max_operator_norm(comm, left_norms[:, None] * right_norms), tol.rel)
 
     def action_gap(coeffs, norms, table):
         # [i, j] entries of (a c_i | c_j) - (c_i | a^* c_j); the matrix of a
@@ -272,7 +268,7 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
         worst = 0.0
         for c, nc in zip(coeffs, norms):
             gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
-            worst = max(worst, float(np.max(_op_norms(gap))) / max(1.0, nc))
+            worst = max_operator_norm(gap, nc, floor=worst)
         return worst
 
     rep.add("morita:left_pairing_right_action", action_gap(right, right_norms, lp), tol.rel)
@@ -519,12 +515,12 @@ def pre_morita_decompose(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL):
     # which compose in reverse: (q q)_{ik} = sum_j q_{jk} q_{ij}
     q_ops = rep_left_on_right(eye)
     qq = np.einsum("jkab,ijbc->ikac", q_ops, q_ops, optimize=True)
-    rep.add("decompose:right_projector_idempotent", float(np.max(_op_norms(qq - q_ops))),
+    rep.add("decompose:right_projector_idempotent", max_operator_norm(qq - q_ops),
             max(tol.rel, 1e-7))
 
     p_ops = rep_right_on_left(eye)
     pp = np.einsum("ijab,jkbc->ikac", p_ops, p_ops, optimize=True)
-    rep.add("decompose:left_projector_idempotent", float(np.max(_op_norms(pp - p_ops))),
+    rep.add("decompose:left_projector_idempotent", max_operator_norm(pp - p_ops),
             max(tol.rel, 1e-7))
 
     worst = 0.0
@@ -533,8 +529,8 @@ def pre_morita_decompose(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL):
             x, y = rep_left_on_right(b1), rep_left_on_right(b2)
             # acting operators compose in reverse: (x y)_{ik} = sum_j y_{jk} x_{ij}
             prod = np.einsum("jkab,ijbc->ikac", y, x, optimize=True)
-            worst = max(worst, float(np.max(_op_norms(rep_left_on_right(b1 @ b2) - prod)))
-                        / max(1.0, operator_norm(b1) * operator_norm(b2)))
+            worst = max_operator_norm(rep_left_on_right(b1 @ b2) - prod,
+                                      operator_norm(b1) * operator_norm(b2), floor=worst)
     rep.add("decompose:left_into_right_homomorphism", worst, max(tol.rel, 1e-7))
 
     rank_map = np.stack([rep_left_on_right(b).ravel() for b in bi.left_alg.basis], axis=1)
@@ -549,8 +545,8 @@ def pre_morita_decompose(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL):
             # a2 a1 is represented by (x y)_{ik} = sum_j x_{ij} y_{jk}
             x, y = rep_right_on_left(a1), rep_right_on_left(a2)
             prod = np.einsum("ijab,jkbc->ikac", x, y, optimize=True)
-            worst = max(worst, float(np.max(_op_norms(rep_right_on_left(a2 @ a1) - prod)))
-                        / max(1.0, operator_norm(a1) * operator_norm(a2)))
+            worst = max_operator_norm(rep_right_on_left(a2 @ a1) - prod,
+                                      operator_norm(a1) * operator_norm(a2), floor=worst)
     rep.add("decompose:right_into_left_homomorphism", worst, max(tol.rel, 1e-7))
 
     return {

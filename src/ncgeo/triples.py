@@ -102,8 +102,9 @@ class SpectralTripleData:
         return complex(np.trace(self.state @ x))
 
     # -- cached derived algebras ------------------------------------------
+    # keyed on the whole tolerance: the cda depends on rel through graded_split
     def algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-        key = ("algebra", tol.rank_cut)
+        key = ("algebra", tol)
         if key not in self._cache:
             self._cache[key] = generate_algebra(self.algebra_gens, with_unit=True, tol=tol)
         return self._cache[key]
@@ -113,7 +114,7 @@ class SpectralTripleData:
         return [d @ a - a @ d for a in self.algebra_gens]
 
     def cda(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-        key = ("cda", tol.rank_cut)
+        key = ("cda", tol)
         if key not in self._cache:
             self._cache[key] = commutator_algebra(self, tol)
         return self._cache[key]
@@ -121,7 +122,7 @@ class SpectralTripleData:
     def right_algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
         if self.right_action_gens is None:
             return None
-        key = ("right", tol.rank_cut)
+        key = ("right", tol)
         if key not in self._cache:
             self._cache[key] = generate_algebra(self.right_action_gens, with_unit=True, tol=tol)
         return self._cache[key]
@@ -705,6 +706,13 @@ def run_condition_suite(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
         return rep
     if failed & {"validate:grading_hermitian", "validate:grading_involution"}:
         rep.skip("suite", "later checks not run: the grading is not a Hermitian involution")
+        return rep
+    # the later checks all need the cda, which splits under the grading
+    try:
+        t.cda(tol)
+    except ValueError as exc:
+        rep.add("validate:grading_splits_cda", 1.0, tol.rel, str(exc))
+        rep.skip("suite", "later checks not run: the grading does not split the commutator algebra")
         return rep
     rep.extend(check_orientability(t, tol, strict=strict_orientation))
     rep.extend(check_first_order(t, tol))

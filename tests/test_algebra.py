@@ -128,6 +128,15 @@ def subspace_overlap(a, b):
     return float(np.linalg.svd(a.conj() @ b.T, compute_uv=False).min())
 
 
+def sweep_commutant_residual(gens, basis):
+    """Reference for the verification in commutant: every commutator's 2-norm
+    relative to max(1, |g| |b|), then the maximum."""
+    res = gens[:, None] @ basis[None] - basis[None] @ gens[:, None]
+    ref = (np.linalg.norm(gens, 2, axis=(-2, -1))[:, None]
+           * np.linalg.norm(basis, 2, axis=(-2, -1))[None])
+    return float(np.max(np.linalg.norm(res, 2, axis=(-2, -1)) / np.maximum(1.0, ref)))
+
+
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
 COMMUTANT_CASES = {
@@ -165,6 +174,23 @@ class TestCommutantAgainstKronecker:
         assert subspace_overlap(comm.basis, ref) >= 1.0 - 1e-12
         gram = np.einsum("aij,bij->ab", comm.basis.conj(), comm.basis)
         assert np.allclose(gram, np.eye(comm.dim), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", [
+        "mgeom2_s7_algebra", "mgeom2_s7_cda", "mgeom2_s2001408477_algebra",
+        "mgeom2_s2001408477_cda", "mgeom3_algebra", "mgeom3_cda"])
+    def test_verification_residual_matches_sweep(self, name, monkeypatch):
+        alg = COMMUTANT_CASES[name]()
+        seen = []
+        real = algebra.max_operator_norm
+
+        def recorded(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(algebra, "max_operator_norm", recorded)
+        comm = commutant(alg)
+        # the probe solve is kept, so the verified candidates are the result
+        assert seen == [sweep_commutant_residual(alg.generators, comm.basis)]
 
     def test_reproducible(self):
         alg = COMMUTANT_CASES["mgeom2_s7_cda"]()

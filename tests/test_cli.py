@@ -14,6 +14,7 @@ from ncgeo.io import (
     save_triple,
     triple_to_dict,
 )
+from ncgeo.linalg import random_unitary
 from ncgeo.triples import SpectralTripleData
 
 
@@ -112,6 +113,23 @@ class TestCheckCommand:
         assert captured.err == ""
         entries = {e["condition_id"]: e["status"] for e in json.loads(captured.out)["report"]["entries"]}
         assert entries["validate:grading_involution"] == "fail"
+        assert entries["suite"] == "skipped"
+        assert not any(cid.startswith("finite:") for cid in entries)
+
+    def test_grading_not_preserving_algebra_reports_failure(self, tmp_path, capsys):
+        # a Hermitian involution in general position: conjugation by it moves
+        # the commutator algebra off itself
+        t = matrix_geometry(2, seed=7)
+        u = random_unitary(np.random.default_rng(0), 8)
+        t.grading = u @ np.diag([1.0, 1, 1, 1, -1, -1, -1, -1]) @ u.conj().T
+        path = str(tmp_path / "rotated_grading.striple")
+        save_triple(path, t)
+        assert main(["--format", "json", "check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        entries = {e["condition_id"]: e["status"] for e in json.loads(captured.out)["report"]["entries"]}
+        assert entries["validate:grading_involution"] == "pass"
+        assert entries["validate:grading_splits_cda"] == "fail"
         assert entries["suite"] == "skipped"
         assert not any(cid.startswith("finite:") for cid in entries)
 

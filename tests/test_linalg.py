@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
     herm_eig,
+    is_hermitian,
+    max_operator_norm,
     operator_norm,
     project_onto_span,
     random_complex,
@@ -144,6 +148,130 @@ class TestOperatorNorm:
         for k in range(5):
             m = random_complex(rng, (6, 6))
             assert abs(operator_norm(m) - operator_norm(adjoint(m))) <= 1e-12 * operator_norm(m)
+
+
+def sweep_max_norm(stack, scale=None, floor=0.0):
+    """Reference for max_operator_norm: every 2-norm of the stack, then the maximum."""
+    norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+    if scale is not None:
+        norms = norms / np.maximum(1.0, scale)
+    return max(floor, float(np.max(norms))) if norms.size else floor
+
+
+ELEMENT_KINDS = ("random", "rank_one", "zero", "rotated_copy")
+
+
+@st.composite
+def norm_stacks(draw):
+    """A stack with leading shape `lead`, mixed element kinds, a scale that
+    broadcasts against `lead` (or None) and a floor below or above the maximum.
+
+    Nonzero elements have 2-norms within 20 % of one magnitude, while their
+    Frobenius norms spread by the rank, so the Frobenius order is not the
+    2-norm order.  At magnitude 1e-170 the squared entries underflow to zero.
+    """
+    lead = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=2)))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    magnitude = draw(st.sampled_from((1.0, 1e-170)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(np.prod(lead))
+    kinds = draw(st.lists(st.sampled_from(ELEMENT_KINDS), min_size=count, max_size=count))
+    mats = []
+    for kind in kinds:
+        if kind == "rotated_copy" and mats:
+            mats.append(-1j * mats[-1])
+            continue
+        if kind == "rank_one":
+            m = np.outer(random_complex(rng, rows), random_complex(rng, cols))
+        elif kind == "zero":
+            m = np.zeros((rows, cols), dtype=complex)
+        else:
+            m = random_complex(rng, (rows, cols))
+        if m.any():
+            m = m * (magnitude * rng.uniform(0.8, 1.0) / np.linalg.norm(m, 2))
+        mats.append(m)
+    stack = np.array(mats, dtype=complex).reshape(lead + (rows, cols))
+    scale_kind = draw(st.sampled_from(("none", "scalar", "per_element", "last_axis")))
+    scale = {"none": None,
+             "scalar": float(rng.uniform(0.0, 3.0)),
+             "per_element": rng.uniform(0.0, 3.0, size=lead),
+             "last_axis": rng.uniform(0.0, 3.0, size=lead[-1:])}[scale_kind]
+    top = sweep_max_norm(stack, scale)
+    floor = {"zero": 0.0, "below": 0.5 * top, "above": 1.5 * top + 1e-3}[
+        draw(st.sampled_from(("zero", "below", "above")))]
+    return stack, scale, floor
+
+
+class TestMaxOperatorNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(norm_stacks())
+    def test_equals_full_sweep(self, case):
+        stack, scale, floor = case
+        assert max_operator_norm(stack, scale, floor) == sweep_max_norm(stack, scale, floor)
+
+    def test_empty_stack_gives_floor(self):
+        assert max_operator_norm(np.zeros((0, 3, 3), dtype=complex)) == 0.0
+        assert max_operator_norm(np.zeros((0, 3, 3), dtype=complex), floor=0.25) == 0.25
+
+    def test_nan_propagates(self):
+        rng = np.random.default_rng(5)
+        stack = random_complex(rng, (6, 4, 4))
+        stack[3, 1, 2] = np.nan
+        assert np.isnan(max_operator_norm(stack))
+        assert np.isnan(max_operator_norm(stack, floor=1e6))
+        scale = np.ones(6)
+        scale[2] = np.nan
+        assert np.isnan(max_operator_norm(random_complex(rng, (6, 4, 4)), scale))
+
+    def test_prunes_dominated_elements(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        stack = 1e-6 * random_complex(rng, (200, 6, 6))
+        stack[117] *= 1e6
+        measured = []
+        real = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            if args[:1] == (2,):
+                measured.append(len(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        value = max_operator_norm(stack)
+        monkeypatch.undo()
+        assert value == sweep_max_norm(stack)
+        assert sum(measured) < 10
+
+
+class TestZeroShortcuts:
+    @staticmethod
+    def _forbid_norms(monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD norm was computed")
+        monkeypatch.setattr(np.linalg, "norm", no_svd)
+
+    def test_operator_norm_of_zero(self, monkeypatch):
+        self._forbid_norms(monkeypatch)
+        assert operator_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+        assert operator_norm(np.zeros((0, 0))) == 0.0
+
+    def test_exactly_hermitian_skips_norms(self, monkeypatch):
+        x = random_complex(np.random.default_rng(6), (7, 7))
+        h = (x + adjoint(x)) / 2.0
+        self._forbid_norms(monkeypatch)
+        assert is_hermitian(h)
+        vals, _ = herm_eig(h)
+        assert vals[0] <= vals[-1]
+
+    def test_shortcuts_agree_with_the_norms(self):
+        rng = np.random.default_rng(9)
+        x = random_complex(rng, (5, 5))
+        assert is_hermitian((x + adjoint(x)) / 2.0)
+        assert not is_hermitian(x)
+        nearly = (x + adjoint(x)) / 2.0
+        nearly[0, 1] += 1e-13
+        assert is_hermitian(nearly) and not is_hermitian(nearly, Tolerance(rel=1e-15))
+        assert operator_norm(x) == float(np.linalg.norm(x, 2))
+        assert operator_norm(np.zeros((3, 3))) == float(np.linalg.norm(np.zeros((3, 3)), 2))
 
 
 def test_tolerance_validation():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,89 @@ def looped_morita_residuals(bi):
     return out
 
 
+def sweep_norms(stack):
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_case(name):
+    """Bimodule of a matrix geometry, named mgeom<n>_s<seed>; the perturbed_
+    prefix adds noise to both tables, which gives O(1) residuals so every
+    index placement is exercised."""
+    if name.startswith("perturbed_"):
+        bi = sweep_case(name[len("perturbed_"):])
+        rng = np.random.default_rng(3)
+        return EquivBimodule(bi.left_alg, bi.right_alg, bi.carrier_dim,
+                             bi.left_pair + 0.1 * random_complex(rng, bi.left_pair.shape),
+                             bi.right_pair + 0.1 * random_complex(rng, bi.right_pair.shape))
+    n, seed = name[len("mgeom"):].split("_s")
+    t = matrix_geometry(int(n), int(seed))
+    return bimodule_from_actions(t.cda(), t.right_algebra())[0]
+
+
+SWEEP_CASES = ["mgeom2_s7", "mgeom2_s2001408477", "mgeom3_s0"]
+
+
+def sweep_morita_residuals(bi):
+    """The 2-norm residuals of morita_check as full sweeps over every block."""
+    left, right = bi.left_alg.basis, bi.right_alg.basis
+    left_norms, right_norms = sweep_norms(left), sweep_norms(right)
+    commute = 0.0
+    for b, nb in zip(left, left_norms):
+        res = sweep_norms(b @ right - right @ b) / np.maximum(1.0, right_norms * nb)
+        commute = max(commute, float(np.max(res, initial=0.0)))
+
+    def action_gap(coeffs, norms, table):
+        worst = 0.0
+        for c, nc in zip(coeffs, norms):
+            gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
+            worst = max(worst, float(np.max(sweep_norms(gap))) / max(1.0, nc))
+        return worst
+
+    return {"actions_commute": commute,
+            "left_pairing_right_action": action_gap(right, right_norms, bi.left_pair),
+            "right_pairing_left_action": action_gap(left.conj(), left_norms, bi.right_pair)}
+
+
+def sweep_decompose_residuals(bi, out):
+    """The 2-norm residuals of pre_morita_decompose as full sweeps over every block."""
+    q_ops, p_ops = out["q_ops"], out["p_ops"]
+    on_right, on_left = out["rep_left_on_right"], out["rep_right_on_left"]
+    qq = np.einsum("jkab,ijbc->ikac", q_ops, q_ops, optimize=True)
+    pp = np.einsum("ijab,jkbc->ikac", p_ops, p_ops, optimize=True)
+    left_hom = right_hom = 0.0
+    for b1 in bi.left_alg.basis[:4]:
+        for b2 in bi.left_alg.basis[:4]:
+            prod = np.einsum("jkab,ijbc->ikac", on_right(b2), on_right(b1), optimize=True)
+            left_hom = max(left_hom, float(np.max(sweep_norms(on_right(b1 @ b2) - prod)))
+                           / max(1.0, operator_norm(b1) * operator_norm(b2)))
+    for a1 in bi.right_alg.basis[:4]:
+        for a2 in bi.right_alg.basis[:4]:
+            prod = np.einsum("ijab,jkbc->ikac", on_left(a1), on_left(a2), optimize=True)
+            right_hom = max(right_hom, float(np.max(sweep_norms(on_left(a2 @ a1) - prod)))
+                            / max(1.0, operator_norm(a1) * operator_norm(a2)))
+    return {"right_projector_idempotent": float(np.max(sweep_norms(qq - q_ops))),
+            "left_projector_idempotent": float(np.max(sweep_norms(pp - p_ops))),
+            "left_into_right_homomorphism": left_hom,
+            "right_into_left_homomorphism": right_hom}
+
+
+class TestPrunedMaximaMatchSweeps:
+    @pytest.mark.parametrize("name", SWEEP_CASES + ["perturbed_mgeom2_s0"])
+    def test_morita_check(self, name):
+        bi = sweep_case(name)
+        rep = morita_check(bi)
+        for key, value in sweep_morita_residuals(bi).items():
+            assert rep.entry(f"morita:{key}").residual == value, key
+
+    @pytest.mark.parametrize("name", SWEEP_CASES)
+    def test_pre_morita_decompose(self, name):
+        bi = sweep_case(name)
+        out = pre_morita_decompose(bi)
+        for key, value in sweep_decompose_residuals(bi, out).items():
+            assert out["report"].entry(f"decompose:{key}").residual == value, key
+
+
 class TestMoritaCheck:
     def test_standard_equivalence(self):
         rep = morita_check(standard_column_bimodule())
@@ -222,13 +307,8 @@ class TestMoritaCheck:
         assert np.allclose(bi.left_pairing(u, v), looped, rtol=0, atol=1e-14)
 
     def test_matches_looped_residuals_on_matrix_geometry(self):
-        t = matrix_geometry(2, 0)
-        bi, _ = bimodule_from_actions(t.cda(), t.right_algebra())
-        # perturbed tables give O(1) residuals, so every index placement is exercised
-        rng = np.random.default_rng(3)
-        noisy = EquivBimodule(bi.left_alg, bi.right_alg, bi.carrier_dim,
-                              bi.left_pair + 0.1 * random_complex(rng, bi.left_pair.shape),
-                              bi.right_pair + 0.1 * random_complex(rng, bi.right_pair.shape))
+        bi = sweep_case("mgeom2_s0")
+        noisy = sweep_case("perturbed_mgeom2_s0")
         for case in (bi, noisy):
             rep = morita_check(case)
             for key, value in looped_morita_residuals(case).items():

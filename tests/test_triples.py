@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from ncgeo import triples
 from ncgeo.algebra import generate_algebra
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import adjoint, operator_norm, random_hermitian
+from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_hermitian
 from ncgeo.modules import expectation_pairing, parseval_frame
 from ncgeo.triples import (
     HochschildChain,
@@ -16,9 +17,11 @@ from ncgeo.triples import (
     check_orientability,
     check_riemannian,
     check_spinc,
+    commutator_algebra,
     fit_orientation_cycle,
     hochschild_boundary,
     represent_chain,
+    run_condition_suite,
     validate_triple,
     zeta_diagnostic,
 )
@@ -56,6 +59,25 @@ class TestCommutatorAlgebra:
     def test_matrix_geometry_dim(self):
         t = matrix_geometry(2, seed=1)
         assert t.cda().dim == 16
+
+    def test_cache_keyed_on_whole_tolerance(self, monkeypatch):
+        # the cda depends on rel through graded_split, so a new rel is a new build
+        builds = []
+
+        def counted(t, tol):
+            builds.append(tol)
+            return commutator_algebra(t, tol)
+
+        monkeypatch.setattr(triples, "commutator_algebra", counted)
+        t = matrix_geometry(2, seed=7)
+        first = t.cda(Tolerance(rel=1e-9))
+        assert t.cda() is first
+        second = t.cda(Tolerance(rel=1e-6))
+        assert second is not first and t.cda(Tolerance(rel=1e-6)) is second
+        assert builds == [Tolerance(rel=1e-9), Tolerance(rel=1e-6)]
+        monkeypatch.undo()
+        # a default-tolerance report reads the default-tolerance entry
+        assert run_condition_suite(t).as_dict() == run_condition_suite(matrix_geometry(2, seed=7)).as_dict()
 
 
 class TestRepresentChain:
