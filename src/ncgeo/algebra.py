@@ -82,46 +82,24 @@ class AlgebraBasis:
         return np.eye(self.hilbert_dim, dtype=complex)
 
 
-def _closure_round(basis, tol):
-    new = list(basis)
-    for b in basis:
-        new.append(adjoint(b))
-    for b1 in basis:
-        for b2 in basis:
-            new.append(b1 @ b2)
-    return span_basis(new, tol)
+def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
+    """Smallest unital *-algebra containing the generators.
 
-
-def generate_algebra(generators, with_unit: bool = True, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """Smallest *-closed (optionally unital) algebra containing the generators.
-
-    Iterates product/adjoint closure until the span dimension stabilizes;
-    the dimension is bounded by hilbert_dim^2, so the loop terminates.
+    A unital *-algebra of operators on C^n equals its double commutant (von
+    Neumann), so the algebra is the commutant of the commutant of the
+    generators together with the unit.  Each commutant is solved and
+    verified by `commutant`.
     """
     gens = [as_complex_matrix(g) for g in generators]
-    if gens:
-        n = gens[0].shape[0]
-        for g in gens:
-            if g.shape != (n, n):
-                raise ValueError("generators must be square matrices of equal dimension")
-    elif with_unit:
+    if not gens:
         raise ValueError("cannot infer dimension from empty generator list; pass the identity")
-    else:
-        raise ValueError("no generators given")
-
-    seeds = list(gens)
-    if with_unit:
-        seeds.append(np.eye(n, dtype=complex))
-    basis = span_basis(seeds, tol)
-    max_rounds = n * n + 2
-    for _ in range(max_rounds):
-        nxt = _closure_round(basis, tol)
-        if len(nxt) == len(basis):
-            basis = nxt
-            break
-        basis = nxt
-    else:
-        raise RuntimeError("algebra closure did not stabilize (numerical drift?)")
+    n = gens[0].shape[0]
+    for g in gens:
+        if g.shape != (n, n):
+            raise ValueError("generators must be square matrices of equal dimension")
+    # only the generators of its argument enter the commutant
+    seeds = AlgebraBasis(n, np.zeros((0, n, n)), generators=gens + [np.eye(n, dtype=complex)])
+    basis = commutant(commutant(seeds, tol), tol).basis
     return AlgebraBasis(hilbert_dim=n, basis=basis, generators=gens)
 
 

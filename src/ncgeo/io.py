@@ -151,8 +151,7 @@ def module_to_dict(mod) -> dict:
 
 def dict_to_module(doc: dict):
     try:
-        base = generate_algebra([data_to_matrix(g) for g in doc["base_generators"]],
-                                with_unit=True)
+        base = generate_algebra([data_to_matrix(g) for g in doc["base_generators"]])
         return ProjectiveModule(
             base, int(doc["m"]), data_to_matrix(doc["q_blocks"]),
             data_to_matrix(doc["r_blocks"]), doc.get("side", "right"))
@@ -164,8 +163,9 @@ def save_triple(path, t: SpectralTripleData, extra: dict | None = None):
     doc = triple_to_dict(t)
     if extra:
         doc.update(extra)
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_triple(path):

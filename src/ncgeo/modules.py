@@ -28,8 +28,10 @@ from .linalg import (
     herm_eig,
     max_operator_norm,
     operator_norm,
+    random_complex,
     rel_residual,
     span_basis,
+    span_residuals,
 )
 from .report import CheckReport
 
@@ -41,6 +43,7 @@ __all__ = [
     "random_module_element",
     "frame_presentation",
     "morita_check",
+    "canonical_morita_check",
     "bimodule_from_actions",
     "l2_space",
     "conjugate_module",
@@ -249,6 +252,28 @@ def bimodule_from_actions(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
     return bi, lam
 
 
+def _commute_residual(left, left_norms, right, right_norms) -> float:
+    """Worst [b, a] over the two stacked bases, relative to max(1, |b| |a|)."""
+    comm = left[:, None] @ right[None] - right[None] @ left[:, None]
+    return max_operator_norm(comm, left_norms[:, None] * right_norms)
+
+
+def _compatibility_residual(lp, rp) -> float:
+    lhs, rhs = _compatibility_sides(lp, rp)
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
+
+
+def _action_gap(coeffs, norms, table) -> float:
+    """Worst [i, j] entry of (a c_i | c_j) - (c_i | a^* c_j) over the operators
+    a, relative to max(1, norm); the matrix of a enters as is in the linear
+    slot of the table, conjugated otherwise."""
+    worst = 0.0
+    for c, nc in zip(coeffs, norms):
+        gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
+        worst = max_operator_norm(gap, nc, floor=worst)
+    return worst
+
+
 def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Compatibility, fullness and positivity checks for a two-sided bimodule."""
     rep = CheckReport()
@@ -258,24 +283,13 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     left_norms = np.linalg.norm(left, 2, axis=(-2, -1))
     right_norms = np.linalg.norm(right, 2, axis=(-2, -1))
 
-    comm = left[:, None] @ right[None] - right[None] @ left[:, None]
-    rep.add("morita:actions_commute",
-            max_operator_norm(comm, left_norms[:, None] * right_norms), tol.rel)
+    rep.add("morita:actions_commute", _commute_residual(left, left_norms, right, right_norms),
+            tol.rel)
 
-    def action_gap(coeffs, norms, table):
-        # [i, j] entries of (a c_i | c_j) - (c_i | a^* c_j); the matrix of a
-        # enters as is in the linear slot of the table, conjugated otherwise
-        worst = 0.0
-        for c, nc in zip(coeffs, norms):
-            gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
-            worst = max_operator_norm(gap, nc, floor=worst)
-        return worst
+    rep.add("morita:left_pairing_right_action", _action_gap(right, right_norms, lp), tol.rel)
+    rep.add("morita:right_pairing_left_action", _action_gap(left.conj(), left_norms, rp), tol.rel)
 
-    rep.add("morita:left_pairing_right_action", action_gap(right, right_norms, lp), tol.rel)
-    rep.add("morita:right_pairing_left_action", action_gap(left.conj(), left_norms, rp), tol.rel)
-
-    lhs, rhs = _compatibility_sides(lp, rp)
-    rep.add("morita:compatibility", float(np.max(np.linalg.norm(lhs - rhs, axis=-1))), tol.rel)
+    rep.add("morita:compatibility", _compatibility_residual(lp, rp), tol.rel)
 
     ldim = len(span_basis(lp.reshape(d * d, d, d), tol))
     rdim = len(span_basis(rp.reshape(d * d, d, d), tol))
@@ -296,6 +310,92 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
         neg = max(0.0, -float(vals[0]))
         rep.add(f"morita:{name}_gram_positive", sym + neg / max(1.0, float(vals[-1])), tol.rel)
     return rep
+
+
+def _orthonormality_residual(basis) -> float:
+    """|B B^* - 1|_2 for the (dim, n*n) coordinate rows B of a stacked basis."""
+    flat = basis.reshape(len(basis), -1)
+    return operator_norm(flat @ adjoint(flat) - np.eye(len(basis)))
+
+
+def _closure_residual(alg: AlgebraBasis) -> float:
+    """Membership residual of x^* and x y for seeded random elements x, y of
+    the span; it vanishes when the span is a *-algebra."""
+    x, y = alg.combine(random_complex(np.random.default_rng(4177), (2, alg.dim)))
+    return float(np.max(span_residuals(np.stack([adjoint(x), x @ y]), alg.basis)))
+
+
+def _coordinate_rank(basis, tol: Tolerance) -> int:
+    """Numerical rank of the (n*n, dim) coordinate matrix conj(basis), by the
+    rank rule of `span_basis`."""
+    s = np.linalg.svd(basis.reshape(len(basis), -1).conj().T, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol.rank_cut * float(s[0])))
+
+
+def canonical_morita_check(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
+                           tol: Tolerance = DEFAULT_TOL):
+    """`morita_check` of the canonical bimodule of `bimodule_from_actions`.
+
+    The left pairing is the trace-preserving conditional expectation E_L onto
+    the left algebra and the right pairing is lam E_R.  When the actions
+    commute, lam > 0, both bases are orthonormal and both spans pass a
+    seeded *-closure probe, six of the eight entries hold by construction
+    and get a cheap residual:
+
+    * fullness: E_L maps onto its algebra, so the pairing span has the rank
+      of the coordinate matrix conj(basis) (all singular values 1);
+    * the two pairing/action gaps: the left gap at (c_i, c_j) for a right
+      basis element a is E_L([a, |c_i><c_j|]), whose coordinates in the
+      (*-closed) left basis have the norm of the [j, i] entries of [b, a]
+      over left basis elements b.  Each entry is at most r, the
+      actions_commute residual, so the gap is at most sqrt(dim_L) r; the
+      right gap likewise at most |lam| sqrt(dim_R) r.  A bound above
+      tol.rel is replaced by the exact value from the tables;
+    * Gram positivity: each Gram matrix is the Choi matrix of a conditional
+      expectation, completely positive (Tomiyama), times lam > 0 on the
+      right; the residual is the larger of the orthonormality residual of
+      the basis and the *-closure probe.
+
+    actions_commute and compatibility (with the lam fit) are computed as in
+    `morita_check`.  If a guard fails the report is `morita_check` of the
+    bimodule.  Entry ids, order and detail integers match `morita_check`.
+    Returns (report, bimodule, lam).
+    """
+    bi, lam = bimodule_from_actions(left_alg, right_alg, tol)
+    left, right = left_alg.basis, right_alg.basis
+    left_norms = np.linalg.norm(left, 2, axis=(-2, -1))
+    right_norms = np.linalg.norm(right, 2, axis=(-2, -1))
+    commute = _commute_residual(left, left_norms, right, right_norms)
+    # residuals of the premises: orthonormal bases of *-algebras
+    premise = [max(_orthonormality_residual(alg.basis), _closure_residual(alg))
+               for alg in (left_alg, right_alg)]
+    if not (commute <= tol.rel and lam > 0.0 and max(premise) <= tol.rel):
+        return morita_check(bi, tol), bi, lam
+
+    rep = CheckReport()
+    rep.add("morita:actions_commute", commute, tol.rel)
+    gaps = (("left_pairing_right_action", np.sqrt(left_alg.dim) * commute,
+             right, right_norms, bi.left_pair),
+            ("right_pairing_left_action", lam * np.sqrt(right_alg.dim) * commute,
+             left.conj(), left_norms, bi.right_pair))
+    for key, bound, coeffs, norms, table in gaps:
+        if bound <= tol.rel:
+            rep.add(f"morita:{key}", bound, tol.rel, "bound from actions_commute")
+        else:
+            rep.add(f"morita:{key}", _action_gap(coeffs, norms, table), tol.rel)
+
+    rep.add("morita:compatibility", _compatibility_residual(bi.left_pair, bi.right_pair), tol.rel)
+
+    for name, alg in (("left", left_alg), ("right", right_alg)):
+        rank = _coordinate_rank(alg.basis, tol)
+        rep.add(f"morita:{name}_full", 0.0 if rank == alg.dim else 1.0, 0.5,
+                f"pairing span {rank} vs algebra {alg.dim}")
+    for name, res in zip(("left", "right"), premise):
+        rep.add(f"morita:{name}_gram_positive", res, tol.rel,
+                "Choi matrix of a conditional expectation")
+    return rep, bi, lam
 
 
 # ---------------------------------------------------------------------------

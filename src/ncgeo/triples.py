@@ -24,13 +24,12 @@ from .linalg import (
     rel_residual,
     span_basis,
     span_coords,
-    span_residual,
+    span_residuals,
 )
 from .modules import (
     _frame_residual,
-    bimodule_from_actions,
+    canonical_morita_check,
     expectation_pairing,
-    morita_check,
     parseval_frame,
 )
 from .report import CheckReport
@@ -106,7 +105,7 @@ class SpectralTripleData:
     def algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
         key = ("algebra", tol)
         if key not in self._cache:
-            self._cache[key] = generate_algebra(self.algebra_gens, with_unit=True, tol=tol)
+            self._cache[key] = generate_algebra(self.algebra_gens, tol=tol)
         return self._cache[key]
 
     def commutators(self):
@@ -124,7 +123,7 @@ class SpectralTripleData:
             return None
         key = ("right", tol)
         if key not in self._cache:
-            self._cache[key] = generate_algebra(self.right_action_gens, with_unit=True, tol=tol)
+            self._cache[key] = generate_algebra(self.right_action_gens, tol=tol)
         return self._cache[key]
 
 
@@ -184,7 +183,7 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
     elements, the even ones first.
     """
     gens = list(t.algebra_gens) + t.commutators()
-    alg = generate_algebra(gens, with_unit=True, tol=tol)
+    alg = generate_algebra(gens, tol=tol)
     if t.grading is not None:
         even, odd = graded_split(alg, t.grading, tol)
         return AlgebraBasis(alg.hilbert_dim, even + odd, alg.generators)
@@ -505,17 +504,14 @@ def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
         return rep, None
     cda = t.cda(tol)
     right = t.right_algebra(tol)
-    bi, lam = bimodule_from_actions(cda, right, tol)
-    rep.extend(morita_check(bi, tol), prefix="spinc:")
+    morita, bi, lam = canonical_morita_check(cda, right, tol)
+    rep.extend(morita, prefix="spinc:")
     rep.add("spinc:pairing_scale", 0.0, np.inf, f"right pairing scale {lam:.6f}")
 
     comm = commutant(cda, tol)
     dim_match = comm.dim == right.dim
-    worst = 0.0
-    for b in right.basis:
-        worst = max(worst, span_residual(b, comm.basis))
-    for c in comm.basis:
-        worst = max(worst, span_residual(c, right.basis))
+    worst = max(float(np.max(span_residuals(right.basis, comm.basis))),
+                float(np.max(span_residuals(comm.basis, right.basis))))
     mismatch = worst if dim_match else 1.0
     rep.add("spinc:commutant_matches_right_action", mismatch, max(tol.rel, 1e-7),
             f"commutant dim {comm.dim}, right action dim {right.dim}")

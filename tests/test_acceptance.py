@@ -211,7 +211,7 @@ def test_criterion_08_appendix():
 
 def test_criterion_09_operator_bound():
     rng = np.random.default_rng(909)
-    base = generate_algebra([SIGMA3, SIGMA1], with_unit=True)
+    base = generate_algebra([SIGMA3, SIGMA1])
     violations = 0
     count = 0
     for _ in range(100):
@@ -235,7 +235,7 @@ def test_criterion_09_operator_bound():
 
 def test_criterion_10_hochschild():
     rng = np.random.default_rng(1010)
-    alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+    alg = generate_algebra([SIGMA1, SIGMA3])
 
     def rand_elem():
         return sum((rng.standard_normal() + 1j * rng.standard_normal()) * b for b in alg.basis)

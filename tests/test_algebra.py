@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -28,22 +29,22 @@ def brute_force_word_closure(gens, max_len=4):
 
 class TestGenerateAlgebra:
     def test_unit_only(self):
-        alg = generate_algebra([np.zeros((3, 3))], with_unit=True)
+        alg = generate_algebra([np.zeros((3, 3))])
         assert alg.dim == 1
 
     def test_diagonal_two_dim(self):
-        alg = generate_algebra([np.diag([1.0, -1.0])], with_unit=True)
+        alg = generate_algebra([np.diag([1.0, -1.0])])
         assert alg.dim == 2
 
     def test_pauli_closure_matches_brute_force(self):
         gens = [SIGMA1, SIGMA3]
-        alg = generate_algebra(gens, with_unit=True)
+        alg = generate_algebra(gens)
         oracle = brute_force_word_closure(gens)
         assert alg.dim == len(oracle) == 4
 
     def test_monotone_in_generators(self):
-        a1 = generate_algebra([SIGMA3], with_unit=True)
-        a2 = generate_algebra([SIGMA3, SIGMA1], with_unit=True)
+        a1 = generate_algebra([SIGMA3])
+        a2 = generate_algebra([SIGMA3, SIGMA1])
         assert a2.dim >= a1.dim
 
     def test_dimension_mismatch(self):
@@ -51,7 +52,7 @@ class TestGenerateAlgebra:
             generate_algebra([np.eye(2), np.eye(3)])
 
     def test_stacked_basis_and_generators(self):
-        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA1, SIGMA3])
         assert alg.basis.shape == (4, 2, 2)
         assert np.array_equal(alg.generators, np.stack([SIGMA1, SIGMA3]))
         x = 0.5 * SIGMA1 - 2j * SIGMA3
@@ -62,7 +63,7 @@ class TestGenerateAlgebra:
     def test_closure_properties(self):
         rng = np.random.default_rng(4)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        alg = generate_algebra([g], with_unit=True)
+        alg = generate_algebra([g])
         for b1 in alg.basis:
             assert alg.membership_residual(adjoint(b1)) < 1e-9
             for b2 in alg.basis:
@@ -72,24 +73,24 @@ class TestGenerateAlgebra:
 
 class TestCommutant:
     def test_full_matrix_algebra(self):
-        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA1, SIGMA3])
         comm = commutant(alg)
         assert comm.dim == 1
 
     def test_diagonals(self):
-        alg = generate_algebra([np.diag([1.0, -1.0])], with_unit=True)
+        alg = generate_algebra([np.diag([1.0, -1.0])])
         comm = commutant(alg)
         assert comm.dim == 2
 
     def test_scalars(self):
-        alg = generate_algebra([np.zeros((4, 4))], with_unit=True)
+        alg = generate_algebra([np.zeros((4, 4))])
         comm = commutant(alg)
         assert comm.dim == 16
 
     def test_bicommutant_is_generated_algebra(self):
         blocks = np.zeros((5, 5), dtype=complex)
         blocks[:2, :2] = SIGMA1
-        alg = generate_algebra([blocks], with_unit=True)
+        alg = generate_algebra([blocks])
         double = commutant(commutant(alg))
         assert double.dim == alg.dim
         for b in alg.basis:
@@ -101,7 +102,7 @@ class TestCommutant:
         m2[:2, :2] = SIGMA1
         m3 = np.zeros((5, 5), dtype=complex)
         m3[2:, 2:] = np.diag([1.0, 2.0, 3.0])
-        alg = generate_algebra([m2, m3], with_unit=True)
+        alg = generate_algebra([m2, m3])
         comm = commutant(alg)
         assert alg.dim * comm.dim >= 25
 
@@ -217,11 +218,11 @@ class TestCommutantAgainstKronecker:
 
 class TestCenter:
     def test_full_matrix(self):
-        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA1, SIGMA3])
         assert len(center(alg)) == 1
 
     def test_diagonals(self):
-        alg = generate_algebra([np.diag([1.0, -1.0])], with_unit=True)
+        alg = generate_algebra([np.diag([1.0, -1.0])])
         assert len(center(alg)) == 2
 
     def test_block_sum_against_nullspace_oracle(self):
@@ -231,7 +232,7 @@ class TestCenter:
         g1[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         g2 = np.zeros((5, 5), dtype=complex)
         g2[2:, 2:] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        alg = generate_algebra([g1, adjoint(g1), g2, adjoint(g2)], with_unit=True)
+        alg = generate_algebra([g1, adjoint(g1), g2, adjoint(g2)])
         assert alg.dim == 13
         zc = center(alg)
         # oracle: solve the commutation system directly over the full matrix space
@@ -243,14 +244,14 @@ class TestCenter:
 
 class TestGradedSplit:
     def test_full_matrix_by_sigma3(self):
-        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA1, SIGMA3])
         even, odd = graded_split(alg, SIGMA3)
         assert len(even) == 2 and len(odd) == 2
         for b in even:
             assert operator_norm(SIGMA3 @ b @ SIGMA3 - b) < 1e-10
 
     def test_identity_grading_all_even(self):
-        alg = generate_algebra([SIGMA1], with_unit=True)
+        alg = generate_algebra([SIGMA1])
         even, odd = graded_split(alg, np.eye(2))
         assert len(odd) == 0 and len(even) == alg.dim
 
@@ -258,20 +259,76 @@ class TestGradedSplit:
         # closure of the two-point data then split by its grading
         d = SIGMA1
         a = np.diag([1.0, 0.0])
-        alg = generate_algebra([a, d @ a - a @ d], with_unit=True)
+        alg = generate_algebra([a, d @ a - a @ d])
         assert alg.dim == 4
         even, odd = graded_split(alg, SIGMA3)
         assert (len(even), len(odd)) == (2, 2)
 
     def test_rejects_non_involution(self):
-        alg = generate_algebra([SIGMA1], with_unit=True)
+        alg = generate_algebra([SIGMA1])
         with pytest.raises(ValueError):
             graded_split(alg, 2.0 * np.eye(2))
 
     def test_rejects_non_invariant_algebra(self):
-        alg = generate_algebra([np.diag([1.0, -1.0, 0.0])], with_unit=True)
+        alg = generate_algebra([np.diag([1.0, -1.0, 0.0])])
         g = np.zeros((3, 3), dtype=complex)
         g[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         g[2, 2] = 1.0
         with pytest.raises(ValueError):
             graded_split(alg, g)
+
+
+def closure_rounds_algebra(gens, tol=DEFAULT_TOL):
+    """Reference: the span of the generators and the unit, closed under
+    adjoints and products round by round until its dimension stabilises."""
+    n = gens[0].shape[0]
+    basis = span_basis(list(gens) + [np.eye(n, dtype=complex)], tol)
+    for _ in range(n * n + 2):
+        nxt = span_basis(basis + [adjoint(b) for b in basis]
+                         + [b1 @ b2 for b1 in basis for b2 in basis], tol)
+        if len(nxt) == len(basis):
+            return np.array(nxt)
+        basis = nxt
+    raise RuntimeError("closure rounds did not stabilise")
+
+
+def cda_gens(t):
+    return list(t.algebra_gens) + t.commutators()
+
+
+@functools.lru_cache(maxsize=None)
+def riemannian_h36():
+    return spinc_to_riemannian(matrix_geometry(3, seed=0)).output
+
+
+GENERATION_CASES = {
+    "trivial_points_5": lambda: trivial_points(5).algebra_gens,
+    "two_point_algebra": lambda: two_point(1.0).algebra_gens,
+    "two_point_cda": lambda: cda_gens(two_point(1.0)),
+    "mgeom2_s7_algebra": lambda: matrix_geometry(2, seed=7).algebra_gens,
+    "mgeom2_s7_cda": lambda: cda_gens(matrix_geometry(2, seed=7)),
+    "mgeom2_s2001408477_algebra": lambda: matrix_geometry(2, seed=2001408477).algebra_gens,
+    "mgeom2_s2001408477_cda": lambda: cda_gens(matrix_geometry(2, seed=2001408477)),
+    "mgeom3_algebra": lambda: matrix_geometry(3, seed=0).algebra_gens,
+    "mgeom3_cda": lambda: cda_gens(matrix_geometry(3, seed=0)),
+    "riemannian_h36_cda": lambda: cda_gens(riemannian_h36()),
+    "zero_generator": lambda: [np.zeros((3, 3))],
+    "non_normal_generator": lambda: [np.kron(NILPOTENT, np.eye(2))],
+}
+
+
+class TestDoubleCommutantGeneration:
+    @pytest.mark.parametrize("name", sorted(GENERATION_CASES))
+    def test_matches_closure_rounds(self, name):
+        gens = GENERATION_CASES[name]()
+        alg = generate_algebra(gens)
+        ref = closure_rounds_algebra([np.asarray(g, dtype=complex) for g in gens])
+        assert alg.dim == len(ref)
+        assert subspace_overlap(alg.basis, ref) >= 1.0 - 1e-12
+        gram = np.einsum("aij,bij->ab", alg.basis.conj(), alg.basis)
+        assert np.allclose(gram, np.eye(alg.dim), rtol=0, atol=1e-12)
+        assert np.array_equal(alg.generators, np.stack(gens).astype(complex))
+
+    def test_empty_generator_list(self):
+        with pytest.raises(ValueError):
+            generate_algebra([])

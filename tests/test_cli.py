@@ -46,6 +46,22 @@ class TestSerialization:
             assert back.orientation_cycle.degree == t.orientation_cycle.degree
             assert back.orientation_cycle.generalized == t.orientation_cycle.generalized
 
+    @pytest.mark.parametrize("builder", [
+        lambda: two_point(0.5 + 0.25j),
+        lambda: matrix_geometry(2, seed=3),
+    ])
+    def test_saved_bytes_match_streamed_json(self, tmp_path, builder):
+        t = builder()
+        extra = {"note": "x", "values": [0.1, -2.5e-17, 3]}
+        path = tmp_path / "t.striple"
+        save_triple(path, t, extra)
+        doc = triple_to_dict(t)
+        doc.update(extra)
+        streamed = tmp_path / "streamed.striple"
+        with open(streamed, "w") as fh:
+            json.dump(doc, fh)
+        assert path.read_bytes() == streamed.read_bytes()
+
     def test_matrix_encoding(self):
         m = np.array([[1.5 + 2.5j, -0.25], [0.0, 1e-17j]])
         assert np.array_equal(data_to_matrix(matrix_to_data(m)), m)
@@ -278,7 +294,7 @@ class TestModuleSerialization:
         from ncgeo.io import dict_to_module, module_to_dict
         from ncgeo.algebra import generate_algebra
         from ncgeo.modules import ProjectiveModule, validate_module
-        base = generate_algebra([np.diag([1.0, -1.0]).astype(complex)], with_unit=True)
+        base = generate_algebra([np.diag([1.0, -1.0]).astype(complex)])
         q = np.eye(4, dtype=complex)
         r = np.diag([2.0, 1.0, 1.0, 3.0]).astype(complex)
         mod = ProjectiveModule(base, 2, q, r, "right")

@@ -128,11 +128,11 @@ class TestBackwardConversion:
         entry = backward.report.entry("convert:potential_in_one_form_span")
         assert abs(entry.residual - worst) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="known defect: the commutator algebra of this "
-                       "backward output sits on the rank cut (dim 16 or 64 by rounding)")
     def test_backward_algebra_dim_stable_under_rank_cut(self):
-        # near-degenerate Riemannian spectrum (gap 0.015): the closure rounds of
-        # generate_algebra have singular values a few 1e-12 of the top
+        # near-degenerate Riemannian spectrum (gap 0.015) and generators with
+        # ~1e-11 relative noise: product/adjoint closure rounds put singular
+        # values a few 1e-12 of the top beside the rank cut, the double
+        # commutant does not
         out = round_trip_check(matrix_geometry(2, seed=2001408477)).output
         dims = [commutator_algebra(out, Tolerance(rank_cut=rc)).dim for rc in (1e-10, 1e-12)]
         assert dims[0] == dims[1], dims

@@ -1,16 +1,26 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 
-from ncgeo.algebra import generate_algebra
-from ncgeo.examples import matrix_geometry
+from ncgeo.algebra import AlgebraBasis, generate_algebra
+from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.kasparov import grassmann_connection, twisted_operator
-from ncgeo.linalg import adjoint, herm_eig, operator_norm, random_complex, rel_residual, span_basis
+from ncgeo.linalg import (
+    DEFAULT_TOL,
+    adjoint,
+    herm_eig,
+    operator_norm,
+    random_complex,
+    rel_residual,
+    span_basis,
+)
 from ncgeo.modules import (
     EquivBimodule,
     ProjectiveModule,
     bimodule_from_actions,
+    canonical_morita_check,
     conjugate_element,
     conjugate_module,
     frame_presentation,
@@ -30,7 +40,7 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def scalar_base(d=1):
-    return generate_algebra([np.zeros((d, d))], with_unit=True)
+    return generate_algebra([np.zeros((d, d))])
 
 
 def free_module(base, m, metric=None):
@@ -76,7 +86,7 @@ class TestPairingEval:
 
     def test_positivity_on_random_elements(self):
         rng = np.random.default_rng(12)
-        base = generate_algebra([SIGMA3], with_unit=True)
+        base = generate_algebra([SIGMA3])
         mod = random_projective_module(rng, base, 3)
         assert validate_module(mod).passed
         for _ in range(5):
@@ -149,8 +159,8 @@ class TestKasparovModule:
 
 def standard_column_bimodule():
     """C^2 between the full matrix algebra and the scalars."""
-    left = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
-    right = generate_algebra([np.zeros((2, 2))], with_unit=True)
+    left = generate_algebra([SIGMA1, SIGMA3])
+    right = generate_algebra([np.zeros((2, 2))])
     basis = np.eye(2, dtype=complex)
     lp = [[np.outer(basis[i], basis[j].conj()) for j in range(2)] for i in range(2)]
     rp = [[np.vdot(basis[i], basis[j]) * np.eye(2, dtype=complex) for j in range(2)]
@@ -282,10 +292,8 @@ class TestMoritaCheck:
     def test_matrix_self_bimodule(self):
         # M_n as a bimodule over itself through left/right multiplication
         n = 2
-        left = generate_algebra([np.kron(SIGMA1, np.eye(n)), np.kron(SIGMA3, np.eye(n))],
-                                with_unit=True)
-        right = generate_algebra([np.kron(np.eye(n), SIGMA1.T), np.kron(np.eye(n), SIGMA3.T)],
-                                 with_unit=True)
+        left = generate_algebra([np.kron(SIGMA1, np.eye(n)), np.kron(SIGMA3, np.eye(n))])
+        right = generate_algebra([np.kron(np.eye(n), SIGMA1.T), np.kron(np.eye(n), SIGMA3.T)])
         bi, lam = bimodule_from_actions(left, right)
         rep = morita_check(bi)
         assert rep.passed, rep.as_text()
@@ -317,6 +325,105 @@ class TestMoritaCheck:
         assert morita_check(noisy).entry("morita:compatibility").residual > 0.1
 
 
+def report_digest(rep):
+    """Ids, statuses and the integers in the details of a report."""
+    return [(e.condition_id, e.status, re.findall(r"\d+", e.details)) for e in rep.entries]
+
+
+CANONICAL_CASES = {
+    "trivial_points_3": lambda: trivial_points(3),
+    "trivial_points_6": lambda: trivial_points(6),
+    "two_point": lambda: two_point(1.0),
+    "mgeom2_s7": lambda: matrix_geometry(2, seed=7),
+    "mgeom2_s2001408477": lambda: matrix_geometry(2, seed=2001408477),
+    "mgeom3_s0": lambda: matrix_geometry(3, seed=0),
+}
+
+GAP_KEYS = ("left_pairing_right_action", "right_pairing_left_action")
+
+
+def perturbed_right_action(t, eps):
+    """The right algebra of t conjugated by exp(i eps h) for a seeded Hermitian
+    h: still a *-algebra with an orthonormal basis, commuting with the left
+    action only up to about eps."""
+    right = t.right_algebra()
+    h = random_complex(np.random.default_rng(11), (right.hilbert_dim,) * 2)
+    vals, vecs = np.linalg.eigh(h + adjoint(h))
+    u = (vecs * np.exp(1j * eps * vals)) @ adjoint(vecs)
+    return AlgebraBasis(right.hilbert_dim, u @ right.basis @ adjoint(u))
+
+
+class TestCanonicalMoritaCheck:
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+    def test_same_digest_as_morita_check(self, name):
+        t = CANONICAL_CASES[name]()
+        rep, bi, lam = canonical_morita_check(t.cda(), t.right_algebra())
+        ref_bi, ref_lam = bimodule_from_actions(t.cda(), t.right_algebra())
+        assert lam == ref_lam
+        assert np.array_equal(bi.left_pair, ref_bi.left_pair)
+        assert np.array_equal(bi.right_pair, ref_bi.right_pair)
+        assert report_digest(rep) == report_digest(morita_check(bi))
+
+    @pytest.mark.parametrize("name", ["mgeom2_s7", "mgeom2_s2001408477", "mgeom3_s0"])
+    def test_matrix_geometry_takes_the_canonical_path(self, name):
+        t = CANONICAL_CASES[name]()
+        rep, _, _ = canonical_morita_check(t.cda(), t.right_algebra())
+        assert rep.passed, rep.as_text()
+        for key in GAP_KEYS:
+            assert rep.entry(f"morita:{key}").details == "bound from actions_commute"
+
+    def test_self_bimodule_of_a_matrix_algebra(self):
+        left = generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))])
+        right = generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)])
+        rep, bi, _ = canonical_morita_check(left, right)
+        assert rep.passed, rep.as_text()
+        assert report_digest(rep) == report_digest(morita_check(bi))
+
+    def test_two_point_falls_back_to_morita_check(self):
+        t = two_point(1.0)
+        rep, bi, _ = canonical_morita_check(t.cda(), t.right_algebra())
+        assert not rep.passed
+        assert rep.as_dict() == morita_check(bi).as_dict()
+
+    @pytest.mark.parametrize("seed", [7, 2001408477])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11, 5e-11, 1e-10])
+    def test_gap_bound_dominates_exact_gap(self, seed, eps):
+        t = matrix_geometry(2, seed=seed)
+        rep, bi, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
+        exact = morita_check(bi)
+        commute = rep.entry("morita:actions_commute").residual
+        assert 1e-12 < commute <= DEFAULT_TOL.rel
+        assert report_digest(rep) == report_digest(exact)
+        for key in GAP_KEYS:
+            entry = rep.entry(f"morita:{key}")
+            ref = exact.entry(f"morita:{key}").residual
+            if entry.details:
+                # the bound is only reported while it is within tolerance
+                assert ref <= entry.residual <= DEFAULT_TOL.rel
+            else:
+                assert entry.residual == ref
+
+    def test_span_that_is_not_a_star_algebra_falls_back(self):
+        # the nilpotent span commutes with the left action and gets lam = 1,
+        # but it is not *-closed, so its Gram matrix is not positive
+        left = generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))])
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        right = AlgebraBasis(4, [np.kron(np.eye(2), nilpotent) / np.sqrt(2.0)])
+        rep, bi, lam = canonical_morita_check(left, right)
+        assert lam > 0.0
+        assert rep.entry("morita:actions_commute").status == "pass"
+        assert rep.entry("morita:right_gram_positive").status == "fail"
+        assert rep.as_dict() == morita_check(bi).as_dict()
+
+    def test_both_gap_branches_are_exercised(self):
+        t = matrix_geometry(2, seed=7)
+        used = set()
+        for eps in (1e-11, 1e-10):
+            rep, _, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
+            used.update(rep.entry(f"morita:{key}").details for key in GAP_KEYS)
+        assert used == {"bound from actions_commute", ""}
+
+
 class TestL2Space:
     def test_standard(self):
         mod = free_module(scalar_base(), 2)
@@ -329,7 +436,7 @@ class TestL2Space:
         assert np.allclose(gram, np.diag([2.0, 3.0]))
 
     def test_zero_weight_rejected(self):
-        base = generate_algebra([np.diag([1.0, -1.0])], with_unit=True)
+        base = generate_algebra([np.diag([1.0, -1.0])])
         mod = free_module(base, 1)
         with pytest.raises(ValueError):
             l2_space(mod, np.diag([1.0, 0.0]).astype(complex))
@@ -338,7 +445,7 @@ class TestL2Space:
 class TestConjugateModule:
     def test_double_conjugation(self):
         rng = np.random.default_rng(5)
-        base = generate_algebra([SIGMA3], with_unit=True)
+        base = generate_algebra([SIGMA3])
         mod = random_projective_module(rng, base, 2)
         back = conjugate_module(conjugate_module(mod))
         assert back.side == mod.side
@@ -347,7 +454,7 @@ class TestConjugateModule:
     def test_action_compatibility(self):
         # a . conj(e) equals conj(e . a*) in the row representation
         rng = np.random.default_rng(6)
-        base = generate_algebra([SIGMA3, SIGMA1], with_unit=True)
+        base = generate_algebra([SIGMA3, SIGMA1])
         mod = random_projective_module(rng, base, 2)
         for _ in range(5):
             e = random_module_element(mod, rng)
@@ -359,7 +466,7 @@ class TestConjugateModule:
 
     def test_pairing_transport(self):
         rng = np.random.default_rng(7)
-        base = generate_algebra([SIGMA3], with_unit=True)
+        base = generate_algebra([SIGMA3])
         mod = random_projective_module(rng, base, 2)
         conj = conjugate_module(mod)
         e = random_module_element(mod, rng)
@@ -383,7 +490,7 @@ class TestOperatorBound:
     def test_bound_dominates_svd_norm(self):
         # seeded sweep: the bound must dominate the true L^2 operator norm
         rng = np.random.default_rng(2024)
-        base = generate_algebra([SIGMA3, SIGMA1], with_unit=True)
+        base = generate_algebra([SIGMA3, SIGMA1])
         violations = 0
         for trial in range(25):
             mod = random_projective_module(rng, base, 2)
@@ -402,7 +509,7 @@ class TestOperatorBound:
         assert violations == 0
 
     def test_rejects_non_module_map(self):
-        base = generate_algebra([SIGMA3], with_unit=True)
+        base = generate_algebra([SIGMA3])
         mod = free_module(base, 1)
         with pytest.raises(ValueError):
             linear_operator_bound(SIGMA1 * 0 + np.array([[0, 1], [0, 0]]), mod)
@@ -442,10 +549,10 @@ class TestWeights:
         d = 2
         k = 2
         base_ops = [np.kron(np.eye(k), SIGMA3)]
-        a_alg = generate_algebra(base_ops, with_unit=True)
+        a_alg = generate_algebra(base_ops)
         big = [np.kron(SIGMA1, np.eye(d)), np.kron(SIGMA3, np.eye(d)),
                np.kron(np.eye(k), SIGMA3)]
-        c_alg = generate_algebra(big, with_unit=True)
+        c_alg = generate_algebra(big)
 
         def ptrace(w):
             out = np.zeros((d, d), dtype=complex)
@@ -458,14 +565,14 @@ class TestWeights:
         assert rep.passed, rep.as_text()
 
     def test_evaluation_weight_on_same_algebra(self):
-        alg = generate_algebra([SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA3])
         pairing = lambda u, v: u @ adjoint(v)
         psi, rep = weight_from_pairing(alg, alg, pairing)
         assert rep.passed
         assert operator_norm(psi(SIGMA3) - SIGMA3) < 1e-12
 
     def test_round_trip(self):
-        alg = generate_algebra([SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA3])
         pairing = lambda u, v: u @ adjoint(v)
         psi, _ = weight_from_pairing(alg, alg, pairing)
         again = inverse_weight_pairing(psi)
@@ -483,26 +590,22 @@ class TestPreMoritaDecompose:
 
     def test_matrix_self_bimodule(self):
         n = 2
-        left = generate_algebra([np.kron(SIGMA1, np.eye(n)), np.kron(SIGMA3, np.eye(n))],
-                                with_unit=True)
-        right = generate_algebra([np.kron(np.eye(n), SIGMA1.T), np.kron(np.eye(n), SIGMA3.T)],
-                                 with_unit=True)
+        left = generate_algebra([np.kron(SIGMA1, np.eye(n)), np.kron(SIGMA3, np.eye(n))])
+        right = generate_algebra([np.kron(np.eye(n), SIGMA1.T), np.kron(np.eye(n), SIGMA3.T)])
         bi, _ = bimodule_from_actions(left, right)
         out = pre_morita_decompose(bi)
         assert out["report"].passed, out["report"].as_text()
 
     def test_trivial_self_equivalence(self):
-        alg = generate_algebra([np.diag([1.0, -1.0])], with_unit=True)
+        alg = generate_algebra([np.diag([1.0, -1.0])])
         bi, lam = bimodule_from_actions(alg, alg)
         out = pre_morita_decompose(bi)
         assert out["report"].passed
 
     def test_ambi_norm_agreement(self):
         bi, lam = bimodule_from_actions(
-            generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))],
-                             with_unit=True),
-            generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)],
-                             with_unit=True))
+            generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))]),
+            generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)]))
         rng = np.random.default_rng(4)
         for _ in range(5):
             v = random_complex(rng, 4)

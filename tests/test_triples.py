@@ -119,7 +119,7 @@ class TestBoundary:
         a = SIGMA1
         c = HochschildChain(1, [(a, a)])
         b = hochschild_boundary(c)
-        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA1, SIGMA3])
         assert chain_coefficient_norm(b, alg) < 1e-12
 
     def test_commutator_formula(self):
@@ -132,7 +132,7 @@ class TestBoundary:
 
     def test_boundary_squared_vanishes(self):
         rng = np.random.default_rng(77)
-        alg = generate_algebra([SIGMA1, SIGMA3], with_unit=True)
+        alg = generate_algebra([SIGMA1, SIGMA3])
         for _ in range(10):
             def rand_elem():
                 return sum((rng.standard_normal() + 1j * rng.standard_normal()) * b
