@@ -23,6 +23,7 @@ from .linalg import (
     span_basis,
     span_coords,
     span_residual,
+    span_residuals,
 )
 
 __all__ = [
@@ -135,7 +136,7 @@ def _block_commutant(mats, vecs, rows, cols, tol):
     tri = np.linalg.qr(np.hstack(eqs).T, mode="r")
     kernel = null_space(tri, tol, scale=scale)
     blocks = np.zeros((len(kernel), n, n), dtype=complex)
-    blocks[:, rows, cols] = np.reshape(kernel, (len(kernel), size))
+    blocks[:, rows, cols] = kernel
     return vecs @ blocks @ adjoint(vecs)
 
 
@@ -170,23 +171,23 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     return AlgebraBasis(hilbert_dim=n, basis=basis)
 
 
-def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL):
-    """Basis of the center: elements of the algebra commuting with all of it."""
+def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Basis of the center, a (k, n, n) stack: the elements of the algebra
+    commuting with all of it."""
     n = alg.hilbert_dim
     d = alg.dim
     if d == 0:
-        return []
+        return alg.basis
     # one (n*n, d) block per generator: column i holds [g, basis[i]]
     rows = [(g @ alg.basis - alg.basis @ g).reshape(d, n * n).T for g in alg.generators]
-    kernel = null_space(np.vstack(rows), tol)
-    return [alg.combine(c) for c in kernel]
+    return alg.combine(null_space(np.vstack(rows), tol))
 
 
 def graded_split(alg: AlgebraBasis, grading, tol: Tolerance = DEFAULT_TOL):
     """Split an algebra into even/odd parts under x -> g x g for an involution g.
 
-    Returns (even basis, odd basis).  Raises if g is not a Hermitian
-    involution or conjugation does not preserve the algebra.
+    Returns the (even basis, odd basis) stacks.  Raises if g is not a
+    Hermitian involution or conjugation does not preserve the algebra.
     """
     g = as_complex_matrix(grading)
     n = alg.hilbert_dim
@@ -196,15 +197,11 @@ def graded_split(alg: AlgebraBasis, grading, tol: Tolerance = DEFAULT_TOL):
         raise ValueError("grading must be Hermitian")
     if rel_residual(g @ g - np.eye(n), 1.0) > tol.rel:
         raise ValueError("grading must square to the identity")
-    even_parts, odd_parts = [], []
-    for b in alg.basis:
-        conj = g @ b @ g
-        if alg.membership_residual(conj) > max(tol.rel, 1e3 * tol.rank_cut):
-            raise ValueError("conjugation by the grading does not preserve the algebra")
-        even_parts.append((b + conj) / 2.0)
-        odd_parts.append((b - conj) / 2.0)
-    even = span_basis(even_parts, tol, scale=1.0)
-    odd = span_basis(odd_parts, tol, scale=1.0)
+    conj = g @ alg.basis @ g
+    if np.max(span_residuals(conj, alg.basis), initial=0.0) > max(tol.rel, 1e3 * tol.rank_cut):
+        raise ValueError("conjugation by the grading does not preserve the algebra")
+    even = span_basis((alg.basis + conj) / 2.0, tol, scale=1.0)
+    odd = span_basis((alg.basis - conj) / 2.0, tol, scale=1.0)
     if len(even) + len(odd) != alg.dim:
         raise ValueError("graded split does not reassemble the algebra")
     return even, odd

@@ -12,6 +12,7 @@ from .kasparov import (
     BimoduleConnection,
     compress_to_range,
     index_pairing,
+    one_form_span,
     twisted_operator,
 )
 from .linalg import (
@@ -155,9 +156,10 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     rep.add("convert:connection", 0.0, np.inf,
             "grassmann" if potential is None else "user potential")
 
-    # source-aligned basis of the new algebra for round trips
-    hat_images = [comp(block_diag(w, m)) for w in cda.basis]
-    hat_cols = np.stack([h.ravel() for h in hat_images], axis=1)
+    # source-aligned basis of the new algebra for round trips: the images
+    # u^* (1_m (x) w) u = sum_k u_k^* w u_k over the row blocks u_k of u
+    hat = sum(adjoint(uk) @ cda.basis @ uk for uk in u.reshape(m, n, -1))
+    hat_cols = hat.reshape(cda.dim, -1).T
     coeffs = []
     worst = 0.0
     for w in out_cda.basis:
@@ -288,7 +290,7 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     cda = t.cda(tol)
     if len(module.left_action) != cda.dim:
         raise ValueError("module left action must be indexed by the algebra basis")
-    basis_ops = module.algebra_basis if module.algebra_basis is not None else list(cda.basis)
+    basis_ops = module.algebra_basis if module.algebra_basis is not None else cda.basis
     if len(basis_ops) != len(module.left_action):
         raise ValueError("algebra basis and left action lists must correspond")
     worst = max(cda.membership_residual(as_complex_matrix(w)) for w in basis_ops)
@@ -303,9 +305,9 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     nmod = len(frame)
     carrier_pair = expectation_pairing(carrier_alg)
 
-    act_cols = np.stack([as_complex_matrix(x).ravel() for x in module.left_action], axis=1)
+    act_cols = np.asarray(module.left_action, dtype=complex).reshape(cda.dim, -1).T
     act_pinv = np.linalg.pinv(act_cols)
-    basis_stack = np.stack([as_complex_matrix(w).ravel() for w in basis_ops], axis=1)
+    basis_stack = np.asarray(basis_ops, dtype=complex).reshape(cda.dim, -1).T
 
     def to_source_op(carrier_op):
         c = act_pinv @ carrier_op.ravel()
@@ -333,18 +335,6 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
         "projector": q_big, "vmap": vmap,
         "identification": uq @ vqh, "identification_svals": sq,
     }
-
-
-def one_form_span_opposite(t: SpectralTripleData, j, tol: Tolerance = DEFAULT_TOL):
-    """Represented one-form span of the conjugation-induced right action."""
-    cda = t.cda(tol)
-    ops = [opposite_action(j, w) for w in cda.basis]
-    mats = []
-    for b in ops:
-        c1 = t.dirac @ b - b @ t.dirac
-        for b2 in ops:
-            mats.append(c1 @ b2)
-    return span_basis(mats, tol)
 
 
 def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
@@ -395,7 +385,8 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         pot_big = as_complex_matrix(potential)
         if pot_big.shape != d_big.shape:
             raise ValueError("potential shape does not match the module presentation")
-        span = one_form_span_opposite(t, j, tol)
+        # the represented one-forms of the conjugation-induced right action
+        span = one_form_span(t.dirac, opposite_action(j, t.cda(tol).basis), tol)
         # block (k, jj) of the potential is blocks[k * nmod + jj]
         blocks = pot_big.reshape(nmod, nh, nmod, nh).swapaxes(1, 2).reshape(-1, nh, nh)
         worst = float(np.max(span_residuals(blocks, span)))
@@ -472,32 +463,31 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
         maps.append(np.kron(eye2, a1.T) - np.kron(a2, eye1))
     stacked = np.vstack(maps)
     kern = null_space(stacked, tol)
-    if not kern:
+    if len(kern) == 0:
         rep.add("intertwine:action_solutions", 1.0, 0.5,
                 "no solutions of the action-intertwining system")
         return None, rep
     rep.add("intertwine:action_solutions", 0.0, 0.5, f"family dimension {len(kern)}")
-    basis_u = [k.reshape(n2, n1) for k in kern]
-    cols = np.stack([(u @ t1.dirac - t2.dirac @ u).ravel() for u in basis_u], axis=1)
+    basis_u = kern.reshape(-1, n2, n1)
+    cols = (basis_u @ t1.dirac - t2.dirac @ basis_u).reshape(len(kern), -1).T
+    # the family lies in C^(n2 n1), so it has at most as many members as cols
+    # has rows and every right singular vector has a singular value
     _, svals, vh = np.linalg.svd(cols, full_matrices=False)
     floor = max(tol.rank_cut * max(float(svals[0]), 1.0), 1e-300)
-    exact = [vh[k].conj() for k in range(len(svals)) if svals[k] <= floor]
-    exact += [vh[k].conj() for k in range(len(svals), len(basis_u))]
-    if exact:
+    exact = vh[svals <= floor].conj()
+    if len(exact):
         # exact joint solutions: pick a seeded generic, well-conditioned one
         rng = np.random.default_rng(911)
         best, best_sv = None, -1.0
         for _ in range(8):
             coeff = rng.standard_normal(len(exact)) + 1j * rng.standard_normal(len(exact))
-            cand = sum(c * sum(x[i] * basis_u[i] for i in range(len(basis_u)))
-                       for c, x in zip(coeff, exact))
+            cand = np.tensordot(coeff @ exact, basis_u, 1)
             sv = np.linalg.svd(cand, compute_uv=False)
             if sv[-1] / sv[0] > best_sv:
                 best, best_sv = cand, sv[-1] / sv[0]
         u_raw = best
     else:
-        coeff = vh[-1].conj()
-        u_raw = sum(c * u for c, u in zip(coeff, basis_u))
+        u_raw = np.tensordot(vh[-1].conj(), basis_u, 1)
     su, ss, svh = np.linalg.svd(u_raw)
     if ss[-1] <= 1e-8 * ss[0]:
         rep.add("intertwine:invertible", 1.0, 0.5, "minimizer is singular")

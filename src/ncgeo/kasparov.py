@@ -28,12 +28,12 @@ from .linalg import (
 )
 from .report import CheckReport
 from .triples import SpectralTripleData
-from .modules import ProjectiveModule, parseval_frame
+from .modules import ProjectiveModule, parseval_frame, validate_module
 
 __all__ = [
     "BimoduleConnection",
     "grassmann_connection",
-    "one_form_basis",
+    "one_form_span",
     "twisted_operator",
     "product_triple",
     "connection_condition_check",
@@ -55,34 +55,12 @@ def grassmann_connection(module: ProjectiveModule) -> BimoduleConnection:
     return BimoduleConnection(module, None)
 
 
-def one_form_basis(t: SpectralTripleData, module: ProjectiveModule,
-                   tol: Tolerance = DEFAULT_TOL):
-    """Orthonormal basis of the represented one-form span of the right action."""
-    d = t.dirac
-    mats = []
-    for b in module.base.basis:
-        c = d @ b - b @ d
-        for b2 in module.base.basis:
-            mats.append(c @ b2)
-    return span_basis(mats, tol)
-
-
-def _validate_module(t: SpectralTripleData, module: ProjectiveModule, tol: Tolerance):
-    n, d = module.size, module.block_dim
-    q = module.projector
-    if q.shape != (n * d, n * d):
-        raise ValueError("module projector shape mismatch")
-    nq = operator_norm(q)
-    if rel_residual(q @ q - q, nq, nq) > max(tol.rel, 1e-8) or \
-       rel_residual(q - adjoint(q), nq) > max(tol.rel, 1e-8):
-        raise ValueError("module projector is not a self-adjoint idempotent")
-    worst = 0.0
-    for row in module.blocks(q):
-        for blk in row:
-            worst = max(worst, module.base.membership_residual(blk))
-    if worst > max(tol.rel, 1e-6):
-        raise ValueError(
-            f"projector blocks leave the represented coefficient algebra (residual {worst:.3e})")
+def one_form_span(dirac, ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the represented one-forms of a (k, n, n) stack of
+    operators: the span of the products [D, b] b' over b, b' in the stack."""
+    ops = np.asarray(ops, dtype=complex)
+    comms = dirac @ ops - ops @ dirac
+    return span_basis((comms[:, None] @ ops[None]).reshape((-1,) + ops.shape[1:]), tol)
 
 
 def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance):
@@ -90,7 +68,7 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
         return
     module = conn.module
     n = module.size
-    basis = one_form_basis(t, module, tol)
+    basis = one_form_span(t.dirac, module.base.basis, tol)
     worst_mem = 0.0
     worst_herm = 0.0
     for i in range(n):
@@ -136,12 +114,16 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
     module projector).  Hard errors on a bad projector or potential.
     """
     module = conn.module
-    _validate_module(t, module, tol)
+    n, d = module.size, module.block_dim
+    if module.projector.shape != (n * d, n * d):
+        raise ValueError("module projector shape mismatch")
+    failed = [e.condition_id for e in validate_module(module, tol).failures()]
+    if failed:
+        raise ValueError("invalid twisting module: " + ", ".join(failed))
     _validate_potential(t, conn, tol)
     fo = first_order_residual(t, module.base)
     if fo > max(tol.rel, 1e-7):
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
-    n = module.size
     q = module.projector
     d_n = block_diag(t.dirac, n)
     ahat = q @ _potential_big(conn, t.hilbert_dim) @ q

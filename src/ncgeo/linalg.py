@@ -18,7 +18,6 @@ __all__ = [
     "operator_norm",
     "max_operator_norm",
     "rel_residual",
-    "trace_inner",
     "is_hermitian",
     "herm_eig",
     "herm_apply",
@@ -132,11 +131,6 @@ def rel_residual(x: np.ndarray, *scales: float) -> float:
     return operator_norm(x) / max(1.0, ref)
 
 
-def trace_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    # vdot conjugates its first argument, so this is Tr(x^* y).
-    return complex(np.vdot(x, y))
-
-
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
     skew = m - adjoint(m)
@@ -175,35 +169,31 @@ def block_diag(op, n: int) -> np.ndarray:
     return np.kron(np.eye(n, dtype=complex), op)
 
 
-def _stack_columns(mats):
-    return np.stack([np.asarray(m, dtype=complex).ravel() for m in mats], axis=1)
+def span_basis(mats, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (trace inner product) of the span of a stack of matrices.
 
-
-def span_basis(mats, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0):
-    """Orthonormal basis (trace inner product) of the span of the given matrices.
-
-    Empty input yields an empty basis.  All matrices must share one shape;
-    the span dimension is the numerical rank at tol.rank_cut.  A positive
-    `scale` acts as an absolute floor so inputs that are pure roundoff
-    produce an empty basis.
+    `mats` is a (k, *shape) array or a list of equally shaped matrices; the
+    basis is a (rank, *shape) array, where rank is the numerical rank at
+    tol.rank_cut.  An empty stack yields an empty one.  A positive `scale`
+    acts as an absolute floor so inputs that are pure roundoff produce an
+    empty basis.
     """
-    mats = [as_complex_matrix(m) for m in mats]
-    if not mats:
-        return []
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
-            raise ValueError("span_basis needs matrices of equal shape")
-    cols = _stack_columns(mats)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    mats = np.asarray(mats, dtype=complex)
+    if len(mats) == 0:
+        return mats
+    if mats.ndim != 3:
+        raise ValueError("span_basis needs a stack of matrices of equal shape")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must be finite")
+    u, s, _ = np.linalg.svd(mats.reshape(len(mats), -1).T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return []
+        return mats[:0]
     rank = int(np.sum(s > tol.rank_cut * max(float(s[0]), scale)))
-    return [u[:, k].reshape(shape) for k in range(rank)]
+    return u[:, :rank].T.reshape((rank,) + mats.shape[1:])
 
 
 def _stacked(basis, shape) -> np.ndarray:
-    """A span basis (list of matrices or (dim, n, n) array) as a (dim, n*n) array."""
+    """A span basis ((dim, *shape) array, or an empty list) as a (dim, size) array."""
     size = int(np.prod(shape))
     return np.asarray(basis, dtype=complex).reshape(-1, size)
 
@@ -234,21 +224,21 @@ def span_residuals(xs, basis) -> np.ndarray:
     return norms / np.maximum(1.0, np.linalg.norm(xs, 2, axis=(-2, -1)))
 
 
-def null_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0):
-    """Orthonormal basis of the kernel of a (rectangular) matrix.
+def null_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:
+    """Orthonormal basis of the kernel of a (rectangular) matrix, one vector per row.
 
     `scale` is an absolute floor for the rank threshold so that matrices
     that vanish up to roundoff report a full kernel.
     """
     a = as_complex_matrix(a)
     if a.shape[0] == 0:
-        return [np.eye(a.shape[1], dtype=complex)[:, k] for k in range(a.shape[1])]
+        return np.eye(a.shape[1], dtype=complex)
     # a full right-singular basis needs full_matrices only in the wide case
     full = a.shape[0] < a.shape[1]
     _, s, vh = np.linalg.svd(a, full_matrices=full)
     top = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol.rank_cut * max(top, scale)))
-    return [vh[k].conj() for k in range(rank, a.shape[1])]
+    return vh[rank:].conj()
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:

@@ -77,10 +77,13 @@ class ProjectiveModule:
     def block_dim(self) -> int:
         return self.base.hilbert_dim
 
-    def blocks(self, big: np.ndarray):
-        d = self.block_dim
-        m = self.size
-        return [[big[i * d:(i + 1) * d, j * d:(j + 1) * d] for j in range(m)] for i in range(m)]
+    def block_residual(self, big: np.ndarray) -> float:
+        """Largest membership residual in the base algebra over the size x size
+        blocks of an operator on the module carrier."""
+        d, m = self.block_dim, self.size
+        blocks = np.asarray(big, dtype=complex).reshape(m, d, m, d).swapaxes(1, 2)
+        return float(np.max(span_residuals(blocks.reshape(-1, d, d), self.base.basis),
+                            initial=0.0))
 
 
 def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -89,13 +92,7 @@ def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> Chec
     nq = operator_norm(q)
     rep.add("module:idempotent", rel_residual(q @ q - q, nq, nq), tol.rel)
     rep.add("module:projector_hermitian", rel_residual(q - adjoint(q), nq), tol.rel)
-    worst = 0.0
-    for row in mod.blocks(q):
-        for blk in row:
-            worst = max(worst, mod.base.membership_residual(blk))
-    for row in mod.blocks(r):
-        for blk in row:
-            worst = max(worst, mod.base.membership_residual(blk))
+    worst = max(mod.block_residual(q), mod.block_residual(r))
     rep.add("module:blocks_in_base", worst, max(tol.rel, 1e3 * tol.rank_cut))
     nr = operator_norm(r)
     rep.add("module:metric_compressed", rel_residual(q @ r - r, nq, nr) + rel_residual(r @ q - r, nq, nr), tol.rel)
@@ -449,10 +446,6 @@ def conjugate_module(mod: ProjectiveModule) -> ProjectiveModule:
     return ProjectiveModule(mod.base, mod.size, mod.projector.copy(), mod.metric.copy(), side)
 
 
-def conjugate_element(e: np.ndarray) -> np.ndarray:
-    return adjoint(e)
-
-
 def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> float:
     """Upper bound for the operator norm of a module endomorphism.
 
@@ -466,10 +459,7 @@ def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Toleranc
     d, m = mod.block_dim, mod.size
     q = mod.projector
     nt = operator_norm(t_op)
-    worst = 0.0
-    for row in mod.blocks(t_op):
-        for blk in row:
-            worst = max(worst, mod.base.membership_residual(blk))
+    worst = mod.block_residual(t_op)
     comp = rel_residual(q @ t_op @ q - t_op, nt)
     if max(worst, comp) > max(tol.rel, 1e-7):
         raise ValueError("operator is not a module endomorphism over the base algebra")

@@ -80,8 +80,9 @@ def tomita_conjugation(t: SpectralTripleData, phi=None, tol: Tolerance = DEFAULT
     if cda.dim != n:
         raise ValueError(
             f"cyclic/separating failure: algebra dim {cda.dim} vs Hilbert dim {n}")
-    x = np.stack([w @ phi for w in cda.basis], axis=1)
-    y = np.stack([adjoint(w) @ phi for w in cda.basis], axis=1)
+    # columns w phi and w^* phi over the basis elements w
+    x = (cda.basis @ phi).T
+    y = (np.swapaxes(cda.basis.conj(), 1, 2) @ phi).T
     svals = np.linalg.svd(x, compute_uv=False)
     if svals[-1] <= tol.rank_cut * max(float(svals[0]), 1e-300):
         raise ValueError("vector is not cyclic for the Dirac-commutator algebra")
@@ -96,16 +97,16 @@ def tomita_conjugation(t: SpectralTripleData, phi=None, tol: Tolerance = DEFAULT
     if float(np.linalg.norm(j(phi) - phi)) > max(tol.rel, 1e-7) * max(1.0, float(np.linalg.norm(phi))):
         raise ValueError("conjugation does not fix the cyclic vector")
     comm = commutant(cda, tol)
-    # J w* J = K w^T conj(K) for every basis element w at once
-    landed = j.kernel @ np.swapaxes(cda.basis, -1, -2) @ np.conj(j.kernel)
+    landed = opposite_action(j, cda.basis)
     if np.max(span_residuals(landed, comm.basis)) > max(tol.rel, 1e-6):
         raise ValueError("conjugated algebra does not land in the commutant")
     return j
 
 
 def opposite_action(j: AntiunitaryMap, a) -> np.ndarray:
-    """Right-action operator J a* J of an algebra element."""
-    return j.conjugate(adjoint(as_complex_matrix(a)))
+    """Right-action operator J a* J of an algebra element, or of each matrix
+    of a (k, n, n) stack: K conj(a^*) conj(K) = K a^T conj(K)."""
+    return j.kernel @ np.swapaxes(np.asarray(a, dtype=complex), -1, -2) @ np.conj(j.kernel)
 
 
 def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,

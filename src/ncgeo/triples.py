@@ -19,6 +19,7 @@ from .linalg import (
     as_complex_matrix,
     herm_abs,
     herm_eig,
+    max_operator_norm,
     null_space,
     operator_norm,
     rel_residual,
@@ -27,7 +28,6 @@ from .linalg import (
     span_residuals,
 )
 from .modules import (
-    _frame_residual,
     canonical_morita_check,
     expectation_pairing,
     parseval_frame,
@@ -143,6 +143,13 @@ def _failed_ids(rep: CheckReport) -> set:
     return {e.condition_id for e in rep.failures()}
 
 
+def _weighted(t: SpectralTripleData, x) -> np.ndarray:
+    """state @ x for a matrix or a stack of matrices (x itself without a
+    state): psi(x) is its trace."""
+    x = np.asarray(x, dtype=complex)
+    return x if t.state is None else t.state @ x
+
+
 def _validate(t: SpectralTripleData, tol: Tolerance) -> CheckReport:
     """Validation entries; they stop at the Hermiticity entry when the
     Dirac operator is not Hermitian."""
@@ -186,7 +193,7 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
     alg = generate_algebra(gens, tol=tol)
     if t.grading is not None:
         even, odd = graded_split(alg, t.grading, tol)
-        return AlgebraBasis(alg.hilbert_dim, even + odd, alg.generators)
+        return AlgebraBasis(alg.hilbert_dim, np.concatenate([even, odd]), alg.generators)
     return alg
 
 
@@ -262,7 +269,7 @@ def chain_coefficient_norm(chain: HochschildChain, alg: AlgebraBasis,
     if not chain.terms:
         return 0.0
     first_basis = span_basis([t[0] for t in chain.terms], tol)
-    if not first_basis:
+    if len(first_basis) == 0:
         return 0.0
     shape = (len(first_basis),) + (alg.dim,) * chain.degree
     coeff = np.zeros(shape, dtype=complex)
@@ -351,26 +358,21 @@ def fit_orientation_cycle(t: SpectralTripleData, p: int, tol: Tolerance = DEFAUL
         if p != 0:
             raise ValueError("generalized cycle fit only supports degree 0")
         comm = commutant(t.algebra(tol), tol)
-        cols = np.stack([b.ravel() for b in comm.basis], axis=1)
+        cols = comm.basis.reshape(comm.dim, -1).T
         coeff, _, _, _ = np.linalg.lstsq(cols, target.ravel(), rcond=None)
         fit = (cols @ coeff).reshape(n, n)
         resid = rel_residual(fit - target, operator_norm(target))
         chain = HochschildChain(0, [(fit,)], True)
         return chain, resid
 
-    # strict legs: coordinates over the algebra basis tuples
-    dirac = t.dirac
-    reps = []
-
-    def rep_tuple(idx):
-        acc = alg.basis[idx[0]]
-        for k in idx[1:]:
-            leg = alg.basis[k]
-            acc = acc @ (dirac @ leg - leg @ dirac)
-        return acc
-
+    # strict legs: coordinates over the algebra basis tuples, b_i0 [D, b_i1] ... [D, b_ip]
+    # in the order of itertools.product
+    comms = t.dirac @ alg.basis - alg.basis @ t.dirac
+    reps = alg.basis
+    for _ in range(p):
+        reps = (reps[:, None] @ comms[None]).reshape(-1, n, n)
     tuples = list(itertools.product(range(d), repeat=p + 1))
-    cols = np.stack([rep_tuple(ix).ravel() for ix in tuples], axis=1)
+    cols = reps.reshape(len(reps), -1).T
 
     if p >= 1:
         # cycle constraint in coordinates via structure constants
@@ -397,9 +399,9 @@ def fit_orientation_cycle(t: SpectralTripleData, p: int, tol: Tolerance = DEFAUL
             rows.append(coeff_tensor.ravel())
         bmat = np.stack(rows, axis=1)
         kernel = null_space(bmat, tol)
-        if not kernel:
+        if len(kernel) == 0:
             return None, rel_residual(target, operator_norm(target))
-        kmat = np.stack(kernel, axis=1)
+        kmat = kernel.T
         proj_cols = cols @ kmat
         y, _, _, _ = np.linalg.lstsq(proj_cols, target.ravel(), rcond=None)
         x = kmat @ y
@@ -470,24 +472,24 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     frame = parseval_frame(cda, tol)
     n = t.hilbert_dim
 
-    # H is a left module over the algebra: g = sum_x E(|g><x|) x
-    worst = _frame_residual(frame, frame, lambda x, g: pair(g, x), lambda x, a: a @ x,
-                            np.eye(n, dtype=complex))
+    basis = cda.basis
+    eye = np.eye(n, dtype=complex)
+
+    # H is a left module over the algebra: g = sum_x E(|g><x|) x.  The b_k
+    # coordinate of E(|e_m><x|) is conj((b_k x)[m]), so the reconstructions of
+    # the e_m are the columns of sum_k (b_k F)(b_k F)^*, F = [x_1 ... x_n]
+    bf = basis @ np.transpose(frame)
+    rec = np.tensordot(bf, bf.conj(), ([0, 2], [0, 2]))
+    worst = float(np.max(np.linalg.norm(rec - eye, axis=0)))
     rep.add("finite:frame_reproduces", worst, max(tol.rel, 1e-7), f"frame size {len(frame)}")
 
-    worst = 0.0
-    basis = np.eye(n, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            lhs = complex(np.vdot(basis[j], basis[i]))
-            rhs = t.psi(pair(basis[i], basis[j]))
-            worst = max(worst, abs(lhs - rhs))
+    # <e_j, e_i> against psi(E(|e_i><e_j|)) = sum_k conj(b_k[i, j]) psi(b_k)
+    psi_basis = np.trace(_weighted(t, basis), axis1=1, axis2=2)
+    worst = float(np.max(np.abs(eye - np.tensordot(psi_basis, basis.conj(), 1))))
     rep.add("finite:state_reproduces_scalar_product", worst, max(tol.rel, 1e-8))
 
-    gram = np.zeros((cda.dim, cda.dim), dtype=complex)
-    for i, u in enumerate(cda.basis):
-        for j, w in enumerate(cda.basis):
-            gram[i, j] = t.psi(adjoint(u) @ w)
+    # gram[i, j] = psi(b_i^* b_j) = Tr((state b_i^*) b_j)
+    gram = np.tensordot(_weighted(t, np.swapaxes(basis.conj(), 1, 2)), basis, ([1, 2], [2, 1]))
     vals, _ = herm_eig((gram + adjoint(gram)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
     faithful = vals[0] > tol.rank_cut * max(1.0, float(vals[-1]))
     rep.add("finite:state_faithful", 0.0 if faithful else 1.0, 0.5,
@@ -529,8 +531,8 @@ def check_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     eps = t.grading
     cda = t.cda(tol)
     n = t.hilbert_dim
-    vecs = np.stack([w @ phi for w in cda.basis], axis=1)
-    svals = np.linalg.svd(vecs, compute_uv=False)
+    orbit = cda.basis @ phi  # row k is b_k phi
+    svals = np.linalg.svd(orbit, compute_uv=False)
     smax = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > tol.rank_cut * max(smax, 1e-300)))
     rep.add("riemann:cyclic", 0.0 if rank == n else 1.0, 0.5,
@@ -540,18 +542,15 @@ def check_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
 
     zc = center(cda, tol)
     z = None
-    if zc:
-        rows = []
-        rhs = []
-        for w in cda.basis:
-            for v in cda.basis:
-                rows.append([t.psi(w @ zk @ adjoint(v)) for zk in zc])
-                rhs.append(complex(np.vdot(v @ phi, w @ phi)))
-        amat = np.array(rows, dtype=complex)
-        bvec = np.array(rhs, dtype=complex)
+    if len(zc):
+        # row (w, v), column k: psi(w z_k v^*) = <v, state w z_k>
+        amat = np.einsum("vab,wkab->wvk", cda.basis.conj(),
+                         _weighted(t, cda.basis[:, None] @ zc[None])).reshape(-1, len(zc))
+        # row (w, v): <v phi, w phi>
+        bvec = (orbit @ orbit.conj().T).ravel()
         coeff, _, _, _ = np.linalg.lstsq(amat, bvec, rcond=None)
         resid = float(np.linalg.norm(amat @ coeff - bvec)) / max(1.0, float(np.linalg.norm(bvec)))
-        z = sum(c * zk for c, zk in zip(coeff, zc))
+        z = np.tensordot(coeff, zc, 1)
         herm = rel_residual(z - adjoint(z), operator_norm(z))
         vals, _ = herm_eig((z + adjoint(z)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
         pos = max(0.0, -float(vals[0])) / max(1.0, float(vals[-1]))
@@ -577,12 +576,9 @@ def check_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     except ValueError as exc:
         rep.add("riemann:grading_splits_cda", 1.0, tol.rel, str(exc))
 
-    worst = 0.0
-    for u in cda.basis:
-        for w in cda.basis:
-            lhs = complex(np.vdot(phi, u @ w @ phi))
-            rhs = complex(np.vdot(phi, w @ u @ phi))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, float(np.vdot(phi, phi).real)))
+    # entry [u, w] is <phi, u w phi> = (phi^* u)(w phi)
+    pairs = (phi.conj() @ cda.basis) @ orbit.T
+    worst = float(np.max(np.abs(pairs - pairs.T))) / max(1.0, float(np.vdot(phi, phi).real))
     rep.add("riemann:vector_state_tracial", worst, max(tol.rel, 1e-9))
     ctx = {"cda": cda, "metric": z}
     return rep, ctx
@@ -592,20 +588,18 @@ def connectivity_projectors(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL)
     """Orthogonal projectors spanning the kernel of a -> [D, a] inside the algebra."""
     alg = t.algebra(tol)
     d = t.dirac
-    cols = np.stack([(d @ b - b @ d).ravel() for b in alg.basis], axis=1)
-    kern = null_space(cols, tol)
-    if not kern:
+    kern = null_space((d @ alg.basis - alg.basis @ d).reshape(alg.dim, -1).T, tol)
+    if len(kern) == 0:
         return None, "kernel of the Dirac commutator inside the algebra is empty"
-    mats = [alg.combine(c) for c in kern]
+    mats = alg.combine(kern)
     # the kernel is a unital *-subalgebra; commutativity makes it a sum of projectors
-    for x in mats:
-        for y in mats:
-            if rel_residual(x @ y - y @ x, operator_norm(x), operator_norm(y)) > max(tol.rel, 1e-8):
-                return None, "kernel algebra is noncommutative"
+    norms = np.linalg.norm(mats, 2, axis=(-2, -1))
+    comm = mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+    if max_operator_norm(comm, norms[:, None] * norms) > max(tol.rel, 1e-8):
+        return None, "kernel algebra is noncommutative"
     rng = np.random.default_rng(20230517)
-    h = np.zeros((t.hilbert_dim, t.hilbert_dim), dtype=complex)
-    for m in mats:
-        h = h + rng.standard_normal() * (m + adjoint(m)) / 2.0
+    herm = (mats + np.swapaxes(mats.conj(), 1, 2)) / 2.0
+    h = np.tensordot(rng.standard_normal(len(mats)), herm, 1)
     vals, vecs = herm_eig(h, tol)
     projs = []
     i = 0

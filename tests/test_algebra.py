@@ -241,6 +241,11 @@ class TestCenter:
         assert len(zc) == 2
         assert len(span_basis(oracle)) == 2
 
+    def test_stacked_shape(self):
+        zc = center(generate_algebra([np.diag([1.0, -1.0])]))
+        assert isinstance(zc, np.ndarray) and zc.shape == (2, 2, 2)
+        assert center(AlgebraBasis(3, np.zeros((0, 3, 3)))).shape == (0, 3, 3)
+
 
 class TestGradedSplit:
     def test_full_matrix_by_sigma3(self):
@@ -264,6 +269,19 @@ class TestGradedSplit:
         even, odd = graded_split(alg, SIGMA3)
         assert (len(even), len(odd)) == (2, 2)
 
+    def test_returns_stacks(self):
+        alg = generate_algebra([SIGMA1])
+        even, odd = graded_split(alg, np.eye(2))
+        assert isinstance(odd, np.ndarray) and odd.shape == (0, 2, 2)
+        assert even.shape == (alg.dim, 2, 2)
+        t = matrix_geometry(2, seed=7)
+        cda = generate_algebra(cda_gens(t))
+        even, odd = graded_split(cda, t.grading)
+        assert (even.shape, odd.shape) == ((8, 8, 8), (8, 8, 8))
+        # the per-element parts the split spans, as before the batched membership test
+        parts = [(b + t.grading @ b @ t.grading) / 2.0 for b in cda.basis]
+        assert np.array_equal(even, span_basis(parts, scale=1.0))
+
     def test_rejects_non_involution(self):
         alg = generate_algebra([SIGMA1])
         with pytest.raises(ValueError):
@@ -284,7 +302,7 @@ def closure_rounds_algebra(gens, tol=DEFAULT_TOL):
     n = gens[0].shape[0]
     basis = span_basis(list(gens) + [np.eye(n, dtype=complex)], tol)
     for _ in range(n * n + 2):
-        nxt = span_basis(basis + [adjoint(b) for b in basis]
+        nxt = span_basis(list(basis) + [adjoint(b) for b in basis]
                          + [b1 @ b2 for b1 in basis for b2 in basis], tol)
         if len(nxt) == len(basis):
             return np.array(nxt)

@@ -10,13 +10,13 @@ from ncgeo.convert import (
     intertwine_triples,
     poincare_pairing_matrix,
     derived_backward_potential,
-    one_form_span_opposite,
     riemannian_to_spinc,
     round_trip_check,
     spinc_to_riemannian,
     split_by_central_involution,
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
+from ncgeo.kasparov import one_form_span
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
@@ -117,7 +117,7 @@ class TestBackwardConversion:
         pot = derived_backward_potential(tri, module, t.dirac)
         backward = riemannian_to_spinc(tri, module, potential=pot)
         j = AntiunitaryMap(backward.witness["conjugation_kernel"])
-        span = one_form_span_opposite(tri, j)
+        span = one_form_span(tri.dirac, opposite_action(j, tri.cda().basis))
         nh = tri.hilbert_dim
         nmod = pot.shape[0] // nh
         worst = 0.0

@@ -10,7 +10,7 @@ from ncgeo.kasparov import (
     gauge_transform,
     grassmann_connection,
     index_pairing,
-    one_form_basis,
+    one_form_span,
     product_triple,
     twisted_operator,
 )
@@ -21,6 +21,7 @@ from ncgeo.linalg import (
     project_onto_span,
     random_complex,
     random_hermitian,
+    span_basis,
 )
 from ncgeo.modules import ProjectiveModule
 from ncgeo.triples import SpectralTripleData
@@ -50,7 +51,7 @@ def random_module(t, n, rng):
 
 
 def random_potential(t, module, rng):
-    basis = one_form_basis(t, module)
+    basis = one_form_span(t.dirac, module.base.basis)
     n, nh = module.size, module.block_dim
     q = module.projector
     raw = [[sum((rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis)
@@ -112,6 +113,21 @@ def Tolerance_like():
     return Tolerance()
 
 
+class TestOneFormSpan:
+    def test_matches_product_loop(self):
+        t = matrix_geometry(2, seed=11)
+        ops = t.right_algebra().basis
+        span = one_form_span(t.dirac, ops)
+        # reference: the list of products [D, b] b' the span used to be built from
+        mats = [(t.dirac @ b - b @ t.dirac) @ b2 for b in ops for b2 in ops]
+        ref = span_basis(mats)
+        assert isinstance(span, np.ndarray) and span.shape == ref.shape
+        assert np.array_equal(span, ref)
+
+    def test_empty_stack(self):
+        assert one_form_span(np.eye(3), np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
 class TestTwistedOperator:
     def test_trivial_module_reproduces_dirac(self):
         t = matrix_geometry(2, seed=11)
@@ -169,6 +185,21 @@ class TestTwistedOperator:
         q = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
         with pytest.raises(ValueError):
             twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, q)))
+
+    def test_rejection_names_failing_entries(self):
+        t = matrix_geometry(2, seed=5)
+        right = t.right_algebra()
+        half = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
+        with pytest.raises(ValueError, match="module:idempotent") as info:
+            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, half)))
+        assert "module:blocks_in_base" not in str(info.value)
+        # a rank-one projector whose blocks leave the right action
+        v = np.zeros(t.hilbert_dim, dtype=complex)
+        v[0] = 1.0
+        with pytest.raises(ValueError, match="module:blocks_in_base"):
+            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 1, np.outer(v, v))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, np.eye(3))))
 
 
 class TestProductTriple:

@@ -9,6 +9,7 @@ from ncgeo.linalg import (
     herm_eig,
     is_hermitian,
     max_operator_norm,
+    null_space,
     operator_norm,
     project_onto_span,
     random_complex,
@@ -17,7 +18,6 @@ from ncgeo.linalg import (
     span_coords,
     span_residual,
     span_residuals,
-    trace_inner,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,12 +79,12 @@ class TestSpanBasis:
     def test_pauli_words_gram_rank(self):
         mats = [SIGMA1, SIGMA3, SIGMA1 @ SIGMA3]
         basis = span_basis(mats)
-        gram = np.array([[trace_inner(a, b) for b in mats] for a in mats])
+        gram = np.array([[np.vdot(a, b) for b in mats] for a in mats])
         assert len(basis) == np.linalg.matrix_rank(gram)
         assert len(basis) == 3
 
     def test_empty(self):
-        assert span_basis([]) == []
+        assert len(span_basis([])) == 0
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -108,7 +108,7 @@ class TestSpanBasis:
         x = random_complex(rng, (3, 3))
         for b in (basis, []):
             stacked = np.asarray(b, dtype=complex).reshape(-1, 3, 3)
-            coords = [trace_inner(m, x) for m in b]
+            coords = [np.vdot(m, x) for m in b]
             assert np.allclose(span_coords(x, b), coords, rtol=0, atol=1e-12)
             assert np.allclose(span_coords(x, stacked), coords, rtol=0, atol=1e-12)
             proj = sum((c * m for c, m in zip(coords, b)), np.zeros((3, 3), dtype=complex))
@@ -129,6 +129,47 @@ class TestSpanBasis:
         for b in (basis, np.asarray(basis), []):
             loop = [span_residual(x, b) for x in xs]
             assert np.allclose(span_residuals(xs, b), loop, rtol=0, atol=1e-12)
+
+
+class TestSpanFormat:
+    """Spans and kernels are stacked arrays: one element per leading index."""
+
+    def test_span_basis_shape(self):
+        rng = np.random.default_rng(21)
+        mats = random_complex(rng, (4, 2, 3))
+        mats[3] = mats[0] - 2.0 * mats[1]
+        basis = span_basis(mats)
+        assert isinstance(basis, np.ndarray) and basis.shape == (3, 2, 3)
+        gram = basis.reshape(3, -1).conj() @ basis.reshape(3, -1).T
+        assert np.allclose(gram, np.eye(3), rtol=0, atol=1e-12)
+        assert np.array_equal(span_basis(list(mats)), basis)
+
+    def test_span_basis_empty_and_zero(self):
+        assert span_basis(np.zeros((0, 2, 3))).shape == (0, 2, 3)
+        assert span_basis(np.zeros((3, 2, 2))).shape == (0, 2, 2)
+        assert span_basis(1e-14 * np.eye(2)[None], scale=1.0).shape == (0, 2, 2)
+
+    def test_span_basis_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            span_basis([np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError):
+            span_basis(np.full((1, 2, 2), np.nan))
+
+    def test_null_space_rows(self):
+        rng = np.random.default_rng(22)
+        a = random_complex(rng, (3, 5))
+        kern = null_space(a)
+        assert isinstance(kern, np.ndarray) and kern.shape == (2, 5)
+        assert np.allclose(a @ kern.T, 0.0, rtol=0, atol=1e-12)
+        assert np.allclose(kern.conj() @ kern.T, np.eye(2), rtol=0, atol=1e-12)
+
+    def test_null_space_empty_and_full(self):
+        rng = np.random.default_rng(23)
+        assert null_space(random_complex(rng, (6, 4))).shape == (0, 4)
+        assert np.array_equal(null_space(np.zeros((0, 3))), np.eye(3))
+        kern = null_space(np.zeros((2, 3)))
+        assert kern.shape == (3, 3)
+        assert np.allclose(kern.conj() @ kern.T, np.eye(3), rtol=0, atol=1e-12)
 
 
 class TestOperatorNorm:

@@ -21,7 +21,6 @@ from ncgeo.modules import (
     ProjectiveModule,
     bimodule_from_actions,
     canonical_morita_check,
-    conjugate_element,
     conjugate_module,
     frame_presentation,
     inverse_weight_pairing,
@@ -471,9 +470,45 @@ class TestConjugateModule:
         conj = conjugate_module(mod)
         e = random_module_element(mod, rng)
         f = random_module_element(mod, rng)
-        lhs = pairing_eval(conj, conjugate_element(e), conjugate_element(f))
+        lhs = pairing_eval(conj, adjoint(e), adjoint(f))
         rhs = pairing_eval(mod, e, f)
         assert operator_norm(lhs - rhs) < 1e-10
+
+
+def looped_block_residual(mod, big):
+    """Reference: the per-block membership loop the module checks used."""
+    d, m = mod.block_dim, mod.size
+    return max(mod.base.membership_residual(big[i * d:(i + 1) * d, j * d:(j + 1) * d])
+               for i in range(m) for j in range(m))
+
+
+@functools.lru_cache(maxsize=None)
+def forward_module(n):
+    """The module of the spin^c -> Riemannian conversion of matrix_geometry(n)."""
+    from ncgeo.convert import spinc_to_riemannian
+
+    t = matrix_geometry(n, seed=0)
+    q = spinc_to_riemannian(t).witness["module_projector"]
+    return ProjectiveModule(t.right_algebra(), q.shape[0] // t.hilbert_dim, q)
+
+
+class TestBlockResidual:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_block_loop(self, n):
+        mod = forward_module(n)
+        rng = np.random.default_rng(n)
+        outside = random_complex(rng, mod.projector.shape)
+        for big in (mod.projector, outside, mod.projector + 1e-6 * outside):
+            assert abs(mod.block_residual(big) - looped_block_residual(mod, big)) <= 1e-12
+        assert mod.block_residual(mod.projector) <= 1e-12
+        assert mod.block_residual(outside) > 0.1
+        assert validate_module(mod).passed
+
+    def test_random_module(self):
+        rng = np.random.default_rng(31)
+        mod = random_projective_module(rng, generate_algebra([SIGMA3]), 3)
+        for big in (mod.projector, mod.metric, random_complex(rng, mod.projector.shape)):
+            assert abs(mod.block_residual(big) - looped_block_residual(mod, big)) <= 1e-12
 
 
 class TestOperatorBound:
@@ -526,7 +561,7 @@ def l2_operator_norm(t_op, mod, rho=None):
             col[j * d:(j + 1) * d, :] = b
             cols.append(mod.projector @ col)
     vecs = span_basis(cols)
-    if not vecs:
+    if len(vecs) == 0:
         return 0.0
     k = len(vecs)
     gram = np.zeros((k, k), dtype=complex)

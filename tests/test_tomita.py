@@ -90,7 +90,7 @@ class TestTomitaConjugation:
         # a noncentral element moves
         w = cda.basis[3]
         from ncgeo.linalg import span_residual
-        if span_residual(w, zc if zc else [np.zeros_like(w)]) > 1e-6:
+        if span_residual(w, zc if len(zc) else [np.zeros_like(w)]) > 1e-6:
             moved = operator_norm(w - j.conjugate(adjoint(w)))
             assert moved > 1e-6
 

@@ -1,10 +1,14 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from ncgeo import triples
-from ncgeo.algebra import generate_algebra
+from ncgeo.algebra import center, generate_algebra
+from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_hermitian
+from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_complex, random_hermitian
 from ncgeo.modules import expectation_pairing, parseval_frame
 from ncgeo.triples import (
     HochschildChain,
@@ -260,7 +264,116 @@ class TestFiniteness:
                 recon = recon + pair(g, x) @ x
             worst = max(worst, float(np.linalg.norm(recon - g)))
         rep, _ = check_finiteness(t)
-        assert rep.entry("finite:frame_reproduces").residual == worst
+        # the contraction sums in another order than the loop
+        assert abs(rep.entry("finite:frame_reproduces").residual - worst) <= 1e-12
+
+
+def with_state(t, rng):
+    """The triple with a generic complex state matrix: not Hermitian, so no
+    symmetry of the state hides a transposed contraction."""
+    g = rng.standard_normal((t.hilbert_dim,) * 2) + 1j * rng.standard_normal((t.hilbert_dim,) * 2)
+    return dataclasses.replace(t, state=g / t.hilbert_dim, _cache={})
+
+
+def looped_finiteness(t):
+    """Reference: the per-element loops of check_finiteness before it
+    contracted over the stacked basis; (frame, state residual, Gram)."""
+    cda = t.cda()
+    pair = expectation_pairing(cda)
+    frame = parseval_frame(cda)
+    n = t.hilbert_dim
+    basis = np.eye(n, dtype=complex)
+    frame_worst = 0.0
+    for g in basis:
+        recon = sum(pair(g, x) @ x for x in frame)
+        frame_worst = max(frame_worst, float(np.linalg.norm(recon - g)))
+    state_worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            lhs = complex(np.vdot(basis[j], basis[i]))
+            state_worst = max(state_worst, abs(lhs - t.psi(pair(basis[i], basis[j]))))
+    gram = np.zeros((cda.dim, cda.dim), dtype=complex)
+    for i, u in enumerate(cda.basis):
+        for j, w in enumerate(cda.basis):
+            gram[i, j] = t.psi(adjoint(u) @ w)
+    return frame_worst, state_worst, gram
+
+
+def looped_riemannian(t):
+    """Reference: the metric solve and tracial entry of check_riemannian as
+    per-element loops; (solve residual, metric, tracial residual)."""
+    phi = t.riemann_vector
+    cda = t.cda()
+    zc = center(cda)
+    rows, rhs = [], []
+    for w in cda.basis:
+        for v in cda.basis:
+            rows.append([t.psi(w @ zk @ adjoint(v)) for zk in zc])
+            rhs.append(complex(np.vdot(v @ phi, w @ phi)))
+    amat = np.array(rows, dtype=complex)
+    bvec = np.array(rhs, dtype=complex)
+    coeff, _, _, _ = np.linalg.lstsq(amat, bvec, rcond=None)
+    resid = float(np.linalg.norm(amat @ coeff - bvec)) / max(1.0, float(np.linalg.norm(bvec)))
+    z = sum(c * zk for c, zk in zip(coeff, zc))
+    tracial = 0.0
+    for u in cda.basis:
+        for w in cda.basis:
+            lhs = complex(np.vdot(phi, u @ w @ phi))
+            rhs_uw = complex(np.vdot(phi, w @ u @ phi))
+            tracial = max(tracial, abs(lhs - rhs_uw) / max(1.0, float(np.vdot(phi, phi).real)))
+    return resid, z, tracial
+
+
+@functools.lru_cache(maxsize=None)
+def riemannian_output(n, seed):
+    return spinc_to_riemannian(matrix_geometry(n, seed=seed)).output
+
+
+RIEMANNIAN_CASES = {
+    "mgeom2_s7": lambda: riemannian_output(2, 7),
+    "riemannian_h36": lambda: riemannian_output(3, 0),
+    "trivial_points_4": lambda: trivial_points(4),
+}
+
+
+class TestContractionsMatchLoops:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("state", [False, True])
+    def test_finiteness(self, n, state):
+        t = matrix_geometry(n, seed=0)
+        if state:
+            t = with_state(t, np.random.default_rng(n))
+        frame_worst, state_worst, gram = looped_finiteness(t)
+        rep, _ = check_finiteness(t)
+        assert abs(rep.entry("finite:frame_reproduces").residual - frame_worst) <= 1e-12
+        assert abs(rep.entry("finite:state_reproduces_scalar_product").residual
+                   - state_worst) <= 1e-12
+        vals = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)
+        assert rep.entry("finite:state_faithful").details == f"min Gram eigenvalue {vals[0]:.3e}"
+        if state:
+            assert state_worst > 0.1
+
+    @pytest.mark.parametrize("case", sorted(RIEMANNIAN_CASES))
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_riemannian(self, case, perturbed):
+        t = RIEMANNIAN_CASES[case]()
+        if perturbed:
+            # a generic state and vector: the vector state is not tracial, so
+            # the solve and the tracial entry have nonzero residuals
+            rng = np.random.default_rng(5)
+            t = with_state(t, rng)
+            t = dataclasses.replace(t, riemann_vector=random_complex(rng, t.hilbert_dim), _cache={})
+        resid, z, tracial = looped_riemannian(t)
+        rep, ctx = check_riemannian(t)
+        assert abs(rep.entry("riemann:metric_solves_state").residual - resid) <= 1e-12
+        assert operator_norm(ctx["metric"] - z) <= 1e-12 * max(1.0, operator_norm(z))
+        assert abs(rep.entry("riemann:vector_state_tracial").residual - tracial) <= 1e-12
+        if not perturbed:
+            assert rep.passed, rep.as_text()
+        elif case != "trivial_points_4":  # commutative: every vector state is tracial
+            assert min(resid, tracial) > 1e-3
+
+
 
 
 class TestSpinc:
