@@ -27,11 +27,7 @@ from .linalg import (
     span_coords,
     span_residuals,
 )
-from .modules import (
-    canonical_morita_check,
-    expectation_pairing,
-    parseval_frame,
-)
+from .modules import canonical_morita_check, parseval_frame
 from .report import CheckReport
 
 __all__ = [
@@ -94,11 +90,10 @@ class SpectralTripleData:
             self.state = as_complex_matrix(self.state)
 
     # -- state functional -------------------------------------------------
-    def psi(self, x) -> complex:
-        x = np.asarray(x, dtype=complex)
-        if self.state is None:
-            return complex(np.trace(x))
-        return complex(np.trace(self.state @ x))
+    def psi(self, x):
+        """Tr(state x), or Tr(x) without a state; a stack of matrices gives
+        one value per matrix."""
+        return np.trace(_weighted(self, x), axis1=-2, axis2=-1)
 
     # -- cached derived algebras ------------------------------------------
     # keyed on the whole tolerance: the cda depends on rel through graded_split
@@ -145,7 +140,7 @@ def _failed_ids(rep: CheckReport) -> set:
 
 def _weighted(t: SpectralTripleData, x) -> np.ndarray:
     """state @ x for a matrix or a stack of matrices (x itself without a
-    state): psi(x) is its trace."""
+    state): `SpectralTripleData.psi` is its trace."""
     x = np.asarray(x, dtype=complex)
     return x if t.state is None else t.state @ x
 
@@ -463,12 +458,11 @@ def check_first_order(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Ch
 def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Module frame over the Dirac-commutator algebra plus the state identity.
 
-    Returns (report, context) where the context carries the frame and the
-    algebra-valued pairing for reuse by other checkers.
+    Returns (report, context) where the context carries the algebra and the
+    frame.
     """
     rep = CheckReport()
     cda = t.cda(tol)
-    pair = expectation_pairing(cda)
     frame = parseval_frame(cda, tol)
     n = t.hilbert_dim
 
@@ -484,8 +478,7 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     rep.add("finite:frame_reproduces", worst, max(tol.rel, 1e-7), f"frame size {len(frame)}")
 
     # <e_j, e_i> against psi(E(|e_i><e_j|)) = sum_k conj(b_k[i, j]) psi(b_k)
-    psi_basis = np.trace(_weighted(t, basis), axis1=1, axis2=2)
-    worst = float(np.max(np.abs(eye - np.tensordot(psi_basis, basis.conj(), 1))))
+    worst = float(np.max(np.abs(eye - np.tensordot(t.psi(basis), basis.conj(), 1))))
     rep.add("finite:state_reproduces_scalar_product", worst, max(tol.rel, 1e-8))
 
     # gram[i, j] = psi(b_i^* b_j) = Tr((state b_i^*) b_j)
@@ -494,7 +487,7 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     faithful = vals[0] > tol.rank_cut * max(1.0, float(vals[-1]))
     rep.add("finite:state_faithful", 0.0 if faithful else 1.0, 0.5,
             f"min Gram eigenvalue {vals[0]:.3e}")
-    ctx = {"cda": cda, "pair": pair, "frame": frame}
+    ctx = {"cda": cda, "frame": frame}
     return rep, ctx
 
 
