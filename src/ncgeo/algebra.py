@@ -3,6 +3,15 @@
 An algebra is stored as an orthonormal linear basis (trace inner product)
 of operators on a fixed Hilbert space C^n, stacked into one (dim, n, n)
 array.  Membership tests are projection-residual tests against that basis.
+
+A unital *-algebra of operators is W(+_k M_{n_k} (x) 1_{m_k})W* for a
+unitary W (its Wedderburn data), and its commutant is
+W(+_k 1_{n_k} (x) M_{m_k})W*.  `generate_algebra` solves the commutant A'
+of the generators once, reads the Wedderburn data off the eigenblocks of
+generic elements of A' and writes the generated algebra A = A'' down in
+closed form.  A generated algebra keeps A' and its Wedderburn data, so
+`commutant` returns the stored A' and `center` is the span of the isotypic
+projections W_k W_k*; hand-built algebras take the solves.
 """
 from __future__ import annotations
 
@@ -43,11 +52,19 @@ class AlgebraBasis:
     (dim, n, n) array.  `generators` is a (k, n, n) array of matrices that
     generate the algebra, the short list that commutant and center tests
     run against; it defaults to the basis.
+
+    `generate_algebra` also sets `commutant_basis`, an orthonormal basis of
+    the commutant, and, when the closed-form reconstruction verifies,
+    `wedderburn = (w, blocks)`: a unitary w and a tuple of (n_k, m_k) with
+    the algebra equal to w (+_k M_{n_k} (x) 1_{m_k}) w*, the columns of w
+    grouped by k.  Both stay None on hand-built algebras.
     """
 
     hilbert_dim: int
     basis: np.ndarray
     generators: np.ndarray | None = None
+    commutant_basis: np.ndarray | None = None
+    wedderburn: tuple | None = None
 
     def __post_init__(self):
         n = self.hilbert_dim
@@ -87,9 +104,10 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
 
     A unital *-algebra of operators on C^n equals its double commutant (von
-    Neumann), so the algebra is the commutant of the commutant of the
-    generators together with the unit.  Each commutant is solved and
-    verified by `commutant`.
+    Neumann).  The commutant A' of the generators and the unit is solved
+    and verified by `commutant`; the algebra A'' follows from the
+    Wedderburn data of A' (`_wedderburn`), or, if that reconstruction does
+    not verify, from a second `commutant` solve.
     """
     gens = [as_complex_matrix(g) for g in generators]
     if not gens:
@@ -100,16 +118,97 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
             raise ValueError("generators must be square matrices of equal dimension")
     # only the generators of its argument enter the commutant
     seeds = AlgebraBasis(n, np.zeros((0, n, n)), generators=gens + [np.eye(n, dtype=complex)])
-    basis = commutant(commutant(seeds, tol), tol).basis
-    return AlgebraBasis(hilbert_dim=n, basis=basis, generators=gens)
+    comm = commutant(seeds, tol).basis
+    wedderburn = _wedderburn(comm, tol)
+    if wedderburn is None:
+        basis = commutant(AlgebraBasis(n, comm), tol).basis
+    else:
+        # E_ab (x) 1_{m_k} / sqrt(m_k) in the columns of each component
+        basis = np.concatenate([
+            np.einsum("iap,jbp->abij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[2])
+            for w_k in _components(*wedderburn)])
+    return AlgebraBasis(n, basis, gens, commutant_basis=comm, wedderburn=wedderburn)
+
+
+def _components(w, blocks):
+    """The columns of w per isotypic component k, as (n, n_k, m_k) arrays."""
+    ends = np.cumsum([n_k * m_k for n_k, m_k in blocks])
+    return [w[:, end - n_k * m_k:end].reshape(-1, n_k, m_k)
+            for end, (n_k, m_k) in zip(ends, blocks)]
+
+
+def _wedderburn(comm, tol):
+    """Wedderburn data (w, blocks) of the algebra whose commutant has the
+    orthonormal basis `comm`, or None if the reconstruction does not verify.
+
+    The commutant is A' = w (+_k 1_{n_k} (x) M_{m_k}) w*.  On each eigenspace
+    of the Hermitian part of a seeded generic element of A', that element
+    is one eigenvalue of a generic element of some M_{m_k}, so component k
+    gives m_k eigenvalue clusters of size n_k.  A second generic element
+    links the clusters of one component (its blocks between components are
+    roundoff), and the polar factors of its blocks align their bases.  The
+    check: A' must have dimension sum_k m_k^2 and every basis element must
+    be 1_{n_k} (x) M_{m_k} on the aligned columns, so A' is all of that
+    pattern and A = A'' is w (+_k M_{n_k} (x) 1_{m_k}) w*.
+    """
+    rng = np.random.default_rng(2010)
+    coeffs = rng.standard_normal((2, len(comm))) + 1j * rng.standard_normal((2, len(comm)))
+    probe, link = np.tensordot(coeffs, comm, axes=1)
+    vals, vecs = np.linalg.eigh((probe + adjoint(probe)) / 2.0)
+    clusters = _clusters(vals, tol)
+    starts = np.array([c[0] for c in clusters])
+    sizes = np.array([len(c) for c in clusters])
+    link = adjoint(vecs) @ link @ vecs
+    # squared Frobenius norms of its blocks between clusters, in the eigenbasis
+    weight = np.add.reduceat(np.add.reduceat(np.abs(link) ** 2, starts, axis=0), starts, axis=1)
+    linked = np.maximum(weight, weight.T) > tol.rank_cut * max(1.0, float(np.sum(weight)))
+    # each cluster joins the first cluster it is linked to, its root
+    root = np.argmax(linked | np.eye(len(clusters), dtype=bool), axis=0)
+    if np.any(root[root] != root) or np.any(sizes[root] != sizes):
+        return None
+    roots, counts = np.unique(root, return_counts=True)
+    if np.sum(counts ** 2) != len(comm):
+        return None
+    # align cluster j to its root: vecs_j P*, P the polar factor of the
+    # (root, j) block of the link, which makes that block positive
+    aligned = vecs.copy()
+    for size in np.unique(sizes):
+        js = np.flatnonzero(sizes == size)
+        offs = np.arange(size)
+        rows = (starts[root[js]][:, None] + offs)[:, :, None]
+        cols = starts[js][:, None] + offs
+        u, _, vh = np.linalg.svd(link[rows, cols[:, None, :]])
+        aligned[:, cols] = np.einsum("ija,jba->ijb", vecs[:, cols], (u @ vh).conj())
+    cluster = np.repeat(np.arange(len(clusters)), sizes)
+    pos = np.arange(len(vals)) - starts[cluster]
+    # A' must be 1_{n_k} (x) M_{m_k}: in the aligned columns, entry (i, j) is
+    # zero unless i and j share a component and a position in their
+    # clusters, and it depends on the clusters of i and j only
+    same = (root[cluster][:, None] == root[cluster][None, :]) & (pos[:, None] == pos[None, :])
+    coords = adjoint(aligned) @ comm @ aligned
+    coef = np.add.reduceat(np.add.reduceat(coords * same, starts, axis=1), starts, axis=2)
+    coef /= sizes[:, None]
+    resid = coords - same * coef[:, cluster][:, :, cluster]
+    threshold = max(tol.rel, 1e-8)
+    if max_operator_norm(resid, floor=threshold) > threshold:
+        return None
+    # column (a, p) of component k is column a of its p-th cluster
+    order = [(starts[root == r][None, :] + np.arange(sizes[r])[:, None]).ravel() for r in roots]
+    blocks = tuple((int(sizes[r]), int(m_k)) for r, m_k in zip(roots, counts))
+    return aligned[:, np.concatenate(order)], blocks
+
+
+def _clusters(vals, tol):
+    """Index arrays of the clusters of the sorted eigenvalues, split wherever
+    the gap exceeds sqrt(rank_cut) times the spectral scale."""
+    cut = np.sqrt(tol.rank_cut) * max(1.0, float(np.max(np.abs(vals))))
+    return np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > cut) + 1)
 
 
 def _cluster_blocks(vals, tol):
     """(rows, cols) of the entries of the block-diagonal pattern whose blocks
-    are the clusters of the sorted eigenvalues, split wherever the gap
-    exceeds sqrt(rank_cut) times the spectral scale."""
-    cut = np.sqrt(tol.rank_cut) * max(1.0, float(np.max(np.abs(vals))))
-    clusters = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > cut) + 1)
+    are the clusters of the sorted eigenvalues."""
+    clusters = _clusters(vals, tol)
     rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
     cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
     return rows, cols
@@ -152,8 +251,12 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     clusters only enlarges the search space, so no part of the commutant is
     lost; the fallback solve is the commutant itself.  The candidate space
     is *-closed, so commuting with every generator suffices.
+
+    A generated algebra returns its stored commutant without a solve.
     """
     n = alg.hilbert_dim
+    if alg.commutant_basis is not None:
+        return AlgebraBasis(n, alg.commutant_basis)
     gens = alg.generators
     rng = np.random.default_rng(1285)
     coeffs = rng.standard_normal((3, len(gens))) + 1j * rng.standard_normal((3, len(gens)))
@@ -165,17 +268,25 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
         res = gens[:, None] @ basis[None] - basis[None] @ gens[:, None]
         ref = (np.linalg.norm(gens, 2, axis=(-2, -1))[:, None]
                * np.linalg.norm(basis, 2, axis=(-2, -1))[None])
-        worst = max_operator_norm(res, ref)
-        if worst > max(tol.rel, 1e-8):
+        # blocks whose Frobenius bound is under the threshold take no SVD
+        threshold = max(tol.rel, 1e-8)
+        if max_operator_norm(res, ref, floor=threshold) > threshold:
             basis = _block_commutant(gens, vecs, rows, cols, tol)
     return AlgebraBasis(hilbert_dim=n, basis=basis)
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Basis of the center, a (k, n, n) stack: the elements of the algebra
-    commuting with all of it."""
+    commuting with all of it.
+
+    With Wedderburn data these are the isotypic projections w_k w_k*,
+    normalized; otherwise a null space of the stacked commutator map.
+    """
     n = alg.hilbert_dim
     d = alg.dim
+    if alg.wedderburn is not None:
+        cols = [w_k.reshape(n, -1) for w_k in _components(*alg.wedderburn)]
+        return np.stack([c @ adjoint(c) / np.sqrt(c.shape[1]) for c in cols])
     if d == 0:
         return alg.basis
     # one (n*n, d) block per generator: column i holds [g, basis[i]]

@@ -391,8 +391,11 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         blocks = pot_big.reshape(nmod, nh, nmod, nh).swapaxes(1, 2).reshape(-1, nh, nh)
         worst = float(np.max(span_residuals(blocks, span)))
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
+        # an exactly Hermitian potential (the derived one is symmetrized)
+        # needs no norm: the residual of a zero matrix is 0 at any scale
+        skew = pot_big - adjoint(pot_big)
         rep.add("convert:potential_hermitian",
-                rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big)),
+                rel_residual(skew, operator_norm(pot_big)) if skew.any() else 0.0,
                 max(tol.rel, 1e-8))
     dhat = q_big @ (d_big + pot_big) @ q_big
     if t.orientation_cycle is not None:
@@ -493,6 +496,12 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
         rep.add("intertwine:invertible", 1.0, 0.5, "minimizer is singular")
         return None, rep
     u = su @ svh
+    # fix the global phase: Tr(u) real positive, or the largest entry when
+    # the trace vanishes, so the witness does not carry the arbitrary phase
+    # of the singular vectors
+    tr = np.trace(u)
+    ref = tr if abs(tr) > np.sqrt(tol.rank_cut) * n1 else u.flat[np.argmax(np.abs(u))]
+    u = u * (np.conj(ref) / abs(ref))
     worst = 0.0
     for a1, a2 in zip(t1.algebra_gens, t2.algebra_gens):
         worst = max(worst, operator_norm(u @ a1 - a2 @ u) / max(1.0, operator_norm(a1)))

@@ -90,12 +90,18 @@ def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> Chec
     rep = CheckReport()
     q, r = mod.projector, mod.metric
     nq = operator_norm(q)
-    rep.add("module:idempotent", rel_residual(q @ q - q, nq, nq), tol.rel)
+    idem = rel_residual(q @ q - q, nq, nq)
+    rep.add("module:idempotent", idem, tol.rel)
     rep.add("module:projector_hermitian", rel_residual(q - adjoint(q), nq), tol.rel)
-    worst = max(mod.block_residual(q), mod.block_residual(r))
-    rep.add("module:blocks_in_base", worst, max(tol.rel, 1e3 * tol.rank_cut))
-    nr = operator_norm(r)
-    rep.add("module:metric_compressed", rel_residual(q @ r - r, nq, nr) + rel_residual(r @ q - r, nq, nr), tol.rel)
+    if r is q:
+        # the default metric: its blocks and compression residuals are the projector's
+        blocks, compressed = mod.block_residual(q), idem + idem
+    else:
+        blocks = max(mod.block_residual(q), mod.block_residual(r))
+        nr = operator_norm(r)
+        compressed = rel_residual(q @ r - r, nq, nr) + rel_residual(r @ q - r, nq, nr)
+    rep.add("module:blocks_in_base", blocks, max(tol.rel, 1e3 * tol.rank_cut))
+    rep.add("module:metric_compressed", compressed, tol.rel)
     aug = r + (np.eye(q.shape[0]) - q)
     vals, _ = herm_eig((aug + adjoint(aug)) / 2.0, tol)
     rep.add(

@@ -7,7 +7,7 @@ only enters sign rules and the zeta diagnostics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,7 +188,8 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
     alg = generate_algebra(gens, tol=tol)
     if t.grading is not None:
         even, odd = graded_split(alg, t.grading, tol)
-        return AlgebraBasis(alg.hilbert_dim, np.concatenate([even, odd]), alg.generators)
+        # the same algebra, so its stored commutant and Wedderburn data carry over
+        return replace(alg, basis=np.concatenate([even, odd]))
     return alg
 
 

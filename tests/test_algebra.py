@@ -3,12 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgeo import algebra
 from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import DEFAULT_TOL, adjoint, null_space, operator_norm, span_basis, span_residual
+from ncgeo.linalg import (DEFAULT_TOL, adjoint, null_space, operator_norm, random_unitary, span_basis,
+                          span_residual, span_residuals)
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -156,6 +159,16 @@ COMMUTANT_CASES = {
 }
 
 
+def hand_built(alg):
+    """The same algebra without the commutant and Wedderburn data that
+    `generate_algebra` stores, so that `commutant` and `center` solve."""
+    return AlgebraBasis(alg.hilbert_dim, alg.basis, alg.generators)
+
+
+# the verification threshold of commutant and of the Wedderburn reconstruction
+VERIFY_THRESHOLD = max(DEFAULT_TOL.rel, 1e-8)
+
+
 class TestCommutantAgainstKronecker:
     @pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
     def test_same_subspace(self, name, monkeypatch):
@@ -168,7 +181,7 @@ class TestCommutantAgainstKronecker:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(algebra, "null_space", counted)
-        comm = commutant(alg)
+        comm = commutant(hand_built(alg))
         ref = kronecker_commutant(alg)
         assert len(calls) == 1  # the probe solve is kept
         assert comm.dim == len(ref)
@@ -185,13 +198,25 @@ class TestCommutantAgainstKronecker:
         real = algebra.max_operator_norm
 
         def recorded(*args, **kwargs):
-            seen.append(real(*args, **kwargs))
-            return seen[-1]
+            # the floored value the decision uses, and the exact maximum
+            seen.append((real(*args, **kwargs), real(*args), kwargs))
+            return seen[-1][0]
 
         monkeypatch.setattr(algebra, "max_operator_norm", recorded)
-        comm = commutant(alg)
+        comm = commutant(hand_built(alg))
         # the probe solve is kept, so the verified candidates are the result
-        assert seen == [sweep_commutant_residual(alg.generators, comm.basis)]
+        sweep = sweep_commutant_residual(alg.generators, comm.basis)
+        assert seen == [(max(VERIFY_THRESHOLD, sweep), sweep, {"floor": VERIFY_THRESHOLD})]
+
+    @pytest.mark.parametrize("name", sorted(set(COMMUTANT_CASES) - {"scalars_only", "non_normal_generator"}))
+    def test_stored_commutant(self, name, monkeypatch):
+        # a generated algebra returns the commutant it stored, with no solve
+        alg = COMMUTANT_CASES[name]()
+        monkeypatch.setattr(algebra, "null_space", None)
+        comm = commutant(alg)
+        ref = kronecker_commutant(alg)
+        assert comm.dim == len(ref)
+        assert subspace_overlap(comm.basis, ref) >= 1.0 - 1e-12
 
     def test_reproducible(self):
         alg = COMMUTANT_CASES["mgeom2_s7_cda"]()
@@ -200,7 +225,7 @@ class TestCommutantAgainstKronecker:
     def test_fallback_solves_with_all_generators(self, monkeypatch):
         # the first null space (the probe solve) is replaced by the whole
         # block search space, which fails verification
-        alg = matrix_geometry(2, seed=7).cda()
+        alg = hand_built(matrix_geometry(2, seed=7).cda())
         calls = []
         real = algebra.null_space
 
@@ -350,3 +375,113 @@ class TestDoubleCommutantGeneration:
     def test_empty_generator_list(self):
         with pytest.raises(ValueError):
             generate_algebra([])
+
+
+def spans_equal(a, b, tol=1e-9):
+    return len(a) == len(b) and max(np.max(span_residuals(a, b), initial=0.0),
+                                    np.max(span_residuals(b, a), initial=0.0)) < tol
+
+
+@st.composite
+def wedderburn_fixtures(draw):
+    """Blocks (n_k, m_k) with sum n_k m_k <= 12, and a seed for W and the generators."""
+    room, blocks = 12, []
+    while room and (not blocks or draw(st.booleans())):
+        n_k = draw(st.integers(1, min(3, room)))
+        m_k = draw(st.integers(1, room // n_k))
+        blocks.append((n_k, m_k))
+        room -= n_k * m_k
+    return blocks, draw(st.integers(0, 2**32 - 1))
+
+
+def counted_block_solves(monkeypatch):
+    calls = []
+    real = algebra._block_commutant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_block_commutant", counted)
+    return calls
+
+
+class TestWedderburnReconstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(wedderburn_fixtures())
+    def test_random_block_algebras(self, fixture):
+        # two generic elements of W (+_k M_{n_k} (x) 1_{m_k}) W* generate it
+        blocks, seed = fixture
+        rng = np.random.default_rng(seed)
+        hdim = sum(n_k * m_k for n_k, m_k in blocks)
+        w = random_unitary(rng, hdim)
+        gens = []
+        for _ in range(2):
+            x = np.zeros((hdim, hdim), dtype=complex)
+            lo = 0
+            for n_k, m_k in blocks:
+                a = rng.standard_normal((n_k, n_k)) + 1j * rng.standard_normal((n_k, n_k))
+                x[lo:lo + n_k * m_k, lo:lo + n_k * m_k] = np.kron(a, np.eye(m_k))
+                lo += n_k * m_k
+            gens.append(w @ x @ adjoint(w))
+        alg = generate_algebra(gens)
+        assert alg.dim == sum(n_k * n_k for n_k, _ in blocks)
+        assert sorted(alg.wedderburn[1]) == sorted(blocks)
+        comm = commutant(alg)
+        assert comm.dim == sum(m_k * m_k for _, m_k in blocks)
+        zc = center(alg)
+        assert len(zc) == len(blocks)
+        # reference: the double solve of the generators and the unit
+        seeds = AlgebraBasis(hdim, np.zeros((0, hdim, hdim)), gens + [np.eye(hdim)])
+        ref_comm = commutant(seeds)
+        assert spans_equal(alg.basis, commutant(ref_comm).basis)
+        assert spans_equal(comm.basis, ref_comm.basis)
+        assert spans_equal(zc, center(hand_built(alg)))
+        w_alg = alg.wedderburn[0]
+        assert np.allclose(adjoint(w_alg) @ w_alg, np.eye(hdim), rtol=0, atol=1e-12)
+        gram = np.einsum("aij,bij->ab", zc.conj(), zc)
+        assert np.allclose(gram, np.eye(len(zc)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(GENERATION_CASES))
+    def test_one_block_solve_per_generation(self, name, monkeypatch):
+        gens = GENERATION_CASES[name]()
+        calls = counted_block_solves(monkeypatch)
+        alg = generate_algebra(gens)
+        assert len(calls) == 1
+        assert alg.wedderburn is not None
+        commutant(alg)
+        center(alg)
+        assert len(calls) == 1
+
+    def test_graded_respan_keeps_the_data(self, monkeypatch):
+        t = matrix_geometry(2, seed=7)
+        cda = t.cda()
+        generated = generate_algebra(cda_gens(t))
+        assert np.array_equal(cda.commutant_basis, generated.commutant_basis)
+        assert cda.wedderburn is not None
+        calls = counted_block_solves(monkeypatch)
+        commutant(cda)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("name", ["trivial_points_5", "mgeom2_s7_cda", "mgeom3_algebra"])
+    def test_fallback_when_reconstruction_fails(self, name, monkeypatch):
+        # merging the first two eigenvalue clusters only enlarges the
+        # commutant's search space, but it defeats the reconstruction, so
+        # the algebra comes from a second commutant solve
+        gens = GENERATION_CASES[name]()
+        real = algebra._clusters
+
+        def merged(vals, tol):
+            clusters = real(vals, tol)
+            return [np.concatenate(clusters[:2])] + clusters[2:]
+
+        monkeypatch.setattr(algebra, "_clusters", merged)
+        calls = counted_block_solves(monkeypatch)
+        alg = generate_algebra(gens)
+        assert len(calls) == 2
+        assert alg.wedderburn is None
+        monkeypatch.undo()
+        ref = generate_algebra(gens)
+        assert alg.dim == ref.dim and spans_equal(alg.basis, ref.basis)
+        assert spans_equal(alg.commutant_basis, ref.commutant_basis)
+        assert spans_equal(center(alg), center(ref))

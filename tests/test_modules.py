@@ -415,9 +415,12 @@ class TestCanonicalMoritaCheck:
         assert rep.as_dict() == morita_check(bi).as_dict()
 
     def test_both_gap_branches_are_exercised(self):
+        # the exact branch needs actions_commute r with 4 r > tol >= r; r is a
+        # maximum over the cda's orthonormal basis, about 2.4 eps to 2.8 eps
+        # depending on that basis, so 3e-10 lies well inside the window
         t = matrix_geometry(2, seed=7)
         used = set()
-        for eps in (1e-11, 1e-10):
+        for eps in (1e-11, 3e-10):
             rep, _, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
             used.update(rep.entry(f"morita:{key}").details for key in GAP_KEYS)
         assert used == {"bound from actions_commute", ""}
@@ -650,6 +653,14 @@ class TestPreMoritaDecompose:
 
 
 class TestModuleValidationEdges:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_metric_matches_copied_metric(self, n):
+        # the default metric (the projector itself) takes the shortcut; a
+        # copy of it takes the general path, and the reports are identical
+        mod = forward_module(n)
+        copied = ProjectiveModule(mod.base, mod.size, mod.projector, mod.projector.copy())
+        assert validate_module(mod).as_dict() == validate_module(copied).as_dict()
+
     def test_degenerate_metric_flagged(self):
         # metric with a kernel inside the module range fails the invertibility entry
         base = scalar_base()
