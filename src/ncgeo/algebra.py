@@ -24,6 +24,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    commutator_residual,
     max_operator_norm,
     null_space,
     operator_norm,
@@ -264,14 +265,10 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     vals, vecs = np.linalg.eigh((combos[0] + adjoint(combos[0])) / 2.0)
     rows, cols = _cluster_blocks(vals, tol)
     basis = _block_commutant(combos[1:], vecs, rows, cols, tol)
-    if len(basis) and len(gens):
-        res = gens[:, None] @ basis[None] - basis[None] @ gens[:, None]
-        ref = (np.linalg.norm(gens, 2, axis=(-2, -1))[:, None]
-               * np.linalg.norm(basis, 2, axis=(-2, -1))[None])
-        # blocks whose Frobenius bound is under the threshold take no SVD
-        threshold = max(tol.rel, 1e-8)
-        if max_operator_norm(res, ref, floor=threshold) > threshold:
-            basis = _block_commutant(gens, vecs, rows, cols, tol)
+    # blocks whose Frobenius bound is under the threshold take no SVD
+    threshold = max(tol.rel, 1e-8)
+    if commutator_residual(gens, basis, floor=threshold) > threshold:
+        basis = _block_commutant(gens, vecs, rows, cols, tol)
     return AlgebraBasis(hilbert_dim=n, basis=basis)
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     block_diag,
+    commutator_residual,
     herm_eig,
     null_space,
     operator_norm,
@@ -223,7 +224,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
         j = tomita_conjugation(tri, phi_dbl, tol)
         eps = chat_dbl @ j.conjugate(chat_dbl)
         rep.add("convert:odd_grading_anticommutes",
-                rel_residual(eps @ ddbl + ddbl @ eps, operator_norm(ddbl)), max(tol.rel, 1e-9))
+                rel_residual(eps @ ddbl + ddbl @ eps, operator_norm(eps), operator_norm(ddbl)),
+                max(tol.rel, 1e-9))
         out = SpectralTripleData(
             hilbert_dim=2 * dim,
             algebra_gens=gens_dbl,
@@ -594,14 +596,12 @@ def double_odd_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     gens = [np.block([[a, zero], [zero, a]]) for a in t.algebra_gens]
     rep = CheckReport()
     rep.add("double:grading_involution", rel_residual(g2 @ g2 - np.eye(2 * n), 1.0), tol.rel)
-    rep.add("double:grading_anticommutes", rel_residual(g2 @ d2 + d2 @ g2, operator_norm(d2)), tol.rel)
-    rep.add("double:twist_odd", rel_residual(g2 @ omega + omega @ g2, 1.0), tol.rel)
-    rep.add("double:twist_anticommutes_dirac",
-            rel_residual(omega @ d2 + d2 @ omega, operator_norm(d2)), tol.rel)
-    worst = max(rel_residual(g2 @ a - a @ g2, operator_norm(a)) for a in gens) if gens else 0.0
-    rep.add("double:algebra_even", worst, tol.rel)
-    worst = max(rel_residual(omega @ a - a @ omega, operator_norm(a)) for a in gens) if gens else 0.0
-    rep.add("double:twist_commutes_algebra", worst, tol.rel)
+    ng, nw, nd = operator_norm(g2), operator_norm(omega), operator_norm(d2)
+    rep.add("double:grading_anticommutes", rel_residual(g2 @ d2 + d2 @ g2, ng, nd), tol.rel)
+    rep.add("double:twist_odd", rel_residual(g2 @ omega + omega @ g2, ng, nw), tol.rel)
+    rep.add("double:twist_anticommutes_dirac", rel_residual(omega @ d2 + d2 @ omega, nw, nd), tol.rel)
+    rep.add("double:algebra_even", commutator_residual([g2], gens), tol.rel)
+    rep.add("double:twist_commutes_algebra", commutator_residual([omega], gens), tol.rel)
     out = SpectralTripleData(
         hilbert_dim=2 * n,
         algebra_gens=gens + [omega],
@@ -645,7 +645,7 @@ def appendix_equivalence_check(t: SpectralTripleData, samples: int = 10,
         dt, gt = path(np.sin(tk), np.cos(tk))
         worst = max(worst, rel_residual(gt @ gt - np.eye(2 * n), 1.0))
         worst = max(worst, rel_residual(gt - adjoint(gt), 1.0))
-        worst = max(worst, rel_residual(gt @ dt + dt @ gt, operator_norm(d)))
+        worst = max(worst, rel_residual(gt @ dt + dt @ gt, operator_norm(gt), operator_norm(dt)))
         worst = max(worst, rel_residual(dt - adjoint(dt), operator_norm(d)))
     rep.add("appendix:homotopy_identities", worst, 1e-12, f"{samples} samples")
 
@@ -676,9 +676,10 @@ def split_by_central_involution(dhat: np.ndarray, c_op: np.ndarray, eps_op: np.n
     c_op = as_complex_matrix(c_op)
     dhat = as_complex_matrix(dhat)
     eps_op = as_complex_matrix(eps_op)
-    nd = operator_norm(dhat)
-    rep.add("split:operator_commutes", rel_residual(dhat @ c_op - c_op @ dhat, nd), tol.rel)
-    rep.add("split:grading_swaps", rel_residual(eps_op @ c_op + c_op @ eps_op, 1.0), tol.rel)
+    nd, nc = operator_norm(dhat), operator_norm(c_op)
+    rep.add("split:operator_commutes", rel_residual(dhat @ c_op - c_op @ dhat, nd, nc), tol.rel)
+    rep.add("split:grading_swaps",
+            rel_residual(eps_op @ c_op + c_op @ eps_op, operator_norm(eps_op), nc), tol.rel)
     vals, vecs = herm_eig((c_op + adjoint(c_op)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
     plus = vecs[:, vals > 0]
     minus = vecs[:, vals < 0]
@@ -710,15 +711,14 @@ def poincare_pairing_matrix(t: SpectralTripleData, left_projs: list, right_projs
     rep = CheckReport()
     if t.grading is None:
         raise ValueError("pairing needs a graded triple")
+    left_projs = [as_complex_matrix(p) for p in left_projs]
+    right_projs = [as_complex_matrix(q) for q in right_projs]
+    worst = commutator_residual(left_projs, right_projs)
+    if worst > max(tol.rel, 1e-8):
+        raise ValueError("pairing projectors do not commute")
     mat = np.zeros((len(left_projs), len(right_projs)), dtype=int)
-    worst = 0.0
     for i, p in enumerate(left_projs):
-        p = as_complex_matrix(p)
         for j, q in enumerate(right_projs):
-            q = as_complex_matrix(q)
-            worst = max(worst, rel_residual(p @ q - q @ p, operator_norm(p), operator_norm(q)))
-            if worst > max(tol.rel, 1e-8):
-                raise ValueError("pairing projectors do not commute")
             mat[i, j] = index_pairing(t, p @ q, tol)
     rep.add("pairing:projectors_commute", worst, max(tol.rel, 1e-8))
     det = abs(round(float(np.linalg.det(mat.astype(float))))) if mat.shape[0] == mat.shape[1] else None

@@ -20,6 +20,7 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     block_diag,
+    commutator_residual,
     herm_eig,
     operator_norm,
     rel_residual,
@@ -96,14 +97,9 @@ def _potential_big(conn: BimoduleConnection, hilbert_dim: int) -> np.ndarray:
 
 
 def first_order_residual(t: SpectralTripleData, right_alg: AlgebraBasis) -> float:
-    worst = 0.0
-    d = t.dirac
-    for a in t.algebra_gens:
-        da = d @ a - a @ d
-        for b in right_alg.basis:
-            worst = max(worst, rel_residual(da @ b - b @ da, operator_norm(da), operator_norm(b)))
-            worst = max(worst, rel_residual(a @ b - b @ a, operator_norm(a), operator_norm(b)))
-    return worst
+    gens = np.asarray(t.algebra_gens)
+    das = t.dirac @ gens - gens @ t.dirac
+    return max(commutator_residual(das, right_alg.basis), commutator_residual(gens, right_alg.basis))
 
 
 def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
@@ -173,18 +169,14 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
     new_right = None
     if right_ops is not None:
-        worst_q = max(rel_residual(q @ c - c @ q, operator_norm(c)) for c in right_ops)
-        rep.add("product:right_action_respects_module", worst_q, max(tol.rel, 1e-8))
-        worst = 0.0
-        for c in right_ops:
-            qcq = q @ c @ q
-            dc = dhat @ qcq - qcq @ dhat
-            for a in t.algebra_gens:
-                a_n = block_diag(a, n)
-                worst = max(worst, rel_residual(dc @ a_n - a_n @ dc,
-                                                operator_norm(dc), operator_norm(a)))
-        rep.add("product:first_order_for_right_action", worst, max(tol.rel, 1e-8))
-        new_right = [comp(q @ c @ q) for c in right_ops]
+        rep.add("product:right_action_respects_module", commutator_residual([q], right_ops),
+                max(tol.rel, 1e-8))
+        qcqs = q @ np.asarray(right_ops) @ q
+        dcs = dhat @ qcqs - qcqs @ dhat
+        a_ns = [block_diag(a, n) for a in t.algebra_gens]
+        rep.add("product:first_order_for_right_action", commutator_residual(dcs, a_ns),
+                max(tol.rel, 1e-8))
+        new_right = [comp(qcq) for qcq in qcqs]
 
     grading = None
     if t.grading is not None:
@@ -302,10 +294,8 @@ def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL
     t_op = ed - d_gamma
 
     rep = CheckReport()
-    worst = 0.0
-    for b in right.basis:
-        worst = max(worst, rel_residual(t_op @ b - b @ t_op, operator_norm(t_op), operator_norm(b)))
-    rep.add("decomposition:remainder_coefficient_linear", worst, max(tol.rel, 1e-9))
+    rep.add("decomposition:remainder_coefficient_linear", commutator_residual([t_op], right.basis),
+            max(tol.rel, 1e-9))
     gamma_table = [(b, ed @ b - b @ ed) for b in right.basis]
     return gamma_table, t_op, rep
 

@@ -17,6 +17,7 @@ __all__ = [
     "adjoint",
     "operator_norm",
     "max_operator_norm",
+    "commutator_residual",
     "rel_residual",
     "is_hermitian",
     "herm_eig",
@@ -121,6 +122,25 @@ def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
         # every element whose bound still beats the best must be measured
         chunk = max(1, int(np.count_nonzero(bound[start:] > best)))
     return best
+
+
+def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
+    """max(floor, max_ij |x_i y_j - y'_j x_i|_2 / max(1, |x_i|_2 |y_j|_2)).
+
+    `xs` and `ys` are stacks (or lists) of square matrices and y' is
+    `twisted[j]` when given, `ys[j]` otherwise: `twisted=-ys` measures
+    anticommutators and `twisted=g ys g` the graded commutators of odd
+    `xs` with `ys` under a grading g.  One batched product, one
+    `max_operator_norm` sweep; an empty stack gives `floor`.
+    """
+    if len(xs) == 0 or len(ys) == 0:
+        return float(floor)
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    yt = ys if twisted is None else np.asarray(twisted)
+    comm = xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
+    scale = np.linalg.norm(xs, 2, axis=(-2, -1))[:, None] * np.linalg.norm(ys, 2, axis=(-2, -1))
+    return max_operator_norm(comm, scale, floor=floor)
 
 
 def rel_residual(x: np.ndarray, *scales: float) -> float:

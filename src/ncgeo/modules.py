@@ -24,6 +24,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    commutator_residual,
     herm_apply,
     herm_eig,
     max_operator_norm,
@@ -255,23 +256,17 @@ def bimodule_from_actions(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
     return bi, lam
 
 
-def _commute_residual(left, left_norms, right, right_norms) -> float:
-    """Worst [b, a] over the two stacked bases, relative to max(1, |b| |a|)."""
-    comm = left[:, None] @ right[None] - right[None] @ left[:, None]
-    return max_operator_norm(comm, left_norms[:, None] * right_norms)
-
-
 def _compatibility_residual(lp, rp) -> float:
     lhs, rhs = _compatibility_sides(lp, rp)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
 
 
-def _action_gap(coeffs, norms, table) -> float:
+def _action_gap(coeffs, table) -> float:
     """Worst [i, j] entry of (a c_i | c_j) - (c_i | a^* c_j) over the operators
-    a, relative to max(1, norm); the matrix of a enters as is in the linear
+    a, relative to max(1, |a|); the matrix of a enters as is in the linear
     slot of the table, conjugated otherwise."""
     worst = 0.0
-    for c, nc in zip(coeffs, norms):
+    for c, nc in zip(coeffs, np.linalg.norm(coeffs, 2, axis=(-2, -1))):
         gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
         worst = max_operator_norm(gap, nc, floor=worst)
     return worst
@@ -283,14 +278,11 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     d = bi.carrier_dim
     lp, rp = bi.left_pair, bi.right_pair
     left, right = bi.left_alg.basis, bi.right_alg.basis
-    left_norms = np.linalg.norm(left, 2, axis=(-2, -1))
-    right_norms = np.linalg.norm(right, 2, axis=(-2, -1))
 
-    rep.add("morita:actions_commute", _commute_residual(left, left_norms, right, right_norms),
-            tol.rel)
+    rep.add("morita:actions_commute", commutator_residual(left, right), tol.rel)
 
-    rep.add("morita:left_pairing_right_action", _action_gap(right, right_norms, lp), tol.rel)
-    rep.add("morita:right_pairing_left_action", _action_gap(left.conj(), left_norms, rp), tol.rel)
+    rep.add("morita:left_pairing_right_action", _action_gap(right, lp), tol.rel)
+    rep.add("morita:right_pairing_left_action", _action_gap(left.conj(), rp), tol.rel)
 
     rep.add("morita:compatibility", _compatibility_residual(lp, rp), tol.rel)
 
@@ -368,9 +360,7 @@ def canonical_morita_check(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
     """
     bi, lam = bimodule_from_actions(left_alg, right_alg, tol)
     left, right = left_alg.basis, right_alg.basis
-    left_norms = np.linalg.norm(left, 2, axis=(-2, -1))
-    right_norms = np.linalg.norm(right, 2, axis=(-2, -1))
-    commute = _commute_residual(left, left_norms, right, right_norms)
+    commute = commutator_residual(left, right)
     # residuals of the premises: orthonormal bases of *-algebras
     premise = [max(_orthonormality_residual(alg.basis), _closure_residual(alg))
                for alg in (left_alg, right_alg)]
@@ -380,14 +370,14 @@ def canonical_morita_check(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
     rep = CheckReport()
     rep.add("morita:actions_commute", commute, tol.rel)
     gaps = (("left_pairing_right_action", np.sqrt(left_alg.dim) * commute,
-             right, right_norms, bi.left_pair),
+             right, bi.left_pair),
             ("right_pairing_left_action", lam * np.sqrt(right_alg.dim) * commute,
-             left.conj(), left_norms, bi.right_pair))
-    for key, bound, coeffs, norms, table in gaps:
+             left.conj(), bi.right_pair))
+    for key, bound, coeffs, table in gaps:
         if bound <= tol.rel:
             rep.add(f"morita:{key}", bound, tol.rel, "bound from actions_commute")
         else:
-            rep.add(f"morita:{key}", _action_gap(coeffs, norms, table), tol.rel)
+            rep.add(f"morita:{key}", _action_gap(coeffs, table), tol.rel)
 
     rep.add("morita:compatibility", _compatibility_residual(bi.left_pair, bi.right_pair), tol.rel)
 

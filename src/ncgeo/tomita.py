@@ -17,6 +17,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    commutator_residual,
     herm_abs,
     herm_apply,
     operator_norm,
@@ -121,6 +122,8 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
     n = t.hilbert_dim
     eye = np.eye(n, dtype=complex)
     nc = operator_norm(c_op)
+    gens = np.asarray(t.algebra_gens)
+    both_actions = np.concatenate([gens, opposite_action(j, gens)])
     if t.declared_p % 2 == 0:
         eps = c_op @ j.conjugate(c_op)
         neps = operator_norm(eps)
@@ -129,12 +132,7 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
                 rel_residual(j.conjugate(eps) - eps, neps), tol.rel)
         rep.add("grading:anticommutes_dirac",
                 rel_residual(eps @ t.dirac + t.dirac @ eps, neps, operator_norm(t.dirac)), tol.rel)
-        worst = 0.0
-        for a in t.algebra_gens:
-            worst = max(worst, rel_residual(eps @ a - a @ eps, neps, operator_norm(a)))
-            aop = opposite_action(j, a)
-            worst = max(worst, rel_residual(eps @ aop - aop @ eps, neps, operator_norm(a)))
-        rep.add("grading:commutes_both_actions", worst, tol.rel)
+        rep.add("grading:commutes_both_actions", commutator_residual([eps], both_actions), tol.rel)
         if not rep.passed:
             raise ValueError("orientation operator does not induce a grading:\n" + rep.as_text())
         return eps, rep
@@ -150,13 +148,8 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
     worst = max(worst, rel_residual(p_minus @ p_minus - p_minus, 1.0))
     worst = max(worst, rel_residual(p_plus + p_minus - eye, 1.0))
     rep.add("grading:splitting_projectors", worst, tol.rel)
-    worst = 0.0
-    for a in t.algebra_gens:
-        aop = opposite_action(j, a)
-        for pr in (p_plus, p_minus):
-            worst = max(worst, rel_residual(pr @ a - a @ pr, operator_norm(a)))
-            worst = max(worst, rel_residual(pr @ aop - aop @ pr, operator_norm(a)))
-    rep.add("grading:projectors_commute_actions", worst, tol.rel)
+    rep.add("grading:projectors_commute_actions",
+            commutator_residual([p_plus, p_minus], both_actions), tol.rel)
     if not rep.passed:
         raise ValueError("odd orientation operator fails the splitting checks:\n" + rep.as_text())
     return (p_plus, p_minus), rep
@@ -189,23 +182,15 @@ def check_fundamental_class(t: SpectralTripleData, j: AntiunitaryMap, eps,
     _, d_mirror, mrep = mirror_dirac(t, j, eps, tol)
     rep.extend(mrep)
 
-    gens = t.algebra_gens
-    ops = [opposite_action(j, b) for b in gens]
-    d_comms = [d @ a - a @ d for a in gens]
-    m_comms = [d_mirror @ bop - bop @ d_mirror for bop in ops]
+    gens = np.asarray(t.algebra_gens)
+    ops = opposite_action(j, gens)
+    d_comms = d @ gens - gens @ d
+    m_comms = d_mirror @ ops - ops @ d_mirror
 
-    worst = 0.0
-    for da in d_comms:
-        for mb in m_comms:
-            worst = max(worst, rel_residual(da @ mb + mb @ da, operator_norm(da), operator_norm(mb)))
-    rep.add("fundamental:anticommutation", worst, max(tol.rel, 1e-9))
-
-    worst = 0.0
-    for mb in m_comms:
-        t_b = d @ mb + mb @ d
-        for a in gens:
-            worst = max(worst, rel_residual(t_b @ a - a @ t_b, operator_norm(t_b), operator_norm(a)))
-    rep.add("fundamental:bounded_part_left_linear", worst, max(tol.rel, 1e-9))
+    rep.add("fundamental:anticommutation",
+            commutator_residual(d_comms, m_comms, twisted=-m_comms), max(tol.rel, 1e-9))
+    rep.add("fundamental:bounded_part_left_linear",
+            commutator_residual(d @ m_comms + m_comms @ d, gens), max(tol.rel, 1e-9))
 
     worst = 0.0
     for b, bop in zip(gens, ops):
@@ -226,7 +211,7 @@ def check_fundamental_class(t: SpectralTripleData, j: AntiunitaryMap, eps,
     reg_inv = herm_apply(lambda x: (1.0 + x * x) ** -0.5, d, tol)
     f_d = d @ reg_inv
     rep.add("fundamental:phase_anticommutes_grading",
-            rel_residual(f_d @ eps + eps @ f_d, operator_norm(f_d)), tol.rel)
+            rel_residual(f_d @ eps + eps @ f_d, operator_norm(f_d), operator_norm(eps)), tol.rel)
     details = []
     for i, a in enumerate(gens):
         details.append(f"|[F,a{i}]|={operator_norm(f_d @ a - a @ f_d):.3e}")

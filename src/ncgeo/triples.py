@@ -17,6 +17,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    commutator_residual,
     herm_abs,
     herm_eig,
     max_operator_norm,
@@ -169,8 +170,8 @@ def _validate(t: SpectralTripleData, tol: Tolerance) -> CheckReport:
         rep.add("validate:grading_hermitian", rel_residual(g - adjoint(g), ng), tol.rel)
         rep.add("validate:grading_involution", rel_residual(g @ g - np.eye(n), ng, ng), tol.rel)
         rep.add("validate:grading_anticommutes_dirac", rel_residual(g @ d + d @ g, ng, nd), tol.rel)
-        worst = max(rel_residual(g @ a - a @ g, ng, operator_norm(a)) for a in t.algebra_gens)
-        rep.add("validate:grading_commutes_algebra", worst, tol.rel)
+        rep.add("validate:grading_commutes_algebra",
+                commutator_residual([g], t.algebra_gens), tol.rel)
     abs_d = herm_abs(d, tol)
     for i, a in enumerate(t.algebra_gens):
         rep.add(f"validate:commutator_norm[{i}]", 0.0, np.inf,
@@ -280,12 +281,6 @@ def chain_coefficient_norm(chain: HochschildChain, alg: AlgebraBasis,
     return float(np.linalg.norm(coeff.ravel())) / scale
 
 
-def _orientation_sign_residual(c_op, d, p):
-    # C D - (-1)^(p-1) D C = 0
-    sgn = (-1.0) ** (p - 1)
-    return rel_residual(c_op @ d - sgn * d @ c_op, operator_norm(c_op), operator_norm(d))
-
-
 def check_orientability(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
                         strict: bool = False) -> CheckReport:
     rep = CheckReport()
@@ -306,14 +301,8 @@ def check_orientability(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             "strict mode" if strict else "")
 
     if chain.generalized and not strict:
-        worst = 0.0
-        for term in chain.terms:
-            w = term[0]
-            for a in t.algebra_gens:
-                worst = max(worst, rel_residual(w @ a - a @ w, operator_norm(w), operator_norm(a)))
-            if t.right_action_gens:
-                for b in t.right_action_gens:
-                    worst = max(worst, rel_residual(w @ b - b @ w, operator_norm(w), operator_norm(b)))
+        worst = commutator_residual([term[0] for term in chain.terms],
+                                    t.algebra_gens + (t.right_action_gens or []))
         rep.add("orient:first_leg_commutes", worst, tol.rel)
 
     if p >= 1:
@@ -326,9 +315,10 @@ def check_orientability(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     nc = operator_norm(c_op)
     rep.add("orient:volume_selfadjoint", rel_residual(c_op - adjoint(c_op), nc), tol.rel)
     rep.add("orient:volume_involution", rel_residual(c_op @ c_op - np.eye(t.hilbert_dim), nc, nc), tol.rel)
-    rep.add("orient:volume_dirac_sign", _orientation_sign_residual(c_op, t.dirac, p), tol.rel)
-    worst = max(rel_residual(c_op @ a - a @ c_op, nc, operator_norm(a)) for a in t.algebra_gens)
-    rep.add("orient:volume_commutes_algebra", worst, tol.rel)
+    # C D - (-1)^(p-1) D C = 0
+    rep.add("orient:volume_dirac_sign",
+            commutator_residual([c_op], [t.dirac], twisted=[(-1.0) ** (p - 1) * t.dirac]), tol.rel)
+    rep.add("orient:volume_commutes_algebra", commutator_residual([c_op], t.algebra_gens), tol.rel)
     return rep
 
 
@@ -419,40 +409,24 @@ def fit_orientation_cycle(t: SpectralTripleData, p: int, tol: Tolerance = DEFAUL
     return chain, resid
 
 
-def _parity(op, grading, tol):
-    if grading is None:
-        return None
-    conj = grading @ op @ grading
-    if rel_residual(conj - op, operator_norm(op)) <= tol.rel:
-        return 1
-    if rel_residual(conj + op, operator_norm(op)) <= tol.rel:
-        return -1
-    return None
-
-
 def check_first_order(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Commutation of the right action with the algebra and its Dirac commutators.
 
-    Graded commutators are used for odd right generators when a grading is
-    present.
+    With a grading g, [D, a] is odd and its graded commutator with any right
+    generator b is [D, a] b - (g b g) [D, a]: the even part of b enters with
+    a commutator and the odd part with an anticommutator, so no generator
+    needs to be homogeneous.  Without a grading it is the plain commutator.
     """
     rep = CheckReport()
     if not t.right_action_gens:
         rep.skip("first_order", "no right action supplied")
         return rep
-    worst_act = 0.0
-    worst_ord = 0.0
-    d = t.dirac
-    for a in t.algebra_gens:
-        da = d @ a - a @ d
-        for b in t.right_action_gens:
-            worst_act = max(worst_act, rel_residual(a @ b - b @ a, operator_norm(a), operator_norm(b)))
-            par = _parity(b, t.grading, tol) if t.grading is not None else 1
-            sgn = -1.0 if par == -1 else 1.0  # graded commutator of odd [D,a] with odd b
-            comm = da @ b - sgn * b @ da
-            worst_ord = max(worst_ord, rel_residual(comm, operator_norm(da), operator_norm(b)))
-    rep.add("first_order:actions_commute", worst_act, tol.rel)
-    rep.add("first_order:dirac_commutators", worst_ord, tol.rel)
+    gens = np.asarray(t.algebra_gens)
+    right = np.asarray(t.right_action_gens)
+    das = t.dirac @ gens - gens @ t.dirac
+    twisted = None if t.grading is None else t.grading @ right @ t.grading
+    rep.add("first_order:actions_commute", commutator_residual(gens, right), tol.rel)
+    rep.add("first_order:dirac_commutators", commutator_residual(das, right, twisted), tol.rel)
     return rep
 
 
@@ -562,8 +536,7 @@ def check_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
             max(1.0, float(np.linalg.norm(phi))), tol.rel)
     rep.add("riemann:grading_anticommutes_dirac",
             rel_residual(eps @ t.dirac + t.dirac @ eps, ne, operator_norm(t.dirac)), tol.rel)
-    worst = max(rel_residual(eps @ a - a @ eps, ne, operator_norm(a)) for a in t.algebra_gens)
-    rep.add("riemann:grading_commutes_algebra", worst, tol.rel)
+    rep.add("riemann:grading_commutes_algebra", commutator_residual([eps], t.algebra_gens), tol.rel)
     try:
         graded_split(cda, eps, tol)
         rep.add("riemann:grading_splits_cda", 0.0, tol.rel)
@@ -587,9 +560,7 @@ def connectivity_projectors(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL)
         return None, "kernel of the Dirac commutator inside the algebra is empty"
     mats = alg.combine(kern)
     # the kernel is a unital *-subalgebra; commutativity makes it a sum of projectors
-    norms = np.linalg.norm(mats, 2, axis=(-2, -1))
-    comm = mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
-    if max_operator_norm(comm, norms[:, None] * norms) > max(tol.rel, 1e-8):
+    if commutator_residual(mats, mats) > max(tol.rel, 1e-8):
         return None, "kernel algebra is noncommutative"
     rng = np.random.default_rng(20230517)
     herm = (mats + np.swapaxes(mats.conj(), 1, 2)) / 2.0
@@ -635,12 +606,11 @@ def check_extras(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     if projs is None:
         rep.add("extras:connectivity", 1.0, 0.5, why)
     else:
-        worst = rel_residual(sum(projs) - np.eye(t.hilbert_dim), 1.0)
-        for i, pi in enumerate(projs):
-            worst = max(worst, rel_residual(pi @ pi - pi, 1.0))
-            for j, pj in enumerate(projs):
-                if i != j:
-                    worst = max(worst, rel_residual(pi @ pj, 1.0))
+        stack = np.asarray(projs)
+        # P_i P_j - delta_ij P_i over all pairs
+        prods = stack[:, None] @ stack[None]
+        prods[np.arange(len(stack)), np.arange(len(stack))] -= stack
+        worst = max_operator_norm(prods, floor=rel_residual(sum(projs) - np.eye(t.hilbert_dim), 1.0))
         rep.add("extras:connectivity", worst, max(tol.rel, 1e-7), f"{len(projs)} projectors")
 
     if conjugation is None:

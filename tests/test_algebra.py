@@ -195,14 +195,14 @@ class TestCommutantAgainstKronecker:
     def test_verification_residual_matches_sweep(self, name, monkeypatch):
         alg = COMMUTANT_CASES[name]()
         seen = []
-        real = algebra.max_operator_norm
+        real = algebra.commutator_residual
 
         def recorded(*args, **kwargs):
             # the floored value the decision uses, and the exact maximum
             seen.append((real(*args, **kwargs), real(*args), kwargs))
             return seen[-1][0]
 
-        monkeypatch.setattr(algebra, "max_operator_norm", recorded)
+        monkeypatch.setattr(algebra, "commutator_residual", recorded)
         comm = commutant(hand_built(alg))
         # the probe solve is kept, so the verified candidates are the result
         sweep = sweep_commutant_residual(alg.generators, comm.basis)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
+    commutator_residual,
     herm_eig,
     is_hermitian,
     max_operator_norm,
@@ -14,6 +15,7 @@ from ncgeo.linalg import (
     project_onto_span,
     random_complex,
     random_hermitian,
+    rel_residual,
     span_basis,
     span_coords,
     span_residual,
@@ -281,6 +283,81 @@ class TestMaxOperatorNorm:
         monkeypatch.undo()
         assert value == sweep_max_norm(stack)
         assert sum(measured) < 10
+
+
+def loop_commutator_residual(xs, ys, twisted=None, floor=0.0):
+    """Reference for commutator_residual: one rel_residual per pair."""
+    worst = floor
+    for x in xs:
+        for y, yt in zip(ys, ys if twisted is None else twisted):
+            worst = max(worst, rel_residual(x @ y - yt @ x, operator_norm(x), operator_norm(y)))
+    return worst
+
+
+def commutator_stacks(seed, n=4):
+    """Random stacks whose pairs include commuting (diagonal), non-commuting,
+    small-scale and exactly zero matrices."""
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([
+        random_complex(rng, (3, n, n)),
+        1e-3 * random_complex(rng, (1, n, n)),
+        [np.diag(random_complex(rng, n))],
+        np.zeros((1, n, n), dtype=complex),
+    ])
+    ys = np.concatenate([
+        2.0 * random_complex(rng, (2, n, n)),
+        [np.diag(random_complex(rng, n)), np.diag(random_complex(rng, n))],
+        np.zeros((1, n, n), dtype=complex),
+    ])
+    return xs, ys
+
+
+class TestCommutatorResidual:
+    GRADING = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("twist", ["none", "anti", "graded"])
+    def test_matches_pair_loop(self, seed, twist):
+        xs, ys = commutator_stacks(seed)
+        twisted = {"none": None, "anti": -ys, "graded": self.GRADING @ ys @ self.GRADING}[twist]
+        ref = loop_commutator_residual(xs, ys, twisted)
+        assert ref > 0.1
+        assert commutator_residual(xs, ys, twisted) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # lists work as well as stacks
+        assert commutator_residual(list(xs), list(ys), twisted) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_commuting_and_zero_pairs_give_zero(self):
+        xs, ys = commutator_stacks(1)
+        diag, zero = xs[4:], ys[2:]
+        assert loop_commutator_residual(diag, zero) == 0.0
+        assert commutator_residual(diag, zero) == 0.0
+        assert commutator_residual(np.zeros((2, 3, 3)), np.zeros((4, 3, 3))) == 0.0
+
+    def test_anticommutator_of_graded_pairs(self):
+        # odd x and odd y anticommute exactly: the graded form vanishes, the plain one does not
+        rng = np.random.default_rng(3)
+        odd = np.zeros((2, 4, 4), dtype=complex)
+        odd[:, :2, 2:] = random_complex(rng, (2, 2, 2))
+        odd[:, 2:, :2] = random_complex(rng, (2, 2, 2))
+        graded = self.GRADING @ odd @ self.GRADING
+        assert np.array_equal(graded, -odd)
+        x = odd[:1] @ odd[1:] @ odd[:1]
+        assert commutator_residual(x, odd, twisted=graded) == pytest.approx(
+            loop_commutator_residual(x, odd, graded), rel=1e-12, abs=0.0)
+        assert commutator_residual(x, odd) > 0.1
+
+    def test_empty_stacks_give_floor(self):
+        xs, ys = commutator_stacks(2)
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert commutator_residual(empty, ys) == 0.0
+        assert commutator_residual(xs, [], floor=0.25) == 0.25
+        assert commutator_residual([], [], floor=0.5) == 0.5
+
+    def test_floor_above_every_value(self):
+        xs, ys = commutator_stacks(4)
+        ref = loop_commutator_residual(xs, ys)
+        assert commutator_residual(xs, ys, floor=3.0 * ref) == 3.0 * ref
+        assert commutator_residual(xs, ys, floor=0.5 * ref) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestZeroShortcuts:

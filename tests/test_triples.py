@@ -225,6 +225,32 @@ class TestFirstOrder:
         assert not rep.passed
         assert rep.entry("first_order:actions_commute").residual > 0.1
 
+    @staticmethod
+    def _two_qubit_triple(right_gens):
+        # H = C^2 (x) C^2, grading s3 (x) 1, D = s1 (x) s1, left generator 1 (x) diag(1, 0)
+        s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+        s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+        s3 = np.diag([1.0, -1.0]).astype(complex)
+        one = np.eye(2, dtype=complex)
+        paulis = {"1": one, "s1": s1, "s2": s2, "1+s2": one + s2}
+        return SpectralTripleData(
+            4, [np.kron(one, np.diag([1.0, 0.0]))], np.kron(s1, s1), np.kron(s3, one), 0,
+            right_action_gens=[np.kron(paulis[b], one) for b in right_gens],
+        )
+
+    @pytest.mark.parametrize("right_gens", [["1+s2"], ["1", "s2"]], ids=["mixed", "homogeneous"])
+    def test_verdict_independent_of_generator_parity(self, right_gens):
+        # both lists generate the same right algebra span{1, s2} (x) 1
+        rep = check_first_order(self._two_qubit_triple(right_gens))
+        assert rep.passed, rep.as_text()
+        assert rep.entry("first_order:actions_commute").residual < 1e-12
+        assert rep.entry("first_order:dirac_commutators").residual < 1e-12
+
+    def test_odd_generator_violating_graded_first_order_fails(self):
+        rep = check_first_order(self._two_qubit_triple(["s1"]))
+        assert not rep.passed
+        assert rep.entry("first_order:dirac_commutators").residual > 0.1
+
 
 class TestFiniteness:
     def test_trivial(self):
