@@ -8,7 +8,7 @@ constructions with machine-checkable certificates.
 from .linalg import Tolerance, herm_eig, operator_norm, span_basis
 from .algebra import AlgebraBasis, generate_algebra, commutant, center, graded_split
 from .report import CheckEntry, CheckReport
-from .modules import ProjectiveModule, frame_presentation
+from .modules import ProjectiveModule
 from .triples import (
     HochschildChain,
     SpectralTripleData,

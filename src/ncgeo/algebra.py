@@ -86,6 +86,17 @@ class AlgebraBasis:
         """The element sum_k coeffs[k] basis[k] (one per row for a 2-D coeffs)."""
         return np.tensordot(coeffs, self.basis, axes=1)
 
+    def pair_coords(self, us, vs) -> np.ndarray:
+        """Coordinates of the pairings (u|v) = E(|u><v|) of two stacks of vectors.
+
+        For us (k, n) and vs (l, n), entry [i, j, m] is the basis[m]
+        coordinate of E(|u_i><v_j|), conj(u_i^* basis[m] v_j); `combine`
+        turns the (k, l, dim) array into the (k, l, n, n) pairing table.
+        """
+        us = np.asarray(us, dtype=complex)
+        vs = np.asarray(vs, dtype=complex)
+        return np.moveaxis(us @ (self.basis.conj() @ vs.conj().T), 0, -1)
+
     def membership_residual(self, x) -> float:
         return span_residual(x, self.basis)
 

@@ -22,14 +22,17 @@ from .linalg import (
     as_complex_matrix,
     block_diag,
     commutator_residual,
+    from_blocks,
     herm_eig,
+    max_operator_norm,
     null_space,
     operator_norm,
     rel_residual,
     span_basis,
     span_residuals,
+    to_blocks,
 )
-from .modules import ProjectiveModule, expectation_pairing, frame_presentation, parseval_frame
+from .modules import ProjectiveModule, parseval_frame
 from .report import CheckReport
 from .tomita import grading_from_cycle, opposite_action, tomita_conjugation
 from .triples import (
@@ -81,10 +84,6 @@ class CliffordModuleData:
     algebra_basis: list | None = None
 
 
-def _block_stack(vectors):
-    return np.concatenate([np.asarray(v, dtype=complex).ravel() for v in vectors])
-
-
 def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
                         potential: list | None = None) -> ConversionResult:
     """Riemannian data carried by the module of the spin^c equivalence.
@@ -114,12 +113,11 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     n = t.hilbert_dim
 
     # tight frame for the right action; the module of the conversion is the
-    # conjugate of the Hilbert space over the algebra
+    # conjugate of the Hilbert space over the algebra, and block (k, j) of
+    # its projector is the pairing E(|x_k><x_j|)
     xs = parseval_frame(right, tol)
     m = len(xs)
-    pair = expectation_pairing(right)
-    # right action of the conjugate module: x . b = b^* x
-    q_big, _, _ = frame_presentation(xs, xs, pair, lambda x, b: adjoint(b) @ x, [], tol)
+    q_big = from_blocks(right.combine(right.pair_coords(xs, xs)))
 
     module = ProjectiveModule(right, m, q_big)
     conn = BimoduleConnection(module, potential)
@@ -129,8 +127,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     def comp(x):
         return adjoint(u) @ x @ u
 
-    phi_big = _block_stack(xs)
-    phi = adjoint(u) @ phi_big
+    phi = adjoint(u) @ xs.ravel()
 
     c_src = represent_chain(t, t.orientation_cycle)
     chat = comp(block_diag(c_src, m))
@@ -161,14 +158,14 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     # u^* (1_m (x) w) u = sum_k u_k^* w u_k over the row blocks u_k of u
     hat = sum(adjoint(uk) @ cda.basis @ uk for uk in u.reshape(m, n, -1))
     hat_cols = hat.reshape(cda.dim, -1).T
-    coeffs = []
-    worst = 0.0
-    for w in out_cda.basis:
-        c, _, _, _ = np.linalg.lstsq(hat_cols, w.ravel(), rcond=None)
-        coeffs.append(c)
-        worst = max(worst, rel_residual((hat_cols @ c).reshape(w.shape) - w, operator_norm(w)))
-    rep.add("convert:algebra_transport", worst, max(tol.rel, 1e-8))
-    src_basis = [cda.combine(c) for c in coeffs]
+    out_basis = out_cda.basis
+    # column k of coeffs fits basis element k of the new algebra
+    coeffs, _, _, _ = np.linalg.lstsq(hat_cols, out_basis.reshape(out_cda.dim, -1).T, rcond=None)
+    fit = (hat_cols @ coeffs).T.reshape(out_basis.shape)
+    rep.add("convert:algebra_transport",
+            max_operator_norm(fit - out_basis, np.linalg.norm(out_basis, 2, axis=(-2, -1))),
+            max(tol.rel, 1e-8))
+    src_basis = list(cda.combine(coeffs.T))
 
     if not odd:
         tri = SpectralTripleData(
@@ -250,33 +247,26 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     rr, _ = check_riemannian(out, tol)
     rep.extend(rr)
 
-    # vector-state evaluation against the source pairing on frame pairs
-    worst = 0.0
-    for rho in xs[: min(4, m)]:
-        for tau in xs[: min(4, m)]:
-            theta = np.zeros((n, n), dtype=complex)
-            for k in range(n):
-                basis_k = np.zeros(n, dtype=complex)
-                basis_k[k] = 1.0
-                theta[:, k] = pair(basis_k, tau) @ rho
-            theta_hat = comp(block_diag(theta, m))
-            if odd:
-                z = np.zeros_like(theta_hat)
-                theta_hat = np.block([[theta_hat, z], [z, theta_hat]])
-            lhs = complex(np.vdot(witness["phi"], theta_hat @ witness["phi"]))
-            rhs = complex(np.vdot(tau, rho))
-            worst = max(worst, abs(lhs - rhs))
-    rep.add("convert:vector_state_matches_pairing", worst, max(tol.rel, 1e-8))
+    # vector-state evaluation against the source pairing on frame pairs: the
+    # operator theta = sum_l b_l rho tau^* b_l^* with E(|g><tau|) rho = theta g
+    # acts on the blocks w_k of u phi (the doubled vector of an odd input
+    # gives the same value), and <phi, (1_m (x) theta) phi> =
+    # sum_{k,l} conj(c[k, rho, l]) c[k, tau, l] for c = pair_coords(w, frame)
+    pairs = xs[:min(4, m)]
+    c = right.pair_coords((u @ phi).reshape(m, n), pairs)
+    lhs = np.einsum("krl,ksl->rs", c.conj(), c)
+    # entry [rho, tau] is <tau, rho>
+    rep.add("convert:vector_state_matches_pairing",
+            float(np.max(np.abs(lhs - pairs @ adjoint(pairs)))), max(tol.rel, 1e-8))
 
     # trace bookkeeping: compressed trace equals the source trace against the
     # diagonal part of the module projector
-    diag_weight = sum(q_big[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(m))
-    worst = 0.0
-    for w in cda.basis[: min(6, cda.dim)]:
-        lhs = complex(np.trace(comp(block_diag(w, m))))
-        rhs = complex(np.trace(w @ diag_weight))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    rep.add("convert:trace_bookkeeping", worst, max(tol.rel, 1e-9))
+    diag_weight = np.trace(to_blocks(q_big, m))
+    k = min(6, cda.dim)
+    lhs = np.trace(hat[:k], axis1=1, axis2=2)
+    rhs = np.einsum("kab,ba->k", cda.basis[:k], diag_weight)
+    rep.add("convert:trace_bookkeeping",
+            float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))), max(tol.rel, 1e-9))
 
     if not rep.passed:
         fails = ", ".join(e.condition_id for e in rep.failures())
@@ -288,52 +278,56 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
                        tol: Tolerance = DEFAULT_TOL):
     """Shared assembly for the backward conversion: module projector,
     conjugation, and the identification map of the twisted space with the
-    module carrier."""
+    module carrier.
+
+    Carrier pairings E(|u><v|) lie in the span of the left action, the
+    carrier algebra; `source_ops[k]` is the source operator of its basis
+    element k (the same combination of `algebra_basis` as of the left
+    action), so a pairing with carrier coordinates c has the source
+    operator sum_k c[k] source_ops[k].
+    """
     cda = t.cda(tol)
     if len(module.left_action) != cda.dim:
         raise ValueError("module left action must be indexed by the algebra basis")
     basis_ops = module.algebra_basis if module.algebra_basis is not None else cda.basis
     if len(basis_ops) != len(module.left_action):
         raise ValueError("algebra basis and left action lists must correspond")
-    worst = max(cda.membership_residual(as_complex_matrix(w)) for w in basis_ops)
-    if worst > max(tol.rel, 1e-7):
+    basis_ops = np.asarray(basis_ops, dtype=complex)
+    if not np.max(span_residuals(basis_ops, cda.basis)) <= max(tol.rel, 1e-7):
         raise ValueError("module algebra basis leaves the Dirac-commutator algebra")
     nc = module.carrier_dim
     nh = t.hilbert_dim
     j = tomita_conjugation(t, t.riemann_vector, tol)
 
-    carrier_alg = AlgebraBasis(nc, span_basis(module.left_action, tol))
-    frame = parseval_frame(carrier_alg, tol)
+    carrier = AlgebraBasis(nc, span_basis(module.left_action, tol))
+    frame = parseval_frame(carrier, tol)
     nmod = len(frame)
-    carrier_pair = expectation_pairing(carrier_alg)
 
     act_cols = np.asarray(module.left_action, dtype=complex).reshape(cda.dim, -1).T
-    act_pinv = np.linalg.pinv(act_cols)
-    basis_stack = np.asarray(basis_ops, dtype=complex).reshape(cda.dim, -1).T
+    # column k: the left action coordinates of carrier basis element k
+    coeffs = np.linalg.pinv(act_cols) @ carrier.basis.reshape(carrier.dim, -1).T
+    fit = (act_cols @ coeffs).T.reshape(carrier.basis.shape)
+    scale = np.linalg.norm(carrier.basis, 2, axis=(-2, -1))
+    if not max_operator_norm(fit - carrier.basis, scale) <= max(tol.rel, 1e-6):
+        raise ValueError("carrier pairing value leaves the module action span")
+    source_ops = np.tensordot(coeffs.T, basis_ops, axes=1)
+    # the right actions of the source operators; opposite_action adjoints
+    # its argument itself
+    opposite = opposite_action(j, source_ops)
 
-    def to_source_op(carrier_op):
-        c = act_pinv @ carrier_op.ravel()
-        resid = rel_residual((act_cols @ c).reshape(nc, nc) - carrier_op, operator_norm(carrier_op))
-        if resid > max(tol.rel, 1e-6):
-            raise ValueError("carrier pairing value leaves the module action span")
-        return (basis_stack @ c).reshape(nh, nh)
-
-    def frame_pair(u, v):
-        # the right action of the carrier pairing (v | u); opposite_action
-        # adjoints its argument itself
-        return opposite_action(j, to_source_op(carrier_pair(v, u)))
-
-    # no probes, so the right action is never called
-    q_big, to_coords, _ = frame_presentation(frame, frame, frame_pair, None, [], tol)
-    phi = t.riemann_vector
-    vmap = np.stack([to_coords(e) @ phi for e in np.eye(nc, dtype=complex)], axis=1)
+    # block (i, j) of the projector is the right action of (x_j | x_i), and
+    # block i of column e of vmap is that of (e | x_i) applied to phi
+    coords = carrier.pair_coords(frame, frame).swapaxes(0, 1)
+    q_big = from_blocks(np.tensordot(coords, opposite, axes=1))
+    vmap = np.einsum("eik,ka->iae", carrier.pair_coords(np.eye(nc), frame),
+                     opposite @ t.riemann_vector).reshape(nmod * nh, nc)
     uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
     if sq[-1] <= tol.rank_cut * sq[0]:
         raise ValueError("module identification is singular")
 
     return {
         "nc": nc, "nh": nh, "nmod": nmod, "conjugation": j,
-        "carrier_pair": carrier_pair, "to_source_op": to_source_op,
+        "carrier": carrier, "source_ops": source_ops,
         "projector": q_big, "vmap": vmap,
         "identification": uq @ vqh, "identification_svals": sq,
     }
@@ -371,8 +365,6 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     q_big = asm["projector"]
     nmod, nh, nc = asm["nmod"], asm["nh"], asm["nc"]
     j = asm["conjugation"]
-    to_source_op = asm["to_source_op"]
-    carrier_pair = asm["carrier_pair"]
     vmap = asm["vmap"]
 
     rep = CheckReport()
@@ -389,8 +381,7 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
             raise ValueError("potential shape does not match the module presentation")
         # the represented one-forms of the conjugation-induced right action
         span = one_form_span(t.dirac, opposite_action(j, t.cda(tol).basis), tol)
-        # block (k, jj) of the potential is blocks[k * nmod + jj]
-        blocks = pot_big.reshape(nmod, nh, nmod, nh).swapaxes(1, 2).reshape(-1, nh, nh)
+        blocks = to_blocks(pot_big, nmod).reshape(-1, nh, nh)
         worst = float(np.max(span_residuals(blocks, span)))
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
         # an exactly Hermitian potential (the derived one is symmetrized)
@@ -409,17 +400,15 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
             rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat)),
             max(tol.rel, 1e-9))
 
-    # scalar product identity on the spanning set
+    # scalar product identity on the spanning set: entry [i, k] compares
+    # <vmap e_i, vmap e_k> with psi(z theta), theta the source operator of
+    # the carrier pairing (e_k | e_i)
     z_op = rctx["metric"] if rctx and rctx.get("metric") is not None else np.eye(nh, dtype=complex)
-    worst = 0.0
-    basis_c = np.eye(nc, dtype=complex)
-    for i in range(min(nc, 6)):
-        for k in range(min(nc, 6)):
-            lhs = complex(np.vdot(vmap[:, i], vmap[:, k]))
-            theta = to_source_op(carrier_pair(basis_c[k], basis_c[i]))
-            rhs = t.psi(z_op @ theta)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    rep.add("convert:scalar_product_identity", worst, max(tol.rel, 1e-8))
+    cols = vmap[:, :min(nc, 6)]
+    eye = np.eye(nc, dtype=complex)[:cols.shape[1]]
+    rhs = asm["carrier"].pair_coords(eye, eye).swapaxes(0, 1) @ t.psi(z_op @ asm["source_ops"])
+    worst = np.max(np.abs(adjoint(cols) @ cols - rhs) / np.maximum(1.0, np.abs(rhs)))
+    rep.add("convert:scalar_product_identity", float(worst), max(tol.rel, 1e-8))
 
     # transport everything to the carrier through the unitarized identification
     v_unit, sq = asm["identification"], asm["identification_svals"]

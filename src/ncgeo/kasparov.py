@@ -3,9 +3,12 @@
 A module over the right-acting coefficient algebra B is a
 `modules.ProjectiveModule` whose base is the represented right action: one
 big projector Q on H^n whose blocks lie in the span of that action, with
-the projector as its metric.  Connection potentials are n x n tables of
-operators on H constrained to the represented one-form span; the table
-entry P[i][j] contributes to output slot k as sum_j P[j][k] v_j.
+the projector as its metric.  The module of a frame x_1..x_n of that
+algebra (the canonical one is `modules.parseval_frame`) has block (i, j)
+of Q equal to the pairing E(|x_i><x_j|) of the conditional expectation
+onto it (`AlgebraBasis.pair_coords`).  Connection potentials are n x n
+tables of operators on H constrained to the represented one-form span;
+the table entry P[i][j] contributes to output slot k as sum_j P[j][k] v_j.
 """
 from __future__ import annotations
 
@@ -21,14 +24,16 @@ from .linalg import (
     as_complex_matrix,
     block_diag,
     commutator_residual,
+    from_blocks,
     herm_eig,
     operator_norm,
     rel_residual,
     span_basis,
     span_residual,
+    to_blocks,
 )
 from .report import CheckReport
-from .triples import SpectralTripleData
+from .triples import SpectralTripleData, first_order_residuals
 from .modules import ProjectiveModule, parseval_frame, validate_module
 
 __all__ = [
@@ -85,21 +90,17 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
 
 
 def _potential_big(conn: BimoduleConnection, hilbert_dim: int) -> np.ndarray:
-    n = conn.module.size
-    big = np.zeros((n * hilbert_dim, n * hilbert_dim), dtype=complex)
     if conn.potential is None:
-        return big
-    for k in range(n):
-        for j in range(n):
-            big[k * hilbert_dim:(k + 1) * hilbert_dim, j * hilbert_dim:(j + 1) * hilbert_dim] = \
-                conn.potential[j][k]
-    return big
+        size = conn.module.size * hilbert_dim
+        return np.zeros((size, size), dtype=complex)
+    # block (k, j) of the operator is the table entry P[j][k]
+    return from_blocks(np.asarray(conn.potential, dtype=complex).swapaxes(0, 1))
 
 
 def first_order_residual(t: SpectralTripleData, right_alg: AlgebraBasis) -> float:
-    gens = np.asarray(t.algebra_gens)
-    das = t.dirac @ gens - gens @ t.dirac
-    return max(commutator_residual(das, right_alg.basis), commutator_residual(gens, right_alg.basis))
+    """The larger residual of `triples.check_first_order` over the basis of
+    the right algebra."""
+    return max(first_order_residuals(t, right_alg.basis))
 
 
 def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
@@ -268,9 +269,11 @@ def conn_potential_compressed(t: SpectralTripleData, conn: BimoduleConnection) -
 def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Splits the Dirac operator into a connection part plus a coefficient-linear remainder.
 
-    Uses the canonical tight frame of the right action; returns
-    (gamma_table, t_op, report) where gamma_table maps each right generator
-    b to the represented form [eps D, b].
+    Uses the canonical tight frame of the right action; the connection
+    part maps e_k to sum_x [eps D, E(|e_k><x|)] x.  The first-order rule is
+    the graded one of `triples.check_first_order`.  Returns (gamma_table,
+    t_op, report) where gamma_table maps each right generator b to the
+    represented form [eps D, b].
     """
     right = t.right_algebra(tol)
     if right is None:
@@ -283,14 +286,11 @@ def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL
     ed = eps @ t.dirac
     frame = parseval_frame(right, tol)
 
-    basis = np.eye(n, dtype=complex)
-    d_gamma = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        acc = np.zeros(n, dtype=complex)
-        for x in frame:
-            coeff = right.expectation(np.outer(basis[k], np.conj(x)))
-            acc = acc + (ed @ coeff - coeff @ ed) @ x
-        d_gamma[:, k] = acc
+    # column k of d_gamma is sum_x [ed, E(|e_k><x|)] x; with S = sum_x x x^*,
+    # sum_x E(|e_k><x|) y_x is column k of sum_l b_l (sum_x y_x x^*) b_l^*
+    s = np.transpose(frame) @ frame.conj()
+    b, bh = right.basis, np.swapaxes(right.basis.conj(), 1, 2)
+    d_gamma = ed @ np.sum(b @ s @ bh, axis=0) - np.sum(b @ (ed @ s) @ bh, axis=0)
     t_op = ed - d_gamma
 
     rep = CheckReport()
@@ -308,14 +308,14 @@ def gauge_transform(t: SpectralTripleData, conn: BimoduleConnection, u_big: np.n
     conjugate of the original one.
     """
     module = conn.module
-    n, nh = module.size, module.block_dim
+    n = module.size
     q = module.projector
     d_n = block_diag(t.dirac, n)
     q_new = u_big @ q @ adjoint(u_big)
     a_big = conn_potential_compressed(t, conn)
     a_new = q_new @ (u_big @ (d_n @ adjoint(u_big) - adjoint(u_big) @ d_n)) @ q_new \
         + u_big @ a_big @ adjoint(u_big)
-    table = [[a_new[j * nh:(j + 1) * nh, i * nh:(i + 1) * nh] for j in range(n)] for i in range(n)]
+    table = to_blocks(a_new, n).swapaxes(0, 1)
     new_module = ProjectiveModule(module.base, n, q_new)
     return BimoduleConnection(new_module, table)
 

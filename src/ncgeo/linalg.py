@@ -24,6 +24,8 @@ __all__ = [
     "herm_apply",
     "herm_abs",
     "block_diag",
+    "to_blocks",
+    "from_blocks",
     "span_basis",
     "span_coords",
     "project_onto_span",
@@ -187,6 +189,21 @@ def herm_abs(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def block_diag(op, n: int) -> np.ndarray:
     """The operator op repeated n times down the diagonal, kron(1_n, op)."""
     return np.kron(np.eye(n, dtype=complex), op)
+
+
+def to_blocks(big, m: int) -> np.ndarray:
+    """The (m, m, d, d) table of the d x d blocks of an (m*d, m*d) matrix:
+    table[i, j] is block (i, j)."""
+    big = np.asarray(big)
+    d = big.shape[0] // m
+    return big.reshape(m, d, m, d).swapaxes(1, 2)
+
+
+def from_blocks(table) -> np.ndarray:
+    """The (m*d, m*d) matrix whose block (i, j) is table[i, j]; inverse of `to_blocks`."""
+    table = np.asarray(table)
+    m, d = table.shape[0], table.shape[-1]
+    return table.swapaxes(1, 2).reshape(m * d, m * d)
 
 
 def span_basis(mats, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:

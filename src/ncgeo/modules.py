@@ -11,6 +11,10 @@ Concrete conventions
 * Bimodule pairings are stored as (d, d, d, d) tables over the standard
   basis of the carrier space and extended sesquilinearly.  Left pairings
   are linear in the first slot, right pairings in the second.
+* The pairing of a conditional expectation E onto an algebra is
+  (u|v) = E(|u><v|); `AlgebraBasis.pair_coords` gives its coordinates for
+  two whole stacks of vectors.  The projector of a frame x_1..x_m is the
+  block matrix (`linalg.from_blocks`) of the table (x_i|x_j).
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .linalg import (
     rel_residual,
     span_basis,
     span_residuals,
+    to_blocks,
 )
 from .report import CheckReport
 
@@ -42,7 +47,6 @@ __all__ = [
     "validate_module",
     "pairing_eval",
     "random_module_element",
-    "frame_presentation",
     "morita_check",
     "canonical_morita_check",
     "bimodule_from_actions",
@@ -81,10 +85,9 @@ class ProjectiveModule:
     def block_residual(self, big: np.ndarray) -> float:
         """Largest membership residual in the base algebra over the size x size
         blocks of an operator on the module carrier."""
-        d, m = self.block_dim, self.size
-        blocks = np.asarray(big, dtype=complex).reshape(m, d, m, d).swapaxes(1, 2)
-        return float(np.max(span_residuals(blocks.reshape(-1, d, d), self.base.basis),
-                            initial=0.0))
+        d = self.block_dim
+        blocks = to_blocks(np.asarray(big, dtype=complex), self.size).reshape(-1, d, d)
+        return float(np.max(span_residuals(blocks, self.base.basis), initial=0.0))
 
 
 def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -143,52 +146,6 @@ def pairing_eval(mod: ProjectiveModule, e: np.ndarray, f: np.ndarray, tol: Toler
     return e @ mod.metric @ adjoint(f)
 
 
-def _frame_residual(xs, ys, pair, rmul, probes) -> float:
-    """Largest residual of the frame condition sum_i rmul(x_i, pair(y_i, g)) = g
-    over the probes, relative to max(1, |g|)."""
-    worst = 0.0
-    for g in probes:
-        rec = None
-        for x, y in zip(xs, ys):
-            t = rmul(x, pair(y, g))
-            rec = t if rec is None else rec + t
-        worst = max(worst, rel_residual(rec - g, operator_norm(g)))
-    return worst
-
-
-def frame_presentation(xs, ys, pair, rmul, probes, tol: Tolerance = DEFAULT_TOL):
-    """Projector presentation of a right module from a finite frame.
-
-    `pair(e, f)` is the algebra-valued inner product, `rmul(e, a)` the right
-    action.  The frame condition sum_i x_i (y_i | g) = g is verified on the
-    probe elements (`rmul` is only used there and by `from_coords`).
-    Returns (q, to_coords, from_coords): block (i, j) of q is pair(y_i, x_j)
-    and to_coords(e) stacks the blocks pair(y_i, e).
-    """
-    m = len(xs)
-    if len(ys) != m:
-        raise ValueError("frame needs equally many x and y vectors")
-    worst = _frame_residual(xs, ys, pair, rmul, probes)
-    if worst > max(tol.rel, 1e-7):
-        raise ValueError(f"frame condition violated, residual {worst:.3e}")
-
-    blocks = [[pair(y, x) for x in xs] for y in ys]
-    q = np.block(blocks).astype(complex, copy=False)
-    d = blocks[0][0].shape[0]
-
-    def to_coords(e):
-        return np.vstack([pair(y, e) for y in ys])
-
-    def from_coords(col):
-        out = None
-        for i, x in enumerate(xs):
-            t = rmul(x, col[i * d:(i + 1) * d, :])
-            out = t if out is None else out + t
-        return out
-
-    return q, to_coords, from_coords
-
-
 # ---------------------------------------------------------------------------
 # two-sided bimodules
 
@@ -243,10 +200,10 @@ def bimodule_from_actions(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
     d = left_alg.hilbert_dim
     if right_alg.hilbert_dim != d:
         raise ValueError("actions must share the carrier")
-    # for an orthonormal basis b_k, E(|c_i><c_j|) = sum_k conj(b_k[i, j]) b_k
-    lp = np.tensordot(left_alg.basis.conj(), left_alg.basis, (0, 0))
-    # right table entry [i, j] is E(|c_j><c_i|)
-    rp_raw = np.tensordot(right_alg.basis.conj(), right_alg.basis, (0, 0)).transpose(1, 0, 2, 3)
+    eye = np.eye(d, dtype=complex)
+    # left table entry [i, j] is E(|c_i><c_j|), right entry [i, j] is E(|c_j><c_i|)
+    lp = left_alg.combine(left_alg.pair_coords(eye, eye))
+    rp_raw = right_alg.combine(right_alg.pair_coords(eye, eye)).transpose(1, 0, 2, 3)
 
     # least-squares scale from compatibility sampled on basis triples
     lhs, rhs = _compatibility_sides(lp, rp_raw)
@@ -407,10 +364,8 @@ def l2_space(mod: ProjectiveModule, density: np.ndarray, tol: Tolerance = DEFAUL
         raise ValueError("state is not faithful (density matrix has a kernel)")
     m = mod.size
     r = mod.metric
-    gram = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = np.trace(rho @ r[i * d:(i + 1) * d, j * d:(j + 1) * d])
+    # gram[i, j] = Tr(rho r_ij) over the blocks r_ij of the metric
+    gram = np.einsum("ab,ijba->ij", rho, to_blocks(r, m))
     gvals, _ = herm_eig((gram + adjoint(gram)) / 2.0, tol)
     if gvals[0] < -tol.rel * max(1.0, gvals[-1]):
         raise ValueError("Gram matrix is not positive semidefinite")
@@ -526,27 +481,20 @@ def inverse_weight_pairing(psi):
 # frames from conditional expectations
 
 
-def parseval_frame(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL):
-    """Vectors x_i with sum_i E(|g><x_i|) x_i = g for the expectation onto `alg`.
+def parseval_frame(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Vectors x_i with sum_i E(|g><x_i|) x_i = g for the expectation onto
+    `alg`, as an (n, n) array with one x_i per row.
 
     Works for any unital *-algebra acting on C^n: the frame operator of the
     standard basis is central in the algebra, positive and invertible, and
     x_i = S^(-1/2) e_i tightens the frame.
     """
-    n = alg.hilbert_dim
     s = np.tensordot(alg.basis, alg.basis.conj(), ([0, 2], [0, 2]))  # sum_k b_k b_k^*
     vals, _ = herm_eig((s + adjoint(s)) / 2.0, tol)
     if vals[0] <= tol.rank_cut * max(1.0, vals[-1]):
         raise ValueError("frame operator is singular; algebra action is degenerate")
     s_inv_half = herm_apply(lambda x: x ** -0.5, (s + adjoint(s)) / 2.0, tol)
-    return [s_inv_half[:, i] for i in range(n)]
-
-
-def expectation_pairing(alg: AlgebraBasis):
-    """Left algebra-valued pairing (u|v) = E(|u><v|) for the expectation onto `alg`."""
-    def pair(u, v):
-        return alg.expectation(np.outer(np.asarray(u).ravel(), np.asarray(v).conj().ravel()))
-    return pair
+    return s_inv_half.T
 
 
 # ---------------------------------------------------------------------------

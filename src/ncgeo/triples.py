@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split
+from .algebra import AlgebraBasis, _clusters, commutant, center, generate_algebra, graded_split
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -43,6 +43,7 @@ __all__ = [
     "check_orientability",
     "fit_orientation_cycle",
     "check_first_order",
+    "first_order_residuals",
     "check_finiteness",
     "check_spinc",
     "check_riemannian",
@@ -421,13 +422,20 @@ def check_first_order(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Ch
     if not t.right_action_gens:
         rep.skip("first_order", "no right action supplied")
         return rep
+    commute, dirac = first_order_residuals(t, t.right_action_gens)
+    rep.add("first_order:actions_commute", commute, tol.rel)
+    rep.add("first_order:dirac_commutators", dirac, tol.rel)
+    return rep
+
+
+def first_order_residuals(t: SpectralTripleData, right) -> tuple:
+    """(actions commute, Dirac commutators) residuals of `check_first_order`
+    for a stack or list of right operators, by the graded rule there."""
     gens = np.asarray(t.algebra_gens)
-    right = np.asarray(t.right_action_gens)
+    right = np.asarray(right)
     das = t.dirac @ gens - gens @ t.dirac
     twisted = None if t.grading is None else t.grading @ right @ t.grading
-    rep.add("first_order:actions_commute", commutator_residual(gens, right), tol.rel)
-    rep.add("first_order:dirac_commutators", commutator_residual(das, right, twisted), tol.rel)
-    return rep
+    return commutator_residual(gens, right), commutator_residual(das, right, twisted)
 
 
 def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
@@ -444,16 +452,15 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     basis = cda.basis
     eye = np.eye(n, dtype=complex)
 
-    # H is a left module over the algebra: g = sum_x E(|g><x|) x.  The b_k
-    # coordinate of E(|e_m><x|) is conj((b_k x)[m]), so the reconstructions of
-    # the e_m are the columns of sum_k (b_k F)(b_k F)^*, F = [x_1 ... x_n]
-    bf = basis @ np.transpose(frame)
-    rec = np.tensordot(bf, bf.conj(), ([0, 2], [0, 2]))
+    # H is a left module over the algebra: g = sum_x E(|g><x|) x; column m
+    # of rec reconstructs e_m from the coordinates of E(|e_m><x|)
+    bx = basis @ np.transpose(frame)  # bx[k, :, x] = b_k x
+    rec = np.tensordot(bx, cda.pair_coords(eye, frame), ([0, 2], [2, 1]))
     worst = float(np.max(np.linalg.norm(rec - eye, axis=0)))
     rep.add("finite:frame_reproduces", worst, max(tol.rel, 1e-7), f"frame size {len(frame)}")
 
-    # <e_j, e_i> against psi(E(|e_i><e_j|)) = sum_k conj(b_k[i, j]) psi(b_k)
-    worst = float(np.max(np.abs(eye - np.tensordot(t.psi(basis), basis.conj(), 1))))
+    # <e_j, e_i> against psi(E(|e_i><e_j|))
+    worst = float(np.max(np.abs(eye - cda.pair_coords(eye, eye) @ t.psi(basis))))
     rep.add("finite:state_reproduces_scalar_product", worst, max(tol.rel, 1e-8))
 
     # gram[i, j] = psi(b_i^* b_j) = Tr((state b_i^*) b_j)
@@ -566,17 +573,7 @@ def connectivity_projectors(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL)
     herm = (mats + np.swapaxes(mats.conj(), 1, 2)) / 2.0
     h = np.tensordot(rng.standard_normal(len(mats)), herm, 1)
     vals, vecs = herm_eig(h, tol)
-    projs = []
-    i = 0
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and abs(vals[j + 1] - vals[i]) <= 1e-8 * scale:
-            j += 1
-        block = vecs[:, i:j + 1]
-        projs.append(block @ adjoint(block))
-        i = j + 1
-    return projs, ""
+    return [vecs[:, c] @ adjoint(vecs[:, c]) for c in _clusters(vals, tol)], ""
 
 
 def check_extras(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,

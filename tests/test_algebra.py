@@ -10,8 +10,9 @@ from ncgeo import algebra
 from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import (DEFAULT_TOL, adjoint, null_space, operator_norm, random_unitary, span_basis,
-                          span_residual, span_residuals)
+from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, null_space, operator_norm, random_complex,
+                          random_unitary, span_basis, span_residual, span_residuals)
+from ncgeo.modules import parseval_frame
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -394,6 +395,22 @@ def wedderburn_fixtures(draw):
     return blocks, draw(st.integers(0, 2**32 - 1))
 
 
+def block_algebra_generators(blocks, rng):
+    """Two generic elements of W (+_k M_{n_k} (x) 1_{m_k}) W* for a random unitary W."""
+    hdim = sum(n_k * m_k for n_k, m_k in blocks)
+    w = random_unitary(rng, hdim)
+    gens = []
+    for _ in range(2):
+        x = np.zeros((hdim, hdim), dtype=complex)
+        lo = 0
+        for n_k, m_k in blocks:
+            a = rng.standard_normal((n_k, n_k)) + 1j * rng.standard_normal((n_k, n_k))
+            x[lo:lo + n_k * m_k, lo:lo + n_k * m_k] = np.kron(a, np.eye(m_k))
+            lo += n_k * m_k
+        gens.append(w @ x @ adjoint(w))
+    return gens
+
+
 def counted_block_solves(monkeypatch):
     calls = []
     real = algebra._block_commutant
@@ -412,18 +429,8 @@ class TestWedderburnReconstruction:
     def test_random_block_algebras(self, fixture):
         # two generic elements of W (+_k M_{n_k} (x) 1_{m_k}) W* generate it
         blocks, seed = fixture
-        rng = np.random.default_rng(seed)
         hdim = sum(n_k * m_k for n_k, m_k in blocks)
-        w = random_unitary(rng, hdim)
-        gens = []
-        for _ in range(2):
-            x = np.zeros((hdim, hdim), dtype=complex)
-            lo = 0
-            for n_k, m_k in blocks:
-                a = rng.standard_normal((n_k, n_k)) + 1j * rng.standard_normal((n_k, n_k))
-                x[lo:lo + n_k * m_k, lo:lo + n_k * m_k] = np.kron(a, np.eye(m_k))
-                lo += n_k * m_k
-            gens.append(w @ x @ adjoint(w))
+        gens = block_algebra_generators(blocks, np.random.default_rng(seed))
         alg = generate_algebra(gens)
         assert alg.dim == sum(n_k * n_k for n_k, _ in blocks)
         assert sorted(alg.wedderburn[1]) == sorted(blocks)
@@ -485,3 +492,27 @@ class TestWedderburnReconstruction:
         assert alg.dim == ref.dim and spans_equal(alg.basis, ref.basis)
         assert spans_equal(alg.commutant_basis, ref.commutant_basis)
         assert spans_equal(center(alg), center(ref))
+
+
+class TestPairCoords:
+    @settings(max_examples=40, deadline=None)
+    @given(wedderburn_fixtures(), st.integers(1, 4), st.integers(1, 4))
+    def test_pairings_and_frame_projector(self, fixture, k, l):
+        blocks, seed = fixture
+        rng = np.random.default_rng(seed)
+        alg = generate_algebra(block_algebra_generators(blocks, rng))
+        n = alg.hilbert_dim
+        us = random_complex(rng, (k, n))
+        vs = random_complex(rng, (l, n))
+        table = alg.combine(alg.pair_coords(us, vs))
+        assert table.shape == (k, l, n, n)
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                ref = alg.expectation(np.outer(u, v.conj()))
+                assert np.max(np.abs(table[i, j] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        # the projector of the Parseval frame: range of the commutant's dimension
+        frame = parseval_frame(alg)
+        q = from_blocks(alg.combine(alg.pair_coords(frame, frame)))
+        assert operator_norm(q @ q - q) < 1e-12
+        assert operator_norm(q - adjoint(q)) < 1e-12
+        assert np.trace(q).real == pytest.approx(sum(m_k * m_k for _, m_k in blocks), rel=1e-12)

@@ -7,6 +7,7 @@ from ncgeo.kasparov import (
     connection_condition_check,
     connection_decomposition,
     connection_frame,
+    first_order_residual,
     gauge_transform,
     grassmann_connection,
     index_pairing,
@@ -23,8 +24,10 @@ from ncgeo.linalg import (
     random_hermitian,
     span_basis,
 )
-from ncgeo.modules import ProjectiveModule
+from ncgeo.modules import ProjectiveModule, parseval_frame
 from ncgeo.triples import SpectralTripleData
+
+from test_triples import two_qubit_triple
 
 
 def trivial_module(t, n=1):
@@ -296,6 +299,56 @@ class TestConnectionDecomposition:
     def test_rejects_missing_right_action(self):
         t = SpectralTripleData(2, [np.eye(2)], np.zeros((2, 2)))
         with pytest.raises(ValueError):
+            connection_decomposition(t)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: matrix_geometry(2, seed=6), id="mgeom2"),
+        pytest.param(lambda: matrix_geometry(3, seed=0), id="mgeom3"),
+        pytest.param(lambda: two_qubit_triple(["1", "s2"]), id="two_qubit"),
+    ])
+    def test_remainder_matches_expectation_loop(self, make):
+        t = make()
+        _, t_rem, _ = connection_decomposition(t)
+        ref = looped_remainder(t)
+        assert np.linalg.norm(t_rem - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def looped_remainder(t):
+    """Reference: eps D minus the connection part, column k of which is
+    sum_x [eps D, E(|e_k><x|)] x with one expectation per (k, x)."""
+    right = t.right_algebra()
+    n = t.hilbert_dim
+    eps = t.grading if t.grading is not None else np.eye(n, dtype=complex)
+    ed = eps @ t.dirac
+    d_gamma = np.zeros((n, n), dtype=complex)
+    for k, e in enumerate(np.eye(n, dtype=complex)):
+        for x in parseval_frame(right):
+            coeff = right.expectation(np.outer(e, np.conj(x)))
+            d_gamma[:, k] += (ed @ coeff - coeff @ ed) @ x
+    return ed - d_gamma
+
+
+class TestGradedFirstOrder:
+    """The twisting data follow the graded first-order rule of
+    check_first_order: on H = C^2 (x) C^2 with grading s3 (x) 1 the right
+    algebra span{1, s2} (x) 1 has the odd element s2 (x) 1, which
+    anticommutes with the odd [D, a]."""
+
+    def test_residual_of_odd_right_element_vanishes(self):
+        t = two_qubit_triple(["1", "s2"])
+        assert first_order_residual(t, t.right_algebra()) < 1e-12
+
+    def test_decomposition_accepts_odd_right_element(self):
+        _, _, rep = connection_decomposition(two_qubit_triple(["1", "s2"]))
+        entry = rep.entry("decomposition:remainder_coefficient_linear")
+        assert entry.status == "pass"
+        assert entry.residual < 1e-12
+
+    def test_graded_violation_detected(self):
+        # s1 (x) 1 commutes with [D, a] but is odd, so the graded rule fails it
+        t = two_qubit_triple(["1", "s1"])
+        assert first_order_residual(t, t.right_algebra()) > 0.1
+        with pytest.raises(ValueError, match="first-order condition fails"):
             connection_decomposition(t)
 
 

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
+    block_diag,
     commutator_residual,
+    from_blocks,
     herm_eig,
     is_hermitian,
     max_operator_norm,
@@ -20,6 +22,7 @@ from ncgeo.linalg import (
     span_coords,
     span_residual,
     span_residuals,
+    to_blocks,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -358,6 +361,25 @@ class TestCommutatorResidual:
         ref = loop_commutator_residual(xs, ys)
         assert commutator_residual(xs, ys, floor=3.0 * ref) == 3.0 * ref
         assert commutator_residual(xs, ys, floor=0.5 * ref) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestBlocks:
+    def test_table_entries_are_the_blocks(self):
+        rng = np.random.default_rng(4)
+        m, d = 3, 2
+        big = random_complex(rng, (m * d, m * d))
+        table = to_blocks(big, m)
+        assert table.shape == (m, m, d, d)
+        for i in range(m):
+            for j in range(m):
+                assert np.array_equal(table[i, j], big[i * d:(i + 1) * d, j * d:(j + 1) * d])
+        assert np.array_equal(from_blocks(table), big)
+
+    def test_block_diagonal(self):
+        op = random_complex(np.random.default_rng(5), (3, 3))
+        table = to_blocks(block_diag(op, 4), 4)
+        assert np.array_equal(np.trace(table), 4 * op)
+        assert np.array_equal(from_blocks(np.eye(4)[:, :, None, None] * op), block_diag(op, 4))
 
 
 class TestZeroShortcuts:

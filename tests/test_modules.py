@@ -10,6 +10,7 @@ from ncgeo.kasparov import grassmann_connection, twisted_operator
 from ncgeo.linalg import (
     DEFAULT_TOL,
     adjoint,
+    from_blocks,
     herm_eig,
     operator_norm,
     random_complex,
@@ -22,12 +23,12 @@ from ncgeo.modules import (
     bimodule_from_actions,
     canonical_morita_check,
     conjugate_module,
-    frame_presentation,
     inverse_weight_pairing,
     l2_space,
     linear_operator_bound,
     morita_check,
     pairing_eval,
+    parseval_frame,
     pre_morita_decompose,
     random_module_element,
     validate_module,
@@ -104,44 +105,42 @@ class TestPairingEval:
             pairing_eval(mod, bad, bad)
 
 
-class TestFramePresentation:
-    @staticmethod
-    def _scalar_ops(dim):
-        pair = lambda y, g: np.array([[np.vdot(y, g)]], dtype=complex)
-        rmul = lambda x, a: x * a[0, 0]
-        return pair, rmul
+def frame_projector(alg):
+    """Projector of the Parseval frame of an algebra: block (i, j) is E(|x_i><x_j|)."""
+    frame = parseval_frame(alg)
+    return from_blocks(alg.combine(alg.pair_coords(frame, frame)))
 
-    def test_orthonormal_basis_gives_identity(self):
-        pair, rmul = self._scalar_ops(2)
-        xs = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-        q, to_c, from_c = frame_presentation(xs, xs, pair, rmul, xs)
-        assert np.allclose(q, np.eye(2))
 
-    def test_single_vector(self):
-        pair, rmul = self._scalar_ops(1)
-        xs = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 0.0], dtype=complex)]
-        q, _, _ = frame_presentation(xs, xs, pair, rmul, [xs[0]])
-        assert np.allclose(q, np.diag([1.0, 0.0]))
+class TestFrameProjector:
+    # the range of the frame projector has the dimension of the commutant:
+    # n^2 for the scalars on C^n, 1 for all of M_n, n for the diagonals
+    @pytest.mark.parametrize("gens, rank", [
+        ([np.eye(2)], 4),
+        ([SIGMA1, SIGMA3], 1),
+        ([SIGMA3], 2),
+    ], ids=["scalars", "full_matrices", "diagonals"])
+    def test_hermitian_idempotent_of_commutant_rank(self, gens, rank):
+        q = frame_projector(generate_algebra(gens))
+        assert operator_norm(q @ q - q) < 1e-12
+        assert operator_norm(q - adjoint(q)) < 1e-12
+        assert np.trace(q).real == pytest.approx(rank, abs=1e-12)
+        assert np.linalg.matrix_rank(q, tol=1e-8) == rank
 
-    def test_random_frame_idempotency(self):
+    def test_frame_reproduces_vectors(self):
+        # g = sum_i E(|g><x_i|) x_i for every g
         rng = np.random.default_rng(3)
-        pair, rmul = self._scalar_ops(3)
-        vs = [random_complex(rng, 3) for _ in range(4)]
-        s = sum(np.outer(v, np.conj(v)) for v in vs)
-        s_inv = np.linalg.inv(s)
-        ys = [s_inv @ v for v in vs]
-        probes = [random_complex(rng, 3) for _ in range(3)]
-        q, to_c, from_c = frame_presentation(vs, ys, pair, rmul, probes)
-        assert operator_norm(q @ q - q) < 1e-10
-        for g in probes:
-            assert np.linalg.norm(from_c(to_c(g)) - g) < 1e-9
+        alg = generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))])
+        frame = parseval_frame(alg)
+        gs = random_complex(rng, (3, 4))
+        table = alg.combine(alg.pair_coords(gs, frame))
+        assert np.allclose(np.einsum("gxab,xb->ga", table, frame), gs, rtol=0, atol=1e-12)
 
-    def test_violated_frame_condition(self):
-        pair, rmul = self._scalar_ops(2)
-        xs = [np.array([1.0, 0.0], dtype=complex)]
+    def test_degenerate_action_rejected(self):
+        # the span of a single rank-one projector is no unital algebra: its
+        # frame operator is singular
+        e11 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            frame_presentation(xs, xs, pair, rmul,
-                               [np.array([0.0, 1.0], dtype=complex)])
+            parseval_frame(AlgebraBasis(2, e11[None]))
 
 
 class TestKasparovModule:

@@ -9,7 +9,7 @@ from ncgeo.algebra import center, generate_algebra
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import Tolerance, adjoint, operator_norm, random_complex, random_hermitian
-from ncgeo.modules import expectation_pairing, parseval_frame
+from ncgeo.modules import parseval_frame
 from ncgeo.triples import (
     HochschildChain,
     SpectralTripleData,
@@ -22,6 +22,7 @@ from ncgeo.triples import (
     check_riemannian,
     check_spinc,
     commutator_algebra,
+    connectivity_projectors,
     fit_orientation_cycle,
     hochschild_boundary,
     represent_chain,
@@ -29,6 +30,8 @@ from ncgeo.triples import (
     validate_triple,
     zeta_diagnostic,
 )
+
+from test_convert import expectation_pairing
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -205,6 +208,20 @@ class TestFitOrientation:
             assert chain_coefficient_norm(b, t.algebra()) < 1e-8
 
 
+def two_qubit_triple(right_gens):
+    """H = C^2 (x) C^2, grading s3 (x) 1, D = s1 (x) s1, left generator
+    1 (x) diag(1, 0), right generators b (x) 1 for the named b."""
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.diag([1.0, -1.0]).astype(complex)
+    one = np.eye(2, dtype=complex)
+    paulis = {"1": one, "s1": s1, "s2": s2, "1+s2": one + s2}
+    return SpectralTripleData(
+        4, [np.kron(one, np.diag([1.0, 0.0]))], np.kron(s1, s1), np.kron(s3, one), 0,
+        right_action_gens=[np.kron(paulis[b], one) for b in right_gens],
+    )
+
+
 class TestFirstOrder:
     def test_matrix_geometry_exact(self):
         rep = check_first_order(matrix_geometry(2, seed=2))
@@ -225,29 +242,16 @@ class TestFirstOrder:
         assert not rep.passed
         assert rep.entry("first_order:actions_commute").residual > 0.1
 
-    @staticmethod
-    def _two_qubit_triple(right_gens):
-        # H = C^2 (x) C^2, grading s3 (x) 1, D = s1 (x) s1, left generator 1 (x) diag(1, 0)
-        s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-        s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        s3 = np.diag([1.0, -1.0]).astype(complex)
-        one = np.eye(2, dtype=complex)
-        paulis = {"1": one, "s1": s1, "s2": s2, "1+s2": one + s2}
-        return SpectralTripleData(
-            4, [np.kron(one, np.diag([1.0, 0.0]))], np.kron(s1, s1), np.kron(s3, one), 0,
-            right_action_gens=[np.kron(paulis[b], one) for b in right_gens],
-        )
-
     @pytest.mark.parametrize("right_gens", [["1+s2"], ["1", "s2"]], ids=["mixed", "homogeneous"])
     def test_verdict_independent_of_generator_parity(self, right_gens):
         # both lists generate the same right algebra span{1, s2} (x) 1
-        rep = check_first_order(self._two_qubit_triple(right_gens))
+        rep = check_first_order(two_qubit_triple(right_gens))
         assert rep.passed, rep.as_text()
         assert rep.entry("first_order:actions_commute").residual < 1e-12
         assert rep.entry("first_order:dirac_commutators").residual < 1e-12
 
     def test_odd_generator_violating_graded_first_order_fails(self):
-        rep = check_first_order(self._two_qubit_triple(["s1"]))
+        rep = check_first_order(two_qubit_triple(["s1"]))
         assert not rep.passed
         assert rep.entry("first_order:dirac_commutators").residual > 0.1
 
@@ -472,6 +476,17 @@ class TestExtras:
         entry = rep.entry("extras:connectivity")
         assert entry.status == "pass"
         assert "1 projectors" in entry.details
+
+    @pytest.mark.parametrize("make, ranks", [
+        pytest.param(functools.partial(matrix_geometry, 2, seed=0), [8], id="mgeom2"),
+        pytest.param(functools.partial(matrix_geometry, 3, seed=0), [18], id="mgeom3"),
+        pytest.param(functools.partial(two_point, 1.0), [2], id="two_point"),
+    ] + [pytest.param(functools.partial(trivial_points, k), [1] * k, id=f"trivial_points_{k}")
+         for k in range(2, 8)])
+    def test_connectivity_projector_ranks(self, make, ranks):
+        projs, why = connectivity_projectors(make())
+        assert why == ""
+        assert [round(float(np.trace(p).real), 9) for p in projs] == ranks
 
     def test_reality_on_trivial(self):
         t = trivial_points(3)
