@@ -27,6 +27,7 @@ from .linalg import (
     max_operator_norm,
     null_space,
     operator_norm,
+    pull_back,
     rel_residual,
     span_basis,
     span_residuals,
@@ -123,16 +124,11 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     conn = BimoduleConnection(module, potential)
     dhat, ahat = twisted_operator(t, conn, tol)
     u = compress_to_range(q_big, tol)
-
-    def comp(x):
-        return adjoint(u) @ x @ u
-
     phi = adjoint(u) @ xs.ravel()
 
-    c_src = represent_chain(t, t.orientation_cycle)
-    chat = comp(block_diag(c_src, m))
-    out_gens = [comp(block_diag(a, m)) for a in t.algebra_gens]
-    out_dirac = comp(dhat)
+    chat = pull_back(u, represent_chain(t, t.orientation_cycle))
+    out_gens = list(pull_back(u, t.algebra_gens))
+    out_dirac = adjoint(u) @ dhat @ u
 
     base = SpectralTripleData(
         hilbert_dim=u.shape[1],
@@ -140,6 +136,9 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
         dirac=out_dirac,
         grading=None,
         declared_p=t.declared_p,
+        orientation_cycle=HochschildChain(0, [(chat,)], generalized=True)
+        if t.declared_p == 0 else None,
+        riemann_vector=phi,
     )
     out_cda = base.cda(tol)
     if out_cda.dim != base.hilbert_dim:
@@ -155,8 +154,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             "grassmann" if potential is None else "user potential")
 
     # source-aligned basis of the new algebra for round trips: the images
-    # u^* (1_m (x) w) u = sum_k u_k^* w u_k over the row blocks u_k of u
-    hat = sum(adjoint(uk) @ cda.basis @ uk for uk in u.reshape(m, n, -1))
+    # u^* (1_m (x) w) u of the source basis
+    hat = pull_back(u, cda.basis)
     hat_cols = hat.reshape(cda.dim, -1).T
     out_basis = out_cda.basis
     # column k of coeffs fits basis element k of the new algebra
@@ -168,29 +167,10 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     src_basis = list(cda.combine(coeffs.T))
 
     if not odd:
-        tri = SpectralTripleData(
-            hilbert_dim=base.hilbert_dim,
-            algebra_gens=out_gens,
-            dirac=out_dirac,
-            grading=None,
-            declared_p=t.declared_p,
-            riemann_vector=phi,
-        )
-        tri._cache[("cda", tol)] = out_cda
-        j = tomita_conjugation(tri, phi, tol)
-        eps, grep = grading_from_cycle(tri, chat, j, tol)
+        j = tomita_conjugation(base, phi, tol)
+        eps, grep = grading_from_cycle(base, chat, j, tol)
         rep.extend(grep, prefix="convert:")
-        out = SpectralTripleData(
-            hilbert_dim=base.hilbert_dim,
-            algebra_gens=out_gens,
-            dirac=out_dirac,
-            grading=eps,
-            declared_p=t.declared_p,
-            orientation_cycle=HochschildChain(0, [(chat,)], generalized=True)
-            if t.declared_p == 0 else None,
-            riemann_vector=phi,
-        )
-        out._cache[("cda", tol)] = out_cda
+        out = base.regraded(eps, tol)
         witness = {
             "phi": phi,
             "conjugation_kernel": j.kernel,
@@ -366,18 +346,19 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     nmod, nh, nc = asm["nmod"], asm["nh"], asm["nc"]
     j = asm["conjugation"]
     vmap = asm["vmap"]
+    v_unit = asm["identification"]
 
+    # every output operator is the compression V^* X V through the unitarized
+    # identification V; it equals V^* Q X Q V, the compression of the twisted
+    # operators, exactly when Q = V V^*
     rep = CheckReport()
-    nq = operator_norm(q_big)
-    rep.add("convert:module_projector",
-            max(rel_residual(q_big @ q_big - q_big, nq), rel_residual(q_big - adjoint(q_big), nq)),
+    rep.add("convert:module_projector", operator_norm(q_big - v_unit @ adjoint(v_unit)),
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
-    d_big = block_diag(t.dirac, nmod)
-    pot_big = np.zeros_like(d_big)
+    dirac = pull_back(v_unit, t.dirac)
     if potential is not None:
         pot_big = as_complex_matrix(potential)
-        if pot_big.shape != d_big.shape:
+        if pot_big.shape != q_big.shape:
             raise ValueError("potential shape does not match the module presentation")
         # the represented one-forms of the conjugation-induced right action
         span = one_form_span(t.dirac, opposite_action(j, t.cda(tol).basis), tol)
@@ -390,14 +371,12 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         rep.add("convert:potential_hermitian",
                 rel_residual(skew, operator_norm(pot_big)) if skew.any() else 0.0,
                 max(tol.rel, 1e-8))
-    dhat = q_big @ (d_big + pot_big) @ q_big
-    if t.orientation_cycle is not None:
-        c_op = represent_chain(t, t.orientation_cycle)
-    else:
-        c_op = t.grading
-    chat = q_big @ block_diag(c_op, nmod) @ q_big
+        dirac = dirac + adjoint(v_unit) @ pot_big @ v_unit
+    c_op = represent_chain(t, t.orientation_cycle) if t.orientation_cycle is not None else t.grading
+    grading = pull_back(v_unit, c_op)
     rep.add("convert:orientation_anticommutes",
-            rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat)),
+            rel_residual(dirac @ grading + grading @ dirac,
+                         operator_norm(dirac), operator_norm(grading)),
             max(tol.rel, 1e-9))
 
     # scalar product identity on the spanning set: entry [i, k] compares
@@ -410,22 +389,18 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     worst = np.max(np.abs(adjoint(cols) @ cols - rhs) / np.maximum(1.0, np.abs(rhs)))
     rep.add("convert:scalar_product_identity", float(worst), max(tol.rel, 1e-8))
 
-    # transport everything to the carrier through the unitarized identification
-    v_unit, sq = asm["identification"], asm["identification_svals"]
+    sq = asm["identification_svals"]
     rep.add("convert:identification_condition", float(sq[0] / sq[-1]) - 1.0, 1e-6,
             "singular value spread of the module identification")
 
-    def pull(x):
-        return adjoint(v_unit) @ x @ v_unit
-
     out = SpectralTripleData(
         hilbert_dim=nc,
-        algebra_gens=[pull(block_diag(a, nmod)) for a in t.algebra_gens],
-        dirac=pull(dhat),
-        grading=pull(chat),
+        algebra_gens=list(pull_back(v_unit, t.algebra_gens)),
+        dirac=dirac,
+        grading=grading,
         declared_p=t.declared_p,
         right_action_gens=[as_complex_matrix(b) for b in module.right_action_gens],
-        orientation_cycle=HochschildChain(0, [(pull(chat),)], generalized=True)
+        orientation_cycle=HochschildChain(0, [(grading,)], generalized=True)
         if t.declared_p == 0 else None,
     )
     vrep = validate_triple(out, tol)
@@ -493,10 +468,11 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
     tr = np.trace(u)
     ref = tr if abs(tr) > np.sqrt(tol.rank_cut) * n1 else u.flat[np.argmax(np.abs(u))]
     u = u * (np.conj(ref) / abs(ref))
-    worst = 0.0
-    for a1, a2 in zip(t1.algebra_gens, t2.algebra_gens):
-        worst = max(worst, operator_norm(u @ a1 - a2 @ u) / max(1.0, operator_norm(a1)))
-    rep.add("intertwine:action_residual", worst, max(tol.rel, 1e-10))
+    a1s = np.reshape(t1.algebra_gens, (-1, n1, n1))
+    a2s = np.reshape(t2.algebra_gens, (-1, n2, n2))
+    rep.add("intertwine:action_residual",
+            max_operator_norm(u @ a1s - a2s @ u, np.linalg.norm(a1s, 2, axis=(-2, -1))),
+            max(tol.rel, 1e-10))
     dres = operator_norm(u @ t1.dirac - t2.dirac @ u)
     rep.add("intertwine:dirac_residual", dres, max(tol.rel, 1e-8))
     return u, rep

@@ -27,6 +27,7 @@ from .linalg import (
     from_blocks,
     herm_eig,
     operator_norm,
+    pull_back,
     rel_residual,
     span_basis,
     span_residual,
@@ -154,10 +155,6 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
     n = module.size
     q = module.projector
     u = compress_to_range(q, tol)
-    nh = t.hilbert_dim
-
-    def comp(x):
-        return adjoint(u) @ x @ u
 
     worst = 0.0
     for a in t.algebra_gens:
@@ -177,13 +174,13 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
         a_ns = [block_diag(a, n) for a in t.algebra_gens]
         rep.add("product:first_order_for_right_action", commutator_residual(dcs, a_ns),
                 max(tol.rel, 1e-8))
-        new_right = [comp(qcq) for qcq in qcqs]
+        new_right = list(adjoint(u) @ qcqs @ u)
 
     grading = None
     if t.grading is not None:
         g_n = block_diag(t.grading, n)
         if rel_residual(g_n @ q - q @ g_n, operator_norm(q)) <= max(tol.rel, 1e-8):
-            grading = comp(g_n)
+            grading = pull_back(u, t.grading)
         else:
             rep.add("product:grading_dropped", 0.0, np.inf,
                     "module projector is not even; grading not transported")
@@ -193,8 +190,8 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
     out = SpectralTripleData(
         hilbert_dim=u.shape[1],
-        algebra_gens=[comp(block_diag(a, n)) for a in t.algebra_gens],
-        dirac=comp(dhat),
+        algebra_gens=list(pull_back(u, t.algebra_gens)),
+        dirac=adjoint(u) @ dhat @ u,
         grading=grading,
         declared_p=t.declared_p,
         right_action_gens=new_right,

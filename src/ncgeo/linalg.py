@@ -24,6 +24,7 @@ __all__ = [
     "herm_apply",
     "herm_abs",
     "block_diag",
+    "pull_back",
     "to_blocks",
     "from_blocks",
     "span_basis",
@@ -189,6 +190,16 @@ def herm_abs(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def block_diag(op, n: int) -> np.ndarray:
     """The operator op repeated n times down the diagonal, kron(1_n, op)."""
     return np.kron(np.eye(n, dtype=complex), op)
+
+
+def pull_back(u, ops) -> np.ndarray:
+    """U^* (1_m (x) x) U = sum_i U_i^* x U_i over the m row blocks U_i of an
+    (m*n, k) matrix U, for an (n, n) operator x or each matrix of a (s, n, n)
+    stack; one product, never the (m*n, m*n) block-diagonal operator."""
+    u = np.asarray(u)
+    ops = np.asarray(ops)
+    xu = ops[..., None, :, :] @ u.reshape(-1, ops.shape[-1], u.shape[1])
+    return adjoint(u) @ xu.reshape(ops.shape[:-2] + u.shape)
 
 
 def to_blocks(big, m: int) -> np.ndarray:

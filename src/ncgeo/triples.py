@@ -77,7 +77,8 @@ class SpectralTripleData:
     orientation_cycle: HochschildChain | None = None
     riemann_vector: np.ndarray | None = None
     state: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    # derived algebras; `dataclasses.replace` starts a copy with an empty one
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.algebra_gens = [as_complex_matrix(g) for g in self.algebra_gens]
@@ -114,6 +115,14 @@ class SpectralTripleData:
         if key not in self._cache:
             self._cache[key] = commutator_algebra(self, tol)
         return self._cache[key]
+
+    def regraded(self, grading, tol: Tolerance = DEFAULT_TOL) -> SpectralTripleData:
+        """The triple with `grading` in place of its own.  The algebra and the
+        Dirac operator are kept, so the copy's cda at `tol` is this triple's
+        re-spanned into homogeneous elements; nothing is generated again."""
+        out = replace(self, grading=grading)
+        out._cache[("cda", tol)] = _homogeneous(self.cda(tol), out.grading, tol)
+        return out
 
     def right_algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
         if self.right_action_gens is None:
@@ -186,13 +195,16 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
     When a grading is present the basis is re-spanned into homogeneous
     elements, the even ones first.
     """
-    gens = list(t.algebra_gens) + t.commutators()
-    alg = generate_algebra(gens, tol=tol)
-    if t.grading is not None:
-        even, odd = graded_split(alg, t.grading, tol)
-        # the same algebra, so its stored commutant and Wedderburn data carry over
-        return replace(alg, basis=np.concatenate([even, odd]))
-    return alg
+    alg = generate_algebra(list(t.algebra_gens) + t.commutators(), tol=tol)
+    return alg if t.grading is None else _homogeneous(alg, t.grading, tol)
+
+
+def _homogeneous(alg: AlgebraBasis, grading, tol: Tolerance) -> AlgebraBasis:
+    """The algebra re-spanned into elements homogeneous under the grading, the
+    even ones first."""
+    even, odd = graded_split(alg, grading, tol)
+    # the same algebra, so its stored commutant and Wedderburn data carry over
+    return replace(alg, basis=np.concatenate([even, odd]))
 
 
 def represent_chain(t: SpectralTripleData, chain: HochschildChain) -> np.ndarray:

@@ -1,10 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
+from ncgeo import linalg
 from ncgeo.algebra import AlgebraBasis
 from ncgeo.convert import (
     CliffordModuleData,
     _backward_assembly,
+    _backward_prerequisites,
+    _riemannian_to_spinc,
     appendix_equivalence_check,
     double_odd_triple,
     intertwine_triples,
@@ -16,10 +21,12 @@ from ncgeo.convert import (
     split_by_central_involution,
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
+from ncgeo.io import load_triple, save_triple
 from ncgeo.kasparov import one_form_span
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
+    block_diag,
     operator_norm,
     random_hermitian,
     rel_residual,
@@ -28,7 +35,7 @@ from ncgeo.linalg import (
 )
 from ncgeo.modules import parseval_frame
 from ncgeo.tomita import AntiunitaryMap, opposite_action, tomita_conjugation
-from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra
+from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra, represent_chain
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +79,24 @@ class TestForwardConversion:
         svals = np.linalg.svd(vecs, compute_uv=False)
         rank = int(np.sum(svals > 1e-10 * svals[0]))
         assert rank == tri.hilbert_dim == cda.dim
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_output_cda_is_graded(self, seed, tmp_path):
+        # the cda of a graded triple is homogeneous, even elements first, and
+        # a saved and reloaded copy computes the same one
+        out = spinc_to_riemannian(matrix_geometry(2, seed=seed)).output
+        g = out.grading
+        basis = out.cda().basis
+        conj = g @ basis @ g
+        even = np.linalg.norm(conj - basis, 2, axis=(-2, -1)) <= 1e-12
+        odd = np.linalg.norm(conj + basis, 2, axis=(-2, -1)) <= 1e-12
+        assert np.all(even | odd)
+        n_even = int(np.count_nonzero(even))
+        assert np.all(even[:n_even]) and np.all(odd[n_even:])
+        assert np.array_equal(commutator_algebra(out).basis, basis)
+        save_triple(tmp_path / "out.json", out)
+        reloaded, _ = load_triple(tmp_path / "out.json")
+        assert np.linalg.norm(reloaded.cda().basis - basis) <= 1e-12 * np.linalg.norm(basis)
 
 
 class TestBackwardConversion:
@@ -168,6 +193,93 @@ class TestBackwardConversion:
         module = CliffordModuleData(2, [np.eye(2)], [np.eye(2)])
         with pytest.raises(ValueError):
             riemannian_to_spinc(t, module)
+
+
+BACKWARD_CASES = {
+    "mg2-0": lambda: matrix_geometry(2, seed=0),
+    "mg2-7": lambda: matrix_geometry(2, seed=7),
+    "points3": lambda: trivial_points(3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BACKWARD_CASES))
+def backward_input(request):
+    t = BACKWARD_CASES[request.param]()
+    forward = spinc_to_riemannian(t)
+    module = CliffordModuleData(
+        carrier_dim=t.hilbert_dim,
+        left_action=forward.witness["c_basis_src"],
+        right_action_gens=t.right_action_gens,
+        algebra_basis=forward.witness["c_basis_out"],
+    )
+    return t, forward.output, module
+
+
+class TestCarrierSizeBackward:
+    """The backward output against the compressions V^* Q X Q V of the
+    module-size operators the conversion assembled before it pulled back
+    through the identification V directly."""
+
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_output_is_the_module_size_compression(self, backward_input, with_potential):
+        t, tri, module = backward_input
+        pot = derived_backward_potential(tri, module, t.dirac) if with_potential else None
+        res = riemannian_to_spinc(tri, module, potential=pot)
+        asm = _backward_assembly(tri, module)
+        q, v, nmod = asm["projector"], asm["identification"], asm["nmod"]
+        d_big = block_diag(tri.dirac, nmod) + (0.0 if pot is None else pot)
+        dhat = q @ d_big @ q
+        c_op = represent_chain(tri, tri.orientation_cycle) if tri.orientation_cycle is not None \
+            else tri.grading
+        chat = q @ block_diag(c_op, nmod) @ q
+        out = res.output
+        assert_rel_close(out.dirac, adjoint(v) @ dhat @ v)
+        assert_rel_close(out.grading, adjoint(v) @ chat @ v)
+        for a, b in zip(tri.algebra_gens, out.algebra_gens):
+            assert_rel_close(b, adjoint(v) @ block_diag(a, nmod) @ v)
+        entry = res.report.entry("convert:orientation_anticommutes")
+        ref = rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat))
+        assert abs(entry.residual - ref) <= 1e-13
+        assert res.report.entry("convert:module_projector").residual == \
+            operator_norm(q - v @ adjoint(v))
+
+    def test_projector_off_the_identification_fails(self, backward_input):
+        # a projector rotated off the range of V by 1e-6 is still a Hermitian
+        # idempotent, but no longer V V^*
+        _, tri, module = backward_input
+        asm = _backward_assembly(tri, module)
+        q = asm["projector"]
+        vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), q.shape[0]))
+        rot = (vecs * np.exp(1e-6j * vals / np.max(np.abs(vals)))) @ adjoint(vecs)
+        moved = rot @ q @ adjoint(rot)
+        assert rel_residual(moved @ moved - moved, 1.0) < 1e-12
+        assert rel_residual(moved - adjoint(moved), 1.0) < 1e-12
+        asm["projector"] = moved
+        res = _riemannian_to_spinc(tri, module, asm, _backward_prerequisites(tri, Tolerance()),
+                                   Tolerance(), None)
+        entry = res.report.entry("convert:module_projector")
+        assert entry.status == "fail"
+        assert 1e-7 < entry.residual < 1e-5
+
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_one_module_size_norm(self, backward_input, monkeypatch, with_potential):
+        t, tri, module = backward_input
+        pot = derived_backward_potential(tri, module, t.dirac) if with_potential else None
+        size = _backward_assembly(tri, module)["projector"].shape[0]
+        shapes = []
+        norm = linalg.operator_norm
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return norm(m)
+
+        # every module that calls operator_norm, linalg's own helpers included
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("ncgeo") and getattr(mod, "operator_norm", None) is norm:
+                monkeypatch.setattr(mod, "operator_norm", spy)
+        riemannian_to_spinc(tri, module, potential=pot)
+        assert shapes, "the spy saw no norm"
+        assert [s for s in shapes if size in s] == [(size, size)]
 
 
 @pytest.fixture(scope="module", params=[7, 2001408477])

@@ -15,6 +15,7 @@ from ncgeo.linalg import (
     null_space,
     operator_norm,
     project_onto_span,
+    pull_back,
     random_complex,
     random_hermitian,
     rel_residual,
@@ -380,6 +381,21 @@ class TestBlocks:
         table = to_blocks(block_diag(op, 4), 4)
         assert np.array_equal(np.trace(table), 4 * op)
         assert np.array_equal(from_blocks(np.eye(4)[:, :, None, None] * op), block_diag(op, 4))
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("m, n, k", [(1, 3, 3), (3, 2, 4), (4, 3, 5)])
+    def test_matches_block_diagonal_compression(self, m, n, k):
+        rng = np.random.default_rng(m + n + k)
+        u = random_complex(rng, (m * n, k))
+        ops = random_complex(rng, (3, n, n))
+        ref = np.stack([adjoint(u) @ block_diag(x, m) @ u for x in ops])
+        got = pull_back(u, ops)
+        assert got.shape == (3, k, k)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(pull_back(u, ops[1]) - ref[1]) <= 1e-13 * np.linalg.norm(ref[1])
+        # a list of operators is a stack
+        assert np.array_equal(pull_back(u, list(ops)), got)
 
 
 class TestZeroShortcuts:

@@ -86,6 +86,33 @@ class TestCommutatorAlgebra:
         # a default-tolerance report reads the default-tolerance entry
         assert run_condition_suite(t).as_dict() == run_condition_suite(matrix_geometry(2, seed=7)).as_dict()
 
+    def test_replace_starts_with_empty_cache(self):
+        t = matrix_geometry(2, seed=0)
+        assert t.cda().dim == 16
+        flat = dataclasses.replace(t, dirac=np.zeros_like(t.dirac))
+        fresh = SpectralTripleData(t.hilbert_dim, t.algebra_gens, np.zeros_like(t.dirac),
+                                   t.grading, t.declared_p, t.right_action_gens)
+        assert flat.cda().dim == fresh.cda().dim == 4
+        assert t.cda().dim == 16
+        with pytest.raises(TypeError):
+            SpectralTripleData(1, [np.eye(1)], np.zeros((1, 1)), _cache={})
+
+    def test_regraded_copy_respans_without_generating(self, monkeypatch):
+        t = matrix_geometry(2, seed=0)
+        plain = dataclasses.replace(t, grading=None)
+        plain.cda()
+        builds = []
+
+        def counted(t, tol):
+            builds.append(tol)
+            return commutator_algebra(t, tol)
+
+        monkeypatch.setattr(triples, "commutator_algebra", counted)
+        graded = plain.regraded(t.grading)
+        assert graded.grading is t.grading and plain.grading is None
+        assert np.array_equal(graded.cda().basis, commutator_algebra(t).basis)
+        assert builds == []
+
 
 class TestRepresentChain:
     def test_degree_zero(self):
@@ -324,7 +351,7 @@ def with_state(t, rng):
     """The triple with a generic complex state matrix: not Hermitian, so no
     symmetry of the state hides a transposed contraction."""
     g = rng.standard_normal((t.hilbert_dim,) * 2) + 1j * rng.standard_normal((t.hilbert_dim,) * 2)
-    return dataclasses.replace(t, state=g / t.hilbert_dim, _cache={})
+    return dataclasses.replace(t, state=g / t.hilbert_dim)
 
 
 def looped_finiteness(t):
@@ -408,7 +435,7 @@ class TestContractionsMatchLoops:
             # the solve and the tracial entry have nonzero residuals
             rng = np.random.default_rng(5)
             t = with_state(t, rng)
-            t = dataclasses.replace(t, riemann_vector=random_complex(rng, t.hilbert_dim), _cache={})
+            t = dataclasses.replace(t, riemann_vector=random_complex(rng, t.hilbert_dim))
         resid, z, tracial = looped_riemannian(t)
         rep, ctx = check_riemannian(t)
         assert abs(rep.entry("riemann:metric_solves_state").residual - resid) <= 1e-12
