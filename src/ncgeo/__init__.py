@@ -40,6 +40,7 @@ from .kasparov import (
     grassmann_connection,
     index_pairing,
     product_triple,
+    range_twist,
     twisted_operator,
 )
 from .convert import (

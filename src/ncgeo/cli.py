@@ -83,6 +83,24 @@ def _load(path):
         raise SystemExit(EXIT_PARSE)
 
 
+def _read_input(path, decode):
+    """decode(doc) for the JSON object doc in a file.  A file that cannot be
+    read, is not a JSON object, lacks a key or holds a bad encoding exits 2
+    with one error line."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise FormatError("top level is not a JSON object")
+        return decode(doc)
+    except KeyError as exc:
+        msg = f"missing key {exc}"
+    except (OSError, TypeError, ValueError) as exc:
+        msg = str(exc)
+    print(f"error: {path}: {msg}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
 def cmd_example(args) -> int:
     params = {}
     if args.kind == "trivial_points":
@@ -160,29 +178,24 @@ def cmd_convert(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_FAIL
 
 
+def _module_doc(doc):
+    pot = doc.get("potential")
+    return (int(doc["size"]), data_to_matrix(doc["projector"]),
+            None if pot is None else [[data_to_matrix(p) for p in row] for row in pot])
+
+
 def cmd_product(args) -> int:
     t, _ = _load(args.path)
-    try:
-        with open(args.module) as fh:
-            mdoc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    n, q_big, potential = _read_input(args.module, _module_doc)
     tol = _tol(args)
     try:
-        n = int(mdoc["size"])
-        q_big = data_to_matrix(mdoc["projector"])
         right = t.right_algebra(tol)
         if right is None:
             print("error: triple has no right action to twist against", file=sys.stderr)
             return EXIT_FAIL
-        module = ProjectiveModule(right, n, q_big)
-        potential = None
-        if mdoc.get("potential") is not None:
-            potential = [[data_to_matrix(p) for p in row] for row in mdoc["potential"]]
-        conn = BimoduleConnection(module, potential)
+        conn = BimoduleConnection(ProjectiveModule(right, n, q_big), potential)
         out, _, rep = product_triple(t, conn, tol)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     outpath = args.output or (args.path + ".product")
@@ -213,16 +226,11 @@ def cmd_homotopy(args) -> int:
 
 def cmd_pair(args) -> int:
     t, _ = _load(args.path)
+    left, right = _read_input(args.projectors, lambda doc: tuple(
+        [data_to_matrix(p) for p in doc[side]] for side in ("left", "right")))
     try:
-        with open(args.projectors) as fh:
-            pdoc = json.load(fh)
-        left = [data_to_matrix(p) for p in pdoc["left"]]
-        right = [data_to_matrix(p) for p in pdoc["right"]]
         mat, unimodular, rep = poincare_pairing_matrix(t, left, right, _tol(args))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     _emit(args, {"matrix": mat.tolist(), "unimodular": unimodular}, rep)

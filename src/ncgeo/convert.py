@@ -10,10 +10,9 @@ import numpy as np
 from .algebra import AlgebraBasis
 from .kasparov import (
     BimoduleConnection,
-    compress_to_range,
     index_pairing,
     one_form_span,
-    twisted_operator,
+    range_twist,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -120,15 +119,11 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     m = len(xs)
     q_big = from_blocks(right.combine(right.pair_coords(xs, xs)))
 
-    module = ProjectiveModule(right, m, q_big)
-    conn = BimoduleConnection(module, potential)
-    dhat, ahat = twisted_operator(t, conn, tol)
-    u = compress_to_range(q_big, tol)
+    u, out_dirac = range_twist(t, BimoduleConnection(ProjectiveModule(right, m, q_big), potential), tol)
     phi = adjoint(u) @ xs.ravel()
 
     chat = pull_back(u, represent_chain(t, t.orientation_cycle))
     out_gens = list(pull_back(u, t.algebra_gens))
-    out_dirac = adjoint(u) @ dhat @ u
 
     base = SpectralTripleData(
         hilbert_dim=u.shape[1],
@@ -147,8 +142,9 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             f"vs space dim {base.hilbert_dim}")
 
     rep = CheckReport()
-    rep.add("convert:projector_residual",
-            rel_residual(q_big @ q_big - q_big, operator_norm(q_big)), tol.rel,
+    # the outputs are compressions through u, those of the twisted operators
+    # exactly when Q = u u^*
+    rep.add("convert:projector_residual", operator_norm(q_big - u @ adjoint(u)), tol.rel,
             f"module size {m}, twisted space dim {u.shape[1]}")
     rep.add("convert:connection", 0.0, np.inf,
             "grassmann" if potential is None else "user potential")

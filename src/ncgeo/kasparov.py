@@ -9,6 +9,9 @@ of Q equal to the pairing E(|x_i><x_j|) of the conditional expectation
 onto it (`AlgebraBasis.pair_coords`).  Connection potentials are n x n
 tables of operators on H constrained to the represented one-form span;
 the table entry P[i][j] contributes to output slot k as sum_j P[j][k] v_j.
+Only the compression U^*(D (x) 1 + A)U of the twisted operator to the
+range basis U of Q matters to the product; `range_twist` builds it
+without module-size operators for `product_triple` and the conversion.
 """
 from __future__ import annotations
 
@@ -22,12 +25,15 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
+    block_apply,
     block_diag,
     commutator_residual,
     from_blocks,
     herm_eig,
+    max_operator_norm,
     operator_norm,
     pull_back,
+    random_complex,
     rel_residual,
     span_basis,
     span_residual,
@@ -42,6 +48,7 @@ __all__ = [
     "grassmann_connection",
     "one_form_span",
     "twisted_operator",
+    "range_twist",
     "product_triple",
     "connection_condition_check",
     "connection_frame",
@@ -90,27 +97,15 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
         raise ValueError(f"potential violates hermiticity (residual {worst_herm:.3e})")
 
 
-def _potential_big(conn: BimoduleConnection, hilbert_dim: int) -> np.ndarray:
-    if conn.potential is None:
-        size = conn.module.size * hilbert_dim
-        return np.zeros((size, size), dtype=complex)
-    # block (k, j) of the operator is the table entry P[j][k]
-    return from_blocks(np.asarray(conn.potential, dtype=complex).swapaxes(0, 1))
-
-
 def first_order_residual(t: SpectralTripleData, right_alg: AlgebraBasis) -> float:
     """The larger residual of `triples.check_first_order` over the basis of
     the right algebra."""
     return max(first_order_residuals(t, right_alg.basis))
 
 
-def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
-                     tol: Tolerance = DEFAULT_TOL):
-    """Compressed block Dirac operator of a connection: Q diag(D) Q plus the potential.
-
-    Returns (dhat, ahat) as operators on H^n (supported on the range of the
-    module projector).  Hard errors on a bad projector or potential.
-    """
+def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basis):
+    """(U, U^*(D (x) 1 + A)U, U^* A U) for U = basis(Q), after the gate: hard errors on
+    a bad projector, potential, first-order condition or non-Hermitian result."""
     module = conn.module
     n, d = module.size, module.block_dim
     if module.projector.shape != (n * d, n * d):
@@ -122,65 +117,81 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
     fo = first_order_residual(t, module.base)
     if fo > max(tol.rel, 1e-7):
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
-    q = module.projector
-    d_n = block_diag(t.dirac, n)
-    ahat = q @ _potential_big(conn, t.hilbert_dim) @ q
-    dhat = q @ d_n @ q + ahat
+    u = basis(module.projector)
+    ahat = np.zeros((u.shape[1],) * 2, dtype=complex) if conn.potential is None else \
+        adjoint(u) @ from_blocks(np.asarray(conn.potential, dtype=complex).swapaxes(0, 1)) @ u
+    dhat = pull_back(u, t.dirac) + ahat
     herm = rel_residual(dhat - adjoint(dhat), operator_norm(dhat))
     if herm > max(tol.rel, 1e-8):
         raise ValueError(f"twisted operator is not Hermitian (residual {herm:.3e})")
+    return u, dhat, ahat
+
+
+def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
+                     tol: Tolerance = DEFAULT_TOL):
+    """Compressed block Dirac operator of a connection: Q diag(D) Q plus the potential.
+
+    Returns (dhat, ahat) as operators on H^n (supported on the range of the
+    module projector).  Hard errors on a bad projector or potential.
+    """
+    _, dhat, ahat = _twist(t, conn, tol, lambda q: q)
     return dhat, ahat
 
 
-def compress_to_range(projector: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal column basis of the range of a Hermitian projector."""
-    vals, vecs = herm_eig((projector + adjoint(projector)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
-    keep = vals > 0.5
-    return vecs[:, keep]
+def range_twist(t: SpectralTripleData, conn: BimoduleConnection,
+                tol: Tolerance = DEFAULT_TOL):
+    """(U, U^*(D (x) 1 + A)U) for U = `compress_to_range(Q)`: U^* dhat U for
+    the `dhat` of `twisted_operator` when Q = U U^*, with the same gate."""
+    u, d_c, _ = _twist(t, conn, tol, compress_to_range)
+    return u, d_c
+
+
+def compress_to_range(projector: np.ndarray) -> np.ndarray:
+    """Orthonormal column basis of the range of a Hermitian projector Q: Q
+    applied to a seeded probe of round(Tr Q) columns, orthonormalized by QR
+    with R's diagonal made positive, so it moves continuously with Q."""
+    q = np.asarray(projector)
+    rank = int(round(float(np.trace(q).real)))
+    probe = random_complex(np.random.default_rng(1109), (q.shape[0], rank))
+    u, r = np.linalg.qr(q @ probe)
+    return u * np.exp(1j * np.angle(np.diagonal(r)))
 
 
 def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
                    tol: Tolerance = DEFAULT_TOL, right_ops: list | None = None):
-    """Spectral triple carried by the twisted operator on the compressed module space.
+    """Spectral triple carried by the twisted operator d_c of `range_twist`.
 
-    The left action is the diagonal action compressed to the projector
-    range; optional `right_ops` (operators on H^n commuting with the
-    projector) are compressed into the new right action.  Returns
-    (triple, basis, report) where `basis` maps the compressed space back
-    into H^n.
+    Generators, grading and optional `right_ops` (operators on H^n commuting
+    with the projector) are compressed through U; the grading only when
+    (1 (x) g)U = U g_c.  `product:commutators_descend` is the larger of
+    |[d_c, a_c] - pull_back(U, [D, a])| / max(1, |D||a|) and the leakage
+    |(1 (x) a)U - U a_c| / max(1, |a|).  Returns (triple, U, report).
     """
     rep = CheckReport()
-    dhat, ahat = twisted_operator(t, conn, tol)
-    module = conn.module
-    n = module.size
-    q = module.projector
-    u = compress_to_range(q, tol)
-
-    worst = 0.0
-    for a in t.algebra_gens:
-        a_n = block_diag(a, n)
-        da = t.dirac @ a - a @ t.dirac
-        lhs = dhat @ a_n - a_n @ dhat
-        rhs = q @ block_diag(da, n) @ q
-        worst = max(worst, rel_residual(lhs - rhs, operator_norm(t.dirac), operator_norm(a)))
+    u, d_c = range_twist(t, conn, tol)
+    gens = np.asarray(t.algebra_gens, dtype=complex)
+    gens_c = pull_back(u, gens)
+    norms = np.linalg.norm(gens, 2, axis=(-2, -1))
+    da_c = pull_back(u, t.dirac @ gens - gens @ t.dirac)
+    descend = max_operator_norm(d_c @ gens_c - gens_c @ d_c - da_c, operator_norm(t.dirac) * norms)
+    # the leakage (1 - Q) a U as the floor of the second sweep
+    worst = max_operator_norm(block_apply(u, gens) - u @ gens_c, norms, floor=descend)
     rep.add("product:commutators_descend", worst, max(tol.rel, 1e-9))
 
     new_right = None
     if right_ops is not None:
-        rep.add("product:right_action_respects_module", commutator_residual([q], right_ops),
-                max(tol.rel, 1e-8))
-        qcqs = q @ np.asarray(right_ops) @ q
-        dcs = dhat @ qcqs - qcqs @ dhat
-        a_ns = [block_diag(a, n) for a in t.algebra_gens]
-        rep.add("product:first_order_for_right_action", commutator_residual(dcs, a_ns),
-                max(tol.rel, 1e-8))
-        new_right = list(adjoint(u) @ qcqs @ u)
+        rep.add("product:right_action_respects_module",
+                commutator_residual([conn.module.projector], right_ops), max(tol.rel, 1e-8))
+        right_c = adjoint(u) @ np.asarray(right_ops) @ u
+        rep.add("product:first_order_for_right_action",
+                commutator_residual(d_c @ right_c - right_c @ d_c, gens_c), max(tol.rel, 1e-8))
+        new_right = list(right_c)
 
     grading = None
     if t.grading is not None:
-        g_n = block_diag(t.grading, n)
-        if rel_residual(g_n @ q - q @ g_n, operator_norm(q)) <= max(tol.rel, 1e-8):
-            grading = pull_back(u, t.grading)
+        g_c = pull_back(u, t.grading)
+        if operator_norm(block_apply(u, t.grading) - u @ g_c) <= max(tol.rel, 1e-8):
+            grading = g_c
         else:
             rep.add("product:grading_dropped", 0.0, np.inf,
                     "module projector is not even; grading not transported")
@@ -190,8 +201,8 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
     out = SpectralTripleData(
         hilbert_dim=u.shape[1],
-        algebra_gens=list(pull_back(u, t.algebra_gens)),
-        dirac=adjoint(u) @ dhat @ u,
+        algebra_gens=list(gens_c),
+        dirac=d_c,
         grading=grading,
         declared_p=t.declared_p,
         right_action_gens=new_right,
@@ -201,16 +212,11 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
 
 def connection_frame(conn: BimoduleConnection):
-    """Spanning module frame: projector-compressed basis columns in each slot."""
-    module = conn.module
-    n, nh = module.size, module.block_dim
-    frames = []
-    for j in range(n):
-        for b in module.base.basis:
-            col = np.zeros((n * nh, nh), dtype=complex)
-            col[j * nh:(j + 1) * nh, :] = b
-            frames.append(module.projector @ col)
-    return frames
+    """Spanning module frame: the projector applied to each base basis
+    element in each slot, Q[:, block j] b."""
+    q, nh = conn.module.projector, conn.module.block_dim
+    return [q[:, j * nh:(j + 1) * nh] @ b
+            for j in range(conn.module.size) for b in conn.module.base.basis]
 
 
 def connection_condition_check(t: SpectralTripleData, conn: BimoduleConnection,
@@ -224,13 +230,13 @@ def connection_condition_check(t: SpectralTripleData, conn: BimoduleConnection,
     creation pair (even, since modules carry no grading) must reproduce
     the bounded pair assembled from the slot commutators and the
     potential; `sign_flip` deliberately breaks the adjoint block (used to
-    demonstrate detection).
+    demonstrate detection).  `dhat` defaults to the twisted operator of the
+    connection, whose gate runs either way.
     """
     rep = CheckReport()
     module = conn.module
-    if dhat is None:
-        dhat, _ = twisted_operator(t, conn, tol)
-    ahat = conn_potential_compressed(t, conn)
+    twisted, ahat = twisted_operator(t, conn, tol)
+    dhat = twisted if dhat is None else dhat
     n, nh = module.size, module.block_dim
     q = module.projector
     if frame is None:
@@ -256,11 +262,6 @@ def connection_condition_check(t: SpectralTripleData, conn: BimoduleConnection,
     rep.add("connection_condition:bounded_pair", worst, max(tol.rel, 1e-9),
             f"{len(frame)} frame elements")
     return rep
-
-
-def conn_potential_compressed(t: SpectralTripleData, conn: BimoduleConnection) -> np.ndarray:
-    q = conn.module.projector
-    return q @ _potential_big(conn, t.hilbert_dim) @ q
 
 
 def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
@@ -309,9 +310,8 @@ def gauge_transform(t: SpectralTripleData, conn: BimoduleConnection, u_big: np.n
     q = module.projector
     d_n = block_diag(t.dirac, n)
     q_new = u_big @ q @ adjoint(u_big)
-    a_big = conn_potential_compressed(t, conn)
     a_new = q_new @ (u_big @ (d_n @ adjoint(u_big) - adjoint(u_big) @ d_n)) @ q_new \
-        + u_big @ a_big @ adjoint(u_big)
+        + u_big @ twisted_operator(t, conn, tol)[1] @ adjoint(u_big)
     table = to_blocks(a_new, n).swapaxes(0, 1)
     new_module = ProjectiveModule(module.base, n, q_new)
     return BimoduleConnection(new_module, table)
@@ -329,7 +329,7 @@ def index_pairing(t: SpectralTripleData, p_proj: np.ndarray,
         raise ValueError("compression by a non-projector")
     if rel_residual(p @ t.grading - t.grading @ p, np_) > max(tol.rel, 1e-8):
         raise ValueError("projector does not commute with the grading")
-    u = compress_to_range(p, tol)
+    u = compress_to_range(p)
     if u.shape[1] == 0:
         return 0
     g_c = adjoint(u) @ t.grading @ u

@@ -24,6 +24,7 @@ __all__ = [
     "herm_apply",
     "herm_abs",
     "block_diag",
+    "block_apply",
     "pull_back",
     "to_blocks",
     "from_blocks",
@@ -192,14 +193,17 @@ def block_diag(op, n: int) -> np.ndarray:
     return np.kron(np.eye(n, dtype=complex), op)
 
 
-def pull_back(u, ops) -> np.ndarray:
-    """U^* (1_m (x) x) U = sum_i U_i^* x U_i over the m row blocks U_i of an
-    (m*n, k) matrix U, for an (n, n) operator x or each matrix of a (s, n, n)
-    stack; one product, never the (m*n, m*n) block-diagonal operator."""
-    u = np.asarray(u)
-    ops = np.asarray(ops)
+def block_apply(u, ops) -> np.ndarray:
+    """(1_m (x) x) U over the m row blocks of an (m*n, k) U, for an (n, n)
+    operator x or each of a (s, n, n) stack, without forming 1_m (x) x."""
+    u, ops = np.asarray(u), np.asarray(ops)
     xu = ops[..., None, :, :] @ u.reshape(-1, ops.shape[-1], u.shape[1])
-    return adjoint(u) @ xu.reshape(ops.shape[:-2] + u.shape)
+    return xu.reshape(ops.shape[:-2] + u.shape)
+
+
+def pull_back(u, ops) -> np.ndarray:
+    """U^* (1_m (x) x) U = sum_i U_i^* x U_i over the row blocks U_i of U."""
+    return adjoint(u) @ block_apply(u, ops)
 
 
 def to_blocks(big, m: int) -> np.ndarray:

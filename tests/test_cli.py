@@ -289,6 +289,52 @@ class TestOtherCommands:
         assert t2.hilbert_dim == t.hilbert_dim
 
 
+class TestInputFileErrors:
+    """The `product --module` and `pair --projectors` files: one that is not
+    a JSON object, lacks a key or holds a bad matrix encoding did not parse
+    (exit 2, one error line); a failing check stays exit 1."""
+
+    EYE = matrix_to_data(np.eye(8))
+    HALF = matrix_to_data(0.5 * np.eye(8))
+
+    @staticmethod
+    def _run(tmp_path, capsys, triple, argv, doc):
+        src = tmp_path / "t.striple"
+        save_triple(src, triple)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code = main([argv[0], str(src)] + argv[1:] + [str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, expected", [
+        pytest.param([1, 2], 2, id="top_level_list"),
+        pytest.param({"size": 1}, 2, id="missing_projector"),
+        pytest.param({"size": "one", "projector": EYE}, 2, id="size_not_a_number"),
+        pytest.param({"size": 1, "projector": [[1.0, 2.0]]}, 2, id="bad_projector_encoding"),
+        pytest.param({"size": 1, "projector": EYE, "potential": [[[[1.0]]]]}, 2,
+                     id="bad_potential_encoding"),
+        pytest.param({"size": 1, "projector": HALF}, 1, id="not_a_projector"),
+    ])
+    def test_product_module_file(self, tmp_path, capsys, doc, expected):
+        argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
+        code, err = self._run(tmp_path, capsys, matrix_geometry(2, seed=4), argv, doc)
+        assert code == expected
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc, expected", [
+        pytest.param([[1.0, 0.0]], 2, id="top_level_list"),
+        pytest.param({"left": []}, 2, id="missing_right"),
+        pytest.param({"left": [[[1.0]]], "right": []}, 2, id="bad_encoding"),
+        pytest.param({"left": [matrix_to_data(0.5 * np.eye(3))],
+                      "right": [matrix_to_data(np.eye(3))]}, 1, id="not_a_projector"),
+    ])
+    def test_pair_projector_file(self, tmp_path, capsys, doc, expected):
+        riem = convert.spinc_to_riemannian(trivial_points(3)).output
+        code, err = self._run(tmp_path, capsys, riem, ["pair", "--projectors"], doc)
+        assert code == expected
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestModuleSerialization:
     def test_round_trip(self):
         from ncgeo.io import dict_to_module, module_to_dict

@@ -215,6 +215,22 @@ def backward_input(request):
     return t, forward.output, module
 
 
+def spy_norm_shapes(monkeypatch):
+    """The shapes of the matrices passed to `operator_norm` from here on, in
+    every ncgeo module that calls it, linalg's own helpers included."""
+    shapes = []
+    norm = linalg.operator_norm
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return norm(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ncgeo") and getattr(mod, "operator_norm", None) is norm:
+            monkeypatch.setattr(mod, "operator_norm", spy)
+    return shapes
+
+
 class TestCarrierSizeBackward:
     """The backward output against the compressions V^* Q X Q V of the
     module-size operators the conversion assembled before it pulled back
@@ -266,20 +282,29 @@ class TestCarrierSizeBackward:
         t, tri, module = backward_input
         pot = derived_backward_potential(tri, module, t.dirac) if with_potential else None
         size = _backward_assembly(tri, module)["projector"].shape[0]
-        shapes = []
-        norm = linalg.operator_norm
-
-        def spy(m):
-            shapes.append(np.shape(m))
-            return norm(m)
-
-        # every module that calls operator_norm, linalg's own helpers included
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("ncgeo") and getattr(mod, "operator_norm", None) is norm:
-                monkeypatch.setattr(mod, "operator_norm", spy)
+        shapes = spy_norm_shapes(monkeypatch)
         riemannian_to_spinc(tri, module, potential=pot)
         assert shapes, "the spy saw no norm"
         assert [s for s in shapes if size in s] == [(size, size)]
+
+
+class TestCarrierSizeForward:
+    """The forward conversion compresses through the range basis U of the
+    module projector Q and certifies Q = U U^*."""
+
+    def test_four_module_size_norms(self, monkeypatch):
+        t = matrix_geometry(2, seed=7)
+        size = spinc_to_riemannian(t).witness["module_projector"].shape[0]
+        shapes = spy_norm_shapes(monkeypatch)
+        spinc_to_riemannian(t)
+        # three in validate_module, one in convert:projector_residual
+        assert shapes.count((size, size)) == 4
+
+    def test_projector_residual_is_the_range_certificate(self, mgeom_forward):
+        _, res = mgeom_forward
+        q, u = res.witness["module_projector"], res.witness["module_basis"]
+        assert res.report.entry("convert:projector_residual").residual == \
+            operator_norm(q - u @ adjoint(u))
 
 
 @pytest.fixture(scope="module", params=[7, 2001408477])

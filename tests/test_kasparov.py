@@ -4,6 +4,7 @@ import pytest
 from ncgeo.examples import matrix_geometry
 from ncgeo.kasparov import (
     BimoduleConnection,
+    compress_to_range,
     connection_condition_check,
     connection_decomposition,
     connection_frame,
@@ -13,10 +14,13 @@ from ncgeo.kasparov import (
     index_pairing,
     one_form_span,
     product_triple,
+    range_twist,
     twisted_operator,
 )
 from ncgeo.linalg import (
     adjoint,
+    block_diag,
+    from_blocks,
     herm_apply,
     operator_norm,
     project_onto_span,
@@ -24,9 +28,10 @@ from ncgeo.linalg import (
     random_hermitian,
     span_basis,
 )
-from ncgeo.modules import ProjectiveModule, parseval_frame
+from ncgeo.modules import ProjectiveModule, parseval_frame, validate_module
 from ncgeo.triples import SpectralTripleData
 
+from test_convert import assert_rel_close, spy_norm_shapes
 from test_triples import two_qubit_triple
 
 
@@ -109,6 +114,17 @@ def direct_twist_oracle(t, conn):
                 comp.append(acc + acc2 + pot)
             out[:, slot * nh + col] = q @ np.concatenate(comp)
     return out @ q
+
+
+def forward_module(seed):
+    """matrix_geometry(2, seed) and the module of its spin^c -> Riemannian
+    conversion: block (i, j) of the projector is the pairing (x_i|x_j) of a
+    tight frame of the right action."""
+    t = matrix_geometry(2, seed=seed)
+    right = t.right_algebra()
+    xs = parseval_frame(right)
+    q = from_blocks(right.combine(right.pair_coords(xs, xs)))
+    return t, ProjectiveModule(right, len(xs), q)
 
 
 def Tolerance_like():
@@ -204,6 +220,44 @@ class TestTwistedOperator:
         with pytest.raises(ValueError, match="shape mismatch"):
             twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, np.eye(3))))
 
+    def test_range_twist_runs_the_same_gate(self):
+        t = matrix_geometry(2, seed=5)
+        right = t.right_algebra()
+        half = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
+        with pytest.raises(ValueError, match="module:idempotent"):
+            range_twist(t, grassmann_connection(ProjectiveModule(right, 2, half)))
+        nh = t.hilbert_dim
+        bad = [[np.zeros((nh, nh), dtype=complex) for _ in range(2)] for _ in range(2)]
+        bad[0][0] = np.eye(nh, dtype=complex)
+        with pytest.raises(ValueError, match="one-form span"):
+            range_twist(t, BimoduleConnection(trivial_module(t, 2), bad))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            range_twist(t, grassmann_connection(ProjectiveModule(right, 2, np.eye(3))))
+
+
+class TestRangeBasis:
+    """compress_to_range is Q applied to a seeded probe and orthonormalized:
+    an isometry onto the range that moves continuously with Q."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_isometry_onto_the_range(self, seed):
+        _, module = forward_module(seed)
+        q = module.projector
+        u = compress_to_range(q)
+        assert u.shape == (q.shape[0], round(np.trace(q).real))
+        assert operator_norm(adjoint(u) @ u - np.eye(u.shape[1])) <= 1e-12
+        assert operator_norm(q - u @ adjoint(u)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_continuous_in_the_projector(self, seed):
+        # a 1e-16 move inside the range; an eigenbasis of the degenerate
+        # eigenvalue 1 rotates by O(1) under it
+        _, module = forward_module(seed)
+        q = module.projector
+        h = random_hermitian(np.random.default_rng(seed), q.shape[0])
+        moved = q + 1e-16 * (q @ h @ q)
+        assert np.linalg.norm(compress_to_range(moved) - compress_to_range(q)) <= 1e-12
+
 
 class TestProductTriple:
     def test_free_module_reproduces_input(self):
@@ -242,6 +296,86 @@ class TestProductTriple:
         dhat2, _ = twisted_operator(t, new_conn)
         assert operator_norm(dhat2 - u_big @ dhat @ adjoint(u_big)) < 1e-9 * max(
             1.0, operator_norm(dhat))
+
+
+def random_twist(seed, with_potential):
+    t = matrix_geometry(2, seed=seed)
+    rng = np.random.default_rng(31)
+    module = random_module(t, 2, rng)
+    return t, module, random_potential(t, module, rng) if with_potential else None
+
+
+PRODUCT_CASES = {
+    "forward-0": lambda: forward_module(0) + (None,),
+    "forward-7": lambda: forward_module(7) + (None,),
+    "random": lambda: random_twist(2, False),
+    "random-potential": lambda: random_twist(4, True),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PRODUCT_CASES))
+def product_case(request):
+    return PRODUCT_CASES[request.param]()
+
+
+class TestCarrierSizeProduct:
+    """product_triple against the module-size compressions U^* Q X Q U it
+    assembled before it worked on the range basis U."""
+
+    def test_outputs_are_the_module_size_compressions(self, product_case):
+        t, module, pot = product_case
+        out, u, rep = product_triple(t, BimoduleConnection(module, pot))
+        assert rep.passed, rep.as_text()
+        q, n = module.projector, module.size
+        d_big = block_diag(t.dirac, n)
+        if pot is not None:
+            d_big = d_big + from_blocks(np.asarray(pot).swapaxes(0, 1))
+        assert_rel_close(out.dirac, adjoint(u) @ q @ d_big @ q @ u)
+        for a, b in zip(t.algebra_gens, out.algebra_gens):
+            assert_rel_close(b, adjoint(u) @ block_diag(a, n) @ u)
+        assert_rel_close(out.grading, adjoint(u) @ block_diag(t.grading, n) @ u)
+
+    def test_right_ops_are_the_module_size_compressions(self):
+        t = matrix_geometry(2, seed=8)
+        module = trivial_module(t, 2)
+        ops = [block_diag(b, 2) for b in module.base.basis]
+        out, u, rep = product_triple(t, grassmann_connection(module), right_ops=ops)
+        assert rep.passed, rep.as_text()
+        q = module.projector
+        for c, c_out in zip(ops, out.right_action_gens):
+            assert_rel_close(c_out, adjoint(u) @ q @ c @ q @ u)
+
+    def test_rotated_projector_fails_descent(self):
+        # rotated by exp(1e-8 i H) the projector still passes the module gate,
+        # but the left action no longer keeps its range
+        t, module = forward_module(0)
+        q = module.projector
+        h = random_hermitian(np.random.default_rng(11), q.shape[0])
+        rot = herm_apply(lambda x: np.exp(1e-8j * x), h / operator_norm(h))
+        moved = ProjectiveModule(module.base, module.size, rot @ q @ adjoint(rot))
+        assert validate_module(moved).passed
+        _, _, rep = product_triple(t, grassmann_connection(moved))
+        entry = rep.entry("product:commutators_descend")
+        assert entry.status == "fail" and entry.residual > 1e-9
+
+    def test_odd_projector_drops_grading(self):
+        # (1 + s2 (x) 1) / 2 has blocks in the right action span{1, s2} (x) 1
+        # but does not commute with the grading s3 (x) 1
+        t = two_qubit_triple(["1", "s2"])
+        q = (np.eye(4) + t.right_action_gens[1]) / 2.0
+        out, _, rep = product_triple(t, grassmann_connection(ProjectiveModule(t.right_algebra(), 1, q)))
+        assert out.grading is None
+        assert rep.entry("product:grading_dropped").status == "pass"
+        assert rep.entry("product:commutators_descend").residual < 1e-12
+
+    def test_three_module_size_norms(self, monkeypatch):
+        t, module = forward_module(7)
+        size = module.projector.shape[0]
+        shapes = spy_norm_shapes(monkeypatch)
+        out, _, _ = product_triple(t, grassmann_connection(module))
+        assert out.hilbert_dim < size
+        # all three in validate_module
+        assert shapes.count((size, size)) == 3
 
 
 class TestConnectionCondition:
