@@ -19,7 +19,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
-    block_diag,
+    block_apply,
     commutator_residual,
     from_blocks,
     herm_eig,
@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .modules import ProjectiveModule, parseval_frame
 from .report import CheckReport
-from .tomita import grading_from_cycle, opposite_action, tomita_conjugation
+from .tomita import grading_from_cycle, opposite_action, opposite_algebra, tomita_conjugation
 from .triples import (
     HochschildChain,
     SpectralTripleData,
@@ -357,7 +357,7 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         if pot_big.shape != q_big.shape:
             raise ValueError("potential shape does not match the module presentation")
         # the represented one-forms of the conjugation-induced right action
-        span = one_form_span(t.dirac, opposite_action(j, t.cda(tol).basis), tol)
+        span = one_form_span(t.dirac, opposite_algebra(j, t.cda(tol)), tol)
         blocks = to_blocks(pot_big, nmod).reshape(-1, nh, nh)
         worst = float(np.max(span_residuals(blocks, span)))
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
@@ -491,7 +491,8 @@ def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleDa
 def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.ndarray:
     q_big = asm["projector"]
     v_unit = asm["identification"]
-    d_plain = q_big @ block_diag(tri.dirac, asm["nmod"]) @ q_big
+    # (1_nmod (x) D) Q without forming the block-diagonal operator
+    d_plain = q_big @ block_apply(q_big, tri.dirac)
     target = v_unit @ as_complex_matrix(source_dirac) @ adjoint(v_unit)
     w = q_big @ (target - d_plain) @ q_big
     return (w + adjoint(w)) / 2.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, _components, generate_algebra
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -36,7 +36,7 @@ from .linalg import (
     random_complex,
     rel_residual,
     span_basis,
-    span_residual,
+    span_residuals,
     to_blocks,
 )
 from .report import CheckReport
@@ -69,28 +69,63 @@ def grassmann_connection(module: ProjectiveModule) -> BimoduleConnection:
     return BimoduleConnection(module, None)
 
 
-def one_form_span(dirac, ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the represented one-forms of a (k, n, n) stack of
-    operators: the span of the products [D, b] b' over b, b' in the stack."""
-    ops = np.asarray(ops, dtype=complex)
-    comms = dirac @ ops - ops @ dirac
-    return span_basis((comms[:, None] @ ops[None]).reshape((-1,) + ops.shape[1:]), tol)
+def one_form_span(dirac, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the represented one-forms of an algebra B, the
+    span of the products [D, b] b' over b, b' in B, as a (k, n, n) stack.
+
+    That span is the right B-module generated by the commutators
+    c_i = [D, b_i] of the basis.  With B = w (+_k M_{n_k} (x) 1_{m_k}) w*,
+    right multiplication by B acts on the columns of c_i w in component k
+    as X (x) 1_{m_k}, so the module is +_k V_k (x) C^{n_k}, where V_k is
+    spanned by the n x m_k column slices of the c_i w in component k: one
+    SVD of a (dim B n_k) x (n m_k) stack per component, ranks cut against
+    the largest singular value over all of them, and the basis mapped back
+    through w*, which keeps it orthonormal.  Without stored Wedderburn data
+    they are taken from `generate_algebra(alg.basis)`; if that algebra is
+    larger than B, the products are stacked and spanned instead.
+    """
+    basis = alg.basis
+    n = alg.hilbert_dim
+    comms = dirac @ basis - basis @ dirac
+    wedderburn = _wedderburn_data(alg, tol)
+    if wedderburn is None:
+        return span_basis((comms[:, None] @ basis[None]).reshape(-1, n, n), tol)
+    comps = _components(*wedderburn)
+    # rows (i, a): the slice of c_i w in columns (a, :) of component k
+    factors = [np.linalg.svd(np.einsum("dij,jap->daip", comms, w_k).reshape(-1, n * w_k.shape[2]),
+                             full_matrices=False)[1:] for w_k in comps]
+    top = max(float(s[0]) for s, _ in factors)
+    # basis element (r, b) of component k: slice r of V_k in columns (b, :)
+    return np.concatenate([
+        np.einsum("rip,jbp->rbij", vh[s > tol.rank_cut * top].reshape(-1, n, w_k.shape[2]),
+                  w_k.conj()).reshape(-1, n, n)
+        for (s, vh), w_k in zip(factors, comps)])
+
+
+def _wedderburn_data(alg: AlgebraBasis, tol: Tolerance):
+    """The stored Wedderburn data of an algebra, else those of the algebra its
+    basis generates when that is the same algebra, else None."""
+    if alg.wedderburn is not None or alg.dim == 0:
+        return alg.wedderburn
+    generated = generate_algebra(alg.basis, tol)
+    return generated.wedderburn if generated.dim == alg.dim else None
 
 
 def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance):
     if conn.potential is None:
         return
     module = conn.module
-    n = module.size
-    basis = one_form_span(t.dirac, module.base.basis, tol)
-    worst_mem = 0.0
-    worst_herm = 0.0
-    for i in range(n):
-        for j in range(n):
-            p = as_complex_matrix(conn.potential[i][j])
-            worst_mem = max(worst_mem, span_residual(p, basis))
-            worst_herm = max(worst_herm, rel_residual(
-                adjoint(p) - conn.potential[j][i], operator_norm(p)))
+    n, nh = module.size, module.block_dim
+    table = np.asarray(conn.potential, dtype=complex)
+    if table.shape != (n, n, nh, nh):
+        raise ValueError(f"potential table of shape {table.shape}, expected {(n, n, nh, nh)}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("matrix entries must be finite")
+    span = one_form_span(t.dirac, module.base, tol)
+    worst_mem = float(np.max(span_residuals(table.reshape(-1, nh, nh), span)))
+    # entry (i, j) compares p_ij^* with p_ji, relative to |p_ij|
+    worst_herm = max_operator_norm(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1),
+                                   np.linalg.norm(table, 2, axis=(-2, -1)))
     if worst_mem > max(tol.rel, 1e-6):
         raise ValueError(f"potential entries leave the one-form span (residual {worst_mem:.3e})")
     if worst_herm > max(tol.rel, 1e-7):
@@ -165,7 +200,10 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
     with the projector) are compressed through U; the grading only when
     (1 (x) g)U = U g_c.  `product:commutators_descend` is the larger of
     |[d_c, a_c] - pull_back(U, [D, a])| / max(1, |D||a|) and the leakage
-    |(1 (x) a)U - U a_c| / max(1, |a|).  Returns (triple, U, report).
+    |(1 (x) a)U - U a_c| / max(1, |a|).  `product:right_action_respects_module`
+    is |[Q, c]| / max(1, |c|) over the right ops, taken at carrier size as
+    the larger of |c U - U c_c| and |U^* c - c_c U^*|.  Returns (triple, U,
+    report).
     """
     rep = CheckReport()
     u, d_c = range_twist(t, conn, tol)
@@ -180,9 +218,16 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
 
     new_right = None
     if right_ops is not None:
+        right = np.asarray(right_ops, dtype=complex)
+        right_c = adjoint(u) @ right @ u
+        # |[Q, c]| is the larger of |c U - U c_c| and |U^* c - c_c U^*|, the
+        # latter the norm of its adjoint c^* U - U c_c^*
+        leak = np.stack([right @ u - u @ right_c,
+                         right.conj().swapaxes(-1, -2) @ u - u @ right_c.conj().swapaxes(-1, -2)],
+                        axis=1)
         rep.add("product:right_action_respects_module",
-                commutator_residual([conn.module.projector], right_ops), max(tol.rel, 1e-8))
-        right_c = adjoint(u) @ np.asarray(right_ops) @ u
+                max_operator_norm(leak, np.linalg.norm(right, 2, axis=(-2, -1))[:, None]),
+                max(tol.rel, 1e-8))
         rep.add("product:first_order_for_right_action",
                 commutator_residual(d_c @ right_c - right_c @ d_c, gens_c), max(tol.rel, 1e-8))
         new_right = list(right_c)

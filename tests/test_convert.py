@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncgeo import linalg
+from ncgeo import convert, linalg
 from ncgeo.algebra import AlgebraBasis
 from ncgeo.convert import (
     CliffordModuleData,
@@ -34,7 +34,7 @@ from ncgeo.linalg import (
     span_residual,
 )
 from ncgeo.modules import parseval_frame
-from ncgeo.tomita import AntiunitaryMap, opposite_action, tomita_conjugation
+from ncgeo.tomita import AntiunitaryMap, opposite_action, opposite_algebra, tomita_conjugation
 from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra, represent_chain
 
 
@@ -158,7 +158,7 @@ class TestBackwardConversion:
         pot = derived_backward_potential(tri, module, t.dirac)
         backward = riemannian_to_spinc(tri, module, potential=pot)
         j = AntiunitaryMap(backward.witness["conjugation_kernel"])
-        span = one_form_span(tri.dirac, opposite_action(j, tri.cda().basis))
+        span = one_form_span(tri.dirac, opposite_algebra(j, tri.cda()))
         nh = tri.hilbert_dim
         nmod = pot.shape[0] // nh
         worst = 0.0
@@ -258,6 +258,14 @@ class TestCarrierSizeBackward:
         assert abs(entry.residual - ref) <= 1e-13
         assert res.report.entry("convert:module_projector").residual == \
             operator_norm(q - v @ adjoint(v))
+
+    def test_potential_is_the_module_size_formula(self, backward_input):
+        # Q (D (x) 1) Q once took a block_diag; block_apply gives it at rounding
+        t, tri, module = backward_input
+        asm = _backward_assembly(tri, module)
+        q, v = asm["projector"], asm["identification"]
+        w = q @ (v @ t.dirac @ adjoint(v) - q @ block_diag(tri.dirac, asm["nmod"]) @ q) @ q
+        assert_rel_close(derived_backward_potential(tri, module, t.dirac), (w + adjoint(w)) / 2.0)
 
     def test_projector_off_the_identification_fails(self, backward_input):
         # a projector rotated off the range of V by 1e-6 is still a Hermitian
@@ -446,23 +454,48 @@ class TestIntertwiner:
 @pytest.fixture(scope="module", params=[0, 7])
 def forward_output_opposite(request):
     tri = spinc_to_riemannian(matrix_geometry(2, seed=request.param)).output
-    return tri, opposite_action(tomita_conjugation(tri), tri.cda().basis)
+    return tri, opposite_algebra(tomita_conjugation(tri), tri.cda())
 
 
 class TestOppositeOneFormSpan:
     def test_opposite_action_commutes_with_dirac(self, forward_output_opposite):
-        tri, ops = forward_output_opposite
+        tri, opposite = forward_output_opposite
+        ops = opposite.basis
         comms = tri.dirac @ ops - ops @ tri.dirac
         worst = float(np.max(np.linalg.norm(comms, 2, axis=(-2, -1))))
         assert worst < 1e-12 * max(1.0, operator_norm(tri.dirac))
 
     @pytest.mark.xfail(strict=True, reason=(
-        "span_basis cuts ranks relative to the largest singular value only, so "
-        "the roundoff products [D, b]b' span all of M_n and "
-        "convert:potential_in_one_form_span passes vacuously"))
+        "one_form_span cuts ranks relative to the largest singular value over "
+        "the isotypic components only, so the roundoff commutators [D, b] span "
+        "all of M_n and convert:potential_in_one_form_span passes vacuously"))
     def test_span_of_roundoff_one_forms_is_empty(self, forward_output_opposite):
-        tri, ops = forward_output_opposite
-        assert len(one_form_span(tri.dirac, ops)) == 0
+        tri, opposite = forward_output_opposite
+        assert len(one_form_span(tri.dirac, opposite)) == 0
+
+    def test_round_trip_span_factors_small_stacks(self, monkeypatch):
+        # the module span factors one (dim B n_k) x (n m_k) stack per
+        # component: 216 x 216 at H=36, where the product stack was 1296 rows
+        rows, inside = [], []
+        svd, span = np.linalg.svd, convert.one_form_span
+
+        def svd_spy(a, *args, **kwargs):
+            if inside:
+                rows.append(np.shape(a)[-2])
+            return svd(a, *args, **kwargs)
+
+        def span_spy(*args, **kwargs):
+            inside.append(True)
+            try:
+                return span(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        monkeypatch.setattr(convert, "one_form_span", span_spy)
+        res = round_trip_check(matrix_geometry(3, seed=0))
+        assert res.report.entry("backward:convert:potential_in_one_form_span").status == "pass"
+        assert rows and max(rows) == 216
 
 
 class TestDoubling:

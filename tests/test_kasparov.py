@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from ncgeo.examples import matrix_geometry
+from ncgeo import kasparov
+from ncgeo.algebra import AlgebraBasis, generate_algebra
+from ncgeo.convert import spinc_to_riemannian
+from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.kasparov import (
     BimoduleConnection,
     compress_to_range,
@@ -27,10 +32,13 @@ from ncgeo.linalg import (
     random_complex,
     random_hermitian,
     span_basis,
+    span_residual,
 )
 from ncgeo.modules import ProjectiveModule, parseval_frame, validate_module
+from ncgeo.tomita import opposite_algebra, tomita_conjugation
 from ncgeo.triples import SpectralTripleData
 
+from test_algebra import block_algebra_generators
 from test_convert import assert_rel_close, spy_norm_shapes
 from test_triples import two_qubit_triple
 
@@ -59,7 +67,7 @@ def random_module(t, n, rng):
 
 
 def random_potential(t, module, rng):
-    basis = one_form_span(t.dirac, module.base.basis)
+    basis = one_form_span(t.dirac, module.base)
     n, nh = module.size, module.block_dim
     q = module.projector
     raw = [[sum((rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis)
@@ -132,19 +140,132 @@ def Tolerance_like():
     return Tolerance()
 
 
+def product_stack_span(dirac, ops):
+    """The span of the products [D, b] b' over a stack, from one SVD of the
+    stack of all of them, the way `one_form_span` used to build it."""
+    comms = dirac @ ops - ops @ dirac
+    return span_basis((comms[:, None] @ ops[None]).reshape((-1,) + ops.shape[1:]))
+
+
+def assert_same_span(span, ref, tol=1e-12):
+    """Equal rank and |P - P_ref|_2 <= tol for the orthogonal projectors onto
+    the two spans; for equal ranks that is |(1 - P_ref) P|_2."""
+    assert len(span) == len(ref)
+    if len(ref) == 0:
+        return
+    flat = span.reshape(len(span), -1).T
+    ref_flat = ref.reshape(len(ref), -1).T
+    assert operator_norm(flat - ref_flat @ (adjoint(ref_flat) @ flat)) <= tol
+
+
+def forward_output(seed):
+    return spinc_to_riemannian(matrix_geometry(2, seed=seed)).output
+
+
+def dirac_and(t, algebra):
+    return t.dirac, getattr(t, algebra)()
+
+
+def opposite_case(seed):
+    tri = forward_output(seed)
+    return tri.dirac, opposite_algebra(tomita_conjugation(tri), tri.cda())
+
+
+def several_components():
+    """A random Hermitian D with the trivial_points(4) algebra, and one with
+    a random W(+ M_{n_k} (x) 1_{m_k})W* of three unequal components."""
+    rng = np.random.default_rng(31)
+    alg = trivial_points(4).algebra()
+    blocks = generate_algebra(block_algebra_generators(((1, 2), (2, 1), (2, 2)), rng))
+    return [(random_hermitian(rng, 4), alg), (random_hermitian(rng, 8), blocks)]
+
+
+def roundoff_component():
+    """B = C + M_2 on C^3 and a D that couples the two blocks at 1e-13 only:
+    the commutators of the C component are roundoff against those of M_2,
+    and the rank cut is taken against the largest of all of them."""
+    rng = np.random.default_rng(13)
+    d = np.zeros((3, 3), dtype=complex)
+    d[0, 0] = 1.0
+    d[1:, 1:] = random_hermitian(rng, 2)
+    e = np.zeros((3, 3, 3), dtype=complex)
+    e[0, 0, 0] = 1.0
+    e[1, 1:, 1:] = random_complex(rng, (2, 2))
+    e[2, 1:, 1:] = random_complex(rng, (2, 2))
+    return d + 1e-13 * random_hermitian(rng, 3), generate_algebra(e)
+
+
+SPAN_CASES = {
+    "right_algebra-n2": lambda: dirac_and(matrix_geometry(2, seed=0), "right_algebra"),
+    "cda-n2": lambda: dirac_and(matrix_geometry(2, seed=0), "cda"),
+    "algebra-n2": lambda: dirac_and(matrix_geometry(2, seed=0), "algebra"),
+    "cda-n3": lambda: dirac_and(matrix_geometry(3, seed=0), "cda"),
+    "algebra-n3": lambda: dirac_and(matrix_geometry(3, seed=0), "algebra"),
+    "forward-cda": lambda: dirac_and(forward_output(0), "cda"),
+    "opposite-seed0": lambda: opposite_case(0),
+    "opposite-seed7": lambda: opposite_case(7),
+    "trivial_points4": lambda: dirac_and(trivial_points(4), "algebra"),
+    "trivial_points4-random-dirac": lambda: several_components()[0],
+    "three-components": lambda: several_components()[1],
+    "two_point": lambda: dirac_and(two_point(1.0), "algebra"),
+    "roundoff-component": roundoff_component,
+}
+
+
 class TestOneFormSpan:
     def test_matches_product_loop(self):
         t = matrix_geometry(2, seed=11)
-        ops = t.right_algebra().basis
-        span = one_form_span(t.dirac, ops)
-        # reference: the list of products [D, b] b' the span used to be built from
+        alg = t.right_algebra()
+        span = one_form_span(t.dirac, alg)
+        # reference: the list of products [D, b] b' the span used to be built
+        # from; a span basis is fixed only up to a unitary, so compare ranks
+        # and projectors
+        ops = alg.basis
         mats = [(t.dirac @ b - b @ t.dirac) @ b2 for b in ops for b2 in ops]
-        ref = span_basis(mats)
-        assert isinstance(span, np.ndarray) and span.shape == ref.shape
-        assert np.array_equal(span, ref)
+        assert isinstance(span, np.ndarray) and span.shape[1:] == ops.shape[1:]
+        assert_same_span(span, span_basis(mats))
+
+    @pytest.mark.parametrize("case", list(SPAN_CASES))
+    def test_module_span_is_product_stack_span(self, case):
+        dirac, alg = SPAN_CASES[case]()
+        assert alg.wedderburn is not None
+        span = one_form_span(dirac, alg)
+        flat = span.reshape(len(span), dirac.size)
+        assert operator_norm(flat.conj() @ flat.T - np.eye(len(span))) < 1e-12
+        assert_same_span(span, product_stack_span(dirac, alg.basis))
+
+    def test_several_components_span_something(self):
+        # the module path is exercised beyond a single component
+        for dirac, alg in several_components():
+            assert len(alg.wedderburn[1]) > 1
+            assert len(one_form_span(dirac, alg)) > 0
+
+    def test_fallback_generates_wedderburn_data(self, monkeypatch):
+        t = matrix_geometry(2, seed=11)
+        alg = t.right_algebra()
+        hand_built = AlgebraBasis(alg.hilbert_dim, alg.basis)
+        calls = []
+        generate = kasparov.generate_algebra
+        monkeypatch.setattr(kasparov, "generate_algebra",
+                            lambda *a, **k: calls.append(1) or generate(*a, **k))
+        span = one_form_span(t.dirac, hand_built)
+        assert len(calls) == 1
+        assert_same_span(span, product_stack_span(t.dirac, alg.basis))
+
+    def test_fallback_to_product_stack_when_generation_grows_the_algebra(self):
+        # span{E_11} is a non-unital algebra; the unital algebra its basis
+        # generates also holds E_22 + E_33, so its data would span more
+        rng = np.random.default_rng(5)
+        dirac = random_hermitian(rng, 3)
+        e11 = np.zeros((1, 3, 3), dtype=complex)
+        e11[0, 0, 0] = 1.0
+        span = one_form_span(dirac, AlgebraBasis(3, e11))
+        assert np.array_equal(span, product_stack_span(dirac, e11))
+        assert len(span) == 1
 
     def test_empty_stack(self):
-        assert one_form_span(np.eye(3), np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        span = one_form_span(np.eye(3), AlgebraBasis(3, np.zeros((0, 3, 3))))
+        assert span.shape == (0, 3, 3)
 
 
 class TestTwistedOperator:
@@ -197,6 +318,30 @@ class TestTwistedOperator:
         bad[0][0] = np.eye(nh, dtype=complex)  # identity is not a one-form
         with pytest.raises(ValueError):
             twisted_operator(t, BimoduleConnection(module, bad))
+
+    @pytest.mark.parametrize("break_", ["hermiticity", "span"])
+    def test_potential_gate_matches_block_loop(self, break_):
+        # the batched gate reports the value of the old per-block loop
+        t = matrix_geometry(2, seed=3)
+        rng = np.random.default_rng(41)
+        module = random_module(t, 2, rng)
+        table = np.array(random_potential(t, module, rng))
+        if break_ == "hermiticity":
+            table[0, 1] = table[0, 1] + 1e-3 * (table[0, 1] + np.eye(t.hilbert_dim))
+            table[0, 1] = project_onto_span(table[0, 1], one_form_span(t.dirac, module.base))
+        else:
+            table[1, 1] = table[1, 1] + 1e-3 * np.eye(t.hilbert_dim)
+        span = one_form_span(t.dirac, module.base)
+        mem = herm = 0.0
+        for i in range(2):
+            for j in range(2):
+                p = table[i, j]
+                mem = max(mem, span_residual(p, span))
+                herm = max(herm, operator_norm(adjoint(p) - table[j, i]) / max(1.0, operator_norm(p)))
+        expected = f"hermiticity (residual {herm:.3e})" if break_ == "hermiticity" \
+            else f"one-form span (residual {mem:.3e})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            twisted_operator(t, BimoduleConnection(module, list(table)))
 
     def test_non_projector_rejected(self):
         t = matrix_geometry(2, seed=5)
@@ -545,6 +690,24 @@ class TestIndexPairing:
 
 
 class TestProductRightAction:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_respects_module_is_the_projector_commutator(self, seed):
+        # the carrier-size residual against |[Q, c]| / max(1, |c|) at module
+        # size, for right ops that commute with Q and for random ones
+        t, module = forward_module(seed)
+        q = module.projector
+        rng = np.random.default_rng(seed)
+        commuting = [block_diag(a, module.size) for a in t.algebra_gens]
+        generic = list(random_complex(rng, (2,) + q.shape))
+        for ops in (commuting, generic):
+            _, _, rep = product_triple(t, grassmann_connection(module), right_ops=ops)
+            got = rep.entry("product:right_action_respects_module").residual
+            ref = max(operator_norm(q @ c - c @ q) / max(1.0, operator_norm(c)) for c in ops)
+            if ops is commuting:
+                assert got < 1e-13 and ref < 1e-13
+            else:
+                assert abs(got - ref) <= 1e-12 * ref and ref > 0.1
+
     def test_right_action_transported(self):
         # twist by a free rank-one module carrying a commuting right action
         t = matrix_geometry(2, seed=8)

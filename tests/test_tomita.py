@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncgeo.algebra import commutant
+from ncgeo.algebra import AlgebraBasis, commutant
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points
 from ncgeo.linalg import adjoint, operator_norm, random_complex, span_residuals
@@ -11,6 +11,7 @@ from ncgeo.tomita import (
     grading_from_cycle,
     mirror_dirac,
     opposite_action,
+    opposite_algebra,
     tomita_conjugation,
 )
 from ncgeo.triples import SpectralTripleData
@@ -152,6 +153,55 @@ class TestOppositeAction:
             for b in cda.basis[:6]:
                 worst = max(worst, operator_norm(aop @ b - b @ aop))
         assert worst < 1e-9
+
+
+def wedderburn_pattern(blocks):
+    """Orthonormal basis of +_k M_{n_k} (x) 1_{m_k} in the standard basis."""
+    hdim = sum(n_k * m_k for n_k, m_k in blocks)
+    out, lo = [], 0
+    for n_k, m_k in blocks:
+        for a in range(n_k):
+            for b in range(n_k):
+                x = np.zeros((hdim, hdim), dtype=complex)
+                e = np.zeros((n_k, n_k))
+                e[a, b] = 1.0
+                x[lo:lo + n_k * m_k, lo:lo + n_k * m_k] = np.kron(e, np.eye(m_k)) / np.sqrt(m_k)
+                out.append(x)
+        lo += n_k * m_k
+    return np.array(out)
+
+
+@pytest.fixture(scope="module", params=[0, 7])
+def forward_cda_conjugation(request):
+    tri = spinc_to_riemannian(matrix_geometry(2, seed=request.param)).output
+    return tri.cda(), tomita_conjugation(tri)
+
+
+class TestOppositeAlgebra:
+    def test_wedderburn_unitary_and_block_diagonalizing(self, forward_cda_conjugation):
+        cda, j = forward_cda_conjugation
+        opp = opposite_algebra(j, cda)
+        w, blocks = opp.wedderburn
+        assert blocks == cda.wedderburn[1]
+        n = cda.hilbert_dim
+        assert operator_norm(adjoint(w) @ w - np.eye(n)) < 1e-12
+        coords = adjoint(w) @ opp.basis @ w
+        assert np.max(span_residuals(coords, wedderburn_pattern(blocks))) < 1e-12
+
+    def test_carries_basis_generators_and_commutant(self, forward_cda_conjugation):
+        cda, j = forward_cda_conjugation
+        opp = opposite_algebra(j, cda)
+        assert np.array_equal(opp.basis, opposite_action(j, cda.basis))
+        assert np.array_equal(opp.generators, opposite_action(j, cda.generators))
+        assert np.array_equal(opp.commutant_basis, opposite_action(j, cda.commutant_basis))
+        # still orthonormal in the trace inner product
+        flat = opp.basis.reshape(opp.dim, -1)
+        assert operator_norm(flat.conj() @ flat.T - np.eye(opp.dim)) < 1e-12
+
+    def test_hand_built_algebra_has_no_wedderburn_data(self, riemann_pair):
+        tri, j, _ = riemann_pair
+        opp = opposite_algebra(j, AlgebraBasis(tri.hilbert_dim, tri.cda().basis))
+        assert opp.wedderburn is None and opp.commutant_basis is None
 
 
 class TestGradingFromCycle:
