@@ -6,7 +6,7 @@ residuals, and the conversions between the two structures are executable
 constructions with machine-checkable certificates.
 """
 from .linalg import Tolerance, herm_eig, operator_norm, span_basis
-from .algebra import AlgebraBasis, generate_algebra, commutant, center, graded_split
+from .algebra import AlgebraBasis, generate_algebra, commutant, intertwiners, center, graded_split
 from .report import CheckEntry, CheckReport
 from .modules import ProjectiveModule
 from .triples import (

@@ -40,6 +40,7 @@ __all__ = [
     "AlgebraBasis",
     "generate_algebra",
     "commutant",
+    "intertwiners",
     "center",
     "graded_split",
 ]
@@ -217,38 +218,56 @@ def _clusters(vals, tol):
     return np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > cut) + 1)
 
 
-def _cluster_blocks(vals, tol):
-    """(rows, cols) of the entries of the block-diagonal pattern whose blocks
-    are the clusters of the sorted eigenvalues."""
-    clusters = _clusters(vals, tol)
-    rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
-    cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+def _cluster_blocks(vals1, vals2, tol):
+    """(rows, cols) of the index pairs into the sorted eigenvalues vals2 and
+    vals1 whose values share a cluster of the merged spectrum; for vals2 =
+    vals1, the block-diagonal pattern whose blocks are its clusters."""
+    merged = np.concatenate([vals1, vals2])
+    order = np.argsort(merged, kind="stable")
+    label = np.empty(len(merged), dtype=int)
+    for k, c in enumerate(_clusters(merged[order], tol)):
+        label[order[c]] = k
+    label1, label2 = label[:len(vals1)], label[len(vals1):]
+    pairs = [(np.flatnonzero(label2 == k), np.flatnonzero(label1 == k))
+             for k in range(label.max() + 1)]
+    rows = np.concatenate([np.repeat(i2, len(i1)) for i2, i1 in pairs])
+    cols = np.concatenate([np.tile(i1, len(i2)) for i2, i1 in pairs])
     return rows, cols
 
 
-def _block_commutant(mats, vecs, rows, cols, tol):
-    """Operators vecs B vecs^* commuting with mats and their adjoints, B
-    supported on the (rows, cols) entries."""
-    n = vecs.shape[0]
+def _block_intertwiners(mats1, mats2, vecs1, vecs2, rows, cols, tol):
+    """Operators vecs2 B vecs1^* with X m1 = m2 X and X m1^* = m2^* X for each
+    pair (m1, m2) of mats1 and mats2, B supported on the (rows, cols) entries."""
+    n1, n2 = vecs1.shape[0], vecs2.shape[0]
+    diagonal = mats2 is mats1 and vecs2 is vecs1
     size = len(rows)
     slot = np.arange(size)
     eqs = []
-    for m in mats:
-        g = adjoint(vecs) @ m @ vecs
-        for op in (g, adjoint(g)):
-            # [op, E_pq] = op[:, p] e_q^T - e_p op[q, :] for each unknown E_pq
-            eq = np.zeros((size, n, n), dtype=complex)
-            eq[slot, :, cols] = op[:, rows].T
-            eq[slot, rows, :] -= op[cols, :]
-            eqs.append(eq.reshape(size, n * n))
-    scale = max([1.0] + [operator_norm(m) for m in mats])
+    for m1, m2 in zip(mats1, mats2):
+        g1 = adjoint(vecs1) @ m1 @ vecs1
+        g2 = g1 if diagonal else adjoint(vecs2) @ m2 @ vecs2
+        for op1, op2 in ((g1, g2), (adjoint(g1), adjoint(g2))):
+            # op2 E_pq - E_pq op1 = op2[:, p] e_q^T - e_p op1[q, :] for each unknown E_pq
+            eq = np.zeros((size, n2, n1), dtype=complex)
+            eq[slot, :, cols] = op2[:, rows].T
+            eq[slot, rows, :] -= op1[cols, :]
+            eqs.append(eq.reshape(size, n2 * n1))
+    scale = max([1.0] + [operator_norm(m) for m in mats1]
+                + ([] if diagonal else [operator_norm(m) for m in mats2]))
     # the triangular factor keeps the singular values and right singular
     # vectors of the tall stacked system at a fraction of its SVD cost
     tri = np.linalg.qr(np.hstack(eqs).T, mode="r")
     kernel = null_space(tri, tol, scale=scale)
-    blocks = np.zeros((len(kernel), n, n), dtype=complex)
+    blocks = np.zeros((len(kernel), n2, n1), dtype=complex)
     blocks[:, rows, cols] = kernel
-    return vecs @ blocks @ adjoint(vecs)
+    return vecs2 @ blocks @ adjoint(vecs1)
+
+
+def _block_commutant(mats, vecs, rows, cols, tol):
+    """Operators vecs B vecs^* commuting with mats and their adjoints, B
+    supported on the (rows, cols) entries: the diagonal case of
+    `_block_intertwiners`."""
+    return _block_intertwiners(mats, mats, vecs, vecs, rows, cols, tol)
 
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
@@ -274,13 +293,50 @@ def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     coeffs = rng.standard_normal((3, len(gens))) + 1j * rng.standard_normal((3, len(gens)))
     combos = np.tensordot(coeffs, gens, axes=1)
     vals, vecs = np.linalg.eigh((combos[0] + adjoint(combos[0])) / 2.0)
-    rows, cols = _cluster_blocks(vals, tol)
+    rows, cols = _cluster_blocks(vals, vals, tol)
     basis = _block_commutant(combos[1:], vecs, rows, cols, tol)
     # blocks whose Frobenius bound is under the threshold take no SVD
     threshold = max(tol.rel, 1e-8)
     if commutator_residual(gens, basis, floor=threshold) > threshold:
         basis = _block_commutant(gens, vecs, rows, cols, tol)
     return AlgebraBasis(hilbert_dim=n, basis=basis)
+
+
+def intertwiners(gens1, gens2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (trace inner product) of the operators X with
+    X a = b X and X a^* = b^* X for every pair (a, b) of corresponding
+    generators, as a (k, n2, n1) stack: the intertwiners of the *-algebras
+    the two lists generate, matched generator by generator.
+
+    The solve mirrors `commutant`.  The same seeded combination of each
+    list has Hermitian parts h1 and h2 with X h1 = h2 X, so X maps each
+    eigenspace of h1 into the eigenspace of h2 at the same eigenvalue: in
+    the two eigenbases it is supported on the pairs of indices whose
+    eigenvalues share a cluster of the merged spectrum.  The equations are
+    solved over that support, first for two more combinations and their
+    adjoints, then, if a candidate fails for some generator or adjoint,
+    for all of them.  An empty probe solve is final, since every
+    intertwiner solves the probe equations.
+    """
+    gens1 = np.asarray(gens1, dtype=complex)
+    gens2 = np.asarray(gens2, dtype=complex)
+    if len(gens1) != len(gens2):
+        raise ValueError("generator lists must correspond")
+    rng = np.random.default_rng(1285)
+    coeffs = rng.standard_normal((3, len(gens1))) + 1j * rng.standard_normal((3, len(gens1)))
+    combos1 = np.tensordot(coeffs, gens1, axes=1)
+    combos2 = np.tensordot(coeffs, gens2, axes=1)
+    vals1, vecs1 = np.linalg.eigh((combos1[0] + adjoint(combos1[0])) / 2.0)
+    vals2, vecs2 = np.linalg.eigh((combos2[0] + adjoint(combos2[0])) / 2.0)
+    rows, cols = _cluster_blocks(vals1, vals2, tol)
+    basis = _block_intertwiners(combos1[1:], combos2[1:], vecs1, vecs2, rows, cols, tol)
+    threshold = max(tol.rel, 1e-8)
+    # X a - b X over the generators and their adjoints
+    both1 = np.concatenate([gens1, gens1.conj().swapaxes(-1, -2)])
+    both2 = np.concatenate([gens2, gens2.conj().swapaxes(-1, -2)])
+    if commutator_residual(basis, both1, twisted=both2, floor=threshold) > threshold:
+        basis = _block_intertwiners(gens1, gens2, vecs1, vecs2, rows, cols, tol)
+    return basis
 
 
 def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, intertwiners
 from .kasparov import (
     BimoduleConnection,
     index_pairing,
-    one_form_span,
+    one_form_residuals,
     range_twist,
 )
 from .linalg import (
@@ -24,9 +24,9 @@ from .linalg import (
     from_blocks,
     herm_eig,
     max_operator_norm,
-    null_space,
     operator_norm,
     pull_back,
+    random_complex,
     rel_residual,
     span_basis,
     span_residuals,
@@ -357,9 +357,9 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         if pot_big.shape != q_big.shape:
             raise ValueError("potential shape does not match the module presentation")
         # the represented one-forms of the conjugation-induced right action
-        span = one_form_span(t.dirac, opposite_algebra(j, t.cda(tol)), tol)
+        right = opposite_algebra(j, t.cda(tol))
         blocks = to_blocks(pot_big, nmod).reshape(-1, nh, nh)
-        worst = float(np.max(span_residuals(blocks, span)))
+        worst = float(np.max(one_form_residuals(t.dirac, right, blocks, tol)))
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
         # an exactly Hermitian potential (the derived one is symmetrized)
         # needs no norm: the residual of a zero matrix is 0 at any scale
@@ -411,8 +411,13 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
                        tol: Tolerance = DEFAULT_TOL):
     """Unitary intertwiner of two triples with matching generator lists.
 
-    Solves the action-intertwining equations, minimizes the Dirac mismatch
-    over that family, then unitarizes.  Returns (u, report).
+    The action-intertwining family is `algebra.intertwiners`: the X with
+    X a1 = a2 X and X a1^* = a2^* X for corresponding generators, the
+    intertwiners of the generated *-algebras.  The Dirac mismatch is
+    minimized over that family, then the minimizer is unitarized.  When
+    several members match the Dirac operators exactly, the choice is a
+    seeded probe projected onto that exact subspace, so it does not depend
+    on the family's basis.  Returns (u, report).
     """
     rep = CheckReport()
     if len(t1.algebra_gens) != len(t2.algebra_gens):
@@ -421,36 +426,28 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
     if n1 != n2:
         rep.add("intertwine:dimensions", 1.0, 0.5, f"{n1} vs {n2}")
         return None, rep
-    eye1 = np.eye(n1, dtype=complex)
-    eye2 = np.eye(n2, dtype=complex)
-    maps = []
-    for a1, a2 in zip(t1.algebra_gens, t2.algebra_gens):
-        maps.append(np.kron(eye2, a1.T) - np.kron(a2, eye1))
-    stacked = np.vstack(maps)
-    kern = null_space(stacked, tol)
-    if len(kern) == 0:
+    a1s = np.reshape(t1.algebra_gens, (-1, n1, n1))
+    a2s = np.reshape(t2.algebra_gens, (-1, n2, n2))
+    basis_u = intertwiners(a1s, a2s, tol)
+    if len(basis_u) == 0:
         rep.add("intertwine:action_solutions", 1.0, 0.5,
-                "no solutions of the action-intertwining system")
+                "no solutions of the action-intertwining system" + _block_mismatch(t1, t2, tol))
         return None, rep
-    rep.add("intertwine:action_solutions", 0.0, 0.5, f"family dimension {len(kern)}")
-    basis_u = kern.reshape(-1, n2, n1)
-    cols = (basis_u @ t1.dirac - t2.dirac @ basis_u).reshape(len(kern), -1).T
+    rep.add("intertwine:action_solutions", 0.0, 0.5, f"family dimension {len(basis_u)}")
+    cols = (basis_u @ t1.dirac - t2.dirac @ basis_u).reshape(len(basis_u), -1).T
     # the family lies in C^(n2 n1), so it has at most as many members as cols
     # has rows and every right singular vector has a singular value
     _, svals, vh = np.linalg.svd(cols, full_matrices=False)
     floor = max(tol.rank_cut * max(float(svals[0]), 1.0), 1e-300)
     exact = vh[svals <= floor].conj()
     if len(exact):
-        # exact joint solutions: pick a seeded generic, well-conditioned one
-        rng = np.random.default_rng(911)
-        best, best_sv = None, -1.0
-        for _ in range(8):
-            coeff = rng.standard_normal(len(exact)) + 1j * rng.standard_normal(len(exact))
-            cand = np.tensordot(coeff @ exact, basis_u, 1)
-            sv = np.linalg.svd(cand, compute_uv=False)
-            if sv[-1] / sv[0] > best_sv:
-                best, best_sv = cand, sv[-1] / sv[0]
-        u_raw = best
+        # exact joint solutions: of seeded probes projected onto their
+        # (orthonormal) span, the best-conditioned one
+        span = exact @ basis_u.reshape(len(basis_u), -1)
+        probes = random_complex(np.random.default_rng(911), (8, n2 * n1))
+        cands = ((probes @ span.conj().T) @ span).reshape(-1, n2, n1)
+        sv = np.linalg.svd(cands, compute_uv=False)
+        u_raw = cands[np.argmax(sv[:, -1] / sv[:, 0])]
     else:
         u_raw = np.tensordot(vh[-1].conj(), basis_u, 1)
     su, ss, svh = np.linalg.svd(u_raw)
@@ -464,14 +461,24 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
     tr = np.trace(u)
     ref = tr if abs(tr) > np.sqrt(tol.rank_cut) * n1 else u.flat[np.argmax(np.abs(u))]
     u = u * (np.conj(ref) / abs(ref))
-    a1s = np.reshape(t1.algebra_gens, (-1, n1, n1))
-    a2s = np.reshape(t2.algebra_gens, (-1, n2, n2))
     rep.add("intertwine:action_residual",
             max_operator_norm(u @ a1s - a2s @ u, np.linalg.norm(a1s, 2, axis=(-2, -1))),
             max(tol.rel, 1e-10))
     dres = operator_norm(u @ t1.dirac - t2.dirac @ u)
     rep.add("intertwine:dirac_residual", dres, max(tol.rel, 1e-8))
     return u, rep
+
+
+def _block_mismatch(t1: SpectralTripleData, t2: SpectralTripleData, tol: Tolerance) -> str:
+    """Why two triples admit no intertwiner, when their generated *-algebras
+    already differ in their Wedderburn blocks (n_k, m_k); empty otherwise."""
+    data = [t.algebra(tol).wedderburn for t in (t1, t2)]
+    if any(w is None for w in data):
+        return ""
+    blocks1, blocks2 = (sorted(w[1]) for w in data)
+    if blocks1 == blocks2:
+        return ""
+    return f"; Wedderburn blocks (n_k, m_k) {blocks1} vs {blocks2}"
 
 
 def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleData,

@@ -47,6 +47,7 @@ __all__ = [
     "BimoduleConnection",
     "grassmann_connection",
     "one_form_span",
+    "one_form_residuals",
     "twisted_operator",
     "range_twist",
     "product_triple",
@@ -77,29 +78,74 @@ def one_form_span(dirac, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.
     c_i = [D, b_i] of the basis.  With B = w (+_k M_{n_k} (x) 1_{m_k}) w*,
     right multiplication by B acts on the columns of c_i w in component k
     as X (x) 1_{m_k}, so the module is +_k V_k (x) C^{n_k}, where V_k is
-    spanned by the n x m_k column slices of the c_i w in component k: one
-    SVD of a (dim B n_k) x (n m_k) stack per component, ranks cut against
-    the largest singular value over all of them, and the basis mapped back
-    through w*, which keeps it orthonormal.  Without stored Wedderburn data
-    they are taken from `generate_algebra(alg.basis)`; if that algebra is
-    larger than B, the products are stacked and spanned instead.
+    spanned by the n x m_k column slices of the c_i w in component k
+    (`_one_form_factors`).  The basis is that of each V_k in each column
+    block of its component, mapped back through w*, which keeps it
+    orthonormal.  Without stored Wedderburn data they are taken from
+    `generate_algebra(alg.basis)`; if that algebra is larger than B, the
+    products are stacked and spanned instead.
     """
+    n = alg.hilbert_dim
+    factors = _one_form_factors(dirac, alg, tol)
+    if factors is None:
+        return _product_span(dirac, alg.basis, tol)
+    # basis element (r, b) of component k: slice r of V_k in columns (b, :)
+    return np.concatenate([np.einsum("rip,jbp->rbij", v_k, w_k.conj()).reshape(-1, n, n)
+                           for v_k, w_k in zip(*factors)])
+
+
+def one_form_residuals(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """`span_residuals(xs, one_form_span(dirac, alg, tol))` without forming
+    the span basis.
+
+    The 2-norm is unitarily invariant, so each x is rotated to x w and
+    normed there: the part of x w outside the span is, in each component
+    k, the part of each n x m_k column slice outside V_k.  Without
+    Wedderburn data, the residuals against the product-stack span.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    factors = _one_form_factors(dirac, alg, tol)
+    if factors is None:
+        return span_residuals(xs, _product_span(dirac, alg.basis, tol))
+    k, n = len(xs), alg.hilbert_dim
+    outside = []
+    for v_k, w_k in zip(*factors):
+        n_k, m_k = w_k.shape[1:]
+        # rows (x, a): the slice of x w in columns (a, :) of component k
+        y = (xs @ w_k.reshape(n, -1)).reshape(k, n, n_k, m_k).swapaxes(1, 2).reshape(-1, n * m_k)
+        v = v_k.reshape(len(v_k), n * m_k)
+        y = y - (y @ v.conj().T) @ v
+        outside.append(y.reshape(k, n_k, n, m_k).swapaxes(1, 2).reshape(k, n, -1))
+    norms = np.linalg.norm(np.concatenate(outside, axis=-1), 2, axis=(-2, -1))
+    return norms / np.maximum(1.0, np.linalg.norm(xs, 2, axis=(-2, -1)))
+
+
+def _one_form_factors(dirac, alg: AlgebraBasis, tol: Tolerance):
+    """(V, W) per isotypic component of B, or None without Wedderburn data:
+    W_k the (n, n_k, m_k) columns of w (`algebra._components`) and V_k an
+    orthonormal (r_k, n, m_k) basis of the span of the n x m_k column
+    slices of the c_i w_k.  One SVD of a (dim B n_k) x (n m_k) stack per
+    component; the ranks are cut against the largest singular value over
+    all of them."""
+    wedderburn = _wedderburn_data(alg, tol)
+    if wedderburn is None:
+        return None
     basis = alg.basis
     n = alg.hilbert_dim
     comms = dirac @ basis - basis @ dirac
-    wedderburn = _wedderburn_data(alg, tol)
-    if wedderburn is None:
-        return span_basis((comms[:, None] @ basis[None]).reshape(-1, n, n), tol)
     comps = _components(*wedderburn)
     # rows (i, a): the slice of c_i w in columns (a, :) of component k
     factors = [np.linalg.svd(np.einsum("dij,jap->daip", comms, w_k).reshape(-1, n * w_k.shape[2]),
                              full_matrices=False)[1:] for w_k in comps]
     top = max(float(s[0]) for s, _ in factors)
-    # basis element (r, b) of component k: slice r of V_k in columns (b, :)
-    return np.concatenate([
-        np.einsum("rip,jbp->rbij", vh[s > tol.rank_cut * top].reshape(-1, n, w_k.shape[2]),
-                  w_k.conj()).reshape(-1, n, n)
-        for (s, vh), w_k in zip(factors, comps)])
+    return ([vh[s > tol.rank_cut * top].reshape(-1, n, w_k.shape[2])
+             for (s, vh), w_k in zip(factors, comps)], comps)
+
+
+def _product_span(dirac, basis, tol: Tolerance) -> np.ndarray:
+    """The span of the products [D, b] b' over a stack, from one SVD."""
+    comms = dirac @ basis - basis @ dirac
+    return span_basis((comms[:, None] @ basis[None]).reshape((-1,) + basis.shape[1:]), tol)
 
 
 def _wedderburn_data(alg: AlgebraBasis, tol: Tolerance):
@@ -121,8 +167,8 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
         raise ValueError(f"potential table of shape {table.shape}, expected {(n, n, nh, nh)}")
     if not np.all(np.isfinite(table)):
         raise ValueError("matrix entries must be finite")
-    span = one_form_span(t.dirac, module.base, tol)
-    worst_mem = float(np.max(span_residuals(table.reshape(-1, nh, nh), span)))
+    entries = table.reshape(-1, nh, nh)
+    worst_mem = float(np.max(one_form_residuals(t.dirac, module.base, entries, tol)))
     # entry (i, j) compares p_ij^* with p_ji, relative to |p_ij|
     worst_herm = max_operator_norm(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1),
                                    np.linalg.norm(table, 2, axis=(-2, -1)))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgeo import algebra
-from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split
-from ncgeo.convert import spinc_to_riemannian
+from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split, intertwiners
+from ncgeo.convert import round_trip_check, spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, null_space, operator_norm, random_complex,
                           random_unitary, span_basis, span_residual, span_residuals)
@@ -516,3 +516,146 @@ class TestPairCoords:
         assert operator_norm(q @ q - q) < 1e-12
         assert operator_norm(q - adjoint(q)) < 1e-12
         assert np.trace(q).real == pytest.approx(sum(m_k * m_k for _, m_k in blocks), rel=1e-12)
+
+
+def kronecker_intertwiners(gens1, gens2, tol=DEFAULT_TOL, with_adjoints=True):
+    """Reference: null space of the stacked Kronecker system X a - b X over
+    all n2 x n1 matrices X, for every generator pair and, by default, its
+    adjoints; the rows of the kernel are X flattened row by row."""
+    gens1, gens2 = np.asarray(gens1, dtype=complex), np.asarray(gens2, dtype=complex)
+    if with_adjoints:
+        gens1 = np.concatenate([gens1, gens1.conj().swapaxes(-1, -2)])
+        gens2 = np.concatenate([gens2, gens2.conj().swapaxes(-1, -2)])
+    n1, n2 = gens1.shape[-1], gens2.shape[-1]
+    maps = [np.kron(np.eye(n2), a.T) - np.kron(b, np.eye(n1)) for a, b in zip(gens1, gens2)]
+    return null_space(np.vstack(maps), tol).reshape(-1, n2, n1)
+
+
+def assert_same_family(basis, ref, tol=1e-12):
+    """Equal dimension and |P - P_ref|_2 <= tol for the projectors onto the
+    two spans; the basis is orthonormal."""
+    assert len(basis) == len(ref)
+    if len(ref) == 0:
+        return
+    flat = basis.reshape(len(basis), -1)
+    ref_flat = ref.reshape(len(ref), -1)
+    assert operator_norm(flat.conj() @ flat.T - np.eye(len(flat))) <= tol
+    p = flat.T @ flat.conj()
+    p_ref = ref_flat.T @ ref_flat.conj()
+    assert operator_norm(p - p_ref) <= tol
+
+
+def round_trip_pair(t):
+    """The generators of a triple and of its round-trip output, which the
+    round trip's intertwiner matches."""
+    return t.algebra_gens, round_trip_check(t).output.algebra_gens
+
+
+def conjugated_pair(gens, seed):
+    """The generators and their conjugates by a seeded random unitary."""
+    w = random_unitary(np.random.default_rng(seed), gens[0].shape[0])
+    return gens, [w @ g @ adjoint(w) for g in gens]
+
+
+def inequivalent_pair():
+    """M_2 with multiplicity 2 against the diagonal C + C with multiplicity 2
+    on C^4: the two generated *-algebras differ, so nothing intertwines."""
+    return ([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))],
+            [np.diag([1.0, 0, 1.0, 0]).astype(complex), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)])
+
+
+INTERTWINER_CASES = {
+    "mgeom2_s0_round_trip": lambda: round_trip_pair(matrix_geometry(2, seed=0)),
+    "mgeom2_s7_round_trip": lambda: round_trip_pair(matrix_geometry(2, seed=7)),
+    "mgeom3_round_trip": lambda: round_trip_pair(matrix_geometry(3, seed=0)),
+    "trivial_points_3_round_trip": lambda: round_trip_pair(trivial_points(3)),
+    "two_point_conjugated": lambda: conjugated_pair(two_point(1.0).algebra_gens, 4),
+    "inequivalent": inequivalent_pair,
+}
+
+
+class TestIntertwinersAgainstKronecker:
+    @pytest.mark.parametrize("name", sorted(INTERTWINER_CASES))
+    def test_same_family(self, name):
+        gens1, gens2 = INTERTWINER_CASES[name]()
+        basis = intertwiners(gens1, gens2)
+        assert basis.shape[1:] == (gens2[0].shape[0], gens1[0].shape[0])
+        assert_same_family(basis, kronecker_intertwiners(gens1, gens2))
+        if name == "inequivalent":
+            assert len(basis) == 0
+        else:
+            assert len(basis) > 0
+
+    def test_commutant_is_the_diagonal_case(self):
+        gens = matrix_geometry(2, seed=7).algebra_gens
+        assert_same_family(intertwiners(gens, gens), commutant(hand_built(generate_algebra(gens))).basis)
+
+    def test_fallback_solves_with_all_generators(self, monkeypatch):
+        # the probe solve is replaced by the whole search space, which
+        # fails verification, so all generators are solved for
+        gens1, gens2 = conjugated_pair(matrix_geometry(2, seed=7).algebra_gens, 3)
+        calls = []
+        real = algebra.null_space
+
+        def broken_probe(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a[:0] if len(calls) == 1 else a, *args, **kwargs)
+
+        monkeypatch.setattr(algebra, "null_space", broken_probe)
+        basis = intertwiners(gens1, gens2)
+        assert len(calls) == 2
+        assert_same_family(basis, kronecker_intertwiners(gens1, gens2))
+
+    def test_star_family_of_a_non_normal_generator(self):
+        # X N = N X alone admits a 1 + b N (dimension 2); with X N* = N* X
+        # only the scalars remain, the intertwiners of the generated M_2
+        assert len(kronecker_intertwiners([NILPOTENT], [NILPOTENT], with_adjoints=False)) == 2
+        basis = intertwiners([NILPOTENT], [NILPOTENT])
+        assert_same_family(basis, np.eye(2, dtype=complex)[None] / np.sqrt(2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(wedderburn_fixtures())
+    def test_random_block_algebras(self, fixture):
+        # a representation and its conjugate by a random unitary: the
+        # family is W' times the commutant, of dimension sum_k m_k^2
+        blocks, seed = fixture
+        rng = np.random.default_rng(seed)
+        gens1, gens2 = conjugated_pair(block_algebra_generators(blocks, rng), seed)
+        basis = intertwiners(gens1, gens2)
+        assert len(basis) == sum(m_k * m_k for _, m_k in blocks)
+        assert_same_family(basis, kronecker_intertwiners(gens1, gens2), tol=1e-10)
+
+    @pytest.mark.parametrize("name", ["mgeom2_s7_cda", "mgeom3_algebra", "trivial_points_5"])
+    def test_commutant_solve_unchanged(self, name):
+        # the commutant, and so every generated algebra, is bit for bit the
+        # solve of the block-diagonal pattern of the probe's clusters
+        alg = hand_built(COMMUTANT_CASES[name]())
+        assert np.array_equal(commutant(alg).basis, block_diagonal_commutant(alg.generators))
+
+
+def block_diagonal_commutant(gens, tol=DEFAULT_TOL):
+    """The probe solve of `commutant` written for one algebra: the
+    commutator equations of two combinations and their adjoints over the
+    eigenvalue-cluster blocks of the first combination's Hermitian part."""
+    rng = np.random.default_rng(1285)
+    coeffs = rng.standard_normal((3, len(gens))) + 1j * rng.standard_normal((3, len(gens)))
+    combos = np.tensordot(coeffs, gens, axes=1)
+    vals, vecs = np.linalg.eigh((combos[0] + adjoint(combos[0])) / 2.0)
+    clusters = algebra._clusters(vals, tol)
+    rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
+    cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+    n, size = len(vals), len(rows)
+    slot = np.arange(size)
+    eqs = []
+    for m in combos[1:]:
+        g = adjoint(vecs) @ m @ vecs
+        for op in (g, adjoint(g)):
+            eq = np.zeros((size, n, n), dtype=complex)
+            eq[slot, :, cols] = op[:, rows].T
+            eq[slot, rows, :] -= op[cols, :]
+            eqs.append(eq.reshape(size, n * n))
+    scale = max([1.0] + [operator_norm(m) for m in combos[1:]])
+    kernel = null_space(np.linalg.qr(np.hstack(eqs).T, mode="r"), tol, scale=scale)
+    blocks = np.zeros((len(kernel), n, n), dtype=complex)
+    blocks[:, rows, cols] = kernel
+    return vecs @ blocks @ adjoint(vecs)

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgeo import convert, linalg
 from ncgeo.algebra import AlgebraBasis
@@ -28,6 +30,7 @@ from ncgeo.linalg import (
     adjoint,
     block_diag,
     operator_norm,
+    random_unitary,
     random_hermitian,
     rel_residual,
     span_basis,
@@ -36,6 +39,8 @@ from ncgeo.linalg import (
 from ncgeo.modules import parseval_frame
 from ncgeo.tomita import AntiunitaryMap, opposite_action, opposite_algebra, tomita_conjugation
 from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra, represent_chain
+
+from test_algebra import NILPOTENT, inequivalent_pair, kronecker_intertwiners
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +456,74 @@ class TestIntertwiner:
             assert rep_rev.entry(cid).residual < 1e-12
 
 
+    @pytest.mark.parametrize("name", [f"trivial_points{n}" for n in range(3, 8)]
+                             + ["mgeom2_s0", "mgeom2_s7"])
+    def test_exact_choice_is_independent_of_the_family_basis(self, name, monkeypatch):
+        # the Kronecker family of the generators alone, in its own basis,
+        # leads to the same witness: the probes are projected onto the
+        # subspace of exact intertwiners, not combined in its coordinates
+        t = trivial_points(int(name[-1])) if name.startswith("trivial") else \
+            matrix_geometry(2, seed=int(name[-1]))
+        out = round_trip_check(t).output
+        u, rep = intertwine_triples(t, out)
+        monkeypatch.setattr(convert, "intertwiners", lambda g1, g2, tol: kronecker_intertwiners(
+            g1, g2, tol, with_adjoints=False))
+        u_kron, rep_kron = intertwine_triples(t, out)
+        assert rep.passed and rep_kron.passed
+        assert np.max(np.abs(u - u_kron)) <= 1e-12
+
+    def test_empty_family_names_the_wedderburn_blocks(self):
+        gens1, gens2 = inequivalent_pair()
+        u, rep = intertwine_triples(SpectralTripleData(4, gens1, np.zeros((4, 4))),
+                                    SpectralTripleData(4, gens2, np.zeros((4, 4))))
+        assert u is None
+        entry = rep.entry("intertwine:action_solutions")
+        assert entry.status == "fail"
+        assert entry.details == ("no solutions of the action-intertwining system; "
+                                 "Wedderburn blocks (n_k, m_k) [(2, 2)] vs [(1, 1), (1, 1), (1, 1), (1, 1)]")
+
+    def test_empty_family_with_equal_blocks(self):
+        # the same diagonal algebra, but the generator goes to a different
+        # element: nothing intertwines and the block lists say nothing
+        t1 = SpectralTripleData(3, [np.diag([1.0, 2.0, 3.0])], np.zeros((3, 3)))
+        t2 = SpectralTripleData(3, [np.diag([4.0, 5.0, 6.0])], np.zeros((3, 3)))
+        u, rep = intertwine_triples(t1, t2)
+        assert u is None
+        assert rep.entry("intertwine:action_solutions").details == \
+            "no solutions of the action-intertwining system"
+
+    def test_non_normal_generator(self):
+        # N alone admits the intertwiners a W + b W N (dimension 2); the
+        # *-family of the generated M_2 is C W, and it holds the unitary
+        w = random_unitary(np.random.default_rng(8), 2)
+        dirac = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+        t1 = SpectralTripleData(2, [NILPOTENT], dirac)
+        t2 = SpectralTripleData(2, [w @ NILPOTENT @ adjoint(w)], w @ dirac @ adjoint(w))
+        assert len(kronecker_intertwiners([NILPOTENT], t2.algebra_gens, with_adjoints=False)) == 2
+        u, rep = intertwine_triples(t1, t2)
+        assert rep.passed
+        assert rep.entry("intertwine:action_solutions").details == "family dimension 1"
+        phase = np.vdot(w.ravel(), u.ravel()) / 2.0
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert np.max(np.abs(u - phase * w)) <= 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_conjugate_triple_is_intertwined_by_the_unitary(self, seed):
+        t = MGEOM2_SEED0
+        w = random_unitary(np.random.default_rng(seed), t.hilbert_dim)
+        moved = SpectralTripleData(t.hilbert_dim, [w @ a @ adjoint(w) for a in t.algebra_gens],
+                                   w @ t.dirac @ adjoint(w))
+        u, rep = intertwine_triples(t, moved)
+        assert rep.passed
+        phase = np.vdot(w.ravel(), u.ravel()) / t.hilbert_dim
+        assert abs(abs(phase) - 1.0) <= 1e-10
+        assert np.max(np.abs(u - phase * w)) <= 1e-10
+
+
+MGEOM2_SEED0 = matrix_geometry(2, seed=0)
+
+
 @pytest.fixture(scope="module", params=[0, 7])
 def forward_output_opposite(request):
     tri = spinc_to_riemannian(matrix_geometry(2, seed=request.param)).output
@@ -474,28 +547,57 @@ class TestOppositeOneFormSpan:
         assert len(one_form_span(tri.dirac, opposite)) == 0
 
     def test_round_trip_span_factors_small_stacks(self, monkeypatch):
-        # the module span factors one (dim B n_k) x (n m_k) stack per
+        # the membership test factors one (dim B n_k) x (n m_k) stack per
         # component: 216 x 216 at H=36, where the product stack was 1296 rows
         rows, inside = [], []
-        svd, span = np.linalg.svd, convert.one_form_span
+        svd, residuals = np.linalg.svd, convert.one_form_residuals
 
         def svd_spy(a, *args, **kwargs):
             if inside:
                 rows.append(np.shape(a)[-2])
             return svd(a, *args, **kwargs)
 
-        def span_spy(*args, **kwargs):
+        def residuals_spy(*args, **kwargs):
             inside.append(True)
             try:
-                return span(*args, **kwargs)
+                return residuals(*args, **kwargs)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
-        monkeypatch.setattr(convert, "one_form_span", span_spy)
+        monkeypatch.setattr(convert, "one_form_residuals", residuals_spy)
         res = round_trip_check(matrix_geometry(3, seed=0))
         assert res.report.entry("backward:convert:potential_in_one_form_span").status == "pass"
         assert rows and max(rows) == 216
+
+    def test_round_trip_intertwiner_factors_small_systems(self, monkeypatch):
+        # the intertwiners are solved on the 3 x 36 pairs of eigenvectors of
+        # the merged clusters: 108 unknowns at H=18, where the Kronecker
+        # system had 324
+        unknowns, inside = [], []
+        real = {name: getattr(np.linalg, name) for name in ("svd", "qr")}
+
+        def spy(name):
+            def factor(a, *args, **kwargs):
+                if inside:
+                    unknowns.append(np.shape(a)[-1])
+                return real[name](a, *args, **kwargs)
+            return factor
+
+        def intertwine_spy(*args, **kwargs):
+            inside.append(True)
+            try:
+                return intertwine(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        intertwine = convert.intertwine_triples
+        for name in real:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        monkeypatch.setattr(convert, "intertwine_triples", intertwine_spy)
+        res = round_trip_check(matrix_geometry(3, seed=0))
+        assert res.report.entry("intertwine:action_solutions").details == "family dimension 36"
+        assert unknowns and max(unknowns) == 108
 
 
 class TestDoubling:

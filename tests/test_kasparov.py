@@ -17,6 +17,7 @@ from ncgeo.kasparov import (
     gauge_transform,
     grassmann_connection,
     index_pairing,
+    one_form_residuals,
     one_form_span,
     product_triple,
     range_twist,
@@ -33,6 +34,7 @@ from ncgeo.linalg import (
     random_hermitian,
     span_basis,
     span_residual,
+    span_residuals,
 )
 from ncgeo.modules import ProjectiveModule, parseval_frame, validate_module
 from ncgeo.tomita import opposite_algebra, tomita_conjugation
@@ -233,6 +235,30 @@ class TestOneFormSpan:
         flat = span.reshape(len(span), dirac.size)
         assert operator_norm(flat.conj() @ flat.T - np.eye(len(span))) < 1e-12
         assert_same_span(span, product_stack_span(dirac, alg.basis))
+
+    @pytest.mark.parametrize("case", list(SPAN_CASES))
+    def test_residuals_match_the_span(self, case):
+        # random operators, members of the span, and members plus a small
+        # random part, so the residuals range from roundoff to 1
+        dirac, alg = SPAN_CASES[case]()
+        span = one_form_span(dirac, alg)
+        rng = np.random.default_rng(17)
+        n = alg.hilbert_dim
+        xs = random_complex(rng, (6, n, n))
+        inside = xs[:3] if len(span) == 0 else np.stack([project_onto_span(x, span) for x in xs[:3]])
+        xs = np.concatenate([xs, inside, inside + 1e-3 * xs[3:]])
+        ref = span_residuals(xs, span)
+        assert np.max(np.abs(one_form_residuals(dirac, alg, xs) - ref)) <= 1e-12
+
+    def test_residuals_without_wedderburn_data(self):
+        rng = np.random.default_rng(5)
+        dirac = random_hermitian(rng, 3)
+        e11 = np.zeros((1, 3, 3), dtype=complex)
+        e11[0, 0, 0] = 1.0
+        alg = AlgebraBasis(3, e11)
+        xs = random_complex(rng, (4, 3, 3))
+        ref = span_residuals(xs, one_form_span(dirac, alg))
+        assert np.array_equal(one_form_residuals(dirac, alg, xs), ref)
 
     def test_several_components_span_something(self):
         # the module path is exercised beyond a single component
