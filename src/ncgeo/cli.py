@@ -83,13 +83,14 @@ def _load(path):
         raise SystemExit(EXIT_PARSE)
 
 
-def _read_input(path, decode):
-    """decode(doc) for the JSON object doc in a file.  A file that cannot be
-    read, is not a JSON object, lacks a key or holds a bad encoding exits 2
-    with one error line."""
+def _read_input(path, decode, doc=None):
+    """decode(doc) for the JSON object doc in a file, read from path unless
+    given.  A file that cannot be read, is not a JSON object, lacks a key or
+    holds a bad encoding exits 2 with one error line."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        if doc is None:
+            with open(path) as fh:
+                doc = json.load(fh)
         if not isinstance(doc, dict):
             raise FormatError("top level is not a JSON object")
         return decode(doc)
@@ -128,9 +129,35 @@ def cmd_check(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
+def _bundle_doc(doc):
+    """(source triple, module data) bundled by `convert to-riemannian`, or
+    None for a document without the bundle."""
+    witness, source_doc = doc.get("witness"), doc.get("source")
+    if witness is None or source_doc is None:
+        return None
+    if not isinstance(witness, dict):
+        raise FormatError("witness is not a JSON object")
+    if witness.get("c_basis_src") is None:
+        return None
+    source = dict_to_triple(source_doc)
+    return source, CliffordModuleData(
+        carrier_dim=source.hilbert_dim,
+        left_action=[data_to_matrix(w) for w in witness["c_basis_src"]],
+        right_action_gens=source.right_action_gens,
+        algebra_basis=[data_to_matrix(w) for w in witness["c_basis_out"]]
+        if witness.get("c_basis_out") else None,
+    )
+
+
 def cmd_convert(args) -> int:
     t, doc = _load(args.path)
     tol = _tol(args)
+    if args.direction == "to-spinc":
+        bundle = _read_input(args.path, _bundle_doc, doc)
+        if bundle is None:
+            print("error: to-spinc needs a file produced by to-riemannian "
+                  "(bundled module data missing)", file=sys.stderr)
+            return EXIT_FAIL
     try:
         if args.direction == "to-riemannian":
             result = spinc_to_riemannian(t, tol)
@@ -140,28 +167,13 @@ def cmd_convert(args) -> int:
                     "J_kernel": matrix_to_data(result.witness["conjugation_kernel"]),
                     "epsilon": matrix_to_data(result.witness["epsilon"]),
                     "intertwiner": None,
-                    "c_basis_src": [matrix_to_data(w) for w in result.witness["c_basis_src"]]
-                    if result.witness.get("c_basis_src") else None,
-                    "c_basis_out": [matrix_to_data(w) for w in result.witness["c_basis_out"]]
-                    if result.witness.get("c_basis_out") else None,
+                    "c_basis_src": [matrix_to_data(w) for w in result.witness["c_basis_src"]],
+                    "c_basis_out": [matrix_to_data(w) for w in result.witness["c_basis_out"]],
                 },
                 "source": triple_to_dict(t),
             }
         else:
-            witness = doc.get("witness")
-            source_doc = doc.get("source")
-            if witness is None or source_doc is None or witness.get("c_basis_src") is None:
-                print("error: to-spinc needs a file produced by to-riemannian "
-                      "(bundled module data missing)", file=sys.stderr)
-                return EXIT_FAIL
-            source = dict_to_triple(source_doc)
-            module = CliffordModuleData(
-                carrier_dim=source.hilbert_dim,
-                left_action=[data_to_matrix(w) for w in witness["c_basis_src"]],
-                right_action_gens=source.right_action_gens,
-                algebra_basis=[data_to_matrix(w) for w in witness["c_basis_out"]]
-                if witness.get("c_basis_out") else None,
-            )
+            source, module = bundle
             result, _, u, irep = backward_round_trip(t, module, source, tol)
             result.report.extend(irep, prefix="roundtrip:")
             extra = {

@@ -91,11 +91,15 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     Twists the triple by the conjugate of its own module, builds the
     distinguished vector from a tight frame of the right action, the
     conjugation from that vector, and the grading from the transported
-    orientation operator.
+    orientation operator.  Even declared dimension only; the explicit odd
+    tool is `double_odd_triple` (`ncgeo double`).
     """
     val = validate_triple(t, tol)
     if not val.passed:
         raise ValueError("input triple invalid:\n" + val.as_text())
+    if t.declared_p % 2 == 1:
+        raise ValueError(f"forward conversion needs even declared dimension, got p = "
+                         f"{t.declared_p}; odd triples: double_odd_triple (ncgeo double)")
     if t.orientation_cycle is None:
         raise ValueError("conversion needs an orientation cycle")
     orep = check_orientability(t, tol, strict=not t.orientation_cycle.generalized)
@@ -107,7 +111,6 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
         raise ValueError("spin^c prerequisites fail:\n" + "\n".join(
             f"{e.condition_id} (residual {e.residual:.3e}) {e.details}" for e in sp.failures()))
 
-    odd = t.declared_p % 2 == 1
     right = t.right_algebra(tol)
     cda = t.cda(tol)
     n = t.hilbert_dim
@@ -162,71 +165,29 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             max(tol.rel, 1e-8))
     src_basis = list(cda.combine(coeffs.T))
 
-    if not odd:
-        j = tomita_conjugation(base, phi, tol)
-        eps, grep = grading_from_cycle(base, chat, j, tol)
-        rep.extend(grep, prefix="convert:")
-        out = base.regraded(eps, tol)
-        witness = {
-            "phi": phi,
-            "conjugation_kernel": j.kernel,
-            "epsilon": eps,
-            "orientation_image": chat,
-            "module_projector": q_big,
-            "module_basis": u,
-            "frame": xs,
-            "c_basis_out": list(out_cda.basis),
-            "c_basis_src": src_basis,
-            "source": t,
-        }
-    else:
-        # odd input: double the product data into an even graded block form
-        dim = base.hilbert_dim
-        zero = np.zeros((dim, dim), dtype=complex)
-        ddbl = np.block([[out_dirac, zero], [zero, -out_dirac]])
-        gens_dbl = [np.block([[g, zero], [zero, g]]) for g in out_gens]
-        chat_dbl = np.block([[chat, zero], [zero, -chat]])
-        phi_dbl = np.concatenate([phi, phi]) / np.sqrt(2.0)
-        tri = SpectralTripleData(
-            hilbert_dim=2 * dim,
-            algebra_gens=gens_dbl + [np.block([[zero, -1j * np.eye(dim)], [1j * np.eye(dim), zero]])],
-            dirac=ddbl,
-            declared_p=t.declared_p,
-            riemann_vector=phi_dbl,
-        )
-        j = tomita_conjugation(tri, phi_dbl, tol)
-        eps = chat_dbl @ j.conjugate(chat_dbl)
-        rep.add("convert:odd_grading_anticommutes",
-                rel_residual(eps @ ddbl + ddbl @ eps, operator_norm(eps), operator_norm(ddbl)),
-                max(tol.rel, 1e-9))
-        out = SpectralTripleData(
-            hilbert_dim=2 * dim,
-            algebra_gens=gens_dbl,
-            dirac=ddbl,
-            grading=eps,
-            declared_p=t.declared_p,
-            riemann_vector=phi_dbl,
-        )
-        witness = {
-            "phi": phi_dbl,
-            "conjugation_kernel": j.kernel,
-            "epsilon": eps,
-            "orientation_image": chat_dbl,
-            "module_projector": q_big,
-            "module_basis": u,
-            "frame": xs,
-            "c_basis_out": None,
-            "c_basis_src": None,
-            "source": t,
-        }
+    j = tomita_conjugation(base, phi, tol)
+    eps, grep = grading_from_cycle(base, chat, j, tol)
+    rep.extend(grep, prefix="convert:")
+    out = base.regraded(eps, tol)
+    witness = {
+        "phi": phi,
+        "conjugation_kernel": j.kernel,
+        "epsilon": eps,
+        "orientation_image": chat,
+        "module_projector": q_big,
+        "module_basis": u,
+        "frame": xs,
+        "c_basis_out": list(out_cda.basis),
+        "c_basis_src": src_basis,
+        "source": t,
+    }
 
     rr, _ = check_riemannian(out, tol)
     rep.extend(rr)
 
     # vector-state evaluation against the source pairing on frame pairs: the
     # operator theta = sum_l b_l rho tau^* b_l^* with E(|g><tau|) rho = theta g
-    # acts on the blocks w_k of u phi (the doubled vector of an odd input
-    # gives the same value), and <phi, (1_m (x) theta) phi> =
+    # acts on the blocks w_k of u phi, and <phi, (1_m (x) theta) phi> =
     # sum_{k,l} conj(c[k, rho, l]) c[k, tau, l] for c = pair_coords(w, frame)
     pairs = xs[:min(4, m)]
     c = right.pair_coords((u @ phi).reshape(m, n), pairs)
@@ -314,10 +275,10 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
                         potential: np.ndarray | None = None) -> ConversionResult:
     """Spin^c data from a Riemannian triple and an equivalence module.
 
-    The twisted operator uses the module frame presentation with an
-    optional connection potential (a block operator whose entries must lie
-    in the represented one-form span of the conjugation-induced right
-    action).  Even declared dimension only; the odd splitting is available
+    The twisted operator uses the Parseval frame of the carrier algebra
+    with an optional connection potential (a block operator whose entries
+    must lie in the represented one-form span of the conjugation-induced
+    right action).  Even declared dimension only; the odd splitting is available
     through `split_by_central_involution` on explicitly assembled block
     data.
     """

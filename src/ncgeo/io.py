@@ -112,6 +112,9 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
             )
         phi = data_to_vector(doc["phi"]) if doc.get("phi") is not None else None
         state = data_to_matrix(doc["state"]) if doc.get("state") is not None else None
+        p = doc.get("p", 0)
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise FormatError(f"p must be a non-negative integer, got {p!r}")
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -130,7 +133,7 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
         algebra_gens=gens,
         dirac=dirac,
         grading=grading,
-        declared_p=int(doc.get("p", 0)),
+        declared_p=p,
         right_action_gens=right,
         orientation_cycle=cycle,
         riemann_vector=phi,

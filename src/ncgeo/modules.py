@@ -5,9 +5,6 @@ Concrete conventions
 * A right module q A^m over an algebra A of d x d matrices stores its
   elements as block columns of shape (m*d, d); the right action is matrix
   multiplication from the right, e -> e @ a.
-* The conjugate (left) module stores block rows of shape (d, m*d); the
-  left action is a @ e.  Conjugation of a right element is the adjoint of
-  its block column; projector and metric are reused unchanged.
 * Bimodule pairings are stored as (d, d, d, d) tables over the standard
   basis of the carrier space and extended sesquilinearly.  Left pairings
   are linear in the first slot, right pairings in the second.
@@ -45,17 +42,10 @@ __all__ = [
     "ProjectiveModule",
     "EquivBimodule",
     "validate_module",
-    "pairing_eval",
-    "random_module_element",
     "morita_check",
     "canonical_morita_check",
     "bimodule_from_actions",
-    "l2_space",
-    "conjugate_module",
     "linear_operator_bound",
-    "weight_from_pairing",
-    "inverse_weight_pairing",
-    "pre_morita_decompose",
     "parseval_frame",
 ]
 
@@ -115,35 +105,6 @@ def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> Chec
         f"min eigenvalue {vals[0]:.3e}",
     )
     return rep
-
-
-def random_module_element(mod: ProjectiveModule, rng: np.random.Generator) -> np.ndarray:
-    d, m = mod.block_dim, mod.size
-    blocks = []
-    for _ in range(m):
-        x = np.zeros((d, d), dtype=complex)
-        for b in mod.base.basis:
-            x = x + (rng.standard_normal() + 1j * rng.standard_normal()) * b
-        blocks.append(x)
-    if mod.side == "right":
-        return mod.projector @ np.vstack(blocks)
-    return np.hstack([adjoint(b) for b in blocks]) @ mod.projector
-
-
-def pairing_eval(mod: ProjectiveModule, e: np.ndarray, f: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Metric pairing of two module elements; result is a base-algebra element."""
-    e = as_complex_matrix(e)
-    f = as_complex_matrix(f)
-    q = mod.projector
-    if mod.side == "right":
-        for x in (e, f):
-            if rel_residual(q @ x - x, operator_norm(x)) > tol.rel:
-                raise ValueError("element is not in the range of the module projector")
-        return adjoint(e) @ mod.metric @ f
-    for x in (e, f):
-        if rel_residual(x @ q - x, operator_norm(x)) > tol.rel:
-            raise ValueError("element is not in the range of the module projector")
-    return e @ mod.metric @ adjoint(f)
 
 
 # ---------------------------------------------------------------------------
@@ -349,52 +310,7 @@ def canonical_morita_check(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
 
 
 # ---------------------------------------------------------------------------
-# L^2 spaces, conjugates, bounds
-
-
-def l2_space(mod: ProjectiveModule, density: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Gram matrix of the module generators under the state Tr(density . ) and
-    the orthonormalization map (pseudo-inverse square root of the Gram)."""
-    rho = as_complex_matrix(density)
-    d = mod.block_dim
-    if rho.shape != (d, d):
-        raise ValueError("state must act on the base algebra carrier")
-    vals, _ = herm_eig((rho + adjoint(rho)) / 2.0, tol)
-    if vals[0] <= tol.rank_cut * max(1.0, vals[-1]):
-        raise ValueError("state is not faithful (density matrix has a kernel)")
-    m = mod.size
-    r = mod.metric
-    # gram[i, j] = Tr(rho r_ij) over the blocks r_ij of the metric
-    gram = np.einsum("ab,ijba->ij", rho, to_blocks(r, m))
-    gvals, _ = herm_eig((gram + adjoint(gram)) / 2.0, tol)
-    if gvals[0] < -tol.rel * max(1.0, gvals[-1]):
-        raise ValueError("Gram matrix is not positive semidefinite")
-
-    scale = max(1.0, float(gvals[-1]))
-    gram_kernel = int(np.sum(gvals <= tol.rank_cut * scale))
-    # kernel of the module presentation on scalar coordinate vectors
-    act = np.zeros((m * d * d, m), dtype=complex)
-    for j in range(m):
-        col = np.zeros((m * d, d), dtype=complex)
-        col[j * d:(j + 1) * d, :] = np.eye(d)
-        act[:, j] = (mod.projector @ col).ravel()
-    svals = np.linalg.svd(act, compute_uv=False)
-    act_kernel = int(np.sum(svals <= tol.rank_cut * max(svals[0], 1e-300))) if svals.size else m
-    if gram_kernel != act_kernel:
-        raise ValueError(
-            f"state not faithful on the module: Gram kernel {gram_kernel} vs projector kernel {act_kernel}")
-
-    def inv_sqrt(x):
-        return 0.0 if x <= tol.rank_cut * scale else x ** -0.5
-
-    ortho = herm_apply(inv_sqrt, (gram + adjoint(gram)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
-    return gram, ortho
-
-
-def conjugate_module(mod: ProjectiveModule) -> ProjectiveModule:
-    """Conjugate module: sides flip, elements conjugate, projector and metric persist."""
-    side = "left" if mod.side == "right" else "right"
-    return ProjectiveModule(mod.base, mod.size, mod.projector.copy(), mod.metric.copy(), side)
+# operator bounds
 
 
 def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -427,57 +343,6 @@ def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Toleranc
 
 
 # ---------------------------------------------------------------------------
-# operator-valued weights
-
-
-def weight_from_pairing(c_alg: AlgebraBasis, a_alg: AlgebraBasis, pairing,
-                        tol: Tolerance = DEFAULT_TOL):
-    """Operator-valued weight w -> (w | 1) from a left algebra-valued pairing.
-
-    Verifies the bimodule property Psi(a w b) = a Psi(w) b on basis triples
-    and faithfulness of the sesquilinear form Psi(u^* w).  Returns
-    (psi_callable, report).
-    """
-    rep = CheckReport()
-    one = c_alg.identity()
-
-    def psi(w):
-        return pairing(w, one)
-
-    worst = 0.0
-    witness = ""
-    for a in a_alg.basis:
-        for b in a_alg.basis:
-            for w in c_alg.basis:
-                lhs = psi(a @ w @ b)
-                rhs = a @ psi(w) @ b
-                r = rel_residual(lhs - rhs, operator_norm(a), operator_norm(w), operator_norm(b))
-                if r > worst:
-                    worst = r
-                    witness = f"witness triple (a={operator_norm(a):.2f}, w={operator_norm(w):.2f}, b={operator_norm(b):.2f})"
-    rep.add("weight:bimodule_property", worst, tol.rel, witness)
-    if worst > max(tol.rel, 1e-7):
-        raise ValueError(f"pairing is not an operator-valued weight: {witness}, residual {worst:.3e}")
-
-    dim = c_alg.dim
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i, u in enumerate(c_alg.basis):
-        for j, w in enumerate(c_alg.basis):
-            gram[i, j] = np.trace(psi(adjoint(u) @ w))
-    vals, _ = herm_eig((gram + adjoint(gram)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
-    faithful = vals[0] > tol.rank_cut * max(1.0, vals[-1])
-    rep.add("weight:faithful", 0.0 if faithful else 1.0, 0.5, f"min Gram eigenvalue {vals[0]:.3e}")
-    return psi, rep
-
-
-def inverse_weight_pairing(psi):
-    """Left pairing (u|v) = Psi(u v^*) recovered from an operator-valued weight."""
-    def pairing(u, v):
-        return psi(u @ adjoint(v))
-    return pairing
-
-
-# ---------------------------------------------------------------------------
 # frames from conditional expectations
 
 
@@ -495,100 +360,3 @@ def parseval_frame(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
         raise ValueError("frame operator is singular; algebra action is degenerate")
     s_inv_half = herm_apply(lambda x: x ** -0.5, (s + adjoint(s)) / 2.0, tol)
     return s_inv_half.T
-
-
-# ---------------------------------------------------------------------------
-# decomposition of an equivalence bimodule
-
-
-def pre_morita_decompose(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL):
-    """Projector presentations and algebra isomorphisms from a passing bimodule.
-
-    Returns a dict with projectors over both algebras, the carrier frames,
-    and matrix representations of each algebra over the other, plus a
-    report with the isomorphism residuals.
-    """
-    base = morita_check(bi, tol)
-    if not base.passed:
-        raise ValueError("bimodule fails the Morita checks:\n" + base.as_text())
-    d = bi.carrier_dim
-    eye = np.eye(d, dtype=complex)
-    target = eye.ravel()
-
-    # left-side frame: solve sum_ij c_ij (c_i|c_j)_left = 1
-    cols = bi.left_pair.reshape(d * d, d * d).T
-    coeff, _, _, _ = np.linalg.lstsq(cols, target, rcond=None)
-    resid = rel_residual((cols @ coeff - target).reshape(d, d), 1.0)
-    if resid > max(tol.rel, 1e-7):
-        raise ValueError("left pairing is not full: cannot represent the identity")
-    c = coeff.reshape(d, d)
-    xs = list(c.T)  # x_j = sum_i c_ij c_i
-    ys = list(eye)
-
-    # right-side frame: sum_kl d_kl (c_k|c_l)_right = identity operator of the right action
-    cols_r = bi.right_pair.reshape(d * d, d * d).T
-    coeff_r, _, _, _ = np.linalg.lstsq(cols_r, target, rcond=None)
-    resid_r = rel_residual((cols_r @ coeff_r - target).reshape(d, d), 1.0)
-    if resid_r > max(tol.rel, 1e-7):
-        raise ValueError("right pairing is not full: cannot represent the identity")
-    dd = coeff_r.reshape(d, d)
-    ws = list(eye)
-    zs = list(dd)  # z_k = sum_l d_kl c_l
-
-    # operator matrices are (d, d, d, d) arrays of blocks [i, j]
-    def rep_left_on_right(b_op):
-        # matrix of a left-algebra operator over the right algebra: (y_i | b x_j)_right
-        return np.tensordot(bi.right_pair, b_op @ c, (1, 0)).transpose(0, 3, 1, 2)
-
-    def rep_right_on_left(a_op):
-        # matrix of a right-algebra operator over the left algebra: (a z_l | w_k)_left
-        return np.tensordot(a_op @ dd.T, bi.left_pair, (0, 0))
-
-    rep = CheckReport()
-    # q over the right algebra: q_{ij} = (y_i | x_j)_right as acting operators,
-    # which compose in reverse: (q q)_{ik} = sum_j q_{jk} q_{ij}
-    q_ops = rep_left_on_right(eye)
-    qq = np.einsum("jkab,ijbc->ikac", q_ops, q_ops, optimize=True)
-    rep.add("decompose:right_projector_idempotent", max_operator_norm(qq - q_ops),
-            max(tol.rel, 1e-7))
-
-    p_ops = rep_right_on_left(eye)
-    pp = np.einsum("ijab,jkbc->ikac", p_ops, p_ops, optimize=True)
-    rep.add("decompose:left_projector_idempotent", max_operator_norm(pp - p_ops),
-            max(tol.rel, 1e-7))
-
-    worst = 0.0
-    for b1 in bi.left_alg.basis[:4]:
-        for b2 in bi.left_alg.basis[:4]:
-            x, y = rep_left_on_right(b1), rep_left_on_right(b2)
-            # acting operators compose in reverse: (x y)_{ik} = sum_j y_{jk} x_{ij}
-            prod = np.einsum("jkab,ijbc->ikac", y, x, optimize=True)
-            worst = max_operator_norm(rep_left_on_right(b1 @ b2) - prod,
-                                      operator_norm(b1) * operator_norm(b2), floor=worst)
-    rep.add("decompose:left_into_right_homomorphism", worst, max(tol.rel, 1e-7))
-
-    rank_map = np.stack([rep_left_on_right(b).ravel() for b in bi.left_alg.basis], axis=1)
-    svals = np.linalg.svd(rank_map, compute_uv=False)
-    inj = svals[-1] > tol.rank_cut * max(1.0, svals[0])
-    rep.add("decompose:left_into_right_injective", 0.0 if inj else 1.0, 0.5)
-
-    worst = 0.0
-    for a1 in bi.right_alg.basis[:4]:
-        for a2 in bi.right_alg.basis[:4]:
-            # right-action operators compose reversed, so the product map flips:
-            # a2 a1 is represented by (x y)_{ik} = sum_j x_{ij} y_{jk}
-            x, y = rep_right_on_left(a1), rep_right_on_left(a2)
-            prod = np.einsum("ijab,jkbc->ikac", x, y, optimize=True)
-            worst = max_operator_norm(rep_right_on_left(a2 @ a1) - prod,
-                                      operator_norm(a1) * operator_norm(a2), floor=worst)
-    rep.add("decompose:right_into_left_homomorphism", worst, max(tol.rel, 1e-7))
-
-    return {
-        "frame_left": (xs, ys),
-        "frame_right": (ws, zs),
-        "q_ops": q_ops,
-        "p_ops": p_ops,
-        "rep_left_on_right": rep_left_on_right,
-        "rep_right_on_left": rep_right_on_left,
-        "report": rep,
-    }

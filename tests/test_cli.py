@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,10 @@ class TestCheckCommand:
         pytest.param(lambda doc: doc["algebra"]["generators"][0][1][1].__setitem__(1, float("inf")),
                      id="inf_entry"),
         pytest.param(lambda doc: doc.__setitem__("hilbert_dim", 3), id="hilbert_dim_mismatch"),
+        pytest.param(lambda doc: doc.__setitem__("p", "x"), id="p_string"),
+        pytest.param(lambda doc: doc.__setitem__("p", [1]), id="p_list"),
+        pytest.param(lambda doc: doc.__setitem__("p", 1.5), id="p_float"),
+        pytest.param(lambda doc: doc.__setitem__("p", -1), id="p_negative"),
     ])
     def test_unparseable_input_exit_two(self, tmp_path, capsys, edit):
         path = self._write_doc(tmp_path, edit)
@@ -219,6 +224,46 @@ class TestConvertCommand:
         src = tmp_path / "m.striple"
         save_triple(src, matrix_geometry(2, seed=7))
         assert main(["convert", "to-spinc", str(src)]) == 1
+
+    @staticmethod
+    def _bundle_doc(edit):
+        """A to-spinc input with well-encoded bundle fields, then edited."""
+        t = two_point(1.0)
+        doc = triple_to_dict(t)
+        eye = matrix_to_data(np.eye(t.hilbert_dim))
+        doc["witness"] = {"c_basis_src": [eye], "c_basis_out": [eye]}
+        doc["source"] = triple_to_dict(t)
+        edit(doc)
+        return doc
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc.__setitem__("witness", [1, 2]), id="witness_list"),
+        pytest.param(lambda doc: doc.__setitem__("source", [1, 2]), id="source_list"),
+        pytest.param(lambda doc: doc["source"].pop("dirac"), id="source_without_dirac"),
+        pytest.param(lambda doc: doc["witness"].__setitem__("c_basis_src", "x"),
+                     id="c_basis_src_string"),
+    ])
+    def test_to_spinc_malformed_bundle_exit_two(self, tmp_path, capsys, edit):
+        path = tmp_path / "bundle.riem"
+        path.write_text(json.dumps(self._bundle_doc(edit)))
+        assert main(["convert", "to-spinc", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_to_spinc_failing_bundle_exit_one(self, tmp_path, capsys):
+        # a well-encoded bundle whose conversion fails is not a parse error
+        path = tmp_path / "bundle.riem"
+        path.write_text(json.dumps(self._bundle_doc(lambda doc: None)))
+        assert main(["convert", "to-spinc", str(path)]) == 1
+        assert "prerequisite" in capsys.readouterr().err
+
+    def test_to_riemannian_odd_input_exit_one(self, tmp_path, capsys):
+        src = tmp_path / "odd.striple"
+        save_triple(src, replace(matrix_geometry(2, seed=7), declared_p=1))
+        assert main(["convert", "to-riemannian", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "double_odd_triple" in err
 
 
 class TestOtherCommands:

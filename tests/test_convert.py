@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,22 @@ class TestForwardConversion:
     def test_two_point_rejected(self):
         with pytest.raises(ValueError, match="spin"):
             spinc_to_riemannian(two_point(1.0))
+
+    def test_odd_declared_dimension_rejected_before_checks(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran on odd input")
+            return refuse
+
+        for name in ("check_orientability", "check_spinc"):
+            monkeypatch.setattr(convert, name, spy(name))
+        odd = replace(matrix_geometry(2, seed=7), declared_p=1)
+        with pytest.raises(ValueError, match="double_odd_triple"):
+            spinc_to_riemannian(odd)
+        assert calls == []
 
     def test_epsilon_anticommutes(self, mgeom_forward):
         t, res = mgeom_forward

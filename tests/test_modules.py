@@ -11,7 +11,6 @@ from ncgeo.linalg import (
     DEFAULT_TOL,
     adjoint,
     from_blocks,
-    herm_eig,
     operator_norm,
     random_complex,
     rel_residual,
@@ -22,17 +21,10 @@ from ncgeo.modules import (
     ProjectiveModule,
     bimodule_from_actions,
     canonical_morita_check,
-    conjugate_module,
-    inverse_weight_pairing,
-    l2_space,
     linear_operator_bound,
     morita_check,
-    pairing_eval,
     parseval_frame,
-    pre_morita_decompose,
-    random_module_element,
     validate_module,
-    weight_from_pairing,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,38 +63,6 @@ def random_projective_module(rng, base, m):
             g[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
     r = q @ (g @ adjoint(g) + 0.2 * np.eye(m * d)) @ q
     return ProjectiveModule(base, m, q, r, "right")
-
-
-class TestPairingEval:
-    def test_standard_basis(self):
-        mod = free_module(scalar_base(), 2)
-        e = np.array([[1.0], [0.0]], dtype=complex)
-        assert pairing_eval(mod, e, e)[0, 0] == pytest.approx(1.0)
-
-    def test_weighted_metric(self):
-        mod = free_module(scalar_base(), 2, metric=np.diag([2.0, 3.0]).astype(complex))
-        e = np.array([[0.0], [1.0]], dtype=complex)
-        assert pairing_eval(mod, e, e)[0, 0] == pytest.approx(3.0)
-
-    def test_positivity_on_random_elements(self):
-        rng = np.random.default_rng(12)
-        base = generate_algebra([SIGMA3])
-        mod = random_projective_module(rng, base, 3)
-        assert validate_module(mod).passed
-        for _ in range(5):
-            e = random_module_element(mod, rng)
-            val = pairing_eval(mod, e, e)
-            vals, _ = herm_eig((val + adjoint(val)) / 2.0)
-            assert vals[0] >= -1e-9 * max(1.0, vals[-1])
-
-    def test_rejects_element_outside_projector(self):
-        rng = np.random.default_rng(1)
-        base = scalar_base()
-        q = np.diag([1.0, 0.0]).astype(complex)
-        mod = ProjectiveModule(base, 2, q, q, "right")
-        bad = np.array([[0.0], [1.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            pairing_eval(mod, bad, bad)
 
 
 def frame_projector(alg):
@@ -243,29 +203,6 @@ def sweep_morita_residuals(bi):
             "right_pairing_left_action": action_gap(left.conj(), left_norms, bi.right_pair)}
 
 
-def sweep_decompose_residuals(bi, out):
-    """The 2-norm residuals of pre_morita_decompose as full sweeps over every block."""
-    q_ops, p_ops = out["q_ops"], out["p_ops"]
-    on_right, on_left = out["rep_left_on_right"], out["rep_right_on_left"]
-    qq = np.einsum("jkab,ijbc->ikac", q_ops, q_ops, optimize=True)
-    pp = np.einsum("ijab,jkbc->ikac", p_ops, p_ops, optimize=True)
-    left_hom = right_hom = 0.0
-    for b1 in bi.left_alg.basis[:4]:
-        for b2 in bi.left_alg.basis[:4]:
-            prod = np.einsum("jkab,ijbc->ikac", on_right(b2), on_right(b1), optimize=True)
-            left_hom = max(left_hom, float(np.max(sweep_norms(on_right(b1 @ b2) - prod)))
-                           / max(1.0, operator_norm(b1) * operator_norm(b2)))
-    for a1 in bi.right_alg.basis[:4]:
-        for a2 in bi.right_alg.basis[:4]:
-            prod = np.einsum("ijab,jkbc->ikac", on_left(a1), on_left(a2), optimize=True)
-            right_hom = max(right_hom, float(np.max(sweep_norms(on_left(a2 @ a1) - prod)))
-                            / max(1.0, operator_norm(a1) * operator_norm(a2)))
-    return {"right_projector_idempotent": float(np.max(sweep_norms(qq - q_ops))),
-            "left_projector_idempotent": float(np.max(sweep_norms(pp - p_ops))),
-            "left_into_right_homomorphism": left_hom,
-            "right_into_left_homomorphism": right_hom}
-
-
 class TestPrunedMaximaMatchSweeps:
     @pytest.mark.parametrize("name", SWEEP_CASES + ["perturbed_mgeom2_s0"])
     def test_morita_check(self, name):
@@ -273,14 +210,6 @@ class TestPrunedMaximaMatchSweeps:
         rep = morita_check(bi)
         for key, value in sweep_morita_residuals(bi).items():
             assert rep.entry(f"morita:{key}").residual == value, key
-
-    @pytest.mark.parametrize("name", SWEEP_CASES)
-    def test_pre_morita_decompose(self, name):
-        bi = sweep_case(name)
-        out = pre_morita_decompose(bi)
-        for key, value in sweep_decompose_residuals(bi, out).items():
-            assert out["report"].entry(f"decompose:{key}").residual == value, key
-
 
 class TestMoritaCheck:
     def test_standard_equivalence(self):
@@ -321,6 +250,17 @@ class TestMoritaCheck:
                 assert abs(rep.entry(f"morita:{key}").residual - value) < 1e-12, key
         assert morita_check(bi).passed
         assert morita_check(noisy).entry("morita:compatibility").residual > 0.1
+
+    def test_ambi_norm_agreement(self):
+        bi, lam = bimodule_from_actions(
+            generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))]),
+            generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)]))
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            v = random_complex(rng, 4)
+            nl = operator_norm(bi.left_pairing(v, v))
+            nr = operator_norm(bi.right_pairing(v, v))
+            assert abs(nl - nr) < 1e-9 * max(1.0, nl)
 
 
 def report_digest(rep):
@@ -423,58 +363,6 @@ class TestCanonicalMoritaCheck:
             rep, _, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
             used.update(rep.entry(f"morita:{key}").details for key in GAP_KEYS)
         assert used == {"bound from actions_commute", ""}
-
-
-class TestL2Space:
-    def test_standard(self):
-        mod = free_module(scalar_base(), 2)
-        gram, ortho = l2_space(mod, np.eye(1, dtype=complex))
-        assert np.allclose(gram, np.eye(2))
-
-    def test_weighted(self):
-        mod = free_module(scalar_base(), 2, metric=np.diag([2.0, 3.0]).astype(complex))
-        gram, _ = l2_space(mod, np.eye(1, dtype=complex))
-        assert np.allclose(gram, np.diag([2.0, 3.0]))
-
-    def test_zero_weight_rejected(self):
-        base = generate_algebra([np.diag([1.0, -1.0])])
-        mod = free_module(base, 1)
-        with pytest.raises(ValueError):
-            l2_space(mod, np.diag([1.0, 0.0]).astype(complex))
-
-
-class TestConjugateModule:
-    def test_double_conjugation(self):
-        rng = np.random.default_rng(5)
-        base = generate_algebra([SIGMA3])
-        mod = random_projective_module(rng, base, 2)
-        back = conjugate_module(conjugate_module(mod))
-        assert back.side == mod.side
-        assert operator_norm(back.projector - mod.projector) < 1e-12
-
-    def test_action_compatibility(self):
-        # a . conj(e) equals conj(e . a*) in the row representation
-        rng = np.random.default_rng(6)
-        base = generate_algebra([SIGMA3, SIGMA1])
-        mod = random_projective_module(rng, base, 2)
-        for _ in range(5):
-            e = random_module_element(mod, rng)
-            a = sum((rng.standard_normal() + 1j * rng.standard_normal()) * b
-                    for b in base.basis)
-            lhs = a @ adjoint(e)            # action on the conjugate row
-            rhs = adjoint(e @ adjoint(a))   # conjugate of e . a*
-            assert operator_norm(lhs - rhs) < 1e-10
-
-    def test_pairing_transport(self):
-        rng = np.random.default_rng(7)
-        base = generate_algebra([SIGMA3])
-        mod = random_projective_module(rng, base, 2)
-        conj = conjugate_module(mod)
-        e = random_module_element(mod, rng)
-        f = random_module_element(mod, rng)
-        lhs = pairing_eval(conj, adjoint(e), adjoint(f))
-        rhs = pairing_eval(mod, e, f)
-        assert operator_norm(lhs - rhs) < 1e-10
 
 
 def looped_block_residual(mod, big):
@@ -580,77 +468,6 @@ def l2_operator_norm(t_op, mod, rho=None):
     return operator_norm(op)
 
 
-class TestWeights:
-    def test_partial_trace_weight(self):
-        # compressed matrix algebra over a diagonal base with the partial trace
-        d = 2
-        k = 2
-        base_ops = [np.kron(np.eye(k), SIGMA3)]
-        a_alg = generate_algebra(base_ops)
-        big = [np.kron(SIGMA1, np.eye(d)), np.kron(SIGMA3, np.eye(d)),
-               np.kron(np.eye(k), SIGMA3)]
-        c_alg = generate_algebra(big)
-
-        def ptrace(w):
-            out = np.zeros((d, d), dtype=complex)
-            for i in range(k):
-                out += w[i * d:(i + 1) * d, i * d:(i + 1) * d]
-            return np.kron(np.eye(k), out) / 1.0
-
-        pairing = lambda u, v: ptrace(u @ adjoint(v))
-        psi, rep = weight_from_pairing(c_alg, a_alg, pairing)
-        assert rep.passed, rep.as_text()
-
-    def test_evaluation_weight_on_same_algebra(self):
-        alg = generate_algebra([SIGMA3])
-        pairing = lambda u, v: u @ adjoint(v)
-        psi, rep = weight_from_pairing(alg, alg, pairing)
-        assert rep.passed
-        assert operator_norm(psi(SIGMA3) - SIGMA3) < 1e-12
-
-    def test_round_trip(self):
-        alg = generate_algebra([SIGMA3])
-        pairing = lambda u, v: u @ adjoint(v)
-        psi, _ = weight_from_pairing(alg, alg, pairing)
-        again = inverse_weight_pairing(psi)
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            u = sum(rng.standard_normal() * b for b in alg.basis)
-            v = sum(rng.standard_normal() * b for b in alg.basis)
-            assert operator_norm(again(u, v) - pairing(u, v)) < 1e-10
-
-
-class TestPreMoritaDecompose:
-    def test_standard_column_module(self):
-        out = pre_morita_decompose(standard_column_bimodule())
-        assert out["report"].passed, out["report"].as_text()
-
-    def test_matrix_self_bimodule(self):
-        n = 2
-        left = generate_algebra([np.kron(SIGMA1, np.eye(n)), np.kron(SIGMA3, np.eye(n))])
-        right = generate_algebra([np.kron(np.eye(n), SIGMA1.T), np.kron(np.eye(n), SIGMA3.T)])
-        bi, _ = bimodule_from_actions(left, right)
-        out = pre_morita_decompose(bi)
-        assert out["report"].passed, out["report"].as_text()
-
-    def test_trivial_self_equivalence(self):
-        alg = generate_algebra([np.diag([1.0, -1.0])])
-        bi, lam = bimodule_from_actions(alg, alg)
-        out = pre_morita_decompose(bi)
-        assert out["report"].passed
-
-    def test_ambi_norm_agreement(self):
-        bi, lam = bimodule_from_actions(
-            generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))]),
-            generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)]))
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            v = random_complex(rng, 4)
-            nl = operator_norm(bi.left_pairing(v, v))
-            nr = operator_norm(bi.right_pairing(v, v))
-            assert abs(nl - nr) < 1e-9 * max(1.0, nl)
-
-
 class TestModuleValidationEdges:
     @pytest.mark.parametrize("n", [2, 3])
     def test_default_metric_matches_copied_metric(self, n):
@@ -668,11 +485,3 @@ class TestModuleValidationEdges:
         mod = ProjectiveModule(base, 2, q, r, "right")
         rep = validate_module(mod)
         assert rep.entry("module:metric_invertible").status == "fail"
-
-    def test_rank_deficient_projector_kernels_match(self):
-        base = scalar_base()
-        q = np.diag([1.0, 0.0]).astype(complex)
-        mod = ProjectiveModule(base, 2, q, q.copy(), "right")
-        gram, ortho = l2_space(mod, np.eye(1, dtype=complex))
-        vals = np.linalg.eigvalsh(gram)
-        assert sum(v < 1e-10 for v in vals) == 1  # matches the projector kernel
