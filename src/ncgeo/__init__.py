@@ -41,7 +41,6 @@ from .kasparov import (
     grassmann_connection,
     index_pairing,
     product_triple,
-    range_twist,
     twisted_operator,
 )
 from .convert import (

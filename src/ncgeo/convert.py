@@ -10,9 +10,10 @@ import numpy as np
 from .algebra import AlgebraBasis, intertwiners
 from .kasparov import (
     BimoduleConnection,
+    _twist,
+    compress_to_range,
     index_pairing,
-    one_form_residuals,
-    range_twist,
+    one_form_residual,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -122,7 +123,10 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     m = len(xs)
     q_big = from_blocks(right.combine(right.pair_coords(xs, xs)))
 
-    u, out_dirac = range_twist(t, BimoduleConnection(ProjectiveModule(right, m, q_big), potential), tol)
+    # Q is a frame projector by construction: convert:projector_residual
+    # below is its certificate, so it skips the gate of a caller's module
+    conn = BimoduleConnection(ProjectiveModule(right, m, q_big), potential)
+    u, out_dirac, _ = _twist(t, conn, tol, compress_to_range)
     phi = adjoint(u) @ xs.ravel()
 
     chat = pull_back(u, represent_chain(t, t.orientation_cycle))
@@ -320,7 +324,7 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         # the represented one-forms of the conjugation-induced right action
         right = opposite_algebra(j, t.cda(tol))
         blocks = to_blocks(pot_big, nmod).reshape(-1, nh, nh)
-        worst = float(np.max(one_form_residuals(t.dirac, right, blocks, tol)))
+        worst = one_form_residual(t.dirac, right, blocks, tol)
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
         # an exactly Hermitian potential (the derived one is symmetrized)
         # needs no norm: the residual of a zero matrix is 0 at any scale

@@ -5,8 +5,6 @@ import json
 
 import numpy as np
 
-from .algebra import generate_algebra
-from .modules import ProjectiveModule
 from .triples import HochschildChain, SpectralTripleData
 
 __all__ = [
@@ -16,8 +14,6 @@ __all__ = [
     "data_to_vector",
     "triple_to_dict",
     "dict_to_triple",
-    "module_to_dict",
-    "dict_to_module",
     "save_triple",
     "load_triple",
     "FormatError",
@@ -139,27 +135,6 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
         riemann_vector=phi,
         state=state,
     )
-
-
-def module_to_dict(mod) -> dict:
-    """Projective module document: base generators, size, projector/metric blocks."""
-    return {
-        "base_generators": [matrix_to_data(g) for g in mod.base.basis],
-        "m": mod.size,
-        "q_blocks": matrix_to_data(mod.projector),
-        "r_blocks": matrix_to_data(mod.metric),
-        "side": mod.side,
-    }
-
-
-def dict_to_module(doc: dict):
-    try:
-        base = generate_algebra([data_to_matrix(g) for g in doc["base_generators"]])
-        return ProjectiveModule(
-            base, int(doc["m"]), data_to_matrix(doc["q_blocks"]),
-            data_to_matrix(doc["r_blocks"]), doc.get("side", "right"))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed module document: {exc}") from exc
 
 
 def save_triple(path, t: SpectralTripleData, extra: dict | None = None):

@@ -10,8 +10,12 @@ onto it (`AlgebraBasis.pair_coords`).  Connection potentials are n x n
 tables of operators on H constrained to the represented one-form span;
 the table entry P[i][j] contributes to output slot k as sum_j P[j][k] v_j.
 Only the compression U^*(D (x) 1 + A)U of the twisted operator to the
-range basis U of Q matters to the product; `range_twist` builds it
-without module-size operators for `product_triple` and the conversion.
+range basis U of Q matters to the product; `_twist` builds it without
+module-size operators for `product_triple` and the forward conversion.
+A caller's module passes `modules.validate_module` in the two entry points
+that take one, `twisted_operator` and `product_triple`; the forward
+conversion builds its own Parseval-frame projector and certifies it by
+`convert:projector_residual`.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     block_apply,
-    block_diag,
     commutator_residual,
     from_blocks,
     herm_eig,
@@ -37,7 +40,6 @@ from .linalg import (
     rel_residual,
     span_basis,
     span_residuals,
-    to_blocks,
 )
 from .report import CheckReport
 from .triples import SpectralTripleData, first_order_residuals
@@ -47,14 +49,12 @@ __all__ = [
     "BimoduleConnection",
     "grassmann_connection",
     "one_form_span",
-    "one_form_residuals",
+    "one_form_residual",
     "twisted_operator",
-    "range_twist",
     "product_triple",
     "connection_condition_check",
     "connection_frame",
     "connection_decomposition",
-    "gauge_transform",
     "index_pairing",
     "compress_to_range",
 ]
@@ -94,19 +94,21 @@ def one_form_span(dirac, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.
                            for v_k, w_k in zip(*factors)])
 
 
-def one_form_residuals(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """`span_residuals(xs, one_form_span(dirac, alg, tol))` without forming
-    the span basis.
+def one_form_residual(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL) -> float:
+    """`max(span_residuals(xs, one_form_span(dirac, alg, tol)))` without
+    forming the span basis.
 
     The 2-norm is unitarily invariant, so each x is rotated to x w and
     normed there: the part of x w outside the span is, in each component
-    k, the part of each n x m_k column slice outside V_k.  Without
-    Wedderburn data, the residuals against the product-stack span.
+    k, the part of each n x m_k column slice outside V_k.  The maximum is
+    `max_operator_norm`'s, which skips blocks whose Frobenius bound cannot
+    reach it.  Without Wedderburn data, the largest residual against the
+    product-stack span.
     """
     xs = np.asarray(xs, dtype=complex)
     factors = _one_form_factors(dirac, alg, tol)
     if factors is None:
-        return span_residuals(xs, _product_span(dirac, alg.basis, tol))
+        return float(np.max(span_residuals(xs, _product_span(dirac, alg.basis, tol))))
     k, n = len(xs), alg.hilbert_dim
     outside = []
     for v_k, w_k in zip(*factors):
@@ -116,8 +118,7 @@ def one_form_residuals(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TO
         v = v_k.reshape(len(v_k), n * m_k)
         y = y - (y @ v.conj().T) @ v
         outside.append(y.reshape(k, n_k, n, m_k).swapaxes(1, 2).reshape(k, n, -1))
-    norms = np.linalg.norm(np.concatenate(outside, axis=-1), 2, axis=(-2, -1))
-    return norms / np.maximum(1.0, np.linalg.norm(xs, 2, axis=(-2, -1)))
+    return max_operator_norm(np.concatenate(outside, axis=-1), np.linalg.norm(xs, 2, axis=(-2, -1)))
 
 
 def _one_form_factors(dirac, alg: AlgebraBasis, tol: Tolerance):
@@ -168,7 +169,7 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
     if not np.all(np.isfinite(table)):
         raise ValueError("matrix entries must be finite")
     entries = table.reshape(-1, nh, nh)
-    worst_mem = float(np.max(one_form_residuals(t.dirac, module.base, entries, tol)))
+    worst_mem = one_form_residual(t.dirac, module.base, entries, tol)
     # entry (i, j) compares p_ij^* with p_ji, relative to |p_ij|
     worst_herm = max_operator_norm(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1),
                                    np.linalg.norm(table, 2, axis=(-2, -1)))
@@ -184,16 +185,22 @@ def first_order_residual(t: SpectralTripleData, right_alg: AlgebraBasis) -> floa
     return max(first_order_residuals(t, right_alg.basis))
 
 
-def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basis):
-    """(U, U^*(D (x) 1 + A)U, U^* A U) for U = basis(Q), after the gate: hard errors on
-    a bad projector, potential, first-order condition or non-Hermitian result."""
-    module = conn.module
+def _check_module(module: ProjectiveModule, tol: Tolerance):
+    """Hard errors on a caller's module: a projector of the wrong shape, or
+    one that fails `validate_module`."""
     n, d = module.size, module.block_dim
     if module.projector.shape != (n * d, n * d):
         raise ValueError("module projector shape mismatch")
     failed = [e.condition_id for e in validate_module(module, tol).failures()]
     if failed:
         raise ValueError("invalid twisting module: " + ", ".join(failed))
+
+
+def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basis):
+    """(U, U^*(D (x) 1 + A)U, U^* A U) for U = basis(Q), after the gate: hard errors on
+    a bad potential, first-order condition or non-Hermitian result.  The
+    module itself is the caller's to certify."""
+    module = conn.module
     _validate_potential(t, conn, tol)
     fo = first_order_residual(t, module.base)
     if fo > max(tol.rel, 1e-7):
@@ -215,16 +222,9 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
     Returns (dhat, ahat) as operators on H^n (supported on the range of the
     module projector).  Hard errors on a bad projector or potential.
     """
+    _check_module(conn.module, tol)
     _, dhat, ahat = _twist(t, conn, tol, lambda q: q)
     return dhat, ahat
-
-
-def range_twist(t: SpectralTripleData, conn: BimoduleConnection,
-                tol: Tolerance = DEFAULT_TOL):
-    """(U, U^*(D (x) 1 + A)U) for U = `compress_to_range(Q)`: U^* dhat U for
-    the `dhat` of `twisted_operator` when Q = U U^*, with the same gate."""
-    u, d_c, _ = _twist(t, conn, tol, compress_to_range)
-    return u, d_c
 
 
 def compress_to_range(projector: np.ndarray) -> np.ndarray:
@@ -240,7 +240,9 @@ def compress_to_range(projector: np.ndarray) -> np.ndarray:
 
 def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
                    tol: Tolerance = DEFAULT_TOL, right_ops: list | None = None):
-    """Spectral triple carried by the twisted operator d_c of `range_twist`.
+    """Spectral triple carried by the twisted operator d_c = U^* dhat U of
+    `twisted_operator`, for U = `compress_to_range(Q)` and Q = U U^*, under
+    the same gate.
 
     Generators, grading and optional `right_ops` (operators on H^n commuting
     with the projector) are compressed through U; the grading only when
@@ -252,7 +254,8 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
     report).
     """
     rep = CheckReport()
-    u, d_c = range_twist(t, conn, tol)
+    _check_module(conn.module, tol)
+    u, d_c, _ = _twist(t, conn, tol, compress_to_range)
     gens = np.asarray(t.algebra_gens, dtype=complex)
     gens_c = pull_back(u, gens)
     norms = np.linalg.norm(gens, 2, axis=(-2, -1))
@@ -387,25 +390,6 @@ def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL
             max(tol.rel, 1e-9))
     gamma_table = [(b, ed @ b - b @ ed) for b in right.basis]
     return gamma_table, t_op, rep
-
-
-def gauge_transform(t: SpectralTripleData, conn: BimoduleConnection, u_big: np.ndarray,
-                    tol: Tolerance = DEFAULT_TOL):
-    """Transport of (projector, potential) along a unitary over the coefficient algebra.
-
-    Returns a new connection whose twisted operator is exactly the unitary
-    conjugate of the original one.
-    """
-    module = conn.module
-    n = module.size
-    q = module.projector
-    d_n = block_diag(t.dirac, n)
-    q_new = u_big @ q @ adjoint(u_big)
-    a_new = q_new @ (u_big @ (d_n @ adjoint(u_big) - adjoint(u_big) @ d_n)) @ q_new \
-        + u_big @ twisted_operator(t, conn, tol)[1] @ adjoint(u_big)
-    table = to_blocks(a_new, n).swapaxes(0, 1)
-    new_module = ProjectiveModule(module.base, n, q_new)
-    return BimoduleConnection(new_module, table)
 
 
 def index_pairing(t: SpectralTripleData, p_proj: np.ndarray,

@@ -62,7 +62,6 @@ class ProjectiveModule:
     size: int
     projector: np.ndarray  # (m*d, m*d), blocks over the base algebra
     metric: np.ndarray | None = None  # (m*d, m*d), positive, q r = r q = r
-    side: str = "right"
 
     def __post_init__(self):
         if self.metric is None:
@@ -88,22 +87,21 @@ def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> Chec
     rep.add("module:idempotent", idem, tol.rel)
     rep.add("module:projector_hermitian", rel_residual(q - adjoint(q), nq), tol.rel)
     if r is q:
-        # the default metric: its blocks and compression residuals are the projector's
+        # the default metric: its blocks and compression residuals are the
+        # projector's, and q + (1 - q) is the identity up to one rounding
         blocks, compressed = mod.block_residual(q), idem + idem
+        invertible, details = True, "default metric: q + (1 - q) is the identity"
     else:
         blocks = max(mod.block_residual(q), mod.block_residual(r))
         nr = operator_norm(r)
         compressed = rel_residual(q @ r - r, nq, nr) + rel_residual(r @ q - r, nq, nr)
+        aug = r + (np.eye(q.shape[0]) - q)
+        vals, _ = herm_eig((aug + adjoint(aug)) / 2.0, tol)
+        invertible = vals[0] > tol.rank_cut * max(1.0, vals[-1])
+        details = f"min eigenvalue {vals[0]:.3e}"
     rep.add("module:blocks_in_base", blocks, max(tol.rel, 1e3 * tol.rank_cut))
     rep.add("module:metric_compressed", compressed, tol.rel)
-    aug = r + (np.eye(q.shape[0]) - q)
-    vals, _ = herm_eig((aug + adjoint(aug)) / 2.0, tol)
-    rep.add(
-        "module:metric_invertible",
-        0.0 if vals[0] > tol.rank_cut * max(1.0, vals[-1]) else 1.0,
-        0.5,
-        f"min eigenvalue {vals[0]:.3e}",
-    )
+    rep.add("module:metric_invertible", 0.0 if invertible else 1.0, 0.5, details)
     return rep
 
 
@@ -320,8 +318,6 @@ def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Toleranc
     projector-column generators x_j; it dominates the L^2 operator norm for
     every state on the base algebra.
     """
-    if mod.side != "right":
-        raise ValueError("operator bound implemented for right modules")
     t_op = as_complex_matrix(t_op)
     d, m = mod.block_dim, mod.size
     q = mod.projector

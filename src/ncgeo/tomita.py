@@ -52,10 +52,6 @@ class AntiunitaryMap:
         """J M J for a linear operator M (kernel assumed to satisfy K conj(K) = 1)."""
         return self.kernel @ np.conj(as_complex_matrix(m)) @ np.conj(self.kernel)
 
-    def compose_kernel(self, other: "AntiunitaryMap") -> np.ndarray:
-        """Linear kernel of the composition J1 J2."""
-        return self.kernel @ np.conj(other.kernel)
-
     def unitarity_residual(self) -> float:
         k = self.kernel
         return rel_residual(adjoint(k) @ k - np.eye(k.shape[0]), 1.0)
@@ -132,47 +128,29 @@ def opposite_algebra(j: AntiunitaryMap, alg: AlgebraBasis) -> AlgebraBasis:
 
 def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
                        tol: Tolerance = DEFAULT_TOL):
-    """Grading data induced by an orientation operator through the conjugation.
-
-    Even declared dimension: returns (epsilon, report) with epsilon = C.JCJ.
-    Odd: returns ((P_plus, P_minus), report) for the central splitting.
+    """Grading epsilon = C.JCJ induced by an orientation operator through the
+    conjugation, for even declared dimension.  Returns (epsilon, report);
+    the odd tool is `convert.split_by_central_involution`.
     """
+    if t.declared_p % 2 == 1:
+        raise ValueError(f"a grading from the orientation operator needs even declared "
+                         f"dimension, got p = {t.declared_p}")
     rep = CheckReport()
     c_op = as_complex_matrix(c_op)
-    n = t.hilbert_dim
-    eye = np.eye(n, dtype=complex)
-    nc = operator_norm(c_op)
+    eye = np.eye(t.hilbert_dim, dtype=complex)
     gens = np.asarray(t.algebra_gens)
     both_actions = np.concatenate([gens, opposite_action(j, gens)])
-    if t.declared_p % 2 == 0:
-        eps = c_op @ j.conjugate(c_op)
-        neps = operator_norm(eps)
-        rep.add("grading:squares_to_one", rel_residual(eps @ eps - eye, neps, neps), tol.rel)
-        rep.add("grading:commutes_with_conjugation",
-                rel_residual(j.conjugate(eps) - eps, neps), tol.rel)
-        rep.add("grading:anticommutes_dirac",
-                rel_residual(eps @ t.dirac + t.dirac @ eps, neps, operator_norm(t.dirac)), tol.rel)
-        rep.add("grading:commutes_both_actions", commutator_residual([eps], both_actions), tol.rel)
-        if not rep.passed:
-            raise ValueError("orientation operator does not induce a grading:\n" + rep.as_text())
-        return eps, rep
-    # odd declared dimension
-    rep.add("grading:volume_conjugation_invariant",
-            rel_residual(j.conjugate(c_op) - c_op, nc), tol.rel)
-    if t.grading is not None:
-        rep.add("grading:volume_odd_for_grading",
-                rel_residual(t.grading @ c_op + c_op @ t.grading, nc, operator_norm(t.grading)), tol.rel)
-    p_plus = (eye + c_op) / 2.0
-    p_minus = (eye - c_op) / 2.0
-    worst = rel_residual(p_plus @ p_plus - p_plus, 1.0)
-    worst = max(worst, rel_residual(p_minus @ p_minus - p_minus, 1.0))
-    worst = max(worst, rel_residual(p_plus + p_minus - eye, 1.0))
-    rep.add("grading:splitting_projectors", worst, tol.rel)
-    rep.add("grading:projectors_commute_actions",
-            commutator_residual([p_plus, p_minus], both_actions), tol.rel)
+    eps = c_op @ j.conjugate(c_op)
+    neps = operator_norm(eps)
+    rep.add("grading:squares_to_one", rel_residual(eps @ eps - eye, neps, neps), tol.rel)
+    rep.add("grading:commutes_with_conjugation",
+            rel_residual(j.conjugate(eps) - eps, neps), tol.rel)
+    rep.add("grading:anticommutes_dirac",
+            rel_residual(eps @ t.dirac + t.dirac @ eps, neps, operator_norm(t.dirac)), tol.rel)
+    rep.add("grading:commutes_both_actions", commutator_residual([eps], both_actions), tol.rel)
     if not rep.passed:
-        raise ValueError("odd orientation operator fails the splitting checks:\n" + rep.as_text())
-    return (p_plus, p_minus), rep
+        raise ValueError("orientation operator does not induce a grading:\n" + rep.as_text())
+    return eps, rep
 
 
 def mirror_dirac(t: SpectralTripleData, j: AntiunitaryMap, eps,

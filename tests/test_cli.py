@@ -366,6 +366,13 @@ class TestInputFileErrors:
         assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_product_half_projector_names_the_gate(self, tmp_path, capsys):
+        argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
+        doc = {"size": 1, "projector": self.HALF}
+        code, err = self._run(tmp_path, capsys, matrix_geometry(2, seed=4), argv, doc)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: ") and "module:idempotent" in err
+
     @pytest.mark.parametrize("doc, expected", [
         pytest.param([[1.0, 0.0]], 2, id="top_level_list"),
         pytest.param({"left": []}, 2, id="missing_right"),
@@ -378,20 +385,3 @@ class TestInputFileErrors:
         code, err = self._run(tmp_path, capsys, riem, ["pair", "--projectors"], doc)
         assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
-
-
-class TestModuleSerialization:
-    def test_round_trip(self):
-        from ncgeo.io import dict_to_module, module_to_dict
-        from ncgeo.algebra import generate_algebra
-        from ncgeo.modules import ProjectiveModule, validate_module
-        base = generate_algebra([np.diag([1.0, -1.0]).astype(complex)])
-        q = np.eye(4, dtype=complex)
-        r = np.diag([2.0, 1.0, 1.0, 3.0]).astype(complex)
-        mod = ProjectiveModule(base, 2, q, r, "right")
-        doc = module_to_dict(mod)
-        back = dict_to_module(doc)
-        assert back.size == 2 and back.side == "right"
-        assert np.array_equal(back.projector, q)
-        assert np.array_equal(back.metric, r)
-        assert validate_module(back).passed

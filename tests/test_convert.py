@@ -36,6 +36,7 @@ from ncgeo.linalg import (
     rel_residual,
     span_basis,
     span_residual,
+    span_residuals,
 )
 from ncgeo.modules import parseval_frame
 from ncgeo.tomita import AntiunitaryMap, opposite_action, opposite_algebra, tomita_conjugation
@@ -253,6 +254,19 @@ def spy_norm_shapes(monkeypatch):
     return shapes
 
 
+def spy_eigh_shapes(monkeypatch):
+    """The shapes of the matrices passed to `numpy.linalg.eigh` from here on."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
 class TestCarrierSizeBackward:
     """The backward output against the compressions V^* Q X Q V of the
     module-size operators the conversion assembled before it pulled back
@@ -322,13 +336,15 @@ class TestCarrierSizeForward:
     """The forward conversion compresses through the range basis U of the
     module projector Q and certifies Q = U U^*."""
 
-    def test_four_module_size_norms(self, monkeypatch):
+    def test_one_module_size_norm_and_no_eigh(self, monkeypatch):
         t = matrix_geometry(2, seed=7)
         size = spinc_to_riemannian(t).witness["module_projector"].shape[0]
-        shapes = spy_norm_shapes(monkeypatch)
+        shapes, eighs = spy_norm_shapes(monkeypatch), spy_eigh_shapes(monkeypatch)
         spinc_to_riemannian(t)
-        # three in validate_module, one in convert:projector_residual
-        assert shapes.count((size, size)) == 4
+        # convert:projector_residual certifies the frame projector, which
+        # skips the gate of a caller's module
+        assert [s for s in shapes if size in s] == [(size, size)]
+        assert eighs and not [s for s in eighs if size in s]
 
     def test_projector_residual_is_the_range_certificate(self, mgeom_forward):
         _, res = mgeom_forward
@@ -566,26 +582,32 @@ class TestOppositeOneFormSpan:
     def test_round_trip_span_factors_small_stacks(self, monkeypatch):
         # the membership test factors one (dim B n_k) x (n m_k) stack per
         # component: 216 x 216 at H=36, where the product stack was 1296 rows
-        rows, inside = [], []
-        svd, residuals = np.linalg.svd, convert.one_form_residuals
+        rows, inside, calls = [], [], []
+        svd, residual = np.linalg.svd, convert.one_form_residual
 
         def svd_spy(a, *args, **kwargs):
             if inside:
                 rows.append(np.shape(a)[-2])
             return svd(a, *args, **kwargs)
 
-        def residuals_spy(*args, **kwargs):
+        def residual_spy(*args, **kwargs):
             inside.append(True)
             try:
-                return residuals(*args, **kwargs)
+                calls.append((args, residual(*args, **kwargs)))
+                return calls[-1][1]
             finally:
                 inside.pop()
 
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
-        monkeypatch.setattr(convert, "one_form_residuals", residuals_spy)
+        monkeypatch.setattr(convert, "one_form_residual", residual_spy)
         res = round_trip_check(matrix_geometry(3, seed=0))
-        assert res.report.entry("backward:convert:potential_in_one_form_span").status == "pass"
+        entry = res.report.entry("backward:convert:potential_in_one_form_span")
+        assert entry.status == "pass"
         assert rows and max(rows) == 216
+        # the maximum over the blocks of their residuals against the span
+        [((dirac, alg, xs, tol), worst)] = calls
+        assert entry.residual == worst
+        assert abs(worst - float(np.max(span_residuals(xs, one_form_span(dirac, alg, tol))))) <= 1e-12
 
     def test_round_trip_intertwiner_factors_small_systems(self, monkeypatch):
         # the intertwiners are solved on the 3 x 36 pairs of eigenvectors of

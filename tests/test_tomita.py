@@ -114,16 +114,6 @@ class TestOppositeAction:
         j = AntiunitaryMap(np.eye(3))
         assert np.allclose(opposite_action(j, np.eye(3)), np.eye(3))
 
-    def test_kernel_calculus_composition(self):
-        # the composite of two conjugations is linear with kernel K1 conj(K2)
-        rng = np.random.default_rng(2)
-        from ncgeo.linalg import random_unitary
-        j1 = AntiunitaryMap(random_unitary(rng, 3))
-        j2 = AntiunitaryMap(random_unitary(rng, 3))
-        k12 = j1.compose_kernel(j2)
-        v = random_complex(rng, 3)
-        assert np.linalg.norm(j1(j2(v)) - k12 @ v) < 1e-12
-
     def test_trivial_example_transposes(self):
         # with the entrywise conjugation J, the opposite action is the
         # transpose J a* J = a^T; on the diagonal algebra this is the same
@@ -220,8 +210,8 @@ class TestGradingFromCycle:
         assert operator_norm(eps @ tri.dirac + tri.dirac @ eps) < 1e-9 * max(
             1.0, operator_norm(tri.dirac))
 
-    def test_odd_splitting_projectors(self):
-        # synthetic odd data: central involution on a doubled trivial space
+    def test_odd_declared_dimension_rejected(self):
+        # the odd tool is split_by_central_involution
         n = 3
         t = trivial_points(n)
         c_op = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -229,11 +219,8 @@ class TestGradingFromCycle:
             n, t.algebra_gens, np.zeros((n, n)), None, 1,
             riemann_vector=t.riemann_vector,
         )
-        j = tomita_conjugation(tri)
-        (p_plus, p_minus), rep = grading_from_cycle(tri, c_op, j)
-        assert rep.passed, rep.as_text()
-        assert operator_norm(p_plus + p_minus - np.eye(n)) < 1e-12
-        assert operator_norm(p_plus @ p_plus - p_plus) < 1e-12
+        with pytest.raises(ValueError, match="even declared dimension, got p = 1"):
+            grading_from_cycle(tri, c_op, tomita_conjugation(tri))
 
 
 class TestMirrorAndFundamentalClass:
