@@ -26,6 +26,7 @@ from .linalg import (
     as_complex_matrix,
     commutator_residual,
     max_operator_norm,
+    max_span_residual,
     null_space,
     operator_norm,
     project_onto_span,
@@ -33,7 +34,6 @@ from .linalg import (
     span_basis,
     span_coords,
     span_residual,
-    span_residuals,
 )
 
 __all__ = [
@@ -373,7 +373,7 @@ def graded_split(alg: AlgebraBasis, grading, tol: Tolerance = DEFAULT_TOL):
     if rel_residual(g @ g - np.eye(n), 1.0) > tol.rel:
         raise ValueError("grading must square to the identity")
     conj = g @ alg.basis @ g
-    if np.max(span_residuals(conj, alg.basis), initial=0.0) > max(tol.rel, 1e3 * tol.rank_cut):
+    if max_span_residual(conj, alg.basis) > max(tol.rel, 1e3 * tol.rank_cut):
         raise ValueError("conjugation by the grading does not preserve the algebra")
     even = span_basis((alg.basis + conj) / 2.0, tol, scale=1.0)
     odd = span_basis((alg.basis - conj) / 2.0, tol, scale=1.0)

@@ -25,13 +25,15 @@ from .linalg import (
     from_blocks,
     herm_eig,
     max_operator_norm,
+    max_span_residual,
     operator_norm,
+    projector_gap,
     pull_back,
     random_complex,
     rel_residual,
     span_basis,
-    span_residuals,
     to_blocks,
+    unit_floor_norms,
 )
 from .modules import ProjectiveModule, parseval_frame
 from .report import CheckReport
@@ -127,6 +129,15 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     # below is its certificate, so it skips the gate of a caller's module
     conn = BimoduleConnection(ProjectiveModule(right, m, q_big), potential)
     u, out_dirac, _ = _twist(t, conn, tol, compress_to_range)
+    # the outputs are compressions through u, those of the twisted operators
+    # exactly when Q = u u^*; nothing below holds without it
+    off_range = projector_gap(q_big, u)
+    if not off_range <= tol.rel:
+        raise ValueError(f"module range basis is not that of its projector "
+                         f"(convert:projector_residual {off_range:.3e})")
+    rep = CheckReport()
+    rep.add("convert:projector_residual", off_range, tol.rel,
+            f"module size {m}, twisted space dim {u.shape[1]}")
     phi = adjoint(u) @ xs.ravel()
 
     chat = pull_back(u, represent_chain(t, t.orientation_cycle))
@@ -148,11 +159,6 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             f"twisted module is not free of rank one: algebra dim {out_cda.dim} "
             f"vs space dim {base.hilbert_dim}")
 
-    rep = CheckReport()
-    # the outputs are compressions through u, those of the twisted operators
-    # exactly when Q = u u^*
-    rep.add("convert:projector_residual", operator_norm(q_big - u @ adjoint(u)), tol.rel,
-            f"module size {m}, twisted space dim {u.shape[1]}")
     rep.add("convert:connection", 0.0, np.inf,
             "grassmann" if potential is None else "user potential")
 
@@ -165,7 +171,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     coeffs, _, _, _ = np.linalg.lstsq(hat_cols, out_basis.reshape(out_cda.dim, -1).T, rcond=None)
     fit = (hat_cols @ coeffs).T.reshape(out_basis.shape)
     rep.add("convert:algebra_transport",
-            max_operator_norm(fit - out_basis, np.linalg.norm(out_basis, 2, axis=(-2, -1))),
+            max_operator_norm(fit - out_basis, unit_floor_norms(out_basis)),
             max(tol.rel, 1e-8))
     src_basis = list(cda.combine(coeffs.T))
 
@@ -234,7 +240,7 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     if len(basis_ops) != len(module.left_action):
         raise ValueError("algebra basis and left action lists must correspond")
     basis_ops = np.asarray(basis_ops, dtype=complex)
-    if not np.max(span_residuals(basis_ops, cda.basis)) <= max(tol.rel, 1e-7):
+    if not max_span_residual(basis_ops, cda.basis) <= max(tol.rel, 1e-7):
         raise ValueError("module algebra basis leaves the Dirac-commutator algebra")
     nc = module.carrier_dim
     nh = t.hilbert_dim
@@ -248,8 +254,7 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     # column k: the left action coordinates of carrier basis element k
     coeffs = np.linalg.pinv(act_cols) @ carrier.basis.reshape(carrier.dim, -1).T
     fit = (act_cols @ coeffs).T.reshape(carrier.basis.shape)
-    scale = np.linalg.norm(carrier.basis, 2, axis=(-2, -1))
-    if not max_operator_norm(fit - carrier.basis, scale) <= max(tol.rel, 1e-6):
+    if not max_operator_norm(fit - carrier.basis, unit_floor_norms(carrier.basis)) <= max(tol.rel, 1e-6):
         raise ValueError("carrier pairing value leaves the module action span")
     source_ops = np.tensordot(coeffs.T, basis_ops, axes=1)
     # the right actions of the source operators; opposite_action adjoints
@@ -313,7 +318,7 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     # identification V; it equals V^* Q X Q V, the compression of the twisted
     # operators, exactly when Q = V V^*
     rep = CheckReport()
-    rep.add("convert:module_projector", operator_norm(q_big - v_unit @ adjoint(v_unit)),
+    rep.add("convert:module_projector", projector_gap(q_big, v_unit),
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
     dirac = pull_back(v_unit, t.dirac)
@@ -427,7 +432,7 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
     ref = tr if abs(tr) > np.sqrt(tol.rank_cut) * n1 else u.flat[np.argmax(np.abs(u))]
     u = u * (np.conj(ref) / abs(ref))
     rep.add("intertwine:action_residual",
-            max_operator_norm(u @ a1s - a2s @ u, np.linalg.norm(a1s, 2, axis=(-2, -1))),
+            max_operator_norm(u @ a1s - a2s @ u, unit_floor_norms(a1s)),
             max(tol.rel, 1e-10))
     dres = operator_norm(u @ t1.dirac - t2.dirac @ u)
     rep.add("intertwine:dirac_residual", dres, max(tol.rel, 1e-8))

@@ -34,12 +34,13 @@ from .linalg import (
     from_blocks,
     herm_eig,
     max_operator_norm,
+    max_span_residual,
     operator_norm,
     pull_back,
     random_complex,
     rel_residual,
     span_basis,
-    span_residuals,
+    unit_floor_norms,
 )
 from .report import CheckReport
 from .triples import SpectralTripleData, first_order_residuals
@@ -95,20 +96,22 @@ def one_form_span(dirac, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.
 
 
 def one_form_residual(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL) -> float:
-    """`max(span_residuals(xs, one_form_span(dirac, alg, tol)))` without
+    """`max_span_residual(xs, one_form_span(dirac, alg, tol))` without
     forming the span basis.
 
     The 2-norm is unitarily invariant, so each x is rotated to x w and
     normed there: the part of x w outside the span is, in each component
     k, the part of each n x m_k column slice outside V_k.  The maximum is
     `max_operator_norm`'s, which skips blocks whose Frobenius bound cannot
-    reach it.  Without Wedderburn data, the largest residual against the
-    product-stack span.
+    reach it, and the scales max(1, |x|_2) are `unit_floor_norms`', which
+    take no 2-norm of a block whose Frobenius norm is below 1 - 1e-12.
+    Without Wedderburn data, the largest residual against the product-stack
+    span.
     """
     xs = np.asarray(xs, dtype=complex)
     factors = _one_form_factors(dirac, alg, tol)
     if factors is None:
-        return float(np.max(span_residuals(xs, _product_span(dirac, alg.basis, tol))))
+        return max_span_residual(xs, _product_span(dirac, alg.basis, tol))
     k, n = len(xs), alg.hilbert_dim
     outside = []
     for v_k, w_k in zip(*factors):
@@ -118,7 +121,7 @@ def one_form_residual(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL
         v = v_k.reshape(len(v_k), n * m_k)
         y = y - (y @ v.conj().T) @ v
         outside.append(y.reshape(k, n_k, n, m_k).swapaxes(1, 2).reshape(k, n, -1))
-    return max_operator_norm(np.concatenate(outside, axis=-1), np.linalg.norm(xs, 2, axis=(-2, -1)))
+    return max_operator_norm(np.concatenate(outside, axis=-1), unit_floor_norms(xs))
 
 
 def _one_form_factors(dirac, alg: AlgebraBasis, tol: Tolerance):
@@ -172,7 +175,7 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
     worst_mem = one_form_residual(t.dirac, module.base, entries, tol)
     # entry (i, j) compares p_ij^* with p_ji, relative to |p_ij|
     worst_herm = max_operator_norm(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1),
-                                   np.linalg.norm(table, 2, axis=(-2, -1)))
+                                   unit_floor_norms(table))
     if worst_mem > max(tol.rel, 1e-6):
         raise ValueError(f"potential entries leave the one-form span (residual {worst_mem:.3e})")
     if worst_herm > max(tol.rel, 1e-7):
@@ -275,7 +278,7 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
                          right.conj().swapaxes(-1, -2) @ u - u @ right_c.conj().swapaxes(-1, -2)],
                         axis=1)
         rep.add("product:right_action_respects_module",
-                max_operator_norm(leak, np.linalg.norm(right, 2, axis=(-2, -1))[:, None]),
+                max_operator_norm(leak, unit_floor_norms(right)[:, None]),
                 max(tol.rel, 1e-8))
         rep.add("product:first_order_for_right_action",
                 commutator_residual(d_c @ right_c - right_c @ d_c, gens_c), max(tol.rel, 1e-8))

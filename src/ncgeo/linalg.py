@@ -17,6 +17,8 @@ __all__ = [
     "adjoint",
     "operator_norm",
     "max_operator_norm",
+    "unit_floor_norms",
+    "projector_gap",
     "commutator_residual",
     "rel_residual",
     "is_hermitian",
@@ -32,7 +34,7 @@ __all__ = [
     "span_coords",
     "project_onto_span",
     "span_residual",
-    "span_residuals",
+    "max_span_residual",
     "null_space",
     "random_complex",
     "random_hermitian",
@@ -85,6 +87,13 @@ _FROBENIUS_SLACK = 1.0 + 1e-8
 _TINY_SQUARES = 1e-280
 
 
+def _real_rows(mats) -> np.ndarray:
+    """A stack of matrices as one real row per matrix, whose sum of squares
+    is the matrix's squared Frobenius norm."""
+    flat = np.ascontiguousarray(mats).reshape(len(mats), mats.shape[-2] * mats.shape[-1])
+    return flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+
+
 def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
     """max(floor, max_k |stack[k]|_2 / max(1, scale[k])) over a stack of matrices.
 
@@ -102,9 +111,7 @@ def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
         return best
     den = np.ones(len(mats)) if scale is None else \
         np.maximum(1.0, np.broadcast_to(scale, stack.shape[:-2])).ravel()
-    flat = np.ascontiguousarray(mats).reshape(len(mats), -1)
-    if np.iscomplexobj(flat):
-        flat = flat.view(flat.real.dtype)
+    flat = _real_rows(mats)
     squares = np.einsum("ij,ij->i", flat, flat)
     bound = np.sqrt(squares)
     tiny = squares < _TINY_SQUARES
@@ -126,6 +133,56 @@ def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
         # every element whose bound still beats the best must be measured
         chunk = max(1, int(np.count_nonzero(bound[start:] > best)))
     return best
+
+
+# Below this bound on |x|_2 the computed 2-norm cannot round above 1.
+_UNDER_ONE = 1.0 - 1e-12
+
+
+def _frobenius(mats) -> np.ndarray:
+    flat = _real_rows(mats)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def unit_floor_norms(xs) -> np.ndarray:
+    """max(1, |x|_2) for each matrix of a stack, over its leading axes: the
+    float of `np.maximum(1, np.linalg.norm(xs, 2, axis=(-2, -1)))`.
+
+    |x|_2 <= |x x^*|_F^(1/2) <= |x|_F, and an element with either bound
+    under 1 - 1e-12 gets exactly 1 without an SVD.  The second bound is
+    taken only where the first fails; it is |x|_F / r^(1/4) for r equal
+    singular values, so it settles the elements of an orthonormal basis
+    other than the rank-one ones.  The rest (and any with a NaN) take a
+    2-norm.
+    """
+    xs = np.asarray(xs)
+    mats = xs.reshape((-1,) + xs.shape[-2:])
+    out = np.ones(len(mats))
+    rest = np.flatnonzero(~(_frobenius(mats) <= _UNDER_ONE))
+    if len(rest):
+        sub = mats[rest]
+        rest = rest[~(np.sqrt(_frobenius(sub @ sub.conj().swapaxes(-1, -2))) <= _UNDER_ONE)]
+    if len(rest):
+        out[rest] = np.maximum(1.0, np.linalg.norm(mats[rest], 2, axis=(-2, -1)))
+    return out.reshape(xs.shape[:-2])
+
+
+def projector_gap(q, u) -> float:
+    """|Q - U U^*|_F for an (N, N) matrix Q and an (N, r) matrix U, r rows
+    at a time, so no temporary is larger than U.
+
+    The Frobenius norm bounds the 2-norm from above (and for a difference of
+    two rank-r projectors is at most sqrt(2r) times it), so a certificate
+    `projector_gap <= tol` implies |Q - U U^*|_2 <= tol with no SVD.
+    """
+    q, u = np.asarray(q), np.asarray(u)
+    uh = adjoint(u)
+    step = max(1, u.shape[1])
+    total = 0.0
+    for start in range(0, q.shape[0], step):
+        rows = q[start:start + step] - u[start:start + step] @ uh
+        total += float(np.vdot(rows, rows).real)
+    return float(np.sqrt(total))
 
 
 def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
@@ -266,14 +323,17 @@ def span_residual(x, basis) -> float:
     return rel_residual(x - project_onto_span(x, basis), operator_norm(x))
 
 
-def span_residuals(xs, basis) -> np.ndarray:
-    """span_residual of every matrix in a (k, n, n) stack, as one array."""
+def max_span_residual(xs, basis) -> float:
+    """The largest span_residual over a (k, n, n) stack, 0.0 for an empty one:
+    one batched projection, `unit_floor_norms` for the scales and one
+    `max_operator_norm` sweep of the residuals."""
     xs = np.asarray(xs, dtype=complex)
+    if len(xs) == 0:
+        return 0.0
     flat = xs.reshape(len(xs), -1)
     b = _stacked(basis, xs.shape[1:])
     resid = (flat - (flat @ b.conj().T) @ b).reshape(xs.shape)
-    norms = np.linalg.norm(resid, 2, axis=(-2, -1))
-    return norms / np.maximum(1.0, np.linalg.norm(xs, 2, axis=(-2, -1)))
+    return max_operator_norm(resid, unit_floor_norms(xs))
 
 
 def null_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:

@@ -29,12 +29,13 @@ from .linalg import (
     herm_apply,
     herm_eig,
     max_operator_norm,
+    max_span_residual,
     operator_norm,
     random_complex,
     rel_residual,
     span_basis,
-    span_residuals,
     to_blocks,
+    unit_floor_norms,
 )
 from .report import CheckReport
 
@@ -76,7 +77,7 @@ class ProjectiveModule:
         blocks of an operator on the module carrier."""
         d = self.block_dim
         blocks = to_blocks(np.asarray(big, dtype=complex), self.size).reshape(-1, d, d)
-        return float(np.max(span_residuals(blocks, self.base.basis), initial=0.0))
+        return max_span_residual(blocks, self.base.basis)
 
 
 def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -182,7 +183,7 @@ def _action_gap(coeffs, table) -> float:
     a, relative to max(1, |a|); the matrix of a enters as is in the linear
     slot of the table, conjugated otherwise."""
     worst = 0.0
-    for c, nc in zip(coeffs, np.linalg.norm(coeffs, 2, axis=(-2, -1))):
+    for c, nc in zip(coeffs, unit_floor_norms(coeffs)):
         gap = np.tensordot(c, table, (0, 0)) - np.tensordot(c, table, (1, 1)).transpose(1, 0, 2, 3)
         worst = max_operator_norm(gap, nc, floor=worst)
     return worst
@@ -233,7 +234,7 @@ def _closure_residual(alg: AlgebraBasis) -> float:
     """Membership residual of x^* and x y for seeded random elements x, y of
     the span; it vanishes when the span is a *-algebra."""
     x, y = alg.combine(random_complex(np.random.default_rng(4177), (2, alg.dim)))
-    return float(np.max(span_residuals(np.stack([adjoint(x), x @ y]), alg.basis)))
+    return max_span_residual(np.stack([adjoint(x), x @ y]), alg.basis)
 
 
 def _coordinate_rank(basis, tol: Tolerance) -> int:

@@ -20,9 +20,9 @@ from .linalg import (
     commutator_residual,
     herm_abs,
     herm_apply,
+    max_span_residual,
     operator_norm,
     rel_residual,
-    span_residuals,
 )
 from .report import CheckReport
 from .triples import SpectralTripleData
@@ -96,7 +96,7 @@ def tomita_conjugation(t: SpectralTripleData, phi=None, tol: Tolerance = DEFAULT
         raise ValueError("conjugation does not fix the cyclic vector")
     comm = commutant(cda, tol)
     landed = opposite_action(j, cda.basis)
-    if np.max(span_residuals(landed, comm.basis)) > max(tol.rel, 1e-6):
+    if max_span_residual(landed, comm.basis) > max(tol.rel, 1e-6):
         raise ValueError("conjugated algebra does not land in the commutant")
     return j
 

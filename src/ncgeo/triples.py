@@ -21,12 +21,12 @@ from .linalg import (
     herm_abs,
     herm_eig,
     max_operator_norm,
+    max_span_residual,
     null_space,
     operator_norm,
     rel_residual,
     span_basis,
     span_coords,
-    span_residuals,
 )
 from .modules import canonical_morita_check, parseval_frame
 from .report import CheckReport
@@ -499,8 +499,8 @@ def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
 
     comm = commutant(cda, tol)
     dim_match = comm.dim == right.dim
-    worst = max(float(np.max(span_residuals(right.basis, comm.basis))),
-                float(np.max(span_residuals(comm.basis, right.basis))))
+    worst = max(max_span_residual(right.basis, comm.basis),
+                max_span_residual(comm.basis, right.basis))
     mismatch = worst if dim_match else 1.0
     rep.add("spinc:commutant_matches_right_action", mismatch, max(tol.rel, 1e-7),
             f"commutant dim {comm.dim}, right action dim {right.dim}")

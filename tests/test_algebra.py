@@ -10,8 +10,8 @@ from ncgeo import algebra
 from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split, intertwiners
 from ncgeo.convert import round_trip_check, spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, null_space, operator_norm, random_complex,
-                          random_unitary, span_basis, span_residual, span_residuals)
+from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, max_span_residual, null_space, operator_norm,
+                          random_complex, random_unitary, span_basis, span_residual)
 from ncgeo.modules import parseval_frame
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -379,8 +379,7 @@ class TestDoubleCommutantGeneration:
 
 
 def spans_equal(a, b, tol=1e-9):
-    return len(a) == len(b) and max(np.max(span_residuals(a, b), initial=0.0),
-                                    np.max(span_residuals(b, a), initial=0.0)) < tol
+    return len(a) == len(b) and max(max_span_residual(a, b), max_span_residual(b, a)) < tol
 
 
 @st.composite

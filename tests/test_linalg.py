@@ -12,8 +12,10 @@ from ncgeo.linalg import (
     herm_eig,
     is_hermitian,
     max_operator_norm,
+    max_span_residual,
     null_space,
     operator_norm,
+    projector_gap,
     project_onto_span,
     pull_back,
     random_complex,
@@ -22,8 +24,8 @@ from ncgeo.linalg import (
     span_basis,
     span_coords,
     span_residual,
-    span_residuals,
     to_blocks,
+    unit_floor_norms,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,8 +135,21 @@ class TestSpanBasis:
         loop = [span_residual(x, basis) for x in xs]
         assert max(loop[:3]) < 1e-12 and min(loop[3:]) > 0.1
         for b in (basis, np.asarray(basis), []):
-            loop = [span_residual(x, b) for x in xs]
-            assert np.allclose(span_residuals(xs, b), loop, rtol=0, atol=1e-12)
+            for part in (xs, xs[:3], xs[3:]):
+                worst = max_span_residual(part, b)
+                assert worst == max(loop_span_residuals(part, b))
+                assert abs(worst - max(span_residual(x, b) for x in part)) <= 1e-12
+        assert max_span_residual(np.zeros((0, 4, 4)), basis) == 0.0
+
+
+def loop_span_residuals(xs, basis):
+    """Reference for max_span_residual: the residuals of the batched projection,
+    then one 2-norm per element.  `span_residual` projects one matrix at a
+    time (a matrix-vector product), which rounds differently."""
+    flat = xs.reshape(len(xs), -1)
+    b = np.asarray(basis, dtype=complex).reshape(-1, flat.shape[1])
+    resid = (flat - (flat @ b.conj().T) @ b).reshape(xs.shape)
+    return [operator_norm(r) / max(1.0, operator_norm(x)) for r, x in zip(resid, xs)]
 
 
 class TestSpanFormat:
@@ -287,6 +302,101 @@ class TestMaxOperatorNorm:
         monkeypatch.undo()
         assert value == sweep_max_norm(stack)
         assert sum(measured) < 10
+
+
+UNIT_KINDS = ("random", "zero", "rank_one_unit", "unit_frobenius", "near_one")
+
+
+@st.composite
+def unit_floor_stacks(draw):
+    """Stacks around the unit floor: random elements of 2-norm 0.1 to 10, the
+    zero matrix, rank-one elements of unit Frobenius norm (2-norm 1 up to
+    rounding), elements of unit Frobenius norm and any rank (the elements of
+    an orthonormal basis), and elements of 2-norm 1 + k 1e-13 for |k| <= 20,
+    just above and below 1, inside and outside the 1e-12 slack."""
+    lead = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(np.prod(lead))
+    kinds = draw(st.lists(st.sampled_from(UNIT_KINDS), min_size=count, max_size=count))
+    mats = []
+    for kind in kinds:
+        if kind == "zero":
+            mats.append(np.zeros((rows, cols), dtype=complex))
+            continue
+        if kind == "rank_one_unit" or (kind == "near_one" and rng.uniform() < 0.5):
+            m = np.outer(random_complex(rng, rows), random_complex(rng, cols))
+        else:
+            m = random_complex(rng, (rows, cols))
+        if kind in ("rank_one_unit", "unit_frobenius"):
+            m = m / np.linalg.norm(m)
+        elif kind == "near_one":
+            m = m * ((1.0 + 1e-13 * rng.integers(-20, 21)) / np.linalg.norm(m, 2))
+        else:
+            m = m * (rng.uniform(0.1, 10.0) / np.linalg.norm(m, 2))
+        mats.append(m)
+    return np.array(mats, dtype=complex).reshape(lead + (rows, cols))
+
+
+class TestUnitFloorNorms:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_floor_stacks())
+    def test_equals_the_floored_2_norms(self, stack):
+        ref = np.maximum(1.0, np.linalg.norm(stack, 2, axis=(-2, -1)))
+        assert np.array_equal(unit_floor_norms(stack), ref)
+
+    def test_bounds_settle_orthonormal_and_small_elements(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        basis = span_basis(random_complex(rng, (16, 4, 4)))
+        small = 0.2 * random_complex(rng, (8, 4, 4)) / 4.0
+        units = np.zeros((4, 4, 4), dtype=complex)
+        units[np.arange(4), np.arange(4), np.arange(4)] = 1.0
+        measured = []
+        real = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            if args[:1] == (2,):
+                measured.append(len(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        settled = unit_floor_norms(np.concatenate([basis, small]))
+        assert measured == []
+        # rank-one units have 2-norm 1 to rounding: only an SVD tells
+        assert np.array_equal(unit_floor_norms(units), np.ones(4))
+        assert measured == [4]
+        assert np.array_equal(settled, np.ones(24))
+
+    def test_empty_and_nan(self):
+        assert unit_floor_norms(np.zeros((0, 3, 3))).shape == (0,)
+        # an element with a NaN is not floored to 1: it takes the 2-norm,
+        # which LAPACK refuses or returns as NaN
+        stack = np.eye(3, dtype=complex)[None].repeat(2, axis=0) / 3.0
+        stack[1, 0, 1] = np.nan
+        try:
+            value = unit_floor_norms(stack)[1]
+        except np.linalg.LinAlgError:
+            return
+        assert np.isnan(value)
+
+
+class TestProjectorGap:
+    @pytest.mark.parametrize("n, r", [(12, 5), (12, 4), (7, 7), (6, 0)])
+    def test_is_the_frobenius_norm_of_the_difference(self, n, r):
+        rng = np.random.default_rng(n + r)
+        q = random_complex(rng, (n, n))
+        u = random_complex(rng, (n, r))
+        ref = np.linalg.norm(q - u @ adjoint(u))
+        assert abs(projector_gap(q, u) - ref) <= 1e-14 * ref
+
+    def test_bounds_the_2_norm_of_a_projector_difference(self):
+        rng = np.random.default_rng(31)
+        u = np.linalg.qr(random_complex(rng, (10, 3)))[0]
+        v = np.linalg.qr(u + 1e-3 * random_complex(rng, (10, 3)))[0]
+        q = v @ adjoint(v)
+        two = operator_norm(q - u @ adjoint(u))
+        assert two <= projector_gap(q, u) <= np.sqrt(6) * two
+        assert projector_gap(u @ adjoint(u), u) < 1e-15
 
 
 def loop_commutator_residual(xs, ys, twisted=None, floor=0.0):
