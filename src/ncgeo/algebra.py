@@ -6,12 +6,18 @@ array.  Membership tests are projection-residual tests against that basis.
 
 A unital *-algebra of operators is W(+_k M_{n_k} (x) 1_{m_k})W* for a
 unitary W (its Wedderburn data), and its commutant is
-W(+_k 1_{n_k} (x) M_{m_k})W*.  `generate_algebra` solves the commutant A'
-of the generators once, reads the Wedderburn data off the eigenblocks of
-generic elements of A' and writes the generated algebra A = A'' down in
-closed form.  A generated algebra keeps A' and its Wedderburn data, so
-`commutant` returns the stored A' and `center` is the span of the isotypic
-projections W_k W_k*; hand-built algebras take the solves.
+W(+_k 1_{n_k} (x) M_{m_k})W*.  `generate_algebra` reads the Wedderburn
+data off the eigenclusters of two generic combinations of the generators
+and writes both A and A' down in closed form, with no solve.  Its
+certificate has two parts: every generator fits the M_{n_k} (x) 1_{m_k}
+pattern in W's columns (A lies in the pattern), and every cluster is
+linked to its root (elements of A span the pattern).  The route is taken
+only when the generators fit to within 1e-3 rank_cut; otherwise the
+commutant A' of the generators is solved, the same cluster reading on A'
+gives the data, and A = A'' follows in closed form or from a second solve.
+A generated algebra keeps A' and its Wedderburn data, so `commutant`
+returns the stored A' and `center` is the span of the isotypic projections
+W_k W_k*; hand-built algebras take the solves.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from .linalg import (
     span_basis,
     span_coords,
     span_residual,
+    unit_floor_norms,
 )
 
 __all__ = [
@@ -116,11 +123,13 @@ class AlgebraBasis:
 def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
 
-    A unital *-algebra of operators on C^n equals its double commutant (von
-    Neumann).  The commutant A' of the generators and the unit is solved
-    and verified by `commutant`; the algebra A'' follows from the
-    Wedderburn data of A' (`_wedderburn`), or, if that reconstruction does
-    not verify, from a second `commutant` solve.
+    The Wedderburn data are read off the generators themselves
+    (`_generated_wedderburn`), and A and its commutant A' are written down
+    in closed form.  If the generators do not fit that data to within
+    1e-3 rank_cut, the commutant A' of the generators and the unit is
+    solved and verified by `commutant`, and A = A'' (von Neumann) follows
+    from the Wedderburn data of A' (`_wedderburn`) or, if that
+    reconstruction does not verify, from a second `commutant` solve.
     """
     gens = [as_complex_matrix(g) for g in generators]
     if not gens:
@@ -129,10 +138,17 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("generators must be square matrices of equal dimension")
-    # only the generators of its argument enter the commutant
-    seeds = AlgebraBasis(n, np.zeros((0, n, n)), generators=gens + [np.eye(n, dtype=complex)])
-    comm = commutant(seeds, tol).basis
-    wedderburn = _wedderburn(comm, tol)
+    wedderburn = _generated_wedderburn(np.stack(gens), tol)
+    if wedderburn is not None:
+        # 1_{n_k} (x) E_pq / sqrt(n_k) in the columns of each component
+        comm = np.concatenate([
+            np.einsum("iap,jaq->pqij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[1])
+            for w_k in _components(*wedderburn)])
+    else:
+        # only the generators of its argument enter the commutant
+        seeds = AlgebraBasis(n, np.zeros((0, n, n)), generators=gens + [np.eye(n, dtype=complex)])
+        comm = commutant(seeds, tol).basis
+        wedderburn = _wedderburn(comm, tol)
     if wedderburn is None:
         basis = commutant(AlgebraBasis(n, comm), tol).basis
     else:
@@ -150,23 +166,70 @@ def _components(w, blocks):
             for end, (n_k, m_k) in zip(ends, blocks)]
 
 
+def _generated_wedderburn(gens, tol):
+    """Wedderburn data (w, blocks) of the algebra A the stack `gens`
+    generates, read off the generators, or None if they do not fit it.
+
+    The clusters of `_aligned_frame` are the n_k clusters of size m_k of
+    each component, and the check has two parts.  Every generator is
+    M_{n_k} (x) 1_{m_k} in the columns of w to within 1e-3 rank_cut of
+    max(1, |g|_2), so A lies in that pattern.  Every cluster is linked to
+    its root, so the spectral projections of the probe's Hermitian part and
+    their compressions of the link, all in A, span the pattern.
+    """
+    frame = _aligned_frame(gens, tol, in_commutant=False)
+    if frame is None:
+        return None
+    w, blocks, resid = frame
+    threshold = 1e-3 * tol.rank_cut
+    if max_operator_norm(resid, unit_floor_norms(gens), floor=threshold) > threshold:
+        return None
+    return w, blocks
+
+
 def _wedderburn(comm, tol):
     """Wedderburn data (w, blocks) of the algebra whose commutant has the
     orthonormal basis `comm`, or None if the reconstruction does not verify.
 
-    The commutant is A' = w (+_k 1_{n_k} (x) M_{m_k}) w*.  On each eigenspace
-    of the Hermitian part of a seeded generic element of A', that element
-    is one eigenvalue of a generic element of some M_{m_k}, so component k
-    gives m_k eigenvalue clusters of size n_k.  A second generic element
-    links the clusters of one component (its blocks between components are
-    roundoff), and the polar factors of its blocks align their bases.  The
-    check: A' must have dimension sum_k m_k^2 and every basis element must
-    be 1_{n_k} (x) M_{m_k} on the aligned columns, so A' is all of that
-    pattern and A = A'' is w (+_k M_{n_k} (x) 1_{m_k}) w*.
+    The clusters of `_aligned_frame` are the m_k clusters of size n_k of
+    each component.  The check: A' must have dimension sum_k m_k^2 and
+    every basis element must be 1_{n_k} (x) M_{m_k} on the aligned columns,
+    so A' is all of that pattern and A = A'' is w (+_k M_{n_k} (x) 1_{m_k}) w*.
+    """
+    frame = _aligned_frame(comm, tol, in_commutant=True)
+    if frame is None:
+        return None
+    w, blocks, resid = frame
+    threshold = max(tol.rel, 1e-8)
+    if sum(m_k * m_k for _, m_k in blocks) != len(comm) \
+            or max_operator_norm(resid, floor=threshold) > threshold:
+        return None
+    return w, blocks
+
+
+def _aligned_frame(mats, tol, in_commutant):
+    """A unitary w, blocks (n_k, m_k) and the stack of residuals of the
+    matrices `mats` against the pattern of w and blocks, or None if the
+    clusters link inconsistently.
+
+    For `mats` in an algebra w (+_k M_{n_k} (x) 1_{m_k}) w*, or in its
+    commutant w (+_k 1_{n_k} (x) M_{m_k}) w* (`in_commutant`), the Hermitian part
+    of a seeded generic element of their span is, in some orthonormal basis
+    of each eigenspace, one eigenvalue of a generic element of M_{n_k}
+    (of M_{m_k}) times the unit of the other factor.  So component k gives
+    clusters of equal size, and a second generic element links the
+    clusters of one component (its blocks between components are
+    roundoff); each cluster joins the first cluster it is linked to, its
+    root.  The polar factors of the (root, cluster) blocks of the link
+    align the eigenbases of each component.  In the aligned columns a
+    pattern element has entry (i, j) zero unless i and j share a component
+    and a position in their clusters, and that entry depends on the
+    clusters of i and j only; the residual is what the matrix has beyond
+    its trace-orthogonal projection onto that pattern.
     """
     rng = np.random.default_rng(2010)
-    coeffs = rng.standard_normal((2, len(comm))) + 1j * rng.standard_normal((2, len(comm)))
-    probe, link = np.tensordot(coeffs, comm, axes=1)
+    coeffs = rng.standard_normal((2, len(mats))) + 1j * rng.standard_normal((2, len(mats)))
+    probe, link = np.tensordot(coeffs, mats, axes=1)
     vals, vecs = np.linalg.eigh((probe + adjoint(probe)) / 2.0)
     clusters = _clusters(vals, tol)
     starts = np.array([c[0] for c in clusters])
@@ -178,9 +241,6 @@ def _wedderburn(comm, tol):
     # each cluster joins the first cluster it is linked to, its root
     root = np.argmax(linked | np.eye(len(clusters), dtype=bool), axis=0)
     if np.any(root[root] != root) or np.any(sizes[root] != sizes):
-        return None
-    roots, counts = np.unique(root, return_counts=True)
-    if np.sum(counts ** 2) != len(comm):
         return None
     # align cluster j to its root: vecs_j P*, P the polar factor of the
     # (root, j) block of the link, which makes that block positive
@@ -194,21 +254,22 @@ def _wedderburn(comm, tol):
         aligned[:, cols] = np.einsum("ija,jba->ijb", vecs[:, cols], (u @ vh).conj())
     cluster = np.repeat(np.arange(len(clusters)), sizes)
     pos = np.arange(len(vals)) - starts[cluster]
-    # A' must be 1_{n_k} (x) M_{m_k}: in the aligned columns, entry (i, j) is
-    # zero unless i and j share a component and a position in their
-    # clusters, and it depends on the clusters of i and j only
     same = (root[cluster][:, None] == root[cluster][None, :]) & (pos[:, None] == pos[None, :])
-    coords = adjoint(aligned) @ comm @ aligned
+    coords = adjoint(aligned) @ mats @ aligned
     coef = np.add.reduceat(np.add.reduceat(coords * same, starts, axis=1), starts, axis=2)
     coef /= sizes[:, None]
     resid = coords - same * coef[:, cluster][:, :, cluster]
-    threshold = max(tol.rel, 1e-8)
-    if max_operator_norm(resid, floor=threshold) > threshold:
-        return None
-    # column (a, p) of component k is column a of its p-th cluster
-    order = [(starts[root == r][None, :] + np.arange(sizes[r])[:, None]).ravel() for r in roots]
-    blocks = tuple((int(sizes[r]), int(m_k)) for r, m_k in zip(roots, counts))
-    return aligned[:, np.concatenate(order)], blocks
+    roots, counts = np.unique(root, return_counts=True)
+    members = [starts[root == r] for r in roots]
+    if in_commutant:
+        # column (a, p) of component k is column a of its p-th cluster
+        order = [(m[None, :] + np.arange(sizes[r])[:, None]).ravel() for r, m in zip(roots, members)]
+        blocks = tuple((int(sizes[r]), int(m_k)) for r, m_k in zip(roots, counts))
+    else:
+        # column (a, p) of component k is column p of its a-th cluster
+        order = [(m[:, None] + np.arange(sizes[r])[None, :]).ravel() for r, m in zip(roots, members)]
+        blocks = tuple((int(m_k), int(sizes[r])) for r, m_k in zip(roots, counts))
+    return aligned[:, np.concatenate(order)], blocks, resid
 
 
 def _clusters(vals, tol):

@@ -193,6 +193,10 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
     anticommutators and `twisted=g ys g` the graded commutators of odd
     `xs` with `ys` under a grading g.  One batched product, one
     `max_operator_norm` sweep; an empty stack gives `floor`.
+
+    A pair with |x_i|_F |y_j|_F under 1 - 1e-12 has scale exactly 1; the
+    2-norms are taken only for the x_i and y_j of the other pairs, so the
+    result is the float of the full computation.
     """
     if len(xs) == 0 or len(ys) == 0:
         return float(floor)
@@ -200,7 +204,15 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
     ys = np.asarray(ys)
     yt = ys if twisted is None else np.asarray(twisted)
     comm = xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
-    scale = np.linalg.norm(xs, 2, axis=(-2, -1))[:, None] * np.linalg.norm(ys, 2, axis=(-2, -1))
+    rest = ~(_frobenius(xs)[:, None] * _frobenius(ys)[None, :] <= _UNDER_ONE)
+    scale = np.ones(rest.shape)
+    if rest.any():
+        norms = []
+        for mats, need in ((xs, rest.any(axis=1)), (ys, rest.any(axis=0))):
+            out = np.zeros(len(mats))
+            out[need] = np.linalg.norm(mats[need], 2, axis=(-2, -1))
+            norms.append(out)
+        scale[rest] = np.outer(*norms)[rest]
     return max_operator_norm(comm, scale, floor=floor)
 
 

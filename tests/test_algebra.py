@@ -1,5 +1,6 @@
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from ncgeo import algebra
 from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split, intertwiners
 from ncgeo.convert import round_trip_check, spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
-from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, max_span_residual, null_space, operator_norm,
-                          random_complex, random_unitary, span_basis, span_residual)
+from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, max_operator_norm, max_span_residual, null_space,
+                          operator_norm, random_complex, random_unitary, span_basis, span_residual,
+                          unit_floor_norms)
 from ncgeo.modules import parseval_frame
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -450,14 +452,78 @@ class TestWedderburnReconstruction:
 
     @pytest.mark.parametrize("name", sorted(GENERATION_CASES))
     def test_one_block_solve_per_generation(self, name, monkeypatch):
+        # the Wedderburn data come from the generators, so neither the
+        # generation nor the stored commutant and center take a block solve
         gens = GENERATION_CASES[name]()
+        calls = counted_block_solves(monkeypatch)
+        alg = generate_algebra(gens)
+        assert alg.wedderburn is not None
+        commutant(alg)
+        center(alg)
+        assert calls == []
+
+    def test_gate_rejects_the_small_gap_cda(self, monkeypatch):
+        # the forward cda of matrix_geometry(2, 2001408477) has a probe
+        # relative gap of about 0.013: its generators fit the pattern read
+        # off them only to ~4e-13, above the gate of 1e-3 rank_cut, so the
+        # algebra comes from the commutant solve
+        gens = np.stack(cda_gens(spinc_to_riemannian(matrix_geometry(2, seed=2001408477)).output))
+        _, _, resid = algebra._aligned_frame(gens, DEFAULT_TOL, in_commutant=False)
+        assert max_operator_norm(resid, unit_floor_norms(gens)) > 1e-3 * DEFAULT_TOL.rank_cut
         calls = counted_block_solves(monkeypatch)
         alg = generate_algebra(gens)
         assert len(calls) == 1
         assert alg.wedderburn is not None
-        commutant(alg)
-        center(alg)
-        assert len(calls) == 1
+        ref = closure_rounds_algebra(list(gens))
+        assert alg.dim == len(ref) == 16
+        assert len(alg.commutant_basis) == len(kronecker_commutant(alg)) == 16
+        assert sorted(alg.wedderburn[1]) == [(4, 4)]
+
+    def test_scalars_with_one_large_cluster(self, monkeypatch):
+        # the unit alone on C^36: one probe cluster of size 36, so the
+        # commutant M_36 is written down rather than solved for
+        calls = counted_block_solves(monkeypatch)
+        alg = generate_algebra([np.zeros((36, 36))])
+        assert calls == []
+        assert alg.dim == 1 and len(alg.commutant_basis) == 36 * 36
+        assert alg.wedderburn[1] == ((1, 36),)
+        assert spans_equal(alg.basis, np.eye(36, dtype=complex)[None] / 6.0)
+        gram = np.einsum("aij,bij->ab", alg.commutant_basis.conj(), alg.commutant_basis)
+        assert np.allclose(gram, np.eye(36 * 36), rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wedderburn_fixtures())
+    def test_generator_route_matches_the_solve(self, fixture):
+        # forcing the commutant solve gives the same A, A' and blocks
+        blocks, seed = fixture
+        gens = block_algebra_generators(blocks, np.random.default_rng(seed))
+        alg = generate_algebra(gens)
+        membership = max_span_residual(np.stack(gens), alg.basis)
+        assert membership <= 1e-3 * DEFAULT_TOL.rank_cut
+        with mock.patch.object(algebra, "_generated_wedderburn", return_value=None):
+            solved = generate_algebra(gens)
+        assert sorted(alg.wedderburn[1]) == sorted(blocks)
+        # on rare fixtures the reconstruction from A' does not verify, and
+        # the solve route takes its second solve, which keeps no blocks
+        if solved.wedderburn is not None:
+            assert sorted(solved.wedderburn[1]) == sorted(blocks)
+        assert spans_equal(alg.basis, solved.basis)
+        assert spans_equal(alg.commutant_basis, solved.commutant_basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wedderburn_fixtures())
+    def test_unitary_conjugation(self, fixture):
+        # the generators conjugated by a random unitary W generate W A W*,
+        # with commutant W A' W* and the same blocks, up to their order
+        blocks, seed = fixture
+        rng = np.random.default_rng(seed)
+        gens = block_algebra_generators(blocks, rng)
+        w = random_unitary(rng, gens[0].shape[0])
+        alg = generate_algebra(gens)
+        moved = generate_algebra([w @ g @ adjoint(w) for g in gens])
+        assert sorted(moved.wedderburn[1]) == sorted(alg.wedderburn[1]) == sorted(blocks)
+        assert spans_equal(moved.basis, w @ alg.basis @ adjoint(w))
+        assert spans_equal(moved.commutant_basis, w @ alg.commutant_basis @ adjoint(w))
 
     def test_graded_respan_keeps_the_data(self, monkeypatch):
         t = matrix_geometry(2, seed=7)

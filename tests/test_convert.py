@@ -435,12 +435,12 @@ def test_round_trip_takes_no_module_size_svd(monkeypatch):
     # cost N nc^2
     assert [s for s, _ in calls if n_bwd in s[-2:]] == [(n_bwd, nc)]
     # the forward frame has H vectors, so its module is as large as the
-    # operator space C^(H^2); the only square SVDs of that size are the
-    # commutant solve there and the one-form factor stack of the output's
-    # right action, a (dim B n_k) x (H' m_k) = 64 x 64 system at H' = 16
+    # operator space C^(H^2); the only square SVD of that size is the
+    # one-form factor stack of the output's right action, a
+    # (dim B n_k) x (H' m_k) = 64 x 64 system at H' = 16
     assert n_fwd == h * h
     square = sorted(f for s, f in calls if s[-2] == s[-1] == n_fwd)
-    assert square == ["_one_form_factors", "null_space"]
+    assert square == ["_one_form_factors"]
 
 
 @pytest.fixture(scope="module", params=[7, 2001408477])

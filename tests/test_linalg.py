@@ -319,23 +319,23 @@ def unit_floor_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     count = int(np.prod(lead))
     kinds = draw(st.lists(st.sampled_from(UNIT_KINDS), min_size=count, max_size=count))
-    mats = []
-    for kind in kinds:
-        if kind == "zero":
-            mats.append(np.zeros((rows, cols), dtype=complex))
-            continue
-        if kind == "rank_one_unit" or (kind == "near_one" and rng.uniform() < 0.5):
-            m = np.outer(random_complex(rng, rows), random_complex(rng, cols))
-        else:
-            m = random_complex(rng, (rows, cols))
-        if kind in ("rank_one_unit", "unit_frobenius"):
-            m = m / np.linalg.norm(m)
-        elif kind == "near_one":
-            m = m * ((1.0 + 1e-13 * rng.integers(-20, 21)) / np.linalg.norm(m, 2))
-        else:
-            m = m * (rng.uniform(0.1, 10.0) / np.linalg.norm(m, 2))
-        mats.append(m)
+    mats = [unit_kind_matrix(kind, rows, cols, rng) for kind in kinds]
     return np.array(mats, dtype=complex).reshape(lead + (rows, cols))
+
+
+def unit_kind_matrix(kind, rows, cols, rng):
+    """One (rows, cols) matrix of a kind of UNIT_KINDS."""
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=complex)
+    if kind == "rank_one_unit" or (kind == "near_one" and rng.uniform() < 0.5):
+        m = np.outer(random_complex(rng, rows), random_complex(rng, cols))
+    else:
+        m = random_complex(rng, (rows, cols))
+    if kind in ("rank_one_unit", "unit_frobenius"):
+        return m / np.linalg.norm(m)
+    if kind == "near_one":
+        return m * ((1.0 + 1e-13 * rng.integers(-20, 21)) / np.linalg.norm(m, 2))
+    return m * (rng.uniform(0.1, 10.0) / np.linalg.norm(m, 2))
 
 
 class TestUnitFloorNorms:
@@ -426,8 +426,63 @@ def commutator_stacks(seed, n=4):
     return xs, ys
 
 
+@st.composite
+def commutator_scale_stacks(draw):
+    """Square stacks xs and ys of the unit-floor kinds, plus rank-one elements
+    of Frobenius norm sqrt(1 + k 1e-13) for |k| <= 20, whose pairs have
+    |x|_2 |y|_2 = |x|_F |y|_F just above and below 1."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(UNIT_KINDS + ("root_near_one",))
+    stacks = []
+    for _ in range(2):
+        mats = []
+        for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+            if kind == "root_near_one":
+                m = np.outer(random_complex(rng, n), random_complex(rng, n))
+                mats.append(m * (np.sqrt(1.0 + 1e-13 * rng.integers(-20, 21)) / np.linalg.norm(m)))
+            else:
+                mats.append(unit_kind_matrix(kind, n, n, rng))
+        stacks.append(np.array(mats, dtype=complex))
+    return tuple(stacks)
+
+
 class TestCommutatorResidual:
     GRADING = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+
+    @settings(max_examples=300, deadline=None)
+    @given(commutator_scale_stacks())
+    def test_scales_equal_the_full_computation(self, stacks):
+        # the float of every 2-norm of x and y taken for max(1, |x|_2 |y|_2)
+        xs, ys = stacks
+        comm = xs[:, None] @ ys[None] - ys[None] @ xs[:, None]
+        full = np.linalg.norm(xs, 2, axis=(-2, -1))[:, None] * np.linalg.norm(ys, 2, axis=(-2, -1))
+        assert commutator_residual(xs, ys) == max_operator_norm(comm, full)
+        assert commutator_residual(xs, ys, twisted=-ys) == max_operator_norm(
+            xs[:, None] @ ys[None] + ys[None] @ xs[:, None], full)
+
+    def test_small_pairs_take_no_scale_norm(self, monkeypatch):
+        # an orthonormal basis against elements of Frobenius norm under 1:
+        # every pair is settled; a floor above every commutator's bound
+        # keeps the sweep from taking 2-norms too
+        rng = np.random.default_rng(5)
+        basis = span_basis(random_complex(rng, (6, 3, 3)))
+        small = 0.9 * span_basis(random_complex(rng, (4, 3, 3)))
+        measured = []
+        real = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            if args[:1] == (2,):
+                measured.append(len(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        assert commutator_residual(basis, small, floor=10.0) == 10.0
+        assert measured == []
+        # one large x opens its pairs with every y: the 2-norms of that x
+        # and of the ys it meets, one call per side
+        assert commutator_residual(np.concatenate([basis, 2.0 * basis[:1]]), small, floor=10.0) == 10.0
+        assert measured == [1, 4]
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("twist", ["none", "anti", "graded"])
