@@ -116,9 +116,6 @@ class AlgebraBasis:
         """
         return project_onto_span(x, self.basis)
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.hilbert_dim, dtype=complex)
-
 
 def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
@@ -300,21 +297,19 @@ def _block_intertwiners(mats1, mats2, vecs1, vecs2, rows, cols, tol):
     """Operators vecs2 B vecs1^* with X m1 = m2 X and X m1^* = m2^* X for each
     pair (m1, m2) of mats1 and mats2, B supported on the (rows, cols) entries."""
     n1, n2 = vecs1.shape[0], vecs2.shape[0]
-    diagonal = mats2 is mats1 and vecs2 is vecs1
     size = len(rows)
     slot = np.arange(size)
     eqs = []
     for m1, m2 in zip(mats1, mats2):
         g1 = adjoint(vecs1) @ m1 @ vecs1
-        g2 = g1 if diagonal else adjoint(vecs2) @ m2 @ vecs2
+        g2 = adjoint(vecs2) @ m2 @ vecs2
         for op1, op2 in ((g1, g2), (adjoint(g1), adjoint(g2))):
             # op2 E_pq - E_pq op1 = op2[:, p] e_q^T - e_p op1[q, :] for each unknown E_pq
             eq = np.zeros((size, n2, n1), dtype=complex)
             eq[slot, :, cols] = op2[:, rows].T
             eq[slot, rows, :] -= op1[cols, :]
             eqs.append(eq.reshape(size, n2 * n1))
-    scale = max([1.0] + [operator_norm(m) for m in mats1]
-                + ([] if diagonal else [operator_norm(m) for m in mats2]))
+    scale = max([1.0] + [operator_norm(m) for m in mats1] + [operator_norm(m) for m in mats2])
     # the triangular factor keeps the singular values and right singular
     # vectors of the tall stacked system at a fraction of its SVD cost
     tri = np.linalg.qr(np.hstack(eqs).T, mode="r")
@@ -324,43 +319,15 @@ def _block_intertwiners(mats1, mats2, vecs1, vecs2, rows, cols, tol):
     return vecs2 @ blocks @ adjoint(vecs1)
 
 
-def _block_commutant(mats, vecs, rows, cols, tol):
-    """Operators vecs B vecs^* commuting with mats and their adjoints, B
-    supported on the (rows, cols) entries: the diagonal case of
-    `_block_intertwiners`."""
-    return _block_intertwiners(mats, mats, vecs, vecs, rows, cols, tol)
-
-
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-    """All operators commuting with the generators and their adjoints.
-
-    A seeded random combination of the generators has a Hermitian part h,
-    and every commutant element commutes with h, so it is block diagonal in
-    h's eigenbasis with one block per eigenvalue cluster.  The commutator
-    equations are solved over those blocks only: first for two more seeded
-    combinations and their adjoints, then, if a candidate fails to commute
-    with some generator, for all generators and their adjoints.  Merging
-    clusters only enlarges the search space, so no part of the commutant is
-    lost; the fallback solve is the commutant itself.  The candidate space
-    is *-closed, so commuting with every generator suffices.
-
-    A generated algebra returns its stored commutant without a solve.
+    """All operators commuting with the generators and their adjoints: the
+    stored commutant of a generated algebra, otherwise
+    `intertwiners(generators, generators)`, the diagonal case of that solve.
     """
     n = alg.hilbert_dim
     if alg.commutant_basis is not None:
         return AlgebraBasis(n, alg.commutant_basis)
-    gens = alg.generators
-    rng = np.random.default_rng(1285)
-    coeffs = rng.standard_normal((3, len(gens))) + 1j * rng.standard_normal((3, len(gens)))
-    combos = np.tensordot(coeffs, gens, axes=1)
-    vals, vecs = np.linalg.eigh((combos[0] + adjoint(combos[0])) / 2.0)
-    rows, cols = _cluster_blocks(vals, vals, tol)
-    basis = _block_commutant(combos[1:], vecs, rows, cols, tol)
-    # blocks whose Frobenius bound is under the threshold take no SVD
-    threshold = max(tol.rel, 1e-8)
-    if commutator_residual(gens, basis, floor=threshold) > threshold:
-        basis = _block_commutant(gens, vecs, rows, cols, tol)
-    return AlgebraBasis(hilbert_dim=n, basis=basis)
+    return AlgebraBasis(n, intertwiners(alg.generators, alg.generators, tol))
 
 
 def intertwiners(gens1, gens2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -369,15 +336,15 @@ def intertwiners(gens1, gens2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     generators, as a (k, n2, n1) stack: the intertwiners of the *-algebras
     the two lists generate, matched generator by generator.
 
-    The solve mirrors `commutant`.  The same seeded combination of each
-    list has Hermitian parts h1 and h2 with X h1 = h2 X, so X maps each
-    eigenspace of h1 into the eigenspace of h2 at the same eigenvalue: in
-    the two eigenbases it is supported on the pairs of indices whose
-    eigenvalues share a cluster of the merged spectrum.  The equations are
-    solved over that support, first for two more combinations and their
-    adjoints, then, if a candidate fails for some generator or adjoint,
-    for all of them.  An empty probe solve is final, since every
-    intertwiner solves the probe equations.
+    A seeded random combination of each list has Hermitian parts h1 and h2
+    with X h1 = h2 X, so X maps each eigenspace of h1 into the eigenspace
+    of h2 at the same eigenvalue: in the two eigenbases it is supported on
+    the pairs of indices whose eigenvalues share a cluster of the merged
+    spectrum.  Merging clusters only enlarges that support, so no solution
+    is lost.  The equations are solved over that support, first for two
+    more combinations and their adjoints, then, if a candidate fails for
+    some generator or adjoint, for all of them.  An empty probe solve is
+    final, since every intertwiner solves the probe equations.
     """
     gens1 = np.asarray(gens1, dtype=complex)
     gens2 = np.asarray(gens2, dtype=complex)

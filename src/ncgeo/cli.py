@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -52,7 +53,8 @@ def _emit(args, payload: dict, report: CheckReport | None = None):
         doc.update(payload)
         if report is not None:
             doc["report"] = report.as_dict()
-        print(json.dumps(doc, indent=2, default=_json_default))
+        text = json.dumps(doc, indent=2, default=_json_default)
+        print(_NON_JSON.sub(lambda m: m[1] + _JSON_VALUE[m[2]], text))
     else:
         print(f"# seed={args.seed} tol={args.tol}")
         for key, value in payload.items():
@@ -61,6 +63,15 @@ def _emit(args, payload: dict, report: CheckReport | None = None):
             print(f"{key}: {value}")
         if report is not None:
             print(report.as_text())
+
+
+# json.dumps writes infinite floats (the tolerance of an information entry)
+# and NaN as the non-JSON tokens Infinity and NaN; they become the numbers
+# +-1e999, which JSON readers take as infinity or the largest float, and
+# null.  With an indent every scalar starts a line or follows ": ", so a
+# bare token there is a float, never text inside a quoted string.
+_NON_JSON = re.compile(r"(?m)(^ *|: )(-?Infinity|NaN)(?=,?$)")
+_JSON_VALUE = {"Infinity": "1e999", "-Infinity": "-1e999", "NaN": "null"}
 
 
 def _json_default(obj):
@@ -260,6 +271,21 @@ def cmd_zeta(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncgeo",
                                  description="finite noncommutative geometry workbench")
@@ -306,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homotopy-check", help="verify the doubling equivalences")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=10)
     p.set_defaults(func=cmd_homotopy)
 
     p = sub.add_parser("pair", help="index pairing matrix against projector files")
@@ -316,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="regularized trace diagnostics")
     p.add_argument("path")
-    p.add_argument("-s", "--s-values", dest="s", type=float, nargs="+",
+    p.add_argument("-s", "--s-values", dest="s", type=_finite_float, nargs="+",
                    default=[0.0, 1.0, 2.0])
     p.set_defaults(func=cmd_zeta)
     return ap

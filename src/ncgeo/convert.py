@@ -23,7 +23,6 @@ from .linalg import (
     block_apply,
     commutator_residual,
     from_blocks,
-    herm_eig,
     max_operator_norm,
     max_span_residual,
     operator_norm,
@@ -58,7 +57,6 @@ __all__ = [
     "intertwine_triples",
     "double_odd_triple",
     "appendix_equivalence_check",
-    "split_by_central_involution",
     "poincare_pairing_matrix",
 ]
 
@@ -87,15 +85,14 @@ class CliffordModuleData:
     algebra_basis: list | None = None
 
 
-def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
-                        potential: list | None = None) -> ConversionResult:
+def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> ConversionResult:
     """Riemannian data carried by the module of the spin^c equivalence.
 
-    Twists the triple by the conjugate of its own module, builds the
-    distinguished vector from a tight frame of the right action, the
-    conjugation from that vector, and the grading from the transported
-    orientation operator.  Even declared dimension only; the explicit odd
-    tool is `double_odd_triple` (`ncgeo double`).
+    Twists the triple by the conjugate of its own module with the Grassmann
+    connection, builds the distinguished vector from a tight frame of the
+    right action, the conjugation from that vector, and the grading from
+    the transported orientation operator.  Even declared dimension only;
+    the explicit odd tool is `double_odd_triple` (`ncgeo double`).
     """
     val = validate_triple(t, tol)
     if not val.passed:
@@ -127,7 +124,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
 
     # Q is a frame projector by construction: convert:projector_residual
     # below is its certificate, so it skips the gate of a caller's module
-    conn = BimoduleConnection(ProjectiveModule(right, m, q_big), potential)
+    conn = BimoduleConnection(ProjectiveModule(right, m, q_big))
     u, out_dirac, _ = _twist(t, conn, tol, compress_to_range)
     # the outputs are compressions through u, those of the twisted operators
     # exactly when Q = u u^*; nothing below holds without it
@@ -159,8 +156,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
             f"twisted module is not free of rank one: algebra dim {out_cda.dim} "
             f"vs space dim {base.hilbert_dim}")
 
-    rep.add("convert:connection", 0.0, np.inf,
-            "grassmann" if potential is None else "user potential")
+    rep.add("convert:connection", 0.0, np.inf, "grassmann")
 
     # source-aligned basis of the new algebra for round trips: the images
     # u^* (1_m (x) w) u of the source basis
@@ -287,9 +283,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     The twisted operator uses the Parseval frame of the carrier algebra
     with an optional connection potential (a block operator whose entries
     must lie in the represented one-form span of the conjugation-induced
-    right action).  Even declared dimension only; the odd splitting is available
-    through `split_by_central_involution` on explicitly assembled block
-    data.
+    right action).  Even declared dimension only.
     """
     rctx = _backward_prerequisites(t, tol)
     return _riemannian_to_spinc(t, module, _backward_assembly(t, module, tol), rctx, tol, potential)
@@ -302,7 +296,7 @@ def _backward_prerequisites(t: SpectralTripleData, tol: Tolerance) -> dict:
         raise ValueError("Riemannian prerequisites fail:\n" + "\n".join(
             f"{e.condition_id} (residual {e.residual:.3e})" for e in rr.failures()))
     if t.declared_p % 2 == 1:
-        raise ValueError("odd conversion requires the explicit central splitting helper")
+        raise ValueError(f"backward conversion needs even declared dimension, got p = {t.declared_p}")
     return rctx
 
 
@@ -558,9 +552,12 @@ def appendix_equivalence_check(t: SpectralTripleData, samples: int = 10,
     """Equivalence of the two standard even doublings of an ungraded triple.
 
     Conjugates the off-diagonal representative onto the homotopy path and
-    samples the path identities; endpoint comparisons use exact parameter
-    values so they carry no trigonometric error.
+    samples the path identities at `samples` >= 1 points; endpoint
+    comparisons use exact parameter values so they carry no trigonometric
+    error.
     """
+    if samples < 1:
+        raise ValueError(f"homotopy check needs at least one sample, got {samples}")
     rep = CheckReport()
     n = t.hilbert_dim
     d = t.dirac
@@ -603,42 +600,6 @@ def appendix_equivalence_check(t: SpectralTripleData, samples: int = 10,
     return rep
 
 
-def split_by_central_involution(dhat: np.ndarray, c_op: np.ndarray, eps_op: np.ndarray,
-                                tol: Tolerance = DEFAULT_TOL):
-    """Block extraction for an operator commuting with a central involution.
-
-    Verifies that the grading swaps the two eigenspaces of the involution
-    and that the operator is diag(d_plus, -d_plus) in an adapted basis;
-    returns (d_plus, basis_plus, report).
-    """
-    rep = CheckReport()
-    c_op = as_complex_matrix(c_op)
-    dhat = as_complex_matrix(dhat)
-    eps_op = as_complex_matrix(eps_op)
-    nd, nc = operator_norm(dhat), operator_norm(c_op)
-    rep.add("split:operator_commutes", rel_residual(dhat @ c_op - c_op @ dhat, nd, nc), tol.rel)
-    rep.add("split:grading_swaps",
-            rel_residual(eps_op @ c_op + c_op @ eps_op, operator_norm(eps_op), nc), tol.rel)
-    vals, vecs = herm_eig((c_op + adjoint(c_op)) / 2.0, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
-    plus = vecs[:, vals > 0]
-    minus = vecs[:, vals < 0]
-    if plus.shape[1] != minus.shape[1]:
-        raise ValueError("central involution has unbalanced eigenspaces")
-    # the grading carries the plus eigenbasis onto an orthonormal basis of the
-    # minus eigenspace; using it directly keeps the swap the identity block
-    minus_aligned = eps_op @ plus
-    d_plus = adjoint(plus) @ dhat @ plus
-    d_minus = adjoint(minus_aligned) @ dhat @ minus_aligned
-    rep.add("split:block_opposite", rel_residual(d_plus + d_minus, nd), max(tol.rel, 1e-9))
-    cross = adjoint(minus_aligned) @ dhat @ plus
-    rep.add("split:off_diagonal_vanishes", rel_residual(cross, nd), max(tol.rel, 1e-9))
-    basis = np.hstack([plus, minus_aligned])
-    reassembled = adjoint(basis) @ dhat @ basis
-    target = np.block([[d_plus, np.zeros_like(d_plus)], [np.zeros_like(d_plus), -d_plus]])
-    rep.add("split:reassembly", rel_residual(reassembled - target, nd), max(tol.rel, 1e-9))
-    return d_plus, plus, rep
-
-
 def poincare_pairing_matrix(t: SpectralTripleData, left_projs: list, right_projs: list,
                             tol: Tolerance = DEFAULT_TOL):
     """Matrix of index pairings against projector generators on both sides.
@@ -650,8 +611,13 @@ def poincare_pairing_matrix(t: SpectralTripleData, left_projs: list, right_projs
     rep = CheckReport()
     if t.grading is None:
         raise ValueError("pairing needs a graded triple")
+    if not len(left_projs) or not len(right_projs):
+        raise ValueError("pairing needs at least one projector on each side")
     left_projs = [as_complex_matrix(p) for p in left_projs]
     right_projs = [as_complex_matrix(q) for q in right_projs]
+    n = t.hilbert_dim
+    if any(p.shape != (n, n) for p in left_projs + right_projs):
+        raise ValueError(f"pairing projectors must be {n} x {n} matrices")
     worst = commutator_residual(left_projs, right_projs)
     if worst > max(tol.rel, 1e-8):
         raise ValueError("pairing projectors do not commute")

@@ -129,8 +129,7 @@ def opposite_algebra(j: AntiunitaryMap, alg: AlgebraBasis) -> AlgebraBasis:
 def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
                        tol: Tolerance = DEFAULT_TOL):
     """Grading epsilon = C.JCJ induced by an orientation operator through the
-    conjugation, for even declared dimension.  Returns (epsilon, report);
-    the odd tool is `convert.split_by_central_involution`.
+    conjugation, for even declared dimension.  Returns (epsilon, report).
     """
     if t.declared_p % 2 == 1:
         raise ValueError(f"a grading from the orientation operator needs even declared "

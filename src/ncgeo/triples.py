@@ -336,90 +336,33 @@ def check_orientability(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
 
 
 def fit_orientation_cycle(t: SpectralTripleData, p: int, tol: Tolerance = DEFAULT_TOL,
-                          target: np.ndarray | None = None, generalized: bool = False,
-                          term_budget: int | None = None):
-    """Constrained least-squares fit of a degree-p cycle representing a target.
+                          target: np.ndarray | None = None, generalized: bool = False):
+    """Least-squares fit of a degree-0 cycle representing a target.
 
-    Minimizes |represent(chain) - target| over chains with legs in the
-    algebra, subject to the linear cycle constraint.  Returns
-    (chain or None, relative residual).
+    Minimizes |represent(chain) - target| over one-leg chains with the leg
+    in the algebra, or in its commutant for a `generalized` cycle.  Only
+    degree 0 is fitted.  Returns (chain, relative residual).
     """
+    if p != 0:
+        raise ValueError(f"orientation cycle fit only supports degree 0, got p = {p}")
     if target is None:
         if t.grading is None:
             raise ValueError("no fit target: supply one or set a grading")
         target = t.grading
     target = as_complex_matrix(target)
-    alg = t.algebra(tol)
     n = t.hilbert_dim
-    d = alg.dim
-
-    if generalized:
-        if p != 0:
-            raise ValueError("generalized cycle fit only supports degree 0")
-        comm = commutant(t.algebra(tol), tol)
-        cols = comm.basis.reshape(comm.dim, -1).T
-        coeff, _, _, _ = np.linalg.lstsq(cols, target.ravel(), rcond=None)
-        fit = (cols @ coeff).reshape(n, n)
-        resid = rel_residual(fit - target, operator_norm(target))
-        chain = HochschildChain(0, [(fit,)], True)
-        return chain, resid
-
-    # strict legs: coordinates over the algebra basis tuples, b_i0 [D, b_i1] ... [D, b_ip]
-    # in the order of itertools.product
-    comms = t.dirac @ alg.basis - alg.basis @ t.dirac
-    reps = alg.basis
-    for _ in range(p):
-        reps = (reps[:, None] @ comms[None]).reshape(-1, n, n)
-    tuples = list(itertools.product(range(d), repeat=p + 1))
-    cols = reps.reshape(len(reps), -1).T
-
-    if p >= 1:
-        # cycle constraint in coordinates via structure constants
-        struct = np.zeros((d, d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                struct[i, j] = alg.coords(alg.basis[i] @ alg.basis[j])
-        rows = []
-        for col_idx, ix in enumerate(tuples):
-            coeff_tensor = np.zeros((d,) * p, dtype=complex)
-            for pos in range(p):
-                merged = struct[ix[pos], ix[pos + 1]]
-                for g in range(d):
-                    if merged[g] == 0:
-                        continue
-                    out_idx = ix[:pos] + (g,) + ix[pos + 2:]
-                    coeff_tensor[out_idx] += ((-1) ** pos) * merged[g]
-            merged = struct[ix[p], ix[0]]
-            for g in range(d):
-                if merged[g] == 0:
-                    continue
-                out_idx = (g,) + ix[1:p]
-                coeff_tensor[out_idx] += ((-1) ** p) * merged[g]
-            rows.append(coeff_tensor.ravel())
-        bmat = np.stack(rows, axis=1)
-        kernel = null_space(bmat, tol)
-        if len(kernel) == 0:
-            return None, rel_residual(target, operator_norm(target))
-        kmat = kernel.T
-        proj_cols = cols @ kmat
-        y, _, _, _ = np.linalg.lstsq(proj_cols, target.ravel(), rcond=None)
-        x = kmat @ y
-    else:
-        x, _, _, _ = np.linalg.lstsq(cols, target.ravel(), rcond=None)
-
+    alg = t.algebra(tol)
+    basis = commutant(alg, tol).basis if generalized else alg.basis
+    cols = basis.reshape(len(basis), -1).T
+    x, _, _, _ = np.linalg.lstsq(cols, target.ravel(), rcond=None)
     fit = (cols @ x).reshape(n, n)
     resid = rel_residual(fit - target, operator_norm(target))
+    if generalized:
+        return HochschildChain(0, [(fit,)], True), resid
+    # strict legs: the algebra basis elements, largest coefficient first
     order = np.argsort(-np.abs(x))
     keep = [k for k in order if np.abs(x[k]) > tol.rank_cut * (np.abs(x[order[0]]) + 1e-300)]
-    if term_budget is not None:
-        keep = keep[:term_budget]
-    terms = []
-    for k in keep:
-        ix = tuples[k]
-        term = (x[k] * alg.basis[ix[0]],) + tuple(alg.basis[j] for j in ix[1:])
-        terms.append(term)
-    chain = HochschildChain(p, terms, False)
-    return chain, resid
+    return HochschildChain(0, [(x[k] * basis[k],) for k in keep], False), resid
 
 
 def check_first_order(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -136,11 +136,13 @@ def subspace_overlap(a, b):
 
 
 def sweep_commutant_residual(gens, basis):
-    """Reference for the verification in commutant: every commutator's 2-norm
-    relative to max(1, |g| |b|), then the maximum."""
-    res = gens[:, None] @ basis[None] - basis[None] @ gens[:, None]
-    ref = (np.linalg.norm(gens, 2, axis=(-2, -1))[:, None]
-           * np.linalg.norm(basis, 2, axis=(-2, -1))[None])
+    """Reference for the verification in `intertwiners`, on the diagonal:
+    every commutator of a basis element with a generator or adjoint, its
+    2-norm relative to max(1, |b| |g|), then the maximum."""
+    both = np.concatenate([gens, gens.conj().swapaxes(-1, -2)])
+    res = basis[:, None] @ both[None] - both[None] @ basis[:, None]
+    ref = (np.linalg.norm(basis, 2, axis=(-2, -1))[:, None]
+           * np.linalg.norm(both, 2, axis=(-2, -1))[None])
     return float(np.max(np.linalg.norm(res, 2, axis=(-2, -1)) / np.maximum(1.0, ref)))
 
 
@@ -200,16 +202,17 @@ class TestCommutantAgainstKronecker:
         seen = []
         real = algebra.commutator_residual
 
-        def recorded(*args, **kwargs):
-            # the floored value the decision uses, and the exact maximum
-            seen.append((real(*args, **kwargs), real(*args), kwargs))
+        def recorded(*args, floor, **kwargs):
+            # the floored value the decision uses, the exact maximum, the floor
+            seen.append((real(*args, floor=floor, **kwargs), real(*args, **kwargs), floor))
             return seen[-1][0]
 
         monkeypatch.setattr(algebra, "commutator_residual", recorded)
         comm = commutant(hand_built(alg))
-        # the probe solve is kept, so the verified candidates are the result
+        # the probe solve is kept, so the verified candidates are the result,
+        # swept against the generators and their adjoints
         sweep = sweep_commutant_residual(alg.generators, comm.basis)
-        assert seen == [(max(VERIFY_THRESHOLD, sweep), sweep, {"floor": VERIFY_THRESHOLD})]
+        assert seen == [(max(VERIFY_THRESHOLD, sweep), sweep, VERIFY_THRESHOLD)]
 
     @pytest.mark.parametrize("name", sorted(set(COMMUTANT_CASES) - {"scalars_only", "non_normal_generator"}))
     def test_stored_commutant(self, name, monkeypatch):
@@ -220,6 +223,11 @@ class TestCommutantAgainstKronecker:
         ref = kronecker_commutant(alg)
         assert comm.dim == len(ref)
         assert subspace_overlap(comm.basis, ref) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_CASES))
+    def test_is_the_diagonal_intertwiner_solve(self, name):
+        alg = hand_built(COMMUTANT_CASES[name]())
+        assert np.array_equal(commutant(alg).basis, intertwiners(alg.generators, alg.generators))
 
     def test_reproducible(self):
         alg = COMMUTANT_CASES["mgeom2_s7_cda"]()
@@ -414,13 +422,13 @@ def block_algebra_generators(blocks, rng):
 
 def counted_block_solves(monkeypatch):
     calls = []
-    real = algebra._block_commutant
+    real = algebra._block_intertwiners
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "_block_commutant", counted)
+    monkeypatch.setattr(algebra, "_block_intertwiners", counted)
     return calls
 
 

@@ -334,6 +334,69 @@ class TestOtherCommands:
         assert t2.hilbert_dim == t.hilbert_dim
 
 
+class TestParseErrors:
+    """Option values that no run could use exit 2 at parse."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["homotopy-check", "--samples", "0"], id="zero_samples"),
+        pytest.param(["homotopy-check", "--samples", "-1"], id="negative_samples"),
+        pytest.param(["zeta", "-s", "nan"], id="nan_s"),
+        pytest.param(["zeta", "-s", "1", "inf"], id="inf_s"),
+        pytest.param(["zeta", "-s", "-inf"], id="minus_inf_s"),
+    ])
+    def test_exit_two(self, tmp_path, capsys, argv):
+        src = tmp_path / "t.striple"
+        save_triple(src, two_point(1.0))
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", argv[0], str(src)] + argv[1:])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")
+def test_every_verb_writes_strict_json(tmp_path, capsys):
+    # the information entries of check, convert and product have an infinite
+    # tolerance, and zeta at a large negative s overflows; each must still
+    # load without the non-JSON constants NaN and Infinity, and text that
+    # looks like one stays text
+    points = tmp_path / "p: Infinity,"
+    save_triple(points, trivial_points(3))
+    riem = str(tmp_path / "riem.striple")
+    t = two_point(1.0)
+    odd = tmp_path / "odd.striple"
+    save_triple(odd, SpectralTripleData(2, t.algebra_gens, t.dirac))
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"size": 1, "projector": matrix_to_data(np.eye(3)), "potential": None}))
+    projs = tmp_path / "projs.json"
+    minimal = [matrix_to_data(np.diag(np.eye(3)[k])) for k in range(3)]
+    projs.write_text(json.dumps({"left": minimal, "right": minimal}))
+    runs = [
+        ["example", "two_point", "-o", str(tmp_path / "tp.striple")],
+        ["check", str(points)],
+        ["convert", "to-riemannian", str(points), "-o", riem],
+        ["convert", "to-spinc", riem, "-o", str(tmp_path / "back.striple")],
+        ["product", str(points), "--module", str(mod), "-o", str(tmp_path / "prod.striple")],
+        ["double", str(odd), "-o", str(tmp_path / "even.striple")],
+        ["homotopy-check", str(odd)],
+        ["pair", riem, "--projectors", str(projs)],
+        ["zeta", str(tmp_path / "tp.striple"), "-s", "0", "-3000"],
+    ]
+    seen_infinite = False
+    for argv in runs:
+        assert main(["--format", "json"] + argv) in (0, 1), argv
+        doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        entries = doc.get("report", {}).get("entries", [])
+        seen_infinite |= any(e["tolerance"] == float("inf") for e in entries)
+        seen_infinite |= float("inf") in doc.get("zeta", {}).values()
+        if argv[0] == "check":
+            assert doc["path"] == str(points)
+    assert seen_infinite
+
+
 class TestInputFileErrors:
     """The `product --module` and `pair --projectors` files: one that is not
     a JSON object, lacks a key or holds a bad matrix encoding did not parse
@@ -379,6 +442,10 @@ class TestInputFileErrors:
         pytest.param({"left": [[[1.0]]], "right": []}, 2, id="bad_encoding"),
         pytest.param({"left": [matrix_to_data(0.5 * np.eye(3))],
                       "right": [matrix_to_data(np.eye(3))]}, 1, id="not_a_projector"),
+        pytest.param({"left": [], "right": [matrix_to_data(np.eye(3))]}, 1, id="empty_left"),
+        pytest.param({"left": [], "right": []}, 1, id="both_empty"),
+        pytest.param({"left": [matrix_to_data(np.eye(3))],
+                      "right": [matrix_to_data(np.eye(2))]}, 1, id="wrong_shape"),
     ])
     def test_pair_projector_file(self, tmp_path, capsys, doc, expected):
         riem = convert.spinc_to_riemannian(trivial_points(3)).output

@@ -22,7 +22,6 @@ from ncgeo.convert import (
     riemannian_to_spinc,
     round_trip_check,
     spinc_to_riemannian,
-    split_by_central_involution,
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.io import load_triple, save_triple
@@ -794,28 +793,11 @@ class TestAppendix:
         rep = appendix_equivalence_check(t, samples=10)
         assert rep.entry("appendix:homotopy_identities").residual < 1e-12
 
-
-class TestCentralSplitting:
-    def test_block_extraction(self):
-        # synthetic data with an explicit central involution and swap grading
-        rng = np.random.default_rng(9)
-        h = random_hermitian(rng, 3)
-        zero = np.zeros((3, 3), dtype=complex)
-        dhat = np.block([[h, zero], [zero, -h]])
-        c_op = np.block([[np.eye(3), zero], [zero, -np.eye(3)]])
-        eps = np.block([[zero, np.eye(3)], [np.eye(3), zero]])
-        d_plus, basis, rep = split_by_central_involution(dhat, c_op, eps)
-        assert rep.passed, rep.as_text()
-        assert operator_norm(adjoint(basis) @ dhat @ basis - d_plus) < 1e-9 or True
-        vals = np.linalg.eigvalsh(d_plus)
-        assert np.allclose(np.sort(vals), np.sort(np.linalg.eigvalsh(h)))
-
-    def test_unbalanced_rejected(self):
-        dhat = np.zeros((3, 3), dtype=complex)
-        c_op = np.diag([1.0, 1.0, -1.0]).astype(complex)
-        eps = np.zeros((3, 3), dtype=complex)
-        with pytest.raises(ValueError):
-            split_by_central_involution(dhat, c_op, eps)
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        t = SpectralTripleData(1, [np.eye(1)], np.array([[1.0]], dtype=complex))
+        with pytest.raises(ValueError, match="at least one sample"):
+            appendix_equivalence_check(t, samples=samples)
 
 
 class TestPoincarePairing:
@@ -871,6 +853,21 @@ class TestPoincarePairing:
             mat, _, _ = poincare_pairing_matrix(noisy, [p_left], [q_right])
             mats.append(mat.copy())
         assert np.array_equal(mats[0], mats[1]) and np.array_equal(mats[1], mats[2])
+
+    @pytest.mark.parametrize("left, right", [([], [np.eye(2)]), ([np.eye(2)], []), ([], [])])
+    def test_empty_side_rejected(self, left, right):
+        # the 0 x 0 matrix has determinant 1, so an empty side must not reach it
+        t = SpectralTripleData(2, [np.eye(2)], np.zeros((2, 2)),
+                               np.diag([1.0, -1.0]).astype(complex))
+        with pytest.raises(ValueError, match="at least one projector on each side"):
+            poincare_pairing_matrix(t, left, right)
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.eye(2)[:1], np.ones(2)])
+    def test_wrong_shape_rejected(self, bad):
+        t = SpectralTripleData(2, [np.eye(2)], np.zeros((2, 2)),
+                               np.diag([1.0, -1.0]).astype(complex))
+        with pytest.raises(ValueError, match="2 x 2|expected a matrix"):
+            poincare_pairing_matrix(t, [np.eye(2)], [bad])
 
     def test_noncommuting_rejected(self):
         t = SpectralTripleData(2, [np.eye(2)], np.zeros((2, 2)),

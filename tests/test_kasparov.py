@@ -12,7 +12,6 @@ from ncgeo.kasparov import (
     compress_to_range,
     connection_condition_check,
     connection_decomposition,
-    connection_frame,
     first_order_residual,
     grassmann_connection,
     index_pairing,
@@ -636,6 +635,39 @@ class TestGradedFirstOrder:
             connection_decomposition(t)
 
 
+def kernel_rank_index(t, p):
+    """Reference index: ranks of the odd block of the compressed Dirac
+    operator between the grading's eigenspaces on the range of p."""
+    u = compress_to_range(p)
+    vals, vecs = np.linalg.eigh(adjoint(u) @ t.grading @ u)
+    plus = vecs[:, vals > 0]
+    minus = vecs[:, vals < 0]
+    block = adjoint(minus) @ (adjoint(u) @ t.dirac @ u) @ plus
+    svals = np.linalg.svd(block, compute_uv=False)
+    rank = int(np.sum(svals > 1e-10 * max(svals[0], 1e-300))) if svals.size else 0
+    return (plus.shape[1] - rank) - (minus.shape[1] - rank)
+
+
+def random_graded_projector(grading, rng):
+    """A random projector commuting with the grading: a random projector
+    of random rank inside each eigenspace of the grading."""
+    vals, vecs = np.linalg.eigh(grading)
+    cols = []
+    for side in (vecs[:, vals > 0], vecs[:, vals < 0]):
+        k = int(rng.integers(0, side.shape[1] + 1))
+        q, _ = np.linalg.qr(random_complex(rng, (side.shape[1], max(k, 1))))
+        cols.append(side @ q[:, :k])
+    v = np.hstack(cols)
+    return v @ adjoint(v)
+
+
+PAIRING_CASES = {
+    "two_point": lambda: two_point(1.0),
+    "trivial_points_3_forward": lambda: spinc_to_riemannian(trivial_points(3)).output,
+    "mgeom2_s13": lambda: matrix_geometry(2, seed=13),
+}
+
+
 class TestIndexPairing:
     def test_zero_dirac_graded_dimensions(self):
         t = SpectralTripleData(5, [np.eye(5)], np.zeros((5, 5)),
@@ -648,26 +680,28 @@ class TestIndexPairing:
         assert index_pairing(t, np.zeros((4, 4), dtype=complex)) == 0
 
     def test_matches_kernel_rank_oracle(self):
-        rng = np.random.default_rng(3)
         t = matrix_geometry(2, seed=13)
         # rank-one projector in the left action algebra
         e11 = np.zeros((2, 2), dtype=complex)
         e11[0, 0] = 1.0
         p = np.kron(np.kron(e11, np.eye(2)), np.eye(2))
-        idx = index_pairing(t, p)
-        # oracle: direct kernel ranks of the graded block on the compressed space
-        from ncgeo.kasparov import compress_to_range
-        u = compress_to_range(p)
-        gc = adjoint(u) @ t.grading @ u
-        dc = adjoint(u) @ t.dirac @ u
-        vals, vecs = np.linalg.eigh(gc)
-        plus = vecs[:, vals > 0]
-        minus = vecs[:, vals < 0]
-        block = adjoint(minus) @ dc @ plus
-        svals = np.linalg.svd(block, compute_uv=False)
-        rank = int(np.sum(svals > 1e-10 * max(svals[0], 1e-300))) if svals.size else 0
-        oracle = (plus.shape[1] - rank) - (minus.shape[1] - rank)
-        assert idx == oracle
+        assert index_pairing(t, p) == kernel_rank_index(t, p)
+
+    @pytest.mark.parametrize("name", sorted(PAIRING_CASES))
+    def test_trace_of_graded_projector(self, name):
+        # the index is Tr(g P) whatever D is: with D replaced by 0 or moved
+        # by an odd perturbation it stays Tr(g P), the kernel-rank oracle's value
+        t = PAIRING_CASES[name]()
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            p = random_graded_projector(t.grading, rng)
+            idx = index_pairing(t, p)
+            assert idx == round(float(np.trace(t.grading @ p).real)) == kernel_rank_index(t, p)
+            h = random_hermitian(rng, t.hilbert_dim)
+            h = (h - t.grading @ h @ t.grading) / 2.0
+            for dirac in (np.zeros_like(t.dirac), t.dirac + h, t.dirac + 1e-3 * h):
+                moved = SpectralTripleData(t.hilbert_dim, t.algebra_gens, dirac, t.grading, 0)
+                assert index_pairing(moved, p) == idx == kernel_rank_index(moved, p)
 
     def test_homotopy_stability(self):
         t = matrix_geometry(2, seed=13)

@@ -215,7 +215,6 @@ class TestGradingFromCycle:
             1.0, operator_norm(tri.dirac))
 
     def test_odd_declared_dimension_rejected(self):
-        # the odd tool is split_by_central_involution
         n = 3
         t = trivial_points(n)
         c_op = np.diag([1.0, 1.0, -1.0]).astype(complex)

@@ -226,13 +226,13 @@ class TestFitOrientation:
         assert resid < 1e-10
         assert operator_norm(represent_chain(t, chain) - t.grading) < 1e-9
 
-    def test_degree_one_cycle_constraint(self):
-        # fitted degree-1 chains satisfy the cycle condition by construction
-        t = two_point(1.0)
-        chain, resid = fit_orientation_cycle(t, 1, target=np.zeros((2, 2)))
-        if chain is not None and chain.terms:
-            b = hochschild_boundary(chain)
-            assert chain_coefficient_norm(b, t.algebra()) < 1e-8
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_positive_degree_rejected(self, p):
+        # only degree-0 cycles are fitted, strict or generalized
+        for generalized in (False, True):
+            with pytest.raises(ValueError, match="only supports degree 0"):
+                fit_orientation_cycle(two_point(1.0), p, target=np.zeros((2, 2)),
+                                      generalized=generalized)
 
 
 def two_qubit_triple(right_gens):
