@@ -18,6 +18,10 @@ gives the data, and A = A'' follows in closed form or from a second solve.
 A generated algebra keeps A' and its Wedderburn data, so `commutant`
 returns the stored A' and `center` is the span of the isotypic projections
 W_k W_k*; hand-built algebras take the solves.
+
+`graded_split` splits an algebra under x -> g x g from the Hermitian
+d x d matrix of that involution on the basis: its eigenvectors combine
+the basis into the even and odd parts, with no SVD.
 """
 from __future__ import annotations
 
@@ -32,12 +36,10 @@ from .linalg import (
     as_complex_matrix,
     commutator_residual,
     max_operator_norm,
-    max_span_residual,
     null_space,
     operator_norm,
     project_onto_span,
     rel_residual,
-    span_basis,
     span_coords,
     span_residual,
     unit_floor_norms,
@@ -389,8 +391,22 @@ def center(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def graded_split(alg: AlgebraBasis, grading, tol: Tolerance = DEFAULT_TOL):
     """Split an algebra into even/odd parts under x -> g x g for an involution g.
 
-    Returns the (even basis, odd basis) stacks.  Raises if g is not a
-    Hermitian involution or conjugation does not preserve the algebra.
+    Returns the (even basis, odd basis) stacks, orthonormal combinations of
+    the algebra's basis.  Raises if g is not a Hermitian involution or
+    conjugation does not preserve the algebra.
+
+    On the orthonormal basis B the involution has the Hermitian d x d
+    matrix theta[i, j] = <B_i, g B_j g>; its eigenvectors of positive
+    (negative) eigenvalue combine B into the even (odd) basis.
+
+    One gate.  The parts (B +- g B g) / 2 of B must span no more than d
+    elements above rank_cut.  They are (1 +- theta^T) B / 2 plus half the
+    residual R = g B g - theta^T B, so by Weyl every singular value they
+    hold beyond the even and odd bases is at most max (1 - |lambda|) / 2
+    plus |R|_2 / 2, which must not exceed rank_cut; |R|_2 is taken from
+    eigvalsh(R R^*), d x d.  A failing split raises "does not preserve" when
+    some g B_j g lies farther than max(rel, 1e3 rank_cut) from the algebra
+    in Frobenius norm, and "does not reassemble" otherwise.
     """
     g = as_complex_matrix(grading)
     n = alg.hilbert_dim
@@ -400,11 +416,15 @@ def graded_split(alg: AlgebraBasis, grading, tol: Tolerance = DEFAULT_TOL):
         raise ValueError("grading must be Hermitian")
     if rel_residual(g @ g - np.eye(n), 1.0) > tol.rel:
         raise ValueError("grading must square to the identity")
-    conj = g @ alg.basis @ g
-    if max_span_residual(conj, alg.basis) > max(tol.rel, 1e3 * tol.rank_cut):
-        raise ValueError("conjugation by the grading does not preserve the algebra")
-    even = span_basis((alg.basis + conj) / 2.0, tol, scale=1.0)
-    odd = span_basis((alg.basis - conj) / 2.0, tol, scale=1.0)
-    if len(even) + len(odd) != alg.dim:
+    flat = alg.basis.reshape(alg.dim, n * n)
+    conj = (g @ alg.basis @ g).reshape(alg.dim, n * n)
+    theta = flat.conj() @ conj.T
+    resid = conj - theta.T @ flat
+    vals, vecs = np.linalg.eigh(theta)
+    gap = np.max(1.0 - np.abs(vals)) / 2.0
+    spread = np.sqrt(max(np.linalg.eigvalsh(resid @ resid.conj().T)[-1], 0.0))
+    if not gap + spread / 2.0 <= tol.rank_cut:
+        if np.max(np.sum(np.abs(resid) ** 2, axis=1)) > max(tol.rel, 1e3 * tol.rank_cut) ** 2:
+            raise ValueError("conjugation by the grading does not preserve the algebra")
         raise ValueError("graded split does not reassemble the algebra")
-    return even, odd
+    return alg.combine(vecs[:, vals > 0].T), alg.combine(vecs[:, vals < 0].T)

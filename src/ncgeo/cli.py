@@ -286,11 +286,17 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+def _positive_float(text: str) -> float:
+    if (value := _finite_float(text)) > 0.0:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ncgeo",
                                  description="finite noncommutative geometry workbench")
-    ap.add_argument("--tol", type=float, default=1e-9, help="relative residual tolerance")
-    ap.add_argument("--rank-cut", type=float, default=1e-10, help="numerical rank cutoff")
+    ap.add_argument("--tol", type=_positive_float, default=1e-9, help="relative residual tolerance")
+    ap.add_argument("--rank-cut", type=_positive_float, default=1e-10, help="numerical rank cutoff")
     ap.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     g = ap.add_mutually_exclusive_group()

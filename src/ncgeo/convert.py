@@ -20,7 +20,6 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
-    block_apply,
     commutator_residual,
     from_blocks,
     max_operator_norm,
@@ -450,23 +449,27 @@ def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleDa
     """Connection potential of the module making the backward twist undo the
     forward one.
 
-    The potential is the compression of the mismatch between the source
-    Dirac operator (transported through the module identification) and the
-    bare frame twist; its entries land in the represented one-form span,
-    which is verified downstream and certifies that this is a compatible
-    connection rather than an arbitrary correction.
+    The potential is the compression Q (V S V^* - Q (1 (x) D) Q) Q of the
+    mismatch between the source Dirac operator S, transported through the
+    unitarized module identification V, and the bare frame twist.  With
+    Q = V V^* (`convert:module_projector`) that is V (S - V^* (1 (x) D) V) V^*,
+    formed at carrier size.  The backward Dirac operator V^* (1 (x) D) V
+    plus the compressed potential is therefore S itself, to rounding: the
+    potential replaces the twist rather than correcting it, and what the
+    round trip certifies about D is the potential's membership in the
+    represented one-form span, checked downstream.
     """
     return _backward_potential(tri, _backward_assembly(tri, module, tol), source_dirac)
 
 
 def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.ndarray:
-    q_big = asm["projector"]
     v_unit = asm["identification"]
-    # (1_nmod (x) D) Q without forming the block-diagonal operator
-    d_plain = q_big @ block_apply(q_big, tri.dirac)
-    target = v_unit @ as_complex_matrix(source_dirac) @ adjoint(v_unit)
-    w = q_big @ (target - d_plain) @ q_big
-    return (w + adjoint(w)) / 2.0
+    mismatch = as_complex_matrix(source_dirac) - pull_back(v_unit, tri.dirac)
+    w = v_unit @ mismatch @ adjoint(v_unit)
+    # (w + w^*) / 2 in place: one module-size temporary, the conjugate
+    w += adjoint(w)
+    w /= 2.0
+    return w
 
 
 def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,

@@ -99,7 +99,9 @@ def one_form_residual(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL
 
     The 2-norm is unitarily invariant, so each x is rotated to x w and
     normed there: the part of x w outside the span is, in each component
-    k, the part of each n x m_k column slice outside V_k.  The maximum is
+    k, the part of each n x m_k column slice outside V_k.  A component
+    whose V_k spans every slice holds its columns of x w in the span
+    exactly and is skipped, with no product.  The maximum is
     `max_operator_norm`'s, which skips blocks whose Frobenius bound cannot
     reach it, and the scales max(1, |x|_2) are `unit_floor_norms`', which
     take no 2-norm of a block whose Frobenius norm is below 1 - 1e-12.
@@ -114,11 +116,15 @@ def one_form_residual(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL
     outside = []
     for v_k, w_k in zip(*factors):
         n_k, m_k = w_k.shape[1:]
+        if len(v_k) == n * m_k:
+            continue
         # rows (x, a): the slice of x w in columns (a, :) of component k
         y = (xs @ w_k.reshape(n, -1)).reshape(k, n, n_k, m_k).swapaxes(1, 2).reshape(-1, n * m_k)
         v = v_k.reshape(len(v_k), n * m_k)
         y = y - (y @ v.conj().T) @ v
         outside.append(y.reshape(k, n_k, n, m_k).swapaxes(1, 2).reshape(k, n, -1))
+    if not outside:
+        return 0.0
     return max_operator_norm(np.concatenate(outside, axis=-1), unit_floor_norms(xs))
 
 

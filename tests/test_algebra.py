@@ -12,7 +12,7 @@ from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, gra
 from ncgeo.convert import round_trip_check, spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, max_operator_norm, max_span_residual, null_space,
-                          operator_norm, random_complex, random_unitary, span_basis, span_residual,
+                          operator_norm, random_complex, random_hermitian, random_unitary, span_basis, span_residual,
                           unit_floor_norms)
 from ncgeo.modules import parseval_frame
 
@@ -314,9 +314,12 @@ class TestGradedSplit:
         cda = generate_algebra(cda_gens(t))
         even, odd = graded_split(cda, t.grading)
         assert (even.shape, odd.shape) == ((8, 8, 8), (8, 8, 8))
-        # the per-element parts the split spans, as before the batched membership test
+        # the span of the per-element even parts, each part homogeneous
         parts = [(b + t.grading @ b @ t.grading) / 2.0 for b in cda.basis]
-        assert np.array_equal(even, span_basis(parts, scale=1.0))
+        ref = span_basis(parts, scale=1.0)
+        assert max(max_span_residual(even, ref), max_span_residual(ref, even)) < 1e-12
+        assert max_operator_norm(t.grading @ even @ t.grading - even) < 1e-12
+        assert max_operator_norm(t.grading @ odd @ t.grading + odd) < 1e-12
 
     def test_rejects_non_involution(self):
         alg = generate_algebra([SIGMA1])
@@ -418,6 +421,98 @@ def block_algebra_generators(blocks, rng):
             lo += n_k * m_k
         gens.append(w @ x @ adjoint(w))
     return gens
+
+
+def graded_block_algebra(blocks, rng):
+    """W (+_k M_{n_k} (x) 1_{m_k}) W*, with its basis rotated by a random
+    unitary, and the grading W (+_k s_k (x) t_k) W* for random diagonal
+    signs s_k and t_k, which normalizes it."""
+    gens = block_algebra_generators(blocks, rng)
+    alg = generate_algebra(gens)
+    w = alg.wedderburn[0]
+    signs = np.concatenate([np.kron(rng.choice([-1.0, 1.0], n_k), rng.choice([-1.0, 1.0], m_k))
+                            for n_k, m_k in alg.wedderburn[1]])
+    basis = alg.combine(random_unitary(rng, alg.dim))
+    return AlgebraBasis(alg.hilbert_dim, basis, gens), (w * signs) @ adjoint(w)
+
+
+def svd_graded_split(alg, g):
+    """Reference: the spans of the even and odd parts (b +- g b g) / 2 of the
+    basis elements, each from one SVD."""
+    conj = g @ alg.basis @ g
+    return (span_basis((alg.basis + conj) / 2.0, scale=1.0),
+            span_basis((alg.basis - conj) / 2.0, scale=1.0))
+
+
+def rotated_grading(g, scale):
+    """u g u^* for u = exp(i scale K), K a seeded Hermitian matrix of norm 1."""
+    vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(0), len(g)))
+    u = (vecs * np.exp(1j * scale * vals / np.max(np.abs(vals)))) @ adjoint(vecs)
+    return u @ g @ adjoint(u)
+
+
+class TestGradedSplitAgainstSVD:
+    @settings(max_examples=40, deadline=None)
+    @given(wedderburn_fixtures())
+    def test_random_graded_block_algebras(self, fixture):
+        blocks, seed = fixture
+        alg, g = graded_block_algebra(blocks, np.random.default_rng(seed))
+        even, odd = graded_split(alg, g)
+        ref_even, ref_odd = svd_graded_split(alg, g)
+        assert (len(even), len(odd)) == (len(ref_even), len(ref_odd))
+        assert len(even) + len(odd) == alg.dim
+        for part, ref in ((even, ref_even), (odd, ref_odd)):
+            assert max(max_span_residual(part, ref), max_span_residual(ref, part)) <= 1e-12
+        both = np.concatenate([even, odd]).reshape(alg.dim, -1)
+        assert np.allclose(both.conj() @ both.T, np.eye(alg.dim), rtol=0, atol=1e-12)
+        assert max_operator_norm(g @ even @ g - even) <= 1e-12
+        assert max_operator_norm(g @ odd @ g + odd) <= 1e-12
+
+    @pytest.fixture(scope="class")
+    def cda_and_rate(self):
+        # the 2-norm membership residual of the SVD split grows linearly in
+        # the rotation of the grading off the algebra
+        t = matrix_geometry(2, seed=7)
+        cda = generate_algebra(cda_gens(t))
+        g = rotated_grading(t.grading, 1e-6)
+        return cda, t.grading, max_span_residual(g @ cda.basis @ g, cda.basis) / 1e-6
+
+    @pytest.mark.parametrize("over, message", [
+        (1.1, "does not preserve"),
+        # below the membership gate, the SVD split found more even and odd
+        # elements than the algebra has, and the reassembly gate still does
+        (0.5, "does not reassemble"),
+        (1e-2, "does not reassemble"),
+    ])
+    def test_broken_algebra_raises(self, cda_and_rate, over, message):
+        cda, g, rate = cda_and_rate
+        gate = max(DEFAULT_TOL.rel, 1e3 * DEFAULT_TOL.rank_cut)
+        bent = rotated_grading(g, over * gate / rate)
+        assert max_span_residual(bent @ cda.basis @ bent, cda.basis) == pytest.approx(over * gate, rel=1e-3)
+        with pytest.raises(ValueError, match=message):
+            graded_split(cda, bent)
+        ref_even, ref_odd = svd_graded_split(cda, bent)
+        assert len(ref_even) + len(ref_odd) > cda.dim
+
+    def test_roundoff_break_passes(self, cda_and_rate):
+        cda, g, rate = cda_and_rate
+        bent = rotated_grading(g, 1e-12 / rate)
+        even, odd = graded_split(cda, bent)
+        assert (len(even), len(odd)) == (8, 8)
+
+    def test_gate_is_the_2_norm_of_the_residual(self, cda_and_rate):
+        # a residual R whose Frobenius norm sums above 2 rank_cut over the
+        # basis while its 2-norm stays below: the SVD split finds d
+        # elements, and the gate, which does not grow with d, passes too
+        cda, g, _ = cda_and_rate
+        bent = rotated_grading(g, 1e-10)
+        flat = cda.basis.reshape(cda.dim, -1)
+        conj = (bent @ cda.basis @ bent).reshape(cda.dim, -1)
+        resid = conj - (flat.conj() @ conj.T).T @ flat
+        assert np.linalg.norm(resid, 2) < 2 * DEFAULT_TOL.rank_cut < np.linalg.norm(resid)
+        ref_even, ref_odd = svd_graded_split(cda, bent)
+        even, odd = graded_split(cda, bent)
+        assert (len(even), len(odd)) == (len(ref_even), len(ref_odd)) == (8, 8)
 
 
 def counted_block_solves(monkeypatch):

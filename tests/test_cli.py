@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,16 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["zeta"]["0.0"] == pytest.approx(5.0)
 
+    def test_zeta_overflow(self, tmp_path, capsys):
+        src = tmp_path / "tp.striple"
+        save_triple(src, two_point(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--format", "json", "zeta", str(src), "-s", "0", "-3000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: zeta diagnostic overflows") and captured.err.count("\n") == 1
+
     def test_zeta_non_hermitian_dirac(self, tmp_path, capsys):
         t = two_point(1.0)
         src = tmp_path / "skew.striple"
@@ -352,17 +363,32 @@ class TestParseErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--tol", "nan"], id="nan_tol"),
+        pytest.param(["--tol", "0"], id="zero_tol"),
+        pytest.param(["--tol", "inf"], id="inf_tol"),
+        pytest.param(["--rank-cut", "-1"], id="negative_rank_cut"),
+        pytest.param(["--rank-cut", "nan"], id="nan_rank_cut"),
+    ])
+    def test_tolerance_flags_exit_two(self, tmp_path, capsys, flags):
+        src = tmp_path / "t.striple"
+        save_triple(src, two_point(1.0))
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["--format", "json", "check", str(src)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"ncgeo: error: argument {flags[0]}: ")
+
 
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power")
 def test_every_verb_writes_strict_json(tmp_path, capsys):
     # the information entries of check, convert and product have an infinite
-    # tolerance, and zeta at a large negative s overflows; each must still
-    # load without the non-JSON constants NaN and Infinity, and text that
-    # looks like one stays text
+    # tolerance; each must still load without the non-JSON constants NaN and
+    # Infinity, and text that looks like one stays text
     points = tmp_path / "p: Infinity,"
     save_triple(points, trivial_points(3))
     riem = str(tmp_path / "riem.striple")
@@ -383,7 +409,7 @@ def test_every_verb_writes_strict_json(tmp_path, capsys):
         ["double", str(odd), "-o", str(tmp_path / "even.striple")],
         ["homotopy-check", str(odd)],
         ["pair", riem, "--projectors", str(projs)],
-        ["zeta", str(tmp_path / "tp.striple"), "-s", "0", "-3000"],
+        ["zeta", str(tmp_path / "tp.striple"), "-s", "0", "-2"],
     ]
     seen_infinite = False
     for argv in runs:
@@ -391,7 +417,6 @@ def test_every_verb_writes_strict_json(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
         entries = doc.get("report", {}).get("entries", [])
         seen_infinite |= any(e["tolerance"] == float("inf") for e in entries)
-        seen_infinite |= float("inf") in doc.get("zeta", {}).values()
         if argv[0] == "check":
             assert doc["path"] == str(points)
     assert seen_infinite

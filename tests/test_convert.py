@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgeo import convert, linalg
+from ncgeo import convert, linalg, triples
 from ncgeo.algebra import AlgebraBasis
 from ncgeo.convert import (
     CliffordModuleData,
@@ -355,6 +355,13 @@ class TestCarrierSizeBackward:
         w = q @ (v @ t.dirac @ adjoint(v) - q @ block_diag(tri.dirac, asm["nmod"]) @ q) @ q
         assert_rel_close(derived_backward_potential(tri, module, t.dirac), (w + adjoint(w)) / 2.0)
 
+    def test_backward_dirac_is_the_transported_source(self, backward_input):
+        # with Q = V V^*, V^* (1 (x) D) V plus the compressed derived potential
+        # is the source Dirac operator itself
+        t, tri, module = backward_input
+        pot = derived_backward_potential(tri, module, t.dirac)
+        assert_rel_close(riemannian_to_spinc(tri, module, potential=pot).output.dirac, t.dirac)
+
     def test_projector_off_the_identification_fails(self, backward_input):
         # a projector rotated off the range of V by 1e-6 is still a Hermitian
         # idempotent, but no longer V V^*
@@ -440,6 +447,16 @@ def test_round_trip_takes_no_module_size_svd(monkeypatch):
     assert n_fwd == h * h
     square = sorted(f for s, f in calls if s[-2] == s[-1] == n_fwd)
     assert square == ["_one_form_factors"]
+
+
+def test_round_trip_splits_three_cdas(monkeypatch):
+    # the source cda, the forward output's regraded cda and the backward
+    # output's cda; the Riemannian checks split none again
+    calls = []
+    split = triples.graded_split
+    monkeypatch.setattr(triples, "graded_split", lambda *args: calls.append(1) or split(*args))
+    assert round_trip_check(matrix_geometry(2, seed=7)).report.passed
+    assert len(calls) == 3
 
 
 @pytest.fixture(scope="module", params=[7, 2001408477])

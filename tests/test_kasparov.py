@@ -233,6 +233,20 @@ class TestOneFormSpan:
         assert operator_norm(flat.conj() @ flat.T - np.eye(len(span))) < 1e-12
         assert_same_span(span, product_stack_span(dirac, alg.basis))
 
+    @pytest.mark.parametrize("case", ["opposite-seed0", "opposite-seed7"])
+    def test_full_span_residual_is_exactly_zero(self, case, monkeypatch):
+        # the span is every operator (the roundoff span of the forward
+        # output's right action), so no projection or 2-norm is taken
+        dirac, alg = SPAN_CASES[case]()
+        n = alg.hilbert_dim
+        assert len(one_form_span(dirac, alg)) == n * n
+        xs = random_complex(np.random.default_rng(3), (5, n, n))
+        norms = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: norms.append(1) or norm(*args, **kwargs))
+        assert one_form_residual(dirac, alg, xs) == 0.0
+        assert norms == []
+
     @pytest.mark.parametrize("case", list(SPAN_CASES))
     def test_residuals_match_the_span(self, case):
         # random operators, members of the span, and members plus a small

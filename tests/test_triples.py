@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -490,6 +491,24 @@ class TestRiemannian:
         rep, _ = check_riemannian(two_point(1.0))
         assert rep.entries[0].status == "skipped"
 
+    @pytest.mark.parametrize("make", [lambda: trivial_points(4),
+                                      lambda: spinc_to_riemannian(matrix_geometry(2, seed=7)).output])
+    def test_grading_splits_cda_by_construction(self, make, monkeypatch):
+        # the cda is split under the grading when it is built, so the check
+        # splits nothing; the details carry no digits for the bench digest
+        t = make()
+        t.cda()
+        calls = []
+        split = triples.graded_split
+        monkeypatch.setattr(triples, "graded_split", lambda *args: calls.append(1) or split(*args))
+        rep, _ = check_riemannian(t)
+        assert rep.passed, rep.as_text()
+        assert calls == []
+        entry = rep.entry("riemann:grading_splits_cda")
+        assert (entry.status, entry.residual) == ("pass", 0.0)
+        assert "by construction" in entry.details
+        assert not any(c.isdigit() for c in entry.details)
+
 
 class TestExtras:
     def test_trivial_connectivity(self):
@@ -554,6 +573,17 @@ class TestZeta:
         for s in (0.5, 2.0, 3.0):
             expected = float(np.sum((1 + vals ** 2) ** (-s / 2)))
             assert zeta_diagnostic(t, [s])[0][1] == pytest.approx(expected, abs=1e-12)
+
+    def test_overflow_raises_without_a_warning(self):
+        # two_point has |l| = 1, so (1 + l^2)^1500 = 2^1500 overflows; a
+        # finite value is the direct sum, bit for bit
+        t = two_point(1.0)
+        vals = np.linalg.eigh(t.dirac)[0]
+        assert zeta_diagnostic(t, [-2000.0])[0][1] == float(np.sum((1 + vals ** 2) ** 1000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows at s = -3000.0"):
+                zeta_diagnostic(t, [0.0, -3000.0])
 
 
 def test_report_determinism():
