@@ -1,7 +1,9 @@
 """Command line surface: one verb per construction.
 
 Exit codes: 0 all requested checks pass, 1 a check or prerequisite fails,
-2 the input file cannot be parsed.
+2 a file cannot be read or written, an input does not parse, or an option
+is malformed.  Every refusal is one `error:` line on stderr, written by
+`main` (by argparse for an option).
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ def _tol(args) -> Tolerance:
 
 
 def _emit(args, payload: dict, report: CheckReport | None = None):
-    header = {"seed": args.seed, "tol": args.tol}
+    header = {"tol": args.tol}
     if args.format == "json":
         doc = {"header": header}
         doc.update(payload)
@@ -56,7 +58,7 @@ def _emit(args, payload: dict, report: CheckReport | None = None):
         text = json.dumps(doc, indent=2, default=_json_default)
         print(_NON_JSON.sub(lambda m: m[1] + _JSON_VALUE[m[2]], text))
     else:
-        print(f"# seed={args.seed} tol={args.tol}")
+        print(f"# tol={args.tol}")
         for key, value in payload.items():
             if key == "report":
                 continue
@@ -86,18 +88,10 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _load(path):
-    try:
-        return load_triple(path)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
 def _read_input(path, decode, doc=None):
     """decode(doc) for the JSON object doc in a file, read from path unless
-    given.  A file that cannot be read, is not a JSON object, lacks a key or
-    holds a bad encoding exits 2 with one error line."""
+    given.  Raises FormatError naming the path when the file cannot be read,
+    is not a JSON object, lacks a key or holds a bad encoding."""
     try:
         if doc is None:
             with open(path) as fh:
@@ -109,8 +103,7 @@ def _read_input(path, decode, doc=None):
         msg = f"missing key {exc}"
     except (OSError, TypeError, ValueError) as exc:
         msg = str(exc)
-    print(f"error: {path}: {msg}", file=sys.stderr)
-    raise SystemExit(EXIT_PARSE)
+    raise FormatError(f"{path}: {msg}")
 
 
 def cmd_example(args) -> int:
@@ -122,11 +115,7 @@ def cmd_example(args) -> int:
     elif args.kind == "matrix_geometry":
         params["n"] = args.n or 2
         params["seed"] = args.seed
-    try:
-        t = build_example(args.kind, **params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    t = build_example(args.kind, **params)
     out = args.output or f"{args.kind}.striple"
     save_triple(out, t)
     _emit(args, {"written": out, "hilbert_dim": t.hilbert_dim})
@@ -134,7 +123,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_check(args) -> int:
-    t, _ = _load(args.path)
+    t, _ = load_triple(args.path)
     rep = run_condition_suite(t, _tol(args), strict_orientation=args.strict_orientation)
     _emit(args, {"path": args.path}, rep)
     return EXIT_OK if rep.passed else EXIT_FAIL
@@ -161,14 +150,13 @@ def _bundle_doc(doc):
 
 
 def cmd_convert(args) -> int:
-    t, doc = _load(args.path)
+    t, doc = load_triple(args.path)
     tol = _tol(args)
     if args.direction == "to-spinc":
         bundle = _read_input(args.path, _bundle_doc, doc)
         if bundle is None:
-            print("error: to-spinc needs a file produced by to-riemannian "
-                  "(bundled module data missing)", file=sys.stderr)
-            return EXIT_FAIL
+            raise ValueError("to-spinc needs a file produced by to-riemannian "
+                             "(bundled module data missing)")
     try:
         if args.direction == "to-riemannian":
             result = spinc_to_riemannian(t, tol)
@@ -208,19 +196,14 @@ def _module_doc(doc):
 
 
 def cmd_product(args) -> int:
-    t, _ = _load(args.path)
+    t, _ = load_triple(args.path)
     n, q_big, potential = _read_input(args.module, _module_doc)
     tol = _tol(args)
-    try:
-        right = t.right_algebra(tol)
-        if right is None:
-            print("error: triple has no right action to twist against", file=sys.stderr)
-            return EXIT_FAIL
-        conn = BimoduleConnection(ProjectiveModule(right, n, q_big), potential)
-        out, _, rep = product_triple(t, conn, tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    right = t.right_algebra(tol)
+    if right is None:
+        raise ValueError("triple has no right action to twist against")
+    conn = BimoduleConnection(ProjectiveModule(right, n, q_big), potential)
+    out, _, rep = product_triple(t, conn, tol)
     outpath = args.output or (args.path + ".product")
     save_triple(outpath, out)
     _emit(args, {"written": outpath}, rep)
@@ -228,12 +211,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_double(args) -> int:
-    t, _ = _load(args.path)
-    try:
-        out, rep = double_odd_triple(t, _tol(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    t, _ = load_triple(args.path)
+    out, rep = double_odd_triple(t, _tol(args))
     outpath = args.output or (args.path + ".doubled")
     save_triple(outpath, out)
     _emit(args, {"written": outpath}, rep)
@@ -241,32 +220,24 @@ def cmd_double(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
-    t, _ = _load(args.path)
+    t, _ = load_triple(args.path)
     rep = appendix_equivalence_check(t, samples=args.samples, tol=_tol(args))
     _emit(args, {"path": args.path}, rep)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 def cmd_pair(args) -> int:
-    t, _ = _load(args.path)
+    t, _ = load_triple(args.path)
     left, right = _read_input(args.projectors, lambda doc: tuple(
         [data_to_matrix(p) for p in doc[side]] for side in ("left", "right")))
-    try:
-        mat, unimodular, rep = poincare_pairing_matrix(t, left, right, _tol(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    mat, unimodular, rep = poincare_pairing_matrix(t, left, right, _tol(args))
     _emit(args, {"matrix": mat.tolist(), "unimodular": unimodular}, rep)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 def cmd_zeta(args) -> int:
-    t, _ = _load(args.path)
-    try:
-        table = zeta_diagnostic(t, args.s)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    t, _ = load_triple(args.path)
+    table = zeta_diagnostic(t, args.s)
     _emit(args, {"zeta": {str(s): v for s, v in table}})
     return EXIT_OK
 
@@ -292,12 +263,18 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes a usage error as one line, without the usage block; the
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ncgeo",
-                                 description="finite noncommutative geometry workbench")
+    ap = _Parser(prog="ncgeo", description="finite noncommutative geometry workbench")
     ap.add_argument("--tol", type=_positive_float, default=1e-9, help="relative residual tolerance")
     ap.add_argument("--rank-cut", type=_positive_float, default=1e-10, help="numerical rank cutoff")
-    ap.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     g = ap.add_mutually_exclusive_group()
     g.add_argument("--strict-orientation", dest="strict_orientation", action="store_true",
@@ -310,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=EXAMPLE_KINDS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--coupling", type=complex, default=1.0)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="seed for the seeded examples (also accepted globally)")
+    p.add_argument("--seed", type=int, default=0, help="seed for the seeded examples")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_example)
 
@@ -358,8 +334,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_FAIL
+    except (FormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

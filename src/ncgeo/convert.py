@@ -101,6 +101,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
                          f"{t.declared_p}; odd triples: double_odd_triple (ncgeo double)")
     if t.orientation_cycle is None:
         raise ValueError("conversion needs an orientation cycle")
+    if t.right_action_gens is None:
+        raise ValueError("conversion needs a right action")
     orep = check_orientability(t, tol, strict=not t.orientation_cycle.generalized)
     if not orep.passed:
         raise ValueError("orientability fails:\n" + "\n".join(
@@ -170,7 +172,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
             max(tol.rel, 1e-8))
     src_basis = list(cda.combine(coeffs.T))
 
-    j = tomita_conjugation(base, phi, tol)
+    j = tomita_conjugation(base, tol)
     eps, grep = grading_from_cycle(base, chat, j, tol)
     rep.extend(grep, prefix="convert:")
     out = base.regraded(eps, tol)
@@ -239,7 +241,7 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
         raise ValueError("module algebra basis leaves the Dirac-commutator algebra")
     nc = module.carrier_dim
     nh = t.hilbert_dim
-    j = tomita_conjugation(t, t.riemann_vector, tol)
+    j = tomita_conjugation(t, tol)
 
     carrier = AlgebraBasis(nc, span_basis(module.left_action, tol))
     frame = parseval_frame(carrier, tol)
@@ -326,10 +328,9 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
         rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
         # an exactly Hermitian potential (the derived one is symmetrized)
         # needs no norm: the residual of a zero matrix is 0 at any scale
-        skew = pot_big - adjoint(pot_big)
-        rep.add("convert:potential_hermitian",
-                rel_residual(skew, operator_norm(pot_big)) if skew.any() else 0.0,
-                max(tol.rel, 1e-8))
+        herm = 0.0 if _exactly_hermitian(pot_big, nh) else \
+            rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big))
+        rep.add("convert:potential_hermitian", herm, max(tol.rel, 1e-8))
         dirac = dirac + adjoint(v_unit) @ pot_big @ v_unit
     c_op = represent_chain(t, t.orientation_cycle) if t.orientation_cycle is not None else t.grading
     grading = pull_back(v_unit, c_op)
@@ -368,6 +369,13 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     rep.extend(sp)
     witness = {"identification": v_unit, "module_projector": q_big, "conjugation_kernel": j.kernel}
     return ConversionResult(output=out, witness=witness, report=rep)
+
+
+def _exactly_hermitian(m: np.ndarray, rows: int) -> bool:
+    """m == m^* entry for entry, compared `rows` rows at a time so that no
+    temporary is as large as m."""
+    return all(np.array_equal(m[i:i + rows], m[:, i:i + rows].conj().T)
+               for i in range(0, len(m), rows))
 
 
 def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
@@ -444,8 +452,7 @@ def _block_mismatch(t1: SpectralTripleData, t2: SpectralTripleData, tol: Toleran
     return f"; Wedderburn blocks (n_k, m_k) {blocks1} vs {blocks2}"
 
 
-def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleData,
-                               source_dirac: np.ndarray, tol: Tolerance = DEFAULT_TOL):
+def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.ndarray:
     """Connection potential of the module making the backward twist undo the
     forward one.
 
@@ -459,10 +466,6 @@ def derived_backward_potential(tri: SpectralTripleData, module: CliffordModuleDa
     round trip certifies about D is the potential's membership in the
     represented one-form span, checked downstream.
     """
-    return _backward_potential(tri, _backward_assembly(tri, module, tol), source_dirac)
-
-
-def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.ndarray:
     v_unit = asm["identification"]
     mismatch = as_complex_matrix(source_dirac) - pull_back(v_unit, tri.dirac)
     w = v_unit @ mismatch @ adjoint(v_unit)

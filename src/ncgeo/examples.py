@@ -8,7 +8,7 @@ from .triples import HochschildChain, SpectralTripleData
 
 __all__ = ["build_example", "EXAMPLE_KINDS"]
 
-EXAMPLE_KINDS = ("trivial_points", "two_point", "matrix_geometry", "doubled")
+EXAMPLE_KINDS = ("trivial_points", "two_point", "matrix_geometry")
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -113,11 +113,4 @@ def build_example(kind: str, **params) -> SpectralTripleData:
         return two_point(params.get("coupling", 1.0))
     if kind == "matrix_geometry":
         return matrix_geometry(int(params.get("n", 2)), int(params.get("seed", 0)))
-    if kind == "doubled":
-        from .convert import double_odd_triple
-        base = params.get("base")
-        if base is None:
-            raise ValueError("doubled example needs a base triple")
-        doubled, _ = double_odd_triple(base)
-        return doubled
     raise ValueError(f"unknown example kind {kind!r}; choose from {EXAMPLE_KINDS}")

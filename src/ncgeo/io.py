@@ -108,33 +108,22 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
             )
         phi = data_to_vector(doc["phi"]) if doc.get("phi") is not None else None
         state = data_to_matrix(doc["state"]) if doc.get("state") is not None else None
-        p = doc.get("p", 0)
-        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-            raise FormatError(f"p must be a non-negative integer, got {p!r}")
+        # the shapes, the generator lists and p are checked by construction
+        return SpectralTripleData(
+            hilbert_dim=n,
+            algebra_gens=gens,
+            dirac=dirac,
+            grading=grading,
+            declared_p=doc.get("p", 0),
+            right_action_gens=right,
+            orientation_cycle=cycle,
+            riemann_vector=phi,
+            state=state,
+        )
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed triple document: {exc}") from exc
-    ops = {"dirac": [dirac], "algebra generator": gens, "grading": [grading],
-           "right action generator": right or [], "state": [state],
-           "cycle leg": [m for term in (cycle.terms if cycle else []) for m in term]}
-    for name, mats in ops.items():
-        for m in mats:
-            if m is not None and m.shape != (n, n):
-                raise FormatError(f"{name} has shape {m.shape} but hilbert_dim is {n}")
-    if phi is not None and phi.shape != (n,):
-        raise FormatError(f"phi has length {len(phi)} but hilbert_dim is {n}")
-    return SpectralTripleData(
-        hilbert_dim=n,
-        algebra_gens=gens,
-        dirac=dirac,
-        grading=grading,
-        declared_p=p,
-        right_action_gens=right,
-        orientation_cycle=cycle,
-        riemann_vector=phi,
-        state=state,
-    )
 
 
 def save_triple(path, t: SpectralTripleData, extra: dict | None = None):

@@ -186,12 +186,6 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
         raise ValueError(f"potential violates hermiticity (residual {worst_herm:.3e})")
 
 
-def first_order_residual(t: SpectralTripleData, right_alg: AlgebraBasis) -> float:
-    """The larger residual of `triples.check_first_order` over the basis of
-    the right algebra."""
-    return max(first_order_residuals(t, right_alg.basis))
-
-
 def _check_module(module: ProjectiveModule, tol: Tolerance):
     """Hard errors on a caller's module: a projector of the wrong shape, or
     one that fails `validate_module`."""
@@ -209,7 +203,7 @@ def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basi
     module itself is the caller's to certify."""
     module = conn.module
     _validate_potential(t, conn, tol)
-    fo = first_order_residual(t, module.base)
+    fo = max(first_order_residuals(t, module.base.basis))
     if fo > max(tol.rel, 1e-7):
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
     u = basis(module.projector)
@@ -366,7 +360,7 @@ def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL
     right = t.right_algebra(tol)
     if right is None:
         raise ValueError("connection decomposition needs a right action")
-    fo = first_order_residual(t, right)
+    fo = max(first_order_residuals(t, right.basis))
     if fo > max(tol.rel, 1e-7):
         raise ValueError(f"first-order condition fails ({fo:.3e})")
     n = t.hilbert_dim

@@ -290,14 +290,13 @@ def from_blocks(table) -> np.ndarray:
     return table.swapaxes(1, 2).reshape(m * d, m * d)
 
 
-def span_basis(mats, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def span_basis(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (trace inner product) of the span of a stack of matrices.
 
     `mats` is a (k, *shape) array or a list of equally shaped matrices; the
     basis is a (rank, *shape) array, where rank is the numerical rank at
-    tol.rank_cut.  An empty stack yields an empty one.  A positive `scale`
-    acts as an absolute floor so inputs that are pure roundoff produce an
-    empty basis.
+    tol.rank_cut relative to the largest singular value.  An empty or zero
+    stack yields an empty one.
     """
     mats = np.asarray(mats, dtype=complex)
     if len(mats) == 0:
@@ -309,7 +308,7 @@ def span_basis(mats, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.nda
     u, s, _ = np.linalg.svd(mats.reshape(len(mats), -1).T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return mats[:0]
-    rank = int(np.sum(s > tol.rank_cut * max(float(s[0]), scale)))
+    rank = int(np.sum(s > tol.rank_cut * float(s[0])))
     return u[:, :rank].T.reshape((rank,) + mats.shape[1:])
 
 

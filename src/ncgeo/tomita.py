@@ -61,18 +61,17 @@ class AntiunitaryMap:
         return rel_residual(k @ np.conj(k) - np.eye(k.shape[0]), 1.0)
 
 
-def tomita_conjugation(t: SpectralTripleData, phi=None, tol: Tolerance = DEFAULT_TOL) -> AntiunitaryMap:
-    """Antiunitary map determined by w.phi -> w*.phi on the Dirac-commutator algebra.
+def tomita_conjugation(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> AntiunitaryMap:
+    """Antiunitary map determined by w.phi -> w*.phi on the Dirac-commutator
+    algebra, phi the triple's distinguished vector `riemann_vector`.
 
     Requires the vector to be cyclic and separating with a tracial vector
     state; otherwise the construction cannot be antiunitary and a hard
     error is raised.
     """
-    if phi is None:
-        phi = t.riemann_vector
+    phi = t.riemann_vector
     if phi is None:
         raise ValueError("no cyclic vector available")
-    phi = np.asarray(phi, dtype=complex).ravel()
     cda = t.cda(tol)
     n = t.hilbert_dim
     if cda.dim != n:

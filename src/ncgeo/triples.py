@@ -81,16 +81,35 @@ class SpectralTripleData:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.algebra_gens = [as_complex_matrix(g) for g in self.algebra_gens]
-        self.dirac = as_complex_matrix(self.dirac)
+        """The one shape gate of a triple: raises a ValueError naming the
+        field that is not n x n (an operator), not of length n (phi), empty
+        (a generator list) or not a non-negative int (p)."""
+        n = self.hilbert_dim
+        p = self.declared_p
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise ValueError(f"p must be a non-negative integer, got {p!r}")
+        if not len(self.algebra_gens):
+            raise ValueError("algebra has no generator")
+        if self.right_action_gens is not None and not len(self.right_action_gens):
+            raise ValueError("right action is given with no generator")
+        self.algebra_gens = [_square(g, n, "algebra generator") for g in self.algebra_gens]
+        self.dirac = _square(self.dirac, n, "dirac")
         if self.grading is not None:
-            self.grading = as_complex_matrix(self.grading)
+            self.grading = _square(self.grading, n, "grading")
         if self.right_action_gens is not None:
-            self.right_action_gens = [as_complex_matrix(g) for g in self.right_action_gens]
+            self.right_action_gens = [_square(g, n, "right action generator")
+                                      for g in self.right_action_gens]
+        if self.orientation_cycle is not None:
+            for term in self.orientation_cycle.terms:
+                for leg in term:
+                    _square(leg, n, "cycle leg")
         if self.riemann_vector is not None:
             self.riemann_vector = np.asarray(self.riemann_vector, dtype=complex).ravel()
+            if self.riemann_vector.shape != (n,):
+                raise ValueError(f"phi has length {len(self.riemann_vector)} "
+                                 f"but hilbert_dim is {n}")
         if self.state is not None:
-            self.state = as_complex_matrix(self.state)
+            self.state = _square(self.state, n, "state")
 
     # -- state functional -------------------------------------------------
     def psi(self, x):
@@ -133,8 +152,16 @@ class SpectralTripleData:
         return self._cache[key]
 
 
+def _square(m, n: int, name: str) -> np.ndarray:
+    m = as_complex_matrix(m)
+    if m.shape != (n, n):
+        raise ValueError(f"{name} has shape {m.shape} but hilbert_dim is {n}")
+    return m
+
+
 def validate_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Shape, Hermiticity, grading and commutator-norm entries.
+    """Hermiticity, grading and commutator-norm entries (construction has
+    checked the shapes).
 
     Raises when the Dirac operator is not Hermitian, since no later check
     applies to it; `run_condition_suite` reports that case as a failed entry.
@@ -162,11 +189,6 @@ def _validate(t: SpectralTripleData, tol: Tolerance) -> CheckReport:
     rep = CheckReport()
     n = t.hilbert_dim
     d = t.dirac
-    if d.shape != (n, n):
-        raise ValueError("Dirac operator shape does not match the Hilbert dimension")
-    for g in t.algebra_gens:
-        if g.shape != (n, n):
-            raise ValueError("algebra generator shape mismatch")
     nd = operator_norm(d)
     herm = rel_residual(d - adjoint(d), nd)
     rep.add("validate:dirac_hermitian", herm, tol.rel)

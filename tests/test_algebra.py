@@ -316,7 +316,7 @@ class TestGradedSplit:
         assert (even.shape, odd.shape) == ((8, 8, 8), (8, 8, 8))
         # the span of the per-element even parts, each part homogeneous
         parts = [(b + t.grading @ b @ t.grading) / 2.0 for b in cda.basis]
-        ref = span_basis(parts, scale=1.0)
+        ref = floored_span(parts)
         assert max(max_span_residual(even, ref), max_span_residual(ref, even)) < 1e-12
         assert max_operator_norm(t.grading @ even @ t.grading - even) < 1e-12
         assert max_operator_norm(t.grading @ odd @ t.grading + odd) < 1e-12
@@ -436,12 +436,20 @@ def graded_block_algebra(blocks, rng):
     return AlgebraBasis(alg.hilbert_dim, basis, gens), (w * signs) @ adjoint(w)
 
 
+def floored_span(mats):
+    """Orthonormal basis of the span of a stack from one SVD, with rank
+    s > rank_cut max(s_0, 1): a stack of pure roundoff spans nothing."""
+    mats = np.asarray(mats, dtype=complex)
+    u, s, _ = np.linalg.svd(mats.reshape(len(mats), -1).T, full_matrices=False)
+    rank = int(np.sum(s > DEFAULT_TOL.rank_cut * max(float(s[0]), 1.0)))
+    return u[:, :rank].T.reshape((rank,) + mats.shape[1:])
+
+
 def svd_graded_split(alg, g):
     """Reference: the spans of the even and odd parts (b +- g b g) / 2 of the
     basis elements, each from one SVD."""
     conj = g @ alg.basis @ g
-    return (span_basis((alg.basis + conj) / 2.0, scale=1.0),
-            span_basis((alg.basis - conj) / 2.0, scale=1.0))
+    return floored_span((alg.basis + conj) / 2.0), floored_span((alg.basis - conj) / 2.0)
 
 
 def rotated_grading(g, scale):

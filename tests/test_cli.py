@@ -109,6 +109,9 @@ class TestCheckCommand:
         pytest.param(lambda doc: doc.__setitem__("p", [1]), id="p_list"),
         pytest.param(lambda doc: doc.__setitem__("p", 1.5), id="p_float"),
         pytest.param(lambda doc: doc.__setitem__("p", -1), id="p_negative"),
+        pytest.param(lambda doc: doc["algebra"].__setitem__("generators", []), id="no_generators"),
+        pytest.param(lambda doc: doc["right_action"].__setitem__("generators", []),
+                     id="no_right_generators"),
     ])
     def test_unparseable_input_exit_two(self, tmp_path, capsys, edit):
         path = self._write_doc(tmp_path, edit)
@@ -258,6 +261,14 @@ class TestConvertCommand:
         assert main(["convert", "to-spinc", str(path)]) == 1
         assert "prerequisite" in capsys.readouterr().err
 
+    def test_to_riemannian_without_right_action_exit_one(self, tmp_path, capsys):
+        src = tmp_path / "no_right.striple"
+        save_triple(src, replace(matrix_geometry(2, seed=7), right_action_gens=None))
+        assert main(["convert", "to-riemannian", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "conversion needs a right action" in err
+
     def test_to_riemannian_odd_input_exit_one(self, tmp_path, capsys):
         src = tmp_path / "odd.striple"
         save_triple(src, replace(matrix_geometry(2, seed=7), declared_p=1))
@@ -363,6 +374,23 @@ class TestParseErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--tol", "nan", "check", "{src}"], id="nan_tol"),
+        pytest.param(["zeta", "{src}", "-s", "nan"], id="nan_s"),
+        pytest.param(["homotopy-check", "{src}", "--samples", "0"], id="zero_samples"),
+        pytest.param(["example", "doubled"], id="unknown_example_kind"),
+    ])
+    def test_one_line_without_usage(self, tmp_path, capsys, argv):
+        src = tmp_path / "t.striple"
+        save_triple(src, two_point(1.0))
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(src=src) for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ncgeo") and captured.err.count("\n") == 1
+        assert ": error: " in captured.err
+
     @pytest.mark.parametrize("flags", [
         pytest.param(["--tol", "nan"], id="nan_tol"),
         pytest.param(["--tol", "0"], id="zero_tol"),
@@ -420,6 +448,45 @@ def test_every_verb_writes_strict_json(tmp_path, capsys):
         if argv[0] == "check":
             assert doc["path"] == str(points)
     assert seen_infinite
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["example", "two_point", "-o", "{dir}/tp.striple"], "build_example"),
+    (["check", "{points}"], "run_condition_suite"),
+    (["convert", "to-riemannian", "{points}", "-o", "{dir}/out.striple"], "spinc_to_riemannian"),
+    (["convert", "to-spinc", "{riem}", "-o", "{dir}/out.striple"], "backward_round_trip"),
+    (["product", "{points}", "--module", "{dir}/mod.json", "-o", "{dir}/out.striple"],
+     "product_triple"),
+    (["double", "{odd}", "-o", "{dir}/out.striple"], "double_odd_triple"),
+    (["homotopy-check", "{odd}"], "appendix_equivalence_check"),
+    (["pair", "{riem}", "--projectors", "{dir}/projs.json"], "poincare_pairing_matrix"),
+    (["zeta", "{points}"], "zeta_diagnostic"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_library_refusal_is_one_line_exit_one(tmp_path, capsys, monkeypatch, argv, target):
+    # main is the one place a refusal becomes an exit code: a ValueError from
+    # the library call of any verb is one error line and exit 1
+    from ncgeo import cli
+    points, riem, odd = tmp_path / "points.striple", tmp_path / "riem.striple", tmp_path / "odd.striple"
+    save_triple(points, trivial_points(3))
+    assert main(["convert", "to-riemannian", str(points), "-o", str(riem)]) == 0
+    t = two_point(1.0)
+    save_triple(odd, SpectralTripleData(2, t.algebra_gens, t.dirac))
+    (tmp_path / "mod.json").write_text(json.dumps(
+        {"size": 1, "projector": matrix_to_data(np.eye(3)), "potential": None}))
+    minimal = [matrix_to_data(np.diag(np.eye(3)[k])) for k in range(3)]
+    (tmp_path / "projs.json").write_text(json.dumps({"left": minimal, "right": minimal}))
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused inside the library")
+
+    monkeypatch.setattr(cli, target, refuse)
+    paths = {"dir": tmp_path, "points": points, "riem": riem, "odd": odd}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "refused inside the library" in captured.err
 
 
 class TestInputFileErrors:

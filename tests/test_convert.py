@@ -15,10 +15,10 @@ from ncgeo.convert import (
     _backward_prerequisites,
     _riemannian_to_spinc,
     appendix_equivalence_check,
+    backward_round_trip,
     double_odd_triple,
     intertwine_triples,
     poincare_pairing_matrix,
-    derived_backward_potential,
     riemannian_to_spinc,
     round_trip_check,
     spinc_to_riemannian,
@@ -71,6 +71,11 @@ class TestForwardConversion:
     def test_two_point_rejected(self):
         with pytest.raises(ValueError, match="spin"):
             spinc_to_riemannian(two_point(1.0))
+
+    def test_missing_right_action_rejected(self):
+        # check_spinc skips without a right action; the conversion refuses
+        with pytest.raises(ValueError, match="conversion needs a right action"):
+            spinc_to_riemannian(replace(matrix_geometry(2, seed=7), right_action_gens=None))
 
     def test_odd_declared_dimension_rejected_before_checks(self, monkeypatch):
         calls = []
@@ -138,8 +143,9 @@ class TestBackwardConversion:
         assert res.report.entry("intertwine:action_residual").residual < 1e-10
 
     def test_round_trip_matches_public_backward_calls(self):
-        # the round trip builds the backward assembly once; the public calls
-        # build it twice and must give the same potential and report
+        # the round trip builds the backward assembly once; the public
+        # conversion with its potential builds it again and must give the
+        # same report
         t = matrix_geometry(2, seed=7)
         res = round_trip_check(t)
         forward = res.witness["forward"]
@@ -149,7 +155,7 @@ class TestBackwardConversion:
             right_action_gens=t.right_action_gens,
             algebra_basis=forward.witness["c_basis_out"],
         )
-        pot = derived_backward_potential(forward.output, module, t.dirac)
+        pot = backward_round_trip(forward.output, module, t)[1]
         assert np.array_equal(pot, res.witness["potential"])
         backward = riemannian_to_spinc(forward.output, module, potential=pot)
         assert backward.report.as_dict() == res.witness["backward"].report.as_dict()
@@ -164,10 +170,32 @@ class TestBackwardConversion:
             right_action_gens=t.right_action_gens,
             algebra_basis=forward.witness["c_basis_out"],
         )
-        pot = derived_backward_potential(tri, module, t.dirac)
+        pot = backward_round_trip(tri, module, t)[1]
         assert np.array_equal(pot, adjoint(pot))
         entry = riemannian_to_spinc(tri, module, potential=pot).report.entry("convert:potential_hermitian")
         assert entry.residual == 0.0
+
+    @pytest.mark.parametrize("where", ["first_row_block", "last_row_block", "spread"])
+    def test_non_hermitian_potential_residual(self, mgeom_forward, where):
+        # a potential that is not exactly Hermitian reads the full-size
+        # formula rel_residual(P - P^*, |P|), wherever the defect sits
+        t, forward = mgeom_forward
+        tri = forward.output
+        module = CliffordModuleData(
+            carrier_dim=t.hilbert_dim,
+            left_action=forward.witness["c_basis_src"],
+            right_action_gens=t.right_action_gens,
+            algebra_basis=forward.witness["c_basis_out"],
+        )
+        pot = backward_round_trip(tri, module, t)[1].copy()
+        if where == "spread":
+            pot += 1e-12 * random_unitary(np.random.default_rng(5), len(pot))
+        else:
+            row = 0 if where == "first_row_block" else -1
+            pot[row, -1 - row] += 1e-12j
+        entry = riemannian_to_spinc(tri, module, potential=pot).report.entry("convert:potential_hermitian")
+        assert entry.residual == rel_residual(pot - adjoint(pot), operator_norm(pot))
+        assert entry.residual > 0.0
 
     def test_potential_span_check_matches_block_loop(self, mgeom_forward):
         t, forward = mgeom_forward
@@ -178,7 +206,7 @@ class TestBackwardConversion:
             right_action_gens=t.right_action_gens,
             algebra_basis=forward.witness["c_basis_out"],
         )
-        pot = derived_backward_potential(tri, module, t.dirac)
+        pot = backward_round_trip(tri, module, t)[1]
         backward = riemannian_to_spinc(tri, module, potential=pot)
         j = AntiunitaryMap(backward.witness["conjugation_kernel"])
         span = one_form_span(tri.dirac, opposite_algebra(j, tri.cda()))
@@ -327,7 +355,7 @@ class TestCarrierSizeBackward:
     @pytest.mark.parametrize("with_potential", [False, True])
     def test_output_is_the_module_size_compression(self, backward_input, with_potential):
         t, tri, module = backward_input
-        pot = derived_backward_potential(tri, module, t.dirac) if with_potential else None
+        pot = backward_round_trip(tri, module, t)[1] if with_potential else None
         res = riemannian_to_spinc(tri, module, potential=pot)
         asm = _backward_assembly(tri, module)
         q, v, nmod = asm["projector"], asm["identification"], asm["nmod"]
@@ -353,13 +381,13 @@ class TestCarrierSizeBackward:
         asm = _backward_assembly(tri, module)
         q, v = asm["projector"], asm["identification"]
         w = q @ (v @ t.dirac @ adjoint(v) - q @ block_diag(tri.dirac, asm["nmod"]) @ q) @ q
-        assert_rel_close(derived_backward_potential(tri, module, t.dirac), (w + adjoint(w)) / 2.0)
+        assert_rel_close(backward_round_trip(tri, module, t)[1], (w + adjoint(w)) / 2.0)
 
     def test_backward_dirac_is_the_transported_source(self, backward_input):
         # with Q = V V^*, V^* (1 (x) D) V plus the compressed derived potential
         # is the source Dirac operator itself
         t, tri, module = backward_input
-        pot = derived_backward_potential(tri, module, t.dirac)
+        pot = backward_round_trip(tri, module, t)[1]
         assert_rel_close(riemannian_to_spinc(tri, module, potential=pot).output.dirac, t.dirac)
 
     def test_projector_off_the_identification_fails(self, backward_input):
@@ -384,7 +412,7 @@ class TestCarrierSizeBackward:
     def test_one_module_size_norm(self, backward_input, monkeypatch, with_potential):
         # convert:module_projector, a Frobenius norm; no 2-norm at module size
         t, tri, module = backward_input
-        pot = derived_backward_potential(tri, module, t.dirac) if with_potential else None
+        pot = backward_round_trip(tri, module, t)[1] if with_potential else None
         size = _backward_assembly(tri, module)["projector"].shape[0]
         calls = spy_module_norms(monkeypatch, size)
         riemannian_to_spinc(tri, module, potential=pot)
@@ -560,12 +588,10 @@ class TestIntertwiner:
         assert operator_norm(u @ t.dirac - t.dirac @ u) < 1e-9
 
     def test_dimension_mismatch_reported(self):
+        # two generators each, on spaces of dimension 2 and 3
         t1 = trivial_points(2)
-        t2 = trivial_points(3)
         u, rep = intertwine_triples(t1, SpectralTripleData(
-            3, t1.algebra_gens + [np.eye(3)][:0] or
-            [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])],
-            np.zeros((3, 3))))
+            3, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])], np.zeros((3, 3))))
         assert u is None
         assert not rep.passed
 

@@ -56,6 +56,40 @@ class TestValidate:
             validate_triple(SpectralTripleData(2, [np.eye(2)], np.array([[0, 1], [0, 0]])))
 
 
+class TestShapeGate:
+    """Construction refuses a malformed triple with a ValueError naming the field."""
+
+    WIDE = np.zeros((2, 3))
+    CYCLE = HochschildChain(0, [(np.eye(3),)])
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("algebra_gens", [], "algebra has no generator"),
+        ("right_action_gens", [], "right action is given with no generator"),
+        ("dirac", np.zeros((3, 3)), "dirac"),
+        ("algebra_gens", [np.eye(2), np.eye(3)], "algebra generator"),
+        ("grading", WIDE, "grading"),
+        ("right_action_gens", [np.eye(2), WIDE], "right action generator"),
+        ("state", np.eye(3), "state"),
+        ("orientation_cycle", CYCLE, "cycle leg"),
+        ("riemann_vector", np.ones(3), "phi"),
+        ("declared_p", -1, "p must"),
+        ("declared_p", True, "p must"),
+        ("declared_p", 1.5, "p must"),
+    ])
+    def test_rejects_malformed_field(self, field, value, name):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(two_point(1.0), **{field: value})
+
+    def test_operator_not_a_matrix(self):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            SpectralTripleData(2, [np.eye(2)], np.zeros(4))
+
+    def test_every_field_well_formed(self):
+        t = dataclasses.replace(two_point(1.0), riemann_vector=np.ones((2, 1)),
+                                state=np.eye(2) / 2.0, declared_p=2)
+        assert t.riemann_vector.shape == (2,) and t.declared_p == 2
+
+
 class TestCommutatorAlgebra:
     def test_zero_dirac(self):
         t = trivial_points(3)
