@@ -108,13 +108,13 @@ def _read_input(path, decode, doc=None):
 
 def cmd_example(args) -> int:
     params = {}
-    if args.kind == "trivial_points":
-        params["n"] = args.n or 3
-    elif args.kind == "two_point":
+    if args.kind == "two_point":
         params["coupling"] = args.coupling
-    elif args.kind == "matrix_geometry":
-        params["n"] = args.n or 2
-        params["seed"] = args.seed
+    else:
+        if args.n is not None:
+            params["n"] = args.n
+        if args.kind == "matrix_geometry":
+            params["seed"] = args.seed
     t = build_example(args.kind, **params)
     out = args.output or f"{args.kind}.striple"
     save_triple(out, t)
@@ -173,11 +173,12 @@ def cmd_convert(args) -> int:
             }
         else:
             source, module = bundle
-            result, _, u, irep = backward_round_trip(t, module, source, tol)
+            result, u, irep = backward_round_trip(t, module, source, tol)
             result.report.extend(irep, prefix="roundtrip:")
             extra = {
                 "witness": {
                     "intertwiner": matrix_to_data(u) if u is not None else None,
+                    "commutant_part": result.witness["commutant_part"],
                 }
             }
     except ValueError as exc:
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="write a built-in example geometry")
     p.add_argument("kind", choices=EXAMPLE_KINDS)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--coupling", type=complex, default=1.0)
     p.add_argument("--seed", type=int, default=0, help="seed for the seeded examples")
     p.add_argument("-o", "--output", default=None)

@@ -3,11 +3,11 @@ odd/even doubling, round-trip certification and duality pairing matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import AlgebraBasis, intertwiners
+from .algebra import AlgebraBasis, commutant, intertwiners
 from .kasparov import (
     BimoduleConnection,
     _twist,
@@ -25,6 +25,7 @@ from .linalg import (
     max_operator_norm,
     max_span_residual,
     operator_norm,
+    project_onto_span,
     projector_gap,
     pull_back,
     random_complex,
@@ -282,27 +283,19 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     """Spin^c data from a Riemannian triple and an equivalence module.
 
     The twisted operator uses the Parseval frame of the carrier algebra
-    with an optional connection potential (a block operator whose entries
-    must lie in the represented one-form span of the conjugation-induced
-    right action).  Even declared dimension only.
+    with the Grassmann connection, or with a caller's connection potential
+    (a block operator whose entries must lie in the represented one-form
+    span of the conjugation-induced right action).  Without a potential
+    the two potential entries hold by construction and say so.  Even
+    declared dimension only.
     """
-    rctx = _backward_prerequisites(t, tol)
-    return _riemannian_to_spinc(t, module, _backward_assembly(t, module, tol), rctx, tol, potential)
-
-
-def _backward_prerequisites(t: SpectralTripleData, tol: Tolerance) -> dict:
-    """Context of the Riemannian check of a backward input; raises if it fails."""
     rr, rctx = check_riemannian(t, tol)
     if not rr.passed:
         raise ValueError("Riemannian prerequisites fail:\n" + "\n".join(
             f"{e.condition_id} (residual {e.residual:.3e})" for e in rr.failures()))
     if t.declared_p % 2 == 1:
         raise ValueError(f"backward conversion needs even declared dimension, got p = {t.declared_p}")
-    return rctx
-
-
-def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm: dict,
-                         rctx: dict, tol: Tolerance, potential) -> ConversionResult:
+    asm = _backward_assembly(t, module, tol)
     q_big = asm["projector"]
     nmod, nh, nc = asm["nmod"], asm["nh"], asm["nc"]
     j = asm["conjugation"]
@@ -317,21 +310,22 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
     dirac = pull_back(v_unit, t.dirac)
-    if potential is not None:
+    if potential is None:
+        span_res = herm_res = 0.0
+        details = "Grassmann connection: no potential"
+    else:
         pot_big = as_complex_matrix(potential)
         if pot_big.shape != q_big.shape:
             raise ValueError("potential shape does not match the module presentation")
         # the represented one-forms of the conjugation-induced right action
         right = opposite_algebra(j, t.cda(tol))
         blocks = to_blocks(pot_big, nmod).reshape(-1, nh, nh)
-        worst = one_form_residual(t.dirac, right, blocks, tol)
-        rep.add("convert:potential_in_one_form_span", worst, max(tol.rel, 1e-7))
-        # an exactly Hermitian potential (the derived one is symmetrized)
-        # needs no norm: the residual of a zero matrix is 0 at any scale
-        herm = 0.0 if _exactly_hermitian(pot_big, nh) else \
-            rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big))
-        rep.add("convert:potential_hermitian", herm, max(tol.rel, 1e-8))
+        span_res = one_form_residual(t.dirac, right, blocks, tol)
+        herm_res = rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big))
+        details = ""
         dirac = dirac + adjoint(v_unit) @ pot_big @ v_unit
+    rep.add("convert:potential_in_one_form_span", span_res, max(tol.rel, 1e-7), details)
+    rep.add("convert:potential_hermitian", herm_res, max(tol.rel, 1e-8), details)
     c_op = represent_chain(t, t.orientation_cycle) if t.orientation_cycle is not None else t.grading
     grading = pull_back(v_unit, c_op)
     rep.add("convert:orientation_anticommutes",
@@ -369,13 +363,6 @@ def _riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData, asm:
     rep.extend(sp)
     witness = {"identification": v_unit, "module_projector": q_big, "conjugation_kernel": j.kernel}
     return ConversionResult(output=out, witness=witness, report=rep)
-
-
-def _exactly_hermitian(m: np.ndarray, rows: int) -> bool:
-    """m == m^* entry for entry, compared `rows` rows at a time so that no
-    temporary is as large as m."""
-    return all(np.array_equal(m[i:i + rows], m[:, i:i + rows].conj().T)
-               for i in range(0, len(m), rows))
 
 
 def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
@@ -452,52 +439,39 @@ def _block_mismatch(t1: SpectralTripleData, t2: SpectralTripleData, tol: Toleran
     return f"; Wedderburn blocks (n_k, m_k) {blocks1} vs {blocks2}"
 
 
-def _backward_potential(tri: SpectralTripleData, asm: dict, source_dirac) -> np.ndarray:
-    """Connection potential of the module making the backward twist undo the
-    forward one.
-
-    The potential is the compression Q (V S V^* - Q (1 (x) D) Q) Q of the
-    mismatch between the source Dirac operator S, transported through the
-    unitarized module identification V, and the bare frame twist.  With
-    Q = V V^* (`convert:module_projector`) that is V (S - V^* (1 (x) D) V) V^*,
-    formed at carrier size.  The backward Dirac operator V^* (1 (x) D) V
-    plus the compressed potential is therefore S itself, to rounding: the
-    potential replaces the twist rather than correcting it, and what the
-    round trip certifies about D is the potential's membership in the
-    represented one-form span, checked downstream.
-    """
-    v_unit = asm["identification"]
-    mismatch = as_complex_matrix(source_dirac) - pull_back(v_unit, tri.dirac)
-    w = v_unit @ mismatch @ adjoint(v_unit)
-    # (w + w^*) / 2 in place: one module-size temporary, the conjugate
-    w += adjoint(w)
-    w /= 2.0
-    return w
-
-
 def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,
                         source: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
-    """Backward half of a round trip: convert `tri` back with the derived
-    potential and intertwine the result with `source`.
+    """Backward half of a round trip: convert `tri` back with the Grassmann
+    connection and intertwine the result with `source` less the commutant
+    part of its Dirac operator.
 
-    One backward assembly (and Tomita conjugation) serves the potential and
-    the conversion.  Returns (backward result, potential, intertwiner or
-    None, intertwiner report).
+    A Kasparov product fixes D only up to the connection, and the Grassmann
+    one recovers S - E_{A'}(S), E_{A'} the projection onto the commutant of
+    the source algebra.  E_{A'}(S) commutes with A, so [S - E_{A'}(S), a] =
+    [S, a]: no commutator, metric or distance sees it.  Its relative norm
+    |E_{A'}(S)| / |S| is the witness `commutant_part` of the backward
+    result.  Returns (backward result, intertwiner or None, intertwiner
+    report).
     """
-    rctx = _backward_prerequisites(tri, tol)
-    asm = _backward_assembly(tri, module, tol)
-    pot = _backward_potential(tri, asm, source.dirac)
-    backward = _riemannian_to_spinc(tri, module, asm, rctx, tol, pot)
-    u, rep = intertwine_triples(source, backward.output, tol)
-    return backward, pot, u, rep
+    backward = riemannian_to_spinc(tri, module, tol)
+    s = source.dirac
+    part = project_onto_span(s, commutant(source.algebra(tol), tol).basis)
+    norm_s = operator_norm(s)
+    ratio = operator_norm(part) / norm_s if norm_s else 0.0
+    backward.witness["commutant_part"] = ratio
+    u, rep = intertwine_triples(replace(source, dirac=s - part), backward.output, tol)
+    if u is not None:
+        rep.entry("intertwine:dirac_residual").details = (
+            f"source Dirac operator less its commutant part, relative norm {ratio:.3e}")
+    return backward, u, rep
 
 
 def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Convert to Riemannian data and back, then certify a unitary intertwiner.
 
-    The backward conversion is run with the connection derived from the
-    module identification; the potential's membership in the represented
-    one-form span is part of the certified report.
+    The backward conversion runs with the Grassmann connection, and the
+    intertwiner is certified against the source less the commutant part of
+    its Dirac operator (`backward_round_trip`).
     """
     forward = spinc_to_riemannian(t, tol)
     tri = forward.output
@@ -507,14 +481,13 @@ def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
         right_action_gens=t.right_action_gens,
         algebra_basis=forward.witness["c_basis_out"],
     )
-    backward, pot, u, rep = backward_round_trip(tri, module, t, tol)
+    backward, u, rep = backward_round_trip(tri, module, t, tol)
     rep.extend(forward.report, prefix="forward:")
     rep.extend(backward.report, prefix="backward:")
     return ConversionResult(output=backward.output,
                             witness={"intertwiner": u,
                                      "forward": forward,
-                                     "backward": backward,
-                                     "potential": pot},
+                                     "backward": backward},
                             report=rep)
 
 

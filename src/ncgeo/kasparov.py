@@ -38,7 +38,6 @@ from .linalg import (
     pull_back,
     random_complex,
     rel_residual,
-    span_basis,
     unit_floor_norms,
 )
 from .report import CheckReport
@@ -133,8 +132,8 @@ def _one_form_factors(dirac, alg: AlgebraBasis, tol: Tolerance):
     W_k the (n, n_k, m_k) columns of w (`algebra._components`) and V_k an
     orthonormal (r_k, n, m_k) basis of the span of the n x m_k column
     slices of the c_i w_k.  One SVD of a (dim B n_k) x (n m_k) stack per
-    component; the ranks are cut against the largest singular value over
-    all of them."""
+    component; the ranks are cut by `_one_form_floor` against the largest
+    singular value over all of them."""
     wedderburn = _wedderburn_data(alg, tol)
     if wedderburn is None:
         return None
@@ -145,15 +144,28 @@ def _one_form_factors(dirac, alg: AlgebraBasis, tol: Tolerance):
     # rows (i, a): the slice of c_i w in columns (a, :) of component k
     factors = [np.linalg.svd(np.einsum("dij,jap->daip", comms, w_k).reshape(-1, n * w_k.shape[2]),
                              full_matrices=False)[1:] for w_k in comps]
-    top = max(float(s[0]) for s, _ in factors)
-    return ([vh[s > tol.rank_cut * top].reshape(-1, n, w_k.shape[2])
+    floor = _one_form_floor(dirac, max(float(s[0]) for s, _ in factors), tol)
+    return ([vh[s > floor].reshape(-1, n, w_k.shape[2])
              for (s, vh), w_k in zip(factors, comps)], comps)
 
 
 def _product_span(dirac, basis, tol: Tolerance) -> np.ndarray:
-    """The span of the products [D, b] b' over a stack, from one SVD."""
+    """The span of the products [D, b] b' over a stack, from one SVD, with
+    the rank cut of `_one_form_floor`."""
+    n = basis.shape[-1]
     comms = dirac @ basis - basis @ dirac
-    return span_basis((comms[:, None] @ basis[None]).reshape((-1,) + basis.shape[1:]), tol)
+    products = (comms[:, None] @ basis[None]).reshape(-1, n * n)
+    u, s, _ = np.linalg.svd(products.T, full_matrices=False)
+    keep = s > _one_form_floor(dirac, float(s[0]) if s.size else 0.0, tol)
+    return u[:, keep].T.reshape(-1, n, n)
+
+
+def _one_form_floor(dirac, top: float, tol: Tolerance) -> float:
+    """Rank cut of a one-form stack: rank_cut max(s_0, |D|).  The basis is
+    orthonormal, so |[D, b] b'| <= 2 |D| |b| |b'| <= 2 |D|, and a singular
+    value below rank_cut |D| is roundoff, also when s_0 is (a D that
+    commutes with B has no one-forms)."""
+    return tol.rank_cut * max(top, operator_norm(dirac))
 
 
 def _wedderburn_data(alg: AlgebraBasis, tol: Tolerance):

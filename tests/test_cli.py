@@ -181,6 +181,23 @@ class TestExampleCommand:
         t, _ = load_triple(out)
         assert t.hilbert_dim == 4
 
+    @pytest.mark.parametrize("kind", ["trivial_points", "matrix_geometry"])
+    def test_zero_n_exit_two(self, tmp_path, capsys, kind):
+        out = tmp_path / "t.striple"
+        with pytest.raises(SystemExit) as exc:
+            main(["example", kind, "--n", "0", "-o", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "argument --n" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, dim", [("trivial_points", 3), ("matrix_geometry", 8)])
+    def test_default_n(self, tmp_path, kind, dim):
+        out = tmp_path / "t.striple"
+        assert main(["example", kind, "-o", str(out)]) == 0
+        assert load_triple(out)[0].hilbert_dim == dim
+
     def test_two_point_runs_suite(self, tmp_path):
         out = tmp_path / "tp.striple"
         main(["example", "two_point", "-o", str(out)])
@@ -200,6 +217,10 @@ class TestConvertCommand:
         assert main(["convert", "to-spinc", str(riem), "-o", str(back)]) == 0
         out = capsys.readouterr().out
         assert "roundtrip:intertwine:dirac_residual" in out
+        # the relative norm of the source's commutant part, which the
+        # Grassmann backward twist does not recover
+        _, doc = load_triple(back)
+        assert 0.1 < doc["witness"]["commutant_part"] < 1.0
 
     def test_two_point_prerequisite_failure(self, tmp_path, capsys):
         src = tmp_path / "tp.striple"

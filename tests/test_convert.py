@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgeo import convert, linalg, triples
-from ncgeo.algebra import AlgebraBasis
+from ncgeo.algebra import AlgebraBasis, commutant
 from ncgeo.convert import (
     CliffordModuleData,
     _backward_assembly,
-    _backward_prerequisites,
-    _riemannian_to_spinc,
     appendix_equivalence_check,
     backward_round_trip,
     double_odd_triple,
@@ -25,13 +23,15 @@ from ncgeo.convert import (
 )
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.io import load_triple, save_triple
-from ncgeo.kasparov import compress_to_range, one_form_span
+from ncgeo.kasparov import compress_to_range, one_form_residual, one_form_span
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
     block_diag,
     max_span_residual,
     operator_norm,
+    project_onto_span,
+    random_complex,
     random_unitary,
     random_hermitian,
     rel_residual,
@@ -143,51 +143,53 @@ class TestBackwardConversion:
         assert res.report.entry("intertwine:action_residual").residual < 1e-10
 
     def test_round_trip_matches_public_backward_calls(self):
-        # the round trip builds the backward assembly once; the public
-        # conversion with its potential builds it again and must give the
-        # same report
+        # the public conversion with no potential gives the round trip's
+        # backward report
         t = matrix_geometry(2, seed=7)
         res = round_trip_check(t)
         forward = res.witness["forward"]
-        module = CliffordModuleData(
-            carrier_dim=t.hilbert_dim,
-            left_action=forward.witness["c_basis_src"],
-            right_action_gens=t.right_action_gens,
-            algebra_basis=forward.witness["c_basis_out"],
-        )
-        pot = backward_round_trip(forward.output, module, t)[1]
-        assert np.array_equal(pot, res.witness["potential"])
-        backward = riemannian_to_spinc(forward.output, module, potential=pot)
+        backward = riemannian_to_spinc(forward.output, module_of(t, forward))
         assert backward.report.as_dict() == res.witness["backward"].report.as_dict()
+        assert "potential" not in res.witness
 
-    def test_potential_hermitian_entry(self, mgeom_forward):
-        # the derived potential is exactly Hermitian, so its entry is 0
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip_recovers_the_source_less_its_commutant_part(self, seed):
+        # D2 = u (S - E_{A'}(S)) u^*, and not u S u^*: the backward Dirac
+        # operator is not the source transported by construction
+        t = matrix_geometry(2, seed=seed)
+        res = round_trip_check(t)
+        assert res.report.passed
+        u, d2, s = res.witness["intertwiner"], res.output.dirac, t.dirac
+        scale = operator_norm(s)
+        assert operator_norm(d2 - u @ reduced_source(t).dirac @ adjoint(u)) <= 1e-12 * max(1.0, scale)
+        assert operator_norm(u @ s @ adjoint(u) - d2) > 0.1 * scale
+
+    def test_potential_entries(self, mgeom_forward):
+        # the Grassmann connection's two potential entries hold by
+        # construction and say so; a caller's potential is checked
         t, forward = mgeom_forward
-        tri = forward.output
-        module = CliffordModuleData(
-            carrier_dim=t.hilbert_dim,
-            left_action=forward.witness["c_basis_src"],
-            right_action_gens=t.right_action_gens,
-            algebra_basis=forward.witness["c_basis_out"],
-        )
-        pot = backward_round_trip(tri, module, t)[1]
-        assert np.array_equal(pot, adjoint(pot))
-        entry = riemannian_to_spinc(tri, module, potential=pot).report.entry("convert:potential_hermitian")
-        assert entry.residual == 0.0
+        tri, module = forward.output, module_of(t, forward)
+        ids = ["convert:potential_in_one_form_span", "convert:potential_hermitian"]
+        report = riemannian_to_spinc(tri, module).report
+        assert [e.condition_id for e in report.entries[1:3]] == ids
+        for e in report.entries[1:3]:
+            assert (e.status, e.residual, e.details) == ("pass", 0.0, "Grassmann connection: no potential")
+        pot = caller_potential(tri, module)
+        report = riemannian_to_spinc(tri, module, potential=pot).report
+        assert [e.condition_id for e in report.entries[1:3]] == ids
+        span, herm = report.entries[1:3]
+        assert span.details == herm.details == ""
+        assert span.residual > 0.0
+        assert herm.residual == rel_residual(pot - adjoint(pot), operator_norm(pot))
 
     @pytest.mark.parametrize("where", ["first_row_block", "last_row_block", "spread"])
     def test_non_hermitian_potential_residual(self, mgeom_forward, where):
-        # a potential that is not exactly Hermitian reads the full-size
-        # formula rel_residual(P - P^*, |P|), wherever the defect sits
+        # a potential that is not Hermitian reads the full-size formula
+        # rel_residual(P - P^*, |P|), wherever the defect sits
         t, forward = mgeom_forward
-        tri = forward.output
-        module = CliffordModuleData(
-            carrier_dim=t.hilbert_dim,
-            left_action=forward.witness["c_basis_src"],
-            right_action_gens=t.right_action_gens,
-            algebra_basis=forward.witness["c_basis_out"],
-        )
-        pot = backward_round_trip(tri, module, t)[1].copy()
+        tri, module = forward.output, module_of(t, forward)
+        pot = caller_potential(tri, module)
         if where == "spread":
             pot += 1e-12 * random_unitary(np.random.default_rng(5), len(pot))
         else:
@@ -199,14 +201,8 @@ class TestBackwardConversion:
 
     def test_potential_span_check_matches_block_loop(self, mgeom_forward):
         t, forward = mgeom_forward
-        tri = forward.output
-        module = CliffordModuleData(
-            carrier_dim=t.hilbert_dim,
-            left_action=forward.witness["c_basis_src"],
-            right_action_gens=t.right_action_gens,
-            algebra_basis=forward.witness["c_basis_out"],
-        )
-        pot = backward_round_trip(tri, module, t)[1]
+        tri, module = forward.output, module_of(t, forward)
+        pot = caller_potential(tri, module)
         backward = riemannian_to_spinc(tri, module, potential=pot)
         j = AntiunitaryMap(backward.witness["conjugation_kernel"])
         span = one_form_span(tri.dirac, opposite_algebra(j, tri.cda()))
@@ -257,13 +253,30 @@ BACKWARD_CASES = {
 def backward_input(request):
     t = BACKWARD_CASES[request.param]()
     forward = spinc_to_riemannian(t)
-    module = CliffordModuleData(
+    return t, forward.output, module_of(t, forward)
+
+
+def module_of(t, forward):
+    """The module data of a round trip of t, from its forward result."""
+    return CliffordModuleData(
         carrier_dim=t.hilbert_dim,
         left_action=forward.witness["c_basis_src"],
         right_action_gens=t.right_action_gens,
         algebra_basis=forward.witness["c_basis_out"],
     )
-    return t, forward.output, module
+
+
+def caller_potential(tri, module, seed=5):
+    """A caller's potential Q H Q on the backward module, H seeded Hermitian."""
+    q = _backward_assembly(tri, module)["projector"]
+    return q @ random_hermitian(np.random.default_rng(seed), len(q)) @ q
+
+
+def reduced_source(t):
+    """t with the Dirac operator S - E_{A'}(S), E_{A'} the projection onto the
+    commutant of its algebra: the source a round trip recovers."""
+    part = project_onto_span(t.dirac, commutant(t.algebra()).basis)
+    return replace(t, dirac=t.dirac - part)
 
 
 def spy_norm_shapes(monkeypatch):
@@ -354,8 +367,8 @@ class TestCarrierSizeBackward:
 
     @pytest.mark.parametrize("with_potential", [False, True])
     def test_output_is_the_module_size_compression(self, backward_input, with_potential):
-        t, tri, module = backward_input
-        pot = backward_round_trip(tri, module, t)[1] if with_potential else None
+        _, tri, module = backward_input
+        pot = caller_potential(tri, module) if with_potential else None
         res = riemannian_to_spinc(tri, module, potential=pot)
         asm = _backward_assembly(tri, module)
         q, v, nmod = asm["projector"], asm["identification"], asm["nmod"]
@@ -375,22 +388,16 @@ class TestCarrierSizeBackward:
         assert_frobenius_certificate(res.report.entry("convert:module_projector").residual,
                                      q - v @ adjoint(v), v.shape[1])
 
-    def test_potential_is_the_module_size_formula(self, backward_input):
-        # Q (D (x) 1) Q once took a block_diag; block_apply gives it at rounding
-        t, tri, module = backward_input
-        asm = _backward_assembly(tri, module)
-        q, v = asm["projector"], asm["identification"]
-        w = q @ (v @ t.dirac @ adjoint(v) - q @ block_diag(tri.dirac, asm["nmod"]) @ q) @ q
-        assert_rel_close(backward_round_trip(tri, module, t)[1], (w + adjoint(w)) / 2.0)
-
     def test_backward_dirac_is_the_transported_source(self, backward_input):
-        # with Q = V V^*, V^* (1 (x) D) V plus the compressed derived potential
-        # is the source Dirac operator itself
+        # the Grassmann backward twist recovers S - E_{A'}(S), transported by
+        # the certified intertwiner
         t, tri, module = backward_input
-        pot = backward_round_trip(tri, module, t)[1]
-        assert_rel_close(riemannian_to_spinc(tri, module, potential=pot).output.dirac, t.dirac)
+        backward, u, rep = backward_round_trip(tri, module, t)
+        assert rep.passed
+        expected = u @ reduced_source(t).dirac @ adjoint(u)
+        assert operator_norm(backward.output.dirac - expected) <= 1e-12 * max(1.0, operator_norm(t.dirac))
 
-    def test_projector_off_the_identification_fails(self, backward_input):
+    def test_projector_off_the_identification_fails(self, backward_input, monkeypatch):
         # a projector rotated off the range of V by 1e-6 is still a Hermitian
         # idempotent, but no longer V V^*
         _, tri, module = backward_input
@@ -402,21 +409,33 @@ class TestCarrierSizeBackward:
         assert rel_residual(moved @ moved - moved, 1.0) < 1e-12
         assert rel_residual(moved - adjoint(moved), 1.0) < 1e-12
         asm["projector"] = moved
-        res = _riemannian_to_spinc(tri, module, asm, _backward_prerequisites(tri, Tolerance()),
-                                   Tolerance(), None)
+        monkeypatch.setattr(convert, "_backward_assembly", lambda *args: asm)
+        res = riemannian_to_spinc(tri, module)
         entry = res.report.entry("convert:module_projector")
         assert entry.status == "fail"
         assert 1e-7 < entry.residual < 1e-5
 
     @pytest.mark.parametrize("with_potential", [False, True])
     def test_one_module_size_norm(self, backward_input, monkeypatch, with_potential):
-        # convert:module_projector, a Frobenius norm; no 2-norm at module size
-        t, tri, module = backward_input
-        pot = backward_round_trip(tri, module, t)[1] if with_potential else None
+        # convert:module_projector, a Frobenius norm; the only 2-norms at
+        # module size are those of a caller's potential P and of P - P^*
+        _, tri, module = backward_input
+        pot = caller_potential(tri, module) if with_potential else None
         size = _backward_assembly(tri, module)["projector"].shape[0]
         calls = spy_module_norms(monkeypatch, size)
-        riemannian_to_spinc(tri, module, potential=pot)
-        assert calls == [("projector_gap", (size, size))]
+        out = riemannian_to_spinc(tri, module, potential=pot).output
+        potential_norms = [("norm", (size, size), 2)] * 2 if with_potential else []
+        expected = [("projector_gap", (size, size))] + potential_norms
+        assert calls[:len(expected)] == expected
+        # the rest are the output's own checks at carrier size: on points3
+        # the 9 x 9 operator-space matrices of the spin^c check of a
+        # non-zero D have a side of the module size 9
+        rest = calls[len(expected):]
+        calls.clear()
+        fresh = replace(out)
+        triples.validate_triple(fresh)
+        triples.check_spinc(fresh)
+        assert rest == calls
 
 
 class TestCarrierSizeForward:
@@ -469,12 +488,11 @@ def test_round_trip_takes_no_module_size_svd(monkeypatch):
     # cost N nc^2
     assert [s for s, _ in calls if n_bwd in s[-2:]] == [(n_bwd, nc)]
     # the forward frame has H vectors, so its module is as large as the
-    # operator space C^(H^2); the only square SVD of that size is the
-    # one-form factor stack of the output's right action, a
-    # (dim B n_k) x (H' m_k) = 64 x 64 system at H' = 16
+    # operator space C^(H^2); with the Grassmann backward twist no SVD of
+    # that size runs, and no one-form span is factored
     assert n_fwd == h * h
-    square = sorted(f for s, f in calls if s[-2] == s[-1] == n_fwd)
-    assert square == ["_one_form_factors"]
+    assert not [s for s, _ in calls if s[-2] == s[-1] == n_fwd]
+    assert not [f for _, f in calls if f in ("_one_form_factors", "_product_span")]
 
 
 def test_round_trip_splits_three_cdas(monkeypatch):
@@ -491,13 +509,7 @@ def test_round_trip_splits_three_cdas(monkeypatch):
 def forward_and_module(request):
     t = matrix_geometry(2, seed=request.param)
     forward = spinc_to_riemannian(t)
-    module = CliffordModuleData(
-        carrier_dim=t.hilbert_dim,
-        left_action=forward.witness["c_basis_src"],
-        right_action_gens=t.right_action_gens,
-        algebra_basis=forward.witness["c_basis_out"],
-    )
-    return t, forward, module
+    return t, forward, module_of(t, forward)
 
 
 def expectation_pairing(alg):
@@ -600,8 +612,8 @@ class TestIntertwiner:
         # the family of exact intertwiners is one-dimensional, so u is fixed
         # up to a phase, and the phase is fixed by Tr(u) > 0: solving with the
         # generators in reverse order gives the same u
-        t = matrix_geometry(2, seed=7)
-        res = round_trip_check(t)
+        res = round_trip_check(matrix_geometry(2, seed=7))
+        t = reduced_source(matrix_geometry(2, seed=7))
         u = res.witness["intertwiner"]
         tr = np.trace(u)
         assert tr.real > 0.0 and abs(tr.imag) <= 1e-12 * abs(tr)
@@ -630,6 +642,7 @@ class TestIntertwiner:
         t = trivial_points(int(name[-1])) if name.startswith("trivial") else \
             matrix_geometry(2, seed=int(name[-1]))
         out = round_trip_check(t).output
+        t = reduced_source(t)
         u, rep = intertwine_triples(t, out)
         monkeypatch.setattr(convert, "intertwiners", lambda g1, g2, tol: kronecker_intertwiners(
             g1, g2, tol, with_adjoints=False))
@@ -703,43 +716,25 @@ class TestOppositeOneFormSpan:
         worst = float(np.max(np.linalg.norm(comms, 2, axis=(-2, -1))))
         assert worst < 1e-12 * max(1.0, operator_norm(tri.dirac))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "one_form_span cuts ranks relative to the largest singular value over "
-        "the isotypic components only, so the roundoff commutators [D, b] span "
-        "all of M_n and convert:potential_in_one_form_span passes vacuously"))
     def test_span_of_roundoff_one_forms_is_empty(self, forward_output_opposite):
         tri, opposite = forward_output_opposite
         assert len(one_form_span(tri.dirac, opposite)) == 0
 
     def test_round_trip_span_factors_small_stacks(self, monkeypatch):
-        # the membership test factors one (dim B n_k) x (n m_k) stack per
-        # component: 216 x 216 at H=36, where the product stack was 1296 rows
-        rows, inside, calls = [], [], []
-        svd, residual = np.linalg.svd, convert.one_form_residual
-
-        def svd_spy(a, *args, **kwargs):
-            if inside:
-                rows.append(np.shape(a)[-2])
-            return svd(a, *args, **kwargs)
-
-        def residual_spy(*args, **kwargs):
-            inside.append(True)
-            try:
-                calls.append((args, residual(*args, **kwargs)))
-                return calls[-1][1]
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(np.linalg, "svd", svd_spy)
-        monkeypatch.setattr(convert, "one_form_residual", residual_spy)
-        res = round_trip_check(matrix_geometry(3, seed=0))
-        entry = res.report.entry("backward:convert:potential_in_one_form_span")
-        assert entry.status == "pass"
+        # the membership test on the n=3 forward output factors one
+        # (dim B n_k) x (n m_k) stack per component: 216 x 216 at H=36, where
+        # the product stack was 1296 rows
+        tri = spinc_to_riemannian(matrix_geometry(3, seed=0)).output
+        opposite = opposite_algebra(tomita_conjugation(tri), tri.cda())
+        xs = random_complex(np.random.default_rng(3), (4, tri.hilbert_dim, tri.hilbert_dim))
+        rows = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: rows.append(np.shape(a)[-2])
+                            or svd(a, *args, **kwargs))
+        worst = one_form_residual(tri.dirac, opposite, xs)
         assert rows and max(rows) == 216
-        # the maximum over the blocks of their residuals against the span
-        [((dirac, alg, xs, tol), worst)] = calls
-        assert entry.residual == worst
-        assert abs(worst - max_span_residual(xs, one_form_span(dirac, alg, tol))) <= 1e-12
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert abs(worst - max_span_residual(xs, one_form_span(tri.dirac, opposite))) <= 1e-12
 
     def test_round_trip_intertwiner_factors_small_systems(self, monkeypatch):
         # the intertwiners are solved on the 3 x 36 pairs of eigenvectors of
@@ -810,7 +805,7 @@ class TestDoubling:
                        reason="the double keeps the odd declared_p, has no orientation cycle and "
                               "appends the odd twist generator, so validate:grading_commutes_algebra "
                               "fails and the forward conversion refuses the output of the tool its "
-                              "odd-dimension error points to (ROADMAP J)")
+                              "odd-dimension error points to (ROADMAP M)")
     def test_forward_conversion_takes_the_double(self):
         t = two_point(1.0)
         doubled, _ = double_odd_triple(SpectralTripleData(2, t.algebra_gens, t.dirac, declared_p=1))
