@@ -49,6 +49,7 @@ __all__ = [
     "AlgebraBasis",
     "generate_algebra",
     "commutant",
+    "commutant_pattern",
     "intertwiners",
     "center",
     "graded_split",
@@ -139,10 +140,7 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
             raise ValueError("generators must be square matrices of equal dimension")
     wedderburn = _generated_wedderburn(np.stack(gens), tol)
     if wedderburn is not None:
-        # 1_{n_k} (x) E_pq / sqrt(n_k) in the columns of each component
-        comm = np.concatenate([
-            np.einsum("iap,jaq->pqij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[1])
-            for w_k in _components(*wedderburn)])
+        comm = commutant_pattern(*wedderburn)
     else:
         # only the generators of its argument enter the commutant
         seeds = AlgebraBasis(n, np.zeros((0, n, n)), generators=gens + [np.eye(n, dtype=complex)])
@@ -156,6 +154,16 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
             np.einsum("iap,jbp->abij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[2])
             for w_k in _components(*wedderburn)])
     return AlgebraBasis(n, basis, gens, commutant_basis=comm, wedderburn=wedderburn)
+
+
+def commutant_pattern(w, blocks) -> np.ndarray:
+    """Orthonormal basis of w (+_k 1_{n_k} (x) M_{m_k}) w*, the commutant of
+    the algebra with Wedderburn data (w, blocks): 1_{n_k} (x) E_pq / sqrt(n_k)
+    in the columns of each component."""
+    n = len(w)
+    return np.concatenate([
+        np.einsum("iap,jaq->pqij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[1])
+        for w_k in _components(w, blocks)])
 
 
 def _components(w, blocks):

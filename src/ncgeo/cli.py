@@ -107,6 +107,9 @@ def _read_input(path, decode, doc=None):
 
 
 def cmd_example(args) -> int:
+    # --n parses as a positive integer; matrix_geometry needs one more
+    if args.kind == "matrix_geometry" and args.n == 1:
+        args.usage_error("argument --n: matrix_geometry needs n >= 2, got 1")
     params = {}
     if args.kind == "two_point":
         params["coupling"] = args.coupling
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=complex, default=1.0)
     p.add_argument("--seed", type=int, default=0, help="seed for the seeded examples")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_example)
+    p.set_defaults(func=cmd_example, usage_error=p.error)
 
     p = sub.add_parser("check", help="run the condition suite on a triple file")
     p.add_argument("path")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, commutant, commutant_pattern
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -31,7 +31,6 @@ from .linalg import (
     max_operator_norm,
     max_span_residual,
     operator_norm,
-    random_complex,
     rel_residual,
     span_basis,
     to_blocks,
@@ -224,86 +223,113 @@ def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     return rep
 
 
-def _orthonormality_residual(basis) -> float:
-    """|B B^* - 1|_2 for the (dim, n*n) coordinate rows B of a stacked basis."""
-    flat = basis.reshape(len(basis), -1)
-    return operator_norm(flat @ adjoint(flat) - np.eye(len(basis)))
+def _frame_defect(alg: AlgebraBasis) -> float:
+    """|W^* W - 1|_2 for the Wedderburn frame W of a generated algebra."""
+    w = alg.wedderburn[0]
+    return operator_norm(adjoint(w) @ w - np.eye(w.shape[1]))
 
 
-def _closure_residual(alg: AlgebraBasis) -> float:
-    """Membership residual of x^* and x y for seeded random elements x, y of
-    the span; it vanishes when the span is a *-algebra."""
-    x, y = alg.combine(random_complex(np.random.default_rng(4177), (2, alg.dim)))
-    return max_span_residual(np.stack([adjoint(x), x @ y]), alg.basis)
+def _commutant_sweep(left: AlgebraBasis, right: AlgebraBasis, tol: Tolerance) -> tuple:
+    """(match, delta, commutant dim) of the right action against the
+    commutant of the left algebra, delta = `max_span_residual` of the right
+    basis against a basis of that commutant.
 
-
-def _coordinate_rank(basis, tol: Tolerance) -> int:
-    """Numerical rank of the (n*n, dim) coordinate matrix conj(basis), by the
-    rank rule of `span_basis`."""
-    s = np.linalg.svd(basis.reshape(len(basis), -1).conj().T, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_cut * float(s[0])))
+    With Wedderburn data on both algebras the commutant is the closed-form
+    `commutant_pattern` of the left frame, and the right action can equal it
+    only if its blocks are the left blocks transposed (as multisets);
+    otherwise the commutant is `commutant(left)` and the dimensions must
+    agree.  Equal dimensions plus inclusion give equality, so one sweep
+    decides it.
+    """
+    if left.wedderburn is not None and right.wedderburn is not None:
+        comm = commutant_pattern(*left.wedderburn)
+        match = sorted(right.wedderburn[1]) == sorted((m, n) for n, m in left.wedderburn[1])
+    else:
+        comm = commutant(left, tol).basis
+        match = len(comm) == right.dim
+    return match, max_span_residual(right.basis, comm) if match else 1.0, len(comm)
 
 
 def canonical_morita_check(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
                            tol: Tolerance = DEFAULT_TOL):
-    """`morita_check` of the canonical bimodule of `bimodule_from_actions`.
+    """`morita_check` of the canonical bimodule of `bimodule_from_actions`,
+    from the Wedderburn blocks where they certify it.
 
     The left pairing is the trace-preserving conditional expectation E_L onto
-    the left algebra and the right pairing is lam E_R.  When the actions
-    commute, lam > 0, both bases are orthonormal and both spans pass a
-    seeded *-closure probe, six of the eight entries hold by construction
-    and get a cheap residual:
-
-    * fullness: E_L maps onto its algebra, so the pairing span has the rank
-      of the coordinate matrix conj(basis) (all singular values 1);
-    * the two pairing/action gaps: the left gap at (c_i, c_j) for a right
-      basis element a is E_L([a, |c_i><c_j|]), whose coordinates in the
-      (*-closed) left basis have the norm of the [j, i] entries of [b, a]
-      over left basis elements b.  Each entry is at most r, the
-      actions_commute residual, so the gap is at most sqrt(dim_L) r; the
-      right gap likewise at most |lam| sqrt(dim_R) r.  A bound above
-      tol.rel is replaced by the exact value from the tables;
-    * Gram positivity: each Gram matrix is the Choi matrix of a conditional
-      expectation, completely positive (Tomiyama), times lam > 0 on the
-      right; the residual is the larger of the orthonormality residual of
-      the basis and the *-closure probe.
-
-    actions_commute and compatibility (with the lam fit) are computed as in
-    `morita_check`.  If a guard fails the report is `morita_check` of the
-    bimodule.  Entry ids, order and detail integers match `morita_check`.
-    Returns (report, bimodule, lam).
+    the left algebra and the right pairing is lam E_R.  Returns (report,
+    bimodule or None, lam) with the ids, order and detail integers of
+    `morita_check`; see `_closed_form_morita` for when the tables are built.
     """
-    bi, lam = bimodule_from_actions(left_alg, right_alg, tol)
-    left, right = left_alg.basis, right_alg.basis
-    commute = commutator_residual(left, right)
-    # residuals of the premises: orthonormal bases of *-algebras
-    premise = [max(_orthonormality_residual(alg.basis), _closure_residual(alg))
-               for alg in (left_alg, right_alg)]
-    if not (commute <= tol.rel and lam > 0.0 and max(premise) <= tol.rel):
+    return _closed_form_morita(left_alg, right_alg, _commutant_sweep(left_alg, right_alg, tol), tol)
+
+
+def _closed_form_morita(left: AlgebraBasis, right: AlgebraBasis, sweep, tol: Tolerance):
+    """`canonical_morita_check` given the `_commutant_sweep` (match, delta, _).
+
+    The closed form runs when both algebras carry Wedderburn data, the right
+    action has the left blocks (n_k, m_k) transposed, delta <= tol.rel, every
+    component gives the same lam = n_k / m_k and u = max |W^* W - 1|_2 over
+    the two frames is <= tol.rel.  Then R is the commutant L' and:
+
+    * actions_commute <= r = 2 delta + 2 u: [b, c] = [b, c - P c] + [b, P c]
+      for P the projection onto the closed-form L'; the first term is at most
+      2 delta, the second a commutator of two closed-form pattern matrices in
+      the same frame, at most 2 u;
+    * the left gap is at most sqrt(dim_L) r and the right gap at most
+      lam sqrt(dim_R) r: the coordinates of E_L([a, |c_i><c_j|]) in the
+      *-closed left basis are [j, i] entries of commutators [b, a];
+    * compatibility holds exactly for L' with one lam; to first order R
+      moves it by (lam + sqrt(lam)) sqrt(dim_R) delta and the two frames by
+      2 (1 + 2 lam) u;
+    * fullness holds since E maps onto its algebra, and each Gram matrix is
+      the Choi matrix of a conditional expectation (completely positive,
+      Tomiyama), exact when the closed-form bases are orthonormal and
+      *-closed, i.e. when W is unitary: its residual is u.
+
+    A bound above tol.rel is replaced by the exact value (the commutator
+    sweep, or the tables of `bimodule_from_actions`).  Otherwise the report
+    is `morita_check(bimodule_from_actions(...))`.
+    """
+    match, delta, _ = sweep
+    closed = match and left.wedderburn is not None and right.wedderburn is not None
+    ratios = {n_k / m_k for n_k, m_k in left.wedderburn[1]} if closed else set()
+    u = max(_frame_defect(left), _frame_defect(right)) if closed else np.inf
+    if not (len(ratios) == 1 and delta <= tol.rel and u <= tol.rel):
+        bi, lam = bimodule_from_actions(left, right, tol)
         return morita_check(bi, tol), bi, lam
 
+    lam = ratios.pop()
+    bi = None
+
+    def tables() -> EquivBimodule:
+        nonlocal bi
+        if bi is None:
+            bi, _ = bimodule_from_actions(left, right, tol)
+        return bi
+
+    commute = 2.0 * delta + 2.0 * u
+    compat = (lam + np.sqrt(lam)) * np.sqrt(right.dim) * delta + 2.0 * (1.0 + 2.0 * lam) * u
+    bounds = (
+        ("actions_commute", commute, "bound from commutant membership",
+         lambda: commutator_residual(left.basis, right.basis)),
+        ("left_pairing_right_action", np.sqrt(left.dim) * commute, "bound from actions_commute",
+         lambda: _action_gap(right.basis, tables().left_pair)),
+        ("right_pairing_left_action", lam * np.sqrt(right.dim) * commute,
+         "bound from actions_commute",
+         lambda: _action_gap(left.basis.conj(), tables().right_pair)),
+        ("compatibility", compat, "bound from commutant membership and block ratios",
+         lambda: _compatibility_residual(tables().left_pair, tables().right_pair)),
+    )
     rep = CheckReport()
-    rep.add("morita:actions_commute", commute, tol.rel)
-    gaps = (("left_pairing_right_action", np.sqrt(left_alg.dim) * commute,
-             right, bi.left_pair),
-            ("right_pairing_left_action", lam * np.sqrt(right_alg.dim) * commute,
-             left.conj(), bi.right_pair))
-    for key, bound, coeffs, table in gaps:
+    for key, bound, details, exact in bounds:
         if bound <= tol.rel:
-            rep.add(f"morita:{key}", bound, tol.rel, "bound from actions_commute")
+            rep.add(f"morita:{key}", bound, tol.rel, details)
         else:
-            rep.add(f"morita:{key}", _action_gap(coeffs, table), tol.rel)
-
-    rep.add("morita:compatibility", _compatibility_residual(bi.left_pair, bi.right_pair), tol.rel)
-
-    for name, alg in (("left", left_alg), ("right", right_alg)):
-        rank = _coordinate_rank(alg.basis, tol)
-        rep.add(f"morita:{name}_full", 0.0 if rank == alg.dim else 1.0, 0.5,
-                f"pairing span {rank} vs algebra {alg.dim}")
-    for name, res in zip(("left", "right"), premise):
-        rep.add(f"morita:{name}_gram_positive", res, tol.rel,
+            rep.add(f"morita:{key}", exact(), tol.rel)
+    for name, alg in (("left", left), ("right", right)):
+        rep.add(f"morita:{name}_full", 0.0, 0.5, f"pairing span {alg.dim} vs algebra {alg.dim}")
+    for name in ("left", "right"):
+        rep.add(f"morita:{name}_gram_positive", u, tol.rel,
                 "Choi matrix of a conditional expectation")
     return rep, bi, lam
 

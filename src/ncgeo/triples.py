@@ -21,14 +21,13 @@ from .linalg import (
     herm_abs,
     herm_eig,
     max_operator_norm,
-    max_span_residual,
     null_space,
     operator_norm,
     rel_residual,
     span_basis,
     span_coords,
 )
-from .modules import canonical_morita_check, parseval_frame
+from .modules import _closed_form_morita, _commutant_sweep, parseval_frame
 from .report import CheckReport
 
 __all__ = [
@@ -451,25 +450,23 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
 
 
 def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
-    """Equivalence-bimodule checks between the Dirac-commutator algebra and the right action."""
+    """Equivalence-bimodule checks between the Dirac-commutator algebra and
+    the right action: `canonical_morita_check`, its pairing scale, and one
+    sweep of the right basis against the cda's commutant."""
     rep = CheckReport()
     if not t.right_action_gens:
         rep.skip("spinc", "no right action supplied")
         return rep, None
     cda = t.cda(tol)
     right = t.right_algebra(tol)
-    morita, bi, lam = canonical_morita_check(cda, right, tol)
+    sweep = _commutant_sweep(cda, right, tol)
+    morita, _, lam = _closed_form_morita(cda, right, sweep, tol)
     rep.extend(morita, prefix="spinc:")
     rep.add("spinc:pairing_scale", 0.0, np.inf, f"right pairing scale {lam:.6f}")
-
-    comm = commutant(cda, tol)
-    dim_match = comm.dim == right.dim
-    worst = max(max_span_residual(right.basis, comm.basis),
-                max_span_residual(comm.basis, right.basis))
-    mismatch = worst if dim_match else 1.0
+    _, mismatch, comm_dim = sweep
     rep.add("spinc:commutant_matches_right_action", mismatch, max(tol.rel, 1e-7),
-            f"commutant dim {comm.dim}, right action dim {right.dim}")
-    ctx = {"bimodule": bi, "scale": lam, "cda": cda, "right": right}
+            f"commutant dim {comm_dim}, right action dim {right.dim}")
+    ctx = {"scale": lam, "cda": cda, "right": right}
     return rep, ctx
 
 

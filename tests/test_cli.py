@@ -181,11 +181,15 @@ class TestExampleCommand:
         t, _ = load_triple(out)
         assert t.hilbert_dim == 4
 
-    @pytest.mark.parametrize("kind", ["trivial_points", "matrix_geometry"])
-    def test_zero_n_exit_two(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind, n", [
+        pytest.param("trivial_points", "0", id="trivial_points"),
+        pytest.param("matrix_geometry", "0", id="matrix_geometry"),
+        pytest.param("matrix_geometry", "1", id="matrix_geometry_n1"),
+    ])
+    def test_zero_n_exit_two(self, tmp_path, capsys, kind, n):
         out = tmp_path / "t.striple"
         with pytest.raises(SystemExit) as exc:
-            main(["example", kind, "--n", "0", "-o", str(out)])
+            main(["example", kind, "--n", n, "-o", str(out)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1

@@ -10,6 +10,7 @@ from ncgeo.kasparov import grassmann_connection, twisted_operator
 from ncgeo.linalg import (
     DEFAULT_TOL,
     adjoint,
+    commutator_residual,
     from_blocks,
     operator_norm,
     random_complex,
@@ -19,6 +20,8 @@ from ncgeo.linalg import (
 from ncgeo.modules import (
     EquivBimodule,
     ProjectiveModule,
+    _action_gap,
+    _compatibility_residual,
     bimodule_from_actions,
     canonical_morita_check,
     linear_operator_bound,
@@ -26,6 +29,8 @@ from ncgeo.modules import (
     parseval_frame,
     validate_module,
 )
+
+from test_triples import barrett_triple
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -275,47 +280,84 @@ CANONICAL_CASES = {
     "mgeom2_s7": lambda: matrix_geometry(2, seed=7),
     "mgeom2_s2001408477": lambda: matrix_geometry(2, seed=2001408477),
     "mgeom3_s0": lambda: matrix_geometry(3, seed=0),
+    **{f"barrett{kind}_{n}": functools.partial(barrett_triple, n, kind)
+       for kind in ("11", "20") for n in (2, 3)},
 }
 
 GAP_KEYS = ("left_pairing_right_action", "right_pairing_left_action")
+BOUND_KEYS = ("actions_commute",) + GAP_KEYS + ("compatibility",)
 
 
 def perturbed_right_action(t, eps):
-    """The right algebra of t conjugated by exp(i eps h) for a seeded Hermitian
-    h: still a *-algebra with an orthonormal basis, commuting with the left
-    action only up to about eps."""
-    right = t.right_algebra()
-    h = random_complex(np.random.default_rng(11), (right.hilbert_dim,) * 2)
+    """The algebra generated by the right generators of t conjugated by
+    exp(i eps h) for a seeded Hermitian h: a generated algebra with
+    Wedderburn data, commuting with the left action only up to about eps."""
+    gens = np.asarray(t.right_action_gens)
+    h = random_complex(np.random.default_rng(11), (t.hilbert_dim,) * 2)
     vals, vecs = np.linalg.eigh(h + adjoint(h))
     u = (vecs * np.exp(1j * eps * vals)) @ adjoint(vecs)
-    return AlgebraBasis(right.hilbert_dim, u @ right.basis @ adjoint(u))
+    return generate_algebra(list(u @ gens @ adjoint(u)))
+
+
+def table_values(left, right):
+    """The values the (d, d, d, d) tables give for the four entries of
+    `morita_check` that the closed form bounds, the bimodule and its scale."""
+    bi, lam = bimodule_from_actions(left, right)
+    values = {
+        "actions_commute": commutator_residual(left.basis, right.basis),
+        "left_pairing_right_action": _action_gap(right.basis, bi.left_pair),
+        "right_pairing_left_action": _action_gap(left.basis.conj(), bi.right_pair),
+        "compatibility": _compatibility_residual(bi.left_pair, bi.right_pair),
+    }
+    return values, bi, lam
+
+
+def assert_bounds_dominate(left, right):
+    """`canonical_morita_check` has the digest of `morita_check` of the
+    tables, and every bound it reports is at least the table value (for
+    compatibility, also at the closed form's scale lam = n_k / m_k)."""
+    rep, bi, lam = canonical_morita_check(left, right)
+    values, ref_bi, ref_lam = table_values(left, right)
+    assert report_digest(rep) == report_digest(morita_check(ref_bi))
+    assert lam == pytest.approx(ref_lam, rel=1e-12)
+    at_lam = _compatibility_residual(ref_bi.left_pair, lam / ref_lam * ref_bi.right_pair)
+    for key in BOUND_KEYS:
+        entry = rep.entry(f"morita:{key}")
+        if entry.details:
+            # a bound is only reported while it is within tolerance
+            assert values[key] <= entry.residual <= DEFAULT_TOL.rel, key
+            if key == "compatibility":
+                assert at_lam <= entry.residual
+        else:
+            assert entry.residual == values[key], key
+    return rep, bi, ref_bi
 
 
 class TestCanonicalMoritaCheck:
     @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
     def test_same_digest_as_morita_check(self, name):
         t = CANONICAL_CASES[name]()
-        rep, bi, lam = canonical_morita_check(t.cda(), t.right_algebra())
-        ref_bi, ref_lam = bimodule_from_actions(t.cda(), t.right_algebra())
-        assert lam == ref_lam
-        assert np.array_equal(bi.left_pair, ref_bi.left_pair)
-        assert np.array_equal(bi.right_pair, ref_bi.right_pair)
-        assert report_digest(rep) == report_digest(morita_check(bi))
+        _, bi, ref_bi = assert_bounds_dominate(t.cda(), t.right_algebra())
+        if bi is not None:
+            assert np.array_equal(bi.left_pair, ref_bi.left_pair)
+            assert np.array_equal(bi.right_pair, ref_bi.right_pair)
 
     @pytest.mark.parametrize("name", ["mgeom2_s7", "mgeom2_s2001408477", "mgeom3_s0"])
     def test_matrix_geometry_takes_the_canonical_path(self, name):
         t = CANONICAL_CASES[name]()
-        rep, _, _ = canonical_morita_check(t.cda(), t.right_algebra())
+        rep, bi, lam = canonical_morita_check(t.cda(), t.right_algebra())
         assert rep.passed, rep.as_text()
+        assert bi is None and lam == 2.0
+        assert rep.entry("morita:actions_commute").details == "bound from commutant membership"
         for key in GAP_KEYS:
             assert rep.entry(f"morita:{key}").details == "bound from actions_commute"
 
     def test_self_bimodule_of_a_matrix_algebra(self):
         left = generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))])
         right = generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)])
-        rep, bi, _ = canonical_morita_check(left, right)
+        rep, bi, _ = assert_bounds_dominate(left, right)
         assert rep.passed, rep.as_text()
-        assert report_digest(rep) == report_digest(morita_check(bi))
+        assert bi is None
 
     def test_two_point_falls_back_to_morita_check(self):
         t = two_point(1.0)
@@ -327,19 +369,10 @@ class TestCanonicalMoritaCheck:
     @pytest.mark.parametrize("eps", [1e-12, 1e-11, 5e-11, 1e-10])
     def test_gap_bound_dominates_exact_gap(self, seed, eps):
         t = matrix_geometry(2, seed=seed)
-        rep, bi, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
-        exact = morita_check(bi)
-        commute = rep.entry("morita:actions_commute").residual
-        assert 1e-12 < commute <= DEFAULT_TOL.rel
-        assert report_digest(rep) == report_digest(exact)
-        for key in GAP_KEYS:
-            entry = rep.entry(f"morita:{key}")
-            ref = exact.entry(f"morita:{key}").residual
-            if entry.details:
-                # the bound is only reported while it is within tolerance
-                assert ref <= entry.residual <= DEFAULT_TOL.rel
-            else:
-                assert entry.residual == ref
+        right = perturbed_right_action(t, eps)
+        assert right.wedderburn is not None
+        rep, _, _ = assert_bounds_dominate(t.cda(), right)
+        assert 1e-12 < rep.entry("morita:actions_commute").residual <= DEFAULT_TOL.rel
 
     def test_span_that_is_not_a_star_algebra_falls_back(self):
         # the nilpotent span commutes with the left action and gets lam = 1,
@@ -354,12 +387,13 @@ class TestCanonicalMoritaCheck:
         assert rep.as_dict() == morita_check(bi).as_dict()
 
     def test_both_gap_branches_are_exercised(self):
-        # the exact branch needs actions_commute r with 4 r > tol >= r; r is a
-        # maximum over the cda's orthonormal basis, about 2.4 eps to 2.8 eps
-        # depending on that basis, so 3e-10 lies well inside the window
+        # the right action stays on the closed form while delta <= tol; the
+        # gap bounds sqrt(dim) (2 delta + 2 u) pass at eps 1e-11 (delta about
+        # 4e-11) and exceed tol at eps 1e-10 (delta about 4e-10), where the
+        # tables give the exact value
         t = matrix_geometry(2, seed=7)
         used = set()
-        for eps in (1e-11, 3e-10):
+        for eps in (1e-11, 1e-10):
             rep, _, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
             used.update(rep.entry(f"morita:{key}").details for key in GAP_KEYS)
         assert used == {"bound from actions_commute", ""}
