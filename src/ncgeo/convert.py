@@ -3,7 +3,7 @@ odd/even doubling, round-trip certification and duality pairing matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .linalg import (
     commutator_residual,
     from_blocks,
     max_operator_norm,
-    max_span_residual,
     operator_norm,
     project_onto_span,
     projector_gap,
@@ -33,6 +32,7 @@ from .linalg import (
     span_basis,
     to_blocks,
     unit_floor_norms,
+    within_span,
 )
 from .modules import ProjectiveModule, parseval_frame
 from .report import CheckReport
@@ -85,6 +85,12 @@ class CliffordModuleData:
     algebra_basis: list | None = None
 
 
+def _refusal(prefix: str, rep: CheckReport) -> str:
+    """One line naming a report's failed entries with their residuals."""
+    return f"{prefix}: " + "; ".join(
+        f"{e.condition_id} (residual {e.residual:.3e})" for e in rep.failures())
+
+
 def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> ConversionResult:
     """Riemannian data carried by the module of the spin^c equivalence.
 
@@ -96,7 +102,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     """
     val = validate_triple(t, tol)
     if not val.passed:
-        raise ValueError("input triple invalid:\n" + val.as_text())
+        raise ValueError(_refusal("input triple invalid", val))
     if t.declared_p % 2 == 1:
         raise ValueError(f"forward conversion needs even declared dimension, got p = "
                          f"{t.declared_p}; odd triples: double_odd_triple (ncgeo double)")
@@ -106,12 +112,12 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         raise ValueError("conversion needs a right action")
     orep = check_orientability(t, tol, strict=not t.orientation_cycle.generalized)
     if not orep.passed:
-        raise ValueError("orientability fails:\n" + "\n".join(
-            f"{e.condition_id}: {e.residual:.3e}" for e in orep.failures()))
+        raise ValueError(_refusal("orientability fails", orep))
     sp, spctx = check_spinc(t, tol)
     if not sp.passed:
-        raise ValueError("spin^c prerequisites fail:\n" + "\n".join(
-            f"{e.condition_id} (residual {e.residual:.3e}) {e.details}" for e in sp.failures()))
+        blocks = spctx["block_mismatch"]
+        raise ValueError(_refusal("spin^c prerequisites fail", sp) + (
+            "" if blocks is None else f"; cda blocks {blocks[0]} vs right action {blocks[1]}"))
 
     right = t.right_algebra(tol)
     cda = t.cda(tol)
@@ -160,23 +166,24 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
 
     rep.add("convert:connection", 0.0, np.inf, "grassmann")
 
-    # source-aligned basis of the new algebra for round trips: the images
-    # u^* (1_m (x) w) u of the source basis
+    j = tomita_conjugation(base, tol)
+    eps, grep = grading_from_cycle(base, chat, j, tol)
+    out = base.regraded(eps, tol)
+
+    # source-aligned basis for round trips: the images u^* (1_m (x) w) u of
+    # the source basis fitted to the output's own stored cda basis, so a
+    # module over that basis needs no membership sweep
     hat = pull_back(u, cda.basis)
     hat_cols = hat.reshape(cda.dim, -1).T
-    out_basis = out_cda.basis
+    out_basis = out.cda(tol).basis
     # column k of coeffs fits basis element k of the new algebra
-    coeffs, _, _, _ = np.linalg.lstsq(hat_cols, out_basis.reshape(out_cda.dim, -1).T, rcond=None)
+    coeffs, _, _, _ = np.linalg.lstsq(hat_cols, out_basis.reshape(len(out_basis), -1).T, rcond=None)
     fit = (hat_cols @ coeffs).T.reshape(out_basis.shape)
     rep.add("convert:algebra_transport",
             max_operator_norm(fit - out_basis, unit_floor_norms(out_basis)),
             max(tol.rel, 1e-8))
     src_basis = list(cda.combine(coeffs.T))
-
-    j = tomita_conjugation(base, tol)
-    eps, grep = grading_from_cycle(base, chat, j, tol)
     rep.extend(grep, prefix="convert:")
-    out = base.regraded(eps, tol)
     witness = {
         "phi": phi,
         "conjugation_kernel": j.kernel,
@@ -185,7 +192,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         "module_projector": q_big,
         "module_basis": u,
         "frame": xs,
-        "c_basis_out": list(out_cda.basis),
+        "c_basis_out": list(out_basis),
         "c_basis_src": src_basis,
         "source": t,
     }
@@ -234,12 +241,15 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     cda = t.cda(tol)
     if len(module.left_action) != cda.dim:
         raise ValueError("module left action must be indexed by the algebra basis")
-    basis_ops = module.algebra_basis if module.algebra_basis is not None else cda.basis
-    if len(basis_ops) != len(module.left_action):
-        raise ValueError("algebra basis and left action lists must correspond")
-    basis_ops = np.asarray(basis_ops, dtype=complex)
-    if not max_span_residual(basis_ops, cda.basis) <= max(tol.rel, 1e-7):
-        raise ValueError("module algebra basis leaves the Dirac-commutator algebra")
+    if module.algebra_basis is None:
+        basis_ops = cda.basis
+    else:
+        if len(module.algebra_basis) != len(module.left_action):
+            raise ValueError("algebra basis and left action lists must correspond")
+        basis_ops = np.asarray(module.algebra_basis, dtype=complex)
+        # a caller's basis (read from a file, say) must lie in the cda
+        if not within_span(basis_ops, cda.basis, max(tol.rel, 1e-7)):
+            raise ValueError("module algebra basis leaves the Dirac-commutator algebra")
     nc = module.carrier_dim
     nh = t.hilbert_dim
     j = tomita_conjugation(t, tol)
@@ -291,8 +301,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     """
     rr, rctx = check_riemannian(t, tol)
     if not rr.passed:
-        raise ValueError("Riemannian prerequisites fail:\n" + "\n".join(
-            f"{e.condition_id} (residual {e.residual:.3e})" for e in rr.failures()))
+        raise ValueError(_refusal("Riemannian prerequisites fail", rr))
     if t.declared_p % 2 == 1:
         raise ValueError(f"backward conversion needs even declared dimension, got p = {t.declared_p}")
     asm = _backward_assembly(t, module, tol)
@@ -399,32 +408,46 @@ def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
     floor = max(tol.rank_cut * max(float(svals[0]), 1.0), 1e-300)
     exact = vh[svals <= floor].conj()
     if len(exact):
-        # exact joint solutions: of seeded probes projected onto their
-        # (orthonormal) span, the best-conditioned one
-        span = exact @ basis_u.reshape(len(basis_u), -1)
-        probes = random_complex(np.random.default_rng(911), (8, n2 * n1))
-        cands = ((probes @ span.conj().T) @ span).reshape(-1, n2, n1)
-        sv = np.linalg.svd(cands, compute_uv=False)
-        u_raw = cands[np.argmax(sv[:, -1] / sv[:, 0])]
+        # exact joint solutions: their span is orthonormal
+        u_raw = _seeded_member(np.tensordot(exact, basis_u, 1))
     else:
         u_raw = np.tensordot(vh[-1].conj(), basis_u, 1)
-    su, ss, svh = np.linalg.svd(u_raw)
-    if ss[-1] <= 1e-8 * ss[0]:
+    u = _unitary_part(u_raw, tol)
+    if u is None:
         rep.add("intertwine:invertible", 1.0, 0.5, "minimizer is singular")
         return None, rep
-    u = su @ svh
-    # fix the global phase: Tr(u) real positive, or the largest entry when
-    # the trace vanishes, so the witness does not carry the arbitrary phase
-    # of the singular vectors
-    tr = np.trace(u)
-    ref = tr if abs(tr) > np.sqrt(tol.rank_cut) * n1 else u.flat[np.argmax(np.abs(u))]
-    u = u * (np.conj(ref) / abs(ref))
     rep.add("intertwine:action_residual",
             max_operator_norm(u @ a1s - a2s @ u, unit_floor_norms(a1s)),
             max(tol.rel, 1e-10))
     dres = operator_norm(u @ t1.dirac - t2.dirac @ u)
     rep.add("intertwine:dirac_residual", dres, max(tol.rel, 1e-8))
     return u, rep
+
+
+def _seeded_member(family: np.ndarray) -> np.ndarray:
+    """Of seeded probes projected onto the span of an orthonormal (k, n2, n1)
+    family, the best-conditioned one.  The projection does not depend on
+    the family's basis, so neither does the choice."""
+    k, n2, n1 = family.shape
+    span = family.reshape(k, -1)
+    probes = random_complex(np.random.default_rng(911), (8, n2 * n1))
+    cands = ((probes @ span.conj().T) @ span).reshape(-1, n2, n1)
+    sv = np.linalg.svd(cands, compute_uv=False)
+    return cands[np.argmax(sv[:, -1] / sv[:, 0])]
+
+
+def _unitary_part(x: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    """The polar factor of a square x with its global phase fixed, or None
+    when x is singular.  The phase makes Tr(u) real positive, or the largest
+    entry when the trace vanishes, so a witness does not carry the arbitrary
+    phase of singular vectors."""
+    su, ss, svh = np.linalg.svd(x)
+    if ss[-1] <= 1e-8 * ss[0]:
+        return None
+    u = su @ svh
+    tr = np.trace(u)
+    ref = tr if abs(tr) > np.sqrt(tol.rank_cut) * len(u) else u.flat[np.argmax(np.abs(u))]
+    return u * (np.conj(ref) / abs(ref))
 
 
 def _block_mismatch(t1: SpectralTripleData, t2: SpectralTripleData, tol: Tolerance) -> str:
@@ -442,46 +465,72 @@ def _block_mismatch(t1: SpectralTripleData, t2: SpectralTripleData, tol: Toleran
 def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,
                         source: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Backward half of a round trip: convert `tri` back with the Grassmann
-    connection and intertwine the result with `source` less the commutant
-    part of its Dirac operator.
+    connection and certify a unitary intertwiner of the pairs (a, [D, a])
+    of `source` and of the result.
 
-    A Kasparov product fixes D only up to the connection, and the Grassmann
-    one recovers S - E_{A'}(S), E_{A'} the projection onto the commutant of
-    the source algebra.  E_{A'}(S) commutes with A, so [S - E_{A'}(S), a] =
-    [S, a]: no commutator, metric or distance sees it.  Its relative norm
-    |E_{A'}(S)| / |S| is the witness `commutant_part` of the backward
-    result.  Returns (backward result, intertwiner or None, intertwiner
-    report).
+    A Kasparov product fixes D only up to the connection, so what a round
+    trip can recover is the algebra with [D, .]: u is the polar factor of a
+    seeded member of `intertwiners(gens1 + [S, gens1], gens2 + [D2, gens2])`.
+    Then k = u^* D2 u - S commutes with the source algebra A, and
+    `intertwine:dirac_residual` is the part of k outside its commutant A',
+    relative to |S|.  The part inside A' is what the backward Dirac
+    operator does not recover; its relative norm |k| / |S| is the witness
+    `commutant_part` of the backward result (None without an intertwiner),
+    beside the family's dimension `pair_family_dim`.  Returns (backward
+    result, intertwiner or None, intertwiner report).
     """
     backward = riemannian_to_spinc(tri, module, tol)
-    s = source.dirac
-    part = project_onto_span(s, commutant(source.algebra(tol), tol).basis)
-    norm_s = operator_norm(s)
-    ratio = operator_norm(part) / norm_s if norm_s else 0.0
+    out = backward.output
+    backward.witness.update(commutant_part=None, pair_family_dim=0)
+    rep = CheckReport()
+    a1s = np.asarray(source.algebra_gens)
+    a2s = np.asarray(out.algebra_gens)
+    if source.hilbert_dim != out.hilbert_dim:
+        rep.add("intertwine:dimensions", 1.0, 0.5, f"{source.hilbert_dim} vs {out.hilbert_dim}")
+        return backward, None, rep
+    s, d2 = source.dirac, out.dirac
+    family = intertwiners(np.concatenate([a1s, s @ a1s - a1s @ s]),
+                          np.concatenate([a2s, d2 @ a2s - a2s @ d2]), tol)
+    backward.witness["pair_family_dim"] = len(family)
+    u = _unitary_part(_seeded_member(family), tol) if len(family) else None
+    if u is None:
+        rep.add("intertwine:action_solutions", 1.0, 0.5,
+                "no unitary intertwiner of the algebras and their Dirac commutators"
+                + _block_mismatch(source, out, tol))
+        return backward, None, rep
+    # u A' is the A-intertwiner family, of dimension dim A' = sum_k m_k^2
+    # over the source algebra's blocks
+    comm = commutant(source.algebra(tol), tol).basis
+    rep.add("intertwine:action_solutions", 0.0, 0.5,
+            f"dimension {len(comm)} of the A-intertwiner family")
+    rep.add("intertwine:action_residual",
+            max_operator_norm(u @ a1s - a2s @ u, unit_floor_norms(a1s)),
+            max(tol.rel, 1e-10))
+    k = adjoint(u) @ d2 @ u - s
+    norm_s = operator_norm(s) or 1.0
+    ratio = operator_norm(k) / norm_s
     backward.witness["commutant_part"] = ratio
-    u, rep = intertwine_triples(replace(source, dirac=s - part), backward.output, tol)
-    if u is not None:
-        rep.entry("intertwine:dirac_residual").details = (
-            f"source Dirac operator less its commutant part, relative norm {ratio:.3e}")
+    rep.add("intertwine:dirac_residual", operator_norm(k - project_onto_span(k, comm)) / norm_s,
+            max(tol.rel, 1e-8),
+            f"part of u* D u - S outside the commutant of the source algebra; "
+            f"inside it, relative norm {ratio:.3e}")
     return backward, u, rep
 
 
 def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Convert to Riemannian data and back, then certify a unitary intertwiner.
 
-    The backward conversion runs with the Grassmann connection, and the
-    intertwiner is certified against the source less the commutant part of
-    its Dirac operator (`backward_round_trip`).
+    The backward conversion runs with the Grassmann connection on the
+    forward output's own cda basis, and the intertwiner is certified on the
+    algebras with their Dirac commutators (`backward_round_trip`).
     """
     forward = spinc_to_riemannian(t, tol)
-    tri = forward.output
     module = CliffordModuleData(
         carrier_dim=t.hilbert_dim,
         left_action=forward.witness["c_basis_src"],
         right_action_gens=t.right_action_gens,
-        algebra_basis=forward.witness["c_basis_out"],
     )
-    backward, u, rep = backward_round_trip(tri, module, t, tol)
+    backward, u, rep = backward_round_trip(forward.output, module, t, tol)
     rep.extend(forward.report, prefix="forward:")
     rep.extend(backward.report, prefix="backward:")
     return ConversionResult(output=backward.output,

@@ -35,6 +35,7 @@ __all__ = [
     "project_onto_span",
     "span_residual",
     "max_span_residual",
+    "within_span",
     "null_space",
     "random_complex",
     "random_hermitian",
@@ -334,6 +335,14 @@ def span_residual(x, basis) -> float:
     return rel_residual(x - project_onto_span(x, basis), operator_norm(x))
 
 
+def _span_residuals(xs: np.ndarray, basis) -> np.ndarray:
+    """x - P x for each matrix of a (k, n, n) stack, P the projection onto
+    the span of an orthonormal basis: one batched projection."""
+    flat = xs.reshape(len(xs), -1)
+    b = _stacked(basis, xs.shape[1:])
+    return (flat - (flat @ b.conj().T) @ b).reshape(xs.shape)
+
+
 def max_span_residual(xs, basis) -> float:
     """The largest span_residual over a (k, n, n) stack, 0.0 for an empty one:
     one batched projection, `unit_floor_norms` for the scales and one
@@ -341,10 +350,21 @@ def max_span_residual(xs, basis) -> float:
     xs = np.asarray(xs, dtype=complex)
     if len(xs) == 0:
         return 0.0
-    flat = xs.reshape(len(xs), -1)
-    b = _stacked(basis, xs.shape[1:])
-    resid = (flat - (flat @ b.conj().T) @ b).reshape(xs.shape)
-    return max_operator_norm(resid, unit_floor_norms(xs))
+    return max_operator_norm(_span_residuals(xs, basis), unit_floor_norms(xs))
+
+
+def within_span(xs, basis, bound: float) -> bool:
+    """max_span_residual(xs, basis) <= bound, for a membership gate.  Each
+    residual's Frobenius norm bounds its 2-norm and each scale is at least
+    1, so no 2-norm is taken when every Frobenius norm is within the bound;
+    otherwise the 2-norms decide."""
+    xs = np.asarray(xs, dtype=complex)
+    if len(xs) == 0:
+        return 0.0 <= bound
+    resid = _span_residuals(xs, basis)
+    if np.max(_frobenius(resid)) <= bound:
+        return True
+    return max_operator_norm(resid, unit_floor_norms(xs)) <= bound
 
 
 def null_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:

@@ -20,9 +20,9 @@ from .linalg import (
     commutator_residual,
     herm_abs,
     herm_apply,
-    max_span_residual,
     operator_norm,
     rel_residual,
+    within_span,
 )
 from .report import CheckReport
 from .triples import SpectralTripleData
@@ -67,8 +67,18 @@ def tomita_conjugation(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
 
     Requires the vector to be cyclic and separating with a tracial vector
     state; otherwise the construction cannot be antiunitary and a hard
-    error is raised.
+    error is raised.  The map is cached on the triple per tolerance; it
+    depends on phi and the span of the cda, not on the grading, so
+    `regraded` carries it over.
     """
+    key = ("conjugation", tol)
+    if key not in t._cache:
+        t._cache[key] = _conjugation(t, tol)
+    return t._cache[key]
+
+
+def _conjugation(t: SpectralTripleData, tol: Tolerance) -> AntiunitaryMap:
+    """The body of `tomita_conjugation`, uncached."""
     phi = t.riemann_vector
     if phi is None:
         raise ValueError("no cyclic vector available")
@@ -95,7 +105,7 @@ def tomita_conjugation(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
         raise ValueError("conjugation does not fix the cyclic vector")
     comm = commutant(cda, tol)
     landed = opposite_action(j, cda.basis)
-    if max_span_residual(landed, comm.basis) > max(tol.rel, 1e-6):
+    if not within_span(landed, comm.basis, max(tol.rel, 1e-6)):
         raise ValueError("conjugated algebra does not land in the commutant")
     return j
 

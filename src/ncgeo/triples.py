@@ -76,7 +76,8 @@ class SpectralTripleData:
     orientation_cycle: HochschildChain | None = None
     riemann_vector: np.ndarray | None = None
     state: np.ndarray | None = None
-    # derived algebras; `dataclasses.replace` starts a copy with an empty one
+    # derived algebras, the Tomita conjugation and the Riemannian report;
+    # `dataclasses.replace` starts a copy with an empty one
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,9 +138,14 @@ class SpectralTripleData:
     def regraded(self, grading, tol: Tolerance = DEFAULT_TOL) -> SpectralTripleData:
         """The triple with `grading` in place of its own.  The algebra and the
         Dirac operator are kept, so the copy's cda at `tol` is this triple's
-        re-spanned into homogeneous elements; nothing is generated again."""
+        re-spanned into homogeneous elements; nothing is generated again.  A
+        cached Tomita conjugation carries over too: it depends on phi and
+        the span of the cda, not on the grading."""
         out = replace(self, grading=grading)
         out._cache[("cda", tol)] = _homogeneous(self.cda(tol), out.grading, tol)
+        key = ("conjugation", tol)
+        if key in self._cache:
+            out._cache[key] = self._cache[key]
         return out
 
     def right_algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
@@ -452,7 +458,10 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
 def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Equivalence-bimodule checks between the Dirac-commutator algebra and
     the right action: `canonical_morita_check`, its pairing scale, and one
-    sweep of the right basis against the cda's commutant."""
+    sweep of the right basis against the cda's commutant.  The context's
+    `block_mismatch` is (cda blocks, right action blocks) when both carry
+    Wedderburn data and the right action's are not the cda's transposed,
+    None otherwise."""
     rep = CheckReport()
     if not t.right_action_gens:
         rep.skip("spinc", "no right action supplied")
@@ -463,15 +472,28 @@ def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     morita, _, lam = _closed_form_morita(cda, right, sweep, tol)
     rep.extend(morita, prefix="spinc:")
     rep.add("spinc:pairing_scale", 0.0, np.inf, f"right pairing scale {lam:.6f}")
-    _, mismatch, comm_dim = sweep
+    match, mismatch, comm_dim = sweep
     rep.add("spinc:commutant_matches_right_action", mismatch, max(tol.rel, 1e-7),
             f"commutant dim {comm_dim}, right action dim {right.dim}")
-    ctx = {"scale": lam, "cda": cda, "right": right}
+    blocks = None
+    if not match and cda.wedderburn is not None and right.wedderburn is not None:
+        blocks = (sorted(cda.wedderburn[1]), sorted(right.wedderburn[1]))
+    ctx = {"scale": lam, "cda": cda, "right": right, "block_mismatch": blocks}
     return rep, ctx
 
 
 def check_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
-    """Cyclic/separating vector, central-metric solve, grading compatibilities, trace property."""
+    """Cyclic/separating vector, central-metric solve, grading compatibilities,
+    trace property.  Returns (report, context), cached on the triple per
+    tolerance: callers extend other reports by it and do not change it."""
+    key = ("riemannian", tol)
+    if key not in t._cache:
+        t._cache[key] = _riemannian(t, tol)
+    return t._cache[key]
+
+
+def _riemannian(t: SpectralTripleData, tol: Tolerance):
+    """The body of `check_riemannian`, uncached."""
     rep = CheckReport()
     if t.riemann_vector is None or t.grading is None:
         rep.skip("riemann", "needs both a distinguished vector and a grading")

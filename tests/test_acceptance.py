@@ -130,7 +130,7 @@ def test_criterion_04_round_trip():
     action_res = res.report.entry("intertwine:action_residual").residual
     ok = res.report.passed and dirac_res < 1e-8 and action_res < 1e-10
     report_line(4, ok,
-                f"round trip: |U (D1 - E_A'(D1)) - D2 U| = {dirac_res:.2e}, "
+                f"round trip: part of U* D2 U - D1 outside A', relative to |D1|, {dirac_res:.2e}, "
                 f"action intertwining {action_res:.2e}")
 
 

@@ -42,7 +42,7 @@ def test_round_trip_digest(reference, seed):
     assert check.mismatches(digest, reference["roundtrip/matrix_geometry/3"]) == []
     # the round trip's new details carry a ratio, no integer
     entry = res.report.entry("intertwine:dirac_residual")
-    assert entry.details.startswith("source Dirac operator less its commutant part")
+    assert entry.details.startswith("part of u* D u - S outside the commutant of the source algebra")
     assert check.detail_ints(entry.details) == []
     for cid in ("backward:convert:potential_in_one_form_span", "backward:convert:potential_hermitian"):
         assert check.detail_ints(res.report.entry(cid).details) == []

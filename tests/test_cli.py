@@ -232,6 +232,11 @@ class TestConvertCommand:
         assert main(["convert", "to-riemannian", str(src)]) == 1
         err = capsys.readouterr().err
         assert "prerequisite" in err
+        # one line: the failed ids with their residuals, then the Wedderburn
+        # blocks that cannot match
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "spinc:commutant_matches_right_action (residual 1.000e+00)" in err
+        assert err.rstrip("\n").endswith("; cda blocks [(2, 1)] vs right action [(1, 1), (1, 1)]")
 
     def test_to_spinc_builds_one_backward_assembly(self, tmp_path, monkeypatch):
         src = tmp_path / "m.striple"
@@ -246,6 +251,20 @@ class TestConvertCommand:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(convert, "_backward_assembly", counted)
+        assert main(["convert", "to-spinc", str(riem), "-o", str(tmp_path / "m.back")]) == 0
+        assert len(calls) == 1
+
+    def test_to_spinc_sweeps_the_bundled_basis(self, tmp_path, monkeypatch):
+        # the module of a file comes with the basis written there, so it is
+        # checked against the reloaded triple's cda once
+        src = tmp_path / "m.striple"
+        save_triple(src, matrix_geometry(2, seed=7))
+        riem = tmp_path / "m.riem"
+        assert main(["convert", "to-riemannian", str(src), "-o", str(riem)]) == 0
+        calls = []
+        sweep = convert.within_span
+        monkeypatch.setattr(convert, "within_span",
+                            lambda *args: calls.append(1) or sweep(*args))
         assert main(["convert", "to-spinc", str(riem), "-o", str(tmp_path / "m.back")]) == 0
         assert len(calls) == 1
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgeo import convert, linalg, triples
+from ncgeo import convert, linalg, tomita, triples
 from ncgeo.algebra import AlgebraBasis, commutant
 from ncgeo.convert import (
     CliffordModuleData,
@@ -40,7 +40,13 @@ from ncgeo.linalg import (
 )
 from ncgeo.modules import parseval_frame
 from ncgeo.tomita import AntiunitaryMap, opposite_action, opposite_algebra, tomita_conjugation
-from ncgeo.triples import SpectralTripleData, check_riemannian, commutator_algebra, represent_chain
+from ncgeo.triples import (
+    HochschildChain,
+    SpectralTripleData,
+    check_riemannian,
+    commutator_algebra,
+    represent_chain,
+)
 
 from test_algebra import NILPOTENT, inequivalent_pair, kronecker_intertwiners
 
@@ -71,6 +77,36 @@ class TestForwardConversion:
     def test_two_point_rejected(self):
         with pytest.raises(ValueError, match="spin"):
             spinc_to_riemannian(two_point(1.0))
+
+    @pytest.mark.parametrize("case, prefix", [
+        ("grading", "input triple invalid: validate:grading_anticommutes_dirac (residual "),
+        ("cycle", "orientability fails: orient:volume_involution (residual "),
+        ("two_point", "spin^c prerequisites fail: spinc:morita:actions_commute (residual "),
+    ])
+    def test_refusal_is_one_line(self, case, prefix):
+        # the failed ids with their residuals, joined on one line
+        base = matrix_geometry(2, seed=7)
+        n = base.hilbert_dim
+        t = {"grading": lambda: replace(base, grading=np.eye(n)),
+             "cycle": lambda: replace(base, orientation_cycle=HochschildChain(
+                 0, [(2.0 * np.eye(n),)], generalized=True)),
+             "two_point": lambda: two_point(1.0)}[case]()
+        with pytest.raises(ValueError) as err:
+            spinc_to_riemannian(t)
+        assert str(err.value).startswith(prefix)
+        assert "\n" not in str(err.value)
+
+    def test_riemannian_refusal_is_one_line(self, mgeom_forward):
+        t, forward = mgeom_forward
+        tri = forward.output
+        phi = np.zeros(tri.hilbert_dim)
+        phi[0] = 1.0
+        with pytest.raises(ValueError) as err:
+            riemannian_to_spinc(replace(tri, riemann_vector=phi), module_of(t, forward))
+        assert str(err.value).startswith("Riemannian prerequisites fail: "
+                                         "riemann:metric_solves_state (residual ")
+        assert "; riemann:grading_fixes_vector (residual " in str(err.value)
+        assert "\n" not in str(err.value)
 
     def test_missing_right_action_rejected(self):
         # check_spinc skips without a right action; the conversion refuses
@@ -155,15 +191,33 @@ class TestBackwardConversion:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_recovers_the_source_less_its_commutant_part(self, seed):
-        # D2 = u (S - E_{A'}(S)) u^*, and not u S u^*: the backward Dirac
-        # operator is not the source transported by construction
+        # u intertwines the pairs (a, [D, a]), so k = u^* D2 u - S commutes
+        # with the source algebra: the backward Dirac operator is the source
+        # up to a part in A', whose relative norm is the witness
         t = matrix_geometry(2, seed=seed)
         res = round_trip_check(t)
         assert res.report.passed
-        u, d2, s = res.witness["intertwiner"], res.output.dirac, t.dirac
+        u, out, s = res.witness["intertwiner"], res.output, t.dirac
         scale = operator_norm(s)
-        assert operator_norm(d2 - u @ reduced_source(t).dirac @ adjoint(u)) <= 1e-12 * max(1.0, scale)
-        assert operator_norm(u @ s @ adjoint(u) - d2) > 0.1 * scale
+        k = adjoint(u) @ out.dirac @ u - s
+        assert operator_norm(k - project_onto_span(k, commutant(t.algebra()).basis)) <= 1e-12 * scale
+        for a1, a2 in zip(t.algebra_gens, out.algebra_gens):
+            moved = u @ (s @ a1 - a1 @ s) @ adjoint(u)
+            assert operator_norm(moved - (out.dirac @ a2 - a2 @ out.dirac)) <= 1e-12 * scale
+        witness = res.witness["backward"].witness
+        assert witness["commutant_part"] == pytest.approx(operator_norm(k) / scale, rel=1e-12)
+        assert witness["pair_family_dim"] == 4
+
+    def test_other_dirac_commutators_get_no_intertwiner(self, mgeom_forward):
+        # the same algebra with another Dirac operator: the A-intertwiners
+        # exist, but none matches the Dirac commutators
+        t, forward = mgeom_forward
+        other = replace(t, dirac=matrix_geometry(2, seed=5).dirac)
+        backward, u, rep = backward_round_trip(forward.output, module_of(t, forward), other)
+        assert u is None
+        assert [(e.condition_id, e.status) for e in rep.entries] == [("intertwine:action_solutions", "fail")]
+        assert backward.witness["pair_family_dim"] == 0
+        assert backward.witness["commutant_part"] is None
 
     def test_potential_entries(self, mgeom_forward):
         # the Grassmann connection's two potential entries hold by
@@ -505,6 +559,25 @@ def test_round_trip_splits_three_cdas(monkeypatch):
     assert len(calls) == 3
 
 
+def test_round_trip_does_each_piece_once(monkeypatch):
+    # the backward half reuses the forward output's Tomita conjugation
+    # (carried over by regraded) and its Riemannian report, and takes its
+    # module over the output's own cda basis, with no membership sweep
+    calls = {"conjugation": 0, "riemannian": 0, "sweep": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(tomita, "_conjugation", counted("conjugation", tomita._conjugation))
+    monkeypatch.setattr(triples, "_riemannian", counted("riemannian", triples._riemannian))
+    monkeypatch.setattr(convert, "within_span", counted("sweep", convert.within_span))
+    assert round_trip_check(matrix_geometry(3, seed=0)).report.passed
+    assert calls == {"conjugation": 1, "riemannian": 1, "sweep": 0}
+
+
 @pytest.fixture(scope="module", params=[7, 2001408477])
 def forward_and_module(request):
     t = matrix_geometry(2, seed=request.param)
@@ -608,47 +681,50 @@ class TestIntertwiner:
         assert not rep.passed
 
 
-    def test_round_trip_intertwiner_phase(self):
-        # the family of exact intertwiners is one-dimensional, so u is fixed
-        # up to a phase, and the phase is fixed by Tr(u) > 0: solving with the
-        # generators in reverse order gives the same u
-        res = round_trip_check(matrix_geometry(2, seed=7))
-        t = reduced_source(matrix_geometry(2, seed=7))
+    def test_round_trip_intertwiner_phase(self, monkeypatch):
+        # u is the polar factor of a seeded member of the pair family, with
+        # its phase fixed by Tr(u) > 0; the member is a projection onto the
+        # family, so solving with the pairs in reverse order gives the same u
+        t = matrix_geometry(2, seed=7)
+        res = round_trip_check(t)
         u = res.witness["intertwiner"]
         tr = np.trace(u)
         assert tr.real > 0.0 and abs(tr.imag) <= 1e-12 * abs(tr)
-        out = res.output
-        u_rev, rep_rev = intertwine_triples(
-            SpectralTripleData(t.hilbert_dim, t.algebra_gens[::-1], t.dirac),
-            SpectralTripleData(out.hilbert_dim, out.algebra_gens[::-1], out.dirac))
-        assert np.allclose(u_rev, u, rtol=0, atol=1e-10)
+        assert operator_norm(adjoint(u) @ u - np.eye(len(u))) <= 1e-12
+        solve = convert.intertwiners
+        monkeypatch.setattr(convert, "intertwiners",
+                            lambda g1, g2, tol: solve(g1[::-1], g2[::-1], tol))
+        rev = round_trip_check(matrix_geometry(2, seed=7))
+        assert np.allclose(rev.witness["intertwiner"], u, rtol=0, atol=1e-10)
         # the phase moves no residual: the report's are those of u
+        out = res.output
         worst = max(operator_norm(u @ a1 - a2 @ u) / max(1.0, operator_norm(a1))
                     for a1, a2 in zip(t.algebra_gens, out.algebra_gens))
         assert res.report.entry("intertwine:action_residual").residual == worst
-        dres = operator_norm(u @ t.dirac - out.dirac @ u)
-        assert res.report.entry("intertwine:dirac_residual").residual == dres
+        k = adjoint(u) @ out.dirac @ u - t.dirac
+        outside = k - project_onto_span(k, commutant(t.algebra()).basis)
+        assert res.report.entry("intertwine:dirac_residual").residual == \
+            operator_norm(outside) / operator_norm(t.dirac)
         for cid in ("intertwine:action_residual", "intertwine:dirac_residual"):
             assert res.report.entry(cid).status == "pass"
-            assert rep_rev.entry(cid).residual < 1e-12
-
+            assert rev.report.entry(cid).residual < 1e-12
 
     @pytest.mark.parametrize("name", [f"trivial_points{n}" for n in range(3, 8)]
                              + ["mgeom2_s0", "mgeom2_s7"])
     def test_exact_choice_is_independent_of_the_family_basis(self, name, monkeypatch):
-        # the Kronecker family of the generators alone, in its own basis,
-        # leads to the same witness: the probes are projected onto the
-        # subspace of exact intertwiners, not combined in its coordinates
-        t = trivial_points(int(name[-1])) if name.startswith("trivial") else \
-            matrix_geometry(2, seed=int(name[-1]))
-        out = round_trip_check(t).output
-        t = reduced_source(t)
-        u, rep = intertwine_triples(t, out)
+        # the Kronecker family of the pairs (a, [D, a]) alone, in its own
+        # basis, leads to the same witness: the seeded probes are projected
+        # onto the family, not combined in its coordinates
+        def source():
+            return trivial_points(int(name[-1])) if name.startswith("trivial") else \
+                matrix_geometry(2, seed=int(name[-1]))
+
+        u = round_trip_check(source()).witness["intertwiner"]
         monkeypatch.setattr(convert, "intertwiners", lambda g1, g2, tol: kronecker_intertwiners(
             g1, g2, tol, with_adjoints=False))
-        u_kron, rep_kron = intertwine_triples(t, out)
-        assert rep.passed and rep_kron.passed
-        assert np.max(np.abs(u - u_kron)) <= 1e-12
+        res = round_trip_check(source())
+        assert res.report.passed
+        assert np.max(np.abs(res.witness["intertwiner"] - u)) <= 1e-12
 
     def test_empty_family_names_the_wedderburn_blocks(self):
         gens1, gens2 = inequivalent_pair()
@@ -737,9 +813,9 @@ class TestOppositeOneFormSpan:
         assert abs(worst - max_span_residual(xs, one_form_span(tri.dirac, opposite))) <= 1e-12
 
     def test_round_trip_intertwiner_factors_small_systems(self, monkeypatch):
-        # the intertwiners are solved on the 3 x 36 pairs of eigenvectors of
-        # the merged clusters: 108 unknowns at H=18, where the Kronecker
-        # system had 324
+        # the round trip's one intertwiner solve, on the pairs (a, [D, a]),
+        # runs on the 6 x 9 pairs of eigenvectors of the merged clusters of
+        # the cda: 54 unknowns at H=18, where the Kronecker system has 324
         unknowns, inside = [], []
         real = {name: getattr(np.linalg, name) for name in ("svd", "qr")}
 
@@ -750,20 +826,22 @@ class TestOppositeOneFormSpan:
                 return real[name](a, *args, **kwargs)
             return factor
 
-        def intertwine_spy(*args, **kwargs):
+        def intertwiners_spy(*args, **kwargs):
             inside.append(True)
             try:
-                return intertwine(*args, **kwargs)
+                return solve(*args, **kwargs)
             finally:
                 inside.pop()
 
-        intertwine = convert.intertwine_triples
+        solve = convert.intertwiners
         for name in real:
             monkeypatch.setattr(np.linalg, name, spy(name))
-        monkeypatch.setattr(convert, "intertwine_triples", intertwine_spy)
+        monkeypatch.setattr(convert, "intertwiners", intertwiners_spy)
         res = round_trip_check(matrix_geometry(3, seed=0))
-        assert res.report.entry("intertwine:action_solutions").details == "family dimension 36"
-        assert unknowns and max(unknowns) == 108
+        assert res.report.entry("intertwine:action_solutions").details == \
+            "dimension 36 of the A-intertwiner family"
+        assert res.witness["backward"].witness["pair_family_dim"] == 9
+        assert unknowns and max(unknowns) == 54
 
 
 class TestDoubling:

@@ -26,6 +26,7 @@ from ncgeo.linalg import (
     span_residual,
     to_blocks,
     unit_floor_norms,
+    within_span,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,6 +141,23 @@ class TestSpanBasis:
                 assert worst == max(loop_span_residuals(part, b))
                 assert abs(worst - max(span_residual(x, b) for x in part)) <= 1e-12
         assert max_span_residual(np.zeros((0, 4, 4)), basis) == 0.0
+
+    @pytest.mark.parametrize("size", [1e-14, 1e-3, 10.0])
+    def test_gate_is_the_residual_bound(self, size):
+        # within_span reads max_span_residual <= bound: the Frobenius norms
+        # settle it when they are within the bound, the 2-norms otherwise
+        rng = np.random.default_rng(19)
+        basis = span_basis([random_complex(rng, (4, 4)) for _ in range(6)])
+        xs = np.stack([sum(rng.standard_normal() * b for b in basis) + size * random_complex(rng, (4, 4))
+                       for _ in range(5)])
+        worst = max_span_residual(xs, basis)
+        flat = xs.reshape(len(xs), -1)
+        b = basis.reshape(len(basis), -1)
+        fro = float(np.max(np.linalg.norm(flat - (flat @ b.conj().T) @ b, axis=1)))
+        assert worst < fro
+        for bound in (0.5 * worst, worst, 0.5 * (worst + fro), fro, 2.0 * fro):
+            assert within_span(xs, basis, bound) == (worst <= bound)
+        assert within_span(np.zeros((0, 4, 4)), basis, 0.0)
 
 
 def loop_span_residuals(xs, basis):

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgeo.algebra import AlgebraBasis, commutant
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points
-from ncgeo.linalg import adjoint, max_span_residual, operator_norm, random_complex
+from ncgeo.linalg import DEFAULT_TOL, adjoint, max_span_residual, operator_norm, random_complex
 from ncgeo.tomita import (
     AntiunitaryMap,
     check_fundamental_class,
@@ -14,7 +18,7 @@ from ncgeo.tomita import (
     opposite_algebra,
     tomita_conjugation,
 )
-from ncgeo.triples import SpectralTripleData
+from ncgeo.triples import SpectralTripleData, check_riemannian
 
 from test_linalg import loop_span_residuals
 
@@ -26,6 +30,25 @@ def riemann_pair():
     tri = res.output
     j = AntiunitaryMap(res.witness["conjugation_kernel"])
     return tri, j, res
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_regraded_carries_the_conjugation(seed):
+    # J depends on phi and the span of the cda, not on the grading: the map
+    # that regraded carries is the one a fresh copy computes, and a
+    # dataclasses.replace copy starts with no cached map or report
+    t = spinc_to_riemannian(matrix_geometry(2, seed=seed)).output
+    # the forward output is a regraded copy: its J came with it
+    assert ("conjugation", DEFAULT_TOL) in t._cache
+    j = tomita_conjugation(t)
+    assert t.regraded(-t.grading)._cache[("conjugation", DEFAULT_TOL)] is j
+    rep, _ = check_riemannian(t)
+    assert check_riemannian(t)[0] is rep
+    fresh = replace(t)
+    assert ("conjugation", DEFAULT_TOL) not in fresh._cache
+    assert ("riemannian", DEFAULT_TOL) not in fresh._cache
+    assert np.max(np.abs(tomita_conjugation(fresh).kernel - j.kernel)) <= 1e-12
 
 
 class TestTomitaConjugation:

@@ -621,14 +621,11 @@ class TestBarrettTriples:
         for key in ("actions_commute", "compatibility"):
             assert rep.entry(f"spinc:morita:{key}").details.startswith("bound from")
 
-    @pytest.mark.xfail(strict=True,
-                       reason="the round trip compares D2 with the source Dirac operator less its "
-                              "commutant part, which differs from the Kasparov product's D on "
-                              "anticommutator terms; intertwine:dirac_residual fails "
-                              "(ROADMAP R)")
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", ["11", "20"])
     def test_round_trip_passes(self, n, kind):
+        # u^* D2 u - S lies in the commutant of the algebra, though it is not
+        # -E_{A'}(S) when D has anticommutator terms
         res = round_trip_check(barrett_triple(n, kind))
         assert res.report.passed, [e.condition_id for e in res.report.failures()]
 
