@@ -17,7 +17,11 @@ commutant A' of the generators is solved, the same cluster reading on A'
 gives the data, and A = A'' follows in closed form or from a second solve.
 A generated algebra keeps A' and its Wedderburn data, so `commutant`
 returns the stored A' and `center` is the span of the isotypic projections
-W_k W_k*; hand-built algebras take the solves.
+W_k W_k*; hand-built algebras take the solves.  `transport_algebra` carries
+the data through a compression x -> U* (1 (x) x) U that is a
+*-homomorphism (the conversions' outputs), under a gate no looser than the
+generators' pattern fit above; without a stored A', `commutant` writes it
+down from the data.
 
 `graded_split` splits an algebra under x -> g x g from the Hermitian
 d x d matrix of that involution on the basis: its eigenvectors combine
@@ -40,14 +44,15 @@ from .linalg import (
     operator_norm,
     project_onto_span,
     rel_residual,
+    scaled_within,
     span_coords,
     span_residual,
-    unit_floor_norms,
 )
 
 __all__ = [
     "AlgebraBasis",
     "generate_algebra",
+    "transport_algebra",
     "commutant",
     "commutant_pattern",
     "intertwiners",
@@ -149,21 +154,31 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     if wedderburn is None:
         basis = commutant(AlgebraBasis(n, comm), tol).basis
     else:
-        # E_ab (x) 1_{m_k} / sqrt(m_k) in the columns of each component
-        basis = np.concatenate([
-            np.einsum("iap,jbp->abij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[2])
-            for w_k in _components(*wedderburn)])
+        basis = _algebra_pattern(*wedderburn)
     return AlgebraBasis(n, basis, gens, commutant_basis=comm, wedderburn=wedderburn)
+
+
+def _algebra_pattern(w, blocks) -> np.ndarray:
+    """Orthonormal basis of w (+_k M_{n_k} (x) 1_{m_k}) w*: E_ab (x) 1_{m_k} /
+    sqrt(m_k) in the columns of each component, x_a x_b^* / sqrt(m_k) for
+    x_a its columns (a, :)."""
+    return np.concatenate([_outer_products(w_k.transpose(1, 0, 2)) / np.sqrt(w_k.shape[2])
+                           for w_k in _components(w, blocks)])
 
 
 def commutant_pattern(w, blocks) -> np.ndarray:
     """Orthonormal basis of w (+_k 1_{n_k} (x) M_{m_k}) w*, the commutant of
     the algebra with Wedderburn data (w, blocks): 1_{n_k} (x) E_pq / sqrt(n_k)
-    in the columns of each component."""
-    n = len(w)
-    return np.concatenate([
-        np.einsum("iap,jaq->pqij", w_k, w_k.conj()).reshape(-1, n, n) / np.sqrt(w_k.shape[1])
-        for w_k in _components(w, blocks)])
+    in the columns of each component, y_p y_q^* / sqrt(n_k) for y_p its
+    columns (:, p)."""
+    return np.concatenate([_outer_products(w_k.transpose(2, 0, 1)) / np.sqrt(w_k.shape[1])
+                           for w_k in _components(w, blocks)])
+
+
+def _outer_products(x) -> np.ndarray:
+    """x_a x_b^* over the pairs (a, b) of an (s, n, r) stack, a-major, as an
+    (s^2, n, n) stack: one batched product."""
+    return (x[:, None] @ x.conj().swapaxes(-1, -2)[None]).reshape(-1, x.shape[1], x.shape[1])
 
 
 def _components(w, blocks):
@@ -171,6 +186,98 @@ def _components(w, blocks):
     ends = np.cumsum([n_k * m_k for n_k, m_k in blocks])
     return [w[:, end - n_k * m_k:end].reshape(-1, n_k, m_k)
             for end, (n_k, m_k) in zip(ends, blocks)]
+
+
+def transport_algebra(alg: AlgebraBasis, u, generators,
+                      tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
+    """The image pi(A) of an algebra A with Wedderburn data under
+    pi(x) = U^* (1_m (x) x) U, for an (m n, r) isometry U whose range
+    projector commutes with 1_m (x) A, with its own Wedderburn data and
+    `generators` (operators on C^r that generate the image) as its
+    generators; None when A has no Wedderburn data or the image misses the
+    gate, and the caller generates it instead.
+
+    pi is then a unital *-homomorphism.  For the matrix units e_ab of
+    component k of A, pi(e_11) is the projection onto a space V_k of rank
+    m'_k (one eigh of an r x r Gram matrix), and the columns
+    pi(e_a1) V_k[:, p] = U^* (1_m (x) e_a1)(U V_k[:, p]) are the component's
+    columns (a, p) of the image's frame W', with blocks (n_k, m'_k); no
+    element of A's basis is pulled back.  The basis is the closed form of
+    `generate_algebra`; no commutant is stored, and `commutant` writes A'
+    down from the data when asked.
+
+    The gate is no looser than that of `_generated_wedderburn`: each
+    pi(e_11) has its eigenvalues within 1e-3 rank_cut of 0 or 1 and keeps
+    its component (rank m'_k > 0), W' is square with |W'^* W' - 1|_F at
+    most 1e-3 rank_cut, and every generator fits the pattern of W' to
+    within 1e-3 rank_cut of max(1, |g|_2).
+    """
+    if alg.wedderburn is None:
+        return None
+    gens = np.stack([as_complex_matrix(g) for g in generators])
+    u = np.asarray(u, dtype=complex)
+    n, r = alg.hilbert_dim, u.shape[1]
+    rows = u.reshape(-1, n, r)
+    threshold = 1e-3 * tol.rank_cut
+    cols, blocks = [], []
+    for w_k in _components(*alg.wedderburn):
+        n_k = w_k.shape[1]
+        # the row blocks of (1_m (x) W_1^*) U, whose Gram matrix is pi(e_11)
+        head = adjoint(w_k[:, 0, :]) @ rows
+        flat = head.reshape(-1, r)
+        vals, vecs = np.linalg.eigh(adjoint(flat) @ flat)
+        if np.max(np.minimum(np.abs(vals), np.abs(vals - 1.0))) > threshold:
+            return None
+        v = vecs[:, vals > 0.5]
+        if v.shape[1] == 0:
+            return None
+        # column (a, p): sum_i U_i^* W_a (W_1^* U_i v_p)
+        legs = w_k.transpose(1, 0, 2)[:, None] @ (head @ v)[None]
+        image = adjoint(u) @ legs.reshape(n_k, -1, v.shape[1])
+        cols.append(image.transpose(1, 0, 2).reshape(r, -1))
+        blocks.append((n_k, v.shape[1]))
+    w = np.concatenate(cols, axis=1)
+    if w.shape[1] != r or not np.linalg.norm(adjoint(w) @ w - np.eye(r)) <= threshold:
+        return None
+    if not scaled_within(_pattern_residual(adjoint(w) @ gens @ w, blocks), gens, threshold):
+        return None
+    wedderburn = (w, tuple(blocks))
+    return AlgebraBasis(r, _algebra_pattern(*wedderburn), gens, wedderburn=wedderburn)
+
+
+def _transport_preimage(alg: AlgebraBasis, image: AlgebraBasis, u):
+    """(x, pi(x)) for the elements x_j of A that `transport_algebra` maps
+    through U onto its image's closed-form basis: element (k, a, b) there is
+    pi(e_ab) / sqrt(m'_k), so x_j = e_ab / sqrt(m'_k).  Its image is
+    evaluated as Y_a^* Y_b / sqrt(m'_k), Y_a = (1_m (x) W_a^*) U, at a
+    fraction of the cost of pulling x back."""
+    n, r = alg.hilbert_dim, image.hilbert_dim
+    rows = np.asarray(u).reshape(-1, n, r)
+    pre, images = [], []
+    for w_k, (_, m_out) in zip(_components(*alg.wedderburn), image.wedderburn[1]):
+        cols = w_k.transpose(1, 0, 2)
+        # ys[a] stacks the row blocks W_a^* U_i of Y_a
+        ys = (cols.conj().swapaxes(-1, -2)[:, None] @ rows[None]).reshape(len(cols), -1, r)
+        pre.append(_outer_products(cols) / np.sqrt(m_out))
+        images.append(_outer_products(ys.conj().swapaxes(-1, -2)) / np.sqrt(m_out))
+    return np.concatenate(pre), np.concatenate(images)
+
+
+def _pattern_residual(coords, blocks) -> np.ndarray:
+    """What each matrix of a stack has beyond its trace-orthogonal projection
+    onto +_k M_{n_k} (x) 1_{m_k}, in columns grouped by component k and
+    ordered (a, p) within it: the pattern keeps, per component, the mean
+    over p of the (a, p), (b, p) entries."""
+    resid = coords.copy()
+    start = 0
+    for n_k, m_k in blocks:
+        end = start + n_k * m_k
+        block = coords[:, start:end, start:end].reshape(-1, n_k, m_k, n_k, m_k)
+        coef = np.trace(block, axis1=2, axis2=4) / m_k
+        resid[:, start:end, start:end] -= (coef[:, :, None, :, None] * np.eye(m_k)[:, None, :]
+                                           ).reshape(-1, n_k * m_k, n_k * m_k)
+        start = end
+    return resid
 
 
 def _generated_wedderburn(gens, tol):
@@ -188,8 +295,7 @@ def _generated_wedderburn(gens, tol):
     if frame is None:
         return None
     w, blocks, resid = frame
-    threshold = 1e-3 * tol.rank_cut
-    if max_operator_norm(resid, unit_floor_norms(gens), floor=threshold) > threshold:
+    if not scaled_within(resid, gens, 1e-3 * tol.rank_cut):
         return None
     return w, blocks
 
@@ -331,12 +437,15 @@ def _block_intertwiners(mats1, mats2, vecs1, vecs2, rows, cols, tol):
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All operators commuting with the generators and their adjoints: the
-    stored commutant of a generated algebra, otherwise
+    stored commutant of a generated algebra, the closed form of its
+    Wedderburn data when none is stored, otherwise
     `intertwiners(generators, generators)`, the diagonal case of that solve.
     """
     n = alg.hilbert_dim
     if alg.commutant_basis is not None:
         return AlgebraBasis(n, alg.commutant_basis)
+    if alg.wedderburn is not None:
+        return AlgebraBasis(n, commutant_pattern(*alg.wedderburn))
     return AlgebraBasis(n, intertwiners(alg.generators, alg.generators, tol))
 
 

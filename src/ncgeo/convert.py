@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraBasis, commutant, intertwiners
+from .algebra import AlgebraBasis, _transport_preimage, commutant, intertwiners
 from .kasparov import (
     BimoduleConnection,
     _twist,
@@ -22,6 +22,7 @@ from .linalg import (
     as_complex_matrix,
     commutator_residual,
     from_blocks,
+    max_frobenius,
     max_operator_norm,
     operator_norm,
     project_onto_span,
@@ -29,6 +30,7 @@ from .linalg import (
     pull_back,
     random_complex,
     rel_residual,
+    scaled_within,
     span_basis,
     to_blocks,
     unit_floor_norms,
@@ -40,6 +42,7 @@ from .tomita import grading_from_cycle, opposite_action, opposite_algebra, tomit
 from .triples import (
     HochschildChain,
     SpectralTripleData,
+    carry_algebras,
     check_orientability,
     check_riemannian,
     check_spinc,
@@ -97,8 +100,10 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     Twists the triple by the conjugate of its own module with the Grassmann
     connection, builds the distinguished vector from a tight frame of the
     right action, the conjugation from that vector, and the grading from
-    the transported orientation operator.  Even declared dimension only;
-    the explicit odd tool is `double_odd_triple` (`ncgeo double`).
+    the transported orientation operator.  The output's algebra and cda are
+    the source's carried through u (`triples.carry_algebras`).  Even
+    declared dimension only; the explicit odd tool is `double_odd_triple`
+    (`ncgeo double`).
     """
     val = validate_triple(t, tol)
     if not val.passed:
@@ -158,6 +163,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         if t.declared_p == 0 else None,
         riemann_vector=phi,
     )
+    carried = carry_algebras(base, t, u, tol)
     out_cda = base.cda(tol)
     if out_cda.dim != base.hilbert_dim:
         raise ValueError(
@@ -170,19 +176,24 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     eps, grep = grading_from_cycle(base, chat, j, tol)
     out = base.regraded(eps, tol)
 
-    # source-aligned basis for round trips: the images u^* (1_m (x) w) u of
-    # the source basis fitted to the output's own stored cda basis, so a
-    # module over that basis needs no membership sweep
-    hat = pull_back(u, cda.basis)
-    hat_cols = hat.reshape(cda.dim, -1).T
+    # source-aligned basis for round trips: source elements s_k with
+    # u^* (1_m (x) s_k) u equal to basis element k of the output's own
+    # stored cda, so a module over that basis needs no membership sweep
     out_basis = out.cda(tol).basis
-    # column k of coeffs fits basis element k of the new algebra
-    coeffs, _, _, _ = np.linalg.lstsq(hat_cols, out_basis.reshape(len(out_basis), -1).T, rcond=None)
-    fit = (hat_cols @ coeffs).T.reshape(out_basis.shape)
-    rep.add("convert:algebra_transport",
-            max_operator_norm(fit - out_basis, unit_floor_norms(out_basis)),
-            max(tol.rel, 1e-8))
-    src_basis = list(cda.combine(coeffs.T))
+    flat = out_basis.reshape(len(out_basis), -1)
+    if carried is not None:
+        # the split combines the carried closed-form basis, whose preimages
+        # and their images are known
+        split = flat @ carried.basis.reshape(carried.dim, -1).conj().T
+        src_basis, fit = (np.tensordot(split, x, 1) for x in _transport_preimage(cda, carried, u))
+    else:
+        hat_cols = pull_back(u, cda.basis).reshape(cda.dim, -1).T
+        coeffs, _, _, _ = np.linalg.lstsq(hat_cols, flat.T, rcond=None)
+        src_basis = cda.combine(coeffs.T)
+        fit = (hat_cols @ coeffs).T.reshape(out_basis.shape)
+    # a Frobenius bound on |u^* (1_m (x) s_k) u - b_k|_2 / max(1, |b_k|_2)
+    rep.add("convert:algebra_transport", max_frobenius(fit - out_basis),
+            max(tol.rel, 1e-8), "Frobenius bound")
     rep.extend(grep, prefix="convert:")
     witness = {
         "phi": phi,
@@ -193,7 +204,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         "module_basis": u,
         "frame": xs,
         "c_basis_out": list(out_basis),
-        "c_basis_src": src_basis,
+        "c_basis_src": list(src_basis),
         "source": t,
     }
 
@@ -215,7 +226,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     # diagonal part of the module projector
     diag_weight = np.trace(to_blocks(q_big, m))
     k = min(6, cda.dim)
-    lhs = np.trace(hat[:k], axis1=1, axis2=2)
+    lhs = np.trace(pull_back(u, cda.basis[:k]), axis1=1, axis2=2)
     rhs = np.einsum("kab,ba->k", cda.basis[:k], diag_weight)
     rep.add("convert:trace_bookkeeping",
             float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))), max(tol.rel, 1e-9))
@@ -262,7 +273,7 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     # column k: the left action coordinates of carrier basis element k
     coeffs = np.linalg.pinv(act_cols) @ carrier.basis.reshape(carrier.dim, -1).T
     fit = (act_cols @ coeffs).T.reshape(carrier.basis.shape)
-    if not max_operator_norm(fit - carrier.basis, unit_floor_norms(carrier.basis)) <= max(tol.rel, 1e-6):
+    if not scaled_within(fit - carrier.basis, carrier.basis, max(tol.rel, 1e-6)):
         raise ValueError("carrier pairing value leaves the module action span")
     source_ops = np.tensordot(coeffs.T, basis_ops, axes=1)
     # the right actions of the source operators; opposite_action adjoints
@@ -289,7 +300,8 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
 
 def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
                         tol: Tolerance = DEFAULT_TOL,
-                        potential: np.ndarray | None = None) -> ConversionResult:
+                        potential: np.ndarray | None = None, *,
+                        _right: AlgebraBasis | None = None) -> ConversionResult:
     """Spin^c data from a Riemannian triple and an equivalence module.
 
     The twisted operator uses the Parseval frame of the carrier algebra
@@ -297,7 +309,10 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     (a block operator whose entries must lie in the represented one-form
     span of the conjugation-induced right action).  Without a potential
     the two potential entries hold by construction and say so.  Even
-    declared dimension only.
+    declared dimension only.  The output's algebra, and without a
+    potential its cda, are `t`'s carried through V (`carry_algebras`).
+    `_right`, for the round trip only, is the generated algebra of the
+    module's right action generators, taken as the output's right algebra.
     """
     rr, rctx = check_riemannian(t, tol)
     if not rr.passed:
@@ -366,6 +381,9 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
         orientation_cycle=HochschildChain(0, [(grading,)], generalized=True)
         if t.declared_p == 0 else None,
     )
+    carry_algebras(out, t, v_unit, tol, with_cda=potential is None)
+    if _right is not None:
+        out._cache[("right", tol)] = _right
     vrep = validate_triple(out, tol)
     rep.extend(vrep)
     sp, _ = check_spinc(out, tol)
@@ -479,7 +497,11 @@ def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,
     beside the family's dimension `pair_family_dim`.  Returns (backward
     result, intertwiner or None, intertwiner report).
     """
-    backward = riemannian_to_spinc(tri, module, tol)
+    # the source's right action, when the module's generators are its very
+    # matrices, is the output's: generation is a function of the matrices
+    gens, own = module.right_action_gens, source.right_action_gens
+    same = own is not None and len(gens) == len(own) and all(map(np.array_equal, gens, own))
+    backward = riemannian_to_spinc(tri, module, tol, _right=source.right_algebra(tol) if same else None)
     out = backward.output
     backward.witness.update(commutant_part=None, pair_family_dim=0)
     rep = CheckReport()

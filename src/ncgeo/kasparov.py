@@ -41,7 +41,7 @@ from .linalg import (
     unit_floor_norms,
 )
 from .report import CheckReport
-from .triples import SpectralTripleData, first_order_residuals
+from .triples import SpectralTripleData, first_order_residuals, first_order_within
 from .modules import ProjectiveModule, parseval_frame, validate_module
 
 __all__ = [
@@ -215,8 +215,8 @@ def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basi
     module itself is the caller's to certify."""
     module = conn.module
     _validate_potential(t, conn, tol)
-    fo = max(first_order_residuals(t, module.base.basis))
-    if fo > max(tol.rel, 1e-7):
+    if not first_order_within(t, module.base.basis, max(tol.rel, 1e-7)):
+        fo = max(first_order_residuals(t, module.base.basis))
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
     u = basis(module.projector)
     ahat = np.zeros((u.shape[1],) * 2, dtype=complex) if conn.potential is None else \

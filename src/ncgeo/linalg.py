@@ -17,15 +17,16 @@ __all__ = [
     "adjoint",
     "operator_norm",
     "max_operator_norm",
+    "max_frobenius",
     "unit_floor_norms",
     "projector_gap",
     "commutator_residual",
+    "commutators_within",
     "rel_residual",
     "is_hermitian",
     "herm_eig",
     "herm_apply",
     "herm_abs",
-    "block_diag",
     "block_apply",
     "pull_back",
     "to_blocks",
@@ -36,10 +37,10 @@ __all__ = [
     "span_residual",
     "max_span_residual",
     "within_span",
+    "scaled_within",
     "null_space",
     "random_complex",
     "random_hermitian",
-    "random_unitary",
 ]
 
 
@@ -145,6 +146,15 @@ def _frobenius(mats) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
+def max_frobenius(stack) -> float:
+    """The largest Frobenius norm over a stack of matrices, 0.0 for an empty
+    one.  It bounds `max_operator_norm` of the stack under any scales of at
+    least 1, so a gate it meets needs no 2-norm."""
+    stack = np.asarray(stack)
+    mats = stack.reshape((-1,) + stack.shape[-2:])
+    return float(np.max(_frobenius(mats), initial=0.0))
+
+
 def unit_floor_norms(xs) -> np.ndarray:
     """max(1, |x|_2) for each matrix of a stack, over its leading axes: the
     float of `np.maximum(1, np.linalg.norm(xs, 2, axis=(-2, -1)))`.
@@ -201,10 +211,33 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
     """
     if len(xs) == 0 or len(ys) == 0:
         return float(floor)
+    xs, ys, comm = _commutators(xs, ys, twisted)
+    return max_operator_norm(comm, _commutator_scale(xs, ys), floor=floor)
+
+
+def commutators_within(xs, ys, bound: float, twisted=None) -> bool:
+    """commutator_residual(xs, ys, twisted) <= bound, for a gate.  Each scale
+    is at least 1, so no 2-norm is taken when every commutator's Frobenius
+    norm is within the bound; otherwise the 2-norms decide."""
+    if len(xs) == 0 or len(ys) == 0:
+        return 0.0 <= bound
+    xs, ys, comm = _commutators(xs, ys, twisted)
+    if max_frobenius(comm) <= bound:
+        return True
+    return max_operator_norm(comm, _commutator_scale(xs, ys)) <= bound
+
+
+def _commutators(xs, ys, twisted):
+    """(xs, ys, comm) as arrays, comm[i, j] = x_i y_j - y'_j x_i."""
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     yt = ys if twisted is None else np.asarray(twisted)
-    comm = xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
+    return xs, ys, xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
+
+
+def _commutator_scale(xs, ys) -> np.ndarray:
+    """|x_i|_2 |y_j|_2, or 1 where |x_i|_F |y_j|_F is under 1 - 1e-12 (a
+    floor of 1 applies there anyway)."""
     rest = ~(_frobenius(xs)[:, None] * _frobenius(ys)[None, :] <= _UNDER_ONE)
     scale = np.ones(rest.shape)
     if rest.any():
@@ -214,7 +247,7 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
             out[need] = np.linalg.norm(mats[need], 2, axis=(-2, -1))
             norms.append(out)
         scale[rest] = np.outer(*norms)[rest]
-    return max_operator_norm(comm, scale, floor=floor)
+    return scale
 
 
 def rel_residual(x: np.ndarray, *scales: float) -> float:
@@ -256,11 +289,6 @@ def herm_apply(f, m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def herm_abs(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return herm_apply(abs, m, tol)
-
-
-def block_diag(op, n: int) -> np.ndarray:
-    """The operator op repeated n times down the diagonal, kron(1_n, op)."""
-    return np.kron(np.eye(n, dtype=complex), op)
 
 
 def block_apply(u, ops) -> np.ndarray:
@@ -354,15 +382,20 @@ def max_span_residual(xs, basis) -> float:
 
 
 def within_span(xs, basis, bound: float) -> bool:
-    """max_span_residual(xs, basis) <= bound, for a membership gate.  Each
-    residual's Frobenius norm bounds its 2-norm and each scale is at least
-    1, so no 2-norm is taken when every Frobenius norm is within the bound;
-    otherwise the 2-norms decide."""
+    """max_span_residual(xs, basis) <= bound, for a membership gate
+    (`scaled_within`)."""
     xs = np.asarray(xs, dtype=complex)
     if len(xs) == 0:
         return 0.0 <= bound
-    resid = _span_residuals(xs, basis)
-    if np.max(_frobenius(resid)) <= bound:
+    return scaled_within(_span_residuals(xs, basis), xs, bound)
+
+
+def scaled_within(resid, xs, bound: float) -> bool:
+    """max_k |resid_k|_2 / max(1, |xs_k|_2) <= bound, for a gate.  Each
+    residual's Frobenius norm bounds its 2-norm and each scale is at least
+    1, so no 2-norm is taken when every Frobenius norm is within the bound;
+    otherwise the 2-norms decide."""
+    if max_frobenius(resid) <= bound:
         return True
     return max_operator_norm(resid, unit_floor_norms(xs)) <= bound
 
@@ -392,7 +425,3 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     m = random_complex(rng, (n, n))
     return (m + adjoint(m)) / 2.0
 
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(rng, (n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -11,13 +11,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import AlgebraBasis, _clusters, commutant, center, generate_algebra, graded_split
+from .algebra import (
+    AlgebraBasis,
+    _clusters,
+    center,
+    commutant,
+    generate_algebra,
+    graded_split,
+    transport_algebra,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     adjoint,
     as_complex_matrix,
     commutator_residual,
+    commutators_within,
     herm_abs,
     herm_eig,
     max_operator_norm,
@@ -35,6 +44,7 @@ __all__ = [
     "HochschildChain",
     "validate_triple",
     "commutator_algebra",
+    "carry_algebras",
     "represent_chain",
     "hochschild_boundary",
     "chain_mul",
@@ -43,6 +53,7 @@ __all__ = [
     "fit_orientation_cycle",
     "check_first_order",
     "first_order_residuals",
+    "first_order_within",
     "check_finiteness",
     "check_spinc",
     "check_riemannian",
@@ -139,13 +150,14 @@ class SpectralTripleData:
         """The triple with `grading` in place of its own.  The algebra and the
         Dirac operator are kept, so the copy's cda at `tol` is this triple's
         re-spanned into homogeneous elements; nothing is generated again.  A
-        cached Tomita conjugation carries over too: it depends on phi and
-        the span of the cda, not on the grading."""
+        cached algebra and Tomita conjugation carry over too: neither depends
+        on the grading (the conjugation depends on phi and the span of the
+        cda)."""
         out = replace(self, grading=grading)
         out._cache[("cda", tol)] = _homogeneous(self.cda(tol), out.grading, tol)
-        key = ("conjugation", tol)
-        if key in self._cache:
-            out._cache[key] = self._cache[key]
+        for key in (("algebra", tol), ("conjugation", tol)):
+            if key in self._cache:
+                out._cache[key] = self._cache[key]
         return out
 
     def right_algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
@@ -224,6 +236,35 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
     """
     alg = generate_algebra(list(t.algebra_gens) + t.commutators(), tol=tol)
     return alg if t.grading is None else _homogeneous(alg, t.grading, tol)
+
+
+def carry_algebras(out: SpectralTripleData, src: SpectralTripleData, u,
+                   tol: Tolerance = DEFAULT_TOL, with_cda: bool = True) -> AlgebraBasis | None:
+    """Fill the algebra and (with `with_cda`) cda caches of `out` at `tol`
+    with those of `src` carried through pi(x) = U^* (1_m (x) x) U
+    (`algebra.transport_algebra`), and return the carried cda before its
+    graded split, or None if it was not carried.
+
+    For `out` a compression of `src` through an isometry U whose range
+    projector commutes with 1_m (x) the cda of `src`: its generators are
+    pi(a), and, with the Dirac operator U^* (D (x) 1) U, its commutators
+    [D^, pi(a)] = pi([D, a]), so its algebra and cda are the images of
+    `src`'s.  An image that misses the transport gate is left to be
+    generated on demand, and so is the algebra when `src` has not built
+    its own: generating `src`'s to carry it costs more than generating
+    `out`'s.
+    """
+    key = ("algebra", tol)
+    alg = None if key not in src._cache else \
+        transport_algebra(src._cache[key], u, out.algebra_gens, tol)
+    if alg is not None:
+        out._cache[key] = alg
+    if not with_cda:
+        return None
+    cda = transport_algebra(src.cda(tol), u, out.algebra_gens + out.commutators(), tol)
+    if cda is not None:
+        out._cache[("cda", tol)] = cda if out.grading is None else _homogeneous(cda, out.grading, tol)
+    return cda
 
 
 def _homogeneous(alg: AlgebraBasis, grading, tol: Tolerance) -> AlgebraBasis:
@@ -413,11 +454,24 @@ def check_first_order(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Ch
 def first_order_residuals(t: SpectralTripleData, right) -> tuple:
     """(actions commute, Dirac commutators) residuals of `check_first_order`
     for a stack or list of right operators, by the graded rule there."""
+    return tuple(commutator_residual(*pair) for pair in _first_order_pairs(t, right))
+
+
+def first_order_within(t: SpectralTripleData, right, bound: float) -> bool:
+    """max(first_order_residuals(t, right)) <= bound, for a gate: Frobenius
+    first (`linalg.commutators_within`), so a pass takes no 2-norm."""
+    return all(commutators_within(xs, ys, bound, twisted)
+               for xs, ys, twisted in _first_order_pairs(t, right))
+
+
+def _first_order_pairs(t: SpectralTripleData, right) -> tuple:
+    """The (xs, ys, twisted) arguments of the two first-order commutator
+    residuals."""
     gens = np.asarray(t.algebra_gens)
     right = np.asarray(right)
     das = t.dirac @ gens - gens @ t.dirac
     twisted = None if t.grading is None else t.grading @ right @ t.grading
-    return commutator_residual(gens, right), commutator_residual(das, right, twisted)
+    return (gens, right, None), (das, right, twisted)
 
 
 def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):

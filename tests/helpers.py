@@ -1,0 +1,51 @@
+"""Operators and triples the tests build their references and inputs from."""
+import dataclasses
+
+import numpy as np
+
+from ncgeo.examples import SIGMA1, SIGMA2, matrix_geometry
+from ncgeo.linalg import max_span_residual, random_complex, random_hermitian
+from ncgeo.triples import SpectralTripleData
+
+
+def block_diag(op, n: int) -> np.ndarray:
+    """The operator op repeated n times down the diagonal, kron(1_n, op)."""
+    return np.kron(np.eye(n, dtype=complex), op)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random n x n unitary: the Q factor of a complex Gaussian matrix,
+    its columns' phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(random_complex(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def spans_equal(a, b, tol=1e-9) -> bool:
+    """Whether two orthonormal stacks of equal length span the same space:
+    the larger of their relative span residuals against each other is
+    below tol."""
+    return len(a) == len(b) and max(max_span_residual(a, b), max_span_residual(b, a)) < tol
+
+
+def barrett_triple(n: int, kind: str) -> SpectralTripleData:
+    """Barrett's type (1,1) or (2,0) fuzzy geometry on M_n (x) C^2, in closed form.
+
+    The algebra, right action, grading and cycle are those of
+    matrix_geometry(n, 0), and t1, t2 are drawn as there.  Type (1,1) has
+    D = {t1, .} (x) s1 + ad(t2) (x) s2, type (2,0) D = {t1, .} (x) s1 +
+    {t2, .} (x) s2, with ad(t) X = t X - X t and {t, .} X = t X + X t.
+    """
+    rng = np.random.default_rng(0)
+    t1 = random_hermitian(rng, n)
+    t2 = random_hermitian(rng, n)
+    eye = np.eye(n)
+
+    def ad(t):
+        return np.kron(t, eye) - np.kron(eye, t.T)
+
+    def anti(t):
+        return np.kron(t, eye) + np.kron(eye, t.T)
+
+    second = {"11": ad, "20": anti}[kind](t2)
+    dirac = np.kron(anti(t1), SIGMA1) + np.kron(second, SIGMA2)
+    return dataclasses.replace(matrix_geometry(n, 0), dirac=dirac)

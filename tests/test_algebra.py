@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import barrett_triple, random_unitary, spans_equal
 from ncgeo import algebra
-from ncgeo.algebra import AlgebraBasis, commutant, center, generate_algebra, graded_split, intertwiners
+from ncgeo.algebra import (AlgebraBasis, commutant, commutant_pattern, center, generate_algebra, graded_split,
+                           intertwiners, transport_algebra)
 from ncgeo.convert import round_trip_check, spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import (DEFAULT_TOL, adjoint, from_blocks, max_operator_norm, max_span_residual, null_space,
-                          operator_norm, random_complex, random_hermitian, random_unitary, span_basis, span_residual,
+                          operator_norm, pull_back, random_complex, random_hermitian, span_basis, span_residual,
                           unit_floor_norms)
 from ncgeo.modules import parseval_frame
 
@@ -391,10 +393,6 @@ class TestDoubleCommutantGeneration:
             generate_algebra([])
 
 
-def spans_equal(a, b, tol=1e-9):
-    return len(a) == len(b) and max(max_span_residual(a, b), max_span_residual(b, a)) < tol
-
-
 @st.composite
 def wedderburn_fixtures(draw):
     """Blocks (n_k, m_k) with sum n_k m_k <= 12, and a seed for W and the generators."""
@@ -668,6 +666,87 @@ class TestWedderburnReconstruction:
         assert alg.dim == ref.dim and spans_equal(alg.basis, ref.basis)
         assert spans_equal(alg.commutant_basis, ref.commutant_basis)
         assert spans_equal(center(alg), center(ref))
+
+
+TRANSPORT_CASES = {
+    "mgeom2_s0": lambda: matrix_geometry(2, seed=0),
+    "mgeom2_s7": lambda: matrix_geometry(2, seed=7),
+    "mgeom2_s2001408477": lambda: matrix_geometry(2, seed=2001408477),
+    "mgeom3_s0": lambda: matrix_geometry(3, seed=0),
+    "points3": lambda: trivial_points(3),
+    "barrett11_2": lambda: barrett_triple(2, "11"),
+    "barrett20_2": lambda: barrett_triple(2, "20"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def transport_steps(name):
+    """(source, isometry, output) of the forward step (through u) and the
+    backward step (through V) of a round trip."""
+    t = TRANSPORT_CASES[name]()
+    res = round_trip_check(t)
+    forward, backward = res.witness["forward"], res.witness["backward"]
+    return [(t, forward.witness["module_basis"], forward.output),
+            (forward.output, backward.witness["identification"], backward.output)]
+
+
+class TestTransport:
+    """`transport_algebra` against `generate_algebra` of the outputs'
+    generators, on both steps of a round trip."""
+
+    @pytest.mark.parametrize("name", sorted(TRANSPORT_CASES))
+    def test_spans_the_generated_algebra(self, name):
+        for src, u, out in transport_steps(name):
+            for alg, gens in ((src.algebra(), out.algebra_gens), (src.cda(), cda_gens(out))):
+                moved = transport_algebra(alg, u, gens)
+                ref = generate_algebra(gens)
+                assert moved is not None
+                assert sorted(moved.wedderburn[1]) == sorted(ref.wedderburn[1])
+                assert moved.dim == ref.dim
+                assert spans_equal(moved.basis, ref.basis, tol=1e-12)
+                assert moved.commutant_basis is None
+                assert spans_equal(commutant(moved).basis, ref.commutant_basis, tol=1e-12)
+                w = moved.wedderburn[0]
+                assert np.linalg.norm(adjoint(w) @ w - np.eye(len(w))) <= 1e-13
+                assert np.array_equal(moved.generators, np.stack(gens))
+
+    @pytest.mark.parametrize("name", ["mgeom2_s7", "points3"])
+    def test_preimages_map_onto_the_basis(self, name):
+        # u^* (1 (x) x_j) u is basis element j of the image, and the images
+        # evaluated from the Wedderburn frame are those pull-backs
+        src, u, out = transport_steps(name)[0]
+        moved = transport_algebra(src.cda(), u, cda_gens(out))
+        pre, images = algebra._transport_preimage(src.cda(), moved, u)
+        assert np.max(np.linalg.norm(pull_back(u, pre) - moved.basis, axis=(-2, -1))) <= 1e-13
+        assert np.max(np.linalg.norm(images - pull_back(u, pre), axis=(-2, -1))) <= 1e-13
+
+    def test_gate(self):
+        src, u, out = transport_steps("mgeom2_s7")[0]
+        gens = cda_gens(out)
+        assert transport_algebra(src.cda(), u, gens) is not None
+        # an isometry perturbed by 1e-9 breaks the homomorphism
+        noisy = u + 1e-9 * random_complex(np.random.default_rng(1), u.shape)
+        assert transport_algebra(src.cda(), noisy, gens) is None
+        # a generator outside the image misses the pattern
+        extra = random_hermitian(np.random.default_rng(2), out.hilbert_dim)
+        assert transport_algebra(src.cda(), u, gens + [extra]) is None
+        # a hand-built algebra has no Wedderburn data to carry
+        assert transport_algebra(AlgebraBasis(src.hilbert_dim, src.cda().basis), u, gens) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(wedderburn_fixtures())
+    def test_closed_forms_match_einsum(self, fixture):
+        # the batched products give the einsum contractions' arrays
+        blocks, seed = fixture
+        alg = generate_algebra(block_algebra_generators(blocks, np.random.default_rng(seed)))
+        n = alg.hilbert_dim
+        comps = algebra._components(*alg.wedderburn)
+        ref_basis = np.concatenate([np.einsum("iap,jbp->abij", w, w.conj()).reshape(-1, n, n)
+                                    / np.sqrt(w.shape[2]) for w in comps])
+        ref_comm = np.concatenate([np.einsum("iap,jaq->pqij", w, w.conj()).reshape(-1, n, n)
+                                   / np.sqrt(w.shape[1]) for w in comps])
+        assert np.allclose(alg.basis, ref_basis, rtol=0, atol=1e-14)
+        assert np.allclose(commutant_pattern(*alg.wedderburn), ref_comm, rtol=0, atol=1e-14)
 
 
 class TestPairCoords:

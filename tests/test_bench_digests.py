@@ -1,11 +1,17 @@
-"""The n=3 digests of `perfbench/reference.json`, checked in tier-1.
+"""The n=3 digests of `perfbench/reference.json`, checked in tier-1, and
+the n=4 round trip's digest pinned beside this file.
 
 The benchmark's self-tests compare only its n=2 warm-up ops with the
 reference; these run `run_condition_suite` and `round_trip_check` on
 matrix_geometry n=3 and compare them the way the benchmark does, through
-`perfbench/check.py`, which is loaded and read here, never edited.
+`perfbench/check.py`, which is loaded and read here, never edited.  The
+benchmark has no n=4 workload, so `roundtrip_h32_digest.json` holds the
+ids, statuses and detail integers of `round_trip_check(matrix_geometry(4,
+0))` as the program gave them before its outputs' algebras were carried
+through the conversions.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +52,15 @@ def test_round_trip_digest(reference, seed):
     assert check.detail_ints(entry.details) == []
     for cid in ("backward:convert:potential_in_one_form_span", "backward:convert:potential_hermitian"):
         assert check.detail_ints(res.report.entry(cid).details) == []
+
+
+def test_round_trip_digest_h32():
+    # the second size of the ladder (H=32 -> 64 -> 32): ids, statuses and
+    # detail integers pinned in roundtrip_h32_digest.json
+    pinned = json.loads((Path(__file__).with_name("roundtrip_h32_digest.json")).read_text())
+    res = round_trip_check(matrix_geometry(4, 0))
+    digest = check.report_digest(res.report.as_dict())
+    assert res.report.passed and digest["residuals_within_tol"]
+    assert res.witness["intertwiner"] is not None
+    expected = {"passed": pinned["passed"], "entries": pinned["entries"]}
+    assert check.mismatches({key: digest[key] for key in expected}, expected) == []

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import random_unitary
 from ncgeo import convert
 from ncgeo.cli import main
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
@@ -16,7 +17,6 @@ from ncgeo.io import (
     save_triple,
     triple_to_dict,
 )
-from ncgeo.linalg import random_unitary
 from ncgeo.triples import SpectralTripleData
 
 

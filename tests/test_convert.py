@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import block_diag, random_unitary, spans_equal
 from ncgeo import convert, linalg, tomita, triples
-from ncgeo.algebra import AlgebraBasis, commutant
+from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra
 from ncgeo.convert import (
     CliffordModuleData,
     _backward_assembly,
@@ -25,14 +26,13 @@ from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.io import load_triple, save_triple
 from ncgeo.kasparov import compress_to_range, one_form_residual, one_form_span
 from ncgeo.linalg import (
+    DEFAULT_TOL,
     Tolerance,
     adjoint,
-    block_diag,
     max_span_residual,
     operator_norm,
     project_onto_span,
     random_complex,
-    random_unitary,
     random_hermitian,
     rel_residual,
     span_basis,
@@ -48,7 +48,8 @@ from ncgeo.triples import (
     represent_chain,
 )
 
-from test_algebra import NILPOTENT, inequivalent_pair, kronecker_intertwiners
+from test_algebra import NILPOTENT, cda_gens, inequivalent_pair, kronecker_intertwiners
+from test_bench_digests import check
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +147,10 @@ class TestForwardConversion:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_output_cda_is_graded(self, seed, tmp_path):
-        # the cda of a graded triple is homogeneous, even elements first, and
-        # a saved and reloaded copy computes the same one
+        # the cda of a graded triple is homogeneous, even elements first; it
+        # is the source's carried through u, the algebra a regeneration
+        # computes in another basis, and a saved and reloaded copy computes
+        # that regeneration
         out = spinc_to_riemannian(matrix_geometry(2, seed=seed)).output
         g = out.grading
         basis = out.cda().basis
@@ -157,10 +160,13 @@ class TestForwardConversion:
         assert np.all(even | odd)
         n_even = int(np.count_nonzero(even))
         assert np.all(even[:n_even]) and np.all(odd[n_even:])
-        assert np.array_equal(commutator_algebra(out).basis, basis)
+        regenerated = commutator_algebra(out)
+        assert regenerated.wedderburn[1] == out.cda().wedderburn[1]
+        assert spans_equal(regenerated.basis, basis, tol=1e-12)
         save_triple(tmp_path / "out.json", out)
         reloaded, _ = load_triple(tmp_path / "out.json")
-        assert np.linalg.norm(reloaded.cda().basis - basis) <= 1e-12 * np.linalg.norm(basis)
+        ref = regenerated.basis
+        assert np.linalg.norm(reloaded.cda().basis - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestBackwardConversion:
@@ -563,7 +569,7 @@ def test_round_trip_does_each_piece_once(monkeypatch):
     # the backward half reuses the forward output's Tomita conjugation
     # (carried over by regraded) and its Riemannian report, and takes its
     # module over the output's own cda basis, with no membership sweep
-    calls = {"conjugation": 0, "riemannian": 0, "sweep": 0}
+    calls = {"conjugation": 0, "riemannian": 0, "sweep": 0, "cda": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -574,8 +580,59 @@ def test_round_trip_does_each_piece_once(monkeypatch):
     monkeypatch.setattr(tomita, "_conjugation", counted("conjugation", tomita._conjugation))
     monkeypatch.setattr(triples, "_riemannian", counted("riemannian", triples._riemannian))
     monkeypatch.setattr(convert, "within_span", counted("sweep", convert.within_span))
-    assert round_trip_check(matrix_geometry(3, seed=0)).report.passed
-    assert calls == {"conjugation": 1, "riemannian": 1, "sweep": 0}
+    monkeypatch.setattr(triples, "commutator_algebra", counted("cda", triples.commutator_algebra))
+    # the outputs' algebras are the source's carried through u and V, and
+    # the backward output's right action is the source's: every generation
+    # is of one of the source's three generator lists
+    generated = []
+    real = triples.generate_algebra
+
+    def spied(gens, tol=DEFAULT_TOL):
+        generated.append(np.stack(gens))
+        return real(gens, tol)
+
+    monkeypatch.setattr(triples, "generate_algebra", spied)
+    t = matrix_geometry(3, seed=0)
+    assert round_trip_check(t).report.passed
+    assert calls == {"conjugation": 1, "riemannian": 1, "sweep": 0, "cda": 1}
+    sources = [np.stack(src) for src in (t.algebra_gens, cda_gens(t), t.right_action_gens)]
+    matched = [k for gens in generated for k, src in enumerate(sources)
+               if gens.shape == src.shape and np.array_equal(gens, src)]
+    assert len(generated) == 3 and sorted(matched) == [0, 1, 2]
+
+
+def test_transport_fallback_keeps_the_reports(monkeypatch):
+    # U perturbed by 1e-9 misses the transport gate, so the outputs'
+    # algebras are generated as before the transport, and the round trip
+    # keeps its ids, statuses and detail integers
+    ref = round_trip_check(matrix_geometry(2, seed=7)).report
+    real = triples.transport_algebra
+    rng = np.random.default_rng(3)
+    carried = []
+
+    def perturbed(alg, u, gens, tol=DEFAULT_TOL, **kwargs):
+        out = real(alg, u + 1e-9 * random_complex(rng, np.shape(u)), gens, tol, **kwargs)
+        carried.append(out)
+        return out
+
+    monkeypatch.setattr(triples, "transport_algebra", perturbed)
+    generated = []
+    monkeypatch.setattr(triples, "generate_algebra",
+                        lambda gens, tol=DEFAULT_TOL: generated.append(1) or generate_algebra(gens, tol))
+    res = round_trip_check(matrix_geometry(2, seed=7)).report
+    # the forward output's algebra is not carried, so the backward one is
+    # generated directly, not carried from a generated one
+    assert carried == [None] * 3
+    # source: algebra, cda, right; forward: cda; backward: algebra, cda
+    # (its right action is the source's)
+    assert len(generated) == 6
+    assert res.passed
+    assert report_digest(res) == report_digest(ref)
+
+
+def report_digest(rep):
+    """Ids, statuses and detail integers (floats removed) of a report."""
+    return [(e.condition_id, e.status, check.detail_ints(e.details)) for e in rep.entries]
 
 
 @pytest.fixture(scope="module", params=[7, 2001408477])

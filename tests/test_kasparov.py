@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import block_diag
 from ncgeo import kasparov
 from ncgeo.algebra import AlgebraBasis, generate_algebra
 from ncgeo.convert import spinc_to_riemannian
@@ -20,8 +21,8 @@ from ncgeo.kasparov import (
     twisted_operator,
 )
 from ncgeo.linalg import (
+    DEFAULT_TOL,
     adjoint,
-    block_diag,
     from_blocks,
     herm_apply,
     max_span_residual,
@@ -655,6 +656,49 @@ class TestGradedFirstOrder:
         assert max(first_order_residuals(t, t.right_algebra().basis)) > 0.1
         with pytest.raises(ValueError, match="first-order condition fails"):
             connection_decomposition(t)
+
+
+class TestTwistGate:
+    """The twisting core gates the first-order condition at max(rel, 1e-7)
+    Frobenius first; where the Frobenius bound misses the gate the exact
+    residual decides, and a failure names it."""
+
+    GATE = 1e-7
+
+    def twisting(self, ratio):
+        # the right basis of matrix_geometry(2, 0) moved along a Hermitian x
+        # so that the exact first-order residual is ratio times the gate
+        t = matrix_geometry(2, seed=0)
+        right = t.right_algebra().basis
+        x = random_hermitian(np.random.default_rng(4), t.hilbert_dim)
+        slope = max(first_order_residuals(t, right + 1e-6 * x)) / 1e-6
+        base = AlgebraBasis(t.hilbert_dim, right + ratio * self.GATE / slope * x)
+        conn = BimoduleConnection(ProjectiveModule(base, 1, np.eye(t.hilbert_dim)))
+        return t, conn, max(first_order_residuals(t, base.basis))
+
+    def test_just_above_the_gate_raises_with_the_exact_value(self):
+        t, conn, fo = self.twisting(1.2)
+        assert self.GATE < fo < 1.3 * self.GATE
+        with pytest.raises(ValueError, match=re.escape(f"first-order condition fails "
+                                                       f"for the twisting data ({fo:.3e})")):
+            kasparov._twist(t, conn, DEFAULT_TOL, compress_to_range)
+
+    def test_just_below_the_gate_passes_on_the_2_norms(self):
+        t, conn, fo = self.twisting(0.8)
+        assert fo < self.GATE
+        assert not first_order_within_frobenius(t, conn.module.base.basis, self.GATE)
+        u, _, _ = kasparov._twist(t, conn, DEFAULT_TOL, compress_to_range)
+        assert u.shape == (t.hilbert_dim, t.hilbert_dim)
+
+
+def first_order_within_frobenius(t, right, bound):
+    """Whether every first-order commutator has Frobenius norm within bound."""
+    gens = np.asarray(t.algebra_gens)
+    das = t.dirac @ gens - gens @ t.dirac
+    right = np.asarray(right)
+    comms = [gens[:, None] @ right[None] - right[None] @ gens[:, None],
+             das[:, None] @ right[None] - (t.grading @ right @ t.grading)[None] @ das[:, None]]
+    return all(np.max(np.linalg.norm(c, axis=(-2, -1))) <= bound for c in comms)
 
 
 def kernel_rank_index(t, p):

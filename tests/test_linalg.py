@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import block_diag
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
-    block_diag,
     commutator_residual,
+    commutators_within,
     from_blocks,
     herm_eig,
     is_hermitian,
+    max_frobenius,
     max_operator_norm,
     max_span_residual,
     null_space,
@@ -21,6 +23,7 @@ from ncgeo.linalg import (
     random_complex,
     random_hermitian,
     rel_residual,
+    scaled_within,
     span_basis,
     span_coords,
     span_residual,
@@ -544,6 +547,44 @@ class TestCommutatorResidual:
         ref = loop_commutator_residual(xs, ys)
         assert commutator_residual(xs, ys, floor=3.0 * ref) == 3.0 * ref
         assert commutator_residual(xs, ys, floor=0.5 * ref) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestFrobeniusFirstGates:
+    """The Frobenius-first gates agree with the sweeps they replace, and
+    `commutators_within` takes no 2-norm when every Frobenius norm meets
+    the bound."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
+    def test_matches_the_residual(self, seed, ratio):
+        xs, ys = commutator_stacks(seed)
+        twisted = -ys if seed % 2 else None
+        ref = commutator_residual(xs, ys, twisted)
+        assert commutators_within(xs, ys, ratio * ref, twisted) == (ref <= ratio * ref)
+
+    def test_frobenius_pass_takes_no_2_norm(self, monkeypatch):
+        xs, ys = commutator_stacks(1)
+        bound = max_frobenius(xs[:, None] @ ys[None] - ys[None] @ xs[:, None])
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **k: calls.append(k.get("ord", a[0] if a else None))
+                            or norm(x, *a, **k))
+        assert commutators_within(xs, ys, bound)
+        assert 2 not in calls
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
+    def test_scaled_gate_matches_the_sweep(self, ratio):
+        # scaled_within is max_operator_norm(resid, unit_floor_norms(xs)) <= bound
+        xs, _ = commutator_stacks(3)
+        resid = 1e-3 * random_complex(np.random.default_rng(7), xs.shape)
+        ref = max_operator_norm(resid, unit_floor_norms(xs))
+        assert scaled_within(resid, xs, ratio * ref) == (ratio >= 1.0)
+
+    def test_empty_stacks(self):
+        xs, ys = commutator_stacks(2)
+        assert commutators_within(xs[:0], ys, 0.0)
+        assert commutators_within(xs, [], 0.0)
+        assert max_frobenius(xs[:0]) == 0.0
 
 
 class TestBlocks:

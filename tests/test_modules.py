@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import barrett_triple
 from ncgeo.algebra import AlgebraBasis, generate_algebra
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.kasparov import grassmann_connection, twisted_operator
@@ -30,7 +31,6 @@ from ncgeo.modules import (
     validate_module,
 )
 
-from test_triples import barrett_triple
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)

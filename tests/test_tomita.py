@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgeo.algebra import AlgebraBasis, commutant
+from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points
 from ncgeo.linalg import DEFAULT_TOL, adjoint, max_span_residual, operator_norm, random_complex
@@ -20,6 +20,7 @@ from ncgeo.tomita import (
 )
 from ncgeo.triples import SpectralTripleData, check_riemannian
 
+from helpers import spans_equal
 from test_linalg import loop_span_residuals
 
 
@@ -207,13 +208,21 @@ class TestOppositeAlgebra:
 
     def test_carries_basis_generators_and_commutant(self, forward_cda_conjugation):
         cda, j = forward_cda_conjugation
-        opp = opposite_algebra(j, cda)
-        assert np.array_equal(opp.basis, opposite_action(j, cda.basis))
-        assert np.array_equal(opp.generators, opposite_action(j, cda.generators))
-        assert np.array_equal(opp.commutant_basis, opposite_action(j, cda.commutant_basis))
-        # still orthonormal in the trace inner product
-        flat = opp.basis.reshape(opp.dim, -1)
-        assert operator_norm(flat.conj() @ flat.T - np.eye(opp.dim)) < 1e-12
+        # the forward output's cda is carried and stores no commutant; a
+        # generated one stores it, and both give the opposite's commutant
+        for alg in (cda, generate_algebra(list(cda.generators))):
+            opp = opposite_algebra(j, alg)
+            assert np.array_equal(opp.basis, opposite_action(j, alg.basis))
+            assert np.array_equal(opp.generators, opposite_action(j, alg.generators))
+            if alg.commutant_basis is None:
+                assert opp.commutant_basis is None
+            else:
+                assert np.array_equal(opp.commutant_basis, opposite_action(j, alg.commutant_basis))
+            assert spans_equal(commutant(opp).basis, opposite_action(j, commutant(alg).basis), tol=1e-12)
+            # still orthonormal in the trace inner product
+            flat = opp.basis.reshape(opp.dim, -1)
+            assert operator_norm(flat.conj() @ flat.T - np.eye(opp.dim)) < 1e-12
+        assert cda.commutant_basis is None
 
     def test_hand_built_algebra_has_no_wedderburn_data(self, riemann_pair):
         tri, j, _ = riemann_pair

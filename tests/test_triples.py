@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import barrett_triple, random_unitary
 from ncgeo import modules, triples
 from ncgeo.algebra import center, generate_algebra
 from ncgeo.convert import round_trip_check, spinc_to_riemannian
-from ncgeo.examples import SIGMA2, matrix_geometry, trivial_points, two_point
+from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
     operator_norm,
     random_complex,
     random_hermitian,
-    random_unitary,
 )
 from ncgeo.modules import parseval_frame
 from ncgeo.triples import (
@@ -46,30 +46,6 @@ from test_convert import expectation_pairing
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def barrett_triple(n: int, kind: str) -> SpectralTripleData:
-    """Barrett's type (1,1) or (2,0) fuzzy geometry on M_n (x) C^2, in closed form.
-
-    The algebra, right action, grading and cycle are those of
-    matrix_geometry(n, 0), and t1, t2 are drawn as there.  Type (1,1) has
-    D = {t1, .} (x) s1 + ad(t2) (x) s2, type (2,0) D = {t1, .} (x) s1 +
-    {t2, .} (x) s2, with ad(t) X = t X - X t and {t, .} X = t X + X t.
-    """
-    rng = np.random.default_rng(0)
-    t1 = random_hermitian(rng, n)
-    t2 = random_hermitian(rng, n)
-    eye = np.eye(n)
-
-    def ad(t):
-        return np.kron(t, eye) - np.kron(eye, t.T)
-
-    def anti(t):
-        return np.kron(t, eye) + np.kron(eye, t.T)
-
-    second = {"11": ad, "20": anti}[kind](t2)
-    dirac = np.kron(anti(t1), SIGMA1) + np.kron(second, SIGMA2)
-    return dataclasses.replace(matrix_geometry(n, 0), dirac=dirac)
 
 
 class TestValidate:
