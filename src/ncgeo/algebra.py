@@ -8,20 +8,19 @@ A unital *-algebra of operators is W(+_k M_{n_k} (x) 1_{m_k})W* for a
 unitary W (its Wedderburn data), and its commutant is
 W(+_k 1_{n_k} (x) M_{m_k})W*.  `generate_algebra` reads the Wedderburn
 data off the eigenclusters of two generic combinations of the generators
-and writes both A and A' down in closed form, with no solve.  Its
+and writes A down in closed form, with no solve.  Its
 certificate has two parts: every generator fits the M_{n_k} (x) 1_{m_k}
 pattern in W's columns (A lies in the pattern), and every cluster is
 linked to its root (elements of A span the pattern).  The route is taken
 only when the generators fit to within 1e-3 rank_cut; otherwise the
 commutant A' of the generators is solved, the same cluster reading on A'
 gives the data, and A = A'' follows in closed form or from a second solve.
-A generated algebra keeps A' and its Wedderburn data, so `commutant`
-returns the stored A' and `center` is the span of the isotypic projections
+A generated algebra keeps its Wedderburn data, so `commutant` writes A'
+down from them and `center` is the span of the isotypic projections
 W_k W_k*; hand-built algebras take the solves.  `transport_algebra` carries
 the data through a compression x -> U* (1 (x) x) U that is a
 *-homomorphism (the conversions' outputs), under a gate no looser than the
-generators' pattern fit above; without a stored A', `commutant` writes it
-down from the data.
+generators' pattern fit above.
 
 `graded_split` splits an algebra under x -> g x g from the Hermitian
 d x d matrix of that involution on the basis: its eigenvectors combine
@@ -38,7 +37,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
-    commutator_residual,
+    commutators_within,
     max_operator_norm,
     null_space,
     operator_norm,
@@ -70,17 +69,15 @@ class AlgebraBasis:
     generate the algebra, the short list that commutant and center tests
     run against; it defaults to the basis.
 
-    `generate_algebra` also sets `commutant_basis`, an orthonormal basis of
-    the commutant, and, when the closed-form reconstruction verifies,
-    `wedderburn = (w, blocks)`: a unitary w and a tuple of (n_k, m_k) with
-    the algebra equal to w (+_k M_{n_k} (x) 1_{m_k}) w*, the columns of w
-    grouped by k.  Both stay None on hand-built algebras.
+    `generate_algebra` also sets, when the closed-form reconstruction
+    verifies, `wedderburn = (w, blocks)`: a unitary w and a tuple of
+    (n_k, m_k) with the algebra equal to w (+_k M_{n_k} (x) 1_{m_k}) w*, the
+    columns of w grouped by k.  It stays None on hand-built algebras.
     """
 
     hilbert_dim: int
     basis: np.ndarray
     generators: np.ndarray | None = None
-    commutant_basis: np.ndarray | None = None
     wedderburn: tuple | None = None
 
     def __post_init__(self):
@@ -129,11 +126,11 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """Smallest unital *-algebra containing the generators.
 
     The Wedderburn data are read off the generators themselves
-    (`_generated_wedderburn`), and A and its commutant A' are written down
-    in closed form.  If the generators do not fit that data to within
-    1e-3 rank_cut, the commutant A' of the generators and the unit is
-    solved and verified by `commutant`, and A = A'' (von Neumann) follows
-    from the Wedderburn data of A' (`_wedderburn`) or, if that
+    (`_generated_wedderburn`), and A is written down in closed form.  If
+    the generators do not fit that data to within 1e-3 rank_cut, the
+    commutant A' of the generators and the unit is solved and verified by
+    `commutant`, only to read the Wedderburn data off it (`_wedderburn`),
+    and A = A'' (von Neumann) follows in closed form or, if that
     reconstruction does not verify, from a second `commutant` solve.
     """
     gens = [as_complex_matrix(g) for g in generators]
@@ -144,18 +141,14 @@ def generate_algebra(generators, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
         if g.shape != (n, n):
             raise ValueError("generators must be square matrices of equal dimension")
     wedderburn = _generated_wedderburn(np.stack(gens), tol)
-    if wedderburn is not None:
-        comm = commutant_pattern(*wedderburn)
-    else:
+    if wedderburn is None:
         # only the generators of its argument enter the commutant
         seeds = AlgebraBasis(n, np.zeros((0, n, n)), generators=gens + [np.eye(n, dtype=complex)])
         comm = commutant(seeds, tol).basis
         wedderburn = _wedderburn(comm, tol)
-    if wedderburn is None:
-        basis = commutant(AlgebraBasis(n, comm), tol).basis
-    else:
-        basis = _algebra_pattern(*wedderburn)
-    return AlgebraBasis(n, basis, gens, commutant_basis=comm, wedderburn=wedderburn)
+        if wedderburn is None:
+            return AlgebraBasis(n, commutant(AlgebraBasis(n, comm), tol).basis, gens)
+    return AlgebraBasis(n, _algebra_pattern(*wedderburn), gens, wedderburn=wedderburn)
 
 
 def _algebra_pattern(w, blocks) -> np.ndarray:
@@ -203,8 +196,7 @@ def transport_algebra(alg: AlgebraBasis, u, generators,
     pi(e_a1) V_k[:, p] = U^* (1_m (x) e_a1)(U V_k[:, p]) are the component's
     columns (a, p) of the image's frame W', with blocks (n_k, m'_k); no
     element of A's basis is pulled back.  The basis is the closed form of
-    `generate_algebra`; no commutant is stored, and `commutant` writes A'
-    down from the data when asked.
+    `generate_algebra`.
 
     The gate is no looser than that of `_generated_wedderburn`: each
     pi(e_11) has its eigenvalues within 1e-3 rank_cut of 0 or 1 and keeps
@@ -437,13 +429,10 @@ def _block_intertwiners(mats1, mats2, vecs1, vecs2, rows, cols, tol):
 
 def commutant(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
     """All operators commuting with the generators and their adjoints: the
-    stored commutant of a generated algebra, the closed form of its
-    Wedderburn data when none is stored, otherwise
+    closed form of the Wedderburn data when the algebra has them, otherwise
     `intertwiners(generators, generators)`, the diagonal case of that solve.
     """
     n = alg.hilbert_dim
-    if alg.commutant_basis is not None:
-        return AlgebraBasis(n, alg.commutant_basis)
     if alg.wedderburn is not None:
         return AlgebraBasis(n, commutant_pattern(*alg.wedderburn))
     return AlgebraBasis(n, intertwiners(alg.generators, alg.generators, tol))
@@ -481,7 +470,7 @@ def intertwiners(gens1, gens2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # X a - b X over the generators and their adjoints
     both1 = np.concatenate([gens1, gens1.conj().swapaxes(-1, -2)])
     both2 = np.concatenate([gens2, gens2.conj().swapaxes(-1, -2)])
-    if commutator_residual(basis, both1, twisted=both2, floor=threshold) > threshold:
+    if not commutators_within(basis, both1, threshold, twisted=both2):
         basis = _block_intertwiners(gens1, gens2, vecs1, vecs2, rows, cols, tol)
     return basis
 

@@ -13,7 +13,6 @@ from .kasparov import (
     _twist,
     compress_to_range,
     index_pairing,
-    one_form_residual,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -38,7 +37,7 @@ from .linalg import (
 )
 from .modules import ProjectiveModule, parseval_frame
 from .report import CheckReport
-from .tomita import grading_from_cycle, opposite_action, opposite_algebra, tomita_conjugation
+from .tomita import grading_from_cycle, opposite_action, tomita_conjugation
 from .triples import (
     HochschildChain,
     SpectralTripleData,
@@ -239,9 +238,9 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
 
 def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
                        tol: Tolerance = DEFAULT_TOL):
-    """Shared assembly for the backward conversion: module projector,
-    conjugation, and the identification map of the twisted space with the
-    module carrier.
+    """Assembly for the backward conversion: module projector, conjugation,
+    and the identification map of the twisted space with the module
+    carrier.
 
     Carrier pairings E(|u><v|) lie in the span of the left action, the
     carrier algebra; `source_ops[k]` is the source operator of its basis
@@ -299,18 +298,16 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
 
 
 def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
-                        tol: Tolerance = DEFAULT_TOL,
-                        potential: np.ndarray | None = None, *,
+                        tol: Tolerance = DEFAULT_TOL, *,
                         _right: AlgebraBasis | None = None) -> ConversionResult:
     """Spin^c data from a Riemannian triple and an equivalence module.
 
     The twisted operator uses the Parseval frame of the carrier algebra
-    with the Grassmann connection, or with a caller's connection potential
-    (a block operator whose entries must lie in the represented one-form
-    span of the conjugation-induced right action).  Without a potential
-    the two potential entries hold by construction and say so.  Even
-    declared dimension only.  The output's algebra, and without a
-    potential its cda, are `t`'s carried through V (`carry_algebras`).
+    with the Grassmann connection: the unbounded Kasparov product fixes
+    the Dirac operator only up to the connection, so no potential is
+    taken, and the two potential entries hold by construction and say so.
+    Even declared dimension only.  The output's algebra and cda are `t`'s
+    carried through V (`carry_algebras`).
     `_right`, for the round trip only, is the generated algebra of the
     module's right action generators, taken as the output's right algebra.
     """
@@ -334,22 +331,9 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
     dirac = pull_back(v_unit, t.dirac)
-    if potential is None:
-        span_res = herm_res = 0.0
-        details = "Grassmann connection: no potential"
-    else:
-        pot_big = as_complex_matrix(potential)
-        if pot_big.shape != q_big.shape:
-            raise ValueError("potential shape does not match the module presentation")
-        # the represented one-forms of the conjugation-induced right action
-        right = opposite_algebra(j, t.cda(tol))
-        blocks = to_blocks(pot_big, nmod).reshape(-1, nh, nh)
-        span_res = one_form_residual(t.dirac, right, blocks, tol)
-        herm_res = rel_residual(pot_big - adjoint(pot_big), operator_norm(pot_big))
-        details = ""
-        dirac = dirac + adjoint(v_unit) @ pot_big @ v_unit
-    rep.add("convert:potential_in_one_form_span", span_res, max(tol.rel, 1e-7), details)
-    rep.add("convert:potential_hermitian", herm_res, max(tol.rel, 1e-8), details)
+    details = "Grassmann connection: no potential"
+    rep.add("convert:potential_in_one_form_span", 0.0, max(tol.rel, 1e-7), details)
+    rep.add("convert:potential_hermitian", 0.0, max(tol.rel, 1e-8), details)
     c_op = represent_chain(t, t.orientation_cycle) if t.orientation_cycle is not None else t.grading
     grading = pull_back(v_unit, c_op)
     rep.add("convert:orientation_anticommutes",
@@ -381,7 +365,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
         orientation_cycle=HochschildChain(0, [(grading,)], generalized=True)
         if t.declared_p == 0 else None,
     )
-    carry_algebras(out, t, v_unit, tol, with_cda=potential is None)
+    carry_algebras(out, t, v_unit, tol)
     if _right is not None:
         out._cache[("right", tol)] = _right
     vrep = validate_triple(out, tol)

@@ -119,19 +119,18 @@ def opposite_action(j: AntiunitaryMap, a) -> np.ndarray:
 def opposite_algebra(j: AntiunitaryMap, alg: AlgebraBasis) -> AlgebraBasis:
     """The right action J A J of an algebra A, with its data carried over.
 
-    The basis, generators and stored commutant are mapped by
-    `opposite_action`.  For a = w (+_k X_k (x) 1_{m_k}) w* and J with a
-    unitary kernel K, K conj(K) = 1, J a* J = K a^T K* is
-    w' (+_k X_k^T (x) 1_{m_k}) w'* with w' = K conj(w), so the Wedderburn
-    data (w, blocks) become (K conj(w), blocks).
+    The basis and generators are mapped by `opposite_action`.  For
+    a = w (+_k X_k (x) 1_{m_k}) w* and J with a unitary kernel K,
+    K conj(K) = 1, J a* J = K a^T K* is w' (+_k X_k^T (x) 1_{m_k}) w'* with
+    w' = K conj(w), so the Wedderburn data (w, blocks) become
+    (K conj(w), blocks), and `commutant` of the result writes the
+    commutant down from them.
     """
-    comm = alg.commutant_basis
     wedderburn = alg.wedderburn
     if wedderburn is not None:
         wedderburn = (j.kernel @ np.conj(wedderburn[0]), wedderburn[1])
     return AlgebraBasis(
         alg.hilbert_dim, opposite_action(j, alg.basis), opposite_action(j, alg.generators),
-        commutant_basis=None if comm is None else opposite_action(j, comm),
         wedderburn=wedderburn)
 
 

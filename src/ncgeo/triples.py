@@ -239,11 +239,11 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
 
 
 def carry_algebras(out: SpectralTripleData, src: SpectralTripleData, u,
-                   tol: Tolerance = DEFAULT_TOL, with_cda: bool = True) -> AlgebraBasis | None:
-    """Fill the algebra and (with `with_cda`) cda caches of `out` at `tol`
-    with those of `src` carried through pi(x) = U^* (1_m (x) x) U
-    (`algebra.transport_algebra`), and return the carried cda before its
-    graded split, or None if it was not carried.
+                   tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
+    """Fill the algebra and cda caches of `out` at `tol` with those of `src`
+    carried through pi(x) = U^* (1_m (x) x) U (`algebra.transport_algebra`),
+    and return the carried cda before its graded split, or None if it was
+    not carried.
 
     For `out` a compression of `src` through an isometry U whose range
     projector commutes with 1_m (x) the cda of `src`: its generators are
@@ -259,8 +259,6 @@ def carry_algebras(out: SpectralTripleData, src: SpectralTripleData, u,
         transport_algebra(src._cache[key], u, out.algebra_gens, tol)
     if alg is not None:
         out._cache[key] = alg
-    if not with_cda:
-        return None
     cda = transport_algebra(src.cda(tol), u, out.algebra_gens + out.commutators(), tol)
     if cda is not None:
         out._cache[("cda", tol)] = cda if out.grading is None else _homogeneous(cda, out.grading, tol)
@@ -271,7 +269,7 @@ def _homogeneous(alg: AlgebraBasis, grading, tol: Tolerance) -> AlgebraBasis:
     """The algebra re-spanned into elements homogeneous under the grading, the
     even ones first."""
     even, odd = graded_split(alg, grading, tol)
-    # the same algebra, so its stored commutant and Wedderburn data carry over
+    # the same algebra, so its Wedderburn data carry over
     return replace(alg, basis=np.concatenate([even, odd]))
 
 

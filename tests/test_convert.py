@@ -36,7 +36,6 @@ from ncgeo.linalg import (
     random_hermitian,
     rel_residual,
     span_basis,
-    span_residual,
 )
 from ncgeo.modules import parseval_frame
 from ncgeo.tomita import AntiunitaryMap, opposite_action, opposite_algebra, tomita_conjugation
@@ -227,7 +226,7 @@ class TestBackwardConversion:
 
     def test_potential_entries(self, mgeom_forward):
         # the Grassmann connection's two potential entries hold by
-        # construction and say so; a caller's potential is checked
+        # construction and say so
         t, forward = mgeom_forward
         tri, module = forward.output, module_of(t, forward)
         ids = ["convert:potential_in_one_form_span", "convert:potential_hermitian"]
@@ -235,46 +234,6 @@ class TestBackwardConversion:
         assert [e.condition_id for e in report.entries[1:3]] == ids
         for e in report.entries[1:3]:
             assert (e.status, e.residual, e.details) == ("pass", 0.0, "Grassmann connection: no potential")
-        pot = caller_potential(tri, module)
-        report = riemannian_to_spinc(tri, module, potential=pot).report
-        assert [e.condition_id for e in report.entries[1:3]] == ids
-        span, herm = report.entries[1:3]
-        assert span.details == herm.details == ""
-        assert span.residual > 0.0
-        assert herm.residual == rel_residual(pot - adjoint(pot), operator_norm(pot))
-
-    @pytest.mark.parametrize("where", ["first_row_block", "last_row_block", "spread"])
-    def test_non_hermitian_potential_residual(self, mgeom_forward, where):
-        # a potential that is not Hermitian reads the full-size formula
-        # rel_residual(P - P^*, |P|), wherever the defect sits
-        t, forward = mgeom_forward
-        tri, module = forward.output, module_of(t, forward)
-        pot = caller_potential(tri, module)
-        if where == "spread":
-            pot += 1e-12 * random_unitary(np.random.default_rng(5), len(pot))
-        else:
-            row = 0 if where == "first_row_block" else -1
-            pot[row, -1 - row] += 1e-12j
-        entry = riemannian_to_spinc(tri, module, potential=pot).report.entry("convert:potential_hermitian")
-        assert entry.residual == rel_residual(pot - adjoint(pot), operator_norm(pot))
-        assert entry.residual > 0.0
-
-    def test_potential_span_check_matches_block_loop(self, mgeom_forward):
-        t, forward = mgeom_forward
-        tri, module = forward.output, module_of(t, forward)
-        pot = caller_potential(tri, module)
-        backward = riemannian_to_spinc(tri, module, potential=pot)
-        j = AntiunitaryMap(backward.witness["conjugation_kernel"])
-        span = one_form_span(tri.dirac, opposite_algebra(j, tri.cda()))
-        nh = tri.hilbert_dim
-        nmod = pot.shape[0] // nh
-        worst = 0.0
-        for k in range(nmod):
-            for jj in range(nmod):
-                blk = pot[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh]
-                worst = max(worst, span_residual(blk, span))
-        entry = backward.report.entry("convert:potential_in_one_form_span")
-        assert abs(entry.residual - worst) < 1e-12
 
     def test_backward_algebra_dim_stable_under_rank_cut(self):
         # near-degenerate Riemannian spectrum (gap 0.015) and generators with
@@ -324,12 +283,6 @@ def module_of(t, forward):
         right_action_gens=t.right_action_gens,
         algebra_basis=forward.witness["c_basis_out"],
     )
-
-
-def caller_potential(tri, module, seed=5):
-    """A caller's potential Q H Q on the backward module, H seeded Hermitian."""
-    q = _backward_assembly(tri, module)["projector"]
-    return q @ random_hermitian(np.random.default_rng(seed), len(q)) @ q
 
 
 def reduced_source(t):
@@ -425,15 +378,12 @@ class TestCarrierSizeBackward:
     module-size operators the conversion assembled before it pulled back
     through the identification V directly."""
 
-    @pytest.mark.parametrize("with_potential", [False, True])
-    def test_output_is_the_module_size_compression(self, backward_input, with_potential):
+    def test_output_is_the_module_size_compression(self, backward_input):
         _, tri, module = backward_input
-        pot = caller_potential(tri, module) if with_potential else None
-        res = riemannian_to_spinc(tri, module, potential=pot)
+        res = riemannian_to_spinc(tri, module)
         asm = _backward_assembly(tri, module)
         q, v, nmod = asm["projector"], asm["identification"], asm["nmod"]
-        d_big = block_diag(tri.dirac, nmod) + (0.0 if pot is None else pot)
-        dhat = q @ d_big @ q
+        dhat = q @ block_diag(tri.dirac, nmod) @ q
         c_op = represent_chain(tri, tri.orientation_cycle) if tri.orientation_cycle is not None \
             else tri.grading
         chat = q @ block_diag(c_op, nmod) @ q
@@ -475,17 +425,14 @@ class TestCarrierSizeBackward:
         assert entry.status == "fail"
         assert 1e-7 < entry.residual < 1e-5
 
-    @pytest.mark.parametrize("with_potential", [False, True])
-    def test_one_module_size_norm(self, backward_input, monkeypatch, with_potential):
-        # convert:module_projector, a Frobenius norm; the only 2-norms at
-        # module size are those of a caller's potential P and of P - P^*
+    def test_one_module_size_norm(self, backward_input, monkeypatch):
+        # convert:module_projector, a Frobenius norm, is the one norm at
+        # module size
         _, tri, module = backward_input
-        pot = caller_potential(tri, module) if with_potential else None
         size = _backward_assembly(tri, module)["projector"].shape[0]
         calls = spy_module_norms(monkeypatch, size)
-        out = riemannian_to_spinc(tri, module, potential=pot).output
-        potential_norms = [("norm", (size, size), 2)] * 2 if with_potential else []
-        expected = [("projector_gap", (size, size))] + potential_norms
+        out = riemannian_to_spinc(tri, module).output
+        expected = [("projector_gap", (size, size))]
         assert calls[:len(expected)] == expected
         # the rest are the output's own checks at carrier size: on points3
         # the 9 x 9 operator-space matrices of the spin^c check of a
