@@ -31,7 +31,6 @@ from .tomita import (
     grading_from_cycle,
     mirror_dirac,
     opposite_action,
-    opposite_algebra,
     tomita_conjugation,
 )
 from .kasparov import (

@@ -4,6 +4,10 @@ Exit codes: 0 all requested checks pass, 1 a check or prerequisite fails,
 2 a file cannot be read or written, an input does not parse, or an option
 is malformed.  Every refusal is one `error:` line on stderr, written by
 `main` (by argparse for an option).
+
+`main` builds its parser once per process and reuses it: argparse keeps
+no state between `parse_args` calls, and every call returns a fresh
+namespace.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from .io import (
     vector_to_data,
 )
 from .kasparov import BimoduleConnection, product_triple
-from .linalg import Tolerance
+from .linalg import Tolerance, pull_back
 from .modules import ProjectiveModule
 from .report import CheckReport
 from .triples import run_condition_suite, zeta_diagnostic
@@ -134,21 +138,30 @@ def cmd_check(args) -> int:
 
 def _bundle_doc(doc):
     """(source triple, module data) bundled by `convert to-riemannian`, or
-    None for a document without the bundle."""
+    None for a document without the bundle.
+
+    The bundle holds the source s_k of the output's cda basis and the
+    module basis u; the basis itself is u^* (1_m (x) s_k) u, which the
+    backward assembly checks against the output's cda."""
     witness, source_doc = doc.get("witness"), doc.get("source")
     if witness is None or source_doc is None:
         return None
     if not isinstance(witness, dict):
         raise FormatError("witness is not a JSON object")
-    if witness.get("c_basis_src") is None:
+    if witness.get("c_basis_src") is None or witness.get("module_basis") is None:
         return None
     source = dict_to_triple(source_doc)
+    left = [data_to_matrix(w) for w in witness["c_basis_src"]]
+    u = data_to_matrix(witness["module_basis"])
+    n_src, n_out = source.hilbert_dim, int(doc["hilbert_dim"])
+    if u.shape[0] % n_src or u.shape[1] != n_out:
+        raise FormatError(f"module_basis is {u.shape[0]} x {u.shape[1]}, "
+                          f"not (m * {n_src}) x {n_out}")
     return source, CliffordModuleData(
-        carrier_dim=source.hilbert_dim,
-        left_action=[data_to_matrix(w) for w in witness["c_basis_src"]],
+        carrier_dim=n_src,
+        left_action=left,
         right_action_gens=source.right_action_gens,
-        algebra_basis=[data_to_matrix(w) for w in witness["c_basis_out"]]
-        if witness.get("c_basis_out") else None,
+        algebra_basis=list(pull_back(u, left)),
     )
 
 
@@ -159,18 +172,15 @@ def cmd_convert(args) -> int:
         bundle = _read_input(args.path, _bundle_doc, doc)
         if bundle is None:
             raise ValueError("to-spinc needs a file produced by to-riemannian "
-                             "(bundled module data missing)")
+                             "(no bundled witness with c_basis_src and module_basis)")
     try:
         if args.direction == "to-riemannian":
             result = spinc_to_riemannian(t, tol)
             extra = {
                 "witness": {
-                    "phi": vector_to_data(result.witness["phi"]),
                     "J_kernel": matrix_to_data(result.witness["conjugation_kernel"]),
-                    "epsilon": matrix_to_data(result.witness["epsilon"]),
-                    "intertwiner": None,
                     "c_basis_src": [matrix_to_data(w) for w in result.witness["c_basis_src"]],
-                    "c_basis_out": [matrix_to_data(w) for w in result.witness["c_basis_out"]],
+                    "module_basis": matrix_to_data(result.witness["module_basis"]),
                 },
                 "source": triple_to_dict(t),
             }
@@ -329,13 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="regularized trace diagnostics")
     p.add_argument("path")
     p.add_argument("-s", "--s-values", dest="s", type=_finite_float, nargs="+",
-                   default=[0.0, 1.0, 2.0])
+                   default=(0.0, 1.0, 2.0))
     p.set_defaults(func=cmd_zeta)
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, OSError) as exc:

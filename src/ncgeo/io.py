@@ -28,7 +28,8 @@ class FormatError(ValueError):
 
 def matrix_to_data(m) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    # tolist gives the same Python floats as a per-entry float() of each part
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def data_to_matrix(data) -> np.ndarray:
@@ -52,7 +53,7 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 def vector_to_data(v) -> list:
     v = np.asarray(v, dtype=complex).ravel()
-    return [[float(x.real), float(x.imag)] for x in v]
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def data_to_vector(data) -> np.ndarray:

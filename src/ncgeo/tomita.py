@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis, commutant
+from .algebra import commutant
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -31,7 +31,6 @@ __all__ = [
     "AntiunitaryMap",
     "tomita_conjugation",
     "opposite_action",
-    "opposite_algebra",
     "grading_from_cycle",
     "mirror_dirac",
     "check_fundamental_class",
@@ -114,24 +113,6 @@ def opposite_action(j: AntiunitaryMap, a) -> np.ndarray:
     """Right-action operator J a* J of an algebra element, or of each matrix
     of a (k, n, n) stack: K conj(a^*) conj(K) = K a^T conj(K)."""
     return j.kernel @ np.swapaxes(np.asarray(a, dtype=complex), -1, -2) @ np.conj(j.kernel)
-
-
-def opposite_algebra(j: AntiunitaryMap, alg: AlgebraBasis) -> AlgebraBasis:
-    """The right action J A J of an algebra A, with its data carried over.
-
-    The basis and generators are mapped by `opposite_action`.  For
-    a = w (+_k X_k (x) 1_{m_k}) w* and J with a unitary kernel K,
-    K conj(K) = 1, J a* J = K a^T K* is w' (+_k X_k^T (x) 1_{m_k}) w'* with
-    w' = K conj(w), so the Wedderburn data (w, blocks) become
-    (K conj(w), blocks), and `commutant` of the result writes the
-    commutant down from them.
-    """
-    wedderburn = alg.wedderburn
-    if wedderburn is not None:
-        wedderburn = (j.kernel @ np.conj(wedderburn[0]), wedderburn[1])
-    return AlgebraBasis(
-        alg.hilbert_dim, opposite_action(j, alg.basis), opposite_action(j, alg.generators),
-        wedderburn=wedderburn)
 
 
 def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,

@@ -3,8 +3,10 @@ import dataclasses
 
 import numpy as np
 
+from ncgeo.algebra import AlgebraBasis
 from ncgeo.examples import SIGMA1, SIGMA2, matrix_geometry
 from ncgeo.linalg import max_span_residual, random_complex, random_hermitian
+from ncgeo.tomita import AntiunitaryMap, opposite_action
 from ncgeo.triples import SpectralTripleData
 
 
@@ -18,6 +20,24 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     its columns' phases fixed by R's diagonal."""
     q, r = np.linalg.qr(random_complex(rng, (n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def opposite_algebra(j: AntiunitaryMap, alg: AlgebraBasis) -> AlgebraBasis:
+    """The right action J A J of an algebra A, with its data carried over.
+
+    The basis and generators are mapped by `opposite_action`.  For
+    a = w (+_k X_k (x) 1_{m_k}) w* and J with a unitary kernel K,
+    K conj(K) = 1, J a* J = K a^T K* is w' (+_k X_k^T (x) 1_{m_k}) w'* with
+    w' = K conj(w), so the Wedderburn data (w, blocks) become
+    (K conj(w), blocks), and `commutant` of the result writes the
+    commutant down from them.
+    """
+    wedderburn = alg.wedderburn
+    if wedderburn is not None:
+        wedderburn = (j.kernel @ np.conj(wedderburn[0]), wedderburn[1])
+    return AlgebraBasis(
+        alg.hilbert_dim, opposite_action(j, alg.basis), opposite_action(j, alg.generators),
+        wedderburn=wedderburn)
 
 
 def spans_equal(a, b, tol=1e-9) -> bool:

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_unitary
-from ncgeo import convert
+from ncgeo import cli, convert
 from ncgeo.cli import main
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.io import (
@@ -16,8 +18,55 @@ from ncgeo.io import (
     matrix_to_data,
     save_triple,
     triple_to_dict,
+    vector_to_data,
 )
+from ncgeo.linalg import pull_back
 from ncgeo.triples import SpectralTripleData
+from test_bench_digests import check
+
+
+def reference_matrix_data(m) -> list:
+    """The per-entry encoding `io.matrix_to_data` is checked against."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def reference_vector_data(v) -> list:
+    """The per-entry encoding `io.vector_to_data` is checked against."""
+    v = np.asarray(v, dtype=complex).ravel()
+    return [[float(x.real), float(x.imag)] for x in v]
+
+
+def _leaves(data):
+    if isinstance(data, list):
+        for item in data:
+            yield from _leaves(item)
+    else:
+        yield data
+
+
+def assert_same_encoding(got, expected):
+    # == takes -0.0 for 0.0; the JSON text does not
+    assert got == expected
+    assert all(type(x) is float for x in _leaves(got))
+    assert json.dumps(got) == json.dumps(expected)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-17, 1e300, -1e300]
+
+
+@st.composite
+def complex_arrays(draw):
+    """Complex (rows, cols) arrays of finite parts, with signed zeros,
+    subnormals and huge values mixed in."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    part = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    parts = st.lists(part, min_size=rows * cols, max_size=rows * cols)
+    m = np.empty((rows, cols), dtype=complex)
+    m.real = np.reshape(draw(parts), (rows, cols))
+    m.imag = np.reshape(draw(parts), (rows, cols))
+    return m
 
 
 @pytest.fixture()
@@ -67,6 +116,27 @@ class TestSerialization:
     def test_matrix_encoding(self):
         m = np.array([[1.5 + 2.5j, -0.25], [0.0, 1e-17j]])
         assert np.array_equal(data_to_matrix(matrix_to_data(m)), m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(complex_arrays())
+    def test_encoding_matches_per_entry_reference(self, m):
+        assert_same_encoding(matrix_to_data(m), reference_matrix_data(m))
+        assert_same_encoding(vector_to_data(m), reference_vector_data(m))
+        assert_same_encoding(vector_to_data(m[0]), reference_vector_data(m[0]))
+
+    @pytest.mark.parametrize("m", [
+        pytest.param(np.array([[1.5 + 2.5j, -0.25], [0.0, 1e-17j]]), id="tiny_imaginary"),
+        pytest.param(np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]]),
+                     id="signed_zeros"),
+        pytest.param(np.array([[5e-324, -1e-310j], [2.2250738585072014e-308, 1e300 - 1e300j]]),
+                     id="subnormal_and_huge"),
+        pytest.param(np.array([[1.0, -2.5], [1e300, 0.0]]), id="real"),
+        pytest.param(np.array([[1, -2], [3, 0]]), id="integer"),
+        pytest.param([[1, 2j], [0.5, -3]], id="nested_list"),
+    ])
+    def test_encoding_of_special_values(self, m):
+        assert_same_encoding(matrix_to_data(m), reference_matrix_data(m))
+        assert_same_encoding(vector_to_data(m), reference_vector_data(m))
 
     def test_malformed_raises(self, tmp_path):
         from ncgeo.io import FormatError
@@ -255,8 +325,9 @@ class TestConvertCommand:
         assert len(calls) == 1
 
     def test_to_spinc_sweeps_the_bundled_basis(self, tmp_path, monkeypatch):
-        # the module of a file comes with the basis written there, so it is
-        # checked against the reloaded triple's cda once
+        # the module of a file comes with the basis rebuilt from the module
+        # basis written there, so it is checked against the reloaded
+        # triple's cda once
         src = tmp_path / "m.striple"
         save_triple(src, matrix_geometry(2, seed=7))
         riem = tmp_path / "m.riem"
@@ -279,7 +350,7 @@ class TestConvertCommand:
         t = two_point(1.0)
         doc = triple_to_dict(t)
         eye = matrix_to_data(np.eye(t.hilbert_dim))
-        doc["witness"] = {"c_basis_src": [eye], "c_basis_out": [eye]}
+        doc["witness"] = {"c_basis_src": [eye], "module_basis": eye}
         doc["source"] = triple_to_dict(t)
         edit(doc)
         return doc
@@ -290,6 +361,10 @@ class TestConvertCommand:
         pytest.param(lambda doc: doc["source"].pop("dirac"), id="source_without_dirac"),
         pytest.param(lambda doc: doc["witness"].__setitem__("c_basis_src", "x"),
                      id="c_basis_src_string"),
+        pytest.param(lambda doc: doc["witness"].__setitem__("module_basis", "x"),
+                     id="module_basis_string"),
+        pytest.param(lambda doc: doc["witness"].__setitem__(
+            "module_basis", matrix_to_data(np.ones((3, 2)))), id="module_basis_rows"),
     ])
     def test_to_spinc_malformed_bundle_exit_two(self, tmp_path, capsys, edit):
         path = tmp_path / "bundle.riem"
@@ -297,6 +372,56 @@ class TestConvertCommand:
         assert main(["convert", "to-spinc", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_to_spinc_old_bundle_names_module_basis(self, tmp_path, capsys):
+        # a bundle written with the output's cda basis instead of the module
+        # basis has no reader: it is a file without the bundle
+        def old_bundle(doc):
+            doc["witness"]["c_basis_out"] = [doc["witness"].pop("module_basis")]
+
+        path = tmp_path / "old.riem"
+        path.write_text(json.dumps(self._bundle_doc(old_bundle)))
+        assert main(["convert", "to-spinc", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "module_basis" in err
+
+    @pytest.mark.parametrize("builder", [
+        pytest.param(lambda: matrix_geometry(2, seed=7), id="matrix_geometry_2_7"),
+        pytest.param(lambda: trivial_points(3), id="trivial_points_3"),
+    ])
+    def test_module_basis_rebuilds_the_cda_basis(self, builder):
+        # what to-spinc rebuilds from the bundle: u^* (1_m (x) s_k) u
+        res = convert.spinc_to_riemannian(builder())
+        rebuilt = pull_back(res.witness["module_basis"], res.witness["c_basis_src"])
+        gaps = np.linalg.norm(rebuilt - np.asarray(res.witness["c_basis_out"]), axis=(1, 2))
+        assert gaps.max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [7, 2001408477])
+    def test_cli_round_trip_matches_round_trip_check(self, tmp_path, capsys, seed):
+        # to-riemannian's report is the forward half; to-spinc's holds the
+        # backward half and, prefixed "roundtrip:", the intertwiner entries
+        t = matrix_geometry(2, seed=seed)
+        src, riem = tmp_path / "m.striple", tmp_path / "m.riem"
+        save_triple(src, t)
+        reports = []
+        for argv in (["to-riemannian", str(src), "-o", str(riem)],
+                     ["to-spinc", str(riem), "-o", str(tmp_path / "m.back")]):
+            assert main(["--format", "json", "convert", *argv]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["report"]["entries"])
+        forward, backward = reports
+
+        def digest(cid, entry):
+            return cid, entry["status"], check.detail_ints(entry["details"])
+
+        cli_entries = (
+            [digest(e["condition_id"].removeprefix("roundtrip:"), e) for e in backward
+             if e["condition_id"].startswith("roundtrip:")]
+            + [digest("forward:" + e["condition_id"], e) for e in forward]
+            + [digest("backward:" + e["condition_id"], e) for e in backward
+               if not e["condition_id"].startswith("roundtrip:")])
+        expected = convert.round_trip_check(t).report.as_dict()["entries"]
+        assert cli_entries == [digest(e["condition_id"], e) for e in expected]
 
     def test_to_spinc_failing_bundle_exit_one(self, tmp_path, capsys):
         # a well-encoded bundle whose conversion fails is not a parse error
@@ -398,6 +523,49 @@ class TestOtherCommands:
         assert main(["product", str(src), "--module", str(mpath), "-o", str(out)]) == 0
         t2, _ = load_triple(out)
         assert t2.hilbert_dim == t.hilbert_dim
+
+
+class TestParserReuse:
+    """`main` keeps one parser per process; no call leaves state for the next."""
+
+    @pytest.fixture()
+    def small_file(self, tmp_path):
+        path = tmp_path / "t.striple"
+        save_triple(path, trivial_points(3))
+        return str(path)
+
+    @staticmethod
+    def _json_run(capsys, argv):
+        code = main(["--format", "json", *argv])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_parser_built_once(self, small_file, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for _ in range(3):
+            assert main(["zeta", small_file]) == 0
+        assert len(built) == 1
+
+    def test_tolerance_does_not_carry_over(self, small_file, capsys):
+        _, doc = self._json_run(capsys, ["--tol", "1e-3", "check", small_file])
+        assert doc["header"] == {"tol": 1e-3}
+        _, doc = self._json_run(capsys, ["check", small_file])
+        assert doc["header"] == {"tol": 1e-9}
+
+    def test_zeta_defaults_after_explicit_values(self, small_file, capsys):
+        _, doc = self._json_run(capsys, ["zeta", small_file, "-s", "3"])
+        assert list(doc["zeta"]) == ["3.0"]
+        _, doc = self._json_run(capsys, ["zeta", small_file])
+        assert list(doc["zeta"]) == ["0.0", "1.0", "2.0"]
+
+    def test_parse_failure_then_success(self, small_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", "zeta", small_file, "-s", "nan"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert self._json_run(capsys, ["zeta", small_file])[0] == 0
 
 
 class TestParseErrors:

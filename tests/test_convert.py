@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diag, random_unitary, spans_equal
+from helpers import block_diag, opposite_algebra, random_unitary, spans_equal
 from ncgeo import convert, linalg, tomita, triples
 from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra
 from ncgeo.convert import (
@@ -38,7 +38,7 @@ from ncgeo.linalg import (
     span_basis,
 )
 from ncgeo.modules import parseval_frame
-from ncgeo.tomita import AntiunitaryMap, opposite_action, opposite_algebra, tomita_conjugation
+from ncgeo.tomita import AntiunitaryMap, opposite_action, tomita_conjugation
 from ncgeo.triples import (
     HochschildChain,
     SpectralTripleData,

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import block_diag
+from helpers import block_diag, opposite_algebra
 from ncgeo import kasparov
 from ncgeo.algebra import AlgebraBasis, generate_algebra
 from ncgeo.convert import spinc_to_riemannian
@@ -34,7 +34,7 @@ from ncgeo.linalg import (
     span_residual,
 )
 from ncgeo.modules import ProjectiveModule, parseval_frame, validate_module
-from ncgeo.tomita import opposite_algebra, tomita_conjugation
+from ncgeo.tomita import tomita_conjugation
 from ncgeo.triples import SpectralTripleData, first_order_residuals
 
 from test_algebra import block_algebra_generators

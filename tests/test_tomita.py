@@ -15,12 +15,11 @@ from ncgeo.tomita import (
     grading_from_cycle,
     mirror_dirac,
     opposite_action,
-    opposite_algebra,
     tomita_conjugation,
 )
 from ncgeo.triples import SpectralTripleData, check_riemannian
 
-from helpers import spans_equal
+from helpers import opposite_algebra, spans_equal
 from test_linalg import loop_span_residuals
 
 
