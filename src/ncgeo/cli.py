@@ -216,7 +216,7 @@ def cmd_product(args) -> int:
     right = t.right_algebra(tol)
     if right is None:
         raise ValueError("triple has no right action to twist against")
-    conn = BimoduleConnection(ProjectiveModule(right, n, q_big), potential)
+    conn = BimoduleConnection(ProjectiveModule.from_projector(right, n, q_big), potential)
     out, _, rep = product_triple(t, conn, tol)
     outpath = args.output or (args.path + ".product")
     save_triple(outpath, out)

@@ -20,22 +20,20 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     commutator_residual,
-    from_blocks,
     max_frobenius,
     max_operator_norm,
     operator_norm,
     project_onto_span,
-    projector_gap,
+    projector_gap_bound,
     pull_back,
     random_complex,
     rel_residual,
     scaled_within,
     span_basis,
-    to_blocks,
     unit_floor_norms,
     within_span,
 )
-from .modules import ProjectiveModule, parseval_frame
+from .modules import ProjectiveModule, frame_idempotency_bound, parseval_frame
 from .report import CheckReport
 from .tomita import grading_from_cycle, opposite_action, tomita_conjugation
 from .triples import (
@@ -56,7 +54,6 @@ __all__ = [
     "riemannian_to_spinc",
     "backward_round_trip",
     "round_trip_check",
-    "intertwine_triples",
     "double_odd_triple",
     "appendix_equivalence_check",
     "poincare_pairing_matrix",
@@ -91,6 +88,17 @@ def _refusal(prefix: str, rep: CheckReport) -> str:
     """One line naming a report's failed entries with their residuals."""
     return f"{prefix}: " + "; ".join(
         f"{e.condition_id} (residual {e.residual:.3e})" for e in rep.failures())
+
+
+def _range_certificate(module: ProjectiveModule, v: np.ndarray, idempotency: float) -> float:
+    """`linalg.projector_gap_bound` on |Q - V V^*|_F for a module's projector
+    Q and an (N, r) V: |Q V - V|_F from one `ProjectiveModule.apply`, the
+    isometry and trace defects at size r, and a bound on |Q^2 - Q|_F (the
+    frame's, `frame_idempotency_bound`).  Q is Hermitian by construction."""
+    r = v.shape[1]
+    isometry = np.linalg.norm(adjoint(v) @ v - np.eye(r))
+    return projector_gap_bound(np.linalg.norm(module.apply(v) - v), isometry,
+                               abs(module.trace() - r), idempotency, len(v))
 
 
 def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> ConversionResult:
@@ -129,18 +137,18 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
 
     # tight frame for the right action; the module of the conversion is the
     # conjugate of the Hilbert space over the algebra, and block (k, j) of
-    # its projector is the pairing E(|x_k><x_j|)
+    # its projector is the pairing E(|x_k><x_j|), held as its coordinates
+    # against the right basis
     xs = parseval_frame(right, tol)
     m = len(xs)
-    q_big = from_blocks(right.combine(right.pair_coords(xs, xs)))
+    module = ProjectiveModule(right, right.pair_coords(xs, xs), right.basis)
 
     # Q is a frame projector by construction: convert:projector_residual
     # below is its certificate, so it skips the gate of a caller's module
-    conn = BimoduleConnection(ProjectiveModule(right, m, q_big))
-    u, out_dirac, _ = _twist(t, conn, tol, compress_to_range)
+    u, out_dirac, _ = _twist(t, BimoduleConnection(module), tol, compress_to_range)
     # the outputs are compressions through u, those of the twisted operators
     # exactly when Q = u u^*; nothing below holds without it
-    off_range = projector_gap(q_big, u)
+    off_range = _range_certificate(module, u, frame_idempotency_bound(right, xs))
     if not off_range <= tol.rel:
         raise ValueError(f"module range basis is not that of its projector "
                          f"(convert:projector_residual {off_range:.3e})")
@@ -199,7 +207,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         "conjugation_kernel": j.kernel,
         "epsilon": eps,
         "orientation_image": chat,
-        "module_projector": q_big,
+        "module": module,
         "module_basis": u,
         "frame": xs,
         "c_basis_out": list(out_basis),
@@ -223,7 +231,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
 
     # trace bookkeeping: compressed trace equals the source trace against the
     # diagonal part of the module projector
-    diag_weight = np.trace(to_blocks(q_big, m))
+    diag_weight = module.diagonal_blocks().sum(0)
     k = min(6, cda.dim)
     lhs = np.trace(pull_back(u, cda.basis[:k]), axis1=1, axis2=2)
     rhs = np.einsum("kab,ba->k", cda.basis[:k], diag_weight)
@@ -238,7 +246,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
 
 def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
                        tol: Tolerance = DEFAULT_TOL):
-    """Assembly for the backward conversion: module projector, conjugation,
+    """Assembly for the backward conversion: the module (its projector
+    factored over the right actions of the source operators), conjugation,
     and the identification map of the twisted space with the module
     carrier.
 
@@ -281,8 +290,7 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
 
     # block (i, j) of the projector is the right action of (x_j | x_i), and
     # block i of column e of vmap is that of (e | x_i) applied to phi
-    coords = carrier.pair_coords(frame, frame).swapaxes(0, 1)
-    q_big = from_blocks(np.tensordot(coords, opposite, axes=1))
+    module = ProjectiveModule(None, carrier.pair_coords(frame, frame).swapaxes(0, 1), opposite)
     vmap = np.einsum("eik,ka->iae", carrier.pair_coords(np.eye(nc), frame),
                      opposite @ t.riemann_vector).reshape(nmod * nh, nc)
     uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
@@ -292,7 +300,10 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     return {
         "nc": nc, "nh": nh, "nmod": nmod, "conjugation": j,
         "carrier": carrier, "source_ops": source_ops,
-        "projector": q_big, "vmap": vmap,
+        # with a left action that represents the cda, the right action of the
+        # source operators is a linear antihomomorphism of the carrier algebra
+        "module": module, "idempotency": frame_idempotency_bound(carrier, frame, opposite),
+        "vmap": vmap,
         "identification": uq @ vqh, "identification_svals": sq,
     }
 
@@ -317,7 +328,6 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     if t.declared_p % 2 == 1:
         raise ValueError(f"backward conversion needs even declared dimension, got p = {t.declared_p}")
     asm = _backward_assembly(t, module, tol)
-    q_big = asm["projector"]
     nmod, nh, nc = asm["nmod"], asm["nh"], asm["nc"]
     j = asm["conjugation"]
     vmap = asm["vmap"]
@@ -327,7 +337,8 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     # identification V; it equals V^* Q X Q V, the compression of the twisted
     # operators, exactly when Q = V V^*
     rep = CheckReport()
-    rep.add("convert:module_projector", projector_gap(q_big, v_unit),
+    rep.add("convert:module_projector",
+            _range_certificate(asm["module"], v_unit, asm["idempotency"]),
             max(tol.rel, 1e-8), f"module frame size {nmod}")
 
     dirac = pull_back(v_unit, t.dirac)
@@ -372,58 +383,8 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     rep.extend(vrep)
     sp, _ = check_spinc(out, tol)
     rep.extend(sp)
-    witness = {"identification": v_unit, "module_projector": q_big, "conjugation_kernel": j.kernel}
+    witness = {"identification": v_unit, "conjugation_kernel": j.kernel}
     return ConversionResult(output=out, witness=witness, report=rep)
-
-
-def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
-                       tol: Tolerance = DEFAULT_TOL):
-    """Unitary intertwiner of two triples with matching generator lists.
-
-    The action-intertwining family is `algebra.intertwiners`: the X with
-    X a1 = a2 X and X a1^* = a2^* X for corresponding generators, the
-    intertwiners of the generated *-algebras.  The Dirac mismatch is
-    minimized over that family, then the minimizer is unitarized.  When
-    several members match the Dirac operators exactly, the choice is a
-    seeded probe projected onto that exact subspace, so it does not depend
-    on the family's basis.  Returns (u, report).
-    """
-    rep = CheckReport()
-    if len(t1.algebra_gens) != len(t2.algebra_gens):
-        raise ValueError("generator lists must correspond")
-    n1, n2 = t1.hilbert_dim, t2.hilbert_dim
-    if n1 != n2:
-        rep.add("intertwine:dimensions", 1.0, 0.5, f"{n1} vs {n2}")
-        return None, rep
-    a1s = np.reshape(t1.algebra_gens, (-1, n1, n1))
-    a2s = np.reshape(t2.algebra_gens, (-1, n2, n2))
-    basis_u = intertwiners(a1s, a2s, tol)
-    if len(basis_u) == 0:
-        rep.add("intertwine:action_solutions", 1.0, 0.5,
-                "no solutions of the action-intertwining system" + _block_mismatch(t1, t2, tol))
-        return None, rep
-    rep.add("intertwine:action_solutions", 0.0, 0.5, f"family dimension {len(basis_u)}")
-    cols = (basis_u @ t1.dirac - t2.dirac @ basis_u).reshape(len(basis_u), -1).T
-    # the family lies in C^(n2 n1), so it has at most as many members as cols
-    # has rows and every right singular vector has a singular value
-    _, svals, vh = np.linalg.svd(cols, full_matrices=False)
-    floor = max(tol.rank_cut * max(float(svals[0]), 1.0), 1e-300)
-    exact = vh[svals <= floor].conj()
-    if len(exact):
-        # exact joint solutions: their span is orthonormal
-        u_raw = _seeded_member(np.tensordot(exact, basis_u, 1))
-    else:
-        u_raw = np.tensordot(vh[-1].conj(), basis_u, 1)
-    u = _unitary_part(u_raw, tol)
-    if u is None:
-        rep.add("intertwine:invertible", 1.0, 0.5, "minimizer is singular")
-        return None, rep
-    rep.add("intertwine:action_residual",
-            max_operator_norm(u @ a1s - a2s @ u, unit_floor_norms(a1s)),
-            max(tol.rel, 1e-10))
-    dres = operator_norm(u @ t1.dirac - t2.dirac @ u)
-    rep.add("intertwine:dirac_residual", dres, max(tol.rel, 1e-8))
-    return u, rep
 
 
 def _seeded_member(family: np.ndarray) -> np.ndarray:

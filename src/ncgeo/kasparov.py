@@ -1,21 +1,24 @@
 """Bimodule connections, twisted Dirac operators, product triples and index pairings.
 
 A module over the right-acting coefficient algebra B is a
-`modules.ProjectiveModule` whose base is the represented right action: one
-big projector Q on H^n whose blocks lie in the span of that action, with
-the projector as its metric.  The module of a frame x_1..x_n of that
-algebra (the canonical one is `modules.parseval_frame`) has block (i, j)
-of Q equal to the pairing E(|x_i><x_j|) of the conditional expectation
-onto it (`AlgebraBasis.pair_coords`).  Connection potentials are n x n
-tables of operators on H constrained to the represented one-form span;
-the table entry P[i][j] contributes to output slot k as sum_j P[j][k] v_j.
+`modules.ProjectiveModule` whose base is the represented right action: a
+projector Q on H^n whose blocks lie in the span of that action, held
+factored, with the projector as its metric.  The module of a frame
+x_1..x_n of that algebra (the canonical one is `modules.parseval_frame`)
+has block (i, j) of Q equal to the pairing E(|x_i><x_j|) of the
+conditional expectation onto it, held as its coordinates
+(`AlgebraBasis.pair_coords`) against the algebra's basis.  Connection
+potentials are n x n tables of operators on H constrained to the
+represented one-form span; the table entry P[i][j] contributes to output
+slot k as sum_j P[j][k] v_j.
 Only the compression U^*(D (x) 1 + A)U of the twisted operator to the
 range basis U of Q matters to the product; `_twist` builds it without
-module-size operators for `product_triple` and the forward conversion.
+module-size operators for `product_triple` and the forward conversion,
+which read Q only through `ProjectiveModule.apply` and its trace.
 A caller's module passes `modules.validate_module` in the two entry points
 that take one, `twisted_operator` and `product_triple`; the forward
-conversion builds its own Parseval-frame projector and certifies it by
-`convert:projector_residual`.
+conversion builds its own Parseval-frame module and certifies its range
+basis by `convert:projector_residual`.
 """
 from __future__ import annotations
 
@@ -199,26 +202,23 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
 
 
 def _check_module(module: ProjectiveModule, tol: Tolerance):
-    """Hard errors on a caller's module: a projector of the wrong shape, or
-    one that fails `validate_module`."""
-    n, d = module.size, module.block_dim
-    if module.projector.shape != (n * d, n * d):
-        raise ValueError("module projector shape mismatch")
+    """Hard error on a caller's module that fails `validate_module` (a
+    projector of the wrong shape fails `ProjectiveModule.from_projector`)."""
     failed = [e.condition_id for e in validate_module(module, tol).failures()]
     if failed:
         raise ValueError("invalid twisting module: " + ", ".join(failed))
 
 
 def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basis):
-    """(U, U^*(D (x) 1 + A)U, U^* A U) for U = basis(Q), after the gate: hard errors on
-    a bad potential, first-order condition or non-Hermitian result.  The
+    """(U, U^*(D (x) 1 + A)U, U^* A U) for U = basis(module), after the gate: hard
+    errors on a bad potential, first-order condition or non-Hermitian result.  The
     module itself is the caller's to certify."""
     module = conn.module
     _validate_potential(t, conn, tol)
     if not first_order_within(t, module.base.basis, max(tol.rel, 1e-7)):
         fo = max(first_order_residuals(t, module.base.basis))
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
-    u = basis(module.projector)
+    u = basis(module)
     ahat = np.zeros((u.shape[1],) * 2, dtype=complex) if conn.potential is None else \
         adjoint(u) @ from_blocks(np.asarray(conn.potential, dtype=complex).swapaxes(0, 1)) @ u
     dhat = pull_back(u, t.dirac) + ahat
@@ -236,18 +236,17 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
     module projector).  Hard errors on a bad projector or potential.
     """
     _check_module(conn.module, tol)
-    _, dhat, ahat = _twist(t, conn, tol, lambda q: q)
+    _, dhat, ahat = _twist(t, conn, tol, ProjectiveModule.dense)
     return dhat, ahat
 
 
-def compress_to_range(projector: np.ndarray) -> np.ndarray:
-    """Orthonormal column basis of the range of a Hermitian projector Q: Q
+def compress_to_range(module: ProjectiveModule) -> np.ndarray:
+    """Orthonormal column basis of the range of a module's projector Q: Q
     applied to a seeded probe of round(Tr Q) columns, orthonormalized by QR
     with R's diagonal made positive, so it moves continuously with Q."""
-    q = np.asarray(projector)
-    rank = int(round(float(np.trace(q).real)))
-    probe = random_complex(np.random.default_rng(1109), (q.shape[0], rank))
-    u, r = np.linalg.qr(q @ probe)
+    rank = int(round(module.trace()))
+    probe = random_complex(np.random.default_rng(1109), (module.size * module.block_dim, rank))
+    u, r = np.linalg.qr(module.apply(probe))
     return u * np.exp(1j * np.angle(np.diagonal(r)))
 
 
@@ -335,7 +334,7 @@ def connection_condition_check(t: SpectralTripleData, conn: BimoduleConnection,
     module = conn.module
     dhat, ahat = twisted_operator(t, conn, tol)
     n, nh = module.size, module.block_dim
-    q = module.projector
+    q = module.dense()
     frame = [q[:, j * nh:(j + 1) * nh] @ b for j in range(n) for b in module.base.basis]
     d = t.dirac
     worst = 0.0

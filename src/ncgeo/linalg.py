@@ -19,7 +19,7 @@ __all__ = [
     "max_operator_norm",
     "max_frobenius",
     "unit_floor_norms",
-    "projector_gap",
+    "projector_gap_bound",
     "commutator_residual",
     "commutators_within",
     "rel_residual",
@@ -178,22 +178,36 @@ def unit_floor_norms(xs) -> np.ndarray:
     return out.reshape(xs.shape[:-2])
 
 
-def projector_gap(q, u) -> float:
-    """|Q - U U^*|_F for an (N, N) matrix Q and an (N, r) matrix U, r rows
-    at a time, so no temporary is larger than U.
+def projector_gap_bound(residual: float, isometry: float, trace: float,
+                        idempotency: float, size: int) -> float:
+    """An upper bound on |Q - V V^*|_F for a Hermitian Q on C^size and a
+    (size, r) matrix V, from quantities of carrier size r: residual =
+    |Q V - V|_F, isometry = |V^* V - 1|_F, trace = |Tr Q - r| and
+    idempotency >= |Q^2 - Q|_F.  inf where the hypotheses below fail.
 
-    The Frobenius norm bounds the 2-norm from above (and for a difference of
-    two rank-r projectors is at most sqrt(2r) times it), so a certificate
-    `projector_gap <= tol` implies |Q - U U^*|_2 <= tol with no SVD.
+    For a rank-r projector Q and an isometry V, |Q - V V^*|_F is exactly
+    sqrt(2) |Q V - V|_F.  In general, with isometry < 1 and idempotency
+    <= 1/8, each eigenvalue q of Q is within |q^2 - q| / (1 - 2 idempotency)
+    of 0 or 1, so the spectral projector P of Q onto (1/2, oo) has
+    |Q - P|_F <= p = idempotency / (1 - 2 idempotency) and |Tr Q - Tr P| <=
+    sqrt(size) p; with trace + sqrt(size) p < 1 that makes Tr P = r.  The
+    polar part W of V spans the range of V with |V V^* - W W^*|_F =
+    isometry and |Q W - W|_F <= residual / sqrt(1 - isometry), and |P -
+    W W^*|_F = sqrt(2) |P W - W|_F, so
+
+        |Q - V V^*|_F <= sqrt(2) residual / sqrt(1 - isometry)
+                         + (1 + sqrt(2)) p + isometry.
+
+    Every term is linear in the defects: the expansion |Q|_F^2 - 2 Re
+    Tr(V^* Q V) + r of the square cancels to about sqrt(r eps).
     """
-    q, u = np.asarray(q), np.asarray(u)
-    uh = adjoint(u)
-    step = max(1, u.shape[1])
-    total = 0.0
-    for start in range(0, q.shape[0], step):
-        rows = q[start:start + step] - u[start:start + step] @ uh
-        total += float(np.vdot(rows, rows).real)
-    return float(np.sqrt(total))
+    if not (isometry < 1.0 and idempotency <= 0.125):
+        return np.inf
+    p = idempotency / (1.0 - 2.0 * idempotency)
+    if not trace + np.sqrt(size) * p < 1.0:
+        return np.inf
+    root2 = np.sqrt(2.0)
+    return float(root2 * residual / np.sqrt(1.0 - isometry) + (1.0 + root2) * p + isometry)
 
 
 def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:

@@ -10,8 +10,9 @@ Concrete conventions
   are linear in the first slot, right pairings in the second.
 * The pairing of a conditional expectation E onto an algebra is
   (u|v) = E(|u><v|); `AlgebraBasis.pair_coords` gives its coordinates for
-  two whole stacks of vectors.  The projector of a frame x_1..x_m is the
-  block matrix (`linalg.from_blocks`) of the table (x_i|x_j).
+  two whole stacks of vectors.  The projector of a frame x_1..x_m has the
+  table (x_i|x_j) as its blocks; `ProjectiveModule` holds it factored, as
+  those coordinates against the algebra's basis.
 """
 from __future__ import annotations
 
@@ -47,29 +48,82 @@ __all__ = [
     "bimodule_from_actions",
     "linear_operator_bound",
     "parseval_frame",
+    "frame_idempotency_bound",
 ]
+
+
+# elements of the (k, m, d, c) stack of the O_k x_j that one step of
+# `ProjectiveModule.apply` holds, 1 MB of complex
+_APPLY_BLOCK = 1 << 16
 
 
 @dataclass
 class ProjectiveModule:
-    """Module q B^m over an algebra B of d x d operators, presented by a projector.
+    """Module q B^m over an algebra B of d x d operators, presented by its
+    projector in factored form, Q = sum_k C_k (x) O_k: block (i, j) of Q is
+    sum_k coords[i, j, k] ops[k].
 
-    The blocks of the projector and of the metric lie in B.  The metric
-    defaults to the projector itself (the standard hermitian structure).
+    A frame module has the pairing coordinates of its frame as C_k
+    (`AlgebraBasis.pair_coords`) and the operators those coordinates refer
+    to as O_k; a caller's dense projector enters through `from_projector`
+    as the m^2 unit tables with its blocks as operators.  Q is read through
+    `apply`, `diagonal_blocks` and `trace`, never formed at module size
+    unless a check of a caller's module asks for it (`dense`).  `base` is
+    the algebra B, None where the blocks lie in it by construction and no
+    check asks for it.  The metric is a dense (m*d, m*d) operator; None
+    stands for the projector itself (the standard hermitian structure).
     """
 
-    base: AlgebraBasis
-    size: int
-    projector: np.ndarray  # (m*d, m*d), blocks over the base algebra
+    base: AlgebraBasis | None
+    coords: np.ndarray  # (m, m, k)
+    ops: np.ndarray  # (k, d, d)
     metric: np.ndarray | None = None  # (m*d, m*d), positive, q r = r q = r
 
-    def __post_init__(self):
-        if self.metric is None:
-            self.metric = self.projector
+    @classmethod
+    def from_projector(cls, base: AlgebraBasis, size: int, projector,
+                       metric=None) -> "ProjectiveModule":
+        """The module of a caller's dense (size*d, size*d) projector."""
+        q = np.asarray(projector, dtype=complex)
+        d = base.hilbert_dim
+        if q.shape != (size * d, size * d):
+            raise ValueError("module projector shape mismatch")
+        units = np.eye(size * size).reshape(size, size, size * size)
+        return cls(base, units, to_blocks(q, size).reshape(-1, d, d), metric)
+
+    @property
+    def size(self) -> int:
+        return self.coords.shape[0]
 
     @property
     def block_dim(self) -> int:
-        return self.base.hilbert_dim
+        return self.ops.shape[-1]
+
+    def apply(self, x) -> np.ndarray:
+        """Q x for an (m*d, c) matrix x.  Over chunks of k, one matmul applies
+        each O_k to each block of x and one tensordot contracts with the C_k,
+        so no temporary is larger than about `_APPLY_BLOCK` elements."""
+        x = np.asarray(x)
+        m, d, c = self.size, self.block_dim, x.shape[1]
+        blocks = x.reshape(1, m, d, c)
+        step = max(1, _APPLY_BLOCK // max(1, d * m * c))
+        out = np.zeros((m, d, c), dtype=complex)
+        for start in range(0, len(self.ops), step):
+            # z[k, j] = O_k x_j, contracted over (k, j) with C_k[i, j]
+            z = self.ops[start:start + step, None] @ blocks
+            out += np.tensordot(self.coords[:, :, start:start + step], z, ([2, 1], [0, 1]))
+        return out.reshape(m * d, c)
+
+    def dense(self) -> np.ndarray:
+        """Q itself, Q applied to the identity: for the checks of a caller's
+        module, which run at module size.  Exact for `from_projector`."""
+        return self.apply(np.eye(self.size * self.block_dim, dtype=complex))
+
+    def diagonal_blocks(self) -> np.ndarray:
+        """The (m, d, d) stack of the diagonal blocks of Q."""
+        return np.tensordot(np.diagonal(self.coords).T, self.ops, 1)
+
+    def trace(self) -> float:
+        return float((np.trace(self.coords) @ np.trace(self.ops, axis1=1, axis2=2)).real)
 
     def block_residual(self, big: np.ndarray) -> float:
         """Largest membership residual in the base algebra over the size x size
@@ -79,19 +133,46 @@ class ProjectiveModule:
         return max_span_residual(blocks, self.base.basis)
 
 
+def frame_idempotency_bound(alg: AlgebraBasis, frame, images=None) -> float:
+    """A bound on |Q^2 - Q|_F for the projector Q of a frame x_1..x_m of the
+    conditional expectation E onto `alg` (block (i, j) E(|x_i><x_j|)), or for
+    its image under a linear (anti)homomorphism applied blockwise (with the
+    blocks transposed for an antihomomorphism) that maps `alg.basis[k]` to
+    `images[k]`.
+
+    E is bimodular, so (Q^2)_ij = E(|x_i><F x_j|) for the frame operator
+    F g = sum_k E(|g><x_k|) x_k, and Q^2 - Q is the table E(|x_i><(F - 1)
+    x_j|): its Frobenius norm is that of its `pair_coords` against the
+    orthonormal basis, the frame's Parseval defect F - 1 at carrier size.
+    Without images that is |Q^2 - Q|_F itself; with them it is multiplied
+    by the map's Frobenius gain, the largest singular value of the images.
+    """
+    frame = np.asarray(frame, dtype=complex)
+    b = alg.basis
+    # F = sum_l b_l S b_l^* with S = sum_k x_k x_k^*
+    f = np.tensordot(b @ (frame.T @ frame.conj()), b.conj(), ([0, 2], [0, 2]))
+    f[np.diag_indices_from(f)] -= 1.0
+    gain = 1.0
+    if images is not None:
+        flat = np.asarray(images).reshape(len(b), -1)
+        gain = np.sqrt(max(0.0, float(np.linalg.eigvalsh(flat.conj() @ flat.T)[-1])))
+    return float(gain * np.linalg.norm(alg.pair_coords(frame, frame @ f.T)))
+
+
 def validate_module(mod: ProjectiveModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     rep = CheckReport()
-    q, r = mod.projector, mod.metric
+    q = mod.dense()
     nq = operator_norm(q)
     idem = rel_residual(q @ q - q, nq, nq)
     rep.add("module:idempotent", idem, tol.rel)
     rep.add("module:projector_hermitian", rel_residual(q - adjoint(q), nq), tol.rel)
-    if r is q:
+    if mod.metric is None:
         # the default metric: its blocks and compression residuals are the
         # projector's, and q + (1 - q) is the identity up to one rounding
         blocks, compressed = mod.block_residual(q), idem + idem
         invertible, details = True, "default metric: q + (1 - q) is the identity"
     else:
+        r = mod.metric
         blocks = max(mod.block_residual(q), mod.block_residual(r))
         nr = operator_norm(r)
         compressed = rel_residual(q @ r - r, nq, nr) + rel_residual(r @ q - r, nq, nr)
@@ -347,7 +428,8 @@ def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Toleranc
     """
     t_op = as_complex_matrix(t_op)
     d, m = mod.block_dim, mod.size
-    q = mod.projector
+    q = mod.dense()
+    metric = q if mod.metric is None else mod.metric
     nt = operator_norm(t_op)
     worst = mod.block_residual(t_op)
     comp = rel_residual(q @ t_op @ q - t_op, nt)
@@ -359,8 +441,8 @@ def linear_operator_bound(t_op: np.ndarray, mod: ProjectiveModule, tol: Toleranc
     total = 0.0
     for r in range(m):
         for s in range(m):
-            a = adjoint(xs[s]) @ mod.metric @ xs[r]
-            b = adjoint(txs[r]) @ mod.metric @ txs[s]
+            a = adjoint(xs[s]) @ metric @ xs[r]
+            b = adjoint(txs[r]) @ metric @ txs[s]
             total += operator_norm(a @ b)
     return float(np.sqrt(total))
 

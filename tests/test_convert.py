@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diag, opposite_algebra, random_unitary, spans_equal
+from helpers import (
+    block_diag,
+    dense_module_projector,
+    intertwine_triples,
+    opposite_algebra,
+    projector_gap,
+    random_unitary,
+    spans_equal,
+)
 from ncgeo import convert, linalg, tomita, triples
 from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra
 from ncgeo.convert import (
@@ -16,7 +25,6 @@ from ncgeo.convert import (
     appendix_equivalence_check,
     backward_round_trip,
     double_odd_triple,
-    intertwine_triples,
     poincare_pairing_matrix,
     riemannian_to_spinc,
     round_trip_check,
@@ -312,22 +320,16 @@ def spy_module_norms(monkeypatch, size):
     """The norms of module-size operands taken from here on: ("norm", shape,
     ord) for each `numpy.linalg.norm` call whose operand is a matrix or stack
     with a side of the given size (`operator_norm` and `max_operator_norm`
-    take their 2-norms through it), ("projector_gap", shape of Q) for each
-    Frobenius certificate of the conversions."""
+    take their 2-norms through it)."""
     calls = []
-    norm, gap = np.linalg.norm, convert.projector_gap
+    norm = np.linalg.norm
 
     def norm_spy(x, *args, **kwargs):
         if size in np.shape(x)[-2:] and np.ndim(x) >= 2:
             calls.append(("norm", np.shape(x), kwargs.get("ord", args[0] if args else None)))
         return norm(x, *args, **kwargs)
 
-    def gap_spy(q, u):
-        calls.append(("projector_gap", np.shape(q)))
-        return gap(q, u)
-
     monkeypatch.setattr(np.linalg, "norm", norm_spy)
-    monkeypatch.setattr(convert, "projector_gap", gap_spy)
     return calls
 
 
@@ -351,13 +353,13 @@ def spy_svd_calls(monkeypatch):
     return calls
 
 
-def assert_frobenius_certificate(value, diff, rank):
-    """A certificate |X|_F of a difference X of two rank-r projectors: it is
-    the Frobenius norm (summed in another order), at least the 2-norm and at
-    most sqrt(2r) times it."""
-    assert abs(value - np.linalg.norm(diff)) <= 1e-13 * np.linalg.norm(diff)
-    two = operator_norm(diff)
-    assert two <= value <= np.sqrt(2 * rank) * two
+def assert_range_certificate(value, q, v):
+    """A carrier-size certificate of |Q - V V^*|_F (`linalg.projector_gap_bound`):
+    at least the dense Frobenius norm, hence the 2-norm, and sqrt(2)
+    |Q V - V|_F plus rounding-size terms, |Q V - V|_F formed densely here."""
+    frob = projector_gap(q, v)
+    assert operator_norm(q - v @ adjoint(v)) <= frob <= value
+    assert value - np.sqrt(2) * np.linalg.norm(q @ v - v) <= 1e-12
 
 
 def spy_eigh_shapes(monkeypatch):
@@ -382,7 +384,7 @@ class TestCarrierSizeBackward:
         _, tri, module = backward_input
         res = riemannian_to_spinc(tri, module)
         asm = _backward_assembly(tri, module)
-        q, v, nmod = asm["projector"], asm["identification"], asm["nmod"]
+        q, v, nmod = dense_module_projector(asm["module"]), asm["identification"], asm["nmod"]
         dhat = q @ block_diag(tri.dirac, nmod) @ q
         c_op = represent_chain(tri, tri.orientation_cycle) if tri.orientation_cycle is not None \
             else tri.grading
@@ -395,8 +397,7 @@ class TestCarrierSizeBackward:
         entry = res.report.entry("convert:orientation_anticommutes")
         ref = rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat))
         assert abs(entry.residual - ref) <= 1e-13
-        assert_frobenius_certificate(res.report.entry("convert:module_projector").residual,
-                                     q - v @ adjoint(v), v.shape[1])
+        assert_range_certificate(res.report.entry("convert:module_projector").residual, q, v)
 
     def test_backward_dirac_is_the_transported_source(self, backward_input):
         # the Grassmann backward twist recovers S - E_{A'}(S), transported by
@@ -409,16 +410,19 @@ class TestCarrierSizeBackward:
 
     def test_projector_off_the_identification_fails(self, backward_input, monkeypatch):
         # a projector rotated off the range of V by 1e-6 is still a Hermitian
-        # idempotent, but no longer V V^*
+        # idempotent, but no longer V V^*; the rotation 1 (x) r acts on the
+        # factors, r O_k r^*
         _, tri, module = backward_input
         asm = _backward_assembly(tri, module)
-        q = asm["projector"]
-        vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), q.shape[0]))
+        factored = asm["module"]
+        vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), factored.block_dim))
         rot = (vecs * np.exp(1e-6j * vals / np.max(np.abs(vals)))) @ adjoint(vecs)
-        moved = rot @ q @ adjoint(rot)
-        assert rel_residual(moved @ moved - moved, 1.0) < 1e-12
-        assert rel_residual(moved - adjoint(moved), 1.0) < 1e-12
-        asm["projector"] = moved
+        moved = replace(factored, ops=rot @ factored.ops @ adjoint(rot))
+        q = dense_module_projector(moved)
+        assert rel_residual(q @ q - q, 1.0) < 1e-12
+        assert rel_residual(q - adjoint(q), 1.0) < 1e-12
+        assert projector_gap(q, asm["identification"]) > 1e-7
+        asm["module"] = moved
         monkeypatch.setattr(convert, "_backward_assembly", lambda *args: asm)
         res = riemannian_to_spinc(tri, module)
         entry = res.report.entry("convert:module_projector")
@@ -426,13 +430,14 @@ class TestCarrierSizeBackward:
         assert 1e-7 < entry.residual < 1e-5
 
     def test_one_module_size_norm(self, backward_input, monkeypatch):
-        # convert:module_projector, a Frobenius norm, is the one norm at
-        # module size
+        # convert:module_projector takes the one norm at module size, the
+        # Frobenius norm of Q V - V
         _, tri, module = backward_input
-        size = _backward_assembly(tri, module)["projector"].shape[0]
+        asm = _backward_assembly(tri, module)
+        size = asm["module"].size * asm["nh"]
         calls = spy_module_norms(monkeypatch, size)
         out = riemannian_to_spinc(tri, module).output
-        expected = [("projector_gap", (size, size))]
+        expected = [("norm", (size, asm["nc"]), None)]
         assert calls[:len(expected)] == expected
         # the rest are the output's own checks at carrier size: on points3
         # the 9 x 9 operator-space matrices of the spin^c check of a
@@ -451,40 +456,44 @@ class TestCarrierSizeForward:
 
     def test_one_module_size_norm_and_no_eigh(self, monkeypatch):
         t = matrix_geometry(2, seed=7)
-        size = spinc_to_riemannian(t).witness["module_projector"].shape[0]
+        witness = spinc_to_riemannian(t).witness
+        size, rank = witness["module_basis"].shape
         norms, eighs = spy_module_norms(monkeypatch, size), spy_eigh_shapes(monkeypatch)
         spinc_to_riemannian(t)
         # convert:projector_residual certifies the frame projector, which
-        # skips the gate of a caller's module; it is a Frobenius norm
-        assert norms == [("projector_gap", (size, size))]
+        # skips the gate of a caller's module; its one module-size norm is
+        # the Frobenius norm of Q U - U
+        assert norms == [("norm", (size, rank), None)]
         assert eighs and not [s for s in eighs if size in s]
 
     def test_projector_residual_is_the_range_certificate(self, mgeom_forward):
         _, res = mgeom_forward
-        q, u = res.witness["module_projector"], res.witness["module_basis"]
-        assert_frobenius_certificate(res.report.entry("convert:projector_residual").residual,
-                                     q - u @ adjoint(u), u.shape[1])
+        q, u = dense_module_projector(res.witness["module"]), res.witness["module_basis"]
+        assert_range_certificate(res.report.entry("convert:projector_residual").residual, q, u)
 
     @pytest.mark.parametrize("make", [lambda: matrix_geometry(2, seed=7), lambda: trivial_points(3)],
                              ids=["mg2-7", "points3"])
     def test_range_basis_off_the_projector_fails(self, make, monkeypatch):
         # a range basis rotated off the range of Q by 1e-6 is still an
         # isometry, but no longer one with Q = U U^*
-        def rotated(q):
-            vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), q.shape[0]))
+        def rotated(module):
+            size = module.size * module.block_dim
+            vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), size))
             rot = (vecs * np.exp(1e-6j * vals / np.max(np.abs(vals)))) @ adjoint(vecs)
-            return rot @ compress_to_range(q)
+            return rot @ compress_to_range(module)
 
         monkeypatch.setattr(convert, "compress_to_range", rotated)
-        with pytest.raises(ValueError, match="convert:projector_residual"):
+        with pytest.raises(ValueError, match="convert:projector_residual") as info:
             spinc_to_riemannian(make())
+        residual = float(str(info.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert 1e-7 < residual < 1e-5
 
 
 def test_round_trip_takes_no_module_size_svd(monkeypatch):
     t = matrix_geometry(2, seed=7)
     ref = round_trip_check(t)
-    n_fwd = ref.witness["forward"].witness["module_projector"].shape[0]
-    n_bwd = ref.witness["backward"].witness["module_projector"].shape[0]
+    n_fwd, n_bwd = (len(ref.witness[half].witness[key])
+                    for half, key in (("forward", "module_basis"), ("backward", "identification")))
     h, nc = t.hilbert_dim, ref.output.hilbert_dim
     calls = spy_svd_calls(monkeypatch)
     res = round_trip_check(t)
@@ -500,6 +509,45 @@ def test_round_trip_takes_no_module_size_svd(monkeypatch):
     assert n_fwd == h * h
     assert not [s for s, _ in calls if s[-2] == s[-1] == n_fwd]
     assert not [f for _, f in calls if f in ("_one_form_factors", "_product_span")]
+
+
+def test_round_trip_forms_no_module_size_block_matrix(monkeypatch):
+    # both module projectors are read through their factors: no block matrix
+    # of a module's size is assembled (from_blocks) or split (to_blocks)
+    t = matrix_geometry(2, seed=7)
+    ref = round_trip_check(t)
+    sizes = {len(ref.witness[half].witness[key])
+             for half, key in (("forward", "module_basis"), ("backward", "identification"))}
+    sides = []
+    for name, side in (("from_blocks", lambda table: table.shape[0] * table.shape[-1]),
+                       ("to_blocks", lambda big, m: len(big))):
+        original = getattr(linalg, name)
+
+        def spy(*args, _original=original, _side=side):
+            sides.append(_side(*map(np.asarray, args[:1]), *args[1:]))
+            return _original(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("ncgeo") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    assert round_trip_check(t).report.passed
+    assert not sizes & set(sides)
+
+
+def test_round_trip_h32_holds_less_than_one_dense_backward_projector():
+    # the backward module of matrix_geometry(4, 0) has side 32 * 64 = 2048,
+    # so its dense projector alone would take 2048^2 complex, 64 MB
+    t = matrix_geometry(4, 0)
+    tracemalloc.start()
+    try:
+        res = round_trip_check(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.report.passed
+    side = len(res.witness["backward"].witness["identification"])
+    assert side == 2048
+    assert peak < side ** 2 * 16
 
 
 def test_round_trip_splits_three_cdas(monkeypatch):
@@ -632,7 +680,7 @@ class TestFrameRoutine:
         for k in range(m):
             for j in range(m):
                 q_ref[k * n:(k + 1) * n, j * n:(j + 1) * n] = pair(xs[k], xs[j])
-        assert_rel_close(forward.witness["module_projector"], q_ref)
+        assert_rel_close(dense_module_projector(forward.witness["module"]), q_ref)
 
     def test_backward_projector_and_identification(self, forward_and_module):
         _, forward, module = forward_and_module
@@ -651,7 +699,7 @@ class TestFrameRoutine:
             for jj in range(nmod):
                 val = to_source_op(carrier_pair(frame[jj], frame[k]))
                 q_ref[k * nh:(k + 1) * nh, jj * nh:(jj + 1) * nh] = opposite_action(j, val)
-        assert_rel_close(asm["projector"], q_ref)
+        assert_rel_close(dense_module_projector(asm["module"]), q_ref)
 
         vmap_ref = np.zeros((nmod * nh, nc), dtype=complex)
         for col in range(nc):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import block_diag, opposite_algebra
+from helpers import block_diag, dense_module_projector, opposite_algebra
 from ncgeo import kasparov
 from ncgeo.algebra import AlgebraBasis, generate_algebra
 from ncgeo.convert import spinc_to_riemannian
@@ -45,7 +45,7 @@ from test_triples import two_qubit_triple
 def trivial_module(t, n=1):
     right = t.right_algebra()
     q = np.eye(n * t.hilbert_dim, dtype=complex)
-    return ProjectiveModule(right, n, q)
+    return ProjectiveModule.from_projector(right, n, q)
 
 
 def random_module(t, n, rng):
@@ -62,13 +62,13 @@ def random_module(t, n, rng):
     vals, _ = np.linalg.eigh(h)
     cut = float(np.median(vals))
     q = herm_apply(lambda x: 1.0 if x > cut else 0.0, h)
-    return ProjectiveModule(right, n, q)
+    return ProjectiveModule.from_projector(right, n, q)
 
 
 def random_potential(t, module, rng):
     basis = one_form_span(t.dirac, module.base)
     n, nh = module.size, module.block_dim
-    q = module.projector
+    q = dense_module_projector(module)
     raw = [[sum((rng.standard_normal() + 1j * rng.standard_normal()) * b for b in basis)
             for _ in range(n)] for _ in range(n)]
     big = np.zeros((n * nh, n * nh), dtype=complex)
@@ -95,7 +95,7 @@ def direct_twist_oracle(t, conn):
     _, t_rem, _ = connection_decomposition(t, Tolerance_like())
     eps = t.grading if t.grading is not None else np.eye(nh, dtype=complex)
     gamma_rem = eps @ t_rem  # remainder was computed against eps D
-    q = module.projector
+    q = dense_module_projector(module)
 
     out = np.zeros((n * nh, n * nh), dtype=complex)
     basis_h = np.eye(nh, dtype=complex)
@@ -130,8 +130,7 @@ def forward_module(seed):
     t = matrix_geometry(2, seed=seed)
     right = t.right_algebra()
     xs = parseval_frame(right)
-    q = from_blocks(right.combine(right.pair_coords(xs, xs)))
-    return t, ProjectiveModule(right, len(xs), q)
+    return t, ProjectiveModule(right, right.pair_coords(xs, xs), right.basis)
 
 
 def Tolerance_like():
@@ -346,7 +345,7 @@ class TestTwistedOperator:
         t = matrix_geometry(2, seed=5)
         rng = np.random.default_rng(23)
         module = random_module(t, 2, rng)
-        q = module.projector
+        q = dense_module_projector(module)
         d_n = np.kron(np.eye(2), t.dirac)
         comp = q @ d_n @ q
         assert operator_norm(comp - adjoint(comp)) < 1e-12 * max(1.0, operator_norm(comp))
@@ -395,36 +394,36 @@ class TestTwistedOperator:
         right = t.right_algebra()
         q = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
         with pytest.raises(ValueError):
-            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, q)))
+            twisted_operator(t, grassmann_connection(ProjectiveModule.from_projector(right, 2, q)))
 
     def test_rejection_names_failing_entries(self):
         t = matrix_geometry(2, seed=5)
         right = t.right_algebra()
         half = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
         with pytest.raises(ValueError, match="module:idempotent") as info:
-            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, half)))
+            twisted_operator(t, grassmann_connection(ProjectiveModule.from_projector(right, 2, half)))
         assert "module:blocks_in_base" not in str(info.value)
         # a rank-one projector whose blocks leave the right action
         v = np.zeros(t.hilbert_dim, dtype=complex)
         v[0] = 1.0
         with pytest.raises(ValueError, match="module:blocks_in_base"):
-            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 1, np.outer(v, v))))
+            twisted_operator(t, grassmann_connection(ProjectiveModule.from_projector(right, 1, np.outer(v, v))))
         with pytest.raises(ValueError, match="shape mismatch"):
-            twisted_operator(t, grassmann_connection(ProjectiveModule(right, 2, np.eye(3))))
+            twisted_operator(t, grassmann_connection(ProjectiveModule.from_projector(right, 2, np.eye(3))))
 
     def test_product_triple_runs_the_same_gate(self):
         t = matrix_geometry(2, seed=5)
         right = t.right_algebra()
         half = 0.5 * np.eye(2 * t.hilbert_dim, dtype=complex)
         with pytest.raises(ValueError, match="module:idempotent"):
-            product_triple(t, grassmann_connection(ProjectiveModule(right, 2, half)))
+            product_triple(t, grassmann_connection(ProjectiveModule.from_projector(right, 2, half)))
         nh = t.hilbert_dim
         bad = [[np.zeros((nh, nh), dtype=complex) for _ in range(2)] for _ in range(2)]
         bad[0][0] = np.eye(nh, dtype=complex)
         with pytest.raises(ValueError, match="one-form span"):
             product_triple(t, BimoduleConnection(trivial_module(t, 2), bad))
         with pytest.raises(ValueError, match="shape mismatch"):
-            product_triple(t, grassmann_connection(ProjectiveModule(right, 2, np.eye(3))))
+            product_triple(t, grassmann_connection(ProjectiveModule.from_projector(right, 2, np.eye(3))))
 
 
 class TestRangeBasis:
@@ -434,8 +433,8 @@ class TestRangeBasis:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_isometry_onto_the_range(self, seed):
         _, module = forward_module(seed)
-        q = module.projector
-        u = compress_to_range(q)
+        q = dense_module_projector(module)
+        u = compress_to_range(module)
         assert u.shape == (q.shape[0], round(np.trace(q).real))
         assert operator_norm(adjoint(u) @ u - np.eye(u.shape[1])) <= 1e-12
         assert operator_norm(q - u @ adjoint(u)) <= 1e-12
@@ -445,10 +444,11 @@ class TestRangeBasis:
         # a 1e-16 move inside the range; an eigenbasis of the degenerate
         # eigenvalue 1 rotates by O(1) under it
         _, module = forward_module(seed)
-        q = module.projector
+        q = dense_module_projector(module)
         h = random_hermitian(np.random.default_rng(seed), q.shape[0])
         moved = q + 1e-16 * (q @ h @ q)
-        assert np.linalg.norm(compress_to_range(moved) - compress_to_range(q)) <= 1e-12
+        moved = ProjectiveModule.from_projector(module.base, module.size, moved)
+        assert np.linalg.norm(compress_to_range(moved) - compress_to_range(module)) <= 1e-12
 
 
 class TestProductTriple:
@@ -497,7 +497,7 @@ class TestCarrierSizeProduct:
         t, module, pot = product_case
         out, u, rep = product_triple(t, BimoduleConnection(module, pot))
         assert rep.passed, rep.as_text()
-        q, n = module.projector, module.size
+        q, n = dense_module_projector(module), module.size
         d_big = block_diag(t.dirac, n)
         if pot is not None:
             d_big = d_big + from_blocks(np.asarray(pot).swapaxes(0, 1))
@@ -512,7 +512,7 @@ class TestCarrierSizeProduct:
         ops = [block_diag(b, 2) for b in module.base.basis]
         out, u, rep = product_triple(t, grassmann_connection(module), right_ops=ops)
         assert rep.passed, rep.as_text()
-        q = module.projector
+        q = dense_module_projector(module)
         for c, c_out in zip(ops, out.right_action_gens):
             assert_rel_close(c_out, adjoint(u) @ q @ c @ q @ u)
 
@@ -520,10 +520,10 @@ class TestCarrierSizeProduct:
         # rotated by exp(1e-8 i H) the projector still passes the module gate,
         # but the left action no longer keeps its range
         t, module = forward_module(0)
-        q = module.projector
+        q = dense_module_projector(module)
         h = random_hermitian(np.random.default_rng(11), q.shape[0])
         rot = herm_apply(lambda x: np.exp(1e-8j * x), h / operator_norm(h))
-        moved = ProjectiveModule(module.base, module.size, rot @ q @ adjoint(rot))
+        moved = ProjectiveModule.from_projector(module.base, module.size, rot @ q @ adjoint(rot))
         assert validate_module(moved).passed
         _, _, rep = product_triple(t, grassmann_connection(moved))
         entry = rep.entry("product:commutators_descend")
@@ -534,14 +534,14 @@ class TestCarrierSizeProduct:
         # but does not commute with the grading s3 (x) 1
         t = two_qubit_triple(["1", "s2"])
         q = (np.eye(4) + t.right_action_gens[1]) / 2.0
-        out, _, rep = product_triple(t, grassmann_connection(ProjectiveModule(t.right_algebra(), 1, q)))
+        out, _, rep = product_triple(t, grassmann_connection(ProjectiveModule.from_projector(t.right_algebra(), 1, q)))
         assert out.grading is None
         assert rep.entry("product:grading_dropped").status == "pass"
         assert rep.entry("product:commutators_descend").residual < 1e-12
 
     def test_three_module_size_norms(self, monkeypatch):
         t, module = forward_module(7)
-        size = module.projector.shape[0]
+        size = module.size * module.block_dim
         shapes, eighs = spy_norm_shapes(monkeypatch), spy_eigh_shapes(monkeypatch)
         out, _, _ = product_triple(t, grassmann_connection(module))
         assert out.hilbert_dim < size
@@ -673,7 +673,7 @@ class TestTwistGate:
         x = random_hermitian(np.random.default_rng(4), t.hilbert_dim)
         slope = max(first_order_residuals(t, right + 1e-6 * x)) / 1e-6
         base = AlgebraBasis(t.hilbert_dim, right + ratio * self.GATE / slope * x)
-        conn = BimoduleConnection(ProjectiveModule(base, 1, np.eye(t.hilbert_dim)))
+        conn = BimoduleConnection(ProjectiveModule.from_projector(base, 1, np.eye(t.hilbert_dim)))
         return t, conn, max(first_order_residuals(t, base.basis))
 
     def test_just_above_the_gate_raises_with_the_exact_value(self):
@@ -704,7 +704,8 @@ def first_order_within_frobenius(t, right, bound):
 def kernel_rank_index(t, p):
     """Reference index: ranks of the odd block of the compressed Dirac
     operator between the grading's eigenspaces on the range of p."""
-    u = compress_to_range(p)
+    scalars = AlgebraBasis(len(p), np.eye(len(p), dtype=complex)[None] / np.sqrt(len(p)))
+    u = compress_to_range(ProjectiveModule.from_projector(scalars, 1, p))
     vals, vecs = np.linalg.eigh(adjoint(u) @ t.grading @ u)
     plus = vecs[:, vals > 0]
     minus = vecs[:, vals < 0]
@@ -800,7 +801,7 @@ class TestProductRightAction:
         # the carrier-size residual against |[Q, c]| / max(1, |c|) at module
         # size, for right ops that commute with Q and for random ones
         t, module = forward_module(seed)
-        q = module.projector
+        q = dense_module_projector(module)
         rng = np.random.default_rng(seed)
         commuting = [block_diag(a, module.size) for a in t.algebra_gens]
         generic = list(random_complex(rng, (2,) + q.shape))
@@ -817,7 +818,7 @@ class TestProductRightAction:
         # twist by a free rank-one module carrying a commuting right action
         t = matrix_geometry(2, seed=8)
         right = t.right_algebra()
-        module = ProjectiveModule(right, 1, np.eye(t.hilbert_dim, dtype=complex))
+        module = ProjectiveModule.from_projector(right, 1, np.eye(t.hilbert_dim, dtype=complex))
         conn = grassmann_connection(module)
         ops = [b.copy() for b in right.basis]
         out, basis, rep = product_triple(t, conn, right_ops=ops)

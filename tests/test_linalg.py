@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_diag
+from helpers import block_diag, projector_gap
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
@@ -17,8 +17,8 @@ from ncgeo.linalg import (
     max_span_residual,
     null_space,
     operator_norm,
-    projector_gap,
     project_onto_span,
+    projector_gap_bound,
     pull_back,
     random_complex,
     random_hermitian,
@@ -417,6 +417,80 @@ class TestProjectorGap:
         two = operator_norm(q - u @ adjoint(u))
         assert two <= projector_gap(q, u) <= np.sqrt(6) * two
         assert projector_gap(u @ adjoint(u), u) < 1e-15
+
+
+def random_isometry(rng, n, r):
+    return np.linalg.qr(random_complex(rng, (n, r)))[0]
+
+
+def rotated(rng, w, angle):
+    """w moved by exp(i angle h) for a random Hermitian h of 2-norm 1."""
+    vals, vecs = np.linalg.eigh(random_hermitian(rng, len(w)))
+    return (vecs * np.exp(1j * angle * vals / np.max(np.abs(vals)))) @ adjoint(vecs) @ w
+
+
+def gap_terms(q, v):
+    """The arguments of projector_gap_bound, formed densely."""
+    r = v.shape[1]
+    return (np.linalg.norm(q @ v - v), np.linalg.norm(adjoint(v) @ v - np.eye(r)),
+            abs(np.trace(q).real - r), np.linalg.norm(q @ q - q), len(q))
+
+
+class TestProjectorGapBound:
+    """The carrier-size bound on |Q - V V^*|_F against the dense Frobenius
+    norm `projector_gap`, on rank-r projectors Q = W W^* and isometries V."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), data=st.data())
+    def test_dominates_the_dense_gap_and_matches_it_for_a_projector(self, seed, n, data):
+        r = data.draw(st.integers(1, n - 1), label="r")
+        rng = np.random.default_rng(seed)
+        w = random_isometry(rng, n, r)
+        q = w @ adjoint(w)
+        far, near = random_isometry(rng, n, r), rotated(rng, w, 1e-9)
+        gaps = [(projector_gap(q, v), projector_gap_bound(*gap_terms(q, v))) for v in (far, near)]
+        for dense, bound in gaps:
+            # up to the rounding of the dense products, an ulp of |Q|_F = sqrt(r)
+            assert bound >= dense - 1e-15
+        (dense, bound), (dense_near, bound_near) = gaps
+        # sqrt(2) |Q V - V|_F is the gap of two rank-r projectors; the other
+        # terms are rounding
+        assert abs(bound - dense) <= 1e-12 * dense
+        assert bound_near - dense_near <= 1e-13
+
+    def test_the_expanded_square_cancels(self):
+        # |Q|_F^2 - 2 Re Tr(V^* Q V) + r cancels to about r eps, so its root
+        # reads some 1e-8 to 1e-7 on pairs 1e-9 apart, above the 1e-8 gate of
+        # convert:module_projector; the bound reads the gap
+        errors = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            w = random_isometry(rng, 40, 7)
+            q = w @ adjoint(w)
+            v = rotated(rng, w, 1e-9)
+            dense = projector_gap(q, v)
+            square = np.linalg.norm(q) ** 2 - 2.0 * np.trace(adjoint(v) @ q @ v).real + 7
+            errors.append(abs(np.sqrt(abs(square)) - dense))
+            assert 0.0 <= projector_gap_bound(*gap_terms(q, v)) - dense <= 1e-13
+        assert np.median(errors) > 1e-8
+
+    def test_a_projector_of_another_rank_is_not_certified(self):
+        # V spans r of the r + 1 dimensions of the range of Q: Q V = V, but
+        # |Q - V V^*|_F = 1, and only the trace defect tells
+        w = random_isometry(np.random.default_rng(5), 9, 4)
+        q, v = w @ adjoint(w), w[:, :3]
+        residual, isometry, trace, idempotency, size = gap_terms(q, v)
+        assert residual < 1e-14 and abs(trace - 1.0) < 1e-14
+        assert projector_gap(q, v) == pytest.approx(1.0)
+        assert projector_gap_bound(residual, isometry, trace, idempotency, size) == np.inf
+
+    def test_outside_its_hypotheses_it_is_infinite(self):
+        assert projector_gap_bound(0.0, 1.0, 0.0, 0.0, 4) == np.inf
+        assert projector_gap_bound(0.0, 0.0, 0.0, 0.2, 4) == np.inf
+        # idempotency 0.1 puts Tr Q within 2 * 0.125 of an integer
+        assert projector_gap_bound(0.0, 0.0, 0.7, 0.1, 4) < np.inf
+        assert projector_gap_bound(0.0, 0.0, 0.8, 0.1, 4) == np.inf
+        assert projector_gap_bound(0.0, np.nan, 0.0, 0.0, 4) == np.inf
 
 
 def loop_commutator_residual(xs, ys, twisted=None, floor=0.0):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import barrett_triple
+from helpers import barrett_triple, dense_module_projector
 from ncgeo.algebra import AlgebraBasis, generate_algebra
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.kasparov import grassmann_connection, twisted_operator
@@ -18,6 +18,7 @@ from ncgeo.linalg import (
     rel_residual,
     span_basis,
 )
+from ncgeo import modules
 from ncgeo.modules import (
     EquivBimodule,
     ProjectiveModule,
@@ -25,6 +26,7 @@ from ncgeo.modules import (
     _compatibility_residual,
     bimodule_from_actions,
     canonical_morita_check,
+    frame_idempotency_bound,
     linear_operator_bound,
     morita_check,
     parseval_frame,
@@ -44,7 +46,7 @@ def free_module(base, m, metric=None):
     d = base.hilbert_dim
     q = np.eye(m * d, dtype=complex)
     r = np.eye(m * d, dtype=complex) if metric is None else metric
-    return ProjectiveModule(base, m, q, r)
+    return ProjectiveModule.from_projector(base, m, q, r)
 
 
 def random_projective_module(rng, base, m):
@@ -67,7 +69,7 @@ def random_projective_module(rng, base, m):
                       for b in base.basis)
             g[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
     r = q @ (g @ adjoint(g) + 0.2 * np.eye(m * d)) @ q
-    return ProjectiveModule(base, m, q, r)
+    return ProjectiveModule.from_projector(base, m, q, r)
 
 
 def frame_projector(alg):
@@ -108,12 +110,96 @@ class TestFrameProjector:
             parseval_frame(AlgebraBasis(2, e11[None]))
 
 
+def frame_module(alg, frame=None):
+    """The factored module of a frame (the Parseval frame by default):
+    C_k the pairing coordinates, O_k the algebra's basis."""
+    frame = parseval_frame(alg) if frame is None else frame
+    return ProjectiveModule(alg, alg.pair_coords(frame, frame), alg.basis)
+
+
+FACTORED_CASES = {
+    "scalars": lambda: generate_algebra([np.eye(2)]),
+    "full_matrices": lambda: generate_algebra([SIGMA1, SIGMA3]),
+    "diagonals": lambda: generate_algebra([SIGMA3]),
+    "mg2_right": lambda: matrix_geometry(2, seed=7).right_algebra(),
+}
+
+
+class TestFactoredModule:
+    """Q = sum_k C_k (x) O_k read through apply, its diagonal blocks and its
+    trace, against the dense block matrix of the frame pairings."""
+
+    @pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+    def test_apply_blocks_and_trace(self, case, monkeypatch):
+        alg = FACTORED_CASES[case]()
+        mod = frame_module(alg)
+        q = frame_projector(alg)
+        assert np.allclose(dense_module_projector(mod), q, rtol=0, atol=1e-14)
+        rng = np.random.default_rng(7)
+        for cols in (0, 1, 5):
+            x = random_complex(rng, (len(q), cols))
+            ref = q @ x
+            assert np.linalg.norm(mod.apply(x) - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+            # one k per step of the chunked loop
+            monkeypatch.setattr(modules, "_APPLY_BLOCK", 1)
+            assert np.linalg.norm(mod.apply(x) - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+            monkeypatch.undo()
+        m, d = mod.size, mod.block_dim
+        table = q.reshape(m, d, m, d)
+        assert np.allclose(mod.diagonal_blocks(), [table[i, :, i] for i in range(m)], rtol=0, atol=1e-14)
+        assert mod.trace() == pytest.approx(np.trace(q).real, abs=1e-12)
+
+    def test_a_dense_projector_is_kept_exactly(self):
+        rng = np.random.default_rng(31)
+        mod = random_projective_module(rng, generate_algebra([SIGMA3]), 3)
+        q = dense_module_projector(mod)
+        assert mod.coords.shape == (3, 3, 9) and mod.ops.shape == (9, 2, 2)
+        assert np.array_equal(mod.dense(), q)
+        x = random_complex(rng, (6, 4))
+        assert np.linalg.norm(mod.apply(x) - q @ x) <= 1e-14 * np.linalg.norm(q @ x)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ProjectiveModule.from_projector(mod.base, 2, q)
+
+
+class TestFrameIdempotencyBound:
+    """The Parseval defect of a frame against |Q^2 - Q|_F of its projector."""
+
+    @pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+    def test_is_the_idempotency_defect(self, case):
+        alg = FACTORED_CASES[case]()
+        frame = parseval_frame(alg)
+        rng = np.random.default_rng(3)
+        for moved in (frame, frame @ (np.eye(len(frame)) + 1e-3 * random_complex(rng, frame.shape))):
+            q = dense_module_projector(frame_module(alg, moved))
+            defect = np.linalg.norm(q @ q - q)
+            bound = frame_idempotency_bound(alg, moved)
+            if moved is frame:
+                assert bound < 1e-13 and defect < 1e-13
+            else:
+                assert defect > 1e-5
+                assert bound == pytest.approx(defect, rel=1e-9)
+
+    def test_the_image_under_a_homomorphism_takes_its_gain(self):
+        # c -> 1_2 (x) c has Frobenius gain sqrt(2); the blocks of the image
+        # are those of Q doubled, and so is the bound
+        alg = FACTORED_CASES["mg2_right"]()
+        frame = parseval_frame(alg)
+        moved = frame @ (np.eye(len(frame)) + 1e-3 * random_complex(np.random.default_rng(4), frame.shape))
+        mod = frame_module(alg, moved)
+        image = ProjectiveModule(None, mod.coords, np.kron(np.eye(2), mod.ops))
+        q = dense_module_projector(image)
+        defect = np.linalg.norm(q @ q - q)
+        bound = frame_idempotency_bound(alg, moved, np.kron(np.eye(2), alg.basis))
+        assert bound == pytest.approx(defect, rel=1e-9)
+        assert bound == pytest.approx(np.sqrt(2.0) * frame_idempotency_bound(alg, moved), rel=1e-12)
+
+
 class TestKasparovModule:
     def test_trivial_module_twists_exactly(self):
         t = matrix_geometry(2, seed=11)
         right = t.right_algebra()
-        mod = ProjectiveModule(right, 1, np.eye(t.hilbert_dim, dtype=complex))
-        assert mod.metric is mod.projector
+        mod = ProjectiveModule.from_projector(right, 1, np.eye(t.hilbert_dim, dtype=complex))
+        assert mod.metric is None
         assert validate_module(mod).passed
         dhat, ahat = twisted_operator(t, grassmann_connection(mod))
         assert np.array_equal(dhat, t.dirac)
@@ -412,8 +498,7 @@ def forward_module(n):
     from ncgeo.convert import spinc_to_riemannian
 
     t = matrix_geometry(n, seed=0)
-    q = spinc_to_riemannian(t).witness["module_projector"]
-    return ProjectiveModule(t.right_algebra(), q.shape[0] // t.hilbert_dim, q)
+    return spinc_to_riemannian(t).witness["module"]
 
 
 class TestBlockResidual:
@@ -421,17 +506,19 @@ class TestBlockResidual:
     def test_matches_block_loop(self, n):
         mod = forward_module(n)
         rng = np.random.default_rng(n)
-        outside = random_complex(rng, mod.projector.shape)
-        for big in (mod.projector, outside, mod.projector + 1e-6 * outside):
+        q = dense_module_projector(mod)
+        outside = random_complex(rng, q.shape)
+        for big in (q, outside, q + 1e-6 * outside):
             assert abs(mod.block_residual(big) - looped_block_residual(mod, big)) <= 1e-12
-        assert mod.block_residual(mod.projector) <= 1e-12
+        assert mod.block_residual(q) <= 1e-12
         assert mod.block_residual(outside) > 0.1
         assert validate_module(mod).passed
 
     def test_random_module(self):
         rng = np.random.default_rng(31)
         mod = random_projective_module(rng, generate_algebra([SIGMA3]), 3)
-        for big in (mod.projector, mod.metric, random_complex(rng, mod.projector.shape)):
+        q = dense_module_projector(mod)
+        for big in (q, mod.metric, random_complex(rng, q.shape)):
             assert abs(mod.block_residual(big) - looped_block_residual(mod, big)) <= 1e-12
 
 
@@ -460,7 +547,8 @@ class TestOperatorBound:
                     raw[i * d:(i + 1) * d, j * d:(j + 1) * d] = sum(
                         (rng.standard_normal() + 1j * rng.standard_normal()) * b
                         for b in base.basis)
-            t_op = mod.projector @ raw @ mod.projector
+            q = dense_module_projector(mod)
+            t_op = q @ raw @ q
             bound = linear_operator_bound(t_op, mod)
             true_norm = l2_operator_norm(t_op, mod)
             if bound < true_norm - 1e-9:
@@ -478,19 +566,21 @@ def l2_operator_norm(t_op, mod, rho=None):
     """Oracle: matrix norm of the operator on the L^2 space of the module."""
     d, m = mod.block_dim, mod.size
     rho = np.eye(d, dtype=complex) if rho is None else rho
+    q = dense_module_projector(mod)
+    metric = q if mod.metric is None else mod.metric
     cols = []
     for j in range(m):
         for b in mod.base.basis:
             col = np.zeros((m * d, d), dtype=complex)
             col[j * d:(j + 1) * d, :] = b
-            cols.append(mod.projector @ col)
+            cols.append(q @ col)
     vecs = span_basis(cols)
     if len(vecs) == 0:
         return 0.0
     k = len(vecs)
     gram = np.zeros((k, k), dtype=complex)
     tmat = np.zeros((k, k), dtype=complex)
-    ips = lambda e, f: np.trace(rho @ adjoint(e) @ mod.metric @ f)
+    ips = lambda e, f: np.trace(rho @ adjoint(e) @ metric @ f)
     for i, e in enumerate(vecs):
         for j, f in enumerate(vecs):
             gram[i, j] = ips(e, f)
@@ -510,7 +600,9 @@ class TestModuleValidationEdges:
         # but for the invertibility details, which the shortcut states
         # instead of an eigenvalue
         mod = forward_module(n)
-        copied = ProjectiveModule(mod.base, mod.size, mod.projector, mod.projector.copy())
+        # the projector validate_module reads, which from_projector keeps exactly
+        q = mod.dense()
+        copied = ProjectiveModule.from_projector(mod.base, mod.size, q, q.copy())
         reports = [validate_module(m).as_dict() for m in (mod, copied)]
         for rep in reports:
             for entry in rep["entries"]:
@@ -523,6 +615,6 @@ class TestModuleValidationEdges:
         base = scalar_base()
         q = np.eye(2, dtype=complex)
         r = np.diag([1.0, 0.0]).astype(complex)
-        mod = ProjectiveModule(base, 2, q, r)
+        mod = ProjectiveModule.from_projector(base, 2, q, r)
         rep = validate_module(mod)
         assert rep.entry("module:metric_invertible").status == "fail"
