@@ -90,15 +90,27 @@ def _refusal(prefix: str, rep: CheckReport) -> str:
         f"{e.condition_id} (residual {e.residual:.3e})" for e in rep.failures())
 
 
-def _range_certificate(module: ProjectiveModule, v: np.ndarray, idempotency: float) -> float:
-    """`linalg.projector_gap_bound` on |Q - V V^*|_F for a module's projector
-    Q and an (N, r) V: |Q V - V|_F from one `ProjectiveModule.apply`, the
-    isometry and trace defects at size r, and a bound on |Q^2 - Q|_F (the
-    frame's, `frame_idempotency_bound`).  Q is Hermitian by construction."""
-    r = v.shape[1]
+def _range_certificate(module: ProjectiveModule, v: np.ndarray, idempotency: float,
+                       gate: float) -> float:
+    """|Q - V V^*|_F for a module's projector Q and an (N, r) V, or an upper
+    bound on it: `linalg.projector_gap_bound` from |Q V - V|_F (one
+    `ProjectiveModule.apply`), the isometry and trace defects at size r and
+    a bound on |Q^2 - Q|_F (the frame's, `frame_idempotency_bound`), for a
+    Hermitian Q (by construction).  A bound above `gate`, inf where its
+    hypotheses fail, is replaced by the exact value, Q applied to r columns
+    of the identity at a time."""
+    n, r = v.shape
     isometry = np.linalg.norm(adjoint(v) @ v - np.eye(r))
-    return projector_gap_bound(np.linalg.norm(module.apply(v) - v), isometry,
-                               abs(module.trace() - r), idempotency, len(v))
+    bound = projector_gap_bound(np.linalg.norm(module.apply(v) - v), isometry,
+                                abs(module.trace() - r), idempotency, n)
+    if bound <= gate:
+        return bound
+    total = 0.0
+    for start in range(0, n, r):
+        rows = v[start:start + r]
+        gap = module.apply(np.eye(n, len(rows), -start)) - v @ adjoint(rows)
+        total += float(np.vdot(gap, gap).real)
+    return float(np.sqrt(total))
 
 
 def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> ConversionResult:
@@ -148,7 +160,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     u, out_dirac, _ = _twist(t, BimoduleConnection(module), tol, compress_to_range)
     # the outputs are compressions through u, those of the twisted operators
     # exactly when Q = u u^*; nothing below holds without it
-    off_range = _range_certificate(module, u, frame_idempotency_bound(right, xs))
+    off_range = _range_certificate(module, u, frame_idempotency_bound(right, xs), tol.rel)
     if not off_range <= tol.rel:
         raise ValueError(f"module range basis is not that of its projector "
                          f"(convert:projector_residual {off_range:.3e})")
@@ -301,11 +313,38 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
         "nc": nc, "nh": nh, "nmod": nmod, "conjugation": j,
         "carrier": carrier, "source_ops": source_ops,
         # with a left action that represents the cda, the right action of the
-        # source operators is a linear antihomomorphism of the carrier algebra
-        "module": module, "idempotency": frame_idempotency_bound(carrier, frame, opposite),
+        # source operators is a linear *-antihomomorphism of the carrier
+        # algebra and the frame's bound holds; a caller's module data may be
+        # off it, and then the bound is inf
+        "module": module,
+        "idempotency": frame_idempotency_bound(carrier, frame, opposite)
+        if _antihomomorphism_defect(carrier, opposite) <= max(tol.rel, 1e-8) else np.inf,
         "vmap": vmap,
         "identification": uq @ vqh, "identification_svals": sq,
     }
+
+
+def _antihomomorphism_defect(alg: AlgebraBasis, images: np.ndarray) -> float:
+    """How far the linear map rho: `alg.basis[k]` -> `images[k]` is from a
+    *-antihomomorphism of a *-algebra, on two seeded elements a, b of unit
+    Frobenius norm: the largest of |ba - E(ba)|_F (the span is closed under
+    products), |rho(a) rho(b) - rho(ba)|_F / max(1, |rho(a)|_F |rho(b)|_F)
+    and |rho(a^*) - rho(a)^*|_F / max(1, |rho(a)|_F).  A map off one of the
+    laws on an open set of pairs is off it on almost every pair."""
+    coeffs = random_complex(np.random.default_rng(1931), (2, alg.dim))
+    a, b = alg.combine(coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True))
+
+    def rho(x):
+        return np.tensordot(alg.coords(x), images, 1)
+
+    ra, rb = rho(a), rho(b)
+    scale = np.linalg.norm(ra)
+    ba = b @ a
+    return float(max(
+        np.linalg.norm(ba - alg.expectation(ba)),
+        np.linalg.norm(ra @ rb - rho(ba)) / max(1.0, scale * np.linalg.norm(rb)),
+        np.linalg.norm(rho(adjoint(a)) - adjoint(ra)) / max(1.0, scale),
+    ))
 
 
 def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
@@ -337,9 +376,10 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     # identification V; it equals V^* Q X Q V, the compression of the twisted
     # operators, exactly when Q = V V^*
     rep = CheckReport()
+    gate = max(tol.rel, 1e-8)
     rep.add("convert:module_projector",
-            _range_certificate(asm["module"], v_unit, asm["idempotency"]),
-            max(tol.rel, 1e-8), f"module frame size {nmod}")
+            _range_certificate(asm["module"], v_unit, asm["idempotency"], gate),
+            gate, f"module frame size {nmod}")
 
     dirac = pull_back(v_unit, t.dirac)
     details = "Grassmann connection: no potential"

@@ -27,6 +27,7 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     commutator_residual,
+    from_blocks,
     herm_apply,
     herm_eig,
     max_operator_norm,
@@ -114,9 +115,9 @@ class ProjectiveModule:
         return out.reshape(m * d, c)
 
     def dense(self) -> np.ndarray:
-        """Q itself, Q applied to the identity: for the checks of a caller's
-        module, which run at module size.  Exact for `from_projector`."""
-        return self.apply(np.eye(self.size * self.block_dim, dtype=complex))
+        """Q itself, for the checks of a caller's module, which run at module
+        size.  Exact for `from_projector`, whose coordinates are unit tables."""
+        return from_blocks(np.tensordot(self.coords, self.ops, 1))
 
     def diagonal_blocks(self) -> np.ndarray:
         """The (m, d, d) stack of the diagonal blocks of Q."""
@@ -138,7 +139,7 @@ def frame_idempotency_bound(alg: AlgebraBasis, frame, images=None) -> float:
     conditional expectation E onto `alg` (block (i, j) E(|x_i><x_j|)), or for
     its image under a linear (anti)homomorphism applied blockwise (with the
     blocks transposed for an antihomomorphism) that maps `alg.basis[k]` to
-    `images[k]`.
+    `images[k]`; the map's laws are the caller's to hold or check.
 
     E is bimodular, so (Q^2)_ij = E(|x_i><F x_j|) for the frame operator
     F g = sum_k E(|g><x_k|) x_k, and Q^2 - Q is the table E(|x_i><(F - 1)

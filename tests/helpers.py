@@ -3,23 +3,10 @@ import dataclasses
 
 import numpy as np
 
-from ncgeo.algebra import AlgebraBasis, intertwiners
-from ncgeo.convert import _block_mismatch, _seeded_member, _unitary_part
+from ncgeo.algebra import AlgebraBasis
 from ncgeo.examples import SIGMA1, SIGMA2, matrix_geometry
-from ncgeo.linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    adjoint,
-    from_blocks,
-    max_operator_norm,
-    max_span_residual,
-    operator_norm,
-    random_complex,
-    random_hermitian,
-    unit_floor_norms,
-)
+from ncgeo.linalg import adjoint, from_blocks, max_span_residual, random_complex, random_hermitian
 from ncgeo.modules import ProjectiveModule
-from ncgeo.report import CheckReport
 from ncgeo.tomita import AntiunitaryMap, opposite_action
 from ncgeo.triples import SpectralTripleData
 
@@ -76,56 +63,6 @@ def projector_gap(q, u) -> float:
         rows = q[start:start + step] - u[start:start + step] @ uh
         total += float(np.vdot(rows, rows).real)
     return float(np.sqrt(total))
-
-
-def intertwine_triples(t1: SpectralTripleData, t2: SpectralTripleData,
-                       tol: Tolerance = DEFAULT_TOL):
-    """Unitary intertwiner of two triples with matching generator lists.
-
-    The action-intertwining family is `algebra.intertwiners`: the X with
-    X a1 = a2 X and X a1^* = a2^* X for corresponding generators, the
-    intertwiners of the generated *-algebras.  The Dirac mismatch is
-    minimized over that family, then the minimizer is unitarized.  When
-    several members match the Dirac operators exactly, the choice is a
-    seeded probe projected onto that exact subspace, so it does not depend
-    on the family's basis.  Returns (u, report).
-    """
-    rep = CheckReport()
-    if len(t1.algebra_gens) != len(t2.algebra_gens):
-        raise ValueError("generator lists must correspond")
-    n1, n2 = t1.hilbert_dim, t2.hilbert_dim
-    if n1 != n2:
-        rep.add("intertwine:dimensions", 1.0, 0.5, f"{n1} vs {n2}")
-        return None, rep
-    a1s = np.reshape(t1.algebra_gens, (-1, n1, n1))
-    a2s = np.reshape(t2.algebra_gens, (-1, n2, n2))
-    basis_u = intertwiners(a1s, a2s, tol)
-    if len(basis_u) == 0:
-        rep.add("intertwine:action_solutions", 1.0, 0.5,
-                "no solutions of the action-intertwining system" + _block_mismatch(t1, t2, tol))
-        return None, rep
-    rep.add("intertwine:action_solutions", 0.0, 0.5, f"family dimension {len(basis_u)}")
-    cols = (basis_u @ t1.dirac - t2.dirac @ basis_u).reshape(len(basis_u), -1).T
-    # the family lies in C^(n2 n1), so it has at most as many members as cols
-    # has rows and every right singular vector has a singular value
-    _, svals, vh = np.linalg.svd(cols, full_matrices=False)
-    floor = max(tol.rank_cut * max(float(svals[0]), 1.0), 1e-300)
-    exact = vh[svals <= floor].conj()
-    if len(exact):
-        # exact joint solutions: their span is orthonormal
-        u_raw = _seeded_member(np.tensordot(exact, basis_u, 1))
-    else:
-        u_raw = np.tensordot(vh[-1].conj(), basis_u, 1)
-    u = _unitary_part(u_raw, tol)
-    if u is None:
-        rep.add("intertwine:invertible", 1.0, 0.5, "minimizer is singular")
-        return None, rep
-    rep.add("intertwine:action_residual",
-            max_operator_norm(u @ a1s - a2s @ u, unit_floor_norms(a1s)),
-            max(tol.rel, 1e-10))
-    dres = operator_norm(u @ t1.dirac - t2.dirac @ u)
-    rep.add("intertwine:dirac_residual", dres, max(tol.rel, 1e-8))
-    return u, rep
 
 
 def spans_equal(a, b, tol=1e-9) -> bool:

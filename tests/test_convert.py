@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from helpers import (
     block_diag,
     dense_module_projector,
-    intertwine_triples,
     opposite_algebra,
     projector_gap,
     random_unitary,
     spans_equal,
 )
 from ncgeo import convert, linalg, tomita, triples
-from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra
+from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra, intertwiners
 from ncgeo.convert import (
     CliffordModuleData,
+    ConversionResult,
     _backward_assembly,
     appendix_equivalence_check,
     backward_round_trip,
@@ -45,7 +45,8 @@ from ncgeo.linalg import (
     rel_residual,
     span_basis,
 )
-from ncgeo.modules import parseval_frame
+from ncgeo.modules import frame_idempotency_bound, parseval_frame
+from ncgeo.report import CheckReport
 from ncgeo.tomita import AntiunitaryMap, opposite_action, tomita_conjugation
 from ncgeo.triples import (
     HochschildChain,
@@ -353,13 +354,21 @@ def spy_svd_calls(monkeypatch):
     return calls
 
 
-def assert_range_certificate(value, q, v):
-    """A carrier-size certificate of |Q - V V^*|_F (`linalg.projector_gap_bound`):
-    at least the dense Frobenius norm, hence the 2-norm, and sqrt(2)
-    |Q V - V|_F plus rounding-size terms, |Q V - V|_F formed densely here."""
+def assert_range_certificate(value, q, v, idempotency):
+    """A carrier-size certificate of |Q - V V^*|_F: at least the dense
+    Frobenius norm, hence the 2-norm, and `linalg.projector_gap_bound` of the
+    dense |Q V - V|_F, the isometry and trace defects and the frame's bound
+    on |Q^2 - Q|_F, to the rounding of |Q V - V|_F (at most 1.2e-16 on these
+    inputs).  The frame's bound is |Q^2 - Q|_F up to rounding: both are of
+    rounding size here, at most 5.3e-15 apart."""
     frob = projector_gap(q, v)
     assert operator_norm(q - v @ adjoint(v)) <= frob <= value
-    assert value - np.sqrt(2) * np.linalg.norm(q @ v - v) <= 1e-12
+    assert abs(idempotency - np.linalg.norm(q @ q - q)) <= 1e-14
+    n, r = v.shape
+    bound = linalg.projector_gap_bound(
+        np.linalg.norm(q @ v - v), np.linalg.norm(adjoint(v) @ v - np.eye(r)),
+        abs(np.trace(q).real - r), idempotency, n)
+    assert abs(value - bound) <= 1e-13 * value + 1e-15
 
 
 def spy_eigh_shapes(monkeypatch):
@@ -397,7 +406,8 @@ class TestCarrierSizeBackward:
         entry = res.report.entry("convert:orientation_anticommutes")
         ref = rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat))
         assert abs(entry.residual - ref) <= 1e-13
-        assert_range_certificate(res.report.entry("convert:module_projector").residual, q, v)
+        assert_range_certificate(res.report.entry("convert:module_projector").residual, q, v,
+                                 asm["idempotency"])
 
     def test_backward_dirac_is_the_transported_source(self, backward_input):
         # the Grassmann backward twist recovers S - E_{A'}(S), transported by
@@ -429,6 +439,32 @@ class TestCarrierSizeBackward:
         assert entry.status == "fail"
         assert 1e-7 < entry.residual < 1e-5
 
+    @pytest.mark.parametrize("swap", [(1, 2), (0, 3)])
+    def test_module_off_the_cda_fails_the_exact_gate(self, swap, monkeypatch):
+        # an algebra basis with two elements swapped leaves the left action
+        # no representation of the cda, so the right action of the source
+        # operators is no antihomomorphism: the frame's bound on |Q^2 - Q|_F
+        # is inf (its rounding-size Parseval defect says nothing here, where
+        # |Q^2 - Q|_F is 1.4) and the certificate is the exact |Q - V V^*|_F
+        t = matrix_geometry(2, seed=7)
+        forward = spinc_to_riemannian(t)
+        basis = list(forward.witness["c_basis_out"])
+        basis[swap[0]], basis[swap[1]] = basis[swap[1]], basis[swap[0]]
+        module = replace(module_of(t, forward), algebra_basis=basis)
+        asm = _backward_assembly(forward.output, module)
+        assert asm["idempotency"] == np.inf
+        entries = []
+        add = convert.CheckReport.add
+        monkeypatch.setattr(convert.CheckReport, "add",
+                            lambda self, *args: entries.append(add(self, *args)) or entries[-1])
+        with pytest.raises(ValueError):
+            riemannian_to_spinc(forward.output, module)
+        entry = next(e for e in entries if e.condition_id == "convert:module_projector")
+        assert entry.status == "fail"
+        exact = projector_gap(dense_module_projector(asm["module"]), asm["identification"])
+        assert exact > 1.0
+        assert abs(entry.residual - exact) <= 1e-12 * exact
+
     def test_one_module_size_norm(self, backward_input, monkeypatch):
         # convert:module_projector takes the one norm at module size, the
         # Frobenius norm of Q V - V
@@ -450,6 +486,30 @@ class TestCarrierSizeBackward:
         assert rest == calls
 
 
+class TestAntihomomorphismProbe:
+    """`_antihomomorphism_defect` on maps of M_2 and of a span that is no
+    algebra."""
+
+    M2 = AlgebraBasis(2, span_basis(np.eye(4, dtype=complex).reshape(4, 2, 2)))
+
+    def test_transpose_reads_rounding(self):
+        assert convert._antihomomorphism_defect(self.M2, np.swapaxes(self.M2.basis, 1, 2)) < 1e-15
+
+    def test_each_law_is_probed(self):
+        s = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
+        maps = {
+            # an antihomomorphism, but no *-map
+            "star": s @ np.swapaxes(self.M2.basis, 1, 2) @ np.linalg.inv(s),
+            # a *-homomorphism of a noncommutative algebra
+            "order": self.M2.basis,
+        }
+        for images in maps.values():
+            assert convert._antihomomorphism_defect(self.M2, images) > 1e-2
+        # the diagonal matrices with one off-diagonal unit span no algebra
+        span = AlgebraBasis(2, span_basis(np.eye(4, dtype=complex)[[0, 1, 3]].reshape(3, 2, 2)))
+        assert convert._antihomomorphism_defect(span, np.swapaxes(span.basis, 1, 2)) > 1e-2
+
+
 class TestCarrierSizeForward:
     """The forward conversion compresses through the range basis U of the
     module projector Q and certifies Q = U U^*."""
@@ -468,8 +528,10 @@ class TestCarrierSizeForward:
 
     def test_projector_residual_is_the_range_certificate(self, mgeom_forward):
         _, res = mgeom_forward
-        q, u = dense_module_projector(res.witness["module"]), res.witness["module_basis"]
-        assert_range_certificate(res.report.entry("convert:projector_residual").residual, q, u)
+        module, u = res.witness["module"], res.witness["module_basis"]
+        assert_range_certificate(res.report.entry("convert:projector_residual").residual,
+                                 dense_module_projector(module), u,
+                                 frame_idempotency_bound(module.base, res.witness["frame"]))
 
     @pytest.mark.parametrize("make", [lambda: matrix_geometry(2, seed=7), lambda: trivial_points(3)],
                              ids=["mg2-7", "points3"])
@@ -717,21 +779,32 @@ class TestFrameRoutine:
             assert_rel_close(asm["source_ops"][k], to_source_op(b))
 
 
+def intertwine(source, out):
+    """`backward_round_trip` of `source` against a backward conversion that
+    returns `out`: (intertwiner or None, intertwiner report)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convert, "riemannian_to_spinc",
+                      lambda *args, **kwargs: ConversionResult(out, {}, CheckReport()))
+        _, u, rep = backward_round_trip(None, CliffordModuleData(out.hilbert_dim, [], []), source)
+    return u, rep
+
+
 class TestIntertwiner:
     def test_self_intertwine(self):
         t = matrix_geometry(2, seed=3)
-        u, rep = intertwine_triples(t, t)
+        u, rep = intertwine(t, t)
         assert rep.passed
-        assert operator_norm(u @ t.dirac - t.dirac @ u) < 1e-9
+        assert operator_norm(adjoint(u) @ u - np.eye(len(u))) <= 1e-12
+        assert rep.entry("intertwine:dirac_residual").residual < 1e-9
 
     def test_dimension_mismatch_reported(self):
         # two generators each, on spaces of dimension 2 and 3
         t1 = trivial_points(2)
-        u, rep = intertwine_triples(t1, SpectralTripleData(
+        u, rep = intertwine(t1, SpectralTripleData(
             3, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])], np.zeros((3, 3))))
         assert u is None
         assert not rep.passed
-
+        assert rep.entry("intertwine:dimensions").details == "2 vs 3"
 
     def test_round_trip_intertwiner_phase(self, monkeypatch):
         # u is the polar factor of a seeded member of the pair family, with
@@ -780,12 +853,12 @@ class TestIntertwiner:
 
     def test_empty_family_names_the_wedderburn_blocks(self):
         gens1, gens2 = inequivalent_pair()
-        u, rep = intertwine_triples(SpectralTripleData(4, gens1, np.zeros((4, 4))),
-                                    SpectralTripleData(4, gens2, np.zeros((4, 4))))
+        u, rep = intertwine(SpectralTripleData(4, gens1, np.zeros((4, 4))),
+                            SpectralTripleData(4, gens2, np.zeros((4, 4))))
         assert u is None
         entry = rep.entry("intertwine:action_solutions")
         assert entry.status == "fail"
-        assert entry.details == ("no solutions of the action-intertwining system; "
+        assert entry.details == ("no unitary intertwiner of the algebras and their Dirac commutators; "
                                  "Wedderburn blocks (n_k, m_k) [(2, 2)] vs [(1, 1), (1, 1), (1, 1), (1, 1)]")
 
     def test_empty_family_with_equal_blocks(self):
@@ -793,22 +866,26 @@ class TestIntertwiner:
         # element: nothing intertwines and the block lists say nothing
         t1 = SpectralTripleData(3, [np.diag([1.0, 2.0, 3.0])], np.zeros((3, 3)))
         t2 = SpectralTripleData(3, [np.diag([4.0, 5.0, 6.0])], np.zeros((3, 3)))
-        u, rep = intertwine_triples(t1, t2)
+        u, rep = intertwine(t1, t2)
         assert u is None
         assert rep.entry("intertwine:action_solutions").details == \
-            "no solutions of the action-intertwining system"
+            "no unitary intertwiner of the algebras and their Dirac commutators"
 
     def test_non_normal_generator(self):
         # N alone admits the intertwiners a W + b W N (dimension 2); the
-        # *-family of the generated M_2 is C W, and it holds the unitary
+        # *-family of N with [D, N] is C W, and it holds the unitary
         w = random_unitary(np.random.default_rng(8), 2)
         dirac = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
         t1 = SpectralTripleData(2, [NILPOTENT], dirac)
         t2 = SpectralTripleData(2, [w @ NILPOTENT @ adjoint(w)], w @ dirac @ adjoint(w))
         assert len(kronecker_intertwiners([NILPOTENT], t2.algebra_gens, with_adjoints=False)) == 2
-        u, rep = intertwine_triples(t1, t2)
+        pairs1, pairs2 = ([t.algebra_gens[0], t.dirac @ t.algebra_gens[0] - t.algebra_gens[0] @ t.dirac]
+                          for t in (t1, t2))
+        assert len(intertwiners(pairs1, pairs2, DEFAULT_TOL)) == 1
+        u, rep = intertwine(t1, t2)
         assert rep.passed
-        assert rep.entry("intertwine:action_solutions").details == "family dimension 1"
+        assert rep.entry("intertwine:action_solutions").details == \
+            "dimension 1 of the A-intertwiner family"
         phase = np.vdot(w.ravel(), u.ravel()) / 2.0
         assert abs(abs(phase) - 1.0) <= 1e-12
         assert np.max(np.abs(u - phase * w)) <= 1e-12
@@ -816,15 +893,20 @@ class TestIntertwiner:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_conjugate_triple_is_intertwined_by_the_unitary(self, seed):
+        # the round trip's intertwiner of a triple and its conjugate by W is
+        # W times a member of the self-intertwiners of the pairs (a, [D, a]),
+        # a family of dimension 4 here
         t = MGEOM2_SEED0
         w = random_unitary(np.random.default_rng(seed), t.hilbert_dim)
         moved = SpectralTripleData(t.hilbert_dim, [w @ a @ adjoint(w) for a in t.algebra_gens],
                                    w @ t.dirac @ adjoint(w))
-        u, rep = intertwine_triples(t, moved)
+        u, rep = intertwine(t, moved)
         assert rep.passed
-        phase = np.vdot(w.ravel(), u.ravel()) / t.hilbert_dim
-        assert abs(abs(phase) - 1.0) <= 1e-10
-        assert np.max(np.abs(u - phase * w)) <= 1e-10
+        gens = np.asarray(t.algebra_gens)
+        pairs = np.concatenate([gens, t.dirac @ gens - gens @ t.dirac])
+        family = intertwiners(pairs, pairs, DEFAULT_TOL)
+        assert len(family) == 4
+        assert max_span_residual((adjoint(w) @ u)[None], family) <= 1e-10
 
 
 MGEOM2_SEED0 = matrix_geometry(2, seed=0)

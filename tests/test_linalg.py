@@ -474,6 +474,26 @@ class TestProjectorGapBound:
             assert 0.0 <= projector_gap_bound(*gap_terms(q, v)) - dense <= 1e-13
         assert np.median(errors) > 1e-8
 
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3])
+    def test_each_defect_enters_with_its_stated_weight(self, delta):
+        # V = (1 + delta) W has Q V = V and |Q - V V^*|_F = |V^* V - 1|_F =
+        # ((1 + delta)^2 - 1) sqrt(r), the bound's isometry term alone;
+        # Q = W W^* + delta x x^* with x off the range has
+        # |Q - W W^*|_F = delta and |Q^2 - Q|_F = e = delta (1 - delta), and
+        # its idempotency term reads (1 + sqrt(2)) e / (1 - 2 e)
+        rng = np.random.default_rng(6)
+        w = random_isometry(rng, 9, 4)
+        q = w @ adjoint(w)
+        v = (1.0 + delta) * w
+        ratio = projector_gap_bound(*gap_terms(q, v)) / projector_gap(q, v)
+        assert ratio == pytest.approx(1.0, rel=1e-5)
+        x = (np.eye(9) - q) @ random_complex(rng, 9)
+        x /= np.linalg.norm(x)
+        moved = q + delta * np.outer(x, x.conj())
+        ratio = projector_gap_bound(*gap_terms(moved, w)) / projector_gap(moved, w)
+        e = delta * (1.0 - delta)
+        assert ratio == pytest.approx((1.0 + np.sqrt(2.0)) * e / (1.0 - 2.0 * e) / delta, rel=1e-5)
+
     def test_a_projector_of_another_rank_is_not_certified(self):
         # V spans r of the r + 1 dimensions of the range of Q: Q V = V, but
         # |Q - V V^*|_F = 1, and only the trace defect tells
