@@ -303,8 +303,8 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     # block (i, j) of the projector is the right action of (x_j | x_i), and
     # block i of column e of vmap is that of (e | x_i) applied to phi
     module = ProjectiveModule(None, carrier.pair_coords(frame, frame).swapaxes(0, 1), opposite)
-    vmap = np.einsum("eik,ka->iae", carrier.pair_coords(np.eye(nc), frame),
-                     opposite @ t.riemann_vector).reshape(nmod * nh, nc)
+    vmap = (carrier.pair_coords(np.eye(nc), frame).reshape(nc * nmod, -1)
+            @ (opposite @ t.riemann_vector)).reshape(nc, nmod * nh).T
     uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
     if sq[-1] <= tol.rank_cut * sq[0]:
         raise ValueError("module identification is singular")
@@ -348,8 +348,7 @@ def _antihomomorphism_defect(alg: AlgebraBasis, images: np.ndarray) -> float:
 
 
 def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
-                        tol: Tolerance = DEFAULT_TOL, *,
-                        _right: AlgebraBasis | None = None) -> ConversionResult:
+                        tol: Tolerance = DEFAULT_TOL) -> ConversionResult:
     """Spin^c data from a Riemannian triple and an equivalence module.
 
     The twisted operator uses the Parseval frame of the carrier algebra
@@ -357,9 +356,9 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     the Dirac operator only up to the connection, so no potential is
     taken, and the two potential entries hold by construction and say so.
     Even declared dimension only.  The output's algebra and cda are `t`'s
-    carried through V (`carry_algebras`).
-    `_right`, for the round trip only, is the generated algebra of the
-    module's right action generators, taken as the output's right algebra.
+    carried through V (`carry_algebras`); its right algebra is the forward
+    source's when `t` is a forward output and the module's right action
+    generators are that source's very matrices.
     """
     rr, rctx = check_riemannian(t, tol)
     if not rr.passed:
@@ -417,8 +416,6 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
         if t.declared_p == 0 else None,
     )
     carry_algebras(out, t, v_unit, tol)
-    if _right is not None:
-        out._cache[("right", tol)] = _right
     vrep = validate_triple(out, tol)
     rep.extend(vrep)
     sp, _ = check_spinc(out, tol)
@@ -482,11 +479,7 @@ def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,
     beside the family's dimension `pair_family_dim`.  Returns (backward
     result, intertwiner or None, intertwiner report).
     """
-    # the source's right action, when the module's generators are its very
-    # matrices, is the output's: generation is a function of the matrices
-    gens, own = module.right_action_gens, source.right_action_gens
-    same = own is not None and len(gens) == len(own) and all(map(np.array_equal, gens, own))
-    backward = riemannian_to_spinc(tri, module, tol, _right=source.right_algebra(tol) if same else None)
+    backward = riemannian_to_spinc(tri, module, tol)
     out = backward.output
     backward.witness.update(commutant_part=None, pair_family_dim=0)
     rep = CheckReport()

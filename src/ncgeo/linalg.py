@@ -219,14 +219,15 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
     `xs` with `ys` under a grading g.  One batched product, one
     `max_operator_norm` sweep; an empty stack gives `floor`.
 
-    A pair with |x_i|_F |y_j|_F under 1 - 1e-12 has scale exactly 1; the
+    A pair with |x_i|_F |y_j|_F under 1 - 1e-12 has scale exactly 1, and a
+    pair whose commutator is exactly zero has ratio 0 under any scale; the
     2-norms are taken only for the x_i and y_j of the other pairs, so the
     result is the float of the full computation.
     """
     if len(xs) == 0 or len(ys) == 0:
         return float(floor)
     xs, ys, comm = _commutators(xs, ys, twisted)
-    return max_operator_norm(comm, _commutator_scale(xs, ys), floor=floor)
+    return max_operator_norm(comm, _commutator_scale(xs, ys, comm), floor=floor)
 
 
 def commutators_within(xs, ys, bound: float, twisted=None) -> bool:
@@ -238,7 +239,7 @@ def commutators_within(xs, ys, bound: float, twisted=None) -> bool:
     xs, ys, comm = _commutators(xs, ys, twisted)
     if max_frobenius(comm) <= bound:
         return True
-    return max_operator_norm(comm, _commutator_scale(xs, ys)) <= bound
+    return max_operator_norm(comm, _commutator_scale(xs, ys, comm)) <= bound
 
 
 def _commutators(xs, ys, twisted):
@@ -249,10 +250,13 @@ def _commutators(xs, ys, twisted):
     return xs, ys, xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
 
 
-def _commutator_scale(xs, ys) -> np.ndarray:
+def _commutator_scale(xs, ys, comm) -> np.ndarray:
     """|x_i|_2 |y_j|_2, or 1 where |x_i|_F |y_j|_F is under 1 - 1e-12 (a
-    floor of 1 applies there anyway)."""
+    floor of 1 applies there anyway) or where comm[i, j] is exactly zero
+    (its ratio is 0 under any scale)."""
     rest = ~(_frobenius(xs)[:, None] * _frobenius(ys)[None, :] <= _UNDER_ONE)
+    if rest.any():
+        rest &= comm.any(axis=(-2, -1))
     scale = np.ones(rest.shape)
     if rest.any():
         norms = []

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-# elements of the (k, m, d, c) stack of the O_k x_j that one step of
+# elements of the (k, d, c, m) stack of the O_k x_j that one step of
 # `ProjectiveModule.apply` holds, 1 MB of complex
 _APPLY_BLOCK = 1 << 16
 
@@ -100,19 +100,23 @@ class ProjectiveModule:
         return self.ops.shape[-1]
 
     def apply(self, x) -> np.ndarray:
-        """Q x for an (m*d, c) matrix x.  Over chunks of k, one matmul applies
-        each O_k to each block of x and one tensordot contracts with the C_k,
-        so no temporary is larger than about `_APPLY_BLOCK` elements."""
+        """Q x for an (m*d, c) matrix x.  Over chunks of k, one GEMM applies
+        the stacked O_k to all blocks x_j at once, and one small GEMM per k
+        contracts with C_k, so no temporary is larger than about
+        `_APPLY_BLOCK` elements or the output."""
         x = np.asarray(x)
         m, d, c = self.size, self.block_dim, x.shape[1]
-        blocks = x.reshape(1, m, d, c)
+        # rows a, columns (col, j): entry a of column col of x_j
+        xt = x.reshape(m, d, c).transpose(1, 2, 0).reshape(d, c * m)
         step = max(1, _APPLY_BLOCK // max(1, d * m * c))
-        out = np.zeros((m, d, c), dtype=complex)
+        out = np.zeros((d * c, m), dtype=complex)
         for start in range(0, len(self.ops), step):
-            # z[k, j] = O_k x_j, contracted over (k, j) with C_k[i, j]
-            z = self.ops[start:start + step, None] @ blocks
-            out += np.tensordot(self.coords[:, :, start:start + step], z, ([2, 1], [0, 1]))
-        return out.reshape(m * d, c)
+            ops = self.ops[start:start + step]
+            # z[k] has rows (a, col) and columns j: O_k x_j
+            z = (ops.reshape(-1, d) @ xt).reshape(len(ops), d * c, m)
+            for k, zk in enumerate(z, start):
+                out += zk @ self.coords[:, :, k].T
+        return out.reshape(d, c, m).transpose(2, 0, 1).reshape(m * d, c)
 
     def dense(self) -> np.ndarray:
         """Q itself, for the checks of a caller's module, which run at module

@@ -119,6 +119,14 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
                        tol: Tolerance = DEFAULT_TOL):
     """Grading epsilon = C.JCJ induced by an orientation operator through the
     conjugation, for even declared dimension.  Returns (epsilon, report).
+
+    `commutes_both_actions` is the larger of the residuals against the
+    generators and against their opposite actions (the first is the floor
+    of the second's sweep).  The first, with
+    `anticommutes_dirac`, is what `check_riemannian` reports of a triple
+    with this grading, the algebra and the Dirac operator of `t`; both are
+    left in the cache of `t` under ("grading", tol) with epsilon, for
+    `SpectralTripleData.regraded` to carry over.
     """
     if t.declared_p % 2 == 1:
         raise ValueError(f"a grading from the orientation operator needs even declared "
@@ -127,17 +135,19 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
     c_op = as_complex_matrix(c_op)
     eye = np.eye(t.hilbert_dim, dtype=complex)
     gens = np.asarray(t.algebra_gens)
-    both_actions = np.concatenate([gens, opposite_action(j, gens)])
     eps = c_op @ j.conjugate(c_op)
     neps = operator_norm(eps)
     rep.add("grading:squares_to_one", rel_residual(eps @ eps - eye, neps, neps), tol.rel)
     rep.add("grading:commutes_with_conjugation",
             rel_residual(j.conjugate(eps) - eps, neps), tol.rel)
-    rep.add("grading:anticommutes_dirac",
-            rel_residual(eps @ t.dirac + t.dirac @ eps, neps, operator_norm(t.dirac)), tol.rel)
-    rep.add("grading:commutes_both_actions", commutator_residual([eps], both_actions), tol.rel)
+    anti = rel_residual(eps @ t.dirac + t.dirac @ eps, neps, operator_norm(t.dirac))
+    rep.add("grading:anticommutes_dirac", anti, tol.rel)
+    commutes = commutator_residual([eps], gens)
+    rep.add("grading:commutes_both_actions",
+            commutator_residual([eps], opposite_action(j, gens), floor=commutes), tol.rel)
     if not rep.passed:
         raise ValueError("orientation operator does not induce a grading:\n" + rep.as_text())
+    t._cache[("grading", tol)] = (eps, anti, commutes)
     return eps, rep
 
 

@@ -17,7 +17,6 @@ from ncgeo.linalg import (DEFAULT_TOL, Tolerance, adjoint, commutator_residual, 
                           max_span_residual, null_space, operator_norm, pull_back, random_complex, random_hermitian,
                           span_basis, span_residual, unit_floor_norms)
 from ncgeo.modules import parseval_frame
-from ncgeo.triples import commutator_algebra
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -591,11 +590,16 @@ class TestWedderburnReconstruction:
         assert sorted(alg.wedderburn[1]) == [(4, 4)]
 
     def test_solve_route_commutant(self, monkeypatch):
-        # the round trip's backward cda of matrix_geometry(2, 2001408477),
-        # generated at rank cut 1e-10, misses the generator route: A' is
-        # solved only to read the Wedderburn data, and `commutant` writes A'
-        # down from them
-        out = round_trip_check(matrix_geometry(2, seed=2001408477)).output
+        # g (+) g^T for a generic g on C^3, scrambled by a unitary, misses the
+        # generator route by construction: the Hermitian parts of c g and of
+        # c g^T = (c g)^T share their spectrum, so every probe cluster has
+        # size 2 and reads M_3 (x) 1_2, which the generator does not fit.
+        # A' = C (+) C is solved only to read the Wedderburn data of
+        # A = M_3 (+) M_3, and `commutant` writes A' down from them
+        rng = np.random.default_rng(5)
+        g, zero = random_complex(rng, (3, 3)), np.zeros((3, 3))
+        v = random_unitary(rng, 6)
+        gen = v @ np.block([[g, zero], [zero, g.T]]) @ adjoint(v)
         solved = []
         real = algebra._wedderburn
 
@@ -604,8 +608,9 @@ class TestWedderburnReconstruction:
             return real(comm, tol)
 
         monkeypatch.setattr(algebra, "_wedderburn", recorded)
-        alg = commutator_algebra(out, Tolerance(rank_cut=1e-10))
+        alg = generate_algebra([gen], Tolerance(rank_cut=1e-10))
         assert len(solved) == 1 and alg.wedderburn is not None
+        assert sorted(alg.wedderburn[1]) == [(3, 1), (3, 1)]
         comm = commutant(alg).basis
         assert commutator_residual(comm, alg.basis) <= 1e-14
         assert spans_equal(comm, solved[0], tol=1e-14)

@@ -16,7 +16,7 @@ from helpers import (
     random_unitary,
     spans_equal,
 )
-from ncgeo import convert, linalg, tomita, triples
+from ncgeo import convert, linalg, modules, tomita, triples
 from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra, intertwiners
 from ncgeo.convert import (
     CliffordModuleData,
@@ -47,7 +47,7 @@ from ncgeo.linalg import (
 )
 from ncgeo.modules import frame_idempotency_bound, parseval_frame
 from ncgeo.report import CheckReport
-from ncgeo.tomita import AntiunitaryMap, opposite_action, tomita_conjugation
+from ncgeo.tomita import AntiunitaryMap, grading_from_cycle, opposite_action, tomita_conjugation
 from ncgeo.triples import (
     HochschildChain,
     SpectralTripleData,
@@ -612,6 +612,21 @@ def test_round_trip_h32_holds_less_than_one_dense_backward_projector():
     assert peak < side ** 2 * 16
 
 
+def test_right_algebra_travels_with_the_forward_output():
+    # the source's right algebra goes with the forward output to a backward
+    # output whose right action generators are its matrices, and to no other
+    t = matrix_geometry(2, seed=7)
+    forward = spinc_to_riemannian(t)
+    module = module_of(t, forward)
+    assert riemannian_to_spinc(forward.output, module).output.right_algebra() is t.right_algebra()
+    copies = replace(module, right_action_gens=[g.copy() for g in t.right_action_gens])
+    assert riemannian_to_spinc(forward.output, copies).output.right_algebra() is t.right_algebra()
+    other = replace(module, right_action_gens=[g.T for g in t.right_action_gens])
+    right = riemannian_to_spinc(forward.output, other).output.right_algebra()
+    assert right is not t.right_algebra()
+    assert np.array_equal(right.generators, np.asarray(other.right_action_gens))
+
+
 def test_round_trip_splits_three_cdas(monkeypatch):
     # the source cda, the forward output's regraded cda and the backward
     # output's cda; the Riemannian checks split none again
@@ -1126,3 +1141,87 @@ class TestPoincarePairing:
         q = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             poincare_pairing_matrix(t, [p], [q])
+
+
+class TestRoundTripKernels:
+    """The round trip's contractions are BLAS products, not naive einsums,
+    and the forward output's grading residuals are taken once."""
+
+    # the cheap contractions the per-call path may run through np.einsum
+    EINSUM_ALLOWED = {"ij,ij->i", "ija,jba->ijb", "krl,ksl->rs", "kab,ba->k"}
+
+    def test_identification_matches_the_einsum(self, forward_and_module):
+        _, forward, module = forward_and_module
+        tri = forward.output
+        asm = _backward_assembly(tri, module)
+        carrier, frame = asm["carrier"], parseval_frame(asm["carrier"])
+        opposite = asm["module"].ops
+        ref = np.einsum("eik,ka->iae", carrier.pair_coords(np.eye(asm["nc"]), frame),
+                        opposite @ tri.riemann_vector).reshape(asm["nmod"] * asm["nh"], asm["nc"])
+        assert_rel_close(asm["vmap"], ref, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_apply_matches_the_dense_product(self, n, monkeypatch):
+        t = matrix_geometry(n, 0)
+        forward = spinc_to_riemannian(t)
+        asm = _backward_assembly(forward.output, module_of(t, forward))
+        halves = ((forward.witness["module"], forward.witness["module_basis"]),
+                  (asm["module"], asm["identification"]))
+        for module, x in halves:
+            x = np.ascontiguousarray(x)
+            ref = dense_module_projector(module) @ x
+            tracemalloc.start()
+            try:
+                got = module.apply(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert_rel_close(got, ref, rel=1e-13)
+            # a few chunk temporaries plus copies of the input and output
+            assert peak <= 2 * modules._APPLY_BLOCK * 16 + 3 * got.nbytes
+            # one k per chunk
+            with monkeypatch.context() as patch:
+                patch.setattr(modules, "_APPLY_BLOCK", 1)
+                assert_rel_close(module.apply(x), ref, rel=1e-13)
+
+    def test_round_trip_einsums_are_allow_listed(self, monkeypatch):
+        seen = []
+        real = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            seen.append(subscripts)
+            return real(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        assert round_trip_check(matrix_geometry(3, 0)).report.passed
+        assert seen and set(seen) <= self.EINSUM_ALLOWED
+
+    def test_forward_output_shares_grading_residuals(self, monkeypatch):
+        # the Riemannian check of the forward output reads the values that
+        # grading_from_cycle took and takes no commutator with the grading
+        firsts = []
+        real = triples.commutator_residual
+        monkeypatch.setattr(triples, "commutator_residual",
+                            lambda xs, *args, **kwargs: firsts.append(xs[0]) or real(xs, *args, **kwargs))
+        forward = spinc_to_riemannian(matrix_geometry(2, seed=7))
+        out = forward.output
+        assert not any(x is out.grading for x in firsts)
+        shared, _ = check_riemannian(out)
+        fresh, _ = triples._riemannian(replace(out), DEFAULT_TOL)
+        assert any(x is out.grading for x in firsts)
+        for cid in ("riemann:grading_anticommutes_dirac", "riemann:grading_commutes_algebra"):
+            assert shared.entry(cid).residual == fresh.entry(cid).residual
+            assert forward.report.entry(cid).residual == fresh.entry(cid).residual
+        # a triple with a grading of its own takes its own residuals, even
+        # when grading_from_cycle has run on it
+        t = replace(out)
+        grading_from_cycle(t, forward.witness["orientation_image"], tomita_conjugation(t))
+        firsts.clear()
+        check_riemannian(t)
+        assert any(x is t.grading for x in firsts)
+        # the forward entry is the larger of its two halves: the residual
+        # against the generators and against their opposite actions
+        gens = np.asarray(out.algebra_gens)
+        both = np.concatenate([gens, opposite_action(tomita_conjugation(out), gens)])
+        assert forward.report.entry("convert:grading:commutes_both_actions").residual == \
+            linalg.commutator_residual([out.grading], both)

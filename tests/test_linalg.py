@@ -544,10 +544,12 @@ def commutator_stacks(seed, n=4):
 def commutator_scale_stacks(draw):
     """Square stacks xs and ys of the unit-floor kinds, plus rank-one elements
     of Frobenius norm sqrt(1 + k 1e-13) for |k| <= 20, whose pairs have
-    |x|_2 |y|_2 = |x|_F |y|_F just above and below 1."""
+    |x|_2 |y|_2 = |x|_F |y|_F just above and below 1, and scalar and
+    diagonal elements of 2-norm 1 to 10, whose commutators with scalars and
+    with each other are exactly zero: with only those kinds, all are."""
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = st.sampled_from(UNIT_KINDS + ("root_near_one",))
+    kinds = st.sampled_from(UNIT_KINDS + ("root_near_one", "scalar", "diagonal"))
     stacks = []
     for _ in range(2):
         mats = []
@@ -555,6 +557,9 @@ def commutator_scale_stacks(draw):
             if kind == "root_near_one":
                 m = np.outer(random_complex(rng, n), random_complex(rng, n))
                 mats.append(m * (np.sqrt(1.0 + 1e-13 * rng.integers(-20, 21)) / np.linalg.norm(m)))
+            elif kind in ("scalar", "diagonal"):
+                m = np.diag(random_complex(rng, 1 if kind == "scalar" else n) * np.ones(n))
+                mats.append(m * (rng.uniform(1.0, 10.0) / np.linalg.norm(m, 2)))
             else:
                 mats.append(unit_kind_matrix(kind, n, n, rng))
         stacks.append(np.array(mats, dtype=complex))
@@ -571,9 +576,46 @@ class TestCommutatorResidual:
         xs, ys = stacks
         comm = xs[:, None] @ ys[None] - ys[None] @ xs[:, None]
         full = np.linalg.norm(xs, 2, axis=(-2, -1))[:, None] * np.linalg.norm(ys, 2, axis=(-2, -1))
-        assert commutator_residual(xs, ys) == max_operator_norm(comm, full)
+        ref = max_operator_norm(comm, full)
+        assert commutator_residual(xs, ys) == ref
         assert commutator_residual(xs, ys, twisted=-ys) == max_operator_norm(
             xs[:, None] @ ys[None] + ys[None] @ xs[:, None], full)
+        # the gate decides on the same float
+        assert commutators_within(xs, ys, ref)
+        assert not commutators_within(xs, ys, np.nextafter(ref, -np.inf))
+
+    def test_zero_pairs_take_no_scale_norm(self, monkeypatch):
+        # 3 * 1 commutes exactly with every y, and the diagonal x and y with
+        # each other: no factor that meets only zero commutators is 2-normed
+        rng = np.random.default_rng(11)
+        scalar = 3.0 * np.eye(3, dtype=complex)
+        dx, dy = (np.diag(2.0 + random_complex(rng, 3)) for _ in range(2))
+        full = 2.0 * random_complex(rng, (3, 3))
+        normed = []
+        real = np.linalg.norm
+
+        def recorded(x, *args, **kwargs):
+            if args[:1] == (2,):
+                normed.extend(np.reshape(x, (-1, 3, 3)))
+            return real(x, *args, **kwargs)
+
+        def ref(xs, ys):
+            comm = xs[:, None] @ ys[None] - ys[None] @ xs[:, None]
+            scale = real(xs, 2, axis=(-2, -1))[:, None] * real(ys, 2, axis=(-2, -1))
+            return max_operator_norm(comm, scale)
+
+        for xs, ys, opened in ((np.stack([scalar, dx]), np.stack([dy, full]), [dx, full]),
+                               (np.stack([scalar, dx]), np.stack([dy]), [])):
+            expected = ref(xs, ys)
+            monkeypatch.setattr(np.linalg, "norm", recorded)
+            got = commutator_residual(xs, ys), commutators_within(xs, ys, 0.5 * expected)
+            monkeypatch.setattr(np.linalg, "norm", real)
+            assert got == (expected, expected == 0.0)
+            for factor in (scalar, dy):
+                assert not any(np.array_equal(factor, m) for m in normed)
+            for factor in opened:
+                assert any(np.array_equal(factor, m) for m in normed)
+            normed.clear()
 
     def test_small_pairs_take_no_scale_norm(self, monkeypatch):
         # an orthonormal basis against elements of Frobenius norm under 1:

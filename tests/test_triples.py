@@ -16,6 +16,7 @@ from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import (
     Tolerance,
     adjoint,
+    herm_abs,
     operator_norm,
     random_complex,
     random_hermitian,
@@ -60,6 +61,18 @@ class TestValidate:
         # |[D, diag(1,0)]| = 1 by direct 2x2 computation
         a = t.algebra_gens[0]
         assert operator_norm(t.dirac @ a - a @ t.dirac) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("make", [lambda: two_point(1.0), lambda: trivial_points(3),
+                                      lambda: matrix_geometry(2, seed=7), lambda: matrix_geometry(3, seed=0)])
+    def test_commutator_norm_details_are_the_single_norms(self, make):
+        # one stacked 2-norm call gives the text of one operator_norm per element
+        t = make()
+        rep = validate_triple(t)
+        abs_d = herm_abs(t.dirac)
+        for i, a in enumerate(t.algebra_gens):
+            assert rep.entry(f"validate:commutator_norm[{i}]").details == (
+                f"|[D,a]|={operator_norm(t.dirac @ a - a @ t.dirac):.6e} "
+                f"|[|D|,a]|={operator_norm(abs_d @ a - a @ abs_d):.6e}")
 
     def test_non_hermitian_dirac_rejected(self):
         with pytest.raises(ValueError):
@@ -490,6 +503,27 @@ class TestContractionsMatchLoops:
             assert rep.passed, rep.as_text()
         elif case != "trivial_points_4":  # commutative: every vector state is tracial
             assert min(resid, tracial) > 1e-3
+
+    @pytest.mark.parametrize("case", sorted(RIEMANNIAN_CASES))
+    @pytest.mark.parametrize("state", [False, True])
+    def test_metric_system_matches_the_einsum(self, case, state, monkeypatch):
+        # the metric system of check_riemannian, one matmul, against the
+        # einsum it replaced: row (w, v), column k is <v, state w z_k>
+        t = RIEMANNIAN_CASES[case]()
+        t = with_state(t, np.random.default_rng(3)) if state else dataclasses.replace(t)
+        systems = []
+        real = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, *args, **kwargs: systems.append(a) or real(a, *args, **kwargs))
+        check_riemannian(t)
+        monkeypatch.undo()
+        cda = t.cda()
+        zc = center(cda)
+        weighted = cda.basis[:, None] @ zc[None]
+        if state:
+            weighted = t.state @ weighted
+        ref = np.einsum("vab,wkab->wvk", cda.basis.conj(), weighted).reshape(-1, len(zc))
+        assert len(systems) == 1
+        assert np.linalg.norm(systems[0] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 
