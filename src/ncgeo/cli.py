@@ -31,6 +31,7 @@ from .io import (
     FormatError,
     data_to_matrix,
     dict_to_triple,
+    int_field,
     load_triple,
     matrix_to_data,
     save_triple,
@@ -205,7 +206,7 @@ def cmd_convert(args) -> int:
 
 def _module_doc(doc):
     pot = doc.get("potential")
-    return (int(doc["size"]), data_to_matrix(doc["projector"]),
+    return (int_field(doc["size"], "size"), data_to_matrix(doc["projector"]),
             None if pot is None else [[data_to_matrix(p) for p in row] for row in pot])
 
 
@@ -262,6 +263,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _coupling(text: str) -> complex:
+    try:
+        if (value := complex(text)) and np.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite nonzero complex number, got {text!r}")
+
+
 def _finite_float(text: str) -> float:
     try:
         if np.isfinite(value := float(text)):
@@ -300,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="write a built-in example geometry")
     p.add_argument("kind", choices=EXAMPLE_KINDS)
     p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--coupling", type=complex, default=1.0)
-    p.add_argument("--seed", type=int, default=0, help="seed for the seeded examples")
+    p.add_argument("--coupling", type=_coupling, default=1.0)
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the seeded examples")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_example, usage_error=p.error)
 

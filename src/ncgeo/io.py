@@ -17,6 +17,7 @@ __all__ = [
     "save_triple",
     "load_triple",
     "FormatError",
+    "int_field",
 ]
 
 FORMAT_VERSION = 1
@@ -24,6 +25,14 @@ FORMAT_VERSION = 1
 
 class FormatError(ValueError):
     pass
+
+
+def int_field(value, name: str) -> int:
+    """A document's integer field; anything else (2.9, "2", true, which int()
+    would take) raises a FormatError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def matrix_to_data(m) -> list:
@@ -92,7 +101,7 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
         version = doc["version"]
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {version}")
-        n = int(doc["hilbert_dim"])
+        n = int_field(doc["hilbert_dim"], "hilbert_dim")
         gens = [data_to_matrix(g) for g in doc["algebra"]["generators"]]
         dirac = data_to_matrix(doc["dirac"])
         grading = data_to_matrix(doc["grading"]) if doc.get("grading") is not None else None
@@ -103,7 +112,7 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
         if doc.get("cycle") is not None:
             c = doc["cycle"]
             cycle = HochschildChain(
-                int(c["degree"]),
+                int_field(c["degree"], "cycle degree"),
                 [tuple(data_to_matrix(m) for m in term) for term in c["terms"]],
                 bool(c.get("generalized", False)),
             )

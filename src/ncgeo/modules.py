@@ -16,6 +16,7 @@ Concrete conventions
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .linalg import (
     as_complex_matrix,
     commutator_residual,
     from_blocks,
-    herm_apply,
     herm_eig,
     max_operator_norm,
     max_span_residual,
@@ -45,7 +45,7 @@ __all__ = [
     "EquivBimodule",
     "validate_module",
     "morita_check",
-    "canonical_morita_check",
+    "equivalence_check",
     "bimodule_from_actions",
     "linear_operator_bound",
     "parseval_frame",
@@ -274,88 +274,80 @@ def _action_gap(coeffs, table) -> float:
     return worst
 
 
-def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Compatibility, fullness and positivity checks for a two-sided bimodule."""
-    rep = CheckReport()
-    d = bi.carrier_dim
-    lp, rp = bi.left_pair, bi.right_pair
-    left, right = bi.left_alg.basis, bi.right_alg.basis
+def _fullness(table, alg: AlgebraBasis, tol: Tolerance):
+    d = len(table)
+    dim = len(span_basis(table.reshape(d * d, d, d), tol))
+    return 0.0 if dim == alg.dim else 1.0, f"pairing span {dim} vs algebra {alg.dim}"
 
-    rep.add("morita:actions_commute", commutator_residual(left, right), tol.rel)
 
-    rep.add("morita:left_pairing_right_action", _action_gap(right, lp), tol.rel)
-    rep.add("morita:right_pairing_left_action", _action_gap(left.conj(), rp), tol.rel)
+def _gram_positivity(table, axes, tol: Tolerance):
+    """Symmetry defect plus relative negative part of a (d, d, d, d) pairing
+    table arranged by `axes` as a (d*d, d*d) Gram matrix."""
+    d = len(table)
+    gram = table.transpose(axes).reshape(d * d, d * d)
+    h = (gram + adjoint(gram)) / 2.0
+    sym = rel_residual(gram - adjoint(gram), operator_norm(gram))
+    vals, _ = herm_eig(h, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
+    neg = max(0.0, -float(vals[0]))
+    return sym + neg / max(1.0, float(vals[-1])), ""
 
-    rep.add("morita:compatibility", _compatibility_residual(lp, rp), tol.rel)
 
-    ldim = len(span_basis(lp.reshape(d * d, d, d), tol))
-    rdim = len(span_basis(rp.reshape(d * d, d, d), tol))
-    rep.add("morita:left_full", 0.0 if ldim == bi.left_alg.dim else 1.0, 0.5,
-            f"pairing span {ldim} vs algebra {bi.left_alg.dim}")
-    rep.add("morita:right_full", 0.0 if rdim == bi.right_alg.dim else 1.0, 0.5,
-            f"pairing span {rdim} vs algebra {bi.right_alg.dim}")
-
+def _morita_report(left: AlgebraBasis, right: AlgebraBasis, bi, bounds: dict,
+                   tol: Tolerance) -> CheckReport:
+    """The entries of `morita_check`, in its order.  Entry `key` takes
+    bounds[key] = (value, details) when that value is within the entry's
+    tolerance and otherwise its exact value, read from the bimodule that
+    bi() returns; bi() is called only for an exact value that needs the
+    pairing tables."""
+    rel = tol.rel
     # left values act through a representation, right values through an
     # antirepresentation, so the positive arrangement of the right Gram is
     # the transposed one: block (i, j) holds left_pair[i, j] and right_pair[j, i]
-    gram_left = lp.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    gram_right = rp.transpose(1, 2, 0, 3).reshape(d * d, d * d)
-    for name, gram in (("left", gram_left), ("right", gram_right)):
-        h = (gram + adjoint(gram)) / 2.0
-        sym = rel_residual(gram - adjoint(gram), operator_norm(gram))
-        vals, _ = herm_eig(h, Tolerance(rel=1.0, rank_cut=tol.rank_cut))
-        neg = max(0.0, -float(vals[0]))
-        rep.add(f"morita:{name}_gram_positive", sym + neg / max(1.0, float(vals[-1])), tol.rel)
+    entries = (
+        ("actions_commute", rel, lambda: (commutator_residual(left.basis, right.basis), "")),
+        ("left_pairing_right_action", rel, lambda: (_action_gap(right.basis, bi().left_pair), "")),
+        ("right_pairing_left_action", rel,
+         lambda: (_action_gap(left.basis.conj(), bi().right_pair), "")),
+        ("compatibility", rel, lambda: (_compatibility_residual(bi().left_pair, bi().right_pair), "")),
+        ("left_full", 0.5, lambda: _fullness(bi().left_pair, left, tol)),
+        ("right_full", 0.5, lambda: _fullness(bi().right_pair, right, tol)),
+        ("left_gram_positive", rel, lambda: _gram_positivity(bi().left_pair, (0, 2, 1, 3), tol)),
+        ("right_gram_positive", rel, lambda: _gram_positivity(bi().right_pair, (1, 2, 0, 3), tol)),
+    )
+    rep = CheckReport()
+    for key, limit, exact in entries:
+        bound = bounds.get(key)
+        value, details = bound if bound is not None and bound[0] <= limit else exact()
+        rep.add(f"morita:{key}", value, limit, details)
     return rep
 
 
-def _frame_defect(alg: AlgebraBasis) -> float:
-    """|W^* W - 1|_2 for the Wedderburn frame W of a generated algebra."""
-    w = alg.wedderburn[0]
-    return operator_norm(adjoint(w) @ w - np.eye(w.shape[1]))
+def morita_check(bi: EquivBimodule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Compatibility, fullness and positivity checks for a two-sided bimodule."""
+    return _morita_report(bi.left_alg, bi.right_alg, lambda: bi, {}, tol)
 
 
-def _commutant_sweep(left: AlgebraBasis, right: AlgebraBasis, tol: Tolerance) -> tuple:
-    """(match, delta, commutant dim) of the right action against the
-    commutant of the left algebra, delta = `max_span_residual` of the right
-    basis against a basis of that commutant.
-
-    With Wedderburn data on both algebras the commutant is the closed-form
-    `commutant_pattern` of the left frame, and the right action can equal it
-    only if its blocks are the left blocks transposed (as multisets);
-    otherwise the commutant is `commutant(left)` and the dimensions must
-    agree.  Equal dimensions plus inclusion give equality, so one sweep
-    decides it.
-    """
-    if left.wedderburn is not None and right.wedderburn is not None:
-        comm = commutant_pattern(*left.wedderburn)
-        match = sorted(right.wedderburn[1]) == sorted((m, n) for n, m in left.wedderburn[1])
-    else:
-        comm = commutant(left, tol).basis
-        match = len(comm) == right.dim
-    return match, max_span_residual(right.basis, comm) if match else 1.0, len(comm)
-
-
-def canonical_morita_check(left_alg: AlgebraBasis, right_alg: AlgebraBasis,
-                           tol: Tolerance = DEFAULT_TOL):
+def equivalence_check(left: AlgebraBasis, right: AlgebraBasis, tol: Tolerance = DEFAULT_TOL):
     """`morita_check` of the canonical bimodule of `bimodule_from_actions`,
-    from the Wedderburn blocks where they certify it.
+    from the Wedderburn blocks where they certify it, and one sweep of the
+    right action against the commutant of the left algebra.  Returns
+    (report, lam, (match, delta, commutant dim), blocks): the report has the
+    ids, order and detail integers of `morita_check`, lam is the right
+    pairing's scale, and blocks is (left blocks, right blocks) when both
+    carry Wedderburn data that do not match, None otherwise.
 
-    The left pairing is the trace-preserving conditional expectation E_L onto
-    the left algebra and the right pairing is lam E_R.  Returns (report,
-    bimodule or None, lam) with the ids, order and detail integers of
-    `morita_check`; see `_closed_form_morita` for when the tables are built.
-    """
-    return _closed_form_morita(left_alg, right_alg, _commutant_sweep(left_alg, right_alg, tol), tol)
+    The sweep: with Wedderburn data on both algebras the commutant is the
+    closed-form `commutant_pattern` of the left frame, and the right action
+    can equal it only if its blocks are the left blocks (n_k, m_k)
+    transposed (as multisets); otherwise the commutant is `commutant(left)`
+    and the dimensions must agree.  Equal dimensions plus inclusion give
+    equality, so delta = `max_span_residual` of the right basis against the
+    commutant (1.0 without a match) decides it.
 
-
-def _closed_form_morita(left: AlgebraBasis, right: AlgebraBasis, sweep, tol: Tolerance):
-    """`canonical_morita_check` given the `_commutant_sweep` (match, delta, _).
-
-    The closed form runs when both algebras carry Wedderburn data, the right
-    action has the left blocks (n_k, m_k) transposed, delta <= tol.rel, every
+    The closed form applies when the blocks match, delta <= tol.rel, every
     component gives the same lam = n_k / m_k and u = max |W^* W - 1|_2 over
-    the two frames is <= tol.rel.  Then R is the commutant L' and:
+    the two frames is <= tol.rel.  Then R is the commutant L' and, with E_L
+    and lam E_R the two pairings:
 
     * actions_commute <= r = 2 delta + 2 u: [b, c] = [b, c - P c] + [b, P c]
       for P the projection onto the closed-form L'; the first term is at most
@@ -372,52 +364,46 @@ def _closed_form_morita(left: AlgebraBasis, right: AlgebraBasis, sweep, tol: Tol
       Tomiyama), exact when the closed-form bases are orthonormal and
       *-closed, i.e. when W is unitary: its residual is u.
 
-    A bound above tol.rel is replaced by the exact value (the commutator
-    sweep, or the tables of `bimodule_from_actions`).  Otherwise the report
-    is `morita_check(bimodule_from_actions(...))`.
+    Each entry takes its bound when it is within the entry's tolerance and
+    otherwise its exact value (`_morita_report`), from tables built once.
+    Without the closed form the report is `morita_check` of the tables.
     """
-    match, delta, _ = sweep
-    closed = match and left.wedderburn is not None and right.wedderburn is not None
-    ratios = {n_k / m_k for n_k, m_k in left.wedderburn[1]} if closed else set()
-    u = max(_frame_defect(left), _frame_defect(right)) if closed else np.inf
-    if not (len(ratios) == 1 and delta <= tol.rel and u <= tol.rel):
+    closed = left.wedderburn is not None and right.wedderburn is not None
+    if closed:
+        comm = commutant_pattern(*left.wedderburn)
+        match = sorted(right.wedderburn[1]) == sorted((m, n) for n, m in left.wedderburn[1])
+    else:
+        comm = commutant(left, tol).basis
+        match = len(comm) == right.dim
+    delta = max_span_residual(right.basis, comm) if match else 1.0
+    blocks = (sorted(left.wedderburn[1]), sorted(right.wedderburn[1])) if closed and not match else None
+    ratios = {n_k / m_k for n_k, m_k in left.wedderburn[1]} if closed and match else set()
+    # u = |W^* W - 1|_2 over the two Wedderburn frames, read only with one ratio
+    frames = (left.wedderburn[0], right.wedderburn[0]) if len(ratios) == 1 else ()
+    u = max((operator_norm(adjoint(w) @ w - np.eye(w.shape[1])) for w in frames), default=np.inf)
+    if not (delta <= tol.rel and u <= tol.rel):
         bi, lam = bimodule_from_actions(left, right, tol)
-        return morita_check(bi, tol), bi, lam
+        return morita_check(bi, tol), lam, (match, delta, len(comm)), blocks
 
     lam = ratios.pop()
-    bi = None
-
-    def tables() -> EquivBimodule:
-        nonlocal bi
-        if bi is None:
-            bi, _ = bimodule_from_actions(left, right, tol)
-        return bi
-
     commute = 2.0 * delta + 2.0 * u
-    compat = (lam + np.sqrt(lam)) * np.sqrt(right.dim) * delta + 2.0 * (1.0 + 2.0 * lam) * u
-    bounds = (
-        ("actions_commute", commute, "bound from commutant membership",
-         lambda: commutator_residual(left.basis, right.basis)),
-        ("left_pairing_right_action", np.sqrt(left.dim) * commute, "bound from actions_commute",
-         lambda: _action_gap(right.basis, tables().left_pair)),
-        ("right_pairing_left_action", lam * np.sqrt(right.dim) * commute,
-         "bound from actions_commute",
-         lambda: _action_gap(left.basis.conj(), tables().right_pair)),
-        ("compatibility", compat, "bound from commutant membership and block ratios",
-         lambda: _compatibility_residual(tables().left_pair, tables().right_pair)),
-    )
-    rep = CheckReport()
-    for key, bound, details, exact in bounds:
-        if bound <= tol.rel:
-            rep.add(f"morita:{key}", bound, tol.rel, details)
-        else:
-            rep.add(f"morita:{key}", exact(), tol.rel)
-    for name, alg in (("left", left), ("right", right)):
-        rep.add(f"morita:{name}_full", 0.0, 0.5, f"pairing span {alg.dim} vs algebra {alg.dim}")
-    for name in ("left", "right"):
-        rep.add(f"morita:{name}_gram_positive", u, tol.rel,
-                "Choi matrix of a conditional expectation")
-    return rep, bi, lam
+    span = "pairing span {0} vs algebra {0}"
+    choi = (u, "Choi matrix of a conditional expectation")
+    bounds = {
+        "actions_commute": (commute, "bound from commutant membership"),
+        "left_pairing_right_action": (np.sqrt(left.dim) * commute, "bound from actions_commute"),
+        "right_pairing_left_action": (lam * np.sqrt(right.dim) * commute,
+                                      "bound from actions_commute"),
+        "compatibility": ((lam + np.sqrt(lam)) * np.sqrt(right.dim) * delta
+                          + 2.0 * (1.0 + 2.0 * lam) * u,
+                          "bound from commutant membership and block ratios"),
+        "left_full": (0.0, span.format(left.dim)),
+        "right_full": (0.0, span.format(right.dim)),
+        "left_gram_positive": choi,
+        "right_gram_positive": choi,
+    }
+    tables = functools.cache(lambda: bimodule_from_actions(left, right, tol)[0])
+    return _morita_report(left, right, tables, bounds, tol), lam, (match, delta, len(comm)), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +451,7 @@ def parseval_frame(alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     x_i = S^(-1/2) e_i tightens the frame.
     """
     s = np.tensordot(alg.basis, alg.basis.conj(), ([0, 2], [0, 2]))  # sum_k b_k b_k^*
-    vals, _ = herm_eig((s + adjoint(s)) / 2.0, tol)
+    vals, vecs = herm_eig((s + adjoint(s)) / 2.0, tol)
     if vals[0] <= tol.rank_cut * max(1.0, vals[-1]):
         raise ValueError("frame operator is singular; algebra action is degenerate")
-    s_inv_half = herm_apply(lambda x: x ** -0.5, (s + adjoint(s)) / 2.0, tol)
-    return s_inv_half.T
+    return (vecs @ np.diag([v ** -0.5 for v in vals]) @ adjoint(vecs)).T

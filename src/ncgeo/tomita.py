@@ -188,12 +188,11 @@ def check_fundamental_class(t: SpectralTripleData, j: AntiunitaryMap, eps,
     rep.add("fundamental:bounded_part_left_linear",
             commutator_residual(d @ m_comms + m_comms @ d, gens), max(tol.rel, 1e-9))
 
+    # [D, b]^op = J [D, b]^* J and J [D, b] J, the opposite of [D, b]^*
+    ops_d = [j.conjugate(adjoint(c)) for c in d_comms]
     worst = 0.0
-    for b, bop in zip(gens, ops):
-        x = j.conjugate(adjoint(d @ b - b @ d))  # [D,b]^op
-        alpha_x = x @ (-1j * eps)
-        x_star = j.conjugate(adjoint(adjoint(d @ b - b @ d)))
-        alpha_x_star = x_star @ (-1j * eps)
+    for b, bop, c, x in zip(gens, ops, d_comms, ops_d):
+        alpha_x, alpha_x_star = x @ (-1j * eps), j.conjugate(c) @ (-1j * eps)
         worst = max(worst, rel_residual(adjoint(alpha_x) - alpha_x_star, operator_norm(x)))
         worst = max(worst, rel_residual(adjoint(bop) - opposite_action(j, adjoint(b)), operator_norm(b)))
     rep.add("fundamental:twist_star_preserving", worst, max(tol.rel, 1e-9))
@@ -208,18 +207,14 @@ def check_fundamental_class(t: SpectralTripleData, j: AntiunitaryMap, eps,
     f_d = d @ reg_inv
     rep.add("fundamental:phase_anticommutes_grading",
             rel_residual(f_d @ eps + eps @ f_d, operator_norm(f_d), operator_norm(eps)), tol.rel)
-    details = []
-    for i, a in enumerate(gens):
-        details.append(f"|[F,a{i}]|={operator_norm(f_d @ a - a @ f_d):.3e}")
-    for i, mb in enumerate(m_comms):
-        details.append(f"|[F,db{i}]+|={operator_norm(f_d @ mb + mb @ f_d):.3e}")
+    details = [f"|[F,a{i}]|={operator_norm(f_d @ a - a @ f_d):.3e}" for i, a in enumerate(gens)]
+    details += [f"|[F,db{i}]+|={operator_norm(f_d @ mb + mb @ f_d):.3e}"
+                for i, mb in enumerate(m_comms)]
     rep.add("fundamental:phase_commutators", 0.0, np.inf, " ".join(details))
 
     worst = 0.0
-    for b in gens:
-        x = j.conjugate(adjoint(d @ b - b @ d))  # [D,b]^op
+    for x, mb in zip(ops_d, m_comms):
         lhs = -1j * (f_d @ x - x @ f_d) @ eps
-        mb = d_mirror @ opposite_action(j, b) - opposite_action(j, b) @ d_mirror
         rhs = f_d @ mb + mb @ f_d
         worst = max(worst, rel_residual(lhs - rhs, operator_norm(f_d), operator_norm(x)))
     rep.add("fundamental:phase_mirror_identity", worst, max(tol.rel, 1e-9))

@@ -36,7 +36,7 @@ from .linalg import (
     span_basis,
     span_coords,
 )
-from .modules import _closed_form_morita, _commutant_sweep, parseval_frame
+from .modules import equivalence_check, parseval_frame
 from .report import CheckReport
 
 __all__ = [
@@ -524,27 +524,20 @@ def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
 
 def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Equivalence-bimodule checks between the Dirac-commutator algebra and
-    the right action: `canonical_morita_check`, its pairing scale, and one
-    sweep of the right basis against the cda's commutant.  The context's
-    `block_mismatch` is (cda blocks, right action blocks) when both carry
-    Wedderburn data and the right action's are not the cda's transposed,
-    None otherwise."""
+    the right action: the Morita entries, pairing scale and commutant sweep
+    of `equivalence_check`, whose block lists are the context's
+    `block_mismatch`."""
     rep = CheckReport()
     if not t.right_action_gens:
         rep.skip("spinc", "no right action supplied")
         return rep, None
     cda = t.cda(tol)
     right = t.right_algebra(tol)
-    sweep = _commutant_sweep(cda, right, tol)
-    morita, _, lam = _closed_form_morita(cda, right, sweep, tol)
+    morita, lam, (_, mismatch, comm_dim), blocks = equivalence_check(cda, right, tol)
     rep.extend(morita, prefix="spinc:")
     rep.add("spinc:pairing_scale", 0.0, np.inf, f"right pairing scale {lam:.6f}")
-    match, mismatch, comm_dim = sweep
     rep.add("spinc:commutant_matches_right_action", mismatch, max(tol.rel, 1e-7),
             f"commutant dim {comm_dim}, right action dim {right.dim}")
-    blocks = None
-    if not match and cda.wedderburn is not None and right.wedderburn is not None:
-        blocks = (sorted(cda.wedderburn[1]), sorted(right.wedderburn[1]))
     ctx = {"scale": lam, "cda": cda, "right": right, "block_mismatch": blocks}
     return rep, ctx
 

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 
+from ncgeo import modules
 from ncgeo.algebra import AlgebraBasis
 from ncgeo.examples import SIGMA1, SIGMA2, matrix_geometry
 from ncgeo.linalg import adjoint, from_blocks, max_span_residual, random_complex, random_hermitian
@@ -94,3 +95,18 @@ def barrett_triple(n: int, kind: str) -> SpectralTripleData:
     second = {"11": ad, "20": anti}[kind](t2)
     dirac = np.kron(anti(t1), SIGMA1) + np.kron(second, SIGMA2)
     return dataclasses.replace(matrix_geometry(n, 0), dirac=dirac)
+
+
+def record_table_builds(monkeypatch) -> list:
+    """Patch `modules.bimodule_from_actions`, as the library calls it, to
+    record each bimodule it builds; returns the list it appends to."""
+    built = []
+    build = modules.bimodule_from_actions
+
+    def spy(*args, **kwargs):
+        bi, lam = build(*args, **kwargs)
+        built.append(bi)
+        return bi, lam
+
+    monkeypatch.setattr(modules, "bimodule_from_actions", spy)
+    return built

@@ -189,6 +189,22 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda doc: doc.__setitem__("hilbert_dim", 2.9), "hilbert_dim",
+                     id="hilbert_dim_float"),
+        pytest.param(lambda doc: doc.__setitem__("hilbert_dim", "2"), "hilbert_dim",
+                     id="hilbert_dim_string"),
+        pytest.param(lambda doc: doc.__setitem__("hilbert_dim", True), "hilbert_dim",
+                     id="hilbert_dim_bool"),
+        pytest.param(lambda doc: doc["cycle"].__setitem__("degree", 0.5), "cycle degree",
+                     id="cycle_degree_float"),
+    ])
+    def test_integer_field_is_not_truncated(self, tmp_path, capsys, edit, field):
+        path = self._write_doc(tmp_path, edit)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be an integer, got ") and err.count("\n") == 1
+
     def test_non_hermitian_dirac_reports_failure(self, tmp_path, capsys):
         def skew(doc):
             doc["dirac"][0][1] = [1.0, 0.0]
@@ -264,6 +280,22 @@ class TestExampleCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "argument --n" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["two_point", "--coupling", "0"], id="zero_coupling"),
+        pytest.param(["two_point", "--coupling", "nan"], id="nan_coupling"),
+        pytest.param(["two_point", "--coupling", "inf"], id="inf_coupling"),
+        pytest.param(["matrix_geometry", "--seed", "-1"], id="negative_seed"),
+    ])
+    def test_unusable_option_exit_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "t.striple"
+        with pytest.raises(SystemExit) as exc:
+            main(["example"] + argv + ["-o", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"ncgeo example: error: argument {argv[1]}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, dim", [("trivial_points", 3), ("matrix_geometry", 8)])
@@ -523,6 +555,19 @@ class TestOtherCommands:
         assert main(["product", str(src), "--module", str(mpath), "-o", str(out)]) == 0
         t2, _ = load_triple(out)
         assert t2.hilbert_dim == t.hilbert_dim
+
+    @pytest.mark.parametrize("size", [1.5, "1", True])
+    def test_module_size_must_be_an_integer(self, tmp_path, capsys, size):
+        src = tmp_path / "p.striple"
+        save_triple(src, trivial_points(3))
+        mpath = tmp_path / "mod.json"
+        mpath.write_text(json.dumps({"size": size, "projector": matrix_to_data(np.eye(3)),
+                                     "potential": None}))
+        out = tmp_path / "prod.striple"
+        assert main(["product", str(src), "--module", str(mpath), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {mpath}: size must be an integer, got {size!r}\n"
+        assert not out.exists()
 
 
 class TestParserReuse:

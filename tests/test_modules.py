@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import barrett_triple, dense_module_projector
+from helpers import barrett_triple, dense_module_projector, record_table_builds
 from ncgeo.algebra import AlgebraBasis, generate_algebra
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.kasparov import grassmann_connection, twisted_operator
@@ -25,7 +25,7 @@ from ncgeo.modules import (
     _action_gap,
     _compatibility_residual,
     bimodule_from_actions,
-    canonical_morita_check,
+    equivalence_check,
     frame_idempotency_bound,
     linear_operator_bound,
     morita_check,
@@ -398,11 +398,26 @@ def table_values(left, right):
     return values, bi, lam
 
 
-def assert_bounds_dominate(left, right):
-    """`canonical_morita_check` has the digest of `morita_check` of the
-    tables, and every bound it reports is at least the table value (for
+@pytest.fixture
+def built(monkeypatch):
+    """The bimodules the library's `bimodule_from_actions` builds."""
+    return record_table_builds(monkeypatch)
+
+
+def equivalence_with_tables(left, right, built):
+    """(report, bimodule or None, lam) of `equivalence_check`: the pairing
+    tables it built, None when it built none; it builds them at most once."""
+    built.clear()
+    rep, lam, _, _ = equivalence_check(left, right)
+    assert len(built) <= 1
+    return rep, (built[0] if built else None), lam
+
+
+def assert_bounds_dominate(left, right, built):
+    """`equivalence_check` has the digest of `morita_check` of the tables,
+    and every bound it reports is at least the table value (for
     compatibility, also at the closed form's scale lam = n_k / m_k)."""
-    rep, bi, lam = canonical_morita_check(left, right)
+    rep, bi, lam = equivalence_with_tables(left, right, built)
     values, ref_bi, ref_lam = table_values(left, right)
     assert report_digest(rep) == report_digest(morita_check(ref_bi))
     assert lam == pytest.approx(ref_lam, rel=1e-12)
@@ -421,58 +436,58 @@ def assert_bounds_dominate(left, right):
 
 class TestCanonicalMoritaCheck:
     @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
-    def test_same_digest_as_morita_check(self, name):
+    def test_same_digest_as_morita_check(self, name, built):
         t = CANONICAL_CASES[name]()
-        _, bi, ref_bi = assert_bounds_dominate(t.cda(), t.right_algebra())
+        _, bi, ref_bi = assert_bounds_dominate(t.cda(), t.right_algebra(), built)
         if bi is not None:
             assert np.array_equal(bi.left_pair, ref_bi.left_pair)
             assert np.array_equal(bi.right_pair, ref_bi.right_pair)
 
     @pytest.mark.parametrize("name", ["mgeom2_s7", "mgeom2_s2001408477", "mgeom3_s0"])
-    def test_matrix_geometry_takes_the_canonical_path(self, name):
+    def test_matrix_geometry_takes_the_canonical_path(self, name, built):
         t = CANONICAL_CASES[name]()
-        rep, bi, lam = canonical_morita_check(t.cda(), t.right_algebra())
+        rep, bi, lam = equivalence_with_tables(t.cda(), t.right_algebra(), built)
         assert rep.passed, rep.as_text()
         assert bi is None and lam == 2.0
         assert rep.entry("morita:actions_commute").details == "bound from commutant membership"
         for key in GAP_KEYS:
             assert rep.entry(f"morita:{key}").details == "bound from actions_commute"
 
-    def test_self_bimodule_of_a_matrix_algebra(self):
+    def test_self_bimodule_of_a_matrix_algebra(self, built):
         left = generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))])
         right = generate_algebra([np.kron(np.eye(2), SIGMA1.T), np.kron(np.eye(2), SIGMA3.T)])
-        rep, bi, _ = assert_bounds_dominate(left, right)
+        rep, bi, _ = assert_bounds_dominate(left, right, built)
         assert rep.passed, rep.as_text()
         assert bi is None
 
-    def test_two_point_falls_back_to_morita_check(self):
+    def test_two_point_falls_back_to_morita_check(self, built):
         t = two_point(1.0)
-        rep, bi, _ = canonical_morita_check(t.cda(), t.right_algebra())
+        rep, bi, _ = equivalence_with_tables(t.cda(), t.right_algebra(), built)
         assert not rep.passed
         assert rep.as_dict() == morita_check(bi).as_dict()
 
     @pytest.mark.parametrize("seed", [7, 2001408477])
     @pytest.mark.parametrize("eps", [1e-12, 1e-11, 5e-11, 1e-10])
-    def test_gap_bound_dominates_exact_gap(self, seed, eps):
+    def test_gap_bound_dominates_exact_gap(self, seed, eps, built):
         t = matrix_geometry(2, seed=seed)
         right = perturbed_right_action(t, eps)
         assert right.wedderburn is not None
-        rep, _, _ = assert_bounds_dominate(t.cda(), right)
+        rep, _, _ = assert_bounds_dominate(t.cda(), right, built)
         assert 1e-12 < rep.entry("morita:actions_commute").residual <= DEFAULT_TOL.rel
 
-    def test_span_that_is_not_a_star_algebra_falls_back(self):
+    def test_span_that_is_not_a_star_algebra_falls_back(self, built):
         # the nilpotent span commutes with the left action and gets lam = 1,
         # but it is not *-closed, so its Gram matrix is not positive
         left = generate_algebra([np.kron(SIGMA1, np.eye(2)), np.kron(SIGMA3, np.eye(2))])
         nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
         right = AlgebraBasis(4, [np.kron(np.eye(2), nilpotent) / np.sqrt(2.0)])
-        rep, bi, lam = canonical_morita_check(left, right)
+        rep, bi, lam = equivalence_with_tables(left, right, built)
         assert lam > 0.0
         assert rep.entry("morita:actions_commute").status == "pass"
         assert rep.entry("morita:right_gram_positive").status == "fail"
         assert rep.as_dict() == morita_check(bi).as_dict()
 
-    def test_both_gap_branches_are_exercised(self):
+    def test_both_gap_branches_are_exercised(self, built):
         # the right action stays on the closed form while delta <= tol; the
         # gap bounds sqrt(dim) (2 delta + 2 u) pass at eps 1e-11 (delta about
         # 4e-11) and exceed tol at eps 1e-10 (delta about 4e-10), where the
@@ -480,7 +495,7 @@ class TestCanonicalMoritaCheck:
         t = matrix_geometry(2, seed=7)
         used = set()
         for eps in (1e-11, 1e-10):
-            rep, _, _ = canonical_morita_check(t.cda(), perturbed_right_action(t, eps))
+            rep, _, _ = equivalence_with_tables(t.cda(), perturbed_right_action(t, eps), built)
             used.update(rep.entry(f"morita:{key}").details for key in GAP_KEYS)
         assert used == {"bound from actions_commute", ""}
 

@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import barrett_triple, random_unitary
+from helpers import barrett_triple, random_unitary, record_table_builds
 from ncgeo import modules, triples
 from ncgeo.algebra import center, generate_algebra
 from ncgeo.convert import round_trip_check, spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points, two_point
 from ncgeo.linalg import (
+    DEFAULT_TOL,
     Tolerance,
     adjoint,
+    commutator_residual,
     herm_abs,
     operator_norm,
     random_complex,
     random_hermitian,
 )
-from ncgeo.modules import parseval_frame
+from ncgeo.modules import _action_gap, _compatibility_residual, parseval_frame
 from ncgeo.triples import (
     HochschildChain,
     SpectralTripleData,
@@ -564,12 +566,52 @@ class TestSpinc:
         assert rep.passed, rep.as_text()
 
     def test_two_point_builds_the_tables(self, monkeypatch):
-        calls = []
-        build = modules.bimodule_from_actions
-        monkeypatch.setattr(modules, "bimodule_from_actions",
-                            lambda *args: calls.append(args) or build(*args))
+        built = record_table_builds(monkeypatch)
         rep, _ = check_spinc(two_point(1.0))
-        assert len(calls) == 1 and not rep.passed
+        assert len(built) == 1 and not rep.passed
+
+    def test_rotated_right_action_takes_bounds_and_table_values(self, monkeypatch):
+        # matrix_geometry(2, 7) with its right action rotated by exp(1e-10 i h):
+        # the commutator bound (about 8e-10) is within tol, the gap and
+        # compatibility bounds are not and take the table values, and the
+        # fullness and Gram entries keep their closed forms
+        t = matrix_geometry(2, seed=7)
+        h = random_complex(np.random.default_rng(11), (t.hilbert_dim,) * 2)
+        vals, vecs = np.linalg.eigh(h + adjoint(h))
+        u = (vecs * np.exp(1e-10j * vals)) @ adjoint(vecs)
+        t = dataclasses.replace(t, right_action_gens=[u @ g @ adjoint(u) for g in t.right_action_gens])
+        built = record_table_builds(monkeypatch)
+        rep, ctx = check_spinc(t)
+        assert len(built) == 1
+        bi, cda, right, lam = built[0], ctx["cda"], ctx["right"], ctx["scale"]
+        assert lam == 2.0 and ctx["block_mismatch"] is None
+        delta = rep.entry("spinc:commutant_matches_right_action").residual
+        defect = max(operator_norm(adjoint(w) @ w - np.eye(w.shape[1]))
+                     for w in (cda.wedderburn[0], right.wedderburn[0]))
+        commute = 2.0 * delta + 2.0 * defect
+        bounds = {
+            "actions_commute": commute,
+            "left_pairing_right_action": np.sqrt(cda.dim) * commute,
+            "right_pairing_left_action": lam * np.sqrt(right.dim) * commute,
+            "compatibility": (lam + np.sqrt(lam)) * np.sqrt(right.dim) * delta
+            + 2.0 * (1.0 + 2.0 * lam) * defect,
+            "left_full": 0.0, "right_full": 0.0,
+            "left_gram_positive": defect, "right_gram_positive": defect,
+        }
+        tables = {
+            "actions_commute": commutator_residual(cda.basis, right.basis),
+            "left_pairing_right_action": _action_gap(right.basis, bi.left_pair),
+            "right_pairing_left_action": _action_gap(cda.basis.conj(), bi.right_pair),
+            "compatibility": _compatibility_residual(bi.left_pair, bi.right_pair),
+        }
+        for key, bound in bounds.items():
+            entry = rep.entry(f"spinc:morita:{key}")
+            if bound <= entry.tolerance:
+                assert entry.residual == bound and entry.details, key
+            else:
+                assert entry.residual == tables[key] and not entry.details, key
+        assert [key for key, bound in bounds.items() if bound > DEFAULT_TOL.rel] == [
+            "left_pairing_right_action", "right_pairing_left_action", "compatibility"]
 
 
 def conjugated(t, u):
