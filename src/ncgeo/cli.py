@@ -294,8 +294,13 @@ def _positive_float(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Writes a usage error as one line, without the usage block; the
-    subcommand parsers are of the same class."""
+    """Writes a usage error as one line, without the usage block, and reads
+    a token that starts with a minus and a digit (-1+2j, -2j, -1e3) as a
+    value, not an option; the subcommand parsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")

@@ -121,15 +121,14 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     right action, the conjugation from that vector, and the grading from
     the transported orientation operator.  The output's algebra and cda are
     the source's carried through u (`triples.carry_algebras`).  Even
-    declared dimension only; the explicit odd tool is `double_odd_triple`
-    (`ncgeo double`).
+    declared dimension only; at every even p the output carries the
+    degree-0 cycle of the orientation image.
     """
     val = validate_triple(t, tol)
     if not val.passed:
         raise ValueError(_refusal("input triple invalid", val))
     if t.declared_p % 2 == 1:
-        raise ValueError(f"forward conversion needs even declared dimension, got p = "
-                         f"{t.declared_p}; odd triples: double_odd_triple (ncgeo double)")
+        raise ValueError(f"forward conversion needs even declared dimension, got p = {t.declared_p}")
     if t.orientation_cycle is None:
         raise ValueError("conversion needs an orientation cycle")
     if t.right_action_gens is None:
@@ -178,8 +177,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         dirac=out_dirac,
         grading=None,
         declared_p=t.declared_p,
-        orientation_cycle=HochschildChain(0, [(chat,)], generalized=True)
-        if t.declared_p == 0 else None,
+        orientation_cycle=HochschildChain(0, [(chat,)], generalized=True),
         riemann_vector=phi,
     )
     carried = carry_algebras(base, t, u, tol)
@@ -412,8 +410,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
         grading=grading,
         declared_p=t.declared_p,
         right_action_gens=[as_complex_matrix(b) for b in module.right_action_gens],
-        orientation_cycle=HochschildChain(0, [(grading,)], generalized=True)
-        if t.declared_p == 0 else None,
+        orientation_cycle=HochschildChain(0, [(grading,)], generalized=True),
     )
     carry_algebras(out, t, v_unit, tol)
     vrep = validate_triple(out, tol)

@@ -25,7 +25,7 @@ from .linalg import (
     within_span,
 )
 from .report import CheckReport
-from .triples import SpectralTripleData
+from .triples import SpectralTripleData, derived, offer_grading
 
 __all__ = [
     "AntiunitaryMap",
@@ -66,14 +66,10 @@ def tomita_conjugation(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
 
     Requires the vector to be cyclic and separating with a tracial vector
     state; otherwise the construction cannot be antiunitary and a hard
-    error is raised.  The map is cached on the triple per tolerance; it
-    depends on phi and the span of the cda, not on the grading, so
-    `regraded` carries it over.
+    error is raised.  Built once (`triples.derived`), and carried over by
+    `regraded`: the map depends on phi and the span of the cda.
     """
-    key = ("conjugation", tol)
-    if key not in t._cache:
-        t._cache[key] = _conjugation(t, tol)
-    return t._cache[key]
+    return derived(t, "conjugation", _conjugation, tol)
 
 
 def _conjugation(t: SpectralTripleData, tol: Tolerance) -> AntiunitaryMap:
@@ -125,8 +121,7 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
     of the second's sweep).  The first, with
     `anticommutes_dirac`, is what `check_riemannian` reports of a triple
     with this grading, the algebra and the Dirac operator of `t`; both are
-    left in the cache of `t` under ("grading", tol) with epsilon, for
-    `SpectralTripleData.regraded` to carry over.
+    offered to `SpectralTripleData.regraded` (`triples.offer_grading`).
     """
     if t.declared_p % 2 == 1:
         raise ValueError(f"a grading from the orientation operator needs even declared "
@@ -147,7 +142,7 @@ def grading_from_cycle(t: SpectralTripleData, c_op, j: AntiunitaryMap,
             commutator_residual([eps], opposite_action(j, gens), floor=commutes), tol.rel)
     if not rep.passed:
         raise ValueError("orientation operator does not induce a grading:\n" + rep.as_text())
-    t._cache[("grading", tol)] = (eps, anti, commutes)
+    offer_grading(t, eps, (anti, commutes), tol)
     return eps, rep
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -76,7 +77,7 @@ class HochschildChain:
                 raise ValueError("chain term arity does not match the degree")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralTripleData:
     hilbert_dim: int
     algebra_gens: list
@@ -87,7 +88,7 @@ class SpectralTripleData:
     orientation_cycle: HochschildChain | None = None
     riemann_vector: np.ndarray | None = None
     state: np.ndarray | None = None
-    # derived algebras, the Tomita conjugation and the Riemannian report;
+    # data derived from the fields, read and written only in this module;
     # `dataclasses.replace` starts a copy with an empty one
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -97,30 +98,31 @@ class SpectralTripleData:
         (a generator list) or not a non-negative int (p)."""
         n = self.hilbert_dim
         p = self.declared_p
+        put = partial(object.__setattr__, self)
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"p must be a non-negative integer, got {p!r}")
         if not len(self.algebra_gens):
             raise ValueError("algebra has no generator")
         if self.right_action_gens is not None and not len(self.right_action_gens):
             raise ValueError("right action is given with no generator")
-        self.algebra_gens = [_square(g, n, "algebra generator") for g in self.algebra_gens]
-        self.dirac = _square(self.dirac, n, "dirac")
+        put("algebra_gens", [_square(g, n, "algebra generator") for g in self.algebra_gens])
+        put("dirac", _square(self.dirac, n, "dirac"))
         if self.grading is not None:
-            self.grading = _square(self.grading, n, "grading")
+            put("grading", _square(self.grading, n, "grading"))
         if self.right_action_gens is not None:
-            self.right_action_gens = [_square(g, n, "right action generator")
-                                      for g in self.right_action_gens]
+            put("right_action_gens", [_square(g, n, "right action generator")
+                                      for g in self.right_action_gens])
         if self.orientation_cycle is not None:
             for term in self.orientation_cycle.terms:
                 for leg in term:
                     _square(leg, n, "cycle leg")
         if self.riemann_vector is not None:
-            self.riemann_vector = np.asarray(self.riemann_vector, dtype=complex).ravel()
+            put("riemann_vector", np.asarray(self.riemann_vector, dtype=complex).ravel())
             if self.riemann_vector.shape != (n,):
                 raise ValueError(f"phi has length {len(self.riemann_vector)} "
                                  f"but hilbert_dim is {n}")
         if self.state is not None:
-            self.state = _square(self.state, n, "state")
+            put("state", _square(self.state, n, "state"))
 
     # -- state functional -------------------------------------------------
     def psi(self, x):
@@ -128,47 +130,57 @@ class SpectralTripleData:
         one value per matrix."""
         return np.trace(_weighted(self, x), axis1=-2, axis2=-1)
 
-    # -- cached derived algebras ------------------------------------------
+    # -- derived algebras -------------------------------------------------
     # keyed on the whole tolerance: the cda depends on rel through graded_split
     def algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-        key = ("algebra", tol)
-        if key not in self._cache:
-            self._cache[key] = generate_algebra(self.algebra_gens, tol=tol)
-        return self._cache[key]
+        return derived(self, "algebra", lambda t, tol: generate_algebra(t.algebra_gens, tol=tol), tol)
 
     def commutators(self):
         d = self.dirac
         return [d @ a - a @ d for a in self.algebra_gens]
 
     def cda(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis:
-        key = ("cda", tol)
-        if key not in self._cache:
-            self._cache[key] = commutator_algebra(self, tol)
-        return self._cache[key]
+        return derived(self, "cda", commutator_algebra, tol)
 
     def regraded(self, grading, tol: Tolerance = DEFAULT_TOL) -> SpectralTripleData:
         """The triple with `grading` in place of its own.  The algebra and the
         Dirac operator are kept, so the copy's cda at `tol` is this triple's
-        re-spanned into homogeneous elements; nothing is generated again.  A
-        cached algebra, right algebra and Tomita conjugation carry over too:
-        none depends on the grading (the conjugation depends on phi and the
-        span of the cda).  So do the grading residuals that
-        `tomita.grading_from_cycle` left, which `check_riemannian` reads when
-        they are of this very grading."""
+        re-spanned into homogeneous elements; nothing is generated again.  The
+        derived data that do not read the grading carry over: the algebra, the
+        right algebra, the Tomita conjugation (it depends on phi and the span
+        of the cda) and the grading residuals offered by `offer_grading`."""
         out = replace(self, grading=grading)
-        out._cache[("cda", tol)] = _homogeneous(self.cda(tol), out.grading, tol)
-        for key in (("algebra", tol), ("right", tol), ("conjugation", tol), ("grading", tol)):
-            if key in self._cache:
-                out._cache[key] = self._cache[key]
+        for (name, at), value in self._cache.items():
+            if name not in ("cda", "riemannian"):  # they read the grading
+                _seed(out, name, at, value)
+        _seed(out, "cda", tol, _homogeneous(self.cda(tol), out.grading, tol))
         return out
 
     def right_algebra(self, tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
         if self.right_action_gens is None:
             return None
-        key = ("right", tol)
-        if key not in self._cache:
-            self._cache[key] = generate_algebra(self.right_action_gens, tol=tol)
-        return self._cache[key]
+        return derived(self, "right", lambda t, tol: generate_algebra(t.right_action_gens, tol=tol), tol)
+
+
+def derived(t: SpectralTripleData, name: str, build, tol: Tolerance):
+    """build(t, tol), built once per triple and tolerance and held on `t` as
+    its datum `name`; callers share the value and do not change it."""
+    key = (name, tol)
+    if key not in t._cache:
+        t._cache[key] = build(t, tol)
+    return t._cache[key]
+
+
+def _seed(t: SpectralTripleData, name: str, tol: Tolerance, value) -> None:
+    """Hold `value`, unless None, as what `derived(t, name, ..., tol)` returns."""
+    if value is not None:
+        t._cache[(name, tol)] = value
+
+
+def offer_grading(t: SpectralTripleData, eps, residuals, tol: Tolerance) -> None:
+    """Offer `check_riemannian` of `t.regraded(eps, tol)` the residuals of eps
+    against the Dirac operator and the algebra of `t`."""
+    _seed(t, "offered grading", tol, (eps, residuals))
 
 
 def _square(m, n: int, name: str) -> np.ndarray:
@@ -245,7 +257,7 @@ def commutator_algebra(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> A
 
 def carry_algebras(out: SpectralTripleData, src: SpectralTripleData, u,
                    tol: Tolerance = DEFAULT_TOL) -> AlgebraBasis | None:
-    """Fill the algebra and cda caches of `out` at `tol` with those of `src`
+    """Seed the algebra and cda of `out` at `tol` with those of `src`
     carried through pi(x) = U^* (1_m (x) x) U (`algebra.transport_algebra`),
     and return the carried cda before its graded split, or None if it was
     not carried.
@@ -265,18 +277,16 @@ def carry_algebras(out: SpectralTripleData, src: SpectralTripleData, u,
     its own: generating `src`'s to carry it costs more than generating
     `out`'s.
     """
-    key = ("algebra", tol)
-    alg = None if key not in src._cache else \
-        transport_algebra(src._cache[key], u, out.algebra_gens, tol)
-    if alg is not None:
-        out._cache[key] = alg
+    alg = src._cache.get(("algebra", tol))
+    _seed(out, "algebra", tol,
+          None if alg is None else transport_algebra(alg, u, out.algebra_gens, tol))
     cda = transport_algebra(src.cda(tol), u, out.algebra_gens + out.commutators(), tol)
-    if cda is not None:
-        out._cache[("cda", tol)] = cda if out.grading is None else _homogeneous(cda, out.grading, tol)
+    _seed(out, "cda", tol,
+          cda if cda is None or out.grading is None else _homogeneous(cda, out.grading, tol))
     right = src._cache.get(("right", tol))
     if right is not None and (out.right_action_gens is None or np.array_equal(
             right.generators, np.asarray(out.right_action_gens))):
-        out._cache[("right", tol)] = right
+        _seed(out, "right", tol, right)
     return cda
 
 
@@ -544,12 +554,8 @@ def check_spinc(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
 
 def check_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
     """Cyclic/separating vector, central-metric solve, grading compatibilities,
-    trace property.  Returns (report, context), cached on the triple per
-    tolerance: callers extend other reports by it and do not change it."""
-    key = ("riemannian", tol)
-    if key not in t._cache:
-        t._cache[key] = _riemannian(t, tol)
-    return t._cache[key]
+    trace property.  Returns (report, context), built once (`derived`)."""
+    return derived(t, "riemannian", _riemannian, tol)
 
 
 def _riemannian(t: SpectralTripleData, tol: Tolerance):
@@ -598,13 +604,10 @@ def _riemannian(t: SpectralTripleData, tol: Tolerance):
 
     rep.add("riemann:grading_fixes_vector", float(np.linalg.norm(eps @ phi - phi)) /
             max(1.0, float(np.linalg.norm(phi))), tol.rel)
-    known = t._cache.get(("grading", tol))
-    if known is not None and known[0] is eps:
-        # taken by tomita.grading_from_cycle for this grading, algebra and D
-        anti, commutes = known[1:]
-    else:
-        anti = rel_residual(eps @ t.dirac + t.dirac @ eps, operator_norm(eps), operator_norm(t.dirac))
-        commutes = commutator_residual([eps], t.algebra_gens)
+    offered = t._cache.get(("offered grading", tol))  # by tomita.grading_from_cycle
+    anti, commutes = offered[1] if offered and offered[0] is eps else (
+        rel_residual(eps @ t.dirac + t.dirac @ eps, operator_norm(eps), operator_norm(t.dirac)),
+        commutator_residual([eps], t.algebra_gens))
     rep.add("riemann:grading_anticommutes_dirac", anti, tol.rel)
     rep.add("riemann:grading_commutes_algebra", commutes, tol.rel)
     # t.cda is split under t.grading when it is built (commutator_algebra,

@@ -230,9 +230,9 @@ class TestCheckCommand:
     def test_grading_not_preserving_algebra_reports_failure(self, tmp_path, capsys):
         # a Hermitian involution in general position: conjugation by it moves
         # the commutator algebra off itself
-        t = matrix_geometry(2, seed=7)
         u = random_unitary(np.random.default_rng(0), 8)
-        t.grading = u @ np.diag([1.0, 1, 1, 1, -1, -1, -1, -1]) @ u.conj().T
+        t = replace(matrix_geometry(2, seed=7),
+                    grading=u @ np.diag([1.0, 1, 1, 1, -1, -1, -1, -1]) @ u.conj().T)
         path = str(tmp_path / "rotated_grading.striple")
         save_triple(path, t)
         assert main(["--format", "json", "check", path]) == 1
@@ -287,6 +287,7 @@ class TestExampleCommand:
         pytest.param(["two_point", "--coupling", "nan"], id="nan_coupling"),
         pytest.param(["two_point", "--coupling", "inf"], id="inf_coupling"),
         pytest.param(["matrix_geometry", "--seed", "-1"], id="negative_seed"),
+        pytest.param(["two_point", "--coupling", "-x"], id="word_coupling"),
     ])
     def test_unusable_option_exit_two(self, tmp_path, capsys, argv):
         out = tmp_path / "t.striple"
@@ -297,6 +298,17 @@ class TestExampleCommand:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"ncgeo example: error: argument {argv[1]}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("coupling", ["-1+2j", "-2j"])
+    def test_coupling_with_a_leading_minus(self, tmp_path, capsys, coupling):
+        # a value such as -1+2j is not an option, with or without "="
+        apart, joined = tmp_path / "apart.striple", tmp_path / "joined.striple"
+        assert main(["example", "two_point", "--coupling", coupling, "-o", str(apart)]) == 0
+        assert main(["example", "two_point", f"--coupling={coupling}", "-o", str(joined)]) == 0
+        assert capsys.readouterr().err == ""
+        assert apart.read_bytes() == joined.read_bytes()
+        t, _ = load_triple(apart)
+        assert t.dirac[0, 1] == complex(coupling)
 
     @pytest.mark.parametrize("kind, dim", [("trivial_points", 3), ("matrix_geometry", 8)])
     def test_default_n(self, tmp_path, kind, dim):
@@ -476,7 +488,18 @@ class TestConvertCommand:
         assert main(["convert", "to-riemannian", str(src)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "double_odd_triple" in err
+        assert err.endswith(": forward conversion needs even declared dimension, got p = 1\n")
+
+    def test_even_positive_p_converts_both_ways(self, tmp_path, capsys):
+        src = tmp_path / "p2.striple"
+        save_triple(src, replace(matrix_geometry(2, seed=7), declared_p=2))
+        riem, back = tmp_path / "p2.riem", tmp_path / "p2.back"
+        assert main(["convert", "to-riemannian", str(src), "-o", str(riem)]) == 0
+        assert main(["convert", "to-spinc", str(riem), "-o", str(back)]) == 0
+        assert capsys.readouterr().err == ""
+        for path in (riem, back):
+            t, _ = load_triple(path)
+            assert t.declared_p == 2 and t.orientation_cycle.degree == 0
 
 
 class TestOtherCommands:

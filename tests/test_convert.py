@@ -1,4 +1,5 @@
 import inspect
+import pathlib
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -134,8 +135,9 @@ class TestForwardConversion:
         for name in ("check_orientability", "check_spinc"):
             monkeypatch.setattr(convert, name, spy(name))
         odd = replace(matrix_geometry(2, seed=7), declared_p=1)
-        with pytest.raises(ValueError, match="double_odd_triple"):
+        with pytest.raises(ValueError) as err:
             spinc_to_riemannian(odd)
+        assert str(err.value) == "forward conversion needs even declared dimension, got p = 1"
         assert calls == []
 
     def test_epsilon_anticommutes(self, mgeom_forward):
@@ -702,6 +704,27 @@ def test_transport_fallback_keeps_the_reports(monkeypatch):
     assert report_digest(res) == report_digest(ref)
 
 
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: matrix_geometry(2, seed=0), id="matrix_geometry_n2_seed0"),
+    pytest.param(lambda: matrix_geometry(2, seed=7), id="matrix_geometry_n2_seed7"),
+    pytest.param(lambda: matrix_geometry(3, seed=0), id="matrix_geometry_n3_seed0"),
+    pytest.param(lambda: trivial_points(3), id="trivial_points_3"),
+])
+def test_even_declared_dimension_round_trips(make, p):
+    # both halves write the degree-0 cycle at every even p, so the backward
+    # half reads the orientation image, not the grading slot C.JCJ; the
+    # sign rules read only the parity of p, so the report is that of p = 0
+    t = make()
+    res = round_trip_check(replace(t, declared_p=p))
+    assert all(e.status == "pass" for e in res.report.entries)
+    assert res.report.as_dict() == round_trip_check(t).report.as_dict()
+    forward = res.witness["forward"]
+    assert forward.output.orientation_cycle.terms == [(forward.witness["orientation_image"],)]
+    for out in (forward.output, res.output):
+        assert out.declared_p == p and out.orientation_cycle.degree == 0
+
+
 def report_digest(rep):
     """Ids, statuses and detail integers (floats removed) of a report."""
     return [(e.condition_id, e.status, check.detail_ints(e.details)) for e in rep.entries]
@@ -1031,8 +1054,7 @@ class TestDoubling:
     @pytest.mark.xfail(strict=True, raises=ValueError,
                        reason="the double keeps the odd declared_p, has no orientation cycle and "
                               "appends the odd twist generator, so validate:grading_commutes_algebra "
-                              "fails and the forward conversion refuses the output of the tool its "
-                              "odd-dimension error points to (ROADMAP M)")
+                              "fails and the forward conversion refuses it (ROADMAP X)")
     def test_forward_conversion_takes_the_double(self):
         t = two_point(1.0)
         doubled, _ = double_odd_triple(SpectralTripleData(2, t.algebra_gens, t.dirac, declared_p=1))
@@ -1195,6 +1217,14 @@ class TestRoundTripKernels:
         monkeypatch.setattr(np, "einsum", spy)
         assert round_trip_check(matrix_geometry(3, 0)).report.passed
         assert seen and set(seen) <= self.EINSUM_ALLOWED
+
+    def test_only_triples_touches_the_cache(self):
+        # a triple's derived data have one owner: no module of the package
+        # but triples reads or writes SpectralTripleData._cache
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ncgeo"
+        files = sorted(src.glob("*.py"))
+        assert len(files) > 1
+        assert [f.name for f in files if "_cache" in f.read_text()] == ["triples.py"]
 
     def test_forward_output_shares_grading_residuals(self, monkeypatch):
         # the Riemannian check of the forward output reads the values that

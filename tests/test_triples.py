@@ -24,6 +24,7 @@ from ncgeo.linalg import (
     random_hermitian,
 )
 from ncgeo.modules import _action_gap, _compatibility_residual, parseval_frame
+from ncgeo.tomita import tomita_conjugation
 from ncgeo.triples import (
     HochschildChain,
     SpectralTripleData,
@@ -157,6 +158,23 @@ class TestCommutatorAlgebra:
         with pytest.raises(TypeError):
             SpectralTripleData(1, [np.eye(1)], np.zeros((1, 1)), _cache={})
 
+    def test_fields_are_frozen(self):
+        # an assigned Dirac operator would leave the cda built from the old
+        # one (dim 16, passing compatibility) in place of its own (dim 4,
+        # failing it): a triple changes only through dataclasses.replace
+        t = matrix_geometry(2, seed=7)
+        rep = run_condition_suite(t)
+        for f in dataclasses.fields(t):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, f.name, getattr(t, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.dirac = np.zeros_like(t.dirac)
+        flat = dataclasses.replace(t, dirac=np.zeros_like(t.dirac))
+        assert flat.cda().dim == 4 and t.cda().dim == 16
+        assert rep.entry("spinc:morita:compatibility").status == "pass"
+        assert run_condition_suite(flat).entry("spinc:morita:compatibility").status == "fail"
+        assert run_condition_suite(t).as_dict() == rep.as_dict()
+
     def test_regraded_copy_respans_without_generating(self, monkeypatch):
         t = matrix_geometry(2, seed=0)
         plain = dataclasses.replace(t, grading=None)
@@ -173,6 +191,16 @@ class TestCommutatorAlgebra:
         assert np.array_equal(graded.cda().basis, commutator_algebra(t).basis)
         assert builds == []
 
+
+    def test_regraded_copy_builds_its_own_riemannian_report(self):
+        # the report reads the grading, so a regraded copy does not carry it
+        # (the conjugation, which does not, it carries)
+        t = spinc_to_riemannian(matrix_geometry(2, seed=7)).output
+        rep, _ = check_riemannian(t)
+        flipped = t.regraded(-t.grading)
+        assert tomita_conjugation(flipped) is tomita_conjugation(t)
+        assert rep.passed
+        assert check_riemannian(flipped)[0].entry("riemann:grading_fixes_vector").status == "fail"
 
 class TestRepresentChain:
     def test_degree_zero(self):
