@@ -46,7 +46,6 @@ from .convert import (
     CliffordModuleData,
     ConversionResult,
     appendix_equivalence_check,
-    double_odd_triple,
     poincare_pairing_matrix,
     riemannian_to_spinc,
     round_trip_check,

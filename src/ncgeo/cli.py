@@ -22,7 +22,6 @@ from .convert import (
     CliffordModuleData,
     appendix_equivalence_check,
     backward_round_trip,
-    double_odd_triple,
     poincare_pairing_matrix,
     spinc_to_riemannian,
 )
@@ -152,9 +151,13 @@ def _bundle_doc(doc):
     if witness.get("c_basis_src") is None or witness.get("module_basis") is None:
         return None
     source = dict_to_triple(source_doc)
+    if source.right_action_gens is None:
+        raise FormatError("source has no right_action")
     left = [data_to_matrix(w) for w in witness["c_basis_src"]]
     u = data_to_matrix(witness["module_basis"])
     n_src, n_out = source.hilbert_dim, int(doc["hilbert_dim"])
+    if not left or any(w.shape != (n_src, n_src) for w in left):
+        raise FormatError(f"c_basis_src must be a nonempty list of {n_src} x {n_src} matrices")
     if u.shape[0] % n_src or u.shape[1] != n_out:
         raise FormatError(f"module_basis is {u.shape[0]} x {u.shape[1]}, "
                           f"not (m * {n_src}) x {n_out}")
@@ -220,15 +223,6 @@ def cmd_product(args) -> int:
     conn = BimoduleConnection(ProjectiveModule.from_projector(right, n, q_big), potential)
     out, _, rep = product_triple(t, conn, tol)
     outpath = args.output or (args.path + ".product")
-    save_triple(outpath, out)
-    _emit(args, {"written": outpath}, rep)
-    return EXIT_OK if rep.passed else EXIT_FAIL
-
-
-def cmd_double(args) -> int:
-    t, _ = load_triple(args.path)
-    out, rep = double_odd_triple(t, _tol(args))
-    outpath = args.output or (args.path + ".doubled")
     save_triple(outpath, out)
     _emit(args, {"written": outpath}, rep)
     return EXIT_OK if rep.passed else EXIT_FAIL
@@ -341,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("double", help="double an ungraded triple")
-    p.add_argument("path")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("homotopy-check", help="verify the doubling equivalences")
     p.add_argument("path")

@@ -1,5 +1,6 @@
 """Conversions between the spin^c and Riemannian shapes of a finite geometry,
-odd/even doubling, round-trip certification and duality pairing matrices.
+round-trip certification, the homotopy of the two standard even doublings
+and duality pairing matrices.
 """
 from __future__ import annotations
 
@@ -54,7 +55,6 @@ __all__ = [
     "riemannian_to_spinc",
     "backward_round_trip",
     "round_trip_check",
-    "double_odd_triple",
     "appendix_equivalence_check",
     "poincare_pairing_matrix",
 ]
@@ -353,16 +353,20 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     with the Grassmann connection: the unbounded Kasparov product fixes
     the Dirac operator only up to the connection, so no potential is
     taken, and the two potential entries hold by construction and say so.
-    Even declared dimension only.  The output's algebra and cda are `t`'s
-    carried through V (`carry_algebras`); its right algebra is the forward
-    source's when `t` is a forward output and the module's right action
-    generators are that source's very matrices.
+    Even declared dimension and an orientation cycle only: the output's
+    grading is the image of the cycle, never `t`'s grading slot.  The
+    output's algebra and cda are `t`'s carried through V (`carry_algebras`);
+    its right algebra is the forward source's when `t` is a forward output
+    and the module's right action generators are that source's very
+    matrices.
     """
     rr, rctx = check_riemannian(t, tol)
     if not rr.passed:
         raise ValueError(_refusal("Riemannian prerequisites fail", rr))
     if t.declared_p % 2 == 1:
         raise ValueError(f"backward conversion needs even declared dimension, got p = {t.declared_p}")
+    if t.orientation_cycle is None:
+        raise ValueError("backward conversion needs an orientation cycle")
     asm = _backward_assembly(t, module, tol)
     nmod, nh, nc = asm["nmod"], asm["nh"], asm["nc"]
     j = asm["conjugation"]
@@ -382,8 +386,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     details = "Grassmann connection: no potential"
     rep.add("convert:potential_in_one_form_span", 0.0, max(tol.rel, 1e-7), details)
     rep.add("convert:potential_hermitian", 0.0, max(tol.rel, 1e-8), details)
-    c_op = represent_chain(t, t.orientation_cycle) if t.orientation_cycle is not None else t.grading
-    grading = pull_back(v_unit, c_op)
+    grading = pull_back(v_unit, represent_chain(t, t.orientation_cycle))
     rep.add("convert:orientation_anticommutes",
             rel_residual(dirac @ grading + grading @ dirac,
                          operator_norm(dirac), operator_norm(grading)),
@@ -535,41 +538,6 @@ def round_trip_check(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
                                      "forward": forward,
                                      "backward": backward},
                             report=rep)
-
-
-def double_odd_triple(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
-    """Even graded double of an ungraded triple with its order-two twist generator.
-
-    Returns (doubled triple, report); the twist generator is appended to the
-    doubled algebra generators as its last element.
-    """
-    if t.grading is not None:
-        raise ValueError("input triple is already graded")
-    n = t.hilbert_dim
-    zero = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    d2 = np.block([[t.dirac, zero], [zero, -t.dirac]])
-    g2 = np.block([[zero, eye], [eye, zero]])
-    omega = np.block([[zero, -1j * eye], [1j * eye, zero]])
-    gens = [np.block([[a, zero], [zero, a]]) for a in t.algebra_gens]
-    rep = CheckReport()
-    rep.add("double:grading_involution", rel_residual(g2 @ g2 - np.eye(2 * n), 1.0), tol.rel)
-    ng, nw, nd = operator_norm(g2), operator_norm(omega), operator_norm(d2)
-    rep.add("double:grading_anticommutes", rel_residual(g2 @ d2 + d2 @ g2, ng, nd), tol.rel)
-    rep.add("double:twist_odd", rel_residual(g2 @ omega + omega @ g2, ng, nw), tol.rel)
-    rep.add("double:twist_anticommutes_dirac", rel_residual(omega @ d2 + d2 @ omega, nw, nd), tol.rel)
-    rep.add("double:algebra_even", commutator_residual([g2], gens), tol.rel)
-    rep.add("double:twist_commutes_algebra", commutator_residual([omega], gens), tol.rel)
-    out = SpectralTripleData(
-        hilbert_dim=2 * n,
-        algebra_gens=gens + [omega],
-        dirac=d2,
-        grading=g2,
-        declared_p=t.declared_p,
-    )
-    if not rep.passed:
-        raise ValueError("doubling failed:\n" + rep.as_text())
-    return out, rep
 
 
 def appendix_equivalence_check(t: SpectralTripleData, samples: int = 10,

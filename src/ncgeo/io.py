@@ -111,10 +111,14 @@ def dict_to_triple(doc: dict) -> SpectralTripleData:
         cycle = None
         if doc.get("cycle") is not None:
             c = doc["cycle"]
+            degree = int_field(c["degree"], "cycle degree")
+            generalized = c.get("generalized", False)
+            if not isinstance(generalized, bool):
+                raise FormatError(f"cycle generalized must be a boolean, got {generalized!r}")
             cycle = HochschildChain(
-                int_field(c["degree"], "cycle degree"),
+                degree,
                 [tuple(data_to_matrix(m) for m in term) for term in c["terms"]],
-                bool(c.get("generalized", False)),
+                generalized,
             )
         phi = data_to_vector(doc["phi"]) if doc.get("phi") is not None else None
         state = data_to_matrix(doc["state"]) if doc.get("state") is not None else None

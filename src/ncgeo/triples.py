@@ -71,6 +71,8 @@ class HochschildChain:
     generalized: bool = False
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"chain degree must be non-negative, got {self.degree}")
         self.terms = [tuple(as_complex_matrix(m) for m in t) for t in self.terms]
         for t in self.terms:
             if len(t) != self.degree + 1:

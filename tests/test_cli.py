@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import random_unitary
 from ncgeo import cli, convert
 from ncgeo.cli import main
-from ncgeo.examples import matrix_geometry, trivial_points, two_point
+from ncgeo.examples import EXAMPLE_KINDS, matrix_geometry, trivial_points, two_point
 from ncgeo.io import (
     data_to_matrix,
     dict_to_triple,
@@ -21,7 +21,7 @@ from ncgeo.io import (
     vector_to_data,
 )
 from ncgeo.linalg import pull_back
-from ncgeo.triples import SpectralTripleData
+from ncgeo.triples import SpectralTripleData, validate_triple
 from test_bench_digests import check
 
 
@@ -182,6 +182,9 @@ class TestCheckCommand:
         pytest.param(lambda doc: doc["algebra"].__setitem__("generators", []), id="no_generators"),
         pytest.param(lambda doc: doc["right_action"].__setitem__("generators", []),
                      id="no_right_generators"),
+        pytest.param(lambda doc: doc.__setitem__("cycle", {"degree": -1, "terms": [[]]}),
+                     id="cycle_degree_negative"),
+        pytest.param(lambda doc: doc.__setitem__("cycle", [0]), id="cycle_list"),
     ])
     def test_unparseable_input_exit_two(self, tmp_path, capsys, edit):
         path = self._write_doc(tmp_path, edit)
@@ -204,6 +207,22 @@ class TestCheckCommand:
         assert main(["check", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be an integer, got ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["no", 1, "false", 0, None, [True]])
+    def test_cycle_generalized_must_be_a_boolean(self, tmp_path, capsys, value):
+        path = self._write_doc(tmp_path, lambda doc: doc["cycle"].__setitem__("generalized", value))
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cycle generalized must be a boolean, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", [True, False, "absent"])
+    def test_cycle_generalized_boolean_loads(self, value):
+        doc = triple_to_dict(two_point(1.0))
+        if value == "absent":
+            del doc["cycle"]["generalized"]
+        else:
+            doc["cycle"]["generalized"] = value
+        assert dict_to_triple(doc).orientation_cycle.generalized is (value is True)
 
     def test_non_hermitian_dirac_reports_failure(self, tmp_path, capsys):
         def skew(doc):
@@ -417,6 +436,33 @@ class TestConvertCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["source"].__setitem__("right_action", None),
+                     "source has no right_action", id="source_right_action_null"),
+        pytest.param(lambda doc: doc["witness"].__setitem__("c_basis_src", []),
+                     "c_basis_src must be a nonempty list of 2 x 2 matrices", id="c_basis_src_empty"),
+        pytest.param(lambda doc: doc["witness"].__setitem__("c_basis_src", [matrix_to_data(np.eye(3))]),
+                     "c_basis_src must be a nonempty list of 2 x 2 matrices", id="c_basis_src_3x3"),
+    ])
+    def test_to_spinc_bundle_names_the_field(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "bundle.riem"
+        path.write_text(json.dumps(self._bundle_doc(edit)))
+        assert main(["convert", "to-spinc", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_to_spinc_without_cycle_exit_one(self, tmp_path, capsys):
+        # the backward conversion reads its orientation operator from the
+        # cycle alone, never from the grading slot
+        src, riem = tmp_path / "m.striple", tmp_path / "m.riem"
+        save_triple(src, matrix_geometry(2, seed=7))
+        assert main(["convert", "to-riemannian", str(src), "-o", str(riem)]) == 0
+        riem.write_text(json.dumps(dict(json.loads(riem.read_text()), cycle=None)))
+        capsys.readouterr()
+        assert main(["convert", "to-spinc", str(riem), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: conversion prerequisite failed: "
+                                           "backward conversion needs an orientation cycle\n")
+
     def test_to_spinc_old_bundle_names_module_basis(self, tmp_path, capsys):
         # a bundle written with the output's cda basis instead of the module
         # basis has no reader: it is a file without the bundle
@@ -503,21 +549,19 @@ class TestConvertCommand:
 
 
 class TestOtherCommands:
-    def test_double_and_homotopy(self, tmp_path):
+    def test_double_and_homotopy(self, tmp_path, capsys):
+        # no verb doubles an ungraded triple; homotopy-check compares the
+        # two standard doublings of one
         src = tmp_path / "odd.striple"
         t = two_point(1.0)
-        from ncgeo.triples import SpectralTripleData
         save_triple(src, SpectralTripleData(2, t.algebra_gens, t.dirac))
-        doubled = tmp_path / "even.striple"
-        assert main(["double", str(src), "-o", str(doubled)]) == 0
-        t2, _ = load_triple(doubled)
-        assert t2.hilbert_dim == 4 and t2.grading is not None
+        with pytest.raises(SystemExit) as exc:
+            main(["double", str(src)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncgeo: error: argument command: invalid choice: 'double'")
+        assert err.count("\n") == 1
         assert main(["homotopy-check", str(src)]) == 0
-
-    def test_double_rejects_graded(self, tmp_path):
-        src = tmp_path / "graded.striple"
-        save_triple(src, two_point(1.0))
-        assert main(["double", str(src)]) == 1
 
     def test_zeta(self, tmp_path, capsys):
         src = tmp_path / "points.striple"
@@ -714,7 +758,6 @@ def test_every_verb_writes_strict_json(tmp_path, capsys):
         ["convert", "to-riemannian", str(points), "-o", riem],
         ["convert", "to-spinc", riem, "-o", str(tmp_path / "back.striple")],
         ["product", str(points), "--module", str(mod), "-o", str(tmp_path / "prod.striple")],
-        ["double", str(odd), "-o", str(tmp_path / "even.striple")],
         ["homotopy-check", str(odd)],
         ["pair", riem, "--projectors", str(projs)],
         ["zeta", str(tmp_path / "tp.striple"), "-s", "0", "-2"],
@@ -730,18 +773,47 @@ def test_every_verb_writes_strict_json(tmp_path, capsys):
     assert seen_infinite
 
 
+def test_every_written_triple_is_valid(tmp_path, capsys):
+    # each verb that writes a triple writes one that loads and passes
+    # validate_triple
+    src, riem = str(tmp_path / "m.striple"), str(tmp_path / "m.riem")
+    save_triple(src, matrix_geometry(2, seed=7))
+    points = str(tmp_path / "points.striple")
+    save_triple(points, trivial_points(3))
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"size": 1, "projector": matrix_to_data(np.eye(3)), "potential": None}))
+    runs = [["example", kind, "-o", str(tmp_path / f"{kind}.striple")] for kind in EXAMPLE_KINDS]
+    runs += [
+        ["convert", "to-riemannian", src, "-o", riem],
+        ["convert", "to-spinc", riem, "-o", str(tmp_path / "m.back")],
+        ["product", points, "--module", str(mod), "-o", str(tmp_path / "prod.striple")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        t, _ = load_triple(argv[-1])
+        rep = validate_triple(t)
+        assert rep.passed, (argv, rep.as_text())
+    capsys.readouterr()
+
+
+# the ids are fixed, not positional, so a case keeps its name when another
+# verb is added or removed
 @pytest.mark.parametrize("argv, target", [
-    (["example", "two_point", "-o", "{dir}/tp.striple"], "build_example"),
-    (["check", "{points}"], "run_condition_suite"),
-    (["convert", "to-riemannian", "{points}", "-o", "{dir}/out.striple"], "spinc_to_riemannian"),
-    (["convert", "to-spinc", "{riem}", "-o", "{dir}/out.striple"], "backward_round_trip"),
-    (["product", "{points}", "--module", "{dir}/mod.json", "-o", "{dir}/out.striple"],
-     "product_triple"),
-    (["double", "{odd}", "-o", "{dir}/out.striple"], "double_odd_triple"),
-    (["homotopy-check", "{odd}"], "appendix_equivalence_check"),
-    (["pair", "{riem}", "--projectors", "{dir}/projs.json"], "poincare_pairing_matrix"),
-    (["zeta", "{points}"], "zeta_diagnostic"),
-], ids=lambda v: v if isinstance(v, str) else None)
+    pytest.param(["example", "two_point", "-o", "{dir}/tp.striple"], "build_example",
+                 id="argv0-build_example"),
+    pytest.param(["check", "{points}"], "run_condition_suite", id="argv1-run_condition_suite"),
+    pytest.param(["convert", "to-riemannian", "{points}", "-o", "{dir}/out.striple"],
+                 "spinc_to_riemannian", id="argv2-spinc_to_riemannian"),
+    pytest.param(["convert", "to-spinc", "{riem}", "-o", "{dir}/out.striple"],
+                 "backward_round_trip", id="argv3-backward_round_trip"),
+    pytest.param(["product", "{points}", "--module", "{dir}/mod.json", "-o", "{dir}/out.striple"],
+                 "product_triple", id="argv4-product_triple"),
+    pytest.param(["homotopy-check", "{odd}"], "appendix_equivalence_check",
+                 id="argv6-appendix_equivalence_check"),
+    pytest.param(["pair", "{riem}", "--projectors", "{dir}/projs.json"],
+                 "poincare_pairing_matrix", id="argv7-poincare_pairing_matrix"),
+    pytest.param(["zeta", "{points}"], "zeta_diagnostic", id="argv8-zeta_diagnostic"),
+])
 def test_library_refusal_is_one_line_exit_one(tmp_path, capsys, monkeypatch, argv, target):
     # main is the one place a refusal becomes an exit code: a ValueError from
     # the library call of any verb is one error line and exit 1

@@ -25,7 +25,6 @@ from ncgeo.convert import (
     _backward_assembly,
     appendix_equivalence_check,
     backward_round_trip,
-    double_odd_triple,
     poincare_pairing_matrix,
     riemannian_to_spinc,
     round_trip_check,
@@ -117,6 +116,17 @@ class TestForwardConversion:
                                          "riemann:metric_solves_state (residual ")
         assert "; riemann:grading_fixes_vector (residual " in str(err.value)
         assert "\n" not in str(err.value)
+
+    def test_backward_needs_an_orientation_cycle(self, mgeom_forward):
+        # the orientation operator comes from the cycle alone: a forward
+        # output without its cycle is refused, its grading slot unread
+        t, forward = mgeom_forward
+        module = CliffordModuleData(carrier_dim=t.hilbert_dim,
+                                    left_action=forward.witness["c_basis_src"],
+                                    right_action_gens=t.right_action_gens)
+        with pytest.raises(ValueError) as err:
+            riemannian_to_spinc(replace(forward.output, orientation_cycle=None), module)
+        assert str(err.value) == "backward conversion needs an orientation cycle"
 
     def test_missing_right_action_rejected(self):
         # check_spinc skips without a right action; the conversion refuses
@@ -1014,55 +1024,6 @@ class TestOppositeOneFormSpan:
             "dimension 36 of the A-intertwiner family"
         assert res.witness["backward"].witness["pair_family_dim"] == 9
         assert unknowns and max(unknowns) == 54
-
-
-class TestDoubling:
-    def test_diagonal_dirac(self):
-        t = SpectralTripleData(2, [np.eye(2)], np.diag([1.0, -1.0]).astype(complex))
-        out, rep = double_odd_triple(t)
-        assert rep.passed
-        assert np.allclose(np.diag(out.dirac), [1.0, -1.0, -1.0, 1.0])
-
-    def test_block_action_even(self):
-        t = two_point(1.0)
-        ungraded = SpectralTripleData(2, t.algebra_gens, t.dirac)
-        out, rep = double_odd_triple(ungraded)
-        assert rep.passed
-        for a in out.algebra_gens[:-1]:
-            assert operator_norm(out.grading @ a - a @ out.grading) < 1e-12
-
-    def test_random_identities(self):
-        rng = np.random.default_rng(15)
-        d = random_hermitian(rng, 5)
-        t = SpectralTripleData(5, [np.eye(5)], d)
-        out, rep = double_odd_triple(t)
-        for e in rep.entries:
-            assert e.residual < 1e-12
-
-    def test_compression_returns_original(self):
-        rng = np.random.default_rng(2)
-        d = random_hermitian(rng, 4)
-        t = SpectralTripleData(4, [np.eye(4)], d)
-        out, _ = double_odd_triple(t)
-        assert np.array_equal(out.dirac[:4, :4], t.dirac)
-        assert np.array_equal(out.algebra_gens[0][:4, :4], t.algebra_gens[0])
-
-    def test_rejects_graded_input(self):
-        with pytest.raises(ValueError):
-            double_odd_triple(two_point(1.0))
-
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="the double keeps the odd declared_p, has no orientation cycle and "
-                              "appends the odd twist generator, so validate:grading_commutes_algebra "
-                              "fails and the forward conversion refuses it (ROADMAP X)")
-    def test_forward_conversion_takes_the_double(self):
-        t = two_point(1.0)
-        doubled, _ = double_odd_triple(SpectralTripleData(2, t.algebra_gens, t.dirac, declared_p=1))
-        try:
-            spinc_to_riemannian(doubled)
-        except ValueError as err:
-            assert str(err).startswith("input triple invalid")
-            raise
 
 
 class TestAppendix:

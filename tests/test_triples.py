@@ -220,6 +220,11 @@ class TestRepresentChain:
         t = two_point(1.0)
         assert np.allclose(represent_chain(t, HochschildChain(1, [])), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("terms", [[()], []])
+    def test_negative_degree_rejected(self, terms):
+        with pytest.raises(ValueError, match="chain degree must be non-negative, got -1"):
+            HochschildChain(-1, terms)
+
     def test_multiplicative_on_products(self):
         rng = np.random.default_rng(10)
         t = matrix_geometry(2, seed=3)
