@@ -35,7 +35,6 @@ from .io import (
     matrix_to_data,
     save_triple,
     triple_to_dict,
-    vector_to_data,
 )
 from .kasparov import BimoduleConnection, product_triple
 from .linalg import Tolerance, pull_back
@@ -59,7 +58,7 @@ def _emit(args, payload: dict, report: CheckReport | None = None):
         doc.update(payload)
         if report is not None:
             doc["report"] = report.as_dict()
-        text = json.dumps(doc, indent=2, default=_json_default)
+        text = json.dumps(doc, indent=2)
         print(_NON_JSON.sub(lambda m: m[1] + _JSON_VALUE[m[2]], text))
     else:
         print(f"# tol={args.tol}")
@@ -78,18 +77,6 @@ def _emit(args, payload: dict, report: CheckReport | None = None):
 # bare token there is a float, never text inside a quoted string.
 _NON_JSON = re.compile(r"(?m)(^ *|: )(-?Infinity|NaN)(?=,?$)")
 _JSON_VALUE = {"Infinity": "1e999", "-Infinity": "-1e999", "NaN": "null"}
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return matrix_to_data(obj) if obj.ndim == 2 else vector_to_data(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _read_input(path, decode, doc=None):
@@ -208,8 +195,11 @@ def cmd_convert(args) -> int:
 
 
 def _module_doc(doc):
+    size = int_field(doc["size"], "size")
+    if size < 1:
+        raise FormatError(f"size must be a positive integer, got {size}")
     pot = doc.get("potential")
-    return (int_field(doc["size"], "size"), data_to_matrix(doc["projector"]),
+    return (size, data_to_matrix(doc["projector"]),
             None if pot is None else [[data_to_matrix(p) for p in row] for row in pot])
 
 

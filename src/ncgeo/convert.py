@@ -353,7 +353,8 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     with the Grassmann connection: the unbounded Kasparov product fixes
     the Dirac operator only up to the connection, so no potential is
     taken, and the two potential entries hold by construction and say so.
-    Even declared dimension and an orientation cycle only: the output's
+    Even declared dimension, an orientation cycle and checkable Riemannian
+    prerequisites (a grading and a distinguished vector) only: the output's
     grading is the image of the cycle, never `t`'s grading slot.  The
     output's algebra and cda are `t`'s carried through V (`carry_algebras`);
     its right algebra is the forward source's when `t` is a forward output
@@ -361,6 +362,9 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     matrices.
     """
     rr, rctx = check_riemannian(t, tol)
+    if rctx is None:
+        raise ValueError("Riemannian prerequisites cannot be checked: "
+                         + rr.entry("riemann").details)
     if not rr.passed:
         raise ValueError(_refusal("Riemannian prerequisites fail", rr))
     if t.declared_p % 2 == 1:
@@ -395,7 +399,7 @@ def riemannian_to_spinc(t: SpectralTripleData, module: CliffordModuleData,
     # scalar product identity on the spanning set: entry [i, k] compares
     # <vmap e_i, vmap e_k> with psi(z theta), theta the source operator of
     # the carrier pairing (e_k | e_i)
-    z_op = rctx["metric"] if rctx and rctx.get("metric") is not None else np.eye(nh, dtype=complex)
+    z_op = rctx["metric"] if rctx["metric"] is not None else np.eye(nh, dtype=complex)
     cols = vmap[:, :min(nc, 6)]
     eye = np.eye(nc, dtype=complex)[:cols.shape[1]]
     rhs = asm["carrier"].pair_coords(eye, eye).swapaxes(0, 1) @ t.psi(z_op @ asm["source_ops"])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraBasis, _components, generate_algebra
+from .algebra import AlgebraBasis, _components
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -51,7 +51,6 @@ __all__ = [
     "BimoduleConnection",
     "grassmann_connection",
     "one_form_span",
-    "one_form_residual",
     "twisted_operator",
     "product_triple",
     "connection_condition_check",
@@ -76,108 +75,37 @@ def one_form_span(dirac, alg: AlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> np.
     span of the products [D, b] b' over b, b' in B, as a (k, n, n) stack.
 
     That span is the right B-module generated by the commutators
-    c_i = [D, b_i] of the basis.  With B = w (+_k M_{n_k} (x) 1_{m_k}) w*,
-    right multiplication by B acts on the columns of c_i w in component k
-    as X (x) 1_{m_k}, so the module is +_k V_k (x) C^{n_k}, where V_k is
-    spanned by the n x m_k column slices of the c_i w in component k
-    (`_one_form_factors`).  The basis is that of each V_k in each column
-    block of its component, mapped back through w*, which keeps it
-    orthonormal.  Without stored Wedderburn data they are taken from
-    `generate_algebra(alg.basis)`; if that algebra is larger than B, the
-    products are stacked and spanned instead.
+    c_i = [D, b_i] of the basis.  With stored Wedderburn data
+    B = w (+_k M_{n_k} (x) 1_{m_k}) w*, right multiplication by B acts on
+    the columns of c_i w in component k as X (x) 1_{m_k}, so the module is
+    +_k V_k (x) C^{n_k}, where V_k is spanned by the n x m_k column slices
+    of the c_i w in component k: one SVD of a (dim B n_k) x (n m_k) stack
+    per component.  The basis is that of each V_k in each column block of
+    its component, mapped back through w*, which keeps it orthonormal.
+    Without Wedderburn data (a hand-built basis) the products are stacked
+    and spanned by one SVD.  Either rank is cut at rank_cut max(s_0, |D|),
+    s_0 the largest singular value: the basis is orthonormal, so
+    |[D, b] b'| <= 2 |D|, and a singular value below rank_cut |D| is
+    roundoff, also when s_0 is (a D that commutes with B has no one-forms).
+    Membership of operators xs is `max_span_residual(xs, one_form_span(...))`.
     """
-    n = alg.hilbert_dim
-    factors = _one_form_factors(dirac, alg, tol)
-    if factors is None:
-        return _product_span(dirac, alg.basis, tol)
-    # basis element (r, b) of component k: slice r of V_k in columns (b, :)
-    return np.concatenate([np.einsum("rip,jbp->rbij", v_k, w_k.conj()).reshape(-1, n, n)
-                           for v_k, w_k in zip(*factors)])
-
-
-def one_form_residual(dirac, alg: AlgebraBasis, xs, tol: Tolerance = DEFAULT_TOL) -> float:
-    """`max_span_residual(xs, one_form_span(dirac, alg, tol))` without
-    forming the span basis.
-
-    The 2-norm is unitarily invariant, so each x is rotated to x w and
-    normed there: the part of x w outside the span is, in each component
-    k, the part of each n x m_k column slice outside V_k.  A component
-    whose V_k spans every slice holds its columns of x w in the span
-    exactly and is skipped, with no product.  The maximum is
-    `max_operator_norm`'s, which skips blocks whose Frobenius bound cannot
-    reach it, and the scales max(1, |x|_2) are `unit_floor_norms`', which
-    take no 2-norm of a block whose Frobenius norm is below 1 - 1e-12.
-    Without Wedderburn data, the largest residual against the product-stack
-    span.
-    """
-    xs = np.asarray(xs, dtype=complex)
-    factors = _one_form_factors(dirac, alg, tol)
-    if factors is None:
-        return max_span_residual(xs, _product_span(dirac, alg.basis, tol))
-    k, n = len(xs), alg.hilbert_dim
-    outside = []
-    for v_k, w_k in zip(*factors):
-        n_k, m_k = w_k.shape[1:]
-        if len(v_k) == n * m_k:
-            continue
-        # rows (x, a): the slice of x w in columns (a, :) of component k
-        y = (xs @ w_k.reshape(n, -1)).reshape(k, n, n_k, m_k).swapaxes(1, 2).reshape(-1, n * m_k)
-        v = v_k.reshape(len(v_k), n * m_k)
-        y = y - (y @ v.conj().T) @ v
-        outside.append(y.reshape(k, n_k, n, m_k).swapaxes(1, 2).reshape(k, n, -1))
-    if not outside:
-        return 0.0
-    return max_operator_norm(np.concatenate(outside, axis=-1), unit_floor_norms(xs))
-
-
-def _one_form_factors(dirac, alg: AlgebraBasis, tol: Tolerance):
-    """(V, W) per isotypic component of B, or None without Wedderburn data:
-    W_k the (n, n_k, m_k) columns of w (`algebra._components`) and V_k an
-    orthonormal (r_k, n, m_k) basis of the span of the n x m_k column
-    slices of the c_i w_k.  One SVD of a (dim B n_k) x (n m_k) stack per
-    component; the ranks are cut by `_one_form_floor` against the largest
-    singular value over all of them."""
-    wedderburn = _wedderburn_data(alg, tol)
-    if wedderburn is None:
-        return None
     basis = alg.basis
     n = alg.hilbert_dim
     comms = dirac @ basis - basis @ dirac
-    comps = _components(*wedderburn)
+    if alg.wedderburn is None:
+        products = (comms[:, None] @ basis[None]).reshape(-1, n * n)
+        u, s, _ = np.linalg.svd(products.T, full_matrices=False)
+        keep = s > tol.rank_cut * max(float(s[0]) if s.size else 0.0, operator_norm(dirac))
+        return u[:, keep].T.reshape(-1, n, n)
+    comps = _components(*alg.wedderburn)
     # rows (i, a): the slice of c_i w in columns (a, :) of component k
     factors = [np.linalg.svd(np.einsum("dij,jap->daip", comms, w_k).reshape(-1, n * w_k.shape[2]),
                              full_matrices=False)[1:] for w_k in comps]
-    floor = _one_form_floor(dirac, max(float(s[0]) for s, _ in factors), tol)
-    return ([vh[s > floor].reshape(-1, n, w_k.shape[2])
-             for (s, vh), w_k in zip(factors, comps)], comps)
-
-
-def _product_span(dirac, basis, tol: Tolerance) -> np.ndarray:
-    """The span of the products [D, b] b' over a stack, from one SVD, with
-    the rank cut of `_one_form_floor`."""
-    n = basis.shape[-1]
-    comms = dirac @ basis - basis @ dirac
-    products = (comms[:, None] @ basis[None]).reshape(-1, n * n)
-    u, s, _ = np.linalg.svd(products.T, full_matrices=False)
-    keep = s > _one_form_floor(dirac, float(s[0]) if s.size else 0.0, tol)
-    return u[:, keep].T.reshape(-1, n, n)
-
-
-def _one_form_floor(dirac, top: float, tol: Tolerance) -> float:
-    """Rank cut of a one-form stack: rank_cut max(s_0, |D|).  The basis is
-    orthonormal, so |[D, b] b'| <= 2 |D| |b| |b'| <= 2 |D|, and a singular
-    value below rank_cut |D| is roundoff, also when s_0 is (a D that
-    commutes with B has no one-forms)."""
-    return tol.rank_cut * max(top, operator_norm(dirac))
-
-
-def _wedderburn_data(alg: AlgebraBasis, tol: Tolerance):
-    """The stored Wedderburn data of an algebra, else those of the algebra its
-    basis generates when that is the same algebra, else None."""
-    if alg.wedderburn is not None or alg.dim == 0:
-        return alg.wedderburn
-    generated = generate_algebra(alg.basis, tol)
-    return generated.wedderburn if generated.dim == alg.dim else None
+    floor = tol.rank_cut * max(max(float(s[0]) for s, _ in factors), operator_norm(dirac))
+    # basis element (r, b) of component k: slice r of V_k in columns (b, :)
+    return np.concatenate([np.einsum("rip,jbp->rbij",
+                                     vh[s > floor].reshape(-1, n, w_k.shape[2]), w_k.conj())
+                           .reshape(-1, n, n) for (s, vh), w_k in zip(factors, comps)])
 
 
 def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance):
@@ -191,7 +119,7 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
     if not np.all(np.isfinite(table)):
         raise ValueError("matrix entries must be finite")
     entries = table.reshape(-1, nh, nh)
-    worst_mem = one_form_residual(t.dirac, module.base, entries, tol)
+    worst_mem = max_span_residual(entries, one_form_span(t.dirac, module.base, tol))
     # entry (i, j) compares p_ij^* with p_ji, relative to |p_ij|
     worst_herm = max_operator_norm(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1),
                                    unit_floor_norms(table))

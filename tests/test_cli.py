@@ -463,6 +463,21 @@ class TestConvertCommand:
         assert capsys.readouterr().err == ("error: conversion prerequisite failed: "
                                            "backward conversion needs an orientation cycle\n")
 
+    @pytest.mark.parametrize("key", ["grading", "phi"])
+    def test_to_spinc_without_riemannian_data_exit_one(self, tmp_path, capsys, key):
+        # no grading or no distinguished vector: the Riemannian prerequisites
+        # are all skipped, and the conversion refuses
+        src, riem = tmp_path / "m.striple", tmp_path / "m.riem"
+        save_triple(src, matrix_geometry(2, seed=7))
+        assert main(["convert", "to-riemannian", str(src), "-o", str(riem)]) == 0
+        riem.write_text(json.dumps(dict(json.loads(riem.read_text()), **{key: None})))
+        capsys.readouterr()
+        assert main(["convert", "to-spinc", str(riem), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: conversion prerequisite failed: Riemannian "
+                                           "prerequisites cannot be checked: needs both a "
+                                           "distinguished vector and a grading\n")
+        assert not (tmp_path / "out").exists()
+
     def test_to_spinc_old_bundle_names_module_basis(self, tmp_path, capsys):
         # a bundle written with the output's cda basis instead of the module
         # basis has no reader: it is a file without the bundle
@@ -862,6 +877,8 @@ class TestInputFileErrors:
         pytest.param([1, 2], 2, id="top_level_list"),
         pytest.param({"size": 1}, 2, id="missing_projector"),
         pytest.param({"size": "one", "projector": EYE}, 2, id="size_not_a_number"),
+        pytest.param({"size": 0, "projector": []}, 2, id="size_zero"),
+        pytest.param({"size": -1, "projector": EYE}, 2, id="size_negative"),
         pytest.param({"size": 1, "projector": [[1.0, 2.0]]}, 2, id="bad_projector_encoding"),
         pytest.param({"size": 1, "projector": EYE, "potential": [[[[1.0]]]]}, 2,
                      id="bad_potential_encoding"),
@@ -872,6 +889,14 @@ class TestInputFileErrors:
         code, err = self._run(tmp_path, capsys, matrix_geometry(2, seed=4), argv, doc)
         assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_product_size_below_one_names_the_field(self, tmp_path, capsys, size):
+        argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
+        doc = {"size": size, "projector": [] if size == 0 else self.EYE}
+        code, err = self._run(tmp_path, capsys, matrix_geometry(2, seed=4), argv, doc)
+        assert code == 2
+        assert err == f"error: {tmp_path / 'input.json'}: size must be a positive integer, got {size}\n"
 
     def test_product_half_projector_names_the_gate(self, tmp_path, capsys):
         argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
