@@ -37,15 +37,14 @@ from .linalg import (
     Tolerance,
     adjoint,
     as_complex_matrix,
-    commutators_within,
+    commutator_residual,
     max_operator_norm,
     null_space,
     operator_norm,
     project_onto_span,
     rel_residual,
-    scaled_within,
+    scaled_residual,
     span_coords,
-    span_residual,
 )
 
 __all__ = [
@@ -109,9 +108,6 @@ class AlgebraBasis:
         us = np.asarray(us, dtype=complex)
         vs = np.asarray(vs, dtype=complex)
         return np.moveaxis(us @ (self.basis.conj() @ vs.conj().T), 0, -1)
-
-    def membership_residual(self, x) -> float:
-        return span_residual(x, self.basis)
 
     def expectation(self, x) -> np.ndarray:
         """Trace-orthogonal projection onto the algebra.
@@ -231,7 +227,8 @@ def transport_algebra(alg: AlgebraBasis, u, generators,
     w = np.concatenate(cols, axis=1)
     if w.shape[1] != r or not np.linalg.norm(adjoint(w) @ w - np.eye(r)) <= threshold:
         return None
-    if not scaled_within(_pattern_residual(adjoint(w) @ gens @ w, blocks), gens, threshold):
+    resid = _pattern_residual(adjoint(w) @ gens @ w, blocks)
+    if scaled_residual(resid, gens, floor=threshold) > threshold:
         return None
     wedderburn = (w, tuple(blocks))
     return AlgebraBasis(r, _algebra_pattern(*wedderburn), gens, wedderburn=wedderburn)
@@ -287,7 +284,8 @@ def _generated_wedderburn(gens, tol):
     if frame is None:
         return None
     w, blocks, resid = frame
-    if not scaled_within(resid, gens, 1e-3 * tol.rank_cut):
+    threshold = 1e-3 * tol.rank_cut
+    if scaled_residual(resid, gens, floor=threshold) > threshold:
         return None
     return w, blocks
 
@@ -470,7 +468,7 @@ def intertwiners(gens1, gens2, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # X a - b X over the generators and their adjoints
     both1 = np.concatenate([gens1, gens1.conj().swapaxes(-1, -2)])
     both2 = np.concatenate([gens2, gens2.conj().swapaxes(-1, -2)])
-    if not commutators_within(basis, both1, threshold, twisted=both2):
+    if commutator_residual(basis, both1, twisted=both2, floor=threshold) > threshold:
         basis = _block_intertwiners(gens1, gens2, vecs1, vecs2, rows, cols, tol)
     return basis
 

@@ -63,8 +63,6 @@ def _emit(args, payload: dict, report: CheckReport | None = None):
     else:
         print(f"# tol={args.tol}")
         for key, value in payload.items():
-            if key == "report":
-                continue
             print(f"{key}: {value}")
         if report is not None:
             print(report.as_text())

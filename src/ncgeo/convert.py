@@ -22,17 +22,15 @@ from .linalg import (
     as_complex_matrix,
     commutator_residual,
     max_frobenius,
-    max_operator_norm,
+    max_span_residual,
     operator_norm,
     project_onto_span,
     projector_gap_bound,
     pull_back,
     random_complex,
     rel_residual,
-    scaled_within,
+    scaled_residual,
     span_basis,
-    unit_floor_norms,
-    within_span,
 )
 from .modules import ProjectiveModule, frame_idempotency_bound, parseval_frame
 from .report import CheckReport
@@ -277,7 +275,8 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
             raise ValueError("algebra basis and left action lists must correspond")
         basis_ops = np.asarray(module.algebra_basis, dtype=complex)
         # a caller's basis (read from a file, say) must lie in the cda
-        if not within_span(basis_ops, cda.basis, max(tol.rel, 1e-7)):
+        basis_gate = max(tol.rel, 1e-7)
+        if max_span_residual(basis_ops, cda.basis, floor=basis_gate) > basis_gate:
             raise ValueError("module algebra basis leaves the Dirac-commutator algebra")
     nc = module.carrier_dim
     nh = t.hilbert_dim
@@ -291,7 +290,8 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     # column k: the left action coordinates of carrier basis element k
     coeffs = np.linalg.pinv(act_cols) @ carrier.basis.reshape(carrier.dim, -1).T
     fit = (act_cols @ coeffs).T.reshape(carrier.basis.shape)
-    if not scaled_within(fit - carrier.basis, carrier.basis, max(tol.rel, 1e-6)):
+    fit_gate = max(tol.rel, 1e-6)
+    if scaled_residual(fit - carrier.basis, carrier.basis, floor=fit_gate) > fit_gate:
         raise ValueError("carrier pairing value leaves the module action span")
     source_ops = np.tensordot(coeffs.T, basis_ops, axes=1)
     # the right actions of the source operators; opposite_action adjoints
@@ -508,7 +508,7 @@ def backward_round_trip(tri: SpectralTripleData, module: CliffordModuleData,
     rep.add("intertwine:action_solutions", 0.0, 0.5,
             f"dimension {len(comm)} of the A-intertwiner family")
     rep.add("intertwine:action_residual",
-            max_operator_norm(u @ a1s - a2s @ u, unit_floor_norms(a1s)),
+            scaled_residual(u @ a1s - a2s @ u, a1s),
             max(tol.rel, 1e-10))
     k = adjoint(u) @ d2 @ u - s
     norm_s = operator_norm(s) or 1.0

@@ -41,10 +41,10 @@ from .linalg import (
     pull_back,
     random_complex,
     rel_residual,
-    unit_floor_norms,
+    scaled_residual,
 )
 from .report import CheckReport
-from .triples import SpectralTripleData, first_order_residuals, first_order_within
+from .triples import SpectralTripleData, first_order_residuals
 from .modules import ProjectiveModule, parseval_frame, validate_module
 
 __all__ = [
@@ -118,15 +118,15 @@ def _validate_potential(t: SpectralTripleData, conn: BimoduleConnection, tol: To
         raise ValueError(f"potential table of shape {table.shape}, expected {(n, n, nh, nh)}")
     if not np.all(np.isfinite(table)):
         raise ValueError("matrix entries must be finite")
-    entries = table.reshape(-1, nh, nh)
-    worst_mem = max_span_residual(entries, one_form_span(t.dirac, module.base, tol))
+    span_gate, herm_gate = max(tol.rel, 1e-6), max(tol.rel, 1e-7)
+    span = one_form_span(t.dirac, module.base, tol)
+    worst = max_span_residual(table.reshape(-1, nh, nh), span, floor=span_gate)
+    if worst > span_gate:
+        raise ValueError(f"potential entries leave the one-form span (residual {worst:.3e})")
     # entry (i, j) compares p_ij^* with p_ji, relative to |p_ij|
-    worst_herm = max_operator_norm(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1),
-                                   unit_floor_norms(table))
-    if worst_mem > max(tol.rel, 1e-6):
-        raise ValueError(f"potential entries leave the one-form span (residual {worst_mem:.3e})")
-    if worst_herm > max(tol.rel, 1e-7):
-        raise ValueError(f"potential violates hermiticity (residual {worst_herm:.3e})")
+    worst = scaled_residual(table.conj().swapaxes(-1, -2) - table.swapaxes(0, 1), table, floor=herm_gate)
+    if worst > herm_gate:
+        raise ValueError(f"potential violates hermiticity (residual {worst:.3e})")
 
 
 def _check_module(module: ProjectiveModule, tol: Tolerance):
@@ -143,8 +143,9 @@ def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basi
     module itself is the caller's to certify."""
     module = conn.module
     _validate_potential(t, conn, tol)
-    if not first_order_within(t, module.base.basis, max(tol.rel, 1e-7)):
-        fo = max(first_order_residuals(t, module.base.basis))
+    gate = max(tol.rel, 1e-7)
+    fo = max(first_order_residuals(t, module.base.basis, floor=gate))
+    if fo > gate:
         raise ValueError(f"first-order condition fails for the twisting data ({fo:.3e})")
     u = basis(module)
     ahat = np.zeros((u.shape[1],) * 2, dtype=complex) if conn.potential is None else \
@@ -214,8 +215,7 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
         leak = np.stack([right @ u - u @ right_c,
                          right.conj().swapaxes(-1, -2) @ u - u @ right_c.conj().swapaxes(-1, -2)],
                         axis=1)
-        rep.add("product:right_action_respects_module",
-                max_operator_norm(leak, unit_floor_norms(right)[:, None]),
+        rep.add("product:right_action_respects_module", scaled_residual(leak, right[:, None]),
                 max(tol.rel, 1e-8))
         rep.add("product:first_order_for_right_action",
                 commutator_residual(d_c @ right_c - right_c @ d_c, gens_c), max(tol.rel, 1e-8))
@@ -299,8 +299,9 @@ def connection_decomposition(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL
     right = t.right_algebra(tol)
     if right is None:
         raise ValueError("connection decomposition needs a right action")
-    fo = max(first_order_residuals(t, right.basis))
-    if fo > max(tol.rel, 1e-7):
+    gate = max(tol.rel, 1e-7)
+    fo = max(first_order_residuals(t, right.basis, floor=gate))
+    if fo > gate:
         raise ValueError(f"first-order condition fails ({fo:.3e})")
     n = t.hilbert_dim
     eps = t.grading if t.grading is not None else np.eye(n, dtype=complex)

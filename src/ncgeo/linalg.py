@@ -21,7 +21,6 @@ __all__ = [
     "unit_floor_norms",
     "projector_gap_bound",
     "commutator_residual",
-    "commutators_within",
     "rel_residual",
     "is_hermitian",
     "herm_eig",
@@ -36,8 +35,7 @@ __all__ = [
     "project_onto_span",
     "span_residual",
     "max_span_residual",
-    "within_span",
-    "scaled_within",
+    "scaled_residual",
     "null_space",
     "random_complex",
     "random_hermitian",
@@ -103,16 +101,23 @@ def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
     norm bounds the 2-norm from above, so the 2-norms are taken in decreasing
     order of that bound: the top few first, then at each step every element
     whose bound still exceeds the best value so far.  The sweep stops once no
-    bound does, so the result is the float a full sweep of 2-norms gives.  A
-    NaN anywhere gives NaN; an empty stack gives `floor`.
+    bound does, so the result is the float a full sweep of 2-norms gives.
+    When every bound is within `floor` (an empty stack included) the result
+    is `floor` and the scale is not read; otherwise a NaN in the stack or
+    the scale gives NaN.
     """
+    return _max_ratio(stack, lambda: scale, floor)
+
+
+def _max_ratio(stack, get_scale, floor: float) -> float:
+    """`max_operator_norm` with its scale given by a function, called only
+    when some Frobenius bound exceeds the floor: every scale is at least 1,
+    so otherwise the floor settles every element with no scale at all."""
     stack = np.asarray(stack)
     mats = stack.reshape((-1,) + stack.shape[-2:])
     best = float(floor)
     if len(mats) == 0:
         return best
-    den = np.ones(len(mats)) if scale is None else \
-        np.maximum(1.0, np.broadcast_to(scale, stack.shape[:-2])).ravel()
     flat = _real_rows(mats)
     squares = np.einsum("ij,ij->i", flat, flat)
     bound = np.sqrt(squares)
@@ -120,7 +125,13 @@ def max_operator_norm(stack, scale=None, floor: float = 0.0) -> float:
     if tiny.any():
         # the Frobenius norm is at most sqrt(#entries) times the largest one
         bound[tiny] = np.sqrt(flat.shape[1]) * np.max(np.abs(flat[tiny]), axis=1, initial=0.0)
-    bound = bound * _FROBENIUS_SLACK / den
+    bound = bound * _FROBENIUS_SLACK
+    if np.max(bound) <= best:
+        return best
+    scale = get_scale()
+    den = np.ones(len(mats)) if scale is None else \
+        np.maximum(1.0, np.broadcast_to(scale, stack.shape[:-2])).ravel()
+    bound = bound / den
     if np.isnan(bound).any():
         return float("nan")
     order = np.argsort(-bound, kind="stable")
@@ -149,7 +160,7 @@ def _frobenius(mats) -> np.ndarray:
 def max_frobenius(stack) -> float:
     """The largest Frobenius norm over a stack of matrices, 0.0 for an empty
     one.  It bounds `max_operator_norm` of the stack under any scales of at
-    least 1, so a gate it meets needs no 2-norm."""
+    least 1."""
     stack = np.asarray(stack)
     mats = stack.reshape((-1,) + stack.shape[-2:])
     return float(np.max(_frobenius(mats), initial=0.0))
@@ -217,7 +228,9 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
     `twisted[j]` when given, `ys[j]` otherwise: `twisted=-ys` measures
     anticommutators and `twisted=g ys g` the graded commutators of odd
     `xs` with `ys` under a grading g.  One batched product, one
-    `max_operator_norm` sweep; an empty stack gives `floor`.
+    `max_operator_norm` sweep; an empty stack gives `floor`.  A gate reads
+    `commutator_residual(..., floor=gate) > gate`: when every commutator's
+    Frobenius bound is within the floor, no 2-norm is taken at all.
 
     A pair with |x_i|_F |y_j|_F under 1 - 1e-12 has scale exactly 1, and a
     pair whose commutator is exactly zero has ratio 0 under any scale; the
@@ -226,28 +239,11 @@ def commutator_residual(xs, ys, twisted=None, floor: float = 0.0) -> float:
     """
     if len(xs) == 0 or len(ys) == 0:
         return float(floor)
-    xs, ys, comm = _commutators(xs, ys, twisted)
-    return max_operator_norm(comm, _commutator_scale(xs, ys, comm), floor=floor)
-
-
-def commutators_within(xs, ys, bound: float, twisted=None) -> bool:
-    """commutator_residual(xs, ys, twisted) <= bound, for a gate.  Each scale
-    is at least 1, so no 2-norm is taken when every commutator's Frobenius
-    norm is within the bound; otherwise the 2-norms decide."""
-    if len(xs) == 0 or len(ys) == 0:
-        return 0.0 <= bound
-    xs, ys, comm = _commutators(xs, ys, twisted)
-    if max_frobenius(comm) <= bound:
-        return True
-    return max_operator_norm(comm, _commutator_scale(xs, ys, comm)) <= bound
-
-
-def _commutators(xs, ys, twisted):
-    """(xs, ys, comm) as arrays, comm[i, j] = x_i y_j - y'_j x_i."""
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     yt = ys if twisted is None else np.asarray(twisted)
-    return xs, ys, xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
+    comm = xs[:, None] @ ys[None] - yt[None] @ xs[:, None]
+    return _max_ratio(comm, lambda: _commutator_scale(xs, ys, comm), floor)
 
 
 def _commutator_scale(xs, ys, comm) -> np.ndarray:
@@ -389,33 +385,21 @@ def _span_residuals(xs: np.ndarray, basis) -> np.ndarray:
     return (flat - (flat @ b.conj().T) @ b).reshape(xs.shape)
 
 
-def max_span_residual(xs, basis) -> float:
-    """The largest span_residual over a (k, n, n) stack, 0.0 for an empty one:
-    one batched projection, `unit_floor_norms` for the scales and one
-    `max_operator_norm` sweep of the residuals."""
+def max_span_residual(xs, basis, floor: float = 0.0) -> float:
+    """max(floor, the largest span_residual over a (k, n, n) stack): one
+    batched projection and `scaled_residual` of what is left."""
     xs = np.asarray(xs, dtype=complex)
     if len(xs) == 0:
-        return 0.0
-    return max_operator_norm(_span_residuals(xs, basis), unit_floor_norms(xs))
+        return float(floor)
+    return scaled_residual(_span_residuals(xs, basis), xs, floor)
 
 
-def within_span(xs, basis, bound: float) -> bool:
-    """max_span_residual(xs, basis) <= bound, for a membership gate
-    (`scaled_within`)."""
-    xs = np.asarray(xs, dtype=complex)
-    if len(xs) == 0:
-        return 0.0 <= bound
-    return scaled_within(_span_residuals(xs, basis), xs, bound)
-
-
-def scaled_within(resid, xs, bound: float) -> bool:
-    """max_k |resid_k|_2 / max(1, |xs_k|_2) <= bound, for a gate.  Each
-    residual's Frobenius norm bounds its 2-norm and each scale is at least
-    1, so no 2-norm is taken when every Frobenius norm is within the bound;
-    otherwise the 2-norms decide."""
-    if max_frobenius(resid) <= bound:
-        return True
-    return max_operator_norm(resid, unit_floor_norms(xs)) <= bound
+def scaled_residual(resid, xs, floor: float = 0.0) -> float:
+    """max(floor, max_k |resid_k|_2 / max(1, |xs_k|_2)) over stacks of the
+    same leading shape: `max_operator_norm` of the residuals under
+    `unit_floor_norms(xs)`, which are not taken when every residual's
+    Frobenius bound is within the floor."""
+    return _max_ratio(resid, lambda: unit_floor_norms(xs), floor)
 
 
 def null_space(a, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:

@@ -20,9 +20,9 @@ from .linalg import (
     commutator_residual,
     herm_abs,
     herm_apply,
+    max_span_residual,
     operator_norm,
     rel_residual,
-    within_span,
 )
 from .report import CheckReport
 from .triples import SpectralTripleData, derived, offer_grading
@@ -90,17 +90,20 @@ def _conjugation(t: SpectralTripleData, tol: Tolerance) -> AntiunitaryMap:
         raise ValueError("vector is not cyclic for the Dirac-commutator algebra")
     kernel = y @ np.linalg.inv(np.conj(x))
     j = AntiunitaryMap(kernel)
-    if j.unitarity_residual() > max(tol.rel, 1e-7):
+    gate = max(tol.rel, 1e-7)
+    unitary = j.unitarity_residual()
+    if unitary > gate:
         raise ValueError(
             f"vector state is not tracial: conjugation kernel is not unitary "
-            f"(residual {j.unitarity_residual():.3e})")
-    if j.involution_residual() > max(tol.rel, 1e-7):
+            f"(residual {unitary:.3e})")
+    if j.involution_residual() > gate:
         raise ValueError("conjugation does not square to the identity")
-    if float(np.linalg.norm(j(phi) - phi)) > max(tol.rel, 1e-7) * max(1.0, float(np.linalg.norm(phi))):
+    if float(np.linalg.norm(j(phi) - phi)) > gate * max(1.0, float(np.linalg.norm(phi))):
         raise ValueError("conjugation does not fix the cyclic vector")
     comm = commutant(cda, tol)
     landed = opposite_action(j, cda.basis)
-    if not within_span(landed, comm.basis, max(tol.rel, 1e-6)):
+    land_gate = max(tol.rel, 1e-6)
+    if max_span_residual(landed, comm.basis, floor=land_gate) > land_gate:
         raise ValueError("conjugated algebra does not land in the commutant")
     return j
 

@@ -27,10 +27,10 @@ from .linalg import (
     adjoint,
     as_complex_matrix,
     commutator_residual,
-    commutators_within,
     herm_abs,
     herm_eig,
     max_operator_norm,
+    max_span_residual,
     null_space,
     operator_norm,
     rel_residual,
@@ -54,7 +54,6 @@ __all__ = [
     "fit_orientation_cycle",
     "check_first_order",
     "first_order_residuals",
-    "first_order_within",
     "check_finiteness",
     "check_spinc",
     "check_riemannian",
@@ -397,11 +396,8 @@ def check_orientability(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL,
     alg = t.algebra(tol)
     p = chain.degree
 
-    worst_leg = 0.0
-    for term in chain.terms:
-        legs = term if strict or not chain.generalized else term[1:]
-        for leg in legs:
-            worst_leg = max(worst_leg, alg.membership_residual(leg))
+    skip = 0 if strict or not chain.generalized else 1
+    worst_leg = max_span_residual([leg for term in chain.terms for leg in term[skip:]], alg.basis)
     label = "orient:legs_in_algebra" if (strict or not chain.generalized) else "orient:tail_legs_in_algebra"
     rep.add(label, worst_leg, max(tol.rel, 1e3 * tol.rank_cut),
             "strict mode" if strict else "")
@@ -476,27 +472,16 @@ def check_first_order(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> Ch
     return rep
 
 
-def first_order_residuals(t: SpectralTripleData, right) -> tuple:
+def first_order_residuals(t: SpectralTripleData, right, floor: float = 0.0) -> tuple:
     """(actions commute, Dirac commutators) residuals of `check_first_order`
-    for a stack or list of right operators, by the graded rule there."""
-    return tuple(commutator_residual(*pair) for pair in _first_order_pairs(t, right))
-
-
-def first_order_within(t: SpectralTripleData, right, bound: float) -> bool:
-    """max(first_order_residuals(t, right)) <= bound, for a gate: Frobenius
-    first (`linalg.commutators_within`), so a pass takes no 2-norm."""
-    return all(commutators_within(xs, ys, bound, twisted)
-               for xs, ys, twisted in _first_order_pairs(t, right))
-
-
-def _first_order_pairs(t: SpectralTripleData, right) -> tuple:
-    """The (xs, ys, twisted) arguments of the two first-order commutator
-    residuals."""
+    for a stack or list of right operators, by the graded rule there, each
+    under `floor` (`linalg.commutator_residual`)."""
     gens = np.asarray(t.algebra_gens)
     right = np.asarray(right)
     das = t.dirac @ gens - gens @ t.dirac
     twisted = None if t.grading is None else t.grading @ right @ t.grading
-    return (gens, right, None), (das, right, twisted)
+    return (commutator_residual(gens, right, floor=floor),
+            commutator_residual(das, right, twisted, floor=floor))
 
 
 def check_finiteness(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL):
@@ -633,7 +618,8 @@ def connectivity_projectors(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL)
         return None, "kernel of the Dirac commutator inside the algebra is empty"
     mats = alg.combine(kern)
     # the kernel is a unital *-subalgebra; commutativity makes it a sum of projectors
-    if commutator_residual(mats, mats) > max(tol.rel, 1e-8):
+    gate = max(tol.rel, 1e-8)
+    if commutator_residual(mats, mats, floor=gate) > gate:
         return None, "kernel algebra is noncommutative"
     rng = np.random.default_rng(20230517)
     herm = (mats + np.swapaxes(mats.conj(), 1, 2)) / 2.0

@@ -66,17 +66,17 @@ class TestGenerateAlgebra:
         x = 0.5 * SIGMA1 - 2j * SIGMA3
         assert np.allclose(alg.combine(alg.coords(x)), x, rtol=0, atol=1e-12)
         assert np.allclose(alg.expectation(x), x, rtol=0, atol=1e-12)
-        assert alg.membership_residual(x) < 1e-12
+        assert span_residual(x, alg.basis) < 1e-12
 
     def test_closure_properties(self):
         rng = np.random.default_rng(4)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         alg = generate_algebra([g])
         for b1 in alg.basis:
-            assert alg.membership_residual(adjoint(b1)) < 1e-9
+            assert span_residual(adjoint(b1), alg.basis) < 1e-9
             for b2 in alg.basis:
-                assert alg.membership_residual(b1 @ b2) < 1e-9
-        assert alg.membership_residual(np.eye(3)) < 1e-9
+                assert span_residual(b1 @ b2, alg.basis) < 1e-9
+        assert span_residual(np.eye(3), alg.basis) < 1e-9
 
 
 class TestCommutant:
@@ -202,14 +202,15 @@ class TestCommutantAgainstKronecker:
     def test_verification_residual_matches_sweep(self, name, monkeypatch):
         alg = COMMUTANT_CASES[name]()
         seen = []
-        real = algebra.commutators_within
+        real = algebra.commutator_residual
 
-        def recorded(xs, ys, bound, **kwargs):
-            # the decision and the bound it was taken against
-            seen.append((real(xs, ys, bound, **kwargs), bound))
-            return seen[-1][0]
+        def recorded(xs, ys, **kwargs):
+            # the decision and the gate it was taken against, the floor
+            value = real(xs, ys, **kwargs)
+            seen.append((value <= kwargs["floor"], kwargs["floor"]))
+            return value
 
-        monkeypatch.setattr(algebra, "commutators_within", recorded)
+        monkeypatch.setattr(algebra, "commutator_residual", recorded)
         comm = commutant(hand_built(alg))
         # the probe solve is kept, so the verified candidates are the result,
         # swept against the generators and their adjoints
@@ -276,7 +277,7 @@ class TestCenter:
         zc = center(alg)
         # oracle: solve the commutation system directly over the full matrix space
         comm = commutant(alg)
-        oracle = [m for m in comm.basis if alg.membership_residual(m) < 1e-9]
+        oracle = [m for m in comm.basis if span_residual(m, alg.basis) < 1e-9]
         assert len(zc) == 2
         assert len(span_basis(oracle)) == 2
 

@@ -396,9 +396,9 @@ class TestConvertCommand:
         riem = tmp_path / "m.riem"
         assert main(["convert", "to-riemannian", str(src), "-o", str(riem)]) == 0
         calls = []
-        sweep = convert.within_span
-        monkeypatch.setattr(convert, "within_span",
-                            lambda *args: calls.append(1) or sweep(*args))
+        sweep = convert.max_span_residual
+        monkeypatch.setattr(convert, "max_span_residual",
+                            lambda *args, **kwargs: calls.append(1) or sweep(*args, **kwargs))
         assert main(["convert", "to-spinc", str(riem), "-o", str(tmp_path / "m.back")]) == 0
         assert len(calls) == 1
 

@@ -676,7 +676,7 @@ def test_round_trip_does_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(tomita, "_conjugation", counted("conjugation", tomita._conjugation))
     monkeypatch.setattr(triples, "_riemannian", counted("riemannian", triples._riemannian))
-    monkeypatch.setattr(convert, "within_span", counted("sweep", convert.within_span))
+    monkeypatch.setattr(convert, "max_span_residual", counted("sweep", convert.max_span_residual))
     monkeypatch.setattr(triples, "commutator_algebra", counted("cda", triples.commutator_algebra))
     # the outputs' algebras are the source's carried through u and V, and
     # the backward output's right action is the source's: every generation

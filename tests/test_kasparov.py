@@ -639,12 +639,18 @@ class TestTwistGate:
         conn = BimoduleConnection(ProjectiveModule.from_projector(base, 1, np.eye(t.hilbert_dim)))
         return t, conn, max(first_order_residuals(t, base.basis))
 
-    def test_just_above_the_gate_raises_with_the_exact_value(self):
+    def test_just_above_the_gate_raises_with_the_exact_value(self, monkeypatch):
         t, conn, fo = self.twisting(1.2)
         assert self.GATE < fo < 1.3 * self.GATE
+        # one evaluation, under the gate as its floor, decides and reports
+        floors = []
+        real = kasparov.first_order_residuals
+        monkeypatch.setattr(kasparov, "first_order_residuals",
+                            lambda *args, floor: floors.append(floor) or real(*args, floor=floor))
         with pytest.raises(ValueError, match=re.escape(f"first-order condition fails "
                                                        f"for the twisting data ({fo:.3e})")):
             kasparov._twist(t, conn, DEFAULT_TOL, compress_to_range)
+        assert floors == [self.GATE]
 
     def test_just_below_the_gate_passes_on_the_2_norms(self):
         t, conn, fo = self.twisting(0.8)

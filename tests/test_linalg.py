@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from ncgeo.linalg import (
     Tolerance,
     adjoint,
     commutator_residual,
-    commutators_within,
     from_blocks,
     herm_eig,
     is_hermitian,
@@ -23,13 +25,12 @@ from ncgeo.linalg import (
     random_complex,
     random_hermitian,
     rel_residual,
-    scaled_within,
+    scaled_residual,
     span_basis,
     span_coords,
     span_residual,
     to_blocks,
     unit_floor_norms,
-    within_span,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -147,8 +148,9 @@ class TestSpanBasis:
 
     @pytest.mark.parametrize("size", [1e-14, 1e-3, 10.0])
     def test_gate_is_the_residual_bound(self, size):
-        # within_span reads max_span_residual <= bound: the Frobenius norms
-        # settle it when they are within the bound, the 2-norms otherwise
+        # a membership gate reads max_span_residual(..., floor=bound) > bound:
+        # the Frobenius norms settle it when they are within the bound, the
+        # 2-norms otherwise, and the value is max(bound, the residual)
         rng = np.random.default_rng(19)
         basis = span_basis([random_complex(rng, (4, 4)) for _ in range(6)])
         xs = np.stack([sum(rng.standard_normal() * b for b in basis) + size * random_complex(rng, (4, 4))
@@ -159,8 +161,10 @@ class TestSpanBasis:
         fro = float(np.max(np.linalg.norm(flat - (flat @ b.conj().T) @ b, axis=1)))
         assert worst < fro
         for bound in (0.5 * worst, worst, 0.5 * (worst + fro), fro, 2.0 * fro):
-            assert within_span(xs, basis, bound) == (worst <= bound)
-        assert within_span(np.zeros((0, 4, 4)), basis, 0.0)
+            gated = max_span_residual(xs, basis, floor=bound)
+            assert gated == max(bound, worst)
+            assert (gated > bound) == (worst > bound)
+        assert max_span_residual(np.zeros((0, 4, 4)), basis, floor=0.0) == 0.0
 
 
 def loop_span_residuals(xs, basis):
@@ -580,9 +584,10 @@ class TestCommutatorResidual:
         assert commutator_residual(xs, ys) == ref
         assert commutator_residual(xs, ys, twisted=-ys) == max_operator_norm(
             xs[:, None] @ ys[None] + ys[None] @ xs[:, None], full)
-        # the gate decides on the same float
-        assert commutators_within(xs, ys, ref)
-        assert not commutators_within(xs, ys, np.nextafter(ref, -np.inf))
+        # a gate under the floor decides on the same float
+        below = np.nextafter(ref, -np.inf)
+        assert commutator_residual(xs, ys, floor=ref) == ref
+        assert commutator_residual(xs, ys, floor=below) == ref > below
 
     def test_zero_pairs_take_no_scale_norm(self, monkeypatch):
         # 3 * 1 commutes exactly with every y, and the diagonal x and y with
@@ -608,9 +613,9 @@ class TestCommutatorResidual:
                                (np.stack([scalar, dx]), np.stack([dy]), [])):
             expected = ref(xs, ys)
             monkeypatch.setattr(np.linalg, "norm", recorded)
-            got = commutator_residual(xs, ys), commutators_within(xs, ys, 0.5 * expected)
+            got = commutator_residual(xs, ys), commutator_residual(xs, ys, floor=0.5 * expected)
             monkeypatch.setattr(np.linalg, "norm", real)
-            assert got == (expected, expected == 0.0)
+            assert got == (expected, expected)
             for factor in (scalar, dy):
                 assert not any(np.array_equal(factor, m) for m in normed)
             for factor in opened:
@@ -619,8 +624,8 @@ class TestCommutatorResidual:
 
     def test_small_pairs_take_no_scale_norm(self, monkeypatch):
         # an orthonormal basis against elements of Frobenius norm under 1:
-        # every pair is settled; a floor above every commutator's bound
-        # keeps the sweep from taking 2-norms too
+        # every pair is settled; a floor above every commutator's Frobenius
+        # bound settles the residual before any scale or 2-norm is taken
         rng = np.random.default_rng(5)
         basis = span_basis(random_complex(rng, (6, 3, 3)))
         small = 0.9 * span_basis(random_complex(rng, (4, 3, 3)))
@@ -635,10 +640,14 @@ class TestCommutatorResidual:
         monkeypatch.setattr(np.linalg, "norm", counted)
         assert commutator_residual(basis, small, floor=10.0) == 10.0
         assert measured == []
-        # one large x opens its pairs with every y: the 2-norms of that x
-        # and of the ys it meets, one call per side
+        # one large x would open its pairs with every y, but the floor still
+        # settles every commutator, so not even the scales are 2-normed
         assert commutator_residual(np.concatenate([basis, 2.0 * basis[:1]]), small, floor=10.0) == 10.0
-        assert measured == [1, 4]
+        assert measured == []
+        # under a floor of 0 the scales are needed: the 2-norms of that x
+        # and of the ys it meets, one call per side, then the sweep's
+        assert commutator_residual(np.concatenate([basis, 2.0 * basis[:1]]), small) > 0.0
+        assert measured[:2] == [1, 4]
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("twist", ["none", "anti", "graded"])
@@ -686,9 +695,10 @@ class TestCommutatorResidual:
 
 
 class TestFrobeniusFirstGates:
-    """The Frobenius-first gates agree with the sweeps they replace, and
-    `commutators_within` takes no 2-norm when every Frobenius norm meets
-    the bound."""
+    """A gate reads `residual(..., floor=gate) > gate`.  Each residual
+    returns max(floor, value), so the gate agrees with `residual(...) >
+    gate`, and when every Frobenius bound is within the floor it returns the
+    floor with no 2-norm taken, not even for the scales."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
@@ -696,31 +706,55 @@ class TestFrobeniusFirstGates:
         xs, ys = commutator_stacks(seed)
         twisted = -ys if seed % 2 else None
         ref = commutator_residual(xs, ys, twisted)
-        assert commutators_within(xs, ys, ratio * ref, twisted) == (ref <= ratio * ref)
+        gate = ratio * ref
+        gated = commutator_residual(xs, ys, twisted, floor=gate)
+        assert gated == max(gate, ref)
+        assert (gated > gate) == (ref > gate) == (ratio < 1.0)
 
     def test_frobenius_pass_takes_no_2_norm(self, monkeypatch):
         xs, ys = commutator_stacks(1)
-        bound = max_frobenius(xs[:, None] @ ys[None] - ys[None] @ xs[:, None])
+        comm = xs[:, None] @ ys[None] - ys[None] @ xs[:, None]
+        # the scales 10 |x|_2 would each need a 2-norm
+        resid, big = 1e-3 * xs, 10.0 * xs
+        gates = (1.0 + 1e-6) * max_frobenius(comm), (1.0 + 1e-6) * max_frobenius(resid)
         calls = []
         norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda x, *a, **k: calls.append(k.get("ord", a[0] if a else None))
                             or norm(x, *a, **k))
-        assert commutators_within(xs, ys, bound)
+        assert commutator_residual(xs, ys, floor=gates[0]) == gates[0]
+        assert scaled_residual(resid, big, floor=gates[1]) == gates[1]
         assert 2 not in calls
+        # below the Frobenius bounds the 2-norms decide
+        assert scaled_residual(resid, big, floor=1e-3 * gates[1]) > 1e-3 * gates[1]
+        assert 2 in calls
 
     @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0])
     def test_scaled_gate_matches_the_sweep(self, ratio):
-        # scaled_within is max_operator_norm(resid, unit_floor_norms(xs)) <= bound
+        # scaled_residual is max_operator_norm(resid, unit_floor_norms(xs), floor)
         xs, _ = commutator_stacks(3)
         resid = 1e-3 * random_complex(np.random.default_rng(7), xs.shape)
         ref = max_operator_norm(resid, unit_floor_norms(xs))
-        assert scaled_within(resid, xs, ratio * ref) == (ratio >= 1.0)
+        assert scaled_residual(resid, xs) == ref
+        gated = scaled_residual(resid, xs, floor=ratio * ref)
+        assert gated == max(ratio * ref, ref)
+        assert (gated > ratio * ref) == (ratio < 1.0)
 
     def test_empty_stacks(self):
         xs, ys = commutator_stacks(2)
-        assert commutators_within(xs[:0], ys, 0.0)
-        assert commutators_within(xs, [], 0.0)
+        assert commutator_residual(xs[:0], ys, floor=0.0) == 0.0
+        assert commutator_residual(xs, [], floor=0.0) == 0.0
+        assert scaled_residual(xs[:0], xs[:0], floor=0.5) == 0.5
         assert max_frobenius(xs[:0]) == 0.0
+
+    def test_no_gate_twin_comes_back(self):
+        # a gate is its residual under a floor: no module of the package
+        # defines or calls a function named *_within, or membership_residual
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ncgeo"
+        files = sorted(src.glob("*.py"))
+        assert len(files) > 1
+        twins = [(f.name, name) for f in files
+                 for name in re.findall(r"\b(\w+_within|membership_residual)\s*\(", f.read_text())]
+        assert twins == []
 
 
 class TestBlocks:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ncgeo.algebra import AlgebraBasis, commutant, generate_algebra
 from ncgeo.convert import spinc_to_riemannian
 from ncgeo.examples import matrix_geometry, trivial_points
-from ncgeo.linalg import DEFAULT_TOL, adjoint, max_span_residual, operator_norm, random_complex
+from ncgeo.linalg import DEFAULT_TOL, adjoint, max_span_residual, operator_norm, random_complex, span_residual
 from ncgeo.tomita import (
     AntiunitaryMap,
     check_fundamental_class,
@@ -83,7 +83,7 @@ class TestTomitaConjugation:
         tri, j, _ = riemann_pair
         cda = tri.cda()
         comm = commutant(cda)
-        loop = [comm.membership_residual(j.conjugate(adjoint(w))) for w in cda.basis]
+        loop = [span_residual(j.conjugate(adjoint(w)), comm.basis) for w in cda.basis]
         landed = j.kernel @ np.swapaxes(cda.basis, -1, -2) @ np.conj(j.kernel)
         worst = max_span_residual(landed, comm.basis)
         assert worst == max(loop_span_residuals(landed, comm.basis))
@@ -106,6 +106,26 @@ class TestTomitaConjugation:
         )
         with pytest.raises(ValueError):
             tomita_conjugation(full)
+
+    def test_refusals(self, riemann_pair, monkeypatch):
+        src = matrix_geometry(2, seed=7)
+        with pytest.raises(ValueError, match="^no cyclic vector available$"):
+            tomita_conjugation(src)
+        with pytest.raises(ValueError, match="^cyclic/separating failure: algebra dim 16 vs Hilbert dim 8$"):
+            tomita_conjugation(replace(src, riemann_vector=np.ones(8)))
+        tri, _, _ = riemann_pair
+        with pytest.raises(ValueError, match="^vector is not cyclic"):
+            tomita_conjugation(replace(tri, riemann_vector=np.zeros(tri.hilbert_dim)))
+        # the unitarity residual is taken once, for the gate and the message
+        calls = []
+        real = AntiunitaryMap.unitarity_residual
+        monkeypatch.setattr(AntiunitaryMap, "unitarity_residual",
+                            lambda self: calls.append(1) or real(self))
+        phi = random_complex(np.random.default_rng(3), tri.hilbert_dim)
+        with pytest.raises(ValueError, match=r"^vector state is not tracial: conjugation kernel "
+                                             r"is not unitary \(residual \d\.\d{3}e\+\d\d\)$"):
+            tomita_conjugation(replace(tri, riemann_vector=phi))
+        assert calls == [1]
 
     def test_commutant_characterizes_center(self, riemann_pair):
         tri, j, _ = riemann_pair

@@ -240,6 +240,25 @@ class TestRepresentChain:
             rhs = represent_chain(t, c1) @ represent_chain(t, c2)
             assert operator_norm(lhs - rhs) / max(1.0, operator_norm(rhs)) < 1e-10
 
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_multiplicative_for_other_first_degrees(self, degree):
+        # the degree-0 first factor multiplies first legs; a degree-2 one
+        # moves its trailing leg through the derivation rule first
+        t = matrix_geometry(2, seed=7)
+        rng = np.random.default_rng(degree)
+        c1, c2 = seeded_chain(t.algebra(), degree, rng), seeded_chain(t.algebra(), 1, rng)
+        prod = chain_mul(c1, c2)
+        assert prod.degree == degree + 1
+        lhs = represent_chain(t, prod)
+        rhs = represent_chain(t, c1) @ represent_chain(t, c2)
+        assert operator_norm(lhs - rhs) <= 1e-10 * max(1.0, operator_norm(rhs))
+
+
+def seeded_chain(alg, degree, rng, terms=2):
+    """A chain of `terms` terms whose legs are random elements of the algebra."""
+    return HochschildChain(degree, [tuple(alg.combine(random_complex(rng, alg.dim)) for _ in range(degree + 1))
+                                    for _ in range(terms)])
+
 
 class TestBoundary:
     def test_square_commutator(self):
@@ -292,6 +311,45 @@ class TestOrientability:
         assert gen.passed, gen.as_text()
         for e in gen.entries:
             assert e.status != "fail"
+
+
+CYCLE_TRIPLES = {
+    "trivial_points_3": lambda: trivial_points(3),
+    "two_point": lambda: two_point(1.0),
+    "matrix_geometry_2_7": lambda: matrix_geometry(2, seed=7),
+}
+
+
+class TestPositiveDegreeCycles:
+    """Orientation cycles of degree >= 1 take the boundary path of
+    `orient:cycle_closed`."""
+
+    @pytest.mark.parametrize("name", sorted(CYCLE_TRIPLES))
+    def test_a_boundary_is_closed_but_no_volume_form(self, name):
+        # b(c) for a degree-2 chain c is a degree-1 cycle, since b b = 0; its
+        # represented form is no involution, so the report fails
+        t = CYCLE_TRIPLES[name]()
+        cycle = hochschild_boundary(seeded_chain(t.algebra(), 2, np.random.default_rng(41)))
+        rep = check_orientability(dataclasses.replace(t, orientation_cycle=cycle), strict=True)
+        closed = rep.entry("orient:cycle_closed")
+        assert closed.status == "pass" and closed.residual < 1e-12
+        assert closed.details != "degree 0: boundary degenerate"
+        assert rep.entry("orient:volume_involution").status == "fail"
+        assert not rep.passed
+
+    def test_a_random_degree_one_chain_is_not_closed(self):
+        t = matrix_geometry(2, seed=7)
+        chain = seeded_chain(t.algebra(), 1, np.random.default_rng(41))
+        rep = check_orientability(dataclasses.replace(t, orientation_cycle=chain), strict=True)
+        closed = rep.entry("orient:cycle_closed")
+        assert closed.status == "fail" and closed.residual > 0.1
+
+    def test_boundary_of_a_boundary_has_zero_coefficients(self):
+        # b b c of a degree-3 chain has degree 1, so its legs are expanded
+        alg = matrix_geometry(2, seed=7).algebra()
+        bb = hochschild_boundary(hochschild_boundary(seeded_chain(alg, 3, np.random.default_rng(5))))
+        assert bb.degree == 1 and bb.terms
+        assert chain_coefficient_norm(bb, alg) < 1e-12
 
 
 class TestFitOrientation:
@@ -832,6 +890,15 @@ class TestZeta:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows at s = -3000.0"):
                 zeta_diagnostic(t, [0.0, -3000.0])
+
+
+def test_bare_triple_skips_what_it_lacks():
+    # no cycle, right action, phi, grading or conjugation
+    bare = SpectralTripleData(3, [np.diag([1.0, 0.0, 0.0]), np.eye(3)], np.zeros((3, 3)))
+    rep = run_condition_suite(bare)
+    assert rep.passed, rep.as_text()
+    assert [e.condition_id for e in rep.entries if e.status == "skipped"] == [
+        "orient:cycle", "first_order", "spinc", "riemann", "extras:closedness", "extras:reality"]
 
 
 def test_report_determinism():
