@@ -192,13 +192,22 @@ def cmd_convert(args) -> int:
     return EXIT_OK if result.report.passed else EXIT_FAIL
 
 
+def _matrices(value, name: str) -> list:
+    """The matrices of a file's field `name`, a list of matrix encodings."""
+    if not isinstance(value, list):
+        raise FormatError(f"{name} must be a list of matrices")
+    return [data_to_matrix(p) for p in value]
+
+
 def _module_doc(doc):
     size = int_field(doc["size"], "size")
     if size < 1:
         raise FormatError(f"size must be a positive integer, got {size}")
     pot = doc.get("potential")
+    if pot is not None and not (isinstance(pot, list) and all(isinstance(row, list) for row in pot)):
+        raise FormatError("potential must be a list of rows of matrices")
     return (size, data_to_matrix(doc["projector"]),
-            None if pot is None else [[data_to_matrix(p) for p in row] for row in pot])
+            None if pot is None else [_matrices(row, "potential row") for row in pot])
 
 
 def cmd_product(args) -> int:
@@ -226,7 +235,7 @@ def cmd_homotopy(args) -> int:
 def cmd_pair(args) -> int:
     t, _ = load_triple(args.path)
     left, right = _read_input(args.projectors, lambda doc: tuple(
-        [data_to_matrix(p) for p in doc[side]] for side in ("left", "right")))
+        _matrices(doc[side], side) for side in ("left", "right")))
     mat, unimodular, rep = poincare_pairing_matrix(t, left, right, _tol(args))
     _emit(args, {"matrix": mat.tolist(), "unimodular": unimodular}, rep)
     return EXIT_OK if rep.passed else EXIT_FAIL

@@ -4,11 +4,19 @@ and duality pairing matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import AlgebraBasis, _transport_preimage, commutant, intertwiners
+from .algebra import (
+    AlgebraBasis,
+    _algebra_pattern,
+    _components,
+    _transport_preimage,
+    commutant,
+    intertwiners,
+)
 from .kasparov import (
     BimoduleConnection,
     _twist,
@@ -94,21 +102,53 @@ def _range_certificate(module: ProjectiveModule, v: np.ndarray, idempotency: flo
     bound on it: `linalg.projector_gap_bound` from |Q V - V|_F (one
     `ProjectiveModule.apply`), the isometry and trace defects at size r and
     a bound on |Q^2 - Q|_F (the frame's, `frame_idempotency_bound`), for a
-    Hermitian Q (by construction).  A bound above `gate`, inf where its
-    hypotheses fail, is replaced by the exact value, Q applied to r columns
-    of the identity at a time."""
+    Hermitian Q (by construction).  With a factor Q = T S^* the residual is
+    |T S^* V - V|_F plus the factor's bound b >= |Q - T S^*|_F, and the
+    trace defect that of Tr(T S^*) plus sqrt(N) b, so the bound stays one
+    on the coordinates' Q.  A bound above `gate`, inf where its hypotheses
+    fail, is replaced by the exact value, the coordinates' Q applied to r
+    columns of the identity at a time."""
     n, r = v.shape
     isometry = np.linalg.norm(adjoint(v) @ v - np.eye(r))
-    bound = projector_gap_bound(np.linalg.norm(module.apply(v) - v), isometry,
-                                abs(module.trace() - r), idempotency, n)
+    slack = 0.0 if module.factor is None else module.factor.bound
+    bound = projector_gap_bound(np.linalg.norm(module.apply(v) - v) + slack, isometry,
+                                abs(module.trace() - r) + np.sqrt(n) * slack, idempotency, n)
     if bound <= gate:
         return bound
+    exact = replace(module, factor=None)
     total = 0.0
     for start in range(0, n, r):
         rows = v[start:start + r]
-        gap = module.apply(np.eye(n, len(rows), -start)) - v @ adjoint(rows)
+        gap = exact.apply(np.eye(n, len(rows), -start)) - v @ adjoint(rows)
         total += float(np.vdot(gap, gap).real)
     return float(np.sqrt(total))
+
+
+def _forward_module(right: AlgebraBasis, xs: np.ndarray, tol: Tolerance) -> ProjectiveModule:
+    """The module of a tight frame xs of the right action B, block (k, j)
+    of its projector the pairing E(|x_k><x_j|), held as its coordinates
+    against B's basis; with B's Wedderburn data (w, blocks) also its factor
+    Q = T T^* (`ProjectiveModule.of_frame`): the carrier is B itself, so the
+    frame's coefficients are W_aq^* x_i and both image frames are w."""
+    coords = right.pair_coords(xs, xs)
+    if right.wedderburn is None:
+        return ProjectiveModule(right, coords, right.basis)
+    comps = _components(*right.wedderburn)
+    units, off = _unit_coords(_algebra_pattern(*right.wedderburn), right.basis)
+    coeffs = [(xs @ w_k.conj().reshape(len(w_k), -1)).reshape((len(xs),) + w_k.shape[1:])
+              for w_k in comps]
+    return ProjectiveModule.of_frame(right, coords, right.basis, units, coeffs, comps, comps,
+                                     off, tol.rel)
+
+
+def _unit_coords(pattern: np.ndarray, mats: np.ndarray):
+    """(c, |r|_F) for mats[l] = sum_u c[u, l] pattern[u] + r_l, with the
+    orthonormal closed-form basis `pattern` of an algebra's Wedderburn
+    data: the coordinates on its units and how far the stack is off their
+    span."""
+    flat = pattern.reshape(len(pattern), -1)
+    c = flat.conj() @ mats.reshape(len(mats), -1).T
+    return c, float(np.linalg.norm(mats - np.tensordot(c.T, pattern, 1)))
 
 
 def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> ConversionResult:
@@ -145,16 +185,16 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     n = t.hilbert_dim
 
     # tight frame for the right action; the module of the conversion is the
-    # conjugate of the Hilbert space over the algebra, and block (k, j) of
-    # its projector is the pairing E(|x_k><x_j|), held as its coordinates
-    # against the right basis
+    # conjugate of the Hilbert space over the algebra
     xs = parseval_frame(right, tol)
     m = len(xs)
-    module = ProjectiveModule(right, right.pair_coords(xs, xs), right.basis)
+    module = _forward_module(right, xs, tol)
 
     # Q is a frame projector by construction: convert:projector_residual
     # below is its certificate, so it skips the gate of a caller's module
     u, out_dirac, _ = _twist(t, BimoduleConnection(module), tol, compress_to_range)
+    # U^* (1_m (x) x) U, through the factor at rank size when Q has one
+    pull = module.range_pull_back(u)
     # the outputs are compressions through u, those of the twisted operators
     # exactly when Q = u u^*; nothing below holds without it
     off_range = _range_certificate(module, u, frame_idempotency_bound(right, xs), tol.rel)
@@ -166,8 +206,8 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
             f"module size {m}, twisted space dim {u.shape[1]}")
     phi = adjoint(u) @ xs.ravel()
 
-    chat = pull_back(u, represent_chain(t, t.orientation_cycle))
-    out_gens = list(pull_back(u, t.algebra_gens))
+    chat = pull(represent_chain(t, t.orientation_cycle))
+    out_gens = list(pull(t.algebra_gens))
 
     base = SpectralTripleData(
         hilbert_dim=u.shape[1],
@@ -202,7 +242,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
         split = flat @ carried.basis.reshape(carried.dim, -1).conj().T
         src_basis, fit = (np.tensordot(split, x, 1) for x in _transport_preimage(cda, carried, u))
     else:
-        hat_cols = pull_back(u, cda.basis).reshape(cda.dim, -1).T
+        hat_cols = pull(cda.basis).reshape(cda.dim, -1).T
         coeffs, _, _, _ = np.linalg.lstsq(hat_cols, flat.T, rcond=None)
         src_basis = cda.combine(coeffs.T)
         fit = (hat_cols @ coeffs).T.reshape(out_basis.shape)
@@ -241,7 +281,7 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
     # diagonal part of the module projector
     diag_weight = module.diagonal_blocks().sum(0)
     k = min(6, cda.dim)
-    lhs = np.trace(pull_back(u, cda.basis[:k]), axis1=1, axis2=2)
+    lhs = np.trace(pull(cda.basis[:k]), axis1=1, axis2=2)
     rhs = np.einsum("kab,ba->k", cda.basis[:k], diag_weight)
     rep.add("convert:trace_bookkeeping",
             float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))), max(tol.rel, 1e-9))
@@ -255,9 +295,11 @@ def spinc_to_riemannian(t: SpectralTripleData, tol: Tolerance = DEFAULT_TOL) -> 
 def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
                        tol: Tolerance = DEFAULT_TOL):
     """Assembly for the backward conversion: the module (its projector
-    factored over the right actions of the source operators), conjugation,
-    and the identification map of the twisted space with the module
-    carrier.
+    factored over the right actions of the source operators, with the
+    rank-size factor of `_backward_module` where the right action passes
+    `_antihomomorphism_defect` and the cda has Wedderburn data),
+    conjugation, and the identification map of the twisted space with the
+    module carrier.
 
     Carrier pairings E(|u><v|) lie in the span of the left action, the
     carrier algebra; `source_ops[k]` is the source operator of its basis
@@ -294,15 +336,32 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     if scaled_residual(fit - carrier.basis, carrier.basis, floor=fit_gate) > fit_gate:
         raise ValueError("carrier pairing value leaves the module action span")
     source_ops = np.tensordot(coeffs.T, basis_ops, axes=1)
-    # the right actions of the source operators; opposite_action adjoints
-    # its argument itself
-    opposite = opposite_action(j, source_ops)
+    kernel = j.kernel
 
-    # block (i, j) of the projector is the right action of (x_j | x_i), and
-    # block i of column e of vmap is that of (e | x_i) applied to phi
-    module = ProjectiveModule(None, carrier.pair_coords(frame, frame).swapaxes(0, 1), opposite)
+    def right_action(c):
+        # the right action J s^* J = K s^T conj(K) of the source operator
+        # of carrier coordinates c
+        return opposite_action(j, np.tensordot(c, source_ops, 1))
+
+    # block (i, j) of the projector is the right action of (x_j | x_i); its
+    # K-stack of operators is built only if the exact path reads it
+    coords = carrier.pair_coords(frame, frame).swapaxes(0, 1)
+    ops = functools.partial(opposite_action, j, source_ops)
+    gate = max(tol.rel, 1e-8)
+    # |K|_2^2 <= 1 + |K^* K - 1|_F, the Frobenius gain of x -> K x^T conj(K)
+    kernel_gain = 1.0 + float(np.linalg.norm(adjoint(kernel) @ kernel - np.eye(nh)))
+    # with a left action that represents the cda, the right action of the
+    # source operators is a linear *-antihomomorphism of the carrier
+    # algebra and the frame's bound holds, times that gain; a caller's
+    # module data may be off it, and then the bound is inf
+    homomorphic = _antihomomorphism_defect(carrier, right_action) <= gate
+    qmod = _backward_module(cda, basis_ops, module.left_action, coeffs, coords, frame, kernel,
+                            kernel_gain, ops, gate) if homomorphic and cda.wedderburn is not None \
+        else ProjectiveModule(None, coords, ops)
+    # block i of column e of vmap is the right action of (e | x_i) applied to phi
+    acted = (source_ops.swapaxes(1, 2) @ (kernel.conj() @ t.riemann_vector)) @ kernel.T
     vmap = (carrier.pair_coords(np.eye(nc), frame).reshape(nc * nmod, -1)
-            @ (opposite @ t.riemann_vector)).reshape(nc, nmod * nh).T
+            @ acted).reshape(nc, nmod * nh).T
     uq, sq, vqh = np.linalg.svd(vmap, full_matrices=False)
     if sq[-1] <= tol.rank_cut * sq[0]:
         raise ValueError("module identification is singular")
@@ -310,38 +369,72 @@ def _backward_assembly(t: SpectralTripleData, module: CliffordModuleData,
     return {
         "nc": nc, "nh": nh, "nmod": nmod, "conjugation": j,
         "carrier": carrier, "source_ops": source_ops,
-        # with a left action that represents the cda, the right action of the
-        # source operators is a linear *-antihomomorphism of the carrier
-        # algebra and the frame's bound holds; a caller's module data may be
-        # off it, and then the bound is inf
-        "module": module,
-        "idempotency": frame_idempotency_bound(carrier, frame, opposite)
-        if _antihomomorphism_defect(carrier, opposite) <= max(tol.rel, 1e-8) else np.inf,
+        "module": qmod,
+        "idempotency": frame_idempotency_bound(carrier, frame, source_ops) * kernel_gain
+        if homomorphic else np.inf,
         "vmap": vmap,
         "identification": uq @ vqh, "identification_svals": sq,
     }
 
 
-def _antihomomorphism_defect(alg: AlgebraBasis, images: np.ndarray) -> float:
-    """How far the linear map rho: `alg.basis[k]` -> `images[k]` is from a
-    *-antihomomorphism of a *-algebra, on two seeded elements a, b of unit
+def _backward_module(cda: AlgebraBasis, basis_ops, left_action, coeffs, coords, frame, kernel,
+                     kernel_gain: float, ops, gate: float) -> ProjectiveModule:
+    """The backward module with its factor (`ProjectiveModule.of_frame`),
+    for a cda with Wedderburn data (w, blocks), g_ab = W_a W_b^* its units,
+    and a left action of an orthonormal basis `basis_ops` of it.
+
+    The carrier's units are the left action L(g_ab); its columns are
+    P_a = L(g_a0) P_0 for an orthonormal basis P_0 of the range of L(g_00),
+    and the frame's coefficients conj(P_a^* x_i), since block (i, j) pairs
+    x_j with x_i.  The right action maps g_ab to K conj(W_b) (K^T conj(W_a))^*,
+    so the image frames are K conj(w) and K^T conj(w), and the source
+    operators' coordinates on the units, read against the closed-form basis
+    of (w, blocks), enter with a and b swapped; their parts off the units'
+    span, sum_l coeffs[l, kappa] r_l, have right actions of stacked
+    Frobenius norm at most `kernel_gain` |coeffs|_2 |r|_F, for
+    `kernel_gain` >= |K|_2^2.  A carrier unit that is no projection leaves
+    the coordinates' module without a factor."""
+    w, blocks = cda.wedderburn
+    # basis_ops[l] = sum_u gamma[u, l] pattern[u] + r_l, pattern[kab] = g_ab / sqrt(m_k)
+    gamma, off = _unit_coords(_algebra_pattern(w, blocks), basis_ops)
+    units = gamma @ coeffs
+    acts = np.asarray(left_action, dtype=complex)
+    unit_rows, carriers, images, co_images = [], [], [], []
+    start = 0
+    for w_k in _components(w, blocks):
+        n_k, m_k = w_k.shape[1:]
+        lead = np.sqrt(m_k) * np.tensordot(gamma[start:start + n_k * n_k:n_k].conj(), acts, 1)
+        vals, vecs = np.linalg.eigh(lead[0])
+        if not np.any(vals > 0.5):
+            return ProjectiveModule(None, coords, ops)
+        carriers.append((frame.conj() @ (lead @ vecs[:, vals > 0.5])).swapaxes(0, 1))
+        unit_rows.append(units[start:start + n_k * n_k].reshape(n_k, n_k, -1).swapaxes(0, 1)
+                         .reshape(n_k * n_k, -1))
+        images.append(np.tensordot(kernel, w_k.conj(), 1))
+        co_images.append(np.tensordot(kernel.T, w_k.conj(), 1))
+        start += n_k * n_k
+    off *= kernel_gain * operator_norm(coeffs)
+    return ProjectiveModule.of_frame(None, coords, ops, np.concatenate(unit_rows), carriers,
+                                     images, co_images, off, gate)
+
+
+def _antihomomorphism_defect(alg: AlgebraBasis, rho) -> float:
+    """How far a linear map rho, given as the function of an element's
+    coordinates against `alg.basis`, is from a *-antihomomorphism of a
+    *-algebra, on two seeded elements a, b of unit
     Frobenius norm: the largest of |ba - E(ba)|_F (the span is closed under
     products), |rho(a) rho(b) - rho(ba)|_F / max(1, |rho(a)|_F |rho(b)|_F)
     and |rho(a^*) - rho(a)^*|_F / max(1, |rho(a)|_F).  A map off one of the
     laws on an open set of pairs is off it on almost every pair."""
     coeffs = random_complex(np.random.default_rng(1931), (2, alg.dim))
     a, b = alg.combine(coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True))
-
-    def rho(x):
-        return np.tensordot(alg.coords(x), images, 1)
-
-    ra, rb = rho(a), rho(b)
+    ra, rb = (rho(alg.coords(x)) for x in (a, b))
     scale = np.linalg.norm(ra)
     ba = b @ a
     return float(max(
         np.linalg.norm(ba - alg.expectation(ba)),
-        np.linalg.norm(ra @ rb - rho(ba)) / max(1.0, scale * np.linalg.norm(rb)),
-        np.linalg.norm(rho(adjoint(a)) - adjoint(ra)) / max(1.0, scale),
+        np.linalg.norm(ra @ rb - rho(alg.coords(ba))) / max(1.0, scale * np.linalg.norm(rb)),
+        np.linalg.norm(rho(alg.coords(adjoint(a))) - adjoint(ra)) / max(1.0, scale),
     ))
 
 

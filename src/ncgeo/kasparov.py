@@ -14,7 +14,13 @@ slot k as sum_j P[j][k] v_j.
 Only the compression U^*(D (x) 1 + A)U of the twisted operator to the
 range basis U of Q matters to the product; `_twist` builds it without
 module-size operators for `product_triple` and the forward conversion,
-which read Q only through `ProjectiveModule.apply` and its trace.
+which read Q only through `ProjectiveModule.apply` and its trace.  The
+forward conversion's module also carries a rank-size factor Q = T T^*
+(`ProjectiveModule.of_frame`): `apply` is then T (T^* x), and U^*(D (x) 1)U
+is taken through `ProjectiveModule.range_pull_back` from the factor,
+while the coordinates stay the definition of Q.  A caller's module
+(`from_projector`) has no factor and is read from its coordinates, and
+`product_triple` refuses one with round(Tr Q) = 0.
 A caller's module passes `modules.validate_module` in the two entry points
 that take one, `twisted_operator` and `product_triple`; the forward
 conversion builds its own Parseval-frame module and certifies its range
@@ -150,7 +156,7 @@ def _twist(t: SpectralTripleData, conn: BimoduleConnection, tol: Tolerance, basi
     u = basis(module)
     ahat = np.zeros((u.shape[1],) * 2, dtype=complex) if conn.potential is None else \
         adjoint(u) @ from_blocks(np.asarray(conn.potential, dtype=complex).swapaxes(0, 1)) @ u
-    dhat = pull_back(u, t.dirac) + ahat
+    dhat = module.range_pull_back(u)(t.dirac) + ahat
     herm = rel_residual(dhat - adjoint(dhat), operator_norm(dhat))
     if herm > max(tol.rel, 1e-8):
         raise ValueError(f"twisted operator is not Hermitian (residual {herm:.3e})")
@@ -172,7 +178,9 @@ def twisted_operator(t: SpectralTripleData, conn: BimoduleConnection,
 def compress_to_range(module: ProjectiveModule) -> np.ndarray:
     """Orthonormal column basis of the range of a module's projector Q: Q
     applied to a seeded probe of round(Tr Q) columns, orthonormalized by QR
-    with R's diagonal made positive, so it moves continuously with Q."""
+    with R's diagonal made positive, so it moves continuously with Q.  With
+    a factor Q = T S^* (the forward module's) the product is T (S^* probe),
+    at rank size."""
     rank = int(round(module.trace()))
     probe = random_complex(np.random.default_rng(1109), (module.size * module.block_dim, rank))
     u, r = np.linalg.qr(module.apply(probe))
@@ -192,10 +200,13 @@ def product_triple(t: SpectralTripleData, conn: BimoduleConnection,
     |(1 (x) a)U - U a_c| / max(1, |a|).  `product:right_action_respects_module`
     is |[Q, c]| / max(1, |c|) over the right ops, taken at carrier size as
     the larger of |c U - U c_c| and |U^* c - c_c U^*|.  Returns (triple, U,
-    report).
+    report).  A module with round(Tr Q) = 0 has an empty range and is refused.
     """
     rep = CheckReport()
     _check_module(conn.module, tol)
+    trace = conn.module.trace()
+    if round(trace) < 1:
+        raise ValueError(f"module projector has trace Tr Q = {trace:.3e}: its range is empty")
     u, d_c, _ = _twist(t, conn, tol, compress_to_range)
     gens = np.asarray(t.algebra_gens, dtype=complex)
     gens_c = pull_back(u, gens)

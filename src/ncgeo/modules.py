@@ -12,7 +12,10 @@ Concrete conventions
   (u|v) = E(|u><v|); `AlgebraBasis.pair_coords` gives its coordinates for
   two whole stacks of vectors.  The projector of a frame x_1..x_m has the
   table (x_i|x_j) as its blocks; `ProjectiveModule` holds it factored, as
-  those coordinates against the algebra's basis.
+  those coordinates against the algebra's basis, and over an algebra with
+  Wedderburn data also as a rank-size `FrameFactor` Q = T S^* read off the
+  matrix units (`ProjectiveModule.of_frame`); the coordinates stay the
+  definition.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .linalg import (
     max_operator_norm,
     max_span_residual,
     operator_norm,
+    pull_back,
     rel_residual,
     span_basis,
     to_blocks,
@@ -42,6 +46,7 @@ from .report import CheckReport
 
 __all__ = [
     "ProjectiveModule",
+    "FrameFactor",
     "EquivBimodule",
     "validate_module",
     "morita_check",
@@ -58,11 +63,72 @@ __all__ = [
 _APPLY_BLOCK = 1 << 16
 
 
+def _gain(flat: np.ndarray) -> float:
+    """The largest singular value of a matrix with no more columns than
+    rows, from the eigenvalues of its Gram matrix."""
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(flat.conj().T @ flat)[-1])))
+
+
+@dataclass(frozen=True, eq=False)
+class FrameFactor:
+    """A rank-size factor Q = T S^* of a frame module's projector, to within
+    `bound` >= |Q - T S^*|_F, for the (m*d, r) matrices T (`left`) and S
+    (`right`); `ProjectiveModule.of_frame` builds it.  Column (k, q, p) of
+    block i of T is sum_a coeffs[k][i, a, q] images[k][:, a, p] /
+    sqrt(m'_k), and of S the same with `co_images`: `images` is the
+    (d, n_k, m_k) stack of columns (a, p) of component k of the image
+    frame, and `coeffs` the (m, n_k, m'_k) coefficients of the frame
+    vectors on the carrier's columns (a, q)."""
+
+    left: np.ndarray
+    right: np.ndarray
+    bound: float
+    images: tuple
+    coeffs: tuple
+
+    def pull_back(self, u):
+        """x -> U^* (1_m (x) x) U for a U = T M in the range of T, when T = S
+        is an isometry (the forward module's): with M = T^* U it is
+        M^* (T^* (1_m (x) x) T) M, and T^* (1_m (x) x) T is read off the
+        image frame's coordinates R^* x R of x, contracted per pair of
+        components with the Gram matrix of the coefficients, so no
+        module-size product is taken."""
+        mix = adjoint(self.left) @ u
+        frame = np.concatenate([r.reshape(len(r), -1) for r in self.images], axis=1)
+        flat = np.concatenate([c.reshape(len(c), -1) for c in self.coeffs], axis=1)
+        gram = flat.conj().T @ flat
+        # per component: n_k, m_k, m'_k and the slices of its columns (a, p)
+        # in the frame, (a, q) in the coefficients and (q, p) in T
+        comps, at = [], np.zeros(3, dtype=int)
+        for r, c in zip(self.images, self.coeffs):
+            n_k, m_k, mq_k = r.shape[1], r.shape[2], c.shape[2]
+            ends = at + [n_k * m_k, n_k * mq_k, mq_k * m_k]
+            comps.append(((n_k, m_k, mq_k), [slice(a, b) for a, b in zip(at, ends)]))
+            at = ends
+
+        def pull(ops):
+            ops = np.asarray(ops)
+            lead = ops.shape[:-2]
+            coords = frame.conj().T @ ops @ frame
+            inner = np.zeros(lead + (len(mix),) * 2, dtype=complex)
+            for (n1, m1, q1), (x1, g1, t1) in comps:
+                for (n2, m2, q2), (x2, g2, t2) in comps:
+                    block = coords[..., x1, x2].reshape(lead + (n1, m1, n2, m2))
+                    # sum over a, b of gram[a, q, b, r] block[..., a, p, b, s], as (..., q, p, r, s)
+                    part = np.tensordot(block, gram[g1, g2].reshape(n1, q1, n2, q2), ([-4, -2], [0, 2]))
+                    inner[..., t1, t2] = np.moveaxis(part, (-4, -3, -2, -1), (-3, -1, -4, -2)).reshape(
+                        lead + (q1 * m1, q2 * m2)) / np.sqrt(q1 * q2)
+            return adjoint(mix) @ inner @ mix
+
+        return pull
+
+
 @dataclass
 class ProjectiveModule:
     """Module q B^m over an algebra B of d x d operators, presented by its
     projector in factored form, Q = sum_k C_k (x) O_k: block (i, j) of Q is
-    sum_k coords[i, j, k] ops[k].
+    sum_k coords[i, j, k] ops[k].  These coordinates are the definition of
+    Q.
 
     A frame module has the pairing coordinates of its frame as C_k
     (`AlgebraBasis.pair_coords`) and the operators those coordinates refer
@@ -73,12 +139,34 @@ class ProjectiveModule:
     the algebra B, None where the blocks lie in it by construction and no
     check asks for it.  The metric is a dense (m*d, m*d) operator; None
     stands for the projector itself (the standard hermitian structure).
+
+    A frame module over an algebra with Wedderburn data may also carry a
+    rank-size `factor` Q = T S^* (`of_frame`, the modules of both
+    conversions); then `apply`, `diagonal_blocks` and `trace` read T and S,
+    at size m*d x r for r = Tr Q.  `from_projector` never sets one.  `ops`
+    may be given as a function of no arguments that builds them; it runs on
+    the first read of `ops` (`dense`, or the coordinate `apply` of a module
+    without a factor).
     """
 
     base: AlgebraBasis | None
     coords: np.ndarray  # (m, m, k)
     ops: np.ndarray  # (k, d, d)
     metric: np.ndarray | None = None  # (m*d, m*d), positive, q r = r q = r
+    factor: FrameFactor | None = None
+
+    def __post_init__(self):
+        if callable(self.ops):
+            self.__dict__["_build_ops"] = self.ops
+            del self.ops
+
+    def __getattr__(self, name):
+        # reached only while `ops` is held as its builder
+        build = self.__dict__.get("_build_ops") if name == "ops" else None
+        if build is None:
+            raise AttributeError(name)
+        self.ops = build()
+        return self.ops
 
     @classmethod
     def from_projector(cls, base: AlgebraBasis, size: int, projector,
@@ -91,20 +179,79 @@ class ProjectiveModule:
         units = np.eye(size * size).reshape(size, size, size * size)
         return cls(base, units, to_blocks(q, size).reshape(-1, d, d), metric)
 
+    @classmethod
+    def of_frame(cls, base: AlgebraBasis | None, coords, ops, unit_coords, coeffs,
+                 images, co_images, off: float, gate: float) -> "ProjectiveModule":
+        """The module of a frame x_1..x_m over an algebra with Wedderburn
+        data, Q = sum_kappa C_kappa (x) O_kappa from its pairing coordinates
+        `coords` (m, m, K) and operators `ops`, with the factor Q = T S^*
+        when its bound is within `gate`.
+
+        The data, per component k: `images` and `co_images` are (d, n_k,
+        m_k) stacks of columns (a, p), R_ap and S_ap, whose units M_kab =
+        sum_p R_ap S_bp^* the operators are written in, O_kappa = sum_kab
+        unit_coords[kab, kappa] M_kab / sqrt(m_k) (rows k-major, then a, b),
+        and `coeffs` the (m, n_k, m'_k) coefficients beta[i, a, q] of the
+        frame on the carrier's columns; `off` bounds (sum_kappa |E_kappa|_F^2)^(1/2)
+        for the parts E_kappa of the O_kappa that the units do not write
+        (off their span).  Block (i, j) of T S^* is
+        sum_kab C''_kab[i, j] M_kab with C''_kab[i, j] = sum_q beta[i, a, q]
+        conj(beta[j, b, q]) / m'_k, the carrier's matrix-unit form of the
+        pairing, and block (i, j) of Q is sum_kab C'_kab[i, j] M_kab with
+        C'_kab = sum_kappa unit_coords[kab, kappa] C_kappa / sqrt(m_k).  So
+        Q - T S^* = (1 (x) R) A (1 (x) S)^* for the block matrix A of the
+        C'_kab - C''_kab, each in units E_ab (x) 1_{m_k}, and
+
+            |Q - T S^*|_F <= |R|_2 |S|_2 (sum_kab m_k |C'_kab - C''_kab|_F^2)^(1/2),
+
+        and sum_kappa C_kappa (x) E_kappa adds at most |C|_2 `off`, |C|_2 the
+        2-norm of the (m^2, K) matrix of the coordinates.  The sum is
+        `bound`: it measures, at carrier size, every way the
+        carrier's frame and units can miss the coordinates (the pairing's
+        rounding included, not the rounding of forming the O_kappa).
+        """
+        m = len(coords)
+
+        def columns(frames):
+            # column (k, q, p) of block i: sum_a beta[i, a, q] frames[k][:, a, p] / sqrt(m'_k)
+            return np.concatenate([np.tensordot(c, r, (1, 1)).transpose(0, 2, 1, 3)
+                                   .reshape(m * len(r), -1) / np.sqrt(c.shape[2])
+                                   for c, r in zip(coeffs, frames)], axis=1)
+
+        t = columns(images)
+        s = t if co_images is images else columns(co_images)
+        target = np.tensordot(coords, unit_coords, (2, 1))
+        total, start = 0.0, 0
+        for c, r in zip(coeffs, images):
+            n_k, m_k = r.shape[1:]
+            pairing = np.tensordot(c, c.conj(), (2, 2)).transpose(0, 2, 1, 3) / c.shape[2]
+            diff = target[:, :, start:start + n_k * n_k].reshape(pairing.shape) / np.sqrt(m_k) - pairing
+            total += m_k * float(np.vdot(diff, diff).real)
+            start += n_k * n_k
+        gains = [_gain(np.concatenate([x.reshape(len(x), -1) for x in xs], axis=1))
+                 for xs in (images, co_images)]
+        bound = gains[0] * gains[1] * np.sqrt(total) + _gain(coords.reshape(m * m, -1)) * off
+        factor = FrameFactor(t, s, float(bound), tuple(images), tuple(coeffs)) if bound <= gate else None
+        return cls(base, coords, ops, factor=factor)
+
     @property
     def size(self) -> int:
         return self.coords.shape[0]
 
     @property
     def block_dim(self) -> int:
+        if self.factor is not None:
+            return self.factor.left.shape[0] // self.size
         return self.ops.shape[-1]
 
     def apply(self, x) -> np.ndarray:
-        """Q x for an (m*d, c) matrix x.  Over chunks of k, one GEMM applies
-        the stacked O_k to all blocks x_j at once, and one small GEMM per k
-        contracts with C_k, so no temporary is larger than about
-        `_APPLY_BLOCK` elements or the output."""
+        """Q x for an (m*d, c) matrix x: T (S^* x) with a factor, else over
+        chunks of k, one GEMM applies the stacked O_k to all blocks x_j at
+        once, and one small GEMM per k contracts with C_k, so no temporary
+        is larger than about `_APPLY_BLOCK` elements or the output."""
         x = np.asarray(x)
+        if self.factor is not None:
+            return self.factor.left @ (adjoint(self.factor.right) @ x)
         m, d, c = self.size, self.block_dim, x.shape[1]
         # rows a, columns (col, j): entry a of column col of x_j
         xt = x.reshape(m, d, c).transpose(1, 2, 0).reshape(d, c * m)
@@ -118,16 +265,31 @@ class ProjectiveModule:
                 out += zk @ self.coords[:, :, k].T
         return out.reshape(d, c, m).transpose(2, 0, 1).reshape(m * d, c)
 
+    def range_pull_back(self, u):
+        """x -> U^* (1_m (x) x) U for a U in the range of Q: through the
+        factor when T = S (`FrameFactor.pull_back`), else `linalg.pull_back`."""
+        f = self.factor
+        if f is None or f.right is not f.left:
+            return lambda ops: pull_back(u, ops)
+        return f.pull_back(u)
+
     def dense(self) -> np.ndarray:
         """Q itself, for the checks of a caller's module, which run at module
         size.  Exact for `from_projector`, whose coordinates are unit tables."""
         return from_blocks(np.tensordot(self.coords, self.ops, 1))
 
     def diagonal_blocks(self) -> np.ndarray:
-        """The (m, d, d) stack of the diagonal blocks of Q."""
+        """The (m, d, d) stack of the diagonal blocks of Q: T_i S_i^* with a factor."""
+        if self.factor is not None:
+            m = self.size
+            t, s = (x.reshape(m, -1, x.shape[1]) for x in (self.factor.left, self.factor.right))
+            return t @ s.conj().swapaxes(-1, -2)
         return np.tensordot(np.diagonal(self.coords).T, self.ops, 1)
 
     def trace(self) -> float:
+        """Tr Q: Tr(S^* T) with a factor."""
+        if self.factor is not None:
+            return float(np.vdot(self.factor.right, self.factor.left).real)
         return float((np.trace(self.coords) @ np.trace(self.ops, axis1=1, axis2=2)).real)
 
     def block_residual(self, big: np.ndarray) -> float:
@@ -157,10 +319,7 @@ def frame_idempotency_bound(alg: AlgebraBasis, frame, images=None) -> float:
     # F = sum_l b_l S b_l^* with S = sum_k x_k x_k^*
     f = np.tensordot(b @ (frame.T @ frame.conj()), b.conj(), ([0, 2], [0, 2]))
     f[np.diag_indices_from(f)] -= 1.0
-    gain = 1.0
-    if images is not None:
-        flat = np.asarray(images).reshape(len(b), -1)
-        gain = np.sqrt(max(0.0, float(np.linalg.eigvalsh(flat.conj() @ flat.T)[-1])))
+    gain = 1.0 if images is None else _gain(np.asarray(images).reshape(len(b), -1).T)
     return float(gain * np.linalg.norm(alg.pair_coords(frame, frame @ f.T)))
 
 

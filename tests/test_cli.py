@@ -898,6 +898,32 @@ class TestInputFileErrors:
         assert code == 2
         assert err == f"error: {tmp_path / 'input.json'}: size must be a positive integer, got {size}\n"
 
+    @pytest.mark.parametrize("potential, name", [
+        pytest.param(3, "potential must be a list of rows of matrices", id="number"),
+        pytest.param([3], "potential must be a list of rows of matrices", id="row_a_number"),
+        pytest.param({"a": 1}, "potential must be a list of rows of matrices", id="object"),
+        pytest.param([{"a": 1}], "potential must be a list of rows of matrices", id="row_an_object"),
+    ])
+    def test_product_potential_not_a_table_names_the_field(self, tmp_path, capsys, potential, name):
+        argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
+        doc = {"size": 1, "projector": self.EYE, "potential": potential}
+        code, err = self._run(tmp_path, capsys, matrix_geometry(2, seed=4), argv, doc)
+        assert code == 2
+        assert err == f"error: {tmp_path / 'input.json'}: {name}\n"
+
+    @pytest.mark.parametrize("make, n", [(lambda: trivial_points(3), 3),
+                                         (lambda: matrix_geometry(2, seed=7), 8)],
+                             ids=["points3", "mg2-7"])
+    def test_product_rank_zero_module_names_the_trace(self, tmp_path, capsys, make, n):
+        # the zero projector is a projector of rank 0: there is no range to
+        # compress to, refused with one line that names Tr Q
+        argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
+        doc = {"size": 1, "projector": matrix_to_data(np.zeros((n, n)))}
+        code, err = self._run(tmp_path, capsys, make(), argv, doc)
+        assert code == 1
+        assert err == "error: module projector has trace Tr Q = 0.000e+00: its range is empty\n"
+        assert not (tmp_path / "out.striple").exists()
+
     def test_product_half_projector_names_the_gate(self, tmp_path, capsys):
         argv = ["product", "-o", str(tmp_path / "out.striple"), "--module"]
         doc = {"size": 1, "projector": self.HALF}
@@ -921,3 +947,14 @@ class TestInputFileErrors:
         code, err = self._run(tmp_path, capsys, riem, ["pair", "--projectors"], doc)
         assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc, side", [
+        pytest.param({"left": 3, "right": []}, "left", id="left_number"),
+        pytest.param({"left": [], "right": {"a": 1}}, "right", id="right_object"),
+        pytest.param({"left": "x", "right": []}, "left", id="left_text"),
+    ])
+    def test_pair_side_not_a_list_names_the_field(self, tmp_path, capsys, doc, side):
+        riem = convert.spinc_to_riemannian(trivial_points(3)).output
+        code, err = self._run(tmp_path, capsys, riem, ["pair", "--projectors"], doc)
+        assert code == 2
+        assert err == f"error: {tmp_path / 'input.json'}: {side} must be a list of matrices\n"

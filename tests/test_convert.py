@@ -1,3 +1,4 @@
+import functools
 import inspect
 import pathlib
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    barrett_triple,
     block_diag,
     dense_module_projector,
     opposite_algebra,
@@ -40,12 +42,13 @@ from ncgeo.linalg import (
     max_span_residual,
     operator_norm,
     project_onto_span,
+    pull_back,
     random_complex,
     random_hermitian,
     rel_residual,
     span_basis,
 )
-from ncgeo.modules import frame_idempotency_bound, parseval_frame
+from ncgeo.modules import ProjectiveModule, frame_idempotency_bound, parseval_frame
 from ncgeo.report import CheckReport
 from ncgeo.tomita import AntiunitaryMap, grading_from_cycle, opposite_action, tomita_conjugation
 from ncgeo.triples import (
@@ -376,20 +379,31 @@ def spy_svd_calls(monkeypatch):
     return calls
 
 
-def assert_range_certificate(value, q, v, idempotency):
+def assert_range_certificate(value, q, v, idempotency, module):
     """A carrier-size certificate of |Q - V V^*|_F: at least the dense
     Frobenius norm, hence the 2-norm, and `linalg.projector_gap_bound` of the
     dense |Q V - V|_F, the isometry and trace defects and the frame's bound
     on |Q^2 - Q|_F, to the rounding of |Q V - V|_F (at most 1.2e-16 on these
-    inputs).  The frame's bound is |Q^2 - Q|_F up to rounding: both are of
-    rounding size here, at most 5.3e-15 apart."""
+    inputs).  For a module with a factor Q = T S^* the residual is the
+    dense |T S^* V - V|_F plus the factor's bound b, which is the dense
+    |Q - T S^*|_F or more up to the rounding of forming Q's operators and
+    the dense products (at most 2.6e-16 apart on these inputs), and the
+    trace defect that of T S^* plus sqrt(N) b.
+    The frame's bound is |Q^2 - Q|_F up to rounding: both are of rounding
+    size here, at most 5.3e-15 apart."""
     frob = projector_gap(q, v)
     assert operator_norm(q - v @ adjoint(v)) <= frob <= value
     assert abs(idempotency - np.linalg.norm(q @ q - q)) <= 1e-14
     n, r = v.shape
+    resid, trace = np.linalg.norm(q @ v - v), abs(np.trace(q).real - r)
+    factor = module.factor
+    if factor is not None:
+        tq = factor.left @ adjoint(factor.right)
+        assert np.linalg.norm(q - tq) <= factor.bound + 1e-15
+        resid = np.linalg.norm(tq @ v - v) + factor.bound
+        trace = abs(np.trace(tq).real - r) + np.sqrt(n) * factor.bound
     bound = linalg.projector_gap_bound(
-        np.linalg.norm(q @ v - v), np.linalg.norm(adjoint(v) @ v - np.eye(r)),
-        abs(np.trace(q).real - r), idempotency, n)
+        resid, np.linalg.norm(adjoint(v) @ v - np.eye(r)), trace, idempotency, n)
     assert abs(value - bound) <= 1e-13 * value + 1e-15
 
 
@@ -429,7 +443,7 @@ class TestCarrierSizeBackward:
         ref = rel_residual(dhat @ chat + chat @ dhat, operator_norm(dhat), operator_norm(chat))
         assert abs(entry.residual - ref) <= 1e-13
         assert_range_certificate(res.report.entry("convert:module_projector").residual, q, v,
-                                 asm["idempotency"])
+                                 asm["idempotency"], asm["module"])
 
     def test_backward_dirac_is_the_transported_source(self, backward_input):
         # the Grassmann backward twist recovers S - E_{A'}(S), transported by
@@ -443,13 +457,13 @@ class TestCarrierSizeBackward:
     def test_projector_off_the_identification_fails(self, backward_input, monkeypatch):
         # a projector rotated off the range of V by 1e-6 is still a Hermitian
         # idempotent, but no longer V V^*; the rotation 1 (x) r acts on the
-        # factors, r O_k r^*
+        # factors, r O_k r^*, and the moved coordinates carry no rank-size factor
         _, tri, module = backward_input
         asm = _backward_assembly(tri, module)
         factored = asm["module"]
         vals, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(3), factored.block_dim))
         rot = (vecs * np.exp(1e-6j * vals / np.max(np.abs(vals)))) @ adjoint(vecs)
-        moved = replace(factored, ops=rot @ factored.ops @ adjoint(rot))
+        moved = replace(factored, ops=rot @ factored.ops @ adjoint(rot), factor=None)
         q = dense_module_projector(moved)
         assert rel_residual(q @ q - q, 1.0) < 1e-12
         assert rel_residual(q - adjoint(q), 1.0) < 1e-12
@@ -475,6 +489,9 @@ class TestCarrierSizeBackward:
         module = replace(module_of(t, forward), algebra_basis=basis)
         asm = _backward_assembly(forward.output, module)
         assert asm["idempotency"] == np.inf
+        # the right action fails the probe, so the module has no rank-size
+        # factor and the certificate reads the coordinates
+        assert asm["module"].factor is None
         entries = []
         add = convert.CheckReport.add
         monkeypatch.setattr(convert.CheckReport, "add",
@@ -508,6 +525,115 @@ class TestCarrierSizeBackward:
         assert rest == calls
 
 
+def images_map(images):
+    """The linear map `alg.basis[k]` -> `images[k]` as the function of an
+    element's coordinates that `_antihomomorphism_defect` probes."""
+    return lambda c: np.tensordot(c, images, 1)
+
+
+FACTOR_CASES = {
+    "points2": lambda: trivial_points(2),
+    "points3": lambda: trivial_points(3),
+    "points4": lambda: trivial_points(4),
+    "mg2-0": lambda: matrix_geometry(2, seed=0),
+    "mg2-7": lambda: matrix_geometry(2, seed=7),
+    "mg3-0": lambda: matrix_geometry(3, seed=0),
+    "barrett11": lambda: barrett_triple(2, "11"),
+    "barrett20": lambda: barrett_triple(2, "20"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def factor_case(name):
+    """(source, forward result, backward assembly of the round trip's module)."""
+    t = FACTOR_CASES[name]()
+    forward = spinc_to_riemannian(t)
+    module = CliffordModuleData(t.hilbert_dim, forward.witness["c_basis_src"], t.right_action_gens)
+    return t, forward, _backward_assembly(forward.output, module)
+
+
+def assert_factored_reads(module):
+    """`apply`, `trace` and `diagonal_blocks` through the factor match those
+    of the coordinates to 1e-13 relative, and the factor's bound is the
+    dense |Q - T S^*|_F or more, up to the rounding of the dense products."""
+    factor = module.factor
+    assert factor is not None
+    exact = replace(module, factor=None)
+    x = random_complex(np.random.default_rng(5), (module.size * module.block_dim, 4))
+    assert_rel_close(module.apply(x), exact.apply(x), rel=1e-13)
+    assert abs(module.trace() - exact.trace()) <= 1e-13 * max(1.0, abs(exact.trace()))
+    assert_rel_close(module.diagonal_blocks(), exact.diagonal_blocks(), rel=1e-13)
+    q = dense_module_projector(module)
+    assert np.linalg.norm(q - factor.left @ adjoint(factor.right)) <= factor.bound + 1e-15
+    assert factor.bound <= 1e-12
+
+
+class TestRankSizeFactor:
+    """The modules of both conversions carry Q = T S^* at rank size, read
+    the same as their coordinates, and keep the coordinates as Q."""
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+    def test_forward_factor_is_an_isometry(self, name):
+        _, forward, _ = factor_case(name)
+        module = forward.witness["module"]
+        assert_factored_reads(module)
+        t = module.factor.left
+        assert module.factor.right is t
+        assert t.shape == forward.witness["module_basis"].shape
+        assert np.linalg.norm(adjoint(t) @ t - np.eye(t.shape[1])) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+    def test_forward_pull_backs_match(self, name):
+        t, forward, _ = factor_case(name)
+        module, u = forward.witness["module"], forward.witness["module_basis"]
+        pull = module.range_pull_back(u)
+        cda = t.cda()
+        for ops in (t.dirac, represent_chain(t, t.orientation_cycle), np.asarray(t.algebra_gens),
+                    cda.basis[:6]):
+            assert_rel_close(pull(ops), pull_back(u, ops), rel=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+    def test_backward_factor_and_lazy_operators(self, name):
+        t, forward, _ = factor_case(name)
+        asm = _backward_assembly(forward.output, CliffordModuleData(
+            t.hilbert_dim, forward.witness["c_basis_src"], t.right_action_gens))
+        module = asm["module"]
+        assert module.factor is not None and module.factor.right is not module.factor.left
+        # the certificate reads the factor: the K-stack of right actions is
+        # not built until something reads the coordinates' operators
+        value = convert._range_certificate(module, asm["identification"], asm["idempotency"], 1e-8)
+        assert value <= 1e-12 and "ops" not in vars(module)
+        assert_factored_reads(module)
+        assert "ops" in vars(module)
+        assert_rel_close(module.ops, opposite_action(asm["conjugation"], asm["source_ops"]), rel=1e-15)
+
+    def test_a_caller_projector_carries_no_factor(self):
+        t = matrix_geometry(2, seed=7)
+        q = dense_module_projector(factor_case("mg2-7")[1].witness["module"])
+        module = ProjectiveModule.from_projector(t.right_algebra(), t.hilbert_dim, q)
+        assert module.factor is None
+        _, u, _ = kasparov.product_triple(t, kasparov.grassmann_connection(module))
+        assert u.shape == (len(q), round(np.trace(q).real))
+
+    def test_a_bound_above_the_gate_drops_the_factor(self):
+        # coefficients that miss the pairing coordinates give a bound above
+        # the gate, and the module reads its coordinates
+        _, forward, _ = factor_case("mg2-7")
+        module, xs = forward.witness["module"], forward.witness["frame"]
+        right = module.base
+        comps = convert._components(*right.wedderburn)
+        units, off = convert._unit_coords(convert._algebra_pattern(*right.wedderburn), right.basis)
+        coeffs = [(xs @ w_k.conj().reshape(len(w_k), -1)).reshape((len(xs),) + w_k.shape[1:])
+                  for w_k in comps]
+        kept = ProjectiveModule.of_frame(right, module.coords, right.basis, units, coeffs, comps,
+                                         comps, off, 1e-9)
+        assert kept.factor is not None and kept.factor.bound == module.factor.bound
+        moved = [1.001 * c for c in coeffs]
+        dropped = ProjectiveModule.of_frame(right, module.coords, right.basis, units, moved, comps,
+                                            comps, off, 1e-9)
+        assert dropped.factor is None
+
+
 class TestAntihomomorphismProbe:
     """`_antihomomorphism_defect` on maps of M_2 and of a span that is no
     algebra."""
@@ -515,7 +641,8 @@ class TestAntihomomorphismProbe:
     M2 = AlgebraBasis(2, span_basis(np.eye(4, dtype=complex).reshape(4, 2, 2)))
 
     def test_transpose_reads_rounding(self):
-        assert convert._antihomomorphism_defect(self.M2, np.swapaxes(self.M2.basis, 1, 2)) < 1e-15
+        transpose = images_map(np.swapaxes(self.M2.basis, 1, 2))
+        assert convert._antihomomorphism_defect(self.M2, transpose) < 1e-15
 
     def test_each_law_is_probed(self):
         s = np.array([[2.0, 1.0], [0.0, 1.0]], dtype=complex)
@@ -526,10 +653,10 @@ class TestAntihomomorphismProbe:
             "order": self.M2.basis,
         }
         for images in maps.values():
-            assert convert._antihomomorphism_defect(self.M2, images) > 1e-2
+            assert convert._antihomomorphism_defect(self.M2, images_map(images)) > 1e-2
         # the diagonal matrices with one off-diagonal unit span no algebra
         span = AlgebraBasis(2, span_basis(np.eye(4, dtype=complex)[[0, 1, 3]].reshape(3, 2, 2)))
-        assert convert._antihomomorphism_defect(span, np.swapaxes(span.basis, 1, 2)) > 1e-2
+        assert convert._antihomomorphism_defect(span, images_map(np.swapaxes(span.basis, 1, 2))) > 1e-2
 
 
 class TestCarrierSizeForward:
@@ -553,7 +680,7 @@ class TestCarrierSizeForward:
         module, u = res.witness["module"], res.witness["module_basis"]
         assert_range_certificate(res.report.entry("convert:projector_residual").residual,
                                  dense_module_projector(module), u,
-                                 frame_idempotency_bound(module.base, res.witness["frame"]))
+                                 frame_idempotency_bound(module.base, res.witness["frame"]), module)
 
     @pytest.mark.parametrize("make", [lambda: matrix_geometry(2, seed=7), lambda: trivial_points(3)],
                              ids=["mg2-7", "points3"])

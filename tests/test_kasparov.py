@@ -415,6 +415,16 @@ class TestRangeBasis:
 
 
 class TestProductTriple:
+    @pytest.mark.parametrize("make", [lambda: trivial_points(3), lambda: matrix_geometry(2, seed=7)],
+                             ids=["points3", "mg2-7"])
+    def test_rank_zero_module_is_refused(self, make):
+        # the zero projector passes the module gate, but its range is empty
+        t = make()
+        module = ProjectiveModule.from_projector(t.right_algebra(), 1, np.zeros((t.hilbert_dim,) * 2))
+        assert validate_module(module).passed
+        with pytest.raises(ValueError, match=re.escape("module projector has trace Tr Q = 0.000e+00")):
+            product_triple(t, grassmann_connection(module))
+
     def test_free_module_reproduces_input(self):
         t = matrix_geometry(2, seed=2)
         out, basis, rep = product_triple(t, grassmann_connection(trivial_module(t, 1)))
